@@ -119,13 +119,11 @@ struct RunResult {
   std::size_t otfFallbacks = 0;
   std::size_t otfSavedPeak = 0;
   /// Fused-engine detail: refinement passes run / deferred by the
-  /// adaptive cadence, intra-step workers, pipelined steps + rollbacks,
-  /// and the per-stage wall breakdown summed over all fused steps.
+  /// adaptive cadence, intra-step workers, and the per-stage wall
+  /// breakdown summed over all fused steps.
   std::size_t otfPassesRun = 0;
   std::size_t otfPassesSkipped = 0;
   unsigned otfIntraWorkers = 0;
-  std::size_t otfPipelined = 0;
-  std::size_t otfRollbacks = 0;
   double otfExpandSeconds = 0.0;
   double otfRefineSeconds = 0.0;
   double otfCollapseSeconds = 0.0;
@@ -167,8 +165,6 @@ RunResult timeCold(const dft::Dft& d, unsigned numThreads, bool symmetry,
       best.otfPassesRun = rep.stats().otfRefinePassesRun;
       best.otfPassesSkipped = rep.stats().otfRefinePassesSkipped;
       best.otfIntraWorkers = rep.stats().otfIntraWorkers;
-      best.otfPipelined = rep.stats().otfPipelinedSteps;
-      best.otfRollbacks = rep.stats().otfPipelineRollbacks;
       best.otfExpandSeconds = best.otfRefineSeconds = 0.0;
       best.otfCollapseSeconds = best.otfRenumberSeconds = 0.0;
       for (const analysis::CompositionStep& s : rep.stats().steps) {
@@ -447,12 +443,11 @@ bool runOtfSweep(std::vector<OtfResultRow>& out) {
                 : !r.fusedOk    ? "STEPS FELL BACK — BUG"
                                 : "bit-identical");
     std::printf("  stages: expand %.4fs refine %.4fs (passes %zu, skipped "
-                "%zu) collapse %.4fs renumber %.4fs workers %u piped %zu "
-                "rollbacks %zu\n",
+                "%zu) collapse %.4fs renumber %.4fs workers %u\n",
                 r.on.otfExpandSeconds, r.on.otfRefineSeconds,
                 r.on.otfPassesRun, r.on.otfPassesSkipped,
                 r.on.otfCollapseSeconds, r.on.otfRenumberSeconds,
-                r.on.otfIntraWorkers, r.on.otfPipelined, r.on.otfRollbacks);
+                r.on.otfIntraWorkers);
     out.push_back(std::move(r));
   }
   std::printf("\n");
@@ -577,8 +572,7 @@ void writeJson(const std::vector<ConfigResult>& results,
         "\"fused_steps\": %zu, \"fallbacks\": %zu, "
         "\"saved_vs_product_bound\": %zu, "
         "\"refine_passes_run\": %zu, \"refine_passes_skipped\": %zu, "
-        "\"intra_workers\": %u, \"pipelined_steps\": %zu, "
-        "\"pipeline_rollbacks\": %zu, "
+        "\"intra_workers\": %u, "
         "\"expand_seconds\": %.6f, \"refine_seconds\": %.6f, "
         "\"collapse_seconds\": %.6f, \"renumber_seconds\": %.6f, "
         "\"measures_bit_identical\": %s}%s\n",
@@ -590,7 +584,6 @@ void writeJson(const std::vector<ConfigResult>& results,
             static_cast<double>(r.on.peakStates),
         r.on.otfSteps, r.on.otfFallbacks, r.on.otfSavedPeak,
         r.on.otfPassesRun, r.on.otfPassesSkipped, r.on.otfIntraWorkers,
-        r.on.otfPipelined, r.on.otfRollbacks,
         r.on.otfExpandSeconds, r.on.otfRefineSeconds,
         r.on.otfCollapseSeconds, r.on.otfRenumberSeconds,
         r.bitIdentical ? "true" : "false", i + 1 < otf.size() ? "," : "");

@@ -1,13 +1,12 @@
 /// \file bench_solvers.cpp
 /// Experiment E10b: cost of the numerical substrate — uniformization
-/// transient analysis, steady-state power iteration, CTMC lumping, and
-/// CTMDP value iteration, over parametric birth-death chains.
+/// transient analysis, steady-state power iteration and CTMDP value
+/// iteration, over parametric birth-death chains.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 
-#include "ctmc/lumping.hpp"
 #include "ctmc/steady_state.hpp"
 #include "ctmc/transient.hpp"
 #include "ctmdp/reachability.hpp"
@@ -67,28 +66,6 @@ void BM_SteadyState(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SteadyState)->Arg(16)->Arg(64)->Unit(benchmark::kMicrosecond);
-
-void BM_Lumping(benchmark::State& state) {
-  // A chain with many lumpable duplicates: two parallel copies per level.
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  ctmc::Ctmc c;
-  c.initial = 0;
-  c.labelNames = {"down"};
-  c.rates.resize(2 * n + 1);
-  c.labelMasks.assign(2 * n + 1, 0);
-  for (std::size_t level = 0; level < n; ++level) {
-    ctmc::StateId a = static_cast<ctmc::StateId>(2 * level),
-                  b = static_cast<ctmc::StateId>(2 * level + 1);
-    ctmc::StateId nextA = static_cast<ctmc::StateId>(2 * level + 2);
-    c.rates[a].push_back({1.0, nextA});
-    c.rates[b].push_back({1.0, nextA});
-  }
-  c.labelMasks[2 * n] = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ctmc::lump(c).quotient.numStates());
-  }
-}
-BENCHMARK(BM_Lumping)->Arg(64)->Arg(256)->Unit(benchmark::kMicrosecond);
 
 void BM_CtmdpValueIteration(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -65,8 +65,6 @@ void publishRequestMetrics(const AnalysisReport& report, double wallSeconds) {
   static obs::Counter& refineRun = reg.counter("otf.refine_passes_run");
   static obs::Counter& refineSkipped =
       reg.counter("otf.refine_passes_skipped");
-  static obs::Counter& pipelined = reg.counter("otf.pipelined_steps");
-  static obs::Counter& rollbacks = reg.counter("otf.pipeline_rollbacks");
   static obs::Counter& measuresOk = reg.counter("analyzer.measures_ok");
   static obs::Counter& measuresFailed =
       reg.counter("analyzer.measures_failed");
@@ -88,8 +86,6 @@ void publishRequestMetrics(const AnalysisReport& report, double wallSeconds) {
                 report.cache.chainEvictions + report.cache.curveEvictions);
   refineRun.add(report.cache.otfRefinePassesRun);
   refineSkipped.add(report.cache.otfRefinePassesSkipped);
-  pipelined.add(report.cache.otfPipelinedSteps);
-  rollbacks.add(report.cache.otfPipelineRollbacks);
   for (const MeasureResult& m : report.measures)
     (m.ok ? measuresOk : measuresFailed).add();
   if (report.analysis)
@@ -125,15 +121,11 @@ std::string optionsKey(const AnalysisOptions& opts) {
   key += opts.engine.onTheFly ? '1' : '0';
   key += ";oc=";
   key += std::to_string(opts.engine.onTheFlyMaxVisited);
-  // The refinement cadence and the pipeline drill never change result
-  // bytes, but both change the cached stats (pass counters, rollback
-  // counters), so they are keyed.  otfIntraStepParallel is deliberately
-  // absent: it is bit-identical *and* stat-compatible (otfIntraWorkers is
-  // reported as a max, not cached per entry).
+  // The refinement cadence never changes result bytes, but it changes the
+  // cached stats (pass counters), so it is keyed.  numThreads is
+  // deliberately absent: it is bit-identical for every value.
   key += ";or=";
   key += std::to_string(opts.engine.otfRefineCadence);
-  key += ";od=";
-  key += opts.engine.otfPipelineDrill ? '1' : '0';
   return key;
 }
 
@@ -475,8 +467,6 @@ std::shared_ptr<const DftAnalysis> Analyzer::runNumericPipeline(
         stats.otfRefinePassesSkipped += sub->stats.otfRefinePassesSkipped;
         stats.otfIntraWorkers =
             std::max(stats.otfIntraWorkers, sub->stats.otfIntraWorkers);
-        stats.otfPipelinedSteps += sub->stats.otfPipelinedSteps;
-        stats.otfPipelineRollbacks += sub->stats.otfPipelineRollbacks;
         for (const std::string& reason : sub->stats.onTheFlyFallbackReasons)
           stats.noteOnTheFlyFallbackReason(reason);
         stats.peakComposedStates =
@@ -602,10 +592,6 @@ std::shared_ptr<const DftAnalysis> Analyzer::runPipeline(
   requestStats.stepsSaved += engine.stats.stepsSaved;
   requestStats.otfRefinePassesRun += engine.stats.otfRefinePassesRun;
   requestStats.otfRefinePassesSkipped += engine.stats.otfRefinePassesSkipped;
-  requestStats.otfIntraWorkers =
-      std::max(requestStats.otfIntraWorkers, engine.stats.otfIntraWorkers);
-  requestStats.otfPipelinedSteps += engine.stats.otfPipelinedSteps;
-  requestStats.otfPipelineRollbacks += engine.stats.otfPipelineRollbacks;
 
   // Absorb failure states, re-aggregate (usually shrinks further), extract.
   phase = Clock::now();
@@ -1019,8 +1005,8 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
                  "expectation exists");
             break;
           }
-          ctmc::MttfResult mttf =
-              ctmc::expectedTimeToLabel(analysis->absorbed.chain, kDownLabel);
+          ctmc::MttfResult mttf = ctmc::expectedTimeToLabel(
+              analysis->absorbed.chain, kDownLabel, solveOpts.cancel);
           if (!mttf.finite) {
             r.values.push_back(kInf);
             warn(

@@ -5,7 +5,6 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <future>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -101,8 +100,6 @@ void foldPeaks(CompositionStats& stats) {
     stats.otfRefinePassesRun += s.otfRefinePassesRun;
     stats.otfRefinePassesSkipped += s.otfRefinePassesSkipped;
     stats.otfIntraWorkers = std::max(stats.otfIntraWorkers, s.otfIntraWorkers);
-    if (s.otfPipelined) ++stats.otfPipelinedSteps;
-    if (s.otfPipelineRollback) ++stats.otfPipelineRollbacks;
   }
 }
 
@@ -119,119 +116,36 @@ bool synchronize(const IOIMC& a, const IOIMC& b) {
   return anyShared(sa.outputs(), sb) || anyShared(sa.inputs(), sb);
 }
 
-/// Results below this size verify their deferred fixpoint inline — the
-/// check costs microseconds there and pipelining it would only add thread
-/// churn.
-constexpr std::size_t kPipelineMinStates = 64;
-
-/// In-flight deferred fixpoint verification of one fused step (the
-/// engine-level pipelining): the step's optimistic first-pass result is
-/// already committed to the pool and its verification runs on a background
-/// thread while the merge loop explores the next step.  Joined before the
-/// next step commits anything, so at most one verification is ever
-/// outstanding and every rollback touches only the last committed step.
-struct PendingVerify {
-  std::future<std::optional<IOIMC>> verdict;
-  std::size_t resultSlot = 0;        ///< pool slot of the optimistic model
-  std::size_t stepIndex = 0;         ///< index of the step's record
-  std::size_t aSlot = 0, bSlot = 0;  ///< the operands' pool slots
-  /// The operands, kept alive for the rare classic redo of the step.
-  std::optional<IOIMC> aModel, bModel;
-};
+/// Resolves a thread-count option: 0 means hardware concurrency.
+unsigned resolveThreads(unsigned requested) {
+  if (requested != 0) return requested;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
 
 /// Greedily folds the live entries of \p pool into one model, recording
 /// one CompositionStep per pairwise composition into \p steps.  The
 /// cheapest synchronizing pair merges first; \p usedOutside reports
 /// whether an output action has consumers beyond this pool (null = none).
-///
-/// Fused steps run with a deferred fixpoint check: the optimistic
-/// first-pass aggregate is committed immediately and verified on a
-/// background thread while the next step's product is already being
-/// explored.  The verification almost always confirms the bytes (one
-/// quotient pass is a fixpoint on typical models); when it instead amends
-/// them, the overlapped work is discarded and redone against the corrected
-/// model, so the returned model — and every recorded size — is identical
-/// to a fully sequential run.
 std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
                       std::vector<std::size_t> live,
                       const EngineOptions& opts,
                       std::vector<CompositionStep>& steps,
                       const std::function<bool(ioimc::ActionId)>& usedOutside) {
   require(!live.empty(), "composeCommunity: empty module pool");
-  // One encoding pool shared by every fused step of this merge, so
-  // repeated refinement passes reuse the same worker threads instead of
-  // respawning them per step.  Created lazily: only when intra-step
-  // parallelism is on and a step's product bound is big enough that the
-  // parallel encode path could engage at all.
+  // One encoding pool shared by every fused step of this merge (partial
+  // refinement and quotient tail alike), so repeated refinement passes
+  // reuse the same worker threads instead of respawning them.  Sized by
+  // EngineOptions::numThreads and created lazily: only once a step's
+  // product bound is big enough that the parallel encode could engage.
+  const unsigned encodeThreads = resolveThreads(opts.numThreads);
   std::unique_ptr<WorkerPool> encodePool;
   auto encodePoolFor = [&](std::size_t leftStates,
                            std::size_t rightStates) -> WorkerPool* {
-    if (!opts.otfIntraStepParallel) return nullptr;
-    if (!encodePool) {
-      if (leftStates * rightStates < ioimc::detail::kIntraParallelMinStates)
-        return nullptr;
-      const unsigned t = std::thread::hardware_concurrency();
-      if (t > 1) encodePool = std::make_unique<WorkerPool>(t);
-    }
+    if (!encodePool && encodeThreads > 1 &&
+        leftStates * rightStates >= ioimc::detail::kIntraParallelMinStates)
+      encodePool = std::make_unique<WorkerPool>(encodeThreads);
     return encodePool.get();
-  };
-
-  std::optional<PendingVerify> pending;
-
-  // Joins the outstanding deferred verification.  Returns true when it
-  // amended the pool — the caller's in-flight selection/exploration was
-  // based on stale bytes and must be redone.
-  auto joinPending = [&]() -> bool {
-    if (!pending) return false;
-    PendingVerify p = std::move(*pending);
-    pending.reset();
-    std::optional<IOIMC> corrected;
-    try {
-      corrected = p.verdict.get();
-    } catch (const BudgetExceeded&) {
-      throw;
-    } catch (const Error& e) {
-      // The optimistic bytes cannot be trusted and the correction pass
-      // failed (e.g. an incomplete canonical renumbering): rewind the step
-      // record and serve the step through the classic chain, exactly like
-      // a non-deferred invariant failure would have.  Redone inline —
-      // retrying the fused path would deterministically fail again.
-      steps.resize(p.stepIndex);
-      pool[p.aSlot] = std::move(p.aModel);
-      pool[p.bSlot] = std::move(p.bModel);
-      pool[p.resultSlot].reset();
-      CompositionStep redo;
-      redo.name = pool[p.aSlot]->name() + " || " + pool[p.bSlot]->name();
-      redo.leftStates = pool[p.aSlot]->numStates();
-      redo.rightStates = pool[p.bSlot]->numStates();
-      redo.onTheFlyFallback = true;
-      redo.onTheFlyFallbackReason = e.what();
-      obs::traceInstant("otf-fallback", redo.onTheFlyFallbackReason);
-      IOIMC composed =
-          ioimc::compose(*pool[p.aSlot], *pool[p.bSlot], opts.cancel.get());
-      redo.composedStates = composed.numStates();
-      redo.composedTransitions = composed.numTransitions();
-      IOIMC redone = hideAndAggregatePool(std::move(composed), opts, pool,
-                                          p.aSlot, p.bSlot, usedOutside);
-      redo.aggregatedStates = redone.numStates();
-      redo.aggregatedTransitions = redone.numTransitions();
-      steps.push_back(std::move(redo));
-      pool[p.aSlot].reset();
-      pool[p.bSlot].reset();
-      pool[p.resultSlot].emplace(std::move(redone));
-      return true;
-    }
-    if (!corrected) return false;  // confirmed: the handed-out bytes stand
-    // The verification found further merges: swap the corrected model into
-    // the step's slot and patch its record.  The overlapped exploration
-    // read the optimistic bytes and is stale.
-    pool[p.resultSlot].emplace(std::move(*corrected));
-    steps[p.stepIndex].aggregatedStates = pool[p.resultSlot]->numStates();
-    steps[p.stepIndex].aggregatedTransitions =
-        pool[p.resultSlot]->numTransitions();
-    steps[p.stepIndex].otfPipelineRollback = true;
-    obs::traceInstant("otf-rollback", steps[p.stepIndex].name);
-    return true;
   };
 
   while (live.size() > 1) {
@@ -266,7 +180,6 @@ std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
     stepSpan.arg("left_states", step.leftStates);
     stepSpan.arg("right_states", step.rightStates);
     std::optional<IOIMC> fused;
-    bool fusedVerified = true;
     if (opts.onTheFly && opts.aggregateEachStep) {
       // The composite's outputs (out(A) u out(B); shared outputs are
       // rejected by compose anyway) determine the hide set without
@@ -279,14 +192,11 @@ std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
       outs.erase(std::unique(outs.begin(), outs.end()), outs.end());
       ioimc::otf::OtfOptions fusedOpts;
       fusedOpts.weak = opts.weak;
-      fusedOpts.weak.intraThreads = opts.otfIntraStepParallel ? 0u : 1u;
       fusedOpts.collapseSinks = opts.collapseSinks;
       fusedOpts.maxLiveStates = opts.onTheFlyMaxVisited;
       fusedOpts.refineCadence = opts.otfRefineCadence;
-      fusedOpts.intraThreads = opts.otfIntraStepParallel ? 0u : 1u;
-      fusedOpts.encodePool =
+      fusedOpts.encodePool = fusedOpts.weak.encodePool =
           encodePoolFor(step.leftStates, step.rightStates);
-      fusedOpts.deferFixpoint = true;
       ioimc::otf::OtfResult r = ioimc::otf::otfComposeAggregate(
           *pool[a], *pool[b],
           hiddenOutputsFor(outs, pool, a, b, usedOutside), fusedOpts);
@@ -302,17 +212,12 @@ std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
         step.otfCollapseSeconds = r.stats.collapseSeconds;
         step.otfRenumberSeconds = r.stats.renumberSeconds;
         fused.emplace(std::move(*r.model));
-        fusedVerified = r.fixpointVerified;
       } else {
         step.onTheFlyFallback = true;
         step.onTheFlyFallbackReason = std::move(r.failureReason);
         obs::traceInstant("otf-fallback", step.onTheFlyFallbackReason);
       }
     }
-    // Join the previous fused step's deferred verification before this
-    // step commits anything: when it amended the pool, this iteration's
-    // selection and exploration were stale — redo the whole iteration.
-    if (joinPending()) continue;
     IOIMC result = [&] {
       if (fused) return std::move(*fused);
       IOIMC composed = ioimc::compose(*pool[a], *pool[b], opts.cancel.get());
@@ -321,73 +226,8 @@ std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
       return hideAndAggregatePool(std::move(composed), opts, pool, a, b,
                                   usedOutside);
     }();
-    bool pipelineThis = false;
-    if (fused && !fusedVerified) {
-      // Overlapping the verification only pays when a second core can run
-      // it; on one core the async handoff (model copy + thread) is pure
-      // overhead over the inline check.  The drill forces the overlapped
-      // path regardless, so its rollback machinery stays testable
-      // everywhere.
-      if (opts.otfPipelineDrill ||
-          (std::thread::hardware_concurrency() > 1 &&
-           result.numStates() >= kPipelineMinStates)) {
-        pipelineThis = true;
-      } else {
-        // Small result: complete the deferred check right here — it costs
-        // less than a thread handoff.
-        ioimc::WeakOptions verifyWeak = opts.weak;
-        verifyWeak.intraThreads = 1;
-        try {
-          if (std::optional<IOIMC> v =
-                  ioimc::otf::verifyAggregateFixpoint(result, verifyWeak))
-            result = std::move(*v);
-        } catch (const BudgetExceeded&) {
-          throw;
-        } catch (const Error& e) {
-          step.onTheFly = false;
-          step.onTheFlyFallback = true;
-          step.onTheFlyFallbackReason = e.what();
-          obs::traceInstant("otf-fallback", step.onTheFlyFallbackReason);
-          IOIMC composed =
-              ioimc::compose(*pool[a], *pool[b], opts.cancel.get());
-          step.composedStates = composed.numStates();
-          step.composedTransitions = composed.numTransitions();
-          result = hideAndAggregatePool(std::move(composed), opts, pool, a,
-                                        b, usedOutside);
-        }
-      }
-    }
     step.aggregatedStates = result.numStates();
     step.aggregatedTransitions = result.numTransitions();
-    if (pipelineThis) {
-      step.otfPipelined = true;
-      PendingVerify p;
-      p.resultSlot = pool.size();
-      p.stepIndex = steps.size();
-      p.aSlot = a;
-      p.bSlot = b;
-      p.aModel = std::move(pool[a]);
-      p.bModel = std::move(pool[b]);
-      ioimc::WeakOptions verifyWeak = opts.weak;
-      verifyWeak.intraThreads = 1;
-      const bool drill = opts.otfPipelineDrill;
-      IOIMC copy = result;  // verified on a private copy; pool may move
-      const std::uint64_t traceCtx = obs::currentTraceContext();
-      p.verdict = std::async(
-          std::launch::async,
-          [m = std::move(copy), verifyWeak, drill,
-           traceCtx]() mutable -> std::optional<IOIMC> {
-            obs::ScopedTraceContext ctxGuard(traceCtx);
-            obs::TraceSpan span("otf.verify");
-            std::optional<IOIMC> v =
-                ioimc::otf::verifyAggregateFixpoint(m, verifyWeak);
-            // Drill: pretend the confirmation was a correction (the bytes
-            // are identical) so the rollback path gets exercised.
-            if (!v && drill) v.emplace(std::move(m));
-            return v;
-          });
-      pending.emplace(std::move(p));
-    }
     stepSpan.arg("aggregated_states", step.aggregatedStates);
     stepSpan.arg("otf", step.onTheFly ? 1 : 0);
     steps.push_back(std::move(step));
@@ -398,9 +238,6 @@ std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
     live.erase(live.begin() + bestI);
     live.push_back(pool.size() - 1);
   }
-  // Drain the last step's verification; a rollback here only swaps or
-  // recomputes the final model in place, so one join settles it.
-  joinPending();
   return live.front();
 }
 
@@ -1132,18 +969,13 @@ EngineResult composeCommunity(Community community, const dft::Dft& dft,
     nodes[best].ownModels.push_back(m);
   }
 
-  unsigned numThreads = opts.numThreads;
-  if (numThreads == 0) {
-    numThreads = std::thread::hardware_concurrency();
-    if (numThreads == 0) numThreads = 1;
-  }
   modularizeSpan->arg("modules", modules.size());
   modularizeSpan.reset();
 
   ModularAggregator aggregator(std::move(slots), std::move(nodes), rootNode,
                                modules, std::move(parent), dft, modelElements,
                                contexts, opts, cache);
-  auto [model, stats] = aggregator.run(numThreads);
+  auto [model, stats] = aggregator.run(resolveThreads(opts.numThreads));
   return finishResult(EngineResult{std::move(model), std::move(stats)});
 }
 

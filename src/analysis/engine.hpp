@@ -38,13 +38,15 @@ struct EngineOptions {
   /// Merge states whose whole future is unobservable (see
   /// ioimc::collapseUnobservableSinks); measure-preserving.
   bool collapseSinks = true;
-  /// Worker threads for the Modular strategy's per-module aggregation
-  /// (independent modules share no mutable state, so their
-  /// compose/hide/aggregate chains run concurrently).  0 means
-  /// std::thread::hardware_concurrency(); 1 runs everything on the calling
-  /// thread.  Results are bitwise identical for every thread count: each
-  /// module task is a pure function of its inputs and the results are
-  /// folded in a fixed order.
+  /// Worker threads for both thread layers of the engine: the Modular
+  /// strategy's per-module aggregation (independent modules share no
+  /// mutable state, so their compose/hide/aggregate chains run
+  /// concurrently) and the signature-encode pool each merge shares across
+  /// its fused steps.  0 means std::thread::hardware_concurrency(); 1 runs
+  /// everything on the calling thread.  Results are bitwise identical for
+  /// every thread count: each module task is a pure function of its inputs,
+  /// the results are folded in a fixed order, and encoding is block-parallel
+  /// while interning stays sequential in state order.
   unsigned numThreads = 0;
   /// Symmetry reduction (Modular strategy only): bucket independent modules
   /// by their rename-invariant shape (dft::moduleShape), aggregate exactly
@@ -76,8 +78,8 @@ struct EngineOptions {
   /// states into weak-bisimulation classes *while exploration is still
   /// running*, so the peak memory of a composition step scales with the
   /// running quotient instead of the full reachable product.  The fused
-  /// result is canonically renumbered and re-verified as a fixpoint of the
-  /// ordinary refinement; measures are bit-identical to the classic path
+  /// result is canonically renumbered and verified inline as a fixpoint of
+  /// the ordinary refinement; measures are bit-identical to the classic path
   /// (the E15 bench enforces this).  Any invariant failure falls back to
   /// the classic chain for that step — never a wrong answer — and is
   /// counted in CompositionStats::onTheFlyFallbacks (the Analyzer attaches
@@ -95,19 +97,6 @@ struct EngineOptions {
   /// it does change reported stats, so it IS part of the semantic cache
   /// key.  Values below 1 are clamped to 1.
   double otfRefineCadence = 2.0;
-  /// Parallelize the per-iteration signature encoding *inside* each fused
-  /// composition step (hardware concurrency; off = fully sequential
-  /// refinement).  One worker pool is shared across the steps of a merge.
-  /// Bitwise identical on or off — encoding is block-parallel, interning
-  /// stays sequential in state order — and therefore deliberately NOT part
-  /// of the semantic cache key.
-  bool otfIntraStepParallel = true;
-  /// Test/bench hook: treat every confirmed deferred-fixpoint verification
-  /// as if it had produced a correction, forcing the pipeline rollback
-  /// path to execute with byte-identical inputs.  Results are unchanged;
-  /// CompositionStats::otfPipelineRollbacks counts the forced rollbacks.
-  /// Changes stats, so it IS part of the semantic cache key.
-  bool otfPipelineDrill = false;
   /// Directory of the persistent quotient store (store/quotient_store.hpp).
   /// Empty disables persistence.  The Analyzer reads aggregated module and
   /// whole-tree quotients plus solved curves from it before aggregating,
@@ -155,12 +144,6 @@ struct CompositionStep {
   std::size_t otfRefinePassesRun = 0;
   std::size_t otfRefinePassesSkipped = 0;
   unsigned otfIntraWorkers = 0;
-  /// The step's fixpoint verification was deferred and overlapped with the
-  /// next step's exploration; otfPipelineRollback marks the rare case
-  /// where the verification amended the optimistic result and the
-  /// overlapped work was redone (final bytes are identical either way).
-  bool otfPipelined = false;
-  bool otfPipelineRollback = false;
   /// Wall-time breakdown of the fused step (see ioimc::otf::OtfStats).
   double otfExpandSeconds = 0.0;
   double otfRefineSeconds = 0.0;
@@ -217,11 +200,6 @@ struct CompositionStats {
   /// Largest intra-step encoding pool any fused step used (0 = the
   /// refinement never went parallel anywhere).
   unsigned otfIntraWorkers = 0;
-  /// Fused steps whose fixpoint verification overlapped the next step's
-  /// exploration, and how many of those verifications amended the
-  /// optimistic result (forcing the overlapped work to be redone).
-  std::size_t otfPipelinedSteps = 0;
-  std::size_t otfPipelineRollbacks = 0;
   /// Distinct fallback reasons seen (deduplicated, capped; Diagnostics).
   std::vector<std::string> onTheFlyFallbackReasons;
 

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -159,13 +158,6 @@ struct CacheStats {
   /// adaptive cadence deferred relative to the old fixed-doubling policy.
   std::size_t otfRefinePassesRun = 0;
   std::size_t otfRefinePassesSkipped = 0;
-  /// Largest intra-step encoding pool any fused step used (max, not sum —
-  /// 0 means the refinement never went parallel).
-  unsigned otfIntraWorkers = 0;
-  /// Fused steps whose fixpoint verification overlapped the next step's
-  /// exploration, and verifications that amended the optimistic result.
-  std::size_t otfPipelinedSteps = 0;
-  std::size_t otfPipelineRollbacks = 0;
 
   /// Field-wise sum (request stats folding into session stats).
   void accumulate(const CacheStats& other) {
@@ -186,9 +178,6 @@ struct CacheStats {
     curveEvictions += other.curveEvictions;
     otfRefinePassesRun += other.otfRefinePassesRun;
     otfRefinePassesSkipped += other.otfRefinePassesSkipped;
-    otfIntraWorkers = std::max(otfIntraWorkers, other.otfIntraWorkers);
-    otfPipelinedSteps += other.otfPipelinedSteps;
-    otfPipelineRollbacks += other.otfPipelineRollbacks;
   }
 };
 

@@ -4,6 +4,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/cancel.hpp"
 #include "common/error.hpp"
 
 namespace imcdft::ctmc {
@@ -56,7 +57,8 @@ std::vector<bool> canReachLabel(const Ctmc& chain, int labelIdx) {
 
 }  // namespace
 
-MttfResult expectedTimeToLabel(const Ctmc& chain, const std::string& label) {
+MttfResult expectedTimeToLabel(const Ctmc& chain, const std::string& label,
+                               const CancelToken* cancel) {
   chain.validate();
   const int labelIdx = chain.labelIndex(label);
   if (labelIdx < 0) return {kInf, false};
@@ -96,6 +98,7 @@ MttfResult expectedTimeToLabel(const Ctmc& chain, const std::string& label) {
 
   // Gaussian elimination with partial pivoting.
   for (std::size_t col = 0; col < n; ++col) {
+    if (cancel) cancel->checkpoint("mttf", n);
     std::size_t pivot = col;
     for (std::size_t r = col + 1; r < n; ++r)
       if (std::fabs(a[r][col]) > std::fabs(a[pivot][col])) pivot = r;

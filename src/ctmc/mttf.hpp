@@ -14,6 +14,10 @@
 /// inputs fail in the wrong order, an inhibited failure mode) have infinite
 /// MTTF; the solver detects this by reachability instead of diverging.
 
+namespace imcdft {
+class CancelToken;  // common/cancel.hpp
+}
+
 namespace imcdft::ctmc {
 
 struct MttfResult {
@@ -27,7 +31,10 @@ struct MttfResult {
 /// Expected time to first reach a state labelled \p label from the initial
 /// state.  Solves the linear hitting-time system by dense Gaussian
 /// elimination over the reachable unlabelled states, so it is intended for
-/// the small aggregated chains the analysis layer produces.
-MttfResult expectedTimeToLabel(const Ctmc& chain, const std::string& label);
+/// the small aggregated chains the analysis layer produces.  \p cancel,
+/// when set, is checkpointed once per elimination column, so an
+/// over-budget request unwinds with BudgetExceeded mid-solve.
+MttfResult expectedTimeToLabel(const Ctmc& chain, const std::string& label,
+                               const CancelToken* cancel = nullptr);
 
 }  // namespace imcdft::ctmc

@@ -43,9 +43,6 @@ struct ExactConfig {
   unsigned threads;
   bool symmetry;
   bool staticCombine;
-  /// Intra-step parallel signature encoding in the fused engine
-  /// (EngineOptions::otfIntraStepParallel) — bitwise-identity contract.
-  bool intraParallel = false;
 };
 
 analysis::AnalysisReport runConfig(
@@ -63,7 +60,6 @@ analysis::AnalysisReport runConfig(
   request.options.engine.numThreads = config.threads;
   request.options.engine.symmetry = config.symmetry;
   request.options.engine.staticCombine = config.staticCombine;
-  request.options.engine.otfIntraStepParallel = config.intraParallel;
   request.budget.deadlineSeconds = opts.deadlineSeconds;
   request.budget.maxLiveStates = opts.maxLiveStates;
   return session.analyze(request);
@@ -248,7 +244,6 @@ OracleVerdict crossCheck(const dft::Dft& tree, const OracleOptions& opts) {
   const ExactConfig configs[] = {
       {"classic", false, 1, false, false},
       {"otf", true, 1, false, false},
-      {"otf-par", true, 1, false, false, /*intraParallel=*/true},
       {"parallel", true, opts.parallelThreads, true, false},
       {"static", true, 1, true, true},
   };

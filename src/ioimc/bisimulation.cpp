@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <memory>
 #include <span>
-#include <thread>
 #include <unordered_map>
 
 #include "common/cancel.hpp"
@@ -220,13 +218,6 @@ WeakSig weakSignature(const IOIMC& m, const TauInfo& tau, const Partition& p,
   return sig;
 }
 
-/// Resolves a 0 = hardware thread request.
-unsigned resolveIntraThreads(unsigned requested) {
-  if (requested != 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
-
 Partition weakBisimulationWithTau(const IOIMC& m, const TauInfo& tau,
                                   const WeakOptions& opts) {
   const std::size_t n = m.numStates();
@@ -242,17 +233,14 @@ Partition weakBisimulationWithTau(const IOIMC& m, const TauInfo& tau,
   // order) is therefore identical to the sequential loop's for any worker
   // count, which is the bitwise 1-vs-N-thread contract.  The sequential
   // path below stays byte-for-byte the old loop (same checkpoint cadence).
-  const unsigned requested = resolveIntraThreads(opts.intraThreads);
+  WorkerPool* pool = opts.encodePool;
   const std::size_t numBlocks =
       (n + detail::kIntraBlockStates - 1) / detail::kIntraBlockStates;
   const bool parallel =
-      requested > 1 && n >= detail::kIntraParallelMinStates;
-  std::unique_ptr<WorkerPool> pool;
+      pool && pool->threads() > 1 && n >= detail::kIntraParallelMinStates;
   std::vector<detail::EncodedBlock> blocks;
   std::vector<WeakScratch> scratches;
   if (parallel) {
-    pool = std::make_unique<WorkerPool>(static_cast<unsigned>(
-        std::min<std::size_t>(requested, numBlocks)));
     blocks.resize(numBlocks);
     scratches.resize(pool->threads());
   } else {

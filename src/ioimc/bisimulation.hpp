@@ -24,6 +24,7 @@
 
 namespace imcdft {
 class CancelToken;  // common/cancel.hpp
+class WorkerPool;   // common/worker_pool.hpp
 }
 
 namespace imcdft::ioimc {
@@ -45,23 +46,24 @@ struct WeakOptions {
   /// completion.  Never changes a result — only whether it is produced.
   /// Not owned; the caller keeps the token alive across the call.
   const CancelToken* cancel = nullptr;
-  /// Worker threads for the per-iteration signature-encoding pass of the
-  /// weak refinement (0 = hardware concurrency).  Encoding is split into
-  /// fixed state blocks filled concurrently, then interned sequentially in
+  /// Borrowed pool for the per-iteration signature-encoding pass of the
+  /// weak refinement (null = sequential).  Encoding is split into fixed
+  /// state blocks filled concurrently, then interned sequentially in
   /// ascending state order, so the partition — and every byte downstream —
-  /// is identical for any value; only small models (where the pool costs
-  /// more than it saves) skip the split.  Deliberately excluded from
-  /// semantic cache keys for the same reason.
-  unsigned intraThreads = 1;
+  /// is identical with or without a pool; only small models (where the
+  /// pool costs more than it saves) skip the split.  Deliberately excluded
+  /// from semantic cache keys for the same reason.  Not owned; the caller
+  /// keeps it alive across the call.
+  WorkerPool* encodePool = nullptr;
 };
 
 /// Computes the weak bisimulation partition of \p m.
 Partition weakBisimulation(const IOIMC& m, const WeakOptions& opts = {});
 
 /// Computes the strong bisimulation partition (no tau abstraction, no
-/// maximal progress — this is exact CTMC lumping when the model has no
-/// interactive transitions).  \p cancel, when set, is checkpointed once
-/// per refinement pass (see WeakOptions::cancel).
+/// maximal progress — on a model without interactive transitions this is
+/// the coarsest exact aggregation of its CTMC).  \p cancel, when set, is
+/// checkpointed once per refinement pass (see WeakOptions::cancel).
 Partition strongBisimulation(const IOIMC& m,
                              const CancelToken* cancel = nullptr);
 

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
-#include <memory>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 
 #include "common/cancel.hpp"
@@ -134,8 +132,6 @@ class OtfEngine {
     return finish();
   }
 
-  bool fixpointVerified() const { return fixpointVerified_; }
-
  private:
   static std::uint64_t key(StateId sa, StateId sb) {
     return (static_cast<std::uint64_t>(sa) << 32) | sb;
@@ -253,29 +249,6 @@ class OtfEngine {
     inLoopReduceSeconds_ += dt;
   }
 
-  /// Encoding pool for refinePartial: the caller's shared pool when
-  /// provided (reused across composition steps), otherwise one created
-  /// lazily — only once the live region is large enough that the parallel
-  /// path can engage at all.
-  WorkerPool* encodingPool() {
-    if (!poolDecided_) {
-      poolDecided_ = true;
-      if (opts_.encodePool) {
-        if (opts_.encodePool->threads() > 1)
-          stats_->intraWorkers = opts_.encodePool->threads();
-      } else {
-        unsigned t = opts_.intraThreads;
-        if (t == 0) t = std::thread::hardware_concurrency();
-        if (t == 0) t = 1;
-        if (t > 1) {
-          pool_ = std::make_unique<WorkerPool>(t);
-          stats_->intraWorkers = pool_->threads();
-        }
-      }
-    }
-    return opts_.encodePool ? opts_.encodePool : pool_.get();
-  }
-
   void collectLive(std::vector<StateId>& rep, std::vector<StateId>& live) {
     const std::size_t total = st_.pairs.size();
     rep.resize(total);
@@ -391,9 +364,10 @@ class OtfEngine {
     g.expanded = &expanded;
     g.roles = &croles_;
     g.outputsUrgent = opts_.weak.outputsUrgent;
-    WorkerPool* pool = live.size() >= detail::kIntraParallelMinStates
-                           ? encodingPool()
-                           : nullptr;
+    WorkerPool* pool = opts_.encodePool;
+    if (pool && pool->threads() > 1 &&
+        live.size() >= detail::kIntraParallelMinStates)
+      stats_->intraWorkers = pool->threads();
     const PartialPartition part =
         refinePartial(g, live, pool, opts_.weak.cancel);
 
@@ -631,15 +605,6 @@ class OtfEngine {
     // verification, and canonicalRenumber is idempotent on its output.
     t0 = Clock::now();
     IOIMC result = aggregateChecked(reduced);
-    if (opts_.deferFixpoint) {
-      // Hand the optimistic first-pass result out now; the caller runs
-      // verifyAggregateFixpoint (typically overlapped with its next
-      // composition step).  On typical models the first pass already is
-      // the fixpoint and the bytes stand unchanged.
-      fixpointVerified_ = false;
-      stats_->renumberSeconds += secondsSince(t0);
-      return result;
-    }
     while (true) {
       const Partition check = weakBisimulation(result, opts_.weak);
       if (check.numClasses == result.numStates()) break;
@@ -668,9 +633,6 @@ class OtfEngine {
   std::size_t lastFixedLive_ = 0;  ///< shadow of the old fixed-doubling policy
   double cadence_ = 2.0;           ///< working cadence (adapts per pass)
   double inLoopReduceSeconds_ = 0.0;
-  bool poolDecided_ = false;
-  bool fixpointVerified_ = true;
-  std::unique_ptr<WorkerPool> pool_;
   OtfStats* stats_ = nullptr;
 };
 
@@ -683,7 +645,6 @@ OtfResult otfComposeAggregate(const IOIMC& a, const IOIMC& b,
   try {
     OtfEngine engine(a, b, hiddenOutputs, opts);
     result.model.emplace(engine.run(result.stats));
-    result.fixpointVerified = engine.fixpointVerified();
     result.ok = true;
   } catch (const OtfAbort& abort) {
     result.ok = false;
@@ -702,24 +663,6 @@ OtfResult otfComposeAggregate(const IOIMC& a, const IOIMC& b,
     result.model.reset();
   }
   return result;
-}
-
-std::optional<IOIMC> verifyAggregateFixpoint(const IOIMC& m,
-                                             const WeakOptions& weak) {
-  bool changed = false;
-  IOIMC current = m;
-  while (true) {
-    const Partition p = weakBisimulation(current, weak);
-    if (p.numClasses == current.numStates())
-      return changed ? std::optional<IOIMC>(std::move(current)) : std::nullopt;
-    bool canonicalComplete = false;
-    current = canonicalRenumber(
-        restrictToReachable(weakQuotient(current, weak)), &canonicalComplete);
-    require(canonicalComplete,
-            "otf deferred fixpoint: canonical renumbering could not separate "
-            "all quotient states");
-    changed = true;
-  }
 }
 
 }  // namespace imcdft::ioimc::otf

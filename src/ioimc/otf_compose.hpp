@@ -69,23 +69,13 @@ struct OtfOptions {
   /// value (the engine's tail reaches the minimal quotient regardless), so
   /// this knob trades peak live states against wall time bit-neutrally.
   double refineCadence = 2.0;
-  /// Worker threads for the per-iteration signature encoding inside the
-  /// partial refinement (0 = hardware concurrency).  Bitwise identical
-  /// for any value — see otf_partition.hpp / WeakOptions::intraThreads;
-  /// also forwarded to nothing else (the quotient tail takes its own
-  /// thread count from weak.intraThreads).
-  unsigned intraThreads = 1;
-  /// Caller-owned encoding pool, reused across composition steps so a
-  /// chain of fused steps does not respawn worker threads per step.  When
-  /// set it overrides intraThreads; must outlive the call.  Not owned.
+  /// Caller-owned pool for the per-iteration signature encoding inside the
+  /// partial refinement, reused across composition steps so a chain of
+  /// fused steps does not respawn worker threads per step.  Null is the
+  /// sequential reference path; any pool yields the same bytes (see
+  /// otf_partition.hpp).  The quotient tail takes its pool from
+  /// weak.encodePool.  Must outlive the call.  Not owned.
   WorkerPool* encodePool = nullptr;
-  /// Hand out the aggregated result after the *first* quotient pass and
-  /// let the caller run the fixpoint verification later (see
-  /// verifyAggregateFixpoint) — the engine-level pipelining hook: the
-  /// verification of step k then overlaps step k+1's frontier expansion.
-  /// OtfResult::fixpointVerified reports false when the check was skipped;
-  /// callers MUST then verify before trusting the bytes.
-  bool deferFixpoint = false;
   /// Safety valve: fail (so the caller falls back) when the live region
   /// exceeds this many states.  0 = unlimited.
   std::size_t maxLiveStates = 0;
@@ -112,7 +102,7 @@ struct OtfStats {
   /// loop minus in-loop reductions; refine covers the partial weak
   /// refinement + reachability pruning; collapse covers the inline and
   /// final sink collapses; renumber covers the final renumbering plus the
-  /// quotient tail (aggregation and its verification when not deferred).
+  /// quotient tail (aggregation and its fixpoint verification).
   double expandSeconds = 0.0;
   double refineSeconds = 0.0;
   double collapseSeconds = 0.0;
@@ -125,9 +115,6 @@ struct OtfResult {
   std::string failureReason;
   /// The aggregated composite (byte-identical to the classic chain).
   std::optional<IOIMC> model;
-  /// False iff OtfOptions::deferFixpoint skipped the fixpoint
-  /// verification; the caller owns running verifyAggregateFixpoint then.
-  bool fixpointVerified = true;
   OtfStats stats;
 };
 
@@ -139,17 +126,5 @@ struct OtfResult {
 OtfResult otfComposeAggregate(const IOIMC& a, const IOIMC& b,
                               const std::vector<ActionId>& hiddenOutputs,
                               const OtfOptions& opts = {});
-
-/// Completes a deferred fixpoint check (OtfOptions::deferFixpoint): runs
-/// the weak refinement on \p m and, while it still finds merges, re-aggregates
-/// with completeness-checked canonical renumbering.  Returns std::nullopt
-/// when \p m already was the fixpoint (the common case — the handed-out
-/// bytes stand as-is), or the corrected model otherwise.  Throws ModelError
-/// when a renumbering cannot separate all quotient states (caller should
-/// redo the step classically) and lets BudgetExceeded pass through.  Safe
-/// to run concurrently with other work: it only reads \p m and the
-/// internally synchronized symbol table.
-std::optional<IOIMC> verifyAggregateFixpoint(const IOIMC& m,
-                                             const WeakOptions& weak);
 
 }  // namespace imcdft::ioimc::otf

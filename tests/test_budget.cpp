@@ -11,6 +11,7 @@
 #include "analysis/engine.hpp"
 #include "common/cancel.hpp"
 #include "ctmc/ctmc.hpp"
+#include "ctmc/mttf.hpp"
 #include "ctmc/transient.hpp"
 #include "dft/corpus.hpp"
 #include "ioimc/bisimulation.hpp"
@@ -131,6 +132,17 @@ TEST(Budget, TransientSiteTrips) {
     FAIL() << "expected BudgetExceeded";
   } catch (const BudgetExceeded& e) {
     EXPECT_EQ(e.checkpoint(), "transient");
+  }
+}
+
+TEST(Budget, MttfSiteTrips) {
+  CancelToken token;
+  token.limitCheckpoints(1);
+  try {
+    ctmc::expectedTimeToLabel(tinyChain(), "down", &token);
+    FAIL() << "expected BudgetExceeded";
+  } catch (const BudgetExceeded& e) {
+    EXPECT_EQ(e.checkpoint(), "mttf");
   }
 }
 
@@ -279,6 +291,38 @@ TEST(Budget, MeasurePhaseTripYieldsPartialReport) {
   ASSERT_EQ(report.measures.size(), 2u);
   EXPECT_FALSE(report.measures[0].ok);
   EXPECT_NE(report.measures[0].error.find("transient"), std::string::npos);
+  EXPECT_FALSE(report.measures[1].ok);
+  EXPECT_NE(report.measures[1].error.find("skipped"), std::string::npos);
+  bool partialWarning = false;
+  for (const analysis::Diagnostic& d : report.diagnostics)
+    if (d.severity == Severity::Warning &&
+        d.message.find("partial report") != std::string::npos)
+      partialWarning = true;
+  EXPECT_TRUE(partialWarning);
+}
+
+TEST(Budget, MttfTripYieldsPartialReport) {
+  // Same shape as above with MTTF evaluated first: the elimination loop
+  // checkpoints, so the one-shot budget trips inside it and the MTTF
+  // measure fails instead of running to completion.
+  Analyzer session;
+  // CPS's PANDs make its MTTF infinite without solving; the repairable AND
+  // has a finite one (2.5) that takes the elimination.
+  const dft::Dft tree = dft::corpus::repairableAnd();
+  AnalysisRequest fill = AnalysisRequest::forDft(tree, "fill")
+                             .measure(MeasureSpec::mttf())
+                             .measure(MeasureSpec::unreliability({1.0}));
+  ASSERT_TRUE(session.analyze(fill).measures[0].ok);
+
+  AnalysisRequest budgeted = AnalysisRequest::forDft(tree, "b")
+                                 .measure(MeasureSpec::mttf())
+                                 .measure(MeasureSpec::unreliability({1.0}));
+  budgeted.budget.maxCheckpoints = 1;
+  AnalysisReport report = session.analyze(budgeted);
+  EXPECT_TRUE(report.fromCache);
+  ASSERT_EQ(report.measures.size(), 2u);
+  EXPECT_FALSE(report.measures[0].ok);
+  EXPECT_NE(report.measures[0].error.find("mttf"), std::string::npos);
   EXPECT_FALSE(report.measures[1].ok);
   EXPECT_NE(report.measures[1].error.find("skipped"), std::string::npos);
   bool partialWarning = false;

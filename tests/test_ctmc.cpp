@@ -5,7 +5,6 @@
 #include "common/error.hpp"
 #include "ctmc/ctmc.hpp"
 #include "ctmc/fox_glynn.hpp"
-#include "ctmc/lumping.hpp"
 #include "ctmc/steady_state.hpp"
 #include "ctmc/transient.hpp"
 
@@ -168,40 +167,6 @@ TEST(SteadyState, BirthDeathClosedForm) {
 TEST(SteadyState, AbsorbingChainEndsAbsorbed) {
   Ctmc c = twoState(3.0);
   EXPECT_NEAR(steadyStateLabelProbability(c, "down"), 1.0, 1e-8);
-}
-
-TEST(Lumping, MergesSymmetricBranches) {
-  // Two interchangeable middle states.
-  Ctmc c;
-  c.initial = 0;
-  c.rates = {{{1.0, 1}, {1.0, 2}}, {{2.0, 3}}, {{2.0, 3}}, {}};
-  c.labelMasks = {0, 0, 0, 1};
-  c.labelNames = {"down"};
-  LumpResult r = lump(c);
-  EXPECT_EQ(r.quotient.numStates(), 3u);
-  EXPECT_EQ(r.classOf[1], r.classOf[2]);
-}
-
-TEST(Lumping, PreservesTransientProbability) {
-  Ctmc c;
-  c.initial = 0;
-  c.rates = {{{1.0, 1}, {1.0, 2}}, {{2.0, 3}}, {{2.0, 3}}, {}};
-  c.labelMasks = {0, 0, 0, 1};
-  c.labelNames = {"down"};
-  LumpResult r = lump(c);
-  for (double t : {0.3, 1.0, 2.5})
-    EXPECT_NEAR(probabilityOfLabelAt(c, "down", t),
-                probabilityOfLabelAt(r.quotient, "down", t), 1e-10);
-}
-
-TEST(Lumping, RespectsLabels) {
-  Ctmc c;
-  c.initial = 0;
-  c.rates = {{{1.0, 1}, {1.0, 2}}, {}, {}};
-  c.labelMasks = {0, 1, 0};
-  c.labelNames = {"down"};
-  LumpResult r = lump(c);
-  EXPECT_EQ(r.quotient.numStates(), 3u);  // absorbing states differ by label
 }
 
 TEST(Validation, CatchesBrokenChains) {

@@ -1,22 +1,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
 
-#include "analysis/analyzer.hpp"
+#include "analysis/converter.hpp"
+#include "analysis/engine.hpp"
 #include "common/cancel.hpp"
+#include "common/worker_pool.hpp"
 #include "dft/corpus.hpp"
 #include "ioimc/builder.hpp"
 #include "ioimc/otf_compose.hpp"
 
-/// The intra-step parallelism, adaptive cadence and pipelined verification
-/// of the fused engine (ioimc/otf_compose.hpp).  All three knobs share one
-/// contract: they may move wall time and stats, but never a single result
-/// byte.  The suite name (OtfIntraParallel) keys the CI thread-sanitizer
-/// job's test filter — keep it when adding cases.
+/// The intra-step encode pool and adaptive cadence of the fused engine
+/// (ioimc/otf_compose.hpp).  Both share one contract: they may move wall
+/// time and stats, but never a single result byte.  The suite name
+/// (OtfIntraParallel) keys the CI thread-sanitizer job's test filter —
+/// keep it when adding cases.
 
 namespace imcdft::ioimc {
 namespace {
@@ -105,16 +106,18 @@ std::vector<ActionId> allOutputs(const IOIMC& a, const IOIMC& b) {
   return ::testing::AssertionSuccess();
 }
 
-otf::OtfOptions baseOptions(unsigned intraThreads) {
+/// Test options; \p pool null is the sequential reference path.
+otf::OtfOptions baseOptions(WorkerPool* pool) {
   otf::OtfOptions opts;
   opts.refineThreshold = 4;
-  opts.intraThreads = intraThreads;
+  opts.encodePool = opts.weak.encodePool = pool;
   return opts;
 }
 
 TEST(OtfIntraParallel, BitwiseAcrossThreadCounts) {
-  // The determinism contract of the block-parallel encode: any thread
-  // count produces the same partition sequence, hence the same bytes.
+  // The determinism contract of the block-parallel encode: any pool
+  // produces the same partition sequence as none, hence the same bytes.
+  WorkerPool pool(4);
   std::size_t engaged = 0;
   for (unsigned seed = 0; seed < 8; ++seed) {
     auto symbols = makeSymbolTable();
@@ -122,12 +125,12 @@ TEST(OtfIntraParallel, BitwiseAcrossThreadCounts) {
     const std::vector<ActionId> hidden = allOutputs(a, b);
 
     otf::OtfResult seq =
-        otf::otfComposeAggregate(a, b, hidden, baseOptions(1));
+        otf::otfComposeAggregate(a, b, hidden, baseOptions(nullptr));
     ASSERT_TRUE(seq.ok) << "seed " << seed << ": " << seq.failureReason;
     EXPECT_EQ(seq.stats.intraWorkers, 0u);
 
     otf::OtfResult par =
-        otf::otfComposeAggregate(a, b, hidden, baseOptions(4));
+        otf::otfComposeAggregate(a, b, hidden, baseOptions(&pool));
     ASSERT_TRUE(par.ok) << "seed " << seed << ": " << par.failureReason;
     if (par.stats.intraWorkers > 0) ++engaged;
 
@@ -142,32 +145,6 @@ TEST(OtfIntraParallel, BitwiseAcrossThreadCounts) {
   EXPECT_GT(engaged, 0u);
 }
 
-TEST(OtfIntraParallel, BitwiseMeasuresAcrossEngineParallelToggle) {
-  // The engine-level toggle (EngineOptions::otfIntraStepParallel): corpus
-  // measures must agree bit-for-bit with the toggle on and off.  On a
-  // single-hardware-thread host both runs are sequential and this is a
-  // smoke test; on multi-core CI it exercises the shared merge-level pool.
-  namespace analysis = imcdft::analysis;
-  std::vector<double> values[2];
-  for (int on = 0; on < 2; ++on) {
-    analysis::Analyzer session;
-    analysis::AnalysisRequest req =
-        analysis::AnalysisRequest::forDft(dft::corpus::cascadedPand(4, 2),
-                                          "cpand");
-    req.measure(analysis::MeasureSpec::unreliability({0.5, 1.0, 2.0}));
-    req.options.engine.otfIntraStepParallel = (on == 1);
-    req.options.engine.staticCombine = false;
-    analysis::AnalysisReport report = session.analyze(req);
-    ASSERT_EQ(report.measures.size(), 1u);
-    ASSERT_TRUE(report.measures[0].ok) << report.measures[0].error;
-    values[on] = report.measures[0].values;
-  }
-  ASSERT_EQ(values[0].size(), values[1].size());
-  for (std::size_t i = 0; i < values[0].size(); ++i)
-    EXPECT_EQ(std::memcmp(&values[0][i], &values[1][i], sizeof(double)), 0)
-        << "grid point " << i;
-}
-
 TEST(OtfIntraParallel, AdaptiveCadenceGoldenEquality) {
   // The cadence decides only *when* refinement passes run, never what the
   // engine finally computes: every cadence must yield identical bytes.
@@ -177,13 +154,13 @@ TEST(OtfIntraParallel, AdaptiveCadenceGoldenEquality) {
     auto [a, b] = bigPair(seed, symbols);
     const std::vector<ActionId> hidden = allOutputs(a, b);
 
-    otf::OtfOptions golden = baseOptions(1);
+    otf::OtfOptions golden = baseOptions(nullptr);
     golden.refineCadence = 2.0;
     otf::OtfResult ref = otf::otfComposeAggregate(a, b, hidden, golden);
     ASSERT_TRUE(ref.ok) << "seed " << seed << ": " << ref.failureReason;
 
     for (double cadence : {1.0, 4.0, 8.0}) {
-      otf::OtfOptions opts = baseOptions(1);
+      otf::OtfOptions opts = baseOptions(nullptr);
       opts.refineCadence = cadence;
       otf::OtfResult r = otf::otfComposeAggregate(a, b, hidden, opts);
       ASSERT_TRUE(r.ok) << "seed " << seed << " cadence " << cadence << ": "
@@ -206,8 +183,10 @@ TEST(OtfIntraParallel, BudgetTripInsideParallelRefinementUnwindsCleanly) {
   auto symbols = makeSymbolTable();
   auto [a, b] = bigPair(3, symbols);
   const std::vector<ActionId> hidden = allOutputs(a, b);
+  WorkerPool pool(4);
 
-  otf::OtfResult ref = otf::otfComposeAggregate(a, b, hidden, baseOptions(4));
+  otf::OtfResult ref =
+      otf::otfComposeAggregate(a, b, hidden, baseOptions(&pool));
   ASSERT_TRUE(ref.ok) << ref.failureReason;
   ASSERT_GT(ref.stats.intraWorkers, 0u)
       << "product too small: the parallel refinement path never engaged";
@@ -216,7 +195,7 @@ TEST(OtfIntraParallel, BudgetTripInsideParallelRefinementUnwindsCleanly) {
   for (std::uint64_t cap = 1; cap <= 20000 && !trippedInRefine; ++cap) {
     CancelToken token;
     token.limitCheckpoints(cap);
-    otf::OtfOptions opts = baseOptions(4);
+    otf::OtfOptions opts = baseOptions(&pool);
     opts.weak.cancel = &token;
     try {
       otf::OtfResult r = otf::otfComposeAggregate(a, b, hidden, opts);
@@ -230,39 +209,27 @@ TEST(OtfIntraParallel, BudgetTripInsideParallelRefinementUnwindsCleanly) {
       << "no checkpoint cap tripped inside the parallel refinement loop";
 
   otf::OtfResult again =
-      otf::otfComposeAggregate(a, b, hidden, baseOptions(4));
+      otf::otfComposeAggregate(a, b, hidden, baseOptions(&pool));
   ASSERT_TRUE(again.ok) << again.failureReason;
   EXPECT_TRUE(equalModels(*ref.model, *again.model));
 }
 
-TEST(OtfIntraParallel, PipelineDrillIsBitwiseAndCountsRollbacks) {
-  // The drill forces every deferred-fixpoint confirmation through the
-  // rollback path (discard overlapped work, redo against the "corrected"
-  // — byte-identical — model).  Measures must not move, and the rollbacks
-  // must be visible in the session stats.
+TEST(OtfIntraParallel, EngineEncodePoolFollowsNumThreads) {
+  // EngineOptions::numThreads sizes the merge's shared encode pool:
+  // numThreads = 1 never goes parallel, numThreads = 4 does, and the
+  // composed models are bitwise equal.
   namespace analysis = imcdft::analysis;
-  std::vector<double> values[2];
-  for (int drill = 0; drill < 2; ++drill) {
-    analysis::Analyzer session;
-    analysis::AnalysisRequest req = analysis::AnalysisRequest::forDft(
-        dft::corpus::cascadedPand(4, 2), "cpand");
-    req.measure(analysis::MeasureSpec::unreliability({0.5, 1.0, 2.0}));
-    req.options.engine.otfPipelineDrill = (drill == 1);
-    req.options.engine.staticCombine = false;
-    analysis::AnalysisReport report = session.analyze(req);
-    ASSERT_EQ(report.measures.size(), 1u);
-    ASSERT_TRUE(report.measures[0].ok) << report.measures[0].error;
-    values[drill] = report.measures[0].values;
-    if (drill == 1) {
-      EXPECT_GT(report.stats().otfPipelinedSteps, 0u);
-      EXPECT_GT(report.stats().otfPipelineRollbacks, 0u);
-      EXPECT_GT(session.cacheStats().otfPipelineRollbacks, 0u);
-    }
-  }
-  ASSERT_EQ(values[0].size(), values[1].size());
-  for (std::size_t i = 0; i < values[0].size(); ++i)
-    EXPECT_EQ(std::memcmp(&values[0][i], &values[1][i], sizeof(double)), 0)
-        << "grid point " << i;
+  const dft::Dft tree = dft::corpus::cascadedPand(4, 3);
+  auto compose = [&](unsigned threads) {
+    analysis::EngineOptions opts;
+    opts.numThreads = threads;
+    return analysis::composeCommunity(analysis::convertDft(tree), tree, opts);
+  };
+  const analysis::EngineResult seq = compose(1);
+  const analysis::EngineResult par = compose(4);
+  EXPECT_EQ(seq.stats.otfIntraWorkers, 0u);
+  EXPECT_GT(par.stats.otfIntraWorkers, 0u);
+  EXPECT_TRUE(equalModels(seq.model, par.model));
 }
 
 }  // namespace

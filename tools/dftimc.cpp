@@ -18,8 +18,10 @@
 ///                       printed seed replays the estimates exactly)
 ///     --runs N          Monte-Carlo trajectory count (implies --simulate)
 ///     --seed S          Monte-Carlo master seed (default 42)
-///     --jobs N          worker threads for module aggregation
-///                       (default: one per hardware thread; 1 = sequential)
+///     --jobs N          worker threads for module aggregation and for the
+///                       fused engine's signature encoding (default: one
+///                       per hardware thread; 1 = fully sequential;
+///                       measures are bit-identical for every N)
 ///     --symmetry on|off symmetry reduction: aggregate one representative
 ///                       per module shape and instantiate isomorphic
 ///                       siblings by action renaming (default: on;
@@ -49,12 +51,6 @@
 ///                       the old fixed-doubling trigger points while the
 ///                       passes keep paying off; never changes measures,
 ///                       only peak live states vs wall time)
-///     --otf-parallel on|off
-///                       parallelize the signature encoding inside each
-///                       fused step's refinement passes (default: on;
-///                       bit-identical either way — encoding is
-///                       block-parallel, interning stays sequential in
-///                       state order)
 ///     --stats           print composition statistics and phase timings
 ///     --deadline SEC    resource budget: give up on a request after SEC
 ///                       seconds of wall clock, checked cooperatively at
@@ -170,7 +166,6 @@ struct CliOptions {
   bool staticCombine = true;
   bool onTheFly = true;
   double otfRefineCadence = 2.0;
-  bool otfParallel = true;
   bool serve = false;
   unsigned jobs = 0;     ///< 0 = hardware_concurrency
   unsigned workers = 0;  ///< serve mode session threads; 0 = hardware
@@ -198,7 +193,7 @@ struct CliOptions {
                "          [--jobs N] [--symmetry on|off]\n"
                "          [--static-combine on|off] [--on-the-fly on|off] "
                "[--stats]\n"
-               "          [--otf-refine CADENCE] [--otf-parallel on|off]\n"
+               "          [--otf-refine CADENCE]\n"
                "          [--deadline SEC] [--max-live-states N]\n"
                "          [--store DIR] [--dot FILE] [--aut FILE]\n"
                "          [--trace FILE] [--metrics-json FILE]\n"
@@ -299,14 +294,6 @@ CliOptions parseArgs(int argc, char** argv) {
         usage(argv[0]);
       }
       if (!(opts.otfRefineCadence > 0.0)) usage(argv[0]);
-    } else if (arg == "--otf-parallel") {
-      std::string v = next();
-      if (v == "on")
-        opts.otfParallel = true;
-      else if (v == "off")
-        opts.otfParallel = false;
-      else
-        usage(argv[0]);
     } else if (arg == "--dot") {
       opts.dotPath = next();
     } else if (arg == "--aut") {
@@ -450,7 +437,6 @@ void configureRequest(imcdft::analysis::AnalysisRequest& request,
   request.options.engine.staticCombine = opts.staticCombine;
   request.options.engine.onTheFly = opts.onTheFly;
   request.options.engine.otfRefineCadence = opts.otfRefineCadence;
-  request.options.engine.otfIntraStepParallel = opts.otfParallel;
   request.options.engine.storeDir = opts.storeDir;
   request.budget.deadlineSeconds = opts.deadline;
   request.budget.maxLiveStates = opts.maxLiveStates;
@@ -481,24 +467,24 @@ bool printMeasureResults(const imcdft::analysis::AnalysisReport& report) {
       case analysis::MeasureKind::UnreliabilityBounds:
         for (std::size_t i = 0; i < m.spec.times.size(); ++i) {
           if (!m.bounds.empty())
-            std::printf("unreliability in [%.8f, %.8f] at t=%g\n",
+            std::printf("unreliability in [%.17g, %.17g] at t=%g\n",
                         m.bounds[i].lower, m.bounds[i].upper,
                         m.spec.times[i]);
           else
-            std::printf("unreliability      %.8f at t=%g\n", m.values[i],
+            std::printf("unreliability      %.17g at t=%g\n", m.values[i],
                         m.spec.times[i]);
         }
         break;
       case analysis::MeasureKind::Unavailability:
         for (std::size_t i = 0; i < m.spec.times.size(); ++i)
-          std::printf("unavailability     %.8f at t=%g\n", m.values[i],
+          std::printf("unavailability     %.17g at t=%g\n", m.values[i],
                       m.spec.times[i]);
         break;
       case analysis::MeasureKind::SteadyStateUnavailability:
-        std::printf("steady-state unavailability %.8f\n", m.values[0]);
+        std::printf("steady-state unavailability %.17g\n", m.values[0]);
         break;
       case analysis::MeasureKind::Mttf:
-        std::printf("mean time to failure %.8f\n", m.values[0]);
+        std::printf("mean time to failure %.17g\n", m.values[0]);
         break;
     }
   }
@@ -719,12 +705,8 @@ int runServe(const CliOptions& opts) {
               "saved\n",
               s.moduleHits, s.moduleMisses, s.stepsSaved);
   if (s.otfRefinePassesRun + s.otfRefinePassesSkipped > 0)
-    std::printf("  otf refinement:  %zu pass(es) run, %zu deferred, "
-                "%u encode worker(s), %zu pipelined step(s), "
-                "%zu rollback(s)\n",
-                s.otfRefinePassesRun, s.otfRefinePassesSkipped,
-                s.otfIntraWorkers, s.otfPipelinedSteps,
-                s.otfPipelineRollbacks);
+    std::printf("  otf refinement:  %zu pass(es) run, %zu deferred\n",
+                s.otfRefinePassesRun, s.otfRefinePassesSkipped);
   if (!opts.storeDir.empty())
     std::printf("  store:           %zu hit(s), %zu miss(es), %zu write(s), "
                 "%zu error(s)\n",
@@ -798,11 +780,6 @@ int runOneShot(CliOptions& opts) {
                     "collapse %.4f, renumber %.4f\n",
                     report.timings.otfExpand, report.timings.otfRefine,
                     report.timings.otfCollapse, report.timings.otfRenumber);
-        if (report.stats().otfPipelinedSteps > 0)
-          std::printf("  otf pipeline:    %zu step(s) overlapped the next "
-                      "step's exploration, %zu rollback(s)\n",
-                      report.stats().otfPipelinedSteps,
-                      report.stats().otfPipelineRollbacks);
       }
       std::printf("  peak composed:   %zu states, %zu transitions\n",
                   report.stats().peakComposedStates,
@@ -853,7 +830,7 @@ int runOneShot(CliOptions& opts) {
       std::printf("\n");
       for (double t : opts.times) {
         diftree::ModularResult m = diftree::modularAnalysis(tree, t);
-        std::printf("DIFTree modular baseline: unreliability %.8f at t=%g "
+        std::printf("DIFTree modular baseline: unreliability %.17g at t=%g "
                     "(largest module chain: %zu states)\n",
                     m.unreliability, t, m.largestMcStates);
       }
@@ -864,7 +841,7 @@ int runOneShot(CliOptions& opts) {
                   "transitions\n",
                   m.numStates, m.numTransitions);
       for (double t : opts.times)
-        std::printf("DIFTree monolithic baseline: unreliability %.8f at "
+        std::printf("DIFTree monolithic baseline: unreliability %.17g at "
                     "t=%g\n",
                     ctmc::probabilityOfLabelAt(m.chain, "down", t), t);
     }
@@ -880,14 +857,14 @@ int runOneShot(CliOptions& opts) {
         simulation::Estimate est = simulation::simulateUnreliability(
             tree, t, {opts.simulateRuns, opts.simulateSeed});
         std::printf(
-            "Monte-Carlo estimate: %.8f in [%.8f, %.8f] (95%% Wilson) "
+            "Monte-Carlo estimate: %.17g in [%.17g, %.17g] (95%% Wilson) "
             "at t=%g\n",
             est.value, est.low(), est.high(), t);
         if (tree.isRepairable()) {
           simulation::Estimate un = simulation::simulateUnavailability(
               tree, t, {opts.simulateRuns, opts.simulateSeed});
           std::printf(
-              "Monte-Carlo unavailability: %.8f in [%.8f, %.8f] "
+              "Monte-Carlo unavailability: %.17g in [%.17g, %.17g] "
               "(95%% Wilson) at t=%g\n",
               un.value, un.low(), un.high(), t);
         }
