@@ -13,11 +13,14 @@ Checks, in order:
   5. Optionally (--min-coverage), the union of all span intervals covers
      at least the given fraction of the global event extent — the
      "spans cover >= 95% of measured wall time" acceptance bar.
+  6. Optionally (--expect-span / --forbid-span), named spans or instants
+     must appear at least once / must never appear.
 
 Exit status 0 when every check passes, 1 with a diagnostic otherwise.
 Stdlib only; usage:
 
     check_trace.py TRACE.json [--min-coverage 0.95] [--expect-span NAME]...
+                   [--forbid-span NAME]...
 """
 
 import argparse
@@ -39,6 +42,9 @@ def main():
                              "the union of spans must cover")
     parser.add_argument("--expect-span", action="append", default=[],
                         help="span name that must appear at least once "
+                             "(repeatable)")
+    parser.add_argument("--forbid-span", action="append", default=[],
+                        help="span name that must never appear "
                              "(repeatable)")
     args = parser.parse_args()
 
@@ -107,6 +113,9 @@ def main():
         if name not in names:
             fail(f"expected span {name!r} never appears "
                  f"(saw: {', '.join(sorted(names))})")
+    for name in args.forbid_span:
+        if name in names:
+            fail(f"forbidden span {name!r} appears")
 
     # Coverage: union of span intervals over the global event extent.
     all_ts = [ts for per_tid in (last_ts,) for ts in per_tid.values()]

@@ -37,6 +37,26 @@ double secondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+/// The absorbed extraction of a closed engine result, which is already a
+/// minimal quotient.  Making the down states absorbing changes nothing when
+/// none of them has an outgoing transition, and aggregate() maps a minimal
+/// quotient to itself, so such a model goes straight to extract().  Only
+/// when repairs lead out of a down state is the absorbed model aggregated
+/// again (it usually shrinks).
+Extraction absorbedExtraction(const ioimc::IOIMC& closed,
+                              const ioimc::WeakOptions& weak) {
+  const int down = closed.labelIndex(kDownLabel);
+  bool downHasBehaviour = down < 0;  // makeLabelAbsorbing reports the error
+  for (ioimc::StateId s = 0; s < closed.numStates() && !downHasBehaviour; ++s)
+    downHasBehaviour = closed.hasLabel(s, down) &&
+                       (!closed.interactive(s).empty() ||
+                        !closed.markovian(s).empty());
+  if (!downHasBehaviour) return extract(closed, kDownLabel);
+  return extract(
+      ioimc::aggregate(ioimc::makeLabelAbsorbing(closed, kDownLabel), weak),
+      kDownLabel);
+}
+
 /// Auto-assigned request/trace ids (AnalysisRequest::requestId == 0).
 std::uint64_t nextRequestId() {
   static std::atomic<std::uint64_t> counter{0};
@@ -593,13 +613,9 @@ std::shared_ptr<const DftAnalysis> Analyzer::runPipeline(
   requestStats.otfRefinePassesRun += engine.stats.otfRefinePassesRun;
   requestStats.otfRefinePassesSkipped += engine.stats.otfRefinePassesSkipped;
 
-  // Absorb failure states, re-aggregate (usually shrinks further), extract.
   phase = Clock::now();
   span.emplace("extract");
-  ioimc::IOIMC absorbedModel =
-      ioimc::makeLabelAbsorbing(engine.model, kDownLabel);
-  absorbedModel = ioimc::aggregate(absorbedModel, opts.engine.weak);
-  Extraction absorbed = extract(absorbedModel, kDownLabel);
+  Extraction absorbed = absorbedExtraction(engine.model, opts.engine.weak);
   span.reset();
   timings.extract = secondsSince(phase);
 
@@ -810,17 +826,15 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
       bool fresh = false;
       if (!analysis && storeHandle) {
         // Whole-tree store probe: a hit skips conversion and composition
-        // entirely; only the (cheap) absorb/re-aggregate/extract tail runs
-        // on the already-aggregated quotient.  Numeric-path analyses are
-        // never persisted whole-tree (their value lives in module and
-        // curve records), so the probe is for the full key.
+        // entirely; only the extraction tail runs on the already-aggregated
+        // quotient.  Numeric-path analyses are never persisted whole-tree
+        // (their value lives in module and curve records), so the probe is
+        // for the full key.
         phase = Clock::now();
         if (std::optional<store::QuotientStore::LoadedTree> loaded =
                 storeHandle->loadTree(fullKey, symbols_)) {
-          ioimc::IOIMC absorbedModel =
-              ioimc::makeLabelAbsorbing(loaded->model, kDownLabel);
-          absorbedModel = ioimc::aggregate(absorbedModel, options.engine.weak);
-          Extraction absorbed = extract(absorbedModel, kDownLabel);
+          Extraction absorbed =
+              absorbedExtraction(loaded->model, options.engine.weak);
           DftAnalysis rebuilt{std::move(loaded->model), CompositionStats{},
                               std::move(absorbed), false, loaded->repairable,
                               nullptr, nullptr};
@@ -921,8 +935,8 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
                              report.cache, cancel.get());
         });
   };
-  // Transient solves of budgeted requests checkpoint once per
-  // uniformization step (null token = zero overhead).
+  // Every solver of a budgeted request checkpoints once per iteration
+  // (null token = zero overhead).
   ctmc::TransientOptions solveOpts;
   solveOpts.cancel = cancel.get();
   auto warn = [&](const std::string& message) {
@@ -969,7 +983,8 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
           } else if (analysis->nondeterministic) {
             r.boundsSubstituted = true;
             for (double t : spec.times)
-              r.bounds.push_back(unreliabilityBounds(*analysis, t));
+              r.bounds.push_back(
+                  unreliabilityBounds(*analysis, t, solveOpts.cancel));
             warn(
                 "the model is nondeterministic (FDEP-induced simultaneity, "
                 "Section 4.4): scheduler bounds substituted for point "
@@ -987,7 +1002,8 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
               r.bounds.push_back(ctmdp::ReachabilityBounds{v, v});
           } else {
             for (double t : spec.times)
-              r.bounds.push_back(unreliabilityBounds(*analysis, t));
+              r.bounds.push_back(
+                  unreliabilityBounds(*analysis, t, solveOpts.cancel));
           }
           break;
         case MeasureKind::Unavailability:
@@ -996,7 +1012,8 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
             r.values.push_back(unavailability(*analysis, t, solveOpts));
           break;
         case MeasureKind::SteadyStateUnavailability:
-          r.values.push_back(steadyStateUnavailability(*analysis));
+          r.values.push_back(
+              steadyStateUnavailability(*analysis, solveOpts.cancel));
           break;
         case MeasureKind::Mttf: {
           if (analysis->nondeterministic) {

@@ -10,6 +10,7 @@
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
 
 #include "analysis/symmetry.hpp"
@@ -296,9 +297,10 @@ class ModularAggregator {
 
   /// Resolves cache splices (sequentially, on the calling thread), plans
   /// the symmetry buckets, then aggregates all remaining module tasks on
-  /// \p numThreads workers and returns the root model plus deterministic,
-  /// post-ordered stats.
-  std::pair<IOIMC, CompositionStats> run(unsigned numThreads) {
+  /// \p numThreads workers and returns the root model, deterministic
+  /// post-ordered stats, and whether the root model came out of a merge
+  /// step at the root.
+  std::tuple<IOIMC, CompositionStats, bool> run(unsigned numThreads) {
     resolveSplices(rootNode_);
     if (opts_.symmetry) planSymmetry();
     scheduleReadyTasks();
@@ -309,7 +311,8 @@ class ModularAggregator {
     stats.symmetricBuckets = symmetricBuckets_;
     collectStats(rootNode_, stats);
     foldPeaks(stats);
-    return {std::move(*results_[rootNode_]), std::move(stats)};
+    return {std::move(*results_[rootNode_]), std::move(stats),
+            properModule_[rootNode_] != 0};
   }
 
  private:
@@ -872,22 +875,35 @@ EngineResult composeCommunity(Community community, const dft::Dft& dft,
   for (CommunityModel& m : community.models)
     slots.emplace_back(std::move(m.model));
 
-  auto finishResult = [&](EngineResult result) {
+  // A merge step hides every output nobody else consumes, collapses, and
+  // aggregates to a canonically renumbered weak-bisimulation fixpoint.  When
+  // the final merge left no output visible, its result is already the
+  // closed minimal quotient: hide, collapse and aggregate would map it to
+  // itself.  Only a model not closed that way (a lone community model, a
+  // spliced module, or a run without per-step aggregation) is finalized,
+  // also to a fixpoint, so every result is minimal (the Analyzer's
+  // extraction relies on it).
+  auto finishResult = [&](EngineResult result, bool merged) {
+    if (merged && opts.aggregateEachStep &&
+        result.model.signature().outputs().empty())
+      return result;
     obs::TraceSpan span("finalize");
     result.model = ioimc::hideAllOutputs(result.model);
     if (opts.collapseSinks)
       result.model = ioimc::collapseUnobservableSinks(result.model);
-    result.model = ioimc::aggregate(result.model, opts.weak);
+    result.model = ioimc::aggregateFixpoint(result.model, opts.weak);
     span.arg("states", result.model.numStates());
     return result;
   };
 
   auto sequentialMerge = [&](std::vector<std::size_t> live) {
     CompositionStats stats;
+    const bool merged = live.size() > 1;
     std::size_t finalIdx =
         mergePool(slots, std::move(live), opts, stats.steps, nullptr);
     foldPeaks(stats);
-    return EngineResult{std::move(*slots[finalIdx]), std::move(stats)};
+    return finishResult(
+        EngineResult{std::move(*slots[finalIdx]), std::move(stats)}, merged);
   };
 
   if (opts.strategy != CompositionStrategy::Modular) {
@@ -903,9 +919,10 @@ EngineResult composeCommunity(Community community, const dft::Dft& dft,
       }
       foldPeaks(stats);
       return finishResult(
-          EngineResult{std::move(*slots[acc]), std::move(stats)});
+          EngineResult{std::move(*slots[acc]), std::move(stats)},
+          originalCount > 1);
     }
-    return finishResult(sequentialMerge(std::move(live)));
+    return sequentialMerge(std::move(live));
   }
 
   // Build the module containment tree (modules sorted by size, so a
@@ -941,7 +958,7 @@ EngineResult composeCommunity(Community community, const dft::Dft& dft,
   if (rootNode < 0) {
     std::vector<std::size_t> live(slots.size());
     for (std::size_t i = 0; i < live.size(); ++i) live[i] = i;
-    return finishResult(sequentialMerge(std::move(live)));
+    return sequentialMerge(std::move(live));
   }
   // Any other parentless module hangs off the root (conservative).
   for (std::size_t i = 0; i < modules.size(); ++i)
@@ -975,8 +992,10 @@ EngineResult composeCommunity(Community community, const dft::Dft& dft,
   ModularAggregator aggregator(std::move(slots), std::move(nodes), rootNode,
                                modules, std::move(parent), dft, modelElements,
                                contexts, opts, cache);
-  auto [model, stats] = aggregator.run(resolveThreads(opts.numThreads));
-  return finishResult(EngineResult{std::move(model), std::move(stats)});
+  auto [model, stats, merged] =
+      aggregator.run(resolveThreads(opts.numThreads));
+  return finishResult(EngineResult{std::move(model), std::move(stats)},
+                      merged);
 }
 
 }  // namespace imcdft::analysis

@@ -245,7 +245,9 @@ class ModuleCache {
                      const ioimc::IOIMC& model, std::size_t steps) = 0;
 };
 
-/// Folds the community into a single aggregated I/O-IMC.  \p dft is used by
+/// Folds the community into a single aggregated I/O-IMC.  The result is
+/// closed (every output hidden) and a weak-bisimulation fixpoint in
+/// canonical numbering, so ioimc::aggregate maps it to itself.  \p dft is used by
 /// the Modular strategy to group models by independent module.  \p cache,
 /// when non-null, lets the Modular strategy reuse previously aggregated
 /// module models across invocations (other strategies ignore it).

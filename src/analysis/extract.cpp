@@ -10,27 +10,33 @@ using ioimc::IOIMC;
 using ioimc::StateId;
 
 Extraction extract(const IOIMC& closed, const std::string& goalLabel) {
-  for (StateId s = 0; s < closed.numStates(); ++s)
-    for (const auto& t : closed.interactive(s))
+  // Distinct tau successors of every state as one flat table: state s owns
+  // tauTargets[tauOffsets[s], tauOffsets[s + 1]), sorted ascending.
+  const std::size_t n = closed.numStates();
+  std::vector<std::size_t> tauOffsets(n + 1, 0);
+  std::vector<StateId> tauTargets;
+  tauTargets.reserve(closed.numInteractiveTransitions());
+  for (StateId s = 0; s < n; ++s) {
+    const std::size_t begin = tauTargets.size();
+    for (const auto& t : closed.interactive(s)) {
       require(closed.signature().isInternal(t.action),
               "extract: model still has visible transition on action '" +
                   closed.actionName(t.action) +
                   "' — the community was not fully composed/hidden");
-
-  const std::size_t n = closed.numStates();
-  std::vector<std::vector<StateId>> tauSucc(n);
-  for (StateId s = 0; s < n; ++s) {
-    for (const auto& t : closed.interactive(s)) tauSucc[s].push_back(t.to);
-    std::sort(tauSucc[s].begin(), tauSucc[s].end());
-    tauSucc[s].erase(std::unique(tauSucc[s].begin(), tauSucc[s].end()),
-                     tauSucc[s].end());
+      tauTargets.push_back(t.to);
+    }
+    std::sort(tauTargets.begin() + begin, tauTargets.end());
+    tauTargets.erase(std::unique(tauTargets.begin() + begin, tauTargets.end()),
+                     tauTargets.end());
+    tauOffsets[s + 1] = tauTargets.size();
   }
-  auto vanishing = [&](StateId s) { return !tauSucc[s].empty(); };
+  auto tauCount = [&](StateId s) { return tauOffsets[s + 1] - tauOffsets[s]; };
+  auto vanishing = [&](StateId s) { return tauCount(s) != 0; };
 
   Extraction out;
   out.deterministic = true;
   for (StateId s = 0; s < n; ++s)
-    if (tauSucc[s].size() > 1) out.deterministic = false;
+    if (tauCount(s) > 1) out.deterministic = false;
 
   const int goalIdx = closed.labelIndex(goalLabel);
 
@@ -43,7 +49,9 @@ Extraction extract(const IOIMC& closed, const std::string& goalLabel) {
   for (StateId s = 0; s < n; ++s) {
     mdp.goal[s] = closed.hasLabel(s, goalIdx);
     if (vanishing(s)) {
-      mdp.choices[s] = tauSucc[s];  // maximal progress: rates are dead here
+      // Maximal progress: rates are dead here.
+      mdp.choices[s].assign(tauTargets.begin() + tauOffsets[s],
+                            tauTargets.begin() + tauOffsets[s + 1]);
     } else {
       for (const auto& t : closed.markovian(s))
         mdp.rates[s].push_back({t.rate, t.to});
@@ -60,7 +68,7 @@ Extraction extract(const IOIMC& closed, const std::string& goalLabel) {
     StateId cur = s;
     while (vanishing(cur) && resolved[cur] == static_cast<StateId>(-1)) {
       path.push_back(cur);
-      cur = tauSucc[cur].front();
+      cur = tauTargets[tauOffsets[cur]];
       require(std::find(path.begin(), path.end(), cur) == path.end(),
               "extract: divergent internal cycle (time-lock)");
     }

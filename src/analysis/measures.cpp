@@ -53,14 +53,17 @@ std::vector<double> unreliabilityCurve(const DftAnalysis& analysis,
 }
 
 ctmdp::ReachabilityBounds unreliabilityBounds(const DftAnalysis& analysis,
-                                              double missionTime) {
+                                              double missionTime,
+                                              const CancelToken* cancel) {
   if (analysis.staticCombo) {
     // The numeric path only exists when every module is deterministic; the
     // scheduler bounds collapse onto the point value.
     const double v = unreliability(analysis, missionTime);
     return {v, v};
   }
-  return ctmdp::reachabilityBounds(analysis.absorbed.mdp, missionTime);
+  ctmdp::ReachabilityOptions opts;
+  opts.cancel = cancel;
+  return ctmdp::reachabilityBounds(analysis.absorbed.mdp, missionTime, opts);
 }
 
 const Extraction& fullExtraction(const DftAnalysis& analysis) {
@@ -96,12 +99,15 @@ double unavailability(const DftAnalysis& analysis, double t,
                                     t, transient);
 }
 
-double steadyStateUnavailability(const DftAnalysis& analysis) {
+double steadyStateUnavailability(const DftAnalysis& analysis,
+                                 const CancelToken* cancel) {
   require(analysis.repairable,
           "steadyStateUnavailability: the tree is not repairable; the limit "
           "is trivially the probability of eventual failure");
+  ctmc::SteadyStateOptions opts;
+  opts.cancel = cancel;
   return ctmc::steadyStateLabelProbability(fullExtraction(analysis).chain,
-                                           kDownLabel);
+                                           kDownLabel, opts);
 }
 
 }  // namespace imcdft::analysis

@@ -44,10 +44,12 @@ std::vector<double> unreliabilityCurve(
     const ctmc::TransientOptions& transient = {});
 
 /// [min, max] over schedulers, for nondeterministic models (also valid for
-/// deterministic ones, where both bounds coincide).
+/// deterministic ones, where both bounds coincide).  \p cancel, when set,
+/// is checkpointed once per value-iteration step.
 /// \deprecated Prefer MeasureSpec::unreliabilityBounds.
-ctmdp::ReachabilityBounds unreliabilityBounds(const DftAnalysis& analysis,
-                                              double missionTime);
+ctmdp::ReachabilityBounds unreliabilityBounds(
+    const DftAnalysis& analysis, double missionTime,
+    const CancelToken* cancel = nullptr);
 
 /// P(system is down at time t) for repairable models (Section 7.2).
 /// \deprecated Prefer MeasureSpec::unavailability.
@@ -55,8 +57,10 @@ double unavailability(const DftAnalysis& analysis, double t,
                       const ctmc::TransientOptions& transient = {});
 
 /// Long-run fraction of time the system is down (repairable models).
+/// \p cancel, when set, is checkpointed once per power-iteration step.
 /// \deprecated Prefer MeasureSpec::steadyStateUnavailability.
-double steadyStateUnavailability(const DftAnalysis& analysis);
+double steadyStateUnavailability(const DftAnalysis& analysis,
+                                 const CancelToken* cancel = nullptr);
 
 /// Extraction of the *non-absorbed* model, memoized on the analysis
 /// (shared by the unavailability measures; throws on nondeterminism).

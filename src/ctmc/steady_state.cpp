@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/cancel.hpp"
 #include "common/error.hpp"
 
 namespace imcdft::ctmc {
@@ -27,6 +28,7 @@ std::vector<double> steadyStateDistribution(const Ctmc& chain,
   current[chain.initial] = 1.0;
 
   for (std::size_t iter = 0; iter < opts.maxIterations; ++iter) {
+    if (opts.cancel) opts.cancel->checkpoint("steady", n);
     std::fill(next.begin(), next.end(), 0.0);
     for (StateId s = 0; s < n; ++s) {
       double mass = current[s];

@@ -9,12 +9,21 @@
 /// Long-run distribution of a CTMC, used for the steady-state unavailability
 /// of the repairable models of Section 7.2.
 
+namespace imcdft {
+class CancelToken;  // common/cancel.hpp
+}
+
 namespace imcdft::ctmc {
 
 struct SteadyStateOptions {
   double tolerance = 1e-12;    ///< L-infinity convergence threshold
   std::size_t maxIterations = 2'000'000;
   double uniformizationSlack = 1.02;
+  /// Cooperative cancellation: when set, every power-iteration step calls
+  /// CancelToken::checkpoint() (site "steady"), so a slowly mixing chain
+  /// unwinds on an exhausted budget instead of running to maxIterations.
+  /// Not owned; the caller keeps the token alive across the call.
+  const CancelToken* cancel = nullptr;
 };
 
 /// Computes the limiting distribution by power iteration on the uniformized

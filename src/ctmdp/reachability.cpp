@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "ctmc/fox_glynn.hpp"
 
@@ -75,6 +76,7 @@ double timeBoundedReachability(const Ctmdp& mdp, double t, bool maximize,
   std::vector<double> q(n, 0.0);
   for (StateId s = 0; s < n; ++s) value[s] = 0.0;
   for (std::size_t step = pw.left + pw.weights.size(); step-- > 0;) {
+    if (opts.cancel) opts.cancel->checkpoint("ctmdp-bounds", n);
     const double w = step >= pw.left
                          ? pw.weights[step - pw.left] / pw.totalMass
                          : 0.0;

@@ -14,11 +14,19 @@
 /// best-case adversary) or min (lower bound), in reverse topological order
 /// of the (acyclic) vanishing graph.
 
+namespace imcdft {
+class CancelToken;  // common/cancel.hpp
+}
+
 namespace imcdft::ctmdp {
 
 struct ReachabilityOptions {
   double epsilon = 1e-10;
   double uniformizationSlack = 1.02;
+  /// Cooperative cancellation: when set, every backward value-iteration
+  /// step calls CancelToken::checkpoint() (site "ctmdp-bounds").  Not
+  /// owned; the caller keeps the token alive across the call.
+  const CancelToken* cancel = nullptr;
 };
 
 /// P(reach a goal state within time \p t), optimized over schedulers.

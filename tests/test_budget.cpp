@@ -12,7 +12,9 @@
 #include "common/cancel.hpp"
 #include "ctmc/ctmc.hpp"
 #include "ctmc/mttf.hpp"
+#include "ctmc/steady_state.hpp"
 #include "ctmc/transient.hpp"
+#include "ctmdp/reachability.hpp"
 #include "dft/corpus.hpp"
 #include "ioimc/bisimulation.hpp"
 #include "ioimc/compose.hpp"
@@ -146,6 +148,38 @@ TEST(Budget, MttfSiteTrips) {
   }
 }
 
+TEST(Budget, SteadyStateSiteTrips) {
+  ctmc::Ctmc chain = tinyChain();
+  chain.rates[1].push_back({2.0, 0});  // repair: the chain never settles at once
+  ctmc::SteadyStateOptions opts;
+  CancelToken token;
+  token.limitCheckpoints(1);
+  opts.cancel = &token;
+  try {
+    ctmc::steadyStateDistribution(chain, opts);
+    FAIL() << "expected BudgetExceeded";
+  } catch (const BudgetExceeded& e) {
+    EXPECT_EQ(e.checkpoint(), "steady");
+  }
+}
+
+TEST(Budget, CtmdpBoundsSiteTrips) {
+  ctmdp::Ctmdp mdp;
+  mdp.rates = {{{1.0, 1}}, {}};
+  mdp.choices.resize(2);
+  mdp.goal = {false, true};
+  ctmdp::ReachabilityOptions opts;
+  CancelToken token;
+  token.limitCheckpoints(1);
+  opts.cancel = &token;
+  try {
+    ctmdp::reachabilityBounds(mdp, 1.0, opts);
+    FAIL() << "expected BudgetExceeded";
+  } catch (const BudgetExceeded& e) {
+    EXPECT_EQ(e.checkpoint(), "ctmdp-bounds");
+  }
+}
+
 TEST(Budget, MergeStepSiteTrips) {
   dft::Dft tree = dft::corpus::cps();
   analysis::EngineOptions opts;
@@ -269,28 +303,28 @@ TEST(Budget, RaisedBudgetRerunIsBitwiseIdenticalToUnbudgeted) {
   EXPECT_EQ(budgeted.measures[0].values, plain.measures[0].values);
 }
 
-TEST(Budget, MeasurePhaseTripYieldsPartialReport) {
+/// Fills a session's whole-tree cache with \p tree under \p first and
+/// \p second, then repeats the request with a one-checkpoint budget.  The
+/// cached analysis skips every pipeline checkpoint, so the budget survives
+/// until measure evaluation and trips inside \p first's solver at \p site
+/// — which must degrade to a partial report, not an exception: the
+/// analysis is already paid for.
+void expectPartialReport(const dft::Dft& tree, const MeasureSpec& first,
+                         const MeasureSpec& second, const std::string& site) {
   Analyzer session;
-  // Fill the whole-tree cache (mttf keeps the request off the numeric
-  // path, so both requests share the full-analysis cache key).
-  AnalysisRequest fill = AnalysisRequest::forDft(dft::corpus::cps(), "fill")
-                             .measure(MeasureSpec::unreliability({1.0}))
-                             .measure(MeasureSpec::mttf());
+  AnalysisRequest fill =
+      AnalysisRequest::forDft(tree, "fill").measure(first).measure(second);
   ASSERT_TRUE(session.analyze(fill).measures[0].ok);
 
-  // The cached analysis skips every pipeline checkpoint, so the one-shot
-  // checkpoint budget survives until measure evaluation and trips inside
-  // the uniformization sweep — which must degrade to a partial report,
-  // not an exception: the analysis is already paid for.
-  AnalysisRequest budgeted = AnalysisRequest::forDft(dft::corpus::cps(), "b")
-                                 .measure(MeasureSpec::unreliability({1.0}))
-                                 .measure(MeasureSpec::mttf());
+  AnalysisRequest budgeted =
+      AnalysisRequest::forDft(tree, "b").measure(first).measure(second);
   budgeted.budget.maxCheckpoints = 1;
   AnalysisReport report = session.analyze(budgeted);
   EXPECT_TRUE(report.fromCache);
   ASSERT_EQ(report.measures.size(), 2u);
   EXPECT_FALSE(report.measures[0].ok);
-  EXPECT_NE(report.measures[0].error.find("transient"), std::string::npos);
+  EXPECT_NE(report.measures[0].error.find(site), std::string::npos)
+      << report.measures[0].error;
   EXPECT_FALSE(report.measures[1].ok);
   EXPECT_NE(report.measures[1].error.find("skipped"), std::string::npos);
   bool partialWarning = false;
@@ -301,36 +335,30 @@ TEST(Budget, MeasurePhaseTripYieldsPartialReport) {
   EXPECT_TRUE(partialWarning);
 }
 
+TEST(Budget, MeasurePhaseTripYieldsPartialReport) {
+  // mttf keeps the request off the numeric path, so both requests share
+  // the full-analysis cache key; the trip lands in the uniformization sweep.
+  expectPartialReport(dft::corpus::cps(), MeasureSpec::unreliability({1.0}),
+                      MeasureSpec::mttf(), "transient");
+}
+
 TEST(Budget, MttfTripYieldsPartialReport) {
-  // Same shape as above with MTTF evaluated first: the elimination loop
-  // checkpoints, so the one-shot budget trips inside it and the MTTF
-  // measure fails instead of running to completion.
-  Analyzer session;
   // CPS's PANDs make its MTTF infinite without solving; the repairable AND
   // has a finite one (2.5) that takes the elimination.
-  const dft::Dft tree = dft::corpus::repairableAnd();
-  AnalysisRequest fill = AnalysisRequest::forDft(tree, "fill")
-                             .measure(MeasureSpec::mttf())
-                             .measure(MeasureSpec::unreliability({1.0}));
-  ASSERT_TRUE(session.analyze(fill).measures[0].ok);
+  expectPartialReport(dft::corpus::repairableAnd(), MeasureSpec::mttf(),
+                      MeasureSpec::unreliability({1.0}), "mttf");
+}
 
-  AnalysisRequest budgeted = AnalysisRequest::forDft(tree, "b")
-                                 .measure(MeasureSpec::mttf())
-                                 .measure(MeasureSpec::unreliability({1.0}));
-  budgeted.budget.maxCheckpoints = 1;
-  AnalysisReport report = session.analyze(budgeted);
-  EXPECT_TRUE(report.fromCache);
-  ASSERT_EQ(report.measures.size(), 2u);
-  EXPECT_FALSE(report.measures[0].ok);
-  EXPECT_NE(report.measures[0].error.find("mttf"), std::string::npos);
-  EXPECT_FALSE(report.measures[1].ok);
-  EXPECT_NE(report.measures[1].error.find("skipped"), std::string::npos);
-  bool partialWarning = false;
-  for (const analysis::Diagnostic& d : report.diagnostics)
-    if (d.severity == Severity::Warning &&
-        d.message.find("partial report") != std::string::npos)
-      partialWarning = true;
-  EXPECT_TRUE(partialWarning);
+TEST(Budget, SteadyStateTripYieldsPartialReport) {
+  expectPartialReport(dft::corpus::repairableAnd(),
+                      MeasureSpec::steadyStateUnavailability(),
+                      MeasureSpec::unreliability({1.0}), "steady");
+}
+
+TEST(Budget, CtmdpBoundsTripYieldsPartialReport) {
+  expectPartialReport(dft::corpus::cps(),
+                      MeasureSpec::unreliabilityBounds({1.0}),
+                      MeasureSpec::mttf(), "ctmdp-bounds");
 }
 
 TEST(Budget, DeadlineTripReturnsPromptlyOnExplodingModel) {
