@@ -57,6 +57,13 @@
 /// JSON gains an "otf_families" section with the peaks and the fused-step/
 /// fallback counters.
 ///
+/// E16 — the cliff sweep: generated trees (dft::generateDft seeds 2, 14,
+/// 26 and 67) on which the composition order decides between milliseconds
+/// and seconds, under default engine options on one thread.  Each row
+/// records the wall time, the peak intermediate model (states and
+/// transitions) and the step count; the binary exits nonzero when a
+/// measure is not finite.  The JSON gains a "cliff_families" section.
+///
 /// Every experiment records peak-memory proxies (the largest intermediate
 /// model in states/transitions) next to its timings; run_bench.sh prints
 /// them in its summary.
@@ -78,6 +85,7 @@
 #include "baseline_seed.hpp"
 #include "bench_util.hpp"
 #include "dft/corpus.hpp"
+#include "dft/generate.hpp"
 
 namespace {
 
@@ -454,10 +462,44 @@ bool runOtfSweep(std::vector<OtfResultRow>& out) {
   return ok;
 }
 
+/// One E16 row: a generated tree under the default merge planner.
+struct CliffRow {
+  std::string name;
+  RunResult run;
+  bool finite = false;
+};
+
+/// Runs the E16 cliff sweep; returns false when a measure is not finite.
+bool runCliffSweep(std::vector<CliffRow>& out) {
+  const std::uint64_t seeds[] = {2, 14, 26, 67};
+  std::printf("== E16: composition-order cliffs (generated trees) ==\n");
+  std::printf("%-8s %11s %10s %12s %6s  %s\n", "tree", "wall [s]",
+              "peak st", "peak trans", "steps", "measures");
+  bool ok = true;
+  for (std::uint64_t seed : seeds) {
+    CliffRow r;
+    r.name = "gen" + std::to_string(seed);
+    r.run = timeCold(dft::generateDft(seed), 1, /*symmetry=*/true,
+                     /*staticCombine=*/true, /*onTheFly=*/true,
+                     /*repetitions=*/3);
+    r.finite = !r.run.values.empty() &&
+               std::all_of(r.run.values.begin(), r.run.values.end(),
+                           [](double v) { return std::isfinite(v); });
+    if (!r.finite) ok = false;
+    std::printf("%-8s %11.6f %10zu %12zu %6zu  %s\n", r.name.c_str(),
+                r.run.wallSeconds, r.run.peakStates, r.run.peakTransitions,
+                r.run.steps, r.finite ? "finite" : "NOT FINITE — BUG");
+    out.push_back(std::move(r));
+  }
+  std::printf("\n");
+  return ok;
+}
+
 void writeJson(const std::vector<ConfigResult>& results,
                const std::vector<SymmetryResult>& symmetry,
                const std::vector<StaticCombineResult>& staticCombine,
-               const std::vector<OtfResultRow>& otf, unsigned mtThreads) {
+               const std::vector<OtfResultRow>& otf,
+               const std::vector<CliffRow>& cliffs, unsigned mtThreads) {
   const char* env = std::getenv("BENCH_COMPOSE_JSON");
   std::string path = env ? env : "BENCH_compose.json";
   std::ofstream out(path);
@@ -589,6 +631,21 @@ void writeJson(const std::vector<ConfigResult>& results,
         r.bitIdentical ? "true" : "false", i + 1 < otf.size() ? "," : "");
     out << buf;
   }
+  out << "  ],\n"
+      << "  \"cliff_families\": [\n";
+  for (std::size_t i = 0; i < cliffs.size(); ++i) {
+    const CliffRow& r = cliffs[i];
+    char buf[512];
+    std::snprintf(buf, sizeof buf,
+                  "    {\"name\": \"%s\", \"wall_seconds\": %.6f, "
+                  "\"peak_states\": %zu, \"peak_transitions\": %zu, "
+                  "\"steps\": %zu, \"measures_finite\": %s}%s\n",
+                  r.name.c_str(), r.run.wallSeconds, r.run.peakStates,
+                  r.run.peakTransitions, r.run.steps,
+                  r.finite ? "true" : "false",
+                  i + 1 < cliffs.size() ? "," : "");
+    out << buf;
+  }
   char tail[640];
   std::snprintf(tail, sizeof tail,
                 "  ],\n"
@@ -618,12 +675,12 @@ bool runSweep() {
     mtThreads = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
 
   // BENCH_COMPOSE_ONLY=otf runs just the E15 sweep (fast verification of
-  // the fused engine; the JSON then has empty E12-E14 sections).
+  // the fused engine; the JSON then has empty E12-E14 and E16 sections).
   const char* only = std::getenv("BENCH_COMPOSE_ONLY");
   if (only && std::string(only) == "otf") {
     std::vector<OtfResultRow> otf;
     bool ok = runOtfSweep(otf);
-    writeJson({}, {}, {}, otf, mtThreads);
+    writeJson({}, {}, {}, otf, {}, mtThreads);
     return ok;
   }
 
@@ -666,7 +723,9 @@ bool runSweep() {
   if (!runStaticCombineSweep(staticCombine)) ok = false;
   std::vector<OtfResultRow> otf;
   if (!runOtfSweep(otf)) ok = false;
-  writeJson(results, symmetry, staticCombine, otf, mtThreads);
+  std::vector<CliffRow> cliffs;
+  if (!runCliffSweep(cliffs)) ok = false;
+  writeJson(results, symmetry, staticCombine, otf, cliffs, mtThreads);
   std::printf("\n");
   return ok;
 }

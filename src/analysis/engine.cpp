@@ -1,6 +1,7 @@
 #include "analysis/engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <condition_variable>
 #include <deque>
 #include <exception>
@@ -104,17 +105,85 @@ void foldPeaks(CompositionStats& stats) {
   }
 }
 
-/// True when the two models share a synchronizing action.
-bool synchronize(const IOIMC& a, const IOIMC& b) {
-  const ioimc::Signature& sa = a.signature();
-  const ioimc::Signature& sb = b.signature();
-  auto anyShared = [](const std::vector<ioimc::ActionId>& xs,
-                      const ioimc::Signature& other) {
-    return std::any_of(xs.begin(), xs.end(), [&](ioimc::ActionId x) {
-      return other.isInput(x) || other.isOutput(x);
-    });
+/// The merge mergePool performs next.
+struct MergePlan {
+  std::size_t i = 0, j = 1;  ///< positions in the live list, i < j
+  std::size_t hidden = 0;    ///< outputs the merge hides
+  double predicted = 0.0;    ///< the planner's cost estimate
+};
+
+/// Picks the next merge among the live entries of \p pool.  A pair (A, B)
+/// is scored by the product it builds, |A||B| + |T_A||B| + |T_B||A| states
+/// and interleaved transitions, doubled for every action the merged model
+/// still shows: the union of both alphabets minus the outputs the merge
+/// hides (those no other pool member consumes and \p usedOutside does not
+/// claim).  Each visible action is behaviour the quotient must keep for
+/// later merges, so merges that close an interface go first, and the
+/// product term holds large or dense operands back.  Synchronizing pairs
+/// are preferred; the lowest score wins, ties by pool position.  The score
+/// reads only sizes, signatures and the static consumer sets, so the
+/// choice is the same for every thread count, on either engine (both
+/// produce the same canonical quotients), and mirrors a symmetric
+/// sibling's choice under its order-preserving renaming.
+MergePlan planMerge(const std::vector<std::optional<IOIMC>>& pool,
+                    const std::vector<std::size_t>& live,
+                    const std::function<bool(ioimc::ActionId)>& usedOutside) {
+  // Consumers per action among all pool members (the members
+  // hiddenOutputsFor scans), counted once per step instead of per pair.
+  std::unordered_map<ioimc::ActionId, std::uint32_t> consumers;
+  for (const std::optional<IOIMC>& m : pool)
+    if (m)
+      for (ioimc::ActionId in : m->signature().inputs()) ++consumers[in];
+  auto hiddenBy = [&](const ioimc::Signature& x, const ioimc::Signature& y) {
+    std::size_t hidden = 0;
+    for (const ioimc::Signature* own : {&x, &y}) {
+      for (ioimc::ActionId out : own->outputs()) {
+        auto it = consumers.find(out);
+        const std::uint32_t all = it == consumers.end() ? 0 : it->second;
+        const bool consumedElsewhere =
+            all != static_cast<std::uint32_t>(x.isInput(out)) +
+                       static_cast<std::uint32_t>(y.isInput(out));
+        if (!consumedElsewhere && !(usedOutside && usedOutside(out)))
+          ++hidden;
+      }
+    }
+    return hidden;
   };
-  return anyShared(sa.outputs(), sb) || anyShared(sa.inputs(), sb);
+  MergePlan best;
+  best.predicted = std::numeric_limits<double>::infinity();
+  bool bestSync = false;
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    const IOIMC& x = *pool[live[i]];
+    const ioimc::Signature& sx = x.signature();
+    for (std::size_t j = i + 1; j < live.size(); ++j) {
+      const IOIMC& y = *pool[live[j]];
+      const ioimc::Signature& sy = y.signature();
+      std::size_t shared = 0;
+      for (const std::vector<ioimc::ActionId>* acts :
+           {&sx.inputs(), &sx.outputs()})
+        for (ioimc::ActionId a : *acts)
+          if (sy.isInput(a) || sy.isOutput(a)) ++shared;
+      const bool sync = shared != 0;
+      if (bestSync && !sync) continue;
+      const std::size_t alphabet = sx.inputs().size() + sx.outputs().size() +
+                                   sy.inputs().size() + sy.outputs().size() -
+                                   shared;
+      const std::size_t hidden = hiddenBy(sx, sy);
+      const double statesX = static_cast<double>(x.numStates());
+      const double statesY = static_cast<double>(y.numStates());
+      const double product =
+          statesX * statesY +
+          static_cast<double>(x.numTransitions()) * statesY +
+          static_cast<double>(y.numTransitions()) * statesX;
+      const double predicted =
+          std::ldexp(product, static_cast<int>(alphabet - hidden));
+      if ((sync && !bestSync) || predicted < best.predicted) {
+        best = {i, j, hidden, predicted};
+        bestSync = sync;
+      }
+    }
+  }
+  return best;
 }
 
 /// Resolves a thread-count option: 0 means hardware concurrency.
@@ -125,9 +194,9 @@ unsigned resolveThreads(unsigned requested) {
 }
 
 /// Greedily folds the live entries of \p pool into one model, recording
-/// one CompositionStep per pairwise composition into \p steps.  The
-/// cheapest synchronizing pair merges first; \p usedOutside reports
-/// whether an output action has consumers beyond this pool (null = none).
+/// one CompositionStep per pairwise composition into \p steps.  planMerge
+/// picks each step's pair; \p usedOutside reports whether an output action
+/// has consumers beyond this pool (null = none).
 std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
                       std::vector<std::size_t> live,
                       const EngineOptions& opts,
@@ -156,23 +225,8 @@ std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
     // proxy; the finer-grained accounting happens inside compose / the
     // fused engine / the refinement loops, which all carry the same token.
     if (opts.cancel) opts.cancel->checkpoint("merge-step", live.size());
-    std::size_t bestI = 0, bestJ = 1;
-    double bestCost = std::numeric_limits<double>::infinity();
-    bool bestSync = false;
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      for (std::size_t j = i + 1; j < live.size(); ++j) {
-        double cost = static_cast<double>(pool[live[i]]->numStates()) *
-                      static_cast<double>(pool[live[j]]->numStates());
-        bool sync = synchronize(*pool[live[i]], *pool[live[j]]);
-        if ((sync && !bestSync) || (sync == bestSync && cost < bestCost)) {
-          bestI = i;
-          bestJ = j;
-          bestCost = cost;
-          bestSync = sync;
-        }
-      }
-    }
-    std::size_t a = live[bestI], b = live[bestJ];
+    const MergePlan plan = planMerge(pool, live, usedOutside);
+    const std::size_t a = live[plan.i], b = live[plan.j];
     CompositionStep step;
     step.name = pool[a]->name() + " || " + pool[b]->name();
     step.leftStates = pool[a]->numStates();
@@ -180,6 +234,9 @@ std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
     obs::TraceSpan stepSpan("compose.step", step.name);
     stepSpan.arg("left_states", step.leftStates);
     stepSpan.arg("right_states", step.rightStates);
+    stepSpan.arg("hidden", plan.hidden);
+    stepSpan.arg("predicted",
+                 static_cast<std::uint64_t>(std::min(plan.predicted, 0x1p63)));
     std::optional<IOIMC> fused;
     if (opts.onTheFly && opts.aggregateEachStep) {
       // The composite's outputs (out(A) u out(B); shared outputs are
@@ -235,8 +292,8 @@ std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
     pool[a].reset();
     pool[b].reset();
     pool.emplace_back(std::move(result));
-    live.erase(live.begin() + bestJ);
-    live.erase(live.begin() + bestI);
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(plan.j));
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(plan.i));
     live.push_back(pool.size() - 1);
   }
   return live.front();

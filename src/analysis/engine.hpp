@@ -22,9 +22,11 @@ namespace imcdft::analysis {
 /// Order in which the community is folded.
 enum class CompositionStrategy {
   /// Compose the models of each independent DFT module first (the paper's
-  /// Section 5.2 modular analysis); greedy within each module.
+  /// Section 5.2 modular analysis); the merge planner orders each module.
   Modular,
-  /// Repeatedly compose the cheapest synchronizing pair.
+  /// The merge planner over the whole community as one pool: repeatedly
+  /// merge the synchronizing pair with the lowest predicted cost (product
+  /// size, doubled per action the merged model still shows).
   Greedy,
   /// Fold the community left to right as converted.
   Declaration,

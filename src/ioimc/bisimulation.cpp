@@ -85,14 +85,61 @@ struct WeakScratch {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> rateVecs;  ///< ranges
 };
 
+/// The partition-independent half of every state's weak visible moves:
+/// row s holds the deduplicated (action << 32 | target state) pairs with
+/// s =tau*=> -a-> =tau*=> target for a visible a, sorted.  Built once per
+/// refinement, so a pass only maps the targets through the partition
+/// instead of re-walking two tau closures per visible edge.
+struct WeakMoves {
+  std::vector<std::size_t> offsets;
+  std::vector<std::uint64_t> moves;
+  std::span<const std::uint64_t> row(StateId s) const {
+    return {moves.data() + offsets[s], offsets[s + 1] - offsets[s]};
+  }
+};
+
+WeakMoves collectWeakMoves(const IOIMC& m, const TauInfo& tau,
+                           const std::vector<Role>& roles,
+                           const CancelToken* cancel) {
+  const std::size_t n = m.numStates();
+  WeakMoves w;
+  w.offsets.reserve(n + 1);
+  w.offsets.push_back(0);
+  std::vector<std::uint64_t> direct;  // (action, successor) before tau*
+  for (StateId s = 0; s < n; ++s) {
+    if (cancel && (s & 1023u) == 1023u)
+      cancel->checkpoint("weak-refinement", n);
+    direct.clear();
+    for (StateId u : tau.closure(s))
+      for (const auto& t : m.interactive(u))
+        if (roles[t.action] != Role::Internal)
+          direct.push_back((static_cast<std::uint64_t>(t.action) << 32) |
+                           t.to);
+    std::sort(direct.begin(), direct.end());
+    direct.erase(std::unique(direct.begin(), direct.end()), direct.end());
+    const std::size_t begin = w.moves.size();
+    for (std::uint64_t move : direct)
+      for (StateId v : tau.closure(static_cast<StateId>(move)))
+        w.moves.push_back((move & ~std::uint64_t{0xffffffff}) | v);
+    std::sort(w.moves.begin() + static_cast<std::ptrdiff_t>(begin),
+              w.moves.end());
+    w.moves.erase(std::unique(w.moves.begin() +
+                                  static_cast<std::ptrdiff_t>(begin),
+                              w.moves.end()),
+                  w.moves.end());
+    w.offsets.push_back(w.moves.size());
+  }
+  return w;
+}
+
 /// Appends the canonical token encoding of state \p s's weak signature
 /// under partition \p p to \p out.  Token stream: |tauTargets|, targets...,
 /// |visible|, (action<<32|class)..., |rateVecs|, then per vector its length
 /// and (class, rate-bits) token pairs.  Every section is sorted, so equal
 /// signatures produce equal streams.
 void encodeWeakSignature(const IOIMC& m, const TauInfo& tau,
-                         const std::vector<Role>& roles, const Partition& p,
-                         StateId s, WeakScratch& ws,
+                         const WeakMoves& weak, const std::vector<Role>& roles,
+                         const Partition& p, StateId s, WeakScratch& ws,
                          std::vector<std::uint64_t>& out) {
   auto closure = tau.closure(s);
 
@@ -104,22 +151,16 @@ void encodeWeakSignature(const IOIMC& m, const TauInfo& tau,
       ws.tauTargets.end());
 
   ws.visible.clear();
-  for (StateId u : closure) {
-    for (const auto& t : m.interactive(u)) {
-      const Role r = roles[t.action];
-      if (r == Role::Internal) continue;
-      const bool isInput = r == Role::Input;
-      for (StateId v : tau.closure(t.to)) {
-        std::uint32_t c = p.classOf[v];
-        // Implicit input self-loops make every tau-target an input target
-        // for free; recording those adds no discriminating power, so filter
-        // them to obtain the coarsest (minimal) quotient.
-        if (isInput && std::binary_search(ws.tauTargets.begin(),
-                                          ws.tauTargets.end(), c))
-          continue;
-        ws.visible.push_back((static_cast<std::uint64_t>(t.action) << 32) | c);
-      }
-    }
+  for (std::uint64_t move : weak.row(s)) {
+    const ActionId action = static_cast<ActionId>(move >> 32);
+    const std::uint32_t c = p.classOf[static_cast<StateId>(move)];
+    // Implicit input self-loops make every tau-target an input target for
+    // free; recording those adds no discriminating power, so filter them
+    // to obtain the coarsest (minimal) quotient.
+    if (roles[action] == Role::Input &&
+        std::binary_search(ws.tauTargets.begin(), ws.tauTargets.end(), c))
+      continue;
+    ws.visible.push_back((static_cast<std::uint64_t>(action) << 32) | c);
   }
   std::sort(ws.visible.begin(), ws.visible.end());
   ws.visible.erase(std::unique(ws.visible.begin(), ws.visible.end()),
@@ -178,8 +219,9 @@ void encodeWeakSignature(const IOIMC& m, const TauInfo& tau,
 }
 
 /// Structured weak signature of one state (for quotient construction).
-WeakSig weakSignature(const IOIMC& m, const TauInfo& tau, const Partition& p,
-                      StateId s) {
+WeakSig weakSignature(const IOIMC& m, const TauInfo& tau,
+                      const WeakMoves& weak, const std::vector<Role>& roles,
+                      const Partition& p, StateId s) {
   WeakSig sig;
   for (StateId u : tau.closure(s)) sig.tauTargets.push_back(p.classOf[u]);
   std::sort(sig.tauTargets.begin(), sig.tauTargets.end());
@@ -191,16 +233,13 @@ WeakSig weakSignature(const IOIMC& m, const TauInfo& tau, const Partition& p,
     return std::binary_search(sig.tauTargets.begin(), sig.tauTargets.end(), c);
   };
 
+  for (std::uint64_t move : weak.row(s)) {
+    const ActionId action = static_cast<ActionId>(move >> 32);
+    const std::uint32_t c = p.classOf[static_cast<StateId>(move)];
+    if (roles[action] == Role::Input && inTauTargets(c)) continue;
+    sig.visible.emplace_back(action, c);
+  }
   for (StateId u : tau.closure(s)) {
-    for (const auto& t : m.interactive(u)) {
-      if (m.signature().isInternal(t.action)) continue;
-      const bool isInput = m.signature().isInput(t.action);
-      for (StateId v : tau.closure(t.to)) {
-        std::uint32_t c = p.classOf[v];
-        if (isInput && inTauTargets(c)) continue;
-        sig.visible.emplace_back(t.action, c);
-      }
-    }
     if (tau.stable[u]) {
       std::vector<std::pair<std::uint32_t, double>> raw;
       for (const auto& t : m.markovian(u))
@@ -219,10 +258,11 @@ WeakSig weakSignature(const IOIMC& m, const TauInfo& tau, const Partition& p,
 }
 
 Partition weakBisimulationWithTau(const IOIMC& m, const TauInfo& tau,
+                                  const std::vector<Role>& roles,
+                                  const WeakMoves& weak,
                                   const WeakOptions& opts) {
   const std::size_t n = m.numStates();
   const CancelToken* cancel = opts.cancel;
-  const std::vector<Role> roles = actionRoles(m);
   Partition p = initialByLabel(m);
   SignatureInterner interner;
   std::vector<std::uint32_t> newClassOf(n);
@@ -265,7 +305,7 @@ Partition weakBisimulationWithTau(const IOIMC& m, const TauInfo& tau,
         for (StateId s = begin; s < end; ++s) {
           const std::size_t at = eb.tokens.size();
           eb.tokens.push_back(p.classOf[s]);
-          encodeWeakSignature(m, tau, roles, p, s, ws, eb.tokens);
+          encodeWeakSignature(m, tau, weak, roles, p, s, ws, eb.tokens);
           eb.ends.push_back(eb.tokens.size());
           eb.hashes.push_back(SignatureInterner::hashTokens(
               eb.tokens.data() + at, eb.tokens.size() - at));
@@ -288,7 +328,7 @@ Partition weakBisimulationWithTau(const IOIMC& m, const TauInfo& tau,
         auto& out = interner.scratch();
         out.clear();
         out.push_back(p.classOf[s]);
-        encodeWeakSignature(m, tau, roles, p, s, ws, out);
+        encodeWeakSignature(m, tau, weak, roles, p, s, ws, out);
         newClassOf[s] = interner.internScratch();
       }
     }
@@ -304,13 +344,17 @@ Partition weakBisimulationWithTau(const IOIMC& m, const TauInfo& tau,
 }  // namespace
 
 Partition weakBisimulation(const IOIMC& m, const WeakOptions& opts) {
+  const TauInfo tau = detail::computeTauClosure(m, opts.outputsUrgent);
+  const std::vector<Role> roles = actionRoles(m);
   return weakBisimulationWithTau(
-      m, detail::computeTauClosure(m, opts.outputsUrgent), opts);
+      m, tau, roles, collectWeakMoves(m, tau, roles, opts.cancel), opts);
 }
 
 IOIMC weakQuotient(const IOIMC& m, const WeakOptions& opts) {
-  TauInfo tau = detail::computeTauClosure(m, opts.outputsUrgent);
-  Partition p = weakBisimulationWithTau(m, tau, opts);
+  const TauInfo tau = detail::computeTauClosure(m, opts.outputsUrgent);
+  const std::vector<Role> roles = actionRoles(m);
+  const WeakMoves weak = collectWeakMoves(m, tau, roles, opts.cancel);
+  Partition p = weakBisimulationWithTau(m, tau, roles, weak, opts);
 
   // Representative (lowest state id) per class, and its converged signature.
   std::vector<StateId> rep(p.numClasses, static_cast<StateId>(-1));
@@ -327,7 +371,7 @@ IOIMC weakQuotient(const IOIMC& m, const WeakOptions& opts) {
 
   for (std::uint32_t c = 0; c < p.numClasses; ++c) {
     StateId r = rep[c];
-    WeakSig sig = weakSignature(m, tau, p, r);
+    WeakSig sig = weakSignature(m, tau, weak, roles, p, r);
     // Labels.
     std::uint32_t mask = m.labelMask(r);
     for (std::size_t i = 0; i < m.labelNames().size(); ++i)

@@ -527,19 +527,11 @@ class OtfEngine {
     }
   }
 
-  /// One aggregation pass with the completeness check the fused path
-  /// depends on: an incomplete canonical renumbering would leave the state
-  /// order (hence the bytes) a function of the discovery order, which
-  /// differs between the fused and the classic exploration — abort to the
-  /// classic path instead of handing out order-dependent bytes.
-  IOIMC aggregateChecked(const IOIMC& m) {
-    bool canonicalComplete = false;
-    IOIMC out = canonicalRenumber(
-        restrictToReachable(weakQuotient(m, opts_.weak)), &canonicalComplete);
-    if (!canonicalComplete)
-      throw OtfAbort{
-          "canonical renumbering could not separate all quotient states"};
-    return out;
+  /// One aggregation pass (ioimc::aggregate) that also reports whether its
+  /// canonical renumbering separated every state.
+  IOIMC aggregatePass(const IOIMC& m, bool& canonicalComplete) {
+    return canonicalRenumber(restrictToReachable(weakQuotient(m, opts_.weak)),
+                             &canonicalComplete);
   }
 
   IOIMC finish() {
@@ -598,18 +590,24 @@ class OtfEngine {
     stats_->collapseSeconds += secondsSince(t0);
 
     // The classic tail: aggregate to the minimal quotient, exactly like
-    // the classic chain's aggregateFixpoint — but with the canonical
-    // completeness checked on every pass (see aggregateChecked) instead of
-    // re-running a whole verification refinement + renumbering on the
-    // converged result: the fixpoint test below already is that
-    // verification, and canonicalRenumber is idempotent on its output.
+    // the classic chain's aggregateFixpoint.  Only the fixpoint's
+    // renumbering must be complete: an intermediate quotient may still hold
+    // strongly bisimilar states (the classic chain keeps its order-dependent
+    // numbering for one more pass too), but an incomplete renumbering of
+    // the final, minimal quotient would leave its bytes a function of the
+    // discovery order, which differs between the fused and the classic
+    // exploration — abort to the classic path instead.
     t0 = Clock::now();
-    IOIMC result = aggregateChecked(reduced);
+    bool canonicalComplete = false;
+    IOIMC result = aggregatePass(reduced, canonicalComplete);
     while (true) {
       const Partition check = weakBisimulation(result, opts_.weak);
       if (check.numClasses == result.numStates()) break;
-      result = aggregateChecked(result);
+      result = aggregatePass(result, canonicalComplete);
     }
+    if (!canonicalComplete)
+      throw OtfAbort{
+          "canonical renumbering could not separate all quotient states"};
     stats_->renumberSeconds += secondsSince(t0);
     return result;
   }

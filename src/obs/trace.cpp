@@ -94,7 +94,9 @@ thread_local std::uint64_t tlsContext = 0;
 
 void copyDetail(std::string_view text, char* dst, std::uint8_t& len) {
   const std::size_t n = std::min(text.size(), kTraceDetailBytes - 1);
-  std::memcpy(dst, text.data(), n);
+  // An empty string_view may carry a null data(); memcpy from null is
+  // undefined even for zero bytes.
+  if (n != 0) std::memcpy(dst, text.data(), n);
   dst[n] = '\0';
   len = static_cast<std::uint8_t>(n);
 }

@@ -38,7 +38,7 @@ struct TraceArg {
   std::uint64_t value = 0;
 };
 
-inline constexpr std::size_t kMaxTraceArgs = 4;
+inline constexpr std::size_t kMaxTraceArgs = 6;
 /// Inline detail-string capacity (module names, budget axes, ...); longer
 /// strings are truncated rather than heap-allocated on the hot path.
 inline constexpr std::size_t kTraceDetailBytes = 48;

@@ -160,6 +160,45 @@ void expectWellFormed(const obs::TraceSnapshot& snap) {
   }
 }
 
+TEST(TraceObs, SpanWithoutDetailRecordsEmptyDetail) {
+  TraceGuard guard;
+  { obs::TraceSpan span("no-detail"); }
+  { obs::TraceSpan span("empty-view", std::string_view()); }
+  const obs::TraceSnapshot snap = obs::snapshotTrace();
+  ASSERT_EQ(snap.records.size(), 2u);
+  for (const obs::TraceRecord& rec : snap.records)
+    EXPECT_TRUE(rec.detail.empty()) << rec.name;
+}
+
+TEST(TraceObs, ComposeStepCarriesPlannerArgs) {
+  TraceGuard guard;
+  Analyzer session;
+  session.analyze(AnalysisRequest::forGalileo(dft::corpus::galileoCas())
+                      .measure(MeasureSpec::unreliability({1.0})));
+  const obs::TraceSnapshot snap = obs::snapshotTrace();
+  std::size_t steps = 0, hidden = 0;
+  for (const obs::TraceRecord& rec : snap.records) {
+    if (std::strcmp(rec.name, "compose.step") != 0) continue;
+    ++steps;
+    bool sawHidden = false, sawPredicted = false;
+    for (const obs::TraceArg& arg : rec.args) {
+      if (std::strcmp(arg.key, "hidden") == 0) {
+        sawHidden = true;
+        hidden += arg.value;
+      }
+      if (std::strcmp(arg.key, "predicted") == 0) {
+        sawPredicted = true;
+        EXPECT_GT(arg.value, 0u);
+      }
+    }
+    EXPECT_TRUE(sawHidden && sawPredicted) << rec.detail;
+  }
+  EXPECT_GT(steps, 0u);
+  // Every CAS signal but the top's is internal to the tree, so the merges
+  // hide them one by one.
+  EXPECT_GT(hidden, 0u);
+}
+
 TEST(ConcurrentTraceObs, WellFormedAfterConcurrentBatch) {
   TraceGuard guard;
   Analyzer session;

@@ -23,14 +23,17 @@
 ///     --deadline SEC    per-configuration analysis budget (default 20)
 ///     --max-live-states N
 ///                       per-configuration live-state budget (default off)
+///     --max-skips N     fail the sweep when more than N seeds are skipped
+///                       (budget trips included; default: no limit)
 ///     --out DIR         directory for shrunken repro files (default
 ///                       fuzz-repros, created on demand)
 ///     --check FILE      replay mode: run the oracle once on FILE and exit
 ///                       0 (agree) / 1 (disagree) / 3 (skipped) — the
 ///                       command written into every repro header
 ///
-/// Exit status: 0 when every seed agreed (skips are fine), 1 when any
-/// disagreement survived, 2 on usage errors.
+/// Exit status: 0 when every seed agreed (skips are fine up to
+/// --max-skips), 1 when any disagreement survived or the sweep skipped more
+/// seeds than --max-skips allows, 2 on usage errors.
 ///
 /// A disagreement is shrunk immediately and written to
 /// <out>/repro-seed<N>.dft as a self-contained Galileo file whose comment
@@ -73,6 +76,8 @@ struct CliOptions {
   dft::GeneratorOptions generator;
   fuzz::OracleOptions oracle;
   unsigned jobs = 1;
+  /// Skipped seeds the sweep tolerates; -1 = no limit.
+  long long maxSkips = -1;
   std::string outDir = "fuzz-repros";
   std::string checkPath;
   bool injectPandBug = false;
@@ -85,7 +90,8 @@ struct CliOptions {
       "usage: %s [--seeds A..B|N] [--time T]... [--runs N] [--sim-seed S]\n"
       "          [--arms LIST] [--max-depth N] [--max-elements N] "
       "[--jobs N]\n"
-      "          [--deadline SEC] [--max-live-states N] [--out DIR]\n"
+      "          [--deadline SEC] [--max-live-states N] [--max-skips N]\n"
+      "          [--out DIR]\n"
       "       %s --check FILE.dft\n",
       argv0, argv0);
   std::exit(2);
@@ -145,6 +151,12 @@ CliOptions parseArgs(int argc, char** argv) {
       if (opts.oracle.deadlineSeconds < 0.0) usage(argv[0]);
     } else if (arg == "--max-live-states") {
       opts.oracle.maxLiveStates = std::strtoull(next().c_str(), nullptr, 10);
+    } else if (arg == "--max-skips") {
+      const std::string value = next();
+      char* end = nullptr;
+      opts.maxSkips = std::strtoll(value.c_str(), &end, 10);
+      if (end == value.c_str() || *end != '\0' || opts.maxSkips < 0)
+        usage(argv[0]);
     } else if (arg == "--out") {
       opts.outDir = next();
     } else if (arg == "--check") {
@@ -309,6 +321,13 @@ int runSweep(const CliOptions& opts) {
               static_cast<unsigned long long>(agreed.load()),
               static_cast<unsigned long long>(skipped.load()),
               static_cast<unsigned long long>(disagreed.load()));
+  if (opts.maxSkips >= 0 &&
+      skipped.load() > static_cast<std::uint64_t>(opts.maxSkips)) {
+    std::printf("dftfuzz: %llu seed(s) skipped, more than --max-skips %lld\n",
+                static_cast<unsigned long long>(skipped.load()),
+                opts.maxSkips);
+    return 1;
+  }
   return disagreed.load() > 0 ? 1 : 0;
 }
 
