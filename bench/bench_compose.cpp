@@ -55,7 +55,10 @@
 /// every step actually fused (no invariant fallbacks — fallbacks are safe
 /// but must not silently become the norm) and (d) nothing is NaN.  The
 /// JSON gains an "otf_families" section with the peaks and the fused-step/
-/// fallback counters.
+/// fallback counters, plus the fused stage self times (explore, refine,
+/// collapse, finish) of one extra traced run after the timed ones, read
+/// from the otf.* spans (obs::selfTimes); a trace that dropped events fails
+/// the binary, since its stage columns would undercount.
 ///
 /// E16 — the cliff sweep: generated trees (dft::generateDft seeds 2, 14,
 /// 26 and 67) on which the composition order decides between milliseconds
@@ -86,6 +89,7 @@
 #include "bench_util.hpp"
 #include "dft/corpus.hpp"
 #include "dft/generate.hpp"
+#include "obs/trace.hpp"
 
 namespace {
 
@@ -126,26 +130,26 @@ struct RunResult {
   std::size_t otfSteps = 0;
   std::size_t otfFallbacks = 0;
   std::size_t otfSavedPeak = 0;
-  /// Fused-engine detail: refinement passes run / deferred by the
-  /// adaptive cadence, intra-step workers, and the per-stage wall
-  /// breakdown summed over all fused steps.
+  /// Fused-engine detail: refinement passes run and intra-step workers.
   std::size_t otfPassesRun = 0;
-  std::size_t otfPassesSkipped = 0;
   unsigned otfIntraWorkers = 0;
-  double otfExpandSeconds = 0.0;
-  double otfRefineSeconds = 0.0;
-  double otfCollapseSeconds = 0.0;
-  double otfRenumberSeconds = 0.0;
 };
 
-RunResult timeCold(const dft::Dft& d, unsigned numThreads, bool symmetry,
-                   bool staticCombine, bool onTheFly, int repetitions = 5) {
+AnalysisRequest requestFor(const dft::Dft& d, unsigned numThreads,
+                           bool symmetry, bool staticCombine, bool onTheFly) {
   AnalysisRequest req = AnalysisRequest::forDft(d).measure(
       MeasureSpec::unreliability(kGrid));
   req.options.engine.numThreads = numThreads;
   req.options.engine.symmetry = symmetry;
   req.options.engine.staticCombine = staticCombine;
   req.options.engine.onTheFly = onTheFly;
+  return req;
+}
+
+RunResult timeCold(const dft::Dft& d, unsigned numThreads, bool symmetry,
+                   bool staticCombine, bool onTheFly, int repetitions = 5) {
+  const AnalysisRequest req =
+      requestFor(d, numThreads, symmetry, staticCombine, onTheFly);
   RunResult best;
   best.wallSeconds = 1e100;
   {
@@ -171,16 +175,7 @@ RunResult timeCold(const dft::Dft& d, unsigned numThreads, bool symmetry,
       best.otfFallbacks = rep.stats().onTheFlyFallbacks;
       best.otfSavedPeak = rep.stats().onTheFlySavedPeakStates;
       best.otfPassesRun = rep.stats().otfRefinePassesRun;
-      best.otfPassesSkipped = rep.stats().otfRefinePassesSkipped;
       best.otfIntraWorkers = rep.stats().otfIntraWorkers;
-      best.otfExpandSeconds = best.otfRefineSeconds = 0.0;
-      best.otfCollapseSeconds = best.otfRenumberSeconds = 0.0;
-      for (const analysis::CompositionStep& s : rep.stats().steps) {
-        best.otfExpandSeconds += s.otfExpandSeconds;
-        best.otfRefineSeconds += s.otfRefineSeconds;
-        best.otfCollapseSeconds += s.otfCollapseSeconds;
-        best.otfRenumberSeconds += s.otfRenumberSeconds;
-      }
       best.numericApplied = rep.analysis->staticCombo != nullptr;
       if (best.numericApplied) {
         best.numericModules = rep.analysis->staticCombo->modules().size();
@@ -189,6 +184,18 @@ RunResult timeCold(const dft::Dft& d, unsigned numThreads, bool symmetry,
     }
   }
   return best;
+}
+
+/// Span self times of one cold traced run of \p req (tracing is off
+/// again afterwards and the rings are cleared).
+obs::SelfTimes tracedSelfTimes(const AnalysisRequest& req) {
+  obs::clearTrace();
+  obs::setTraceEnabled(true);
+  (void)benchutil::analyzeCold(req);
+  obs::setTraceEnabled(false);
+  obs::SelfTimes times = obs::selfTimes(obs::snapshotTrace());
+  obs::clearTrace();
+  return times;
 }
 
 struct ConfigResult {
@@ -404,6 +411,7 @@ bool runStaticCombineSweep(std::vector<StaticCombineResult>& out) {
 struct OtfResultRow {
   std::string name;
   RunResult on, off;
+  obs::SelfTimes stages;      ///< span self times of one traced fused run
   bool bitIdentical = false;  ///< measures on == off, every bit
   bool peakOk = false;        ///< fused peak strictly below classic product
   bool fusedOk = false;       ///< every step fused, zero fallbacks
@@ -433,12 +441,18 @@ bool runOtfSweep(std::vector<OtfResultRow>& out) {
                      /*onTheFly=*/false, /*repetitions=*/3);
     r.on = timeCold(d, 1, /*symmetry=*/true, /*staticCombine=*/false,
                     /*onTheFly=*/true, /*repetitions=*/3);
+    // The stage columns come from the spans of one extra traced run, so
+    // tracing never touches the timed runs above.
+    r.stages = tracedSelfTimes(requestFor(d, 1, /*symmetry=*/true,
+                                          /*staticCombine=*/false,
+                                          /*onTheFly=*/true));
     r.bitIdentical = r.on.values == r.off.values && !anyNan(r.on.values);
     r.peakOk = r.on.peakStates < r.off.peakStates &&
                r.on.peakTransitions < r.off.peakTransitions;
     r.fusedOk = r.on.otfSteps == r.on.steps && r.on.otfFallbacks == 0 &&
                 r.off.otfSteps == 0;
-    if (!r.bitIdentical || !r.peakOk || !r.fusedOk) ok = false;
+    if (!r.bitIdentical || !r.peakOk || !r.fusedOk || r.stages.dropped > 0)
+      ok = false;
     std::printf("%-12s %11.6f %11.6f %7.2f %10zu %10zu %7.2fx %6zu %5zu  %s\n",
                 r.name.c_str(), r.off.wallSeconds, r.on.wallSeconds,
                 r.on.wallSeconds / r.off.wallSeconds,
@@ -450,12 +464,12 @@ bool runOtfSweep(std::vector<OtfResultRow>& out) {
                 : !r.peakOk     ? "PEAK NOT BELOW PRODUCT — BUG"
                 : !r.fusedOk    ? "STEPS FELL BACK — BUG"
                                 : "bit-identical");
-    std::printf("  stages: expand %.4fs refine %.4fs (passes %zu, skipped "
-                "%zu) collapse %.4fs renumber %.4fs workers %u\n",
-                r.on.otfExpandSeconds, r.on.otfRefineSeconds,
-                r.on.otfPassesRun, r.on.otfPassesSkipped,
-                r.on.otfCollapseSeconds, r.on.otfRenumberSeconds,
-                r.on.otfIntraWorkers);
+    std::printf("  stages: explore %.4fs refine %.4fs (passes %zu) collapse "
+                "%.4fs finish %.4fs workers %u%s\n",
+                r.stages.of("otf.explore"), r.stages.of("otf.refine"),
+                r.on.otfPassesRun, r.stages.of("otf.collapse"),
+                r.stages.of("otf.finish"), r.on.otfIntraWorkers,
+                r.stages.dropped > 0 ? "  TRACE DROPPED EVENTS — BUG" : "");
     out.push_back(std::move(r));
   }
   std::printf("\n");
@@ -613,11 +627,10 @@ void writeJson(const std::vector<ConfigResult>& results,
         "\"peak_transitions_on\": %zu, \"peak_ratio\": %.3f, "
         "\"fused_steps\": %zu, \"fallbacks\": %zu, "
         "\"saved_vs_product_bound\": %zu, "
-        "\"refine_passes_run\": %zu, \"refine_passes_skipped\": %zu, "
-        "\"intra_workers\": %u, "
-        "\"expand_seconds\": %.6f, \"refine_seconds\": %.6f, "
-        "\"collapse_seconds\": %.6f, \"renumber_seconds\": %.6f, "
-        "\"measures_bit_identical\": %s}%s\n",
+        "\"refine_passes_run\": %zu, \"intra_workers\": %u, "
+        "\"explore_seconds\": %.6f, \"refine_seconds\": %.6f, "
+        "\"collapse_seconds\": %.6f, \"finish_seconds\": %.6f, "
+        "\"trace_dropped\": %zu, \"measures_bit_identical\": %s}%s\n",
         r.name.c_str(), r.off.wallSeconds, r.on.wallSeconds,
         r.on.wallSeconds / r.off.wallSeconds,
         r.off.peakStates, r.on.peakStates, r.off.peakTransitions,
@@ -625,10 +638,11 @@ void writeJson(const std::vector<ConfigResult>& results,
         static_cast<double>(r.off.peakStates) /
             static_cast<double>(r.on.peakStates),
         r.on.otfSteps, r.on.otfFallbacks, r.on.otfSavedPeak,
-        r.on.otfPassesRun, r.on.otfPassesSkipped, r.on.otfIntraWorkers,
-        r.on.otfExpandSeconds, r.on.otfRefineSeconds,
-        r.on.otfCollapseSeconds, r.on.otfRenumberSeconds,
-        r.bitIdentical ? "true" : "false", i + 1 < otf.size() ? "," : "");
+        r.on.otfPassesRun, r.on.otfIntraWorkers,
+        r.stages.of("otf.explore"), r.stages.of("otf.refine"),
+        r.stages.of("otf.collapse"), r.stages.of("otf.finish"),
+        r.stages.dropped, r.bitIdentical ? "true" : "false",
+        i + 1 < otf.size() ? "," : "");
     out << buf;
   }
   out << "  ],\n"

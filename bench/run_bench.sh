@@ -93,9 +93,9 @@ if [ -f "$repo_root/BENCH_compose.json" ]; then
   echo "  per-family E15 wall (classic -> fused, ratio):"
   grep -o '"name": "[^"]*", "wall_off_seconds": [0-9.]*, "wall_on_seconds": [0-9.]*, "wall_ratio": [0-9.]*' "$repo_root/BENCH_compose.json" \
     | sed 's/"name": "\([^"]*\)", "wall_off_seconds": \([0-9.]*\), "wall_on_seconds": \([0-9.]*\), "wall_ratio": \([0-9.]*\)/    \1: \2s -> \3s (\4x)/' || true
-  echo "  per-family E15 fused stages (expand/refine/collapse/renumber):"
-  grep -o '"name": "[^"]*", "wall_off_seconds[^{]*"expand_seconds": [0-9.]*, "refine_seconds": [0-9.]*, "collapse_seconds": [0-9.]*, "renumber_seconds": [0-9.]*' "$repo_root/BENCH_compose.json" \
-    | sed 's/"name": "\([^"]*\)".*"expand_seconds": \([0-9.]*\), "refine_seconds": \([0-9.]*\), "collapse_seconds": \([0-9.]*\), "renumber_seconds": \([0-9.]*\)/    \1: \2s \/ \3s \/ \4s \/ \5s/' || true
+  echo "  per-family E15 fused stages, span self time (explore/refine/collapse/finish):"
+  grep -o '"name": "[^"]*", "wall_off_seconds[^{]*"explore_seconds": [0-9.]*, "refine_seconds": [0-9.]*, "collapse_seconds": [0-9.]*, "finish_seconds": [0-9.]*' "$repo_root/BENCH_compose.json" \
+    | sed 's/"name": "\([^"]*\)".*"explore_seconds": \([0-9.]*\), "refine_seconds": \([0-9.]*\), "collapse_seconds": \([0-9.]*\), "finish_seconds": \([0-9.]*\)/    \1: \2s \/ \3s \/ \4s \/ \5s/' || true
   echo "  per-family E15 peaks (classic product -> fused live):"
   grep -o '"name": "[^"]*", "wall_off_seconds[^{]*"peak_states_off": [0-9]*, "peak_states_on": [0-9]*[^{]*"fallbacks": [0-9]*' "$repo_root/BENCH_compose.json" \
     | sed 's/"name": "\([^"]*\)".*"peak_states_off": \([0-9]*\), "peak_states_on": \([0-9]*\).*"fallbacks": \([0-9]*\)/    \1: \2 -> \3 states (\4 fallback(s))/' || true

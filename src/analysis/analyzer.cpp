@@ -83,8 +83,6 @@ void publishRequestMetrics(const AnalysisReport& report, double wallSeconds) {
   static obs::Counter& inflightJoins = reg.counter("analyzer.inflight_joins");
   static obs::Counter& evictions = reg.counter("analyzer.cache.evictions");
   static obs::Counter& refineRun = reg.counter("otf.refine_passes_run");
-  static obs::Counter& refineSkipped =
-      reg.counter("otf.refine_passes_skipped");
   static obs::Counter& measuresOk = reg.counter("analyzer.measures_ok");
   static obs::Counter& measuresFailed =
       reg.counter("analyzer.measures_failed");
@@ -105,7 +103,6 @@ void publishRequestMetrics(const AnalysisReport& report, double wallSeconds) {
   evictions.add(report.cache.treeEvictions + report.cache.moduleEvictions +
                 report.cache.chainEvictions + report.cache.curveEvictions);
   refineRun.add(report.cache.otfRefinePassesRun);
-  refineSkipped.add(report.cache.otfRefinePassesSkipped);
   for (const MeasureResult& m : report.measures)
     (m.ok ? measuresOk : measuresFailed).add();
   if (report.analysis)
@@ -141,11 +138,8 @@ std::string optionsKey(const AnalysisOptions& opts) {
   key += opts.engine.onTheFly ? '1' : '0';
   key += ";oc=";
   key += std::to_string(opts.engine.onTheFlyMaxVisited);
-  // The refinement cadence never changes result bytes, but it changes the
-  // cached stats (pass counters), so it is keyed.  numThreads is
-  // deliberately absent: it is bit-identical for every value.
-  key += ";or=";
-  key += std::to_string(opts.engine.otfRefineCadence);
+  // numThreads is deliberately absent: it is bit-identical for every
+  // value.
   return key;
 }
 
@@ -484,7 +478,6 @@ std::shared_ptr<const DftAnalysis> Analyzer::runNumericPipeline(
         stats.onTheFlyFallbacks += sub->stats.onTheFlyFallbacks;
         stats.onTheFlySavedPeakStates += sub->stats.onTheFlySavedPeakStates;
         stats.otfRefinePassesRun += sub->stats.otfRefinePassesRun;
-        stats.otfRefinePassesSkipped += sub->stats.otfRefinePassesSkipped;
         stats.otfIntraWorkers =
             std::max(stats.otfIntraWorkers, sub->stats.otfIntraWorkers);
         for (const std::string& reason : sub->stats.onTheFlyFallbackReasons)
@@ -600,18 +593,9 @@ std::shared_ptr<const DftAnalysis> Analyzer::runPipeline(
   span->arg("states", engine.model.numStates());
   span.reset();
   timings.compose = secondsSince(phase);
-  // Roll the fused engine's per-stage wall time into the one PhaseTimings
-  // accounting (the per-step values stay in CompositionStats for drill-in).
-  for (const CompositionStep& step : engine.stats.steps) {
-    timings.otfExpand += step.otfExpandSeconds;
-    timings.otfRefine += step.otfRefineSeconds;
-    timings.otfCollapse += step.otfCollapseSeconds;
-    timings.otfRenumber += step.otfRenumberSeconds;
-  }
   requestStats.stepsRun += engine.stats.steps.size();
   requestStats.stepsSaved += engine.stats.stepsSaved;
   requestStats.otfRefinePassesRun += engine.stats.otfRefinePassesRun;
-  requestStats.otfRefinePassesSkipped += engine.stats.otfRefinePassesSkipped;
 
   phase = Clock::now();
   span.emplace("extract");

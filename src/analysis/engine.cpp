@@ -100,7 +100,6 @@ void foldPeaks(CompositionStats& stats) {
       stats.noteOnTheFlyFallbackReason(s.onTheFlyFallbackReason);
     }
     stats.otfRefinePassesRun += s.otfRefinePassesRun;
-    stats.otfRefinePassesSkipped += s.otfRefinePassesSkipped;
     stats.otfIntraWorkers = std::max(stats.otfIntraWorkers, s.otfIntraWorkers);
   }
 }
@@ -252,7 +251,6 @@ std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
       fusedOpts.weak = opts.weak;
       fusedOpts.collapseSinks = opts.collapseSinks;
       fusedOpts.maxLiveStates = opts.onTheFlyMaxVisited;
-      fusedOpts.refineCadence = opts.otfRefineCadence;
       fusedOpts.encodePool = fusedOpts.weak.encodePool =
           encodePoolFor(step.leftStates, step.rightStates);
       ioimc::otf::OtfResult r = ioimc::otf::otfComposeAggregate(
@@ -263,12 +261,7 @@ std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
         step.composedStates = r.stats.peakLiveStates;
         step.composedTransitions = r.stats.peakLiveTransitions;
         step.otfRefinePassesRun = r.stats.refinementRounds;
-        step.otfRefinePassesSkipped = r.stats.refinePassesSkipped;
         step.otfIntraWorkers = r.stats.intraWorkers;
-        step.otfExpandSeconds = r.stats.expandSeconds;
-        step.otfRefineSeconds = r.stats.refineSeconds;
-        step.otfCollapseSeconds = r.stats.collapseSeconds;
-        step.otfRenumberSeconds = r.stats.renumberSeconds;
         fused.emplace(std::move(*r.model));
       } else {
         step.onTheFlyFallback = true;

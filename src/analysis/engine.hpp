@@ -90,15 +90,6 @@ struct EngineOptions {
   /// Safety valve for the fused engine: a step whose live region exceeds
   /// this many states falls back to the classic chain.  0 = unlimited.
   std::size_t onTheFlyMaxVisited = 0;
-  /// Base refinement cadence of the fused engine
-  /// (ioimc::otf::OtfOptions::refineCadence): a partial refinement runs
-  /// when the live region grew by this factor since the last pass, and the
-  /// engine backs the working cadence off after unproductive passes.  2.0
-  /// reproduces the old fixed-doubling trigger points while yields last.
-  /// Never changes result bytes — only peak live states vs wall time — but
-  /// it does change reported stats, so it IS part of the semantic cache
-  /// key.  Values below 1 are clamped to 1.
-  double otfRefineCadence = 2.0;
   /// Directory of the persistent quotient store (store/quotient_store.hpp).
   /// Empty disables persistence.  The Analyzer reads aggregated module and
   /// whole-tree quotients plus solved curves from it before aggregating,
@@ -140,17 +131,10 @@ struct CompositionStep {
   bool onTheFlyFallback = false;
   std::string onTheFlyFallbackReason;
   /// Fused-step detail (all zero on classic steps): partial refinement
-  /// passes run, passes the adaptive cadence deferred relative to the old
-  /// fixed-doubling policy, and the intra-step encoding pool size (0 =
-  /// the refinement never went parallel).
+  /// passes run and the intra-step encoding pool size (0 = the refinement
+  /// never went parallel).  Stage times come from the otf.* trace spans.
   std::size_t otfRefinePassesRun = 0;
-  std::size_t otfRefinePassesSkipped = 0;
   unsigned otfIntraWorkers = 0;
-  /// Wall-time breakdown of the fused step (see ioimc::otf::OtfStats).
-  double otfExpandSeconds = 0.0;
-  double otfRefineSeconds = 0.0;
-  double otfCollapseSeconds = 0.0;
-  double otfRenumberSeconds = 0.0;
 };
 
 /// Aggregated I/O-IMC of one completed independent module.  Modules that
@@ -195,10 +179,8 @@ struct CompositionStats {
   /// reachable-product size is only known when the classic path runs; the
   /// E15 bench measures that comparison directly).
   std::size_t onTheFlySavedPeakStates = 0;
-  /// Partial refinement passes across all fused steps: run, and deferred
-  /// by the adaptive cadence relative to the old fixed-doubling policy.
+  /// Partial refinement passes run across all fused steps.
   std::size_t otfRefinePassesRun = 0;
-  std::size_t otfRefinePassesSkipped = 0;
   /// Largest intra-step encoding pool any fused step used (0 = the
   /// refinement never went parallel anywhere).
   unsigned otfIntraWorkers = 0;

@@ -64,8 +64,8 @@ double steadyStateUnavailability(const DftAnalysis& analysis,
 
 /// Extraction of the *non-absorbed* model, memoized on the analysis
 /// (shared by the unavailability measures; throws on nondeterminism).
-/// The memoization writes DftAnalysis::fullMemo without synchronization;
-/// see the note there before sharing one analysis across threads.
+/// The memo (DftAnalysis::fullMemo) is installed with a first-write-wins
+/// compare-and-swap, so one analysis may be shared across threads.
 const Extraction& fullExtraction(const DftAnalysis& analysis);
 
 }  // namespace imcdft::analysis

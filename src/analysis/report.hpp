@@ -88,20 +88,10 @@ struct PhaseTimings {
   double compose = 0.0;  ///< compose/hide/aggregate folding
   double extract = 0.0;  ///< absorption + CTMC/CTMDP extraction
   double measure = 0.0;  ///< numerical solvers over all measures
-  /// Fused-engine stage breakdown of `compose`, summed over every
-  /// on-the-fly step of the request (including sub-module pipelines of
-  /// the numeric path).  These are subsets of `compose`, not extra
-  /// phases, so total() deliberately excludes them; `--stats`, the serve
-  /// summary and exported traces all read this one accounting.
-  double otfExpand = 0.0;
-  double otfRefine = 0.0;
-  double otfCollapse = 0.0;
-  double otfRenumber = 0.0;
+  /// Finer breakdowns (the fused engine's otf.* stages, per-step and
+  /// per-module time) come from the trace spans (obs::selfTimes).
   double total() const {
     return parse + convert + compose + extract + measure;
-  }
-  double otfStages() const {
-    return otfExpand + otfRefine + otfCollapse + otfRenumber;
   }
   /// Field-wise sum (sub-module pipelines and serve-batch aggregation).
   void accumulate(const PhaseTimings& other) {
@@ -110,10 +100,6 @@ struct PhaseTimings {
     compose += other.compose;
     extract += other.extract;
     measure += other.measure;
-    otfExpand += other.otfExpand;
-    otfRefine += other.otfRefine;
-    otfCollapse += other.otfCollapse;
-    otfRenumber += other.otfRenumber;
   }
 };
 
@@ -153,11 +139,8 @@ struct CacheStats {
   std::size_t moduleEvictions = 0;
   std::size_t chainEvictions = 0;
   std::size_t curveEvictions = 0;
-  /// Fused-engine refinement activity (EngineOptions::otfRefineCadence):
-  /// partial refinement passes run across all fused steps, and passes the
-  /// adaptive cadence deferred relative to the old fixed-doubling policy.
+  /// Partial refinement passes the fused engine ran across all its steps.
   std::size_t otfRefinePassesRun = 0;
-  std::size_t otfRefinePassesSkipped = 0;
 
   /// Field-wise sum (request stats folding into session stats).
   void accumulate(const CacheStats& other) {
@@ -177,7 +160,6 @@ struct CacheStats {
     chainEvictions += other.chainEvictions;
     curveEvictions += other.curveEvictions;
     otfRefinePassesRun += other.otfRefinePassesRun;
-    otfRefinePassesSkipped += other.otfRefinePassesSkipped;
   }
 };
 

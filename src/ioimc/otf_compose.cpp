@@ -1,7 +1,6 @@
 #include "ioimc/otf_compose.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <deque>
 #include <optional>
 #include <unordered_map>
@@ -21,11 +20,9 @@ namespace {
 
 using detail::GroupedModel;
 
-using Clock = std::chrono::steady_clock;
-
-double secondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
+/// Base refinement cadence: a partial refinement runs when the live region
+/// has grown by this factor since the last pass (see maybeRefine).
+constexpr double kRefineCadence = 2.0;
 
 enum class Status : std::uint8_t {
   Frontier,  ///< visited, successors not yet generated
@@ -93,8 +90,6 @@ class OtfEngine {
 
   IOIMC run(OtfStats& stats) {
     stats_ = &stats;
-    cadence_ = std::max(1.0, opts_.refineCadence);
-    const auto loopStart = Clock::now();
     std::optional<obs::TraceSpan> span;
     span.emplace("otf.explore");
     stateOf(a_.initial(), b_.initial());
@@ -121,10 +116,6 @@ class OtfEngine {
                        std::to_string(opts_.maxLiveStates) + " states"};
       maybeRefine();
     }
-    // Expansion time is the frontier loop minus the in-loop reductions the
-    // sub-phase timers already claimed.
-    stats_->expandSeconds =
-        std::max(0.0, secondsSince(loopStart) - inLoopReduceSeconds_);
     span->arg("visited", stats_->statesVisited);
     span->arg("refine_rounds", stats_->refinementRounds);
     span.reset();
@@ -194,34 +185,25 @@ class OtfEngine {
   /// Adaptive cadence: a pass runs when the live region grew by the
   /// current cadence factor since the last pass.  After an unproductive
   /// pass (it removed less than 1/8 of the live states) the working
-  /// cadence doubles, capped at 8x the configured base, so a product
+  /// cadence doubles, capped at 8x kRefineCadence, so a product
   /// whose live region genuinely has to grow stops paying for refinements
   /// that cannot shrink it; the first productive pass resets the cadence.
   /// Decisions depend only on live-state counts — never on wall time — so
-  /// runs are reproducible, and the knob cannot change result bytes (the
-  /// quotient tail reaches the minimal canonical quotient no matter when
-  /// intermediate passes ran).  A shadow counter tracks what the old
-  /// fixed-doubling policy would have done, so refinePassesSkipped
-  /// reports the passes this policy saved.
+  /// runs are reproducible, and pass timing cannot change result bytes
+  /// (the quotient tail reaches the minimal canonical quotient no matter
+  /// when intermediate passes ran).
   void maybeRefine() {
     if (liveStates_ < opts_.refineThreshold) return;
-    const bool fixedWouldRun = liveStates_ >= 2 * lastFixedLive_;
     if (static_cast<double>(liveStates_) <
-        cadence_ * static_cast<double>(lastRefineLive_)) {
-      if (fixedWouldRun) {
-        ++stats_->refinePassesSkipped;
-        lastFixedLive_ = std::max(liveStates_, opts_.refineThreshold / 2);
-      }
+        cadence_ * static_cast<double>(lastRefineLive_))
       return;
-    }
     const std::size_t before = liveStates_;
     refineAndPrune();
     const std::size_t removed = before - liveStates_;
-    const double base = std::max(1.0, opts_.refineCadence);
-    cadence_ = removed * 8 < before ? std::min(cadence_ * 2.0, base * 8.0)
-                                    : base;
+    cadence_ = removed * 8 < before
+                   ? std::min(cadence_ * 2.0, kRefineCadence * 8.0)
+                   : kRefineCadence;
     lastRefineLive_ = std::max(liveStates_, opts_.refineThreshold / 2);
-    lastFixedLive_ = lastRefineLive_;
   }
 
   void refineAndPrune() {
@@ -229,24 +211,14 @@ class OtfEngine {
     // The inline sink collapse implements the same abstraction as the
     // classic chain's collapseUnobservableSinks; when the caller disabled
     // that pass, the fused engine must preserve those states too.
-    auto t0 = Clock::now();
     bool changed;
     {
       obs::TraceSpan span("otf.collapse");
       changed = opts_.collapseSinks && sinkCollapseInline();
     }
-    double dt = secondsSince(t0);
-    stats_->collapseSeconds += dt;
-    inLoopReduceSeconds_ += dt;
-    t0 = Clock::now();
-    {
-      obs::TraceSpan span("otf.refine");
-      changed = weakCollapseInline() || changed;
-      if (changed) pruneUnreachable();
-    }
-    dt = secondsSince(t0);
-    stats_->refineSeconds += dt;
-    inLoopReduceSeconds_ += dt;
+    obs::TraceSpan span("otf.refine");
+    changed = weakCollapseInline() || changed;
+    if (changed) pruneUnreachable();
   }
 
   void collectLive(std::vector<StateId>& rep, std::vector<StateId>& live) {
@@ -537,7 +509,6 @@ class OtfEngine {
   IOIMC finish() {
     // BFS renumbering of the reduced graph (interactive row first, then
     // Markovian, matching restrictToReachable's traversal convention).
-    auto t0 = Clock::now();
     const StateId root = st_.find(0);
     constexpr StateId kUnvisited = static_cast<StateId>(-1);
     std::vector<StateId> remap(st_.pairs.size(), kUnvisited);
@@ -584,10 +555,7 @@ class OtfEngine {
     IOIMC reduced("(" + a_.name() + "||" + b_.name() + ")", a_.symbols(),
                   std::move(sig_), 0, std::move(inter), std::move(markov),
                   std::move(labels), std::move(labelUnion_.names));
-    stats_->renumberSeconds += secondsSince(t0);
-    t0 = Clock::now();
     if (opts_.collapseSinks) reduced = collapseUnobservableSinks(reduced);
-    stats_->collapseSeconds += secondsSince(t0);
 
     // The classic tail: aggregate to the minimal quotient, exactly like
     // the classic chain's aggregateFixpoint.  Only the fixpoint's
@@ -597,7 +565,6 @@ class OtfEngine {
     // the final, minimal quotient would leave its bytes a function of the
     // discovery order, which differs between the fused and the classic
     // exploration — abort to the classic path instead.
-    t0 = Clock::now();
     bool canonicalComplete = false;
     IOIMC result = aggregatePass(reduced, canonicalComplete);
     while (true) {
@@ -608,7 +575,6 @@ class OtfEngine {
     if (!canonicalComplete)
       throw OtfAbort{
           "canonical renumbering could not separate all quotient states"};
-    stats_->renumberSeconds += secondsSince(t0);
     return result;
   }
 
@@ -628,9 +594,7 @@ class OtfEngine {
   std::size_t liveStates_ = 0;
   std::size_t liveTransitions_ = 0;
   std::size_t lastRefineLive_ = 0;
-  std::size_t lastFixedLive_ = 0;  ///< shadow of the old fixed-doubling policy
-  double cadence_ = 2.0;           ///< working cadence (adapts per pass)
-  double inLoopReduceSeconds_ = 0.0;
+  double cadence_ = kRefineCadence;  ///< working cadence (adapts per pass)
   OtfStats* stats_ = nullptr;
 };
 

@@ -59,16 +59,6 @@ struct OtfOptions {
   /// smaller than this are simply explored whole (the classic quotient
   /// then still shrinks them at the end).
   std::size_t refineThreshold = 256;
-  /// Adaptive refinement cadence: after a pass leaves L states live, the
-  /// next pass runs when the live region reaches cadence * L.  An
-  /// unproductive pass (it removed almost nothing) backs the working
-  /// cadence off (doubling, capped at 8x this base); a productive pass
-  /// resets it.  2.0 with no backoff is the old fixed-doubling policy.
-  /// The cadence decides only *when* passes run, never what they compute:
-  /// the final quotient + canonical renumbering is the same for every
-  /// value (the engine's tail reaches the minimal quotient regardless), so
-  /// this knob trades peak live states against wall time bit-neutrally.
-  double refineCadence = 2.0;
   /// Caller-owned pool for the per-iteration signature encoding inside the
   /// partial refinement, reused across composition steps so a chain of
   /// fused steps does not respawn worker threads per step.  Null is the
@@ -90,23 +80,11 @@ struct OtfStats {
   /// revived states).
   std::size_t statesVisited = 0;
   std::size_t refinementRounds = 0;     ///< refinement passes actually run
-  /// Passes the old fixed-doubling policy would have run but the adaptive
-  /// cadence deferred (the knob's effect, measurable per step).
-  std::size_t refinePassesSkipped = 0;
   /// Workers of the intra-step encoding pool (0 = never went parallel).
   unsigned intraWorkers = 0;
   std::size_t statesMerged = 0;         ///< collapsed into a representative
   std::size_t statesSinkCollapsed = 0;  ///< absorbed by the inline sink collapse
   std::size_t statesPruned = 0;         ///< became unreachable, dropped
-  /// Wall-time breakdown of the fused step.  expand covers the frontier
-  /// loop minus in-loop reductions; refine covers the partial weak
-  /// refinement + reachability pruning; collapse covers the inline and
-  /// final sink collapses; renumber covers the final renumbering plus the
-  /// quotient tail (aggregation and its fixpoint verification).
-  double expandSeconds = 0.0;
-  double refineSeconds = 0.0;
-  double collapseSeconds = 0.0;
-  double renumberSeconds = 0.0;
 };
 
 struct OtfResult {

@@ -230,6 +230,38 @@ TraceSnapshot snapshotTrace() {
   return snap;
 }
 
+SelfTimes selfTimes(const TraceSnapshot& snap) {
+  SelfTimes out;
+  out.dropped = snap.dropped;
+  std::vector<const TraceRecord*> spans;
+  for (const TraceRecord& r : snap.records)
+    if (!r.instant) spans.push_back(&r);
+  std::sort(spans.begin(), spans.end(),
+            [](const TraceRecord* a, const TraceRecord* b) {
+              if (a->tid != b->tid) return a->tid < b->tid;
+              return a->beginSeq < b->beginSeq;
+            });
+  // The open ancestors of the current span, each with the nanoseconds its
+  // direct children cover so far.
+  std::vector<std::pair<const TraceRecord*, std::uint64_t>> open;
+  auto close = [&] {
+    const auto [rec, childNanos] = open.back();
+    open.pop_back();
+    const std::uint64_t self =
+        rec->durNanos - std::min(childNanos, rec->durNanos);
+    out.seconds[rec->name] += static_cast<double>(self) * 1e-9;
+  };
+  for (const TraceRecord* r : spans) {
+    while (!open.empty() && (open.back().first->tid != r->tid ||
+                             open.back().first->endSeq < r->beginSeq))
+      close();
+    if (!open.empty()) open.back().second += r->durNanos;
+    open.emplace_back(r, 0);
+  }
+  while (!open.empty()) close();
+  return out;
+}
+
 TraceWriteStats writeChromeTrace(std::ostream& out) {
   const TraceSnapshot snap = snapshotTrace();
 

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
+#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -137,6 +138,25 @@ struct TraceSnapshot {
 /// all traced worker threads have been joined (the joins establish the
 /// needed happens-before edges).
 TraceSnapshot snapshotTrace();
+
+/// Self time per span name: each span's duration minus what its direct
+/// children on the same thread cover (nesting comes from the per-thread
+/// sequence numbers), summed over every span of that name.  Instants are
+/// ignored.  This is the one reducer behind every per-stage breakdown
+/// (`dftimc --stats`, bench_compose), so stage numbers always come from the
+/// same spans a --trace export shows.
+struct SelfTimes {
+  std::map<std::string, double, std::less<>> seconds;  ///< by span name
+  std::size_t dropped = 0;  ///< the snapshot's ring-overflow losses
+
+  /// Self seconds of \p name (0 when no such span was recorded).
+  double of(std::string_view name) const {
+    auto it = seconds.find(name);
+    return it == seconds.end() ? 0.0 : it->second;
+  }
+};
+
+SelfTimes selfTimes(const TraceSnapshot& snap);
 
 struct TraceWriteStats {
   std::size_t events = 0;   ///< JSON events written (B+E+i+metadata)

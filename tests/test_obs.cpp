@@ -170,6 +170,58 @@ TEST(TraceObs, SpanWithoutDetailRecordsEmptyDetail) {
     EXPECT_TRUE(rec.detail.empty()) << rec.name;
 }
 
+TEST(TraceObs, SelfTimesSubtractSameThreadChildren) {
+  // A hand-built snapshot: on tid 1 `outer` holds `a` (which holds
+  // `inner`), an instant and a sibling `b`; on tid 2 a second `outer`
+  // holds another `a`.  Sequence numbers overlap across the threads, so
+  // only per-thread nesting may count.
+  auto span = [](const char* name, std::uint32_t tid, std::uint64_t begin,
+                 std::uint64_t end, std::uint64_t durNanos) {
+    obs::TraceRecord rec;
+    rec.name = name;
+    rec.tid = tid;
+    rec.beginSeq = begin;
+    rec.endSeq = end;
+    rec.durNanos = durNanos;
+    return rec;
+  };
+  obs::TraceSnapshot snap;
+  snap.records = {span("inner", 1, 3, 4, 10), span("a", 1, 2, 5, 30),
+                  span("tick", 1, 6, 6, 0),   span("b", 1, 7, 8, 20),
+                  span("outer", 1, 1, 9, 100), span("a", 2, 2, 3, 15),
+                  span("outer", 2, 1, 4, 50)};
+  snap.records[2].instant = true;
+  snap.dropped = 7;
+
+  const obs::SelfTimes self = obs::selfTimes(snap);
+  EXPECT_NEAR(self.of("outer"), (100 - 30 - 20 + 50 - 15) * 1e-9, 1e-15);
+  EXPECT_NEAR(self.of("a"), (30 - 10 + 15) * 1e-9, 1e-15);
+  EXPECT_NEAR(self.of("inner"), 10e-9, 1e-15);
+  EXPECT_NEAR(self.of("b"), 20e-9, 1e-15);
+  EXPECT_EQ(self.seconds.count("tick"), 0u);
+  EXPECT_EQ(self.of("absent"), 0.0);
+  EXPECT_EQ(self.dropped, 7u);
+  // Self times partition the root spans' durations.
+  double total = 0.0;
+  for (const auto& [name, seconds] : self.seconds) total += seconds;
+  EXPECT_NEAR(total, 150e-9, 1e-15);
+}
+
+TEST(TraceObs, SelfTimesCoverFusedStages) {
+  TraceGuard guard;
+  AnalysisRequest request =
+      AnalysisRequest::forGalileo(dft::corpus::galileoCas())
+          .measure(MeasureSpec::unreliability({1.0}));
+  request.options.engine.staticCombine = false;
+  Analyzer().analyze(request);
+  const obs::SelfTimes self = obs::selfTimes(obs::snapshotTrace());
+  EXPECT_EQ(self.dropped, 0u);
+  EXPECT_GT(self.of("otf.explore"), 0.0);
+  EXPECT_GT(self.of("otf.finish"), 0.0);
+  for (const auto& [name, seconds] : self.seconds)
+    EXPECT_GE(seconds, 0.0) << name;
+}
+
 TEST(TraceObs, ComposeStepCarriesPlannerArgs) {
   TraceGuard guard;
   Analyzer session;

@@ -31,6 +31,9 @@
 ///                       0 (agree) / 1 (disagree) / 3 (skipped) — the
 ///                       command written into every repro header
 ///
+/// Numeric flags must be whole numbers (whole decimal values for times and
+/// seconds); --time must be finite and non-negative.
+///
 /// Exit status: 0 when every seed agreed (skips are fine up to
 /// --max-skips), 1 when any disagreement survived or the sweep skipped more
 /// seeds than --max-skips allows, 2 on usage errors.
@@ -45,7 +48,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -54,6 +59,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -97,6 +103,17 @@ struct CliOptions {
   std::exit(2);
 }
 
+/// Parses the whole of \p text as a T; an empty token, trailing characters
+/// or an out-of-range value is a usage error.
+template <typename T>
+T parseNumber(std::string_view text, const char* argv0) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) usage(argv0);
+  return value;
+}
+
 CliOptions parseArgs(int argc, char** argv) {
   CliOptions opts;
   opts.oracle.deadlineSeconds = 20.0;
@@ -106,27 +123,32 @@ CliOptions parseArgs(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    auto number = [&]<typename T>(T& out) {
+      out = parseNumber<T>(next(), argv[0]);
+    };
     if (arg == "--seeds") {
       const std::string range = next();
       const std::size_t dots = range.find("..");
-      char* end = nullptr;
+      const std::string_view view = range;
+      auto seed = [&](std::string_view text) {
+        return parseNumber<std::uint64_t>(text, argv[0]);
+      };
       if (dots == std::string::npos) {
         opts.seedFirst = 0;
-        opts.seedLast = std::strtoull(range.c_str(), &end, 10);
-        if (end == range.c_str() || *end != '\0') usage(argv[0]);
+        opts.seedLast = seed(view);
       } else {
-        opts.seedFirst = std::strtoull(range.substr(0, dots).c_str(), &end, 10);
-        if (*end != '\0') usage(argv[0]);
-        opts.seedLast =
-            std::strtoull(range.substr(dots + 2).c_str(), &end, 10);
-        if (*end != '\0' || opts.seedLast < opts.seedFirst) usage(argv[0]);
+        opts.seedFirst = seed(view.substr(0, dots));
+        opts.seedLast = seed(view.substr(dots + 2));
+        if (opts.seedLast < opts.seedFirst) usage(argv[0]);
       }
     } else if (arg == "--time") {
-      opts.times.push_back(std::strtod(next().c_str(), nullptr));
+      const double t = parseNumber<double>(next(), argv[0]);
+      if (!std::isfinite(t) || t < 0.0) usage(argv[0]);
+      opts.times.push_back(t);
     } else if (arg == "--runs") {
-      opts.oracle.simRuns = std::strtoull(next().c_str(), nullptr, 10);
+      number(opts.oracle.simRuns);
     } else if (arg == "--sim-seed") {
-      opts.oracle.simSeed = std::strtoull(next().c_str(), nullptr, 10);
+      number(opts.oracle.simSeed);
     } else if (arg == "--arms") {
       try {
         opts.generator.arms = dft::parseArms(next());
@@ -135,28 +157,22 @@ CliOptions parseArgs(int argc, char** argv) {
         std::exit(2);
       }
     } else if (arg == "--max-depth") {
-      opts.generator.maxDepth = static_cast<std::uint32_t>(
-          std::strtoul(next().c_str(), nullptr, 10));
+      number(opts.generator.maxDepth);
       if (opts.generator.maxDepth == 0) usage(argv[0]);
     } else if (arg == "--max-elements") {
-      opts.generator.maxElements = static_cast<std::uint32_t>(
-          std::strtoul(next().c_str(), nullptr, 10));
+      number(opts.generator.maxElements);
       if (opts.generator.maxElements < 3) usage(argv[0]);
     } else if (arg == "--jobs") {
-      opts.jobs =
-          static_cast<unsigned>(std::strtoul(next().c_str(), nullptr, 10));
+      number(opts.jobs);
       if (opts.jobs == 0) usage(argv[0]);
     } else if (arg == "--deadline") {
-      opts.oracle.deadlineSeconds = std::strtod(next().c_str(), nullptr);
-      if (opts.oracle.deadlineSeconds < 0.0) usage(argv[0]);
+      number(opts.oracle.deadlineSeconds);
+      if (!(opts.oracle.deadlineSeconds >= 0.0)) usage(argv[0]);
     } else if (arg == "--max-live-states") {
-      opts.oracle.maxLiveStates = std::strtoull(next().c_str(), nullptr, 10);
+      number(opts.oracle.maxLiveStates);
     } else if (arg == "--max-skips") {
-      const std::string value = next();
-      char* end = nullptr;
-      opts.maxSkips = std::strtoll(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0' || opts.maxSkips < 0)
-        usage(argv[0]);
+      number(opts.maxSkips);
+      if (opts.maxSkips < 0) usage(argv[0]);
     } else if (arg == "--out") {
       opts.outDir = next();
     } else if (arg == "--check") {

@@ -42,16 +42,10 @@
 ///                       a step scales with the quotient, not the product
 ///                       (default: on; measures are bit-identical either
 ///                       way, invariant failures fall back per step)
-///     --otf-refine CADENCE
-///                       base refinement cadence of the fused engine: a
-///                       partial refinement pass runs when the live region
-///                       grew by this factor since the last pass, and the
-///                       engine backs the working cadence off after
-///                       unproductive passes (default: 2.0, reproducing
-///                       the old fixed-doubling trigger points while the
-///                       passes keep paying off; never changes measures,
-///                       only peak live states vs wall time)
-///     --stats           print composition statistics and phase timings
+///     --stats           print composition statistics and phase timings;
+///                       traces the request to print the fused engine's
+///                       stage self times (otf.explore/refine/collapse/
+///                       finish spans)
 ///     --deadline SEC    resource budget: give up on a request after SEC
 ///                       seconds of wall clock, checked cooperatively at
 ///                       every hot-loop checkpoint (compose expansion,
@@ -92,7 +86,9 @@
 /// `corpus:sensors_4x2`, `corpus:voter_4x2`.
 ///
 /// Every requested measure — including the baselines and the simulator —
-/// is evaluated at every --time point.
+/// is evaluated at every --time point.  Numeric flags must be whole
+/// numbers (or, for times and seconds, whole decimal values); --time must
+/// be finite and non-negative.  Anything else is a usage error (exit 2).
 ///
 /// Service mode:
 ///
@@ -118,10 +114,11 @@
 /// in error slots, in slow-request log lines, and as the "pid" of the
 /// request's spans in a --trace export), and the summary reports exact
 /// p50/p95/p99 request latencies plus the batch's aggregated phase
-/// timings — the same accounting --stats prints for a one-shot run.
+/// timings (finer per-stage numbers come from --trace).
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -165,7 +162,6 @@ struct CliOptions {
   bool symmetry = true;
   bool staticCombine = true;
   bool onTheFly = true;
-  double otfRefineCadence = 2.0;
   bool serve = false;
   unsigned jobs = 0;     ///< 0 = hardware_concurrency
   unsigned workers = 0;  ///< serve mode session threads; 0 = hardware
@@ -193,7 +189,6 @@ struct CliOptions {
                "          [--jobs N] [--symmetry on|off]\n"
                "          [--static-combine on|off] [--on-the-fly on|off] "
                "[--stats]\n"
-               "          [--otf-refine CADENCE]\n"
                "          [--deadline SEC] [--max-live-states N]\n"
                "          [--store DIR] [--dot FILE] [--aut FILE]\n"
                "          [--trace FILE] [--metrics-json FILE]\n"
@@ -207,6 +202,17 @@ struct CliOptions {
   std::exit(2);
 }
 
+/// Parses the whole of \p text as a T; an empty token, trailing characters
+/// or an out-of-range value is a usage error.
+template <typename T>
+T parseNumber(const std::string& text, const char* argv0) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) usage(argv0);
+  return value;
+}
+
 CliOptions parseArgs(int argc, char** argv) {
   CliOptions opts;
   for (int i = 1; i < argc; ++i) {
@@ -215,8 +221,13 @@ CliOptions parseArgs(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    auto number = [&]<typename T>(T& out) {
+      out = parseNumber<T>(next(), argv[0]);
+    };
     if (arg == "--time") {
-      opts.times.push_back(std::strtod(next().c_str(), nullptr));
+      const double t = parseNumber<double>(next(), argv[0]);
+      if (!std::isfinite(t) || t < 0.0) usage(argv[0]);
+      opts.times.push_back(t);
     } else if (arg == "--bounds") {
       opts.bounds = true;
     } else if (arg == "--unavailability") {
@@ -238,28 +249,26 @@ CliOptions parseArgs(int argc, char** argv) {
       if (i + 1 < argc && argv[i + 1][0] != '\0' &&
           std::string(argv[i + 1]).find_first_not_of("0123456789") ==
               std::string::npos)
-        opts.simulateRuns = std::strtoull(next().c_str(), nullptr, 10);
+        number(opts.simulateRuns);
     } else if (arg == "--runs") {
       opts.simulate = true;
-      opts.simulateRuns = std::strtoull(next().c_str(), nullptr, 10);
+      number(opts.simulateRuns);
       if (opts.simulateRuns == 0) usage(argv[0]);
     } else if (arg == "--seed") {
-      opts.simulateSeed = std::strtoull(next().c_str(), nullptr, 10);
+      number(opts.simulateSeed);
     } else if (arg == "--jobs") {
-      opts.jobs = static_cast<unsigned>(
-          std::strtoul(next().c_str(), nullptr, 10));
+      number(opts.jobs);
       if (opts.jobs == 0) usage(argv[0]);
     } else if (arg == "--serve") {
       opts.serve = true;
     } else if (arg == "--workers") {
-      opts.workers = static_cast<unsigned>(
-          std::strtoul(next().c_str(), nullptr, 10));
+      number(opts.workers);
       if (opts.workers == 0) usage(argv[0]);
     } else if (arg == "--deadline") {
-      opts.deadline = std::strtod(next().c_str(), nullptr);
-      if (opts.deadline <= 0.0) usage(argv[0]);
+      number(opts.deadline);
+      if (!(opts.deadline > 0.0)) usage(argv[0]);
     } else if (arg == "--max-live-states") {
-      opts.maxLiveStates = std::strtoull(next().c_str(), nullptr, 10);
+      number(opts.maxLiveStates);
       if (opts.maxLiveStates == 0) usage(argv[0]);
     } else if (arg == "--store") {
       opts.storeDir = next();
@@ -287,13 +296,6 @@ CliOptions parseArgs(int argc, char** argv) {
         opts.onTheFly = false;
       else
         usage(argv[0]);
-    } else if (arg == "--otf-refine") {
-      try {
-        opts.otfRefineCadence = std::stod(next());
-      } catch (const std::exception&) {
-        usage(argv[0]);
-      }
-      if (!(opts.otfRefineCadence > 0.0)) usage(argv[0]);
     } else if (arg == "--dot") {
       opts.dotPath = next();
     } else if (arg == "--aut") {
@@ -305,11 +307,8 @@ CliOptions parseArgs(int argc, char** argv) {
       opts.metricsJsonPath = next();
       if (opts.metricsJsonPath.empty()) usage(argv[0]);
     } else if (arg == "--slow-threshold") {
-      char* end = nullptr;
-      const std::string v = next();
-      opts.slowThreshold = std::strtod(v.c_str(), &end);
-      if (end == v.c_str() || *end != '\0' || opts.slowThreshold < 0.0)
-        usage(argv[0]);
+      number(opts.slowThreshold);
+      if (!(opts.slowThreshold >= 0.0)) usage(argv[0]);
     } else if (arg == "--strategy") {
       std::string s = next();
       if (s == "modular")
@@ -436,7 +435,6 @@ void configureRequest(imcdft::analysis::AnalysisRequest& request,
   request.options.engine.symmetry = opts.symmetry;
   request.options.engine.staticCombine = opts.staticCombine;
   request.options.engine.onTheFly = opts.onTheFly;
-  request.options.engine.otfRefineCadence = opts.otfRefineCadence;
   request.options.engine.storeDir = opts.storeDir;
   request.budget.deadlineSeconds = opts.deadline;
   request.budget.maxLiveStates = opts.maxLiveStates;
@@ -529,7 +527,8 @@ int runServe(const CliOptions& opts) {
     while (ss >> tok) {
       char* end = nullptr;
       const double t = std::strtod(tok.c_str(), &end);
-      if (end == tok.c_str() || *end != '\0') {
+      if (end == tok.c_str() || *end != '\0' || !std::isfinite(t) ||
+          t < 0.0) {
         malformed = true;
         break;
       }
@@ -681,22 +680,16 @@ int runServe(const CliOptions& opts) {
                 pct(0.50), pct(0.95), pct(0.99), sorted.back());
   }
   {
-    // One accounting: the batch's aggregated phase timings use the same
-    // PhaseTimings every one-shot --stats line and trace export read.
+    // The batch's aggregated phase timings, the same PhaseTimings a
+    // one-shot --stats prints; per-stage numbers come from --trace.
     analysis::PhaseTimings phases;
     for (std::size_t i = 0; i < requests.size(); ++i)
       if (errors[i].empty()) phases.accumulate(reports[i].timings);
-    if (phases.total() > 0.0) {
+    if (phases.total() > 0.0)
       std::printf("  phases [s]:      parse %.4f, convert %.4f, "
                   "compose %.4f, extract %.4f, measure %.4f\n",
                   phases.parse, phases.convert, phases.compose,
                   phases.extract, phases.measure);
-      if (phases.otfStages() > 0.0)
-        std::printf("  otf stages [s]:  expand %.4f, refine %.4f, "
-                    "collapse %.4f, renumber %.4f\n",
-                    phases.otfExpand, phases.otfRefine, phases.otfCollapse,
-                    phases.otfRenumber);
-    }
   }
   std::printf("  tree cache:      %zu hit(s), %zu miss(es), %zu in-flight "
               "join(s)\n",
@@ -704,9 +697,8 @@ int runServe(const CliOptions& opts) {
   std::printf("  module cache:    %zu hit(s), %zu miss(es), %zu step(s) "
               "saved\n",
               s.moduleHits, s.moduleMisses, s.stepsSaved);
-  if (s.otfRefinePassesRun + s.otfRefinePassesSkipped > 0)
-    std::printf("  otf refinement:  %zu pass(es) run, %zu deferred\n",
-                s.otfRefinePassesRun, s.otfRefinePassesSkipped);
+  if (s.otfRefinePassesRun > 0)
+    std::printf("  otf refinement:  %zu pass(es) run\n", s.otfRefinePassesRun);
   if (!opts.storeDir.empty())
     std::printf("  store:           %zu hit(s), %zu miss(es), %zu write(s), "
                 "%zu error(s)\n",
@@ -740,8 +732,13 @@ int runOneShot(CliOptions& opts) {
       opts.staticCombine = false;
     configureRequest(request, opts, opts.times);
 
+    // --stats reads the fused engine's stage times from the request's
+    // spans, so it traces the request even without --trace.
+    const bool traceForStats = opts.stats && !obs::traceEnabled();
+    if (traceForStats) obs::setTraceEnabled(true);
     analysis::Analyzer session;
     analysis::AnalysisReport report = session.analyze(request);
+    if (traceForStats) obs::setTraceEnabled(false);
 
     if (opts.stats) {
       std::printf("\ncomposition statistics:\n");
@@ -768,18 +765,19 @@ int runOneShot(CliOptions& opts) {
                     report.stats().onTheFlySteps,
                     report.stats().onTheFlyFallbacks,
                     report.stats().onTheFlySavedPeakStates);
-        std::printf("  otf refinement:  %zu pass(es) run, %zu deferred by "
-                    "the adaptive cadence, %u encode worker(s)\n",
+        std::printf("  otf refinement:  %zu pass(es) run, %u encode "
+                    "worker(s)\n",
                     report.stats().otfRefinePassesRun,
-                    report.stats().otfRefinePassesSkipped,
                     report.stats().otfIntraWorkers);
-        // Read the PhaseTimings roll-up rather than re-summing the steps:
-        // it includes the sub-module pipelines of the numeric path, and it
-        // is the same accounting the serve summary and traces report.
-        std::printf("  otf stages [s]:  expand %.4f, refine %.4f, "
-                    "collapse %.4f, renumber %.4f\n",
-                    report.timings.otfExpand, report.timings.otfRefine,
-                    report.timings.otfCollapse, report.timings.otfRenumber);
+        // Span self times: the same numbers a --trace export shows.
+        const obs::SelfTimes stages = obs::selfTimes(obs::snapshotTrace());
+        std::printf("  otf stages [s]:  explore %.4f, refine %.4f, "
+                    "collapse %.4f, finish %.4f",
+                    stages.of("otf.explore"), stages.of("otf.refine"),
+                    stages.of("otf.collapse"), stages.of("otf.finish"));
+        if (stages.dropped > 0)
+          std::printf("  (%zu trace event(s) dropped)", stages.dropped);
+        std::printf("\n");
       }
       std::printf("  peak composed:   %zu states, %zu transitions\n",
                   report.stats().peakComposedStates,
