@@ -992,8 +992,10 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
           break;
         case MeasureKind::Unavailability:
           if (!requireGrid(r)) break;
-          for (double t : spec.times)
-            r.values.push_back(unavailability(*analysis, t, solveOpts));
+          // One shared uniformization sweep for the whole grid (each point
+          // is bitwise identical to a per-point unavailability() call).
+          r.values = ctmc::labelCurve(fullExtraction(*analysis).chain,
+                                      kDownLabel, spec.times, solveOpts);
           break;
         case MeasureKind::SteadyStateUnavailability:
           r.values.push_back(

@@ -6,22 +6,36 @@
 
 namespace imcdft::ctmc {
 
-std::size_t Ctmc::numTransitions() const {
-  std::size_t n = 0;
-  for (const auto& v : rates) n += v.size();
-  return n;
-}
-
-double Ctmc::exitRate(StateId s) const {
+double RateRows::exitRate(StateId s) const {
   double sum = 0.0;
-  for (const auto& t : rates[s]) sum += t.rate;
+  for (double r : row(s).rate) sum += r;
   return sum;
 }
 
-double Ctmc::maxExitRate() const {
-  double m = 0.0;
-  for (StateId s = 0; s < numStates(); ++s) m = std::max(m, exitRate(s));
-  return m;
+RateRows RateRows::fromRows(const std::vector<std::vector<Transition>>& rows) {
+  RateRows out;
+  for (const std::vector<Transition>& r : rows) {
+    for (const Transition& t : r) out.add(t.rate, t.to);
+    out.endRow();
+  }
+  return out;
+}
+
+void RateRows::validate(const std::string& owner) const {
+  // Messages are built only on the failing path: every solve validates its
+  // chain, over every transition.
+  auto fail = [&owner](const char* what) { require(false, owner + ": " + what); };
+  if (rates.size() != targets.size() ||
+      (offsets.empty() ? !targets.empty()
+                       : offsets.front() != 0 ||
+                             offsets.back() != targets.size() ||
+                             !std::is_sorted(offsets.begin(), offsets.end())))
+    fail("malformed rate table");
+  for (double r : rates)
+    if (!(r > 0.0)) fail("non-positive rate");
+  const std::size_t n = numRows();
+  for (StateId to : targets)
+    if (to >= n) fail("transition target out of range");
 }
 
 int Ctmc::labelIndex(const std::string& label) const {
@@ -31,15 +45,19 @@ int Ctmc::labelIndex(const std::string& label) const {
 }
 
 void Ctmc::validate() const {
-  require(!rates.empty(), "Ctmc: no states");
-  require(initial < rates.size(), "Ctmc: initial state out of range");
-  require(labelMasks.size() == rates.size(), "Ctmc: label array size mismatch");
+  require(numStates() > 0, "Ctmc: no states");
+  require(initial < numStates(), "Ctmc: initial state out of range");
+  require(labelMasks.size() == numStates(), "Ctmc: label array size mismatch");
   require(labelNames.size() <= 32, "Ctmc: more than 32 labels");
-  for (const auto& out : rates)
-    for (const auto& t : out) {
-      require(t.rate > 0.0, "Ctmc: non-positive rate");
-      require(t.to < rates.size(), "Ctmc: transition target out of range");
-    }
+  rates.validate("Ctmc");
+}
+
+Ctmc Ctmc::fromRows(StateId initial,
+                    const std::vector<std::vector<Transition>>& rows,
+                    std::vector<std::uint32_t> labelMasks,
+                    std::vector<std::string> labelNames) {
+  return {initial, RateRows::fromRows(rows), std::move(labelMasks),
+          std::move(labelNames)};
 }
 
 double probabilityOfLabel(const Ctmc& chain,

@@ -21,10 +21,10 @@ std::vector<bool> forwardReachable(const Ctmc& chain, StateId from) {
   while (!stack.empty()) {
     StateId s = stack.back();
     stack.pop_back();
-    for (const Transition& t : chain.rates[s])
-      if (!seen[t.to]) {
-        seen[t.to] = true;
-        stack.push_back(t.to);
+    for (StateId to : chain.row(s).to)
+      if (!seen[to]) {
+        seen[to] = true;
+        stack.push_back(to);
       }
   }
   return seen;
@@ -35,7 +35,7 @@ std::vector<bool> canReachLabel(const Ctmc& chain, int labelIdx) {
   const std::size_t n = chain.numStates();
   std::vector<std::vector<StateId>> pred(n);
   for (StateId s = 0; s < n; ++s)
-    for (const Transition& t : chain.rates[s]) pred[t.to].push_back(s);
+    for (StateId to : chain.row(s).to) pred[to].push_back(s);
   std::vector<bool> can(n, false);
   std::vector<StateId> stack;
   for (StateId s = 0; s < n; ++s)
@@ -90,9 +90,10 @@ MttfResult expectedTimeToLabel(const Ctmc& chain, const std::string& label,
     // hits[s] guarantees an outgoing transition exists, so exit > 0.
     a[i][i] += exit;
     a[i][n] = 1.0;
-    for (const Transition& t : chain.rates[s]) {
-      if (chain.hasLabel(t.to, labelIdx)) continue;
-      a[i][indexOf[t.to]] -= t.rate;
+    const RateRows::Row row = chain.row(s);
+    for (std::size_t k = 0; k < row.size(); ++k) {
+      if (chain.hasLabel(row.to[k], labelIdx)) continue;
+      a[i][indexOf[row.to[k]]] -= row.rate[k];
     }
   }
 

@@ -5,6 +5,7 @@
 
 #include "common/cancel.hpp"
 #include "common/error.hpp"
+#include "ctmc/uniformized.hpp"
 
 namespace imcdft::ctmc {
 
@@ -12,14 +13,13 @@ std::vector<double> steadyStateDistribution(const Ctmc& chain,
                                             const SteadyStateOptions& opts) {
   chain.validate();
   const std::size_t n = chain.numStates();
-  const double maxExit = chain.maxExitRate();
-  if (maxExit == 0.0) {
+  const Uniformized u(chain.rates, opts.uniformizationSlack);
+  if (u.maxExitRate() == 0.0) {
     // Every state is absorbing: the chain never leaves its initial state.
     std::vector<double> pi(n, 0.0);
     pi[chain.initial] = 1.0;
     return pi;
   }
-  const double lambda = opts.uniformizationSlack * maxExit;
 
   // Start from the initial state (correct limit for unichains; for chains
   // with several closed classes the limit depends on the start state, which
@@ -29,17 +29,7 @@ std::vector<double> steadyStateDistribution(const Ctmc& chain,
 
   for (std::size_t iter = 0; iter < opts.maxIterations; ++iter) {
     if (opts.cancel) opts.cancel->checkpoint("steady", n);
-    std::fill(next.begin(), next.end(), 0.0);
-    for (StateId s = 0; s < n; ++s) {
-      double mass = current[s];
-      if (mass == 0.0) continue;
-      double exit = 0.0;
-      for (const auto& t : chain.rates[s]) {
-        next[t.to] += mass * (t.rate / lambda);
-        exit += t.rate;
-      }
-      next[s] += mass * (1.0 - exit / lambda);
-    }
+    u.step(current, next);
     double diff = 0.0;
     for (StateId s = 0; s < n; ++s)
       diff = std::max(diff, std::fabs(next[s] - current[s]));

@@ -5,31 +5,10 @@
 #include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "ctmc/fox_glynn.hpp"
+#include "ctmc/uniformized.hpp"
 #include "obs/trace.hpp"
 
 namespace imcdft::ctmc {
-
-namespace {
-
-/// One vector-matrix product with the uniformized DTMC:
-/// out = in * P where P(s,s') = rate(s,s')/Lambda and
-/// P(s,s) additionally carries 1 - exit(s)/Lambda.
-void stepUniformized(const Ctmc& chain, double lambda,
-                     const std::vector<double>& in, std::vector<double>& out) {
-  std::fill(out.begin(), out.end(), 0.0);
-  for (StateId s = 0; s < chain.numStates(); ++s) {
-    double mass = in[s];
-    if (mass == 0.0) continue;
-    double exit = 0.0;
-    for (const auto& t : chain.rates[s]) {
-      out[t.to] += mass * (t.rate / lambda);
-      exit += t.rate;
-    }
-    out[s] += mass * (1.0 - exit / lambda);
-  }
-}
-
-}  // namespace
 
 std::vector<double> transientDistribution(const Ctmc& chain,
                                           std::vector<double> initial,
@@ -39,11 +18,11 @@ std::vector<double> transientDistribution(const Ctmc& chain,
   require(t >= 0.0, "transientDistribution: negative time");
   require(initial.size() == chain.numStates(),
           "transientDistribution: initial distribution size mismatch");
-  const double maxExit = chain.maxExitRate();
-  if (t == 0.0 || maxExit == 0.0) return initial;
+  if (t == 0.0) return initial;
+  const Uniformized u(chain.rates, opts.uniformizationSlack);
+  if (u.maxExitRate() == 0.0) return initial;
 
-  const double lambda = opts.uniformizationSlack * maxExit;
-  PoissonWeights pw = poissonWeights(lambda * t, opts.epsilon);
+  PoissonWeights pw = poissonWeights(u.lambda() * t, opts.epsilon);
 
   obs::TraceSpan span("ctmc.solve");
   span.arg("states", chain.numStates());
@@ -56,7 +35,7 @@ std::vector<double> transientDistribution(const Ctmc& chain,
   // Advance to the left truncation point, then accumulate weighted iterates.
   for (std::size_t k = 0; k < pw.left; ++k) {
     if (opts.cancel) opts.cancel->checkpoint("transient", chain.numStates());
-    stepUniformized(chain, lambda, current, next);
+    u.step(current, next);
     std::swap(current, next);
   }
   for (std::size_t i = 0; i < pw.weights.size(); ++i) {
@@ -65,7 +44,7 @@ std::vector<double> transientDistribution(const Ctmc& chain,
     for (StateId s = 0; s < chain.numStates(); ++s)
       result[s] += w * current[s];
     if (i + 1 < pw.weights.size()) {
-      stepUniformized(chain, lambda, current, next);
+      u.step(current, next);
       std::swap(current, next);
     }
   }
@@ -87,14 +66,13 @@ std::vector<std::vector<double>> transientDistributions(
           "transientDistributions: initial distribution size mismatch");
   for (double t : times)
     require(t >= 0.0, "transientDistributions: negative time");
-  const double maxExit = chain.maxExitRate();
+  const Uniformized u(chain.rates, opts.uniformizationSlack);
 
   std::vector<std::vector<double>> out(times.size());
-  if (maxExit == 0.0) {
+  if (u.maxExitRate() == 0.0) {
     for (std::vector<double>& o : out) o = initial;
     return out;
   }
-  const double lambda = opts.uniformizationSlack * maxExit;
 
   // One truncated Poisson window per time point; the iterate sweep below
   // runs once, to the right edge of the widest window.
@@ -106,7 +84,7 @@ std::vector<std::vector<double>> transientDistributions(
       out[j] = initial;
       continue;
     }
-    windows[j] = poissonWeights(lambda * times[j], opts.epsilon);
+    windows[j] = poissonWeights(u.lambda() * times[j], opts.epsilon);
     maxRight = std::max(maxRight, windows[j].right());
     anyPositive = true;
     out[j].assign(chain.numStates(), 0.0);
@@ -132,7 +110,7 @@ std::vector<std::vector<double>> transientDistributions(
         acc[s] += w * current[s];
     }
     if (k == maxRight) break;
-    stepUniformized(chain, lambda, current, next);
+    u.step(current, next);
     std::swap(current, next);
   }
   return out;

@@ -1,7 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
+
+#include "ctmc/ctmc.hpp"
 
 /// \file ctmdp.hpp
 /// Continuous-time Markov decision processes with *immediate* choice states.
@@ -16,32 +19,46 @@
 
 namespace imcdft::ctmdp {
 
-using StateId = std::uint32_t;
+using StateId = ctmc::StateId;
+using Transition = ctmc::Transition;
 
-struct Transition {
-  double rate;
-  StateId to;
-};
-
-/// A CTMDP where nondeterminism is confined to vanishing states.
+/// A CTMDP where nondeterminism is confined to vanishing states.  Rates and
+/// choices are flat tables with one row per state; the per-state flags are
+/// bytes.
 struct Ctmdp {
   StateId initial = 0;
-  /// Exponential transitions of tangible states (empty for vanishing ones).
-  std::vector<std::vector<Transition>> rates;
-  /// Immediate successor choices of vanishing states (empty for tangible
-  /// ones).  A state must not have both rates and choices.
-  std::vector<std::vector<StateId>> choices;
+  /// Exponential transitions of tangible states (empty rows for vanishing
+  /// ones).
+  ctmc::RateRows rates;
+  /// Immediate successor choices of vanishing states: state s owns
+  /// choiceTargets[choiceOffsets[s], choiceOffsets[s + 1]), empty for
+  /// tangible states.  A state must not have both rates and choices.
+  std::vector<std::uint32_t> choiceOffsets;
+  std::vector<StateId> choiceTargets;
   /// Goal indicator (e.g. "system down").  Goal states must be tangible and
   /// absorbing; use the analysis layer's goal-absorption first.
-  std::vector<bool> goal;
+  std::vector<std::uint8_t> goal;
+  /// 1 exactly where the choice row is non-empty.
+  std::vector<std::uint8_t> vanishing;
 
-  std::size_t numStates() const { return rates.size(); }
-  bool isVanishing(StateId s) const { return !choices[s].empty(); }
+  std::size_t numStates() const { return rates.numRows(); }
+  bool isVanishing(StateId s) const { return vanishing[s] != 0; }
+  std::span<const StateId> choices(StateId s) const {
+    return {choiceTargets.data() + choiceOffsets[s],
+            choiceOffsets[s + 1] - choiceOffsets[s]};
+  }
 
   /// Structural checks; also verifies that the vanishing-choice graph is
   /// acyclic (our weak-bisimulation quotients guarantee this; a cycle would
   /// mean time-locked divergence).
   void validate() const;
+
+  /// A CTMDP from per-state rows (hand-built fixtures); the vanishing flags
+  /// follow from \p choices.
+  static Ctmdp fromRows(StateId initial,
+                        const std::vector<std::vector<Transition>>& rates,
+                        const std::vector<std::vector<StateId>>& choices,
+                        std::vector<std::uint8_t> goal);
 };
 
 }  // namespace imcdft::ctmdp

@@ -30,7 +30,8 @@ struct ReachabilityOptions {
 };
 
 /// P(reach a goal state within time \p t), optimized over schedulers.
-/// \p maximize selects the supremum (true) or infimum (false).
+/// \p maximize selects the supremum (true) or infimum (false).  A
+/// one-sided run of the reachabilityBounds() sweep.
 double timeBoundedReachability(const Ctmdp& mdp, double t, bool maximize,
                                const ReachabilityOptions& opts = {});
 
@@ -39,6 +40,11 @@ struct ReachabilityBounds {
   double lower = 0.0;
   double upper = 0.0;
 };
+/// One backward sweep computes both optima: each row traversal updates a
+/// minimizing and a maximizing value vector, bitwise identical to two
+/// one-sided runs.  Without vanishing states both optima are the same
+/// computation and a single vector runs.  The sweep runs inside a
+/// `ctmdp.solve` trace span (args `states`, `iterations`, `sides`).
 ReachabilityBounds reachabilityBounds(const Ctmdp& mdp, double t,
                                       const ReachabilityOptions& opts = {});
 

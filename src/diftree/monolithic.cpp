@@ -39,16 +39,18 @@ MonolithicResult generateMonolithic(const Dft& dft,
   chain.labelNames = {"down"};
   chain.initial = stateOf(executor.initialState());
 
+  // States are numbered in discovery order and expanded first in, first
+  // out, so rows come out in state order and go straight into the flat
+  // table.
   while (!frontier.empty()) {
     ctmc::StateId id = frontier.front();
     frontier.pop_front();
     ExecutionState g = states[id];  // copy: the states vector grows below
     const bool down = g.failed[dft.top()] != 0;
-    if (chain.rates.size() <= id) {
-      chain.rates.resize(id + 1);
-      chain.labelMasks.resize(id + 1, 0);
+    if (down && opts.truncateAtSystemFailure) {
+      chain.rates.endRow();
+      continue;
     }
-    if (down && opts.truncateAtSystemFailure) continue;
 
     for (ElementId x = 0; x < dft.size(); ++x) {
       const Element& e = dft.element(x);
@@ -62,16 +64,16 @@ MonolithicResult generateMonolithic(const Dft& dft,
         } else {
           executor.failAndPropagate(next, x);
         }
-        chain.rates[id].push_back({rate, stateOf(std::move(next))});
+        chain.rates.add(rate, stateOf(std::move(next)));
       }
       if (e.be.repairRate && g.failed[x]) {
         ExecutionState next = g;
         executor.repairAndPropagate(next, x);
-        chain.rates[id].push_back({*e.be.repairRate, stateOf(std::move(next))});
+        chain.rates.add(*e.be.repairRate, stateOf(std::move(next)));
       }
     }
+    chain.rates.endRow();
   }
-  chain.rates.resize(states.size());
   chain.labelMasks.resize(states.size(), 0);
   for (ctmc::StateId s = 0; s < states.size(); ++s)
     if (states[s].failed[dft.top()]) chain.labelMasks[s] |= 1u;

@@ -50,12 +50,7 @@ std::pair<ioimc::IOIMC, ioimc::IOIMC> cpsOperands() {
 /// A two-state CTMC with one "down" state — smallest model whose
 /// uniformization sweep checkpoints.
 ctmc::Ctmc tinyChain() {
-  ctmc::Ctmc chain;
-  chain.rates.resize(2);
-  chain.rates[0].push_back({1.0, 1});
-  chain.labelMasks = {0, 1};
-  chain.labelNames = {"down"};
-  return chain;
+  return ctmc::Ctmc::fromRows(0, {{{1.0, 1}}, {}}, {0, 1}, {"down"});
 }
 
 // ---------------------------------------------------------------------------
@@ -149,8 +144,9 @@ TEST(Budget, MttfSiteTrips) {
 }
 
 TEST(Budget, SteadyStateSiteTrips) {
-  ctmc::Ctmc chain = tinyChain();
-  chain.rates[1].push_back({2.0, 0});  // repair: the chain never settles at once
+  // tinyChain plus a repair: the chain never settles at once.
+  ctmc::Ctmc chain =
+      ctmc::Ctmc::fromRows(0, {{{1.0, 1}}, {{2.0, 0}}}, {0, 1}, {"down"});
   ctmc::SteadyStateOptions opts;
   CancelToken token;
   token.limitCheckpoints(1);
@@ -164,10 +160,8 @@ TEST(Budget, SteadyStateSiteTrips) {
 }
 
 TEST(Budget, CtmdpBoundsSiteTrips) {
-  ctmdp::Ctmdp mdp;
-  mdp.rates = {{{1.0, 1}}, {}};
-  mdp.choices.resize(2);
-  mdp.goal = {false, true};
+  ctmdp::Ctmdp mdp =
+      ctmdp::Ctmdp::fromRows(0, {{{1.0, 1}}, {}}, {{}, {}}, {false, true});
   ctmdp::ReachabilityOptions opts;
   CancelToken token;
   token.limitCheckpoints(1);

@@ -63,18 +63,12 @@ void expectSameModel(const IOIMC& x, const IOIMC& y) {
 }
 
 /// Rate rows equal with rates compared by bit pattern.
-template <typename Transition>
-bool sameRows(const std::vector<std::vector<Transition>>& x,
-              const std::vector<std::vector<Transition>>& y) {
-  if (x.size() != y.size()) return false;
-  for (std::size_t s = 0; s < x.size(); ++s) {
-    if (x[s].size() != y[s].size()) return false;
-    for (std::size_t k = 0; k < x[s].size(); ++k)
-      if (x[s][k].to != y[s][k].to ||
-          std::bit_cast<std::uint64_t>(x[s][k].rate) !=
-              std::bit_cast<std::uint64_t>(y[s][k].rate))
-        return false;
-  }
+bool sameRows(const ctmc::RateRows& x, const ctmc::RateRows& y) {
+  if (x.offsets != y.offsets || x.targets != y.targets) return false;
+  for (std::size_t k = 0; k < x.rates.size(); ++k)
+    if (std::bit_cast<std::uint64_t>(x.rates[k]) !=
+        std::bit_cast<std::uint64_t>(y.rates[k]))
+      return false;
   return true;
 }
 
@@ -86,8 +80,10 @@ void expectSameExtraction(const Extraction& x, const Extraction& y) {
   EXPECT_EQ(x.chain.labelNames, y.chain.labelNames);
   EXPECT_EQ(x.mdp.initial, y.mdp.initial);
   EXPECT_TRUE(sameRows(x.mdp.rates, y.mdp.rates)) << "mdp rates differ";
-  EXPECT_EQ(x.mdp.choices, y.mdp.choices);
+  EXPECT_EQ(x.mdp.choiceOffsets, y.mdp.choiceOffsets);
+  EXPECT_EQ(x.mdp.choiceTargets, y.mdp.choiceTargets);
   EXPECT_EQ(x.mdp.goal, y.mdp.goal);
+  EXPECT_EQ(x.mdp.vanishing, y.mdp.vanishing);
 }
 
 /// Reference: the engine's finalize pass (hide all outputs, collapse,

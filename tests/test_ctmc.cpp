@@ -13,11 +13,7 @@ namespace {
 
 /// up --lambda--> down (absorbing, labelled).
 Ctmc twoState(double lambda) {
-  Ctmc c;
-  c.initial = 0;
-  c.rates = {{{lambda, 1}}, {}};
-  c.labelMasks = {0, 1};
-  c.labelNames = {"down"};
+  Ctmc c = Ctmc::fromRows(0, {{{lambda, 1}}, {}}, {0, 1}, {"down"});
   return c;
 }
 
@@ -65,11 +61,7 @@ TEST(Transient, TwoStateClosedForm) {
 TEST(Transient, ErlangClosedForm) {
   // Three sequential phases of rate 2: P(absorbed by t) = Erlang CDF.
   const double r = 2.0, t = 1.3;
-  Ctmc c;
-  c.initial = 0;
-  c.rates = {{{r, 1}}, {{r, 2}}, {{r, 3}}, {}};
-  c.labelMasks = {0, 0, 0, 1};
-  c.labelNames = {"down"};
+  Ctmc c = Ctmc::fromRows(0, {{{r, 1}}, {{r, 2}}, {{r, 3}}, {}}, {0, 0, 0, 1}, {"down"});
   double x = r * t;
   double expected = 1.0 - std::exp(-x) * (1.0 + x + x * x / 2.0);
   EXPECT_NEAR(probabilityOfLabelAt(c, "down", t), expected, 1e-9);
@@ -79,29 +71,21 @@ TEST(Transient, IndependentParallelFailures) {
   // Two independent exponential components, both must fail (AND):
   // P = (1-e^-at)(1-e^-bt).  4-state product chain.
   const double a = 1.0, b = 3.0, t = 0.8;
-  Ctmc c;
-  c.initial = 0;
-  c.rates = {{{a, 1}, {b, 2}}, {{b, 3}}, {{a, 3}}, {}};
-  c.labelMasks = {0, 0, 0, 1};
-  c.labelNames = {"down"};
+  Ctmc c = Ctmc::fromRows(0, {{{a, 1}, {b, 2}}, {{b, 3}}, {{a, 3}}, {}}, {0, 0, 0, 1}, {"down"});
   double expected = (1 - std::exp(-a * t)) * (1 - std::exp(-b * t));
   EXPECT_NEAR(probabilityOfLabelAt(c, "down", t), expected, 1e-9);
 }
 
 TEST(Transient, SelfLoopsAreHarmless) {
   const double lambda = 0.7, t = 1.1;
-  Ctmc c = twoState(lambda);
-  c.rates[0].push_back({5.0, 0});  // exponential self-loop: no effect
+  // twoState plus an exponential self-loop: no effect.
+  Ctmc c = Ctmc::fromRows(0, {{{lambda, 1}, {5.0, 0}}, {}}, {0, 1}, {"down"});
   EXPECT_NEAR(probabilityOfLabelAt(c, "down", t),
               1.0 - std::exp(-lambda * t), 1e-9);
 }
 
 TEST(Transient, DistributionSumsToOne) {
-  Ctmc c;
-  c.initial = 0;
-  c.rates = {{{1.0, 1}, {2.0, 2}}, {{0.5, 2}}, {{4.0, 0}}};
-  c.labelMasks = {0, 0, 0};
-  c.labelNames = {};
+  Ctmc c = Ctmc::fromRows(0, {{{1.0, 1}, {2.0, 2}}, {{0.5, 2}}, {{4.0, 0}}}, {0, 0, 0});
   auto pi = transientDistribution(c, 2.7);
   double sum = 0.0;
   for (double p : pi) sum += p;
@@ -119,11 +103,7 @@ TEST(Transient, SharedSweepIsBitwiseIdenticalToPerPointRuns) {
   // The multi-time overload shares one uniformized power-vector sweep
   // across all points; per point it must reproduce the single-time call
   // bit for bit (same weights, same iterates, same accumulation order).
-  Ctmc c;
-  c.initial = 0;
-  c.rates = {{{1.0, 1}, {2.0, 2}}, {{0.5, 2}, {0.25, 0}}, {{4.0, 0}}};
-  c.labelMasks = {0, 1, 0};
-  c.labelNames = {"down"};
+  Ctmc c = Ctmc::fromRows(0, {{{1.0, 1}, {2.0, 2}}, {{0.5, 2}, {0.25, 0}}, {{4.0, 0}}}, {0, 1, 0}, {"down"});
   const std::vector<double> times{0.0, 3.7, 0.3, 1.0, 1.0, 0.05};
   std::vector<double> initial{1.0, 0.0, 0.0};
   auto shared = transientDistributions(c, initial, times);
@@ -137,11 +117,7 @@ TEST(Transient, SharedSweepIsBitwiseIdenticalToPerPointRuns) {
 }
 
 TEST(Transient, SharedSweepOnRatelessChain) {
-  Ctmc c;
-  c.initial = 0;
-  c.rates = {{}, {}};
-  c.labelMasks = {0, 1};
-  c.labelNames = {"down"};
+  Ctmc c = Ctmc::fromRows(0, {{}, {}}, {0, 1}, {"down"});
   auto curve = labelCurve(c, "down", {0.0, 1.0, 5.0});
   EXPECT_EQ(curve, (std::vector<double>{0.0, 0.0, 0.0}));
 }
@@ -155,11 +131,7 @@ TEST(Transient, LargeUniformizationParameter) {
 TEST(SteadyState, BirthDeathClosedForm) {
   // up <-> down with rates lambda, mu: pi(down) = lambda/(lambda+mu).
   const double lambda = 0.4, mu = 1.6;
-  Ctmc c;
-  c.initial = 0;
-  c.rates = {{{lambda, 1}}, {{mu, 0}}};
-  c.labelMasks = {0, 1};
-  c.labelNames = {"down"};
+  Ctmc c = Ctmc::fromRows(0, {{{lambda, 1}}, {{mu, 0}}}, {0, 1}, {"down"});
   EXPECT_NEAR(steadyStateLabelProbability(c, "down"),
               lambda / (lambda + mu), 1e-8);
 }
@@ -170,15 +142,11 @@ TEST(SteadyState, AbsorbingChainEndsAbsorbed) {
 }
 
 TEST(Validation, CatchesBrokenChains) {
-  Ctmc c;
-  c.initial = 5;
-  c.rates = {{}};
-  c.labelMasks = {0};
+  Ctmc c = Ctmc::fromRows(5, {{}}, {0});
   EXPECT_THROW(c.validate(), ModelError);
-  c.initial = 0;
-  c.rates = {{{-1.0, 0}}};
+  c = Ctmc::fromRows(0, {{{-1.0, 0}}}, {0});
   EXPECT_THROW(c.validate(), ModelError);
-  c.rates = {{{1.0, 7}}};
+  c = Ctmc::fromRows(0, {{{1.0, 7}}}, {0});
   EXPECT_THROW(c.validate(), ModelError);
 }
 

@@ -11,11 +11,7 @@ namespace {
 
 /// Deterministic two-state chain as a degenerate CTMDP.
 Ctmdp twoState(double lambda) {
-  Ctmdp m;
-  m.initial = 0;
-  m.rates = {{{lambda, 1}}, {}};
-  m.choices = {{}, {}};
-  m.goal = {false, true};
+  Ctmdp m = Ctmdp::fromRows(0, {{{lambda, 1}}, {}}, {{}, {}}, {false, true});
   return m;
 }
 
@@ -27,11 +23,7 @@ TEST(Ctmdp, ValidatesStructure) {
 }
 
 TEST(Ctmdp, RejectsVanishingCycle) {
-  Ctmdp m;
-  m.initial = 0;
-  m.rates = {{}, {}};
-  m.choices = {{1}, {0}};
-  m.goal = {false, false};
+  Ctmdp m = Ctmdp::fromRows(0, {{}, {}}, {{1}, {0}}, {false, false});
   EXPECT_THROW(m.validate(), ModelError);
 }
 
@@ -48,11 +40,7 @@ TEST(Reachability, DeterministicMatchesClosedForm) {
 TEST(Reachability, VanishingChoicePicksBestAndWorst) {
   // initial --1--> chooser; chooser chooses between a fast branch (rate 4)
   // and a slow branch (rate 0.25) to the goal.
-  Ctmdp m;
-  m.initial = 0;
-  m.rates = {{{1.0, 1}}, {}, {{4.0, 4}}, {{0.25, 4}}, {}};
-  m.choices = {{}, {2, 3}, {}, {}, {}};
-  m.goal = {false, false, false, false, true};
+  Ctmdp m = Ctmdp::fromRows(0, {{{1.0, 1}}, {}, {{4.0, 4}}, {{0.25, 4}}, {}}, {{}, {2, 3}, {}, {}, {}}, {false, false, false, false, true});
   m.validate();
   const double t = 2.0;
   double maxP = timeBoundedReachability(m, t, true);
@@ -69,11 +57,7 @@ TEST(Reachability, VanishingChoicePicksBestAndWorst) {
 }
 
 TEST(Reachability, VanishingInitialState) {
-  Ctmdp m;
-  m.initial = 0;
-  m.rates = {{}, {{2.0, 3}}, {{0.5, 3}}, {}};
-  m.choices = {{1, 2}, {}, {}, {}};
-  m.goal = {false, false, false, true};
+  Ctmdp m = Ctmdp::fromRows(0, {{}, {{2.0, 3}}, {{0.5, 3}}, {}}, {{1, 2}, {}, {}, {}}, {false, false, false, true});
   m.validate();
   const double t = 1.0;
   double maxP = timeBoundedReachability(m, t, true);
@@ -84,11 +68,7 @@ TEST(Reachability, VanishingInitialState) {
 
 TEST(Reachability, ChainedVanishingStatesResolve) {
   // v0 -> v1 -> tangible goal branch; chains of immediate choices.
-  Ctmdp m;
-  m.initial = 0;
-  m.rates = {{}, {}, {{1.0, 3}}, {}};
-  m.choices = {{1}, {2}, {}, {}};
-  m.goal = {false, false, false, true};
+  Ctmdp m = Ctmdp::fromRows(0, {{}, {}, {{1.0, 3}}, {}}, {{1}, {2}, {}, {}}, {false, false, false, true});
   m.validate();
   EXPECT_NEAR(timeBoundedReachability(m, 1.0, true), 1 - std::exp(-1.0),
               1e-8);
@@ -97,9 +77,7 @@ TEST(Reachability, ChainedVanishingStatesResolve) {
 TEST(Reachability, GoalAtTimeZero) {
   Ctmdp m = twoState(1.0);
   EXPECT_DOUBLE_EQ(timeBoundedReachability(m, 0.0, true), 0.0);
-  m.goal[0] = false;
-  m.goal = {true, false};
-  m.rates = {{}, {}};
+  m = Ctmdp::fromRows(0, {{}, {}}, {{}, {}}, {true, false});
   m.validate();
   EXPECT_DOUBLE_EQ(timeBoundedReachability(m, 0.0, true), 1.0);
 }
@@ -112,11 +90,7 @@ TEST(Reachability, BoundsBracketDeterministicValue) {
 
 TEST(Reachability, MaxAtLeastMin) {
   // Random-ish structure with two choice states.
-  Ctmdp m;
-  m.initial = 0;
-  m.rates = {{{1.0, 1}, {2.0, 2}}, {}, {{1.0, 5}}, {{3.0, 5}}, {{0.1, 5}}, {}};
-  m.choices = {{}, {3, 4}, {}, {}, {}, {}};
-  m.goal = {false, false, false, false, false, true};
+  Ctmdp m = Ctmdp::fromRows(0, {{{1.0, 1}, {2.0, 2}}, {}, {{1.0, 5}}, {{3.0, 5}}, {{0.1, 5}}, {}}, {{}, {3, 4}, {}, {}, {}, {}}, {false, false, false, false, false, true});
   m.validate();
   for (double t : {0.2, 1.0, 5.0}) {
     ReachabilityBounds b = reachabilityBounds(m, t);

@@ -129,7 +129,7 @@ TEST(Extract, MissingLabelMeansEmptyGoal) {
   b.markovian(s0, 1.0, s1);
   Extraction e = extract(std::move(b).build(), "down");
   ASSERT_TRUE(e.deterministic);
-  for (bool g : e.mdp.goal) EXPECT_FALSE(g);
+  for (std::uint8_t g : e.mdp.goal) EXPECT_FALSE(g);
 }
 
 TEST(Extract, CtmdpViewMatchesCtmcOnDeterministicModels) {

@@ -12,6 +12,7 @@
 #include "analysis/analyzer.hpp"
 #include "common/cancel.hpp"
 #include "dft/corpus.hpp"
+#include "dft/generate.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -249,6 +250,29 @@ TEST(TraceObs, ComposeStepCarriesPlannerArgs) {
   // Every CAS signal but the top's is internal to the tree, so the merges
   // hide them one by one.
   EXPECT_GT(hidden, 0u);
+}
+
+TEST(TraceObs, CtmdpBoundsEmitSolveSpan) {
+  // Generator seed 24 keeps real scheduler choices, so the bounds sweep
+  // runs both value vectors.
+  TraceGuard guard;
+  const AnalysisReport report = Analyzer().analyze(
+      AnalysisRequest::forDft(dft::generateDft(24))
+          .measure(MeasureSpec::unreliabilityBounds({1.0})));
+  ASSERT_TRUE(report.analysis->nondeterministic);
+  ASSERT_EQ(report.measures.size(), 1u);
+  EXPECT_TRUE(report.measures.front().ok) << report.measures.front().error;
+  std::size_t solves = 0;
+  for (const obs::TraceRecord& rec : obs::snapshotTrace().records) {
+    if (std::strcmp(rec.name, "ctmdp.solve") != 0) continue;
+    ++solves;
+    std::map<std::string, std::uint64_t> args;
+    for (const obs::TraceArg& arg : rec.args) args[arg.key] = arg.value;
+    EXPECT_GT(args["states"], 0u);
+    EXPECT_GT(args["iterations"], 0u);
+    EXPECT_EQ(args["sides"], 2u);
+  }
+  EXPECT_EQ(solves, 1u);
 }
 
 TEST(ConcurrentTraceObs, WellFormedAfterConcurrentBatch) {
