@@ -3,15 +3,14 @@
 ///
 /// 20 perturbed variants of the cardiac assist system (the cross-switch
 /// failure rate sweeps over a grid) are analyzed twice: cold — one
-/// throwaway session per variant, the way 20 independent analyzeDft()
-/// calls behave — and as one analyzeBatch() over a shared session, where
-/// the motor and pump units are composed once and spliced from the module
-/// cache for every later variant.  The reproduction section checks the
-/// results agree, reports the compose/aggregate step counts and wall
-/// clock for both runs, and writes them to BENCH_batch.json (override the
-/// path with the BENCH_BATCH_JSON environment variable).
-
-#include <benchmark/benchmark.h>
+/// throwaway session per variant — and as one analyzeBatch() over a shared
+/// session, where the motor and pump units are composed once and spliced
+/// from the module cache for every later variant.  The reproduction
+/// section checks the results agree, reports the compose/aggregate step
+/// counts and wall clock for both runs, and writes them to
+/// BENCH_batch.json (override the path with the BENCH_BATCH_JSON
+/// environment variable).  The binary exits nonzero when a batch value
+/// differs from its cold run.
 
 #include <chrono>
 #include <cstdio>
@@ -118,7 +117,7 @@ void writeJson(const SweepResult& cold, const SweepResult& batch) {
   std::printf("wrote %s\n", path.c_str());
 }
 
-void printReproduction() {
+bool printReproduction() {
   std::vector<AnalysisRequest> requests = makeRequests();
   SweepResult cold = runCold(requests);
   SweepResult batch = runBatch(requests);
@@ -148,52 +147,9 @@ void printReproduction() {
   std::printf("\n");
   writeJson(cold, batch);
   std::printf("\n");
+  return agree;
 }
-
-void BM_ColdSweep(benchmark::State& state) {
-  std::vector<AnalysisRequest> requests = makeRequests();
-  for (auto _ : state) {
-    analysis::Analyzer session(benchutil::coldOptions());
-    double acc = 0.0;
-    for (const AnalysisRequest& req : requests)
-      acc += session.analyze(req).measures[0].values[0];
-    benchmark::DoNotOptimize(acc);
-  }
-}
-BENCHMARK(BM_ColdSweep)->Unit(benchmark::kMillisecond);
-
-void BM_CachedSweep(benchmark::State& state) {
-  std::vector<AnalysisRequest> requests = makeRequests();
-  for (auto _ : state) {
-    analysis::Analyzer session;
-    double acc = 0.0;
-    for (const AnalysisReport& r : session.analyzeBatch(requests))
-      acc += r.measures[0].values[0];
-    benchmark::DoNotOptimize(acc);
-  }
-}
-BENCHMARK(BM_CachedSweep)->Unit(benchmark::kMillisecond);
-
-void BM_RepeatedSweep(benchmark::State& state) {
-  // Steady-state serving: every tree already cached, requests are pure
-  // lookups plus the transient solves.
-  std::vector<AnalysisRequest> requests = makeRequests();
-  analysis::Analyzer session;
-  session.analyzeBatch(requests);  // warm up
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (const AnalysisReport& r : session.analyzeBatch(requests))
-      acc += r.measures[0].values[0];
-    benchmark::DoNotOptimize(acc);
-  }
-}
-BENCHMARK(BM_RepeatedSweep)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  printReproduction();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+int main() { return printReproduction() ? 0 : 1; }

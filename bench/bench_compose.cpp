@@ -5,8 +5,8 @@
 /// plus experiment E14: the static-layer numeric combination
 /// (EngineOptions::staticCombine) over wide replicated systems.
 ///
-/// E12 — for every configuration of the shared scaling sweep (the CPS
-/// family of bench_scaling plus the CAS and HECS systems) the whole cold
+/// E12 — for every configuration of the scaling sweep (the cascaded-PAND
+/// CPS family plus the CAS and HECS systems) the whole cold
 /// pipeline is timed twice — single-thread (EngineOptions::numThreads = 1,
 /// isolating the flat-storage/hashed-refinement gains) and with one worker
 /// per hardware thread (adding the parallel module aggregation) — with the
@@ -70,8 +70,6 @@
 /// Every experiment records peak-memory proxies (the largest intermediate
 /// model in states/transitions) next to its timings; run_bench.sh prints
 /// them in its summary.
-
-#include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
@@ -744,30 +742,6 @@ bool runSweep() {
   return ok;
 }
 
-// Google-benchmark registrations for iteration-level timing of the same
-// workload (used by ad-hoc profiling; the JSON comes from the sweep above).
-void BM_ColdPipeline(benchmark::State& state) {
-  dft::Dft d = dft::corpus::cascadedPands(static_cast<int>(state.range(0)),
-                                          static_cast<int>(state.range(1)));
-  AnalysisRequest req = AnalysisRequest::forDft(d).measure(
-      MeasureSpec::unreliability({1.0}));
-  req.options.engine.numThreads = 1;
-  for (auto _ : state) {
-    analysis::Analyzer session(benchutil::coldOptions());
-    benchmark::DoNotOptimize(session.analyze(req).measures[0].values[0]);
-  }
-}
-BENCHMARK(BM_ColdPipeline)
-    ->Args({4, 4})
-    ->Args({6, 6})
-    ->Args({8, 8})
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool ok = runSweep();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return ok ? 0 : 1;
-}
+int main() { return runSweep() ? 0 : 1; }

@@ -21,8 +21,6 @@
 /// the three rounds to BENCH_serve.json (override the path with the
 /// BENCH_SERVE_JSON environment variable).
 
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -182,43 +180,6 @@ bool printReproduction() {
   return bitwise;
 }
 
-void BM_NoStoreSweep(benchmark::State& state) {
-  for (auto _ : state) {
-    analysis::Analyzer session;
-    double acc = 0.0;
-    for (const AnalysisReport& r : session.analyzeBatch(makeRequests("")))
-      acc += r.measures[0].values[0];
-    benchmark::DoNotOptimize(acc);
-  }
-}
-BENCHMARK(BM_NoStoreSweep)->Unit(benchmark::kMillisecond);
-
-void BM_WarmStoreSweep(benchmark::State& state) {
-  // Fresh session each iteration; the populated store is the only cache.
-  namespace fs = std::filesystem;
-  const std::string dir =
-      (fs::temp_directory_path() / "imcq_bench_serve_bm").string();
-  fs::remove_all(dir);
-  {
-    analysis::Analyzer warmup;
-    warmup.analyzeBatch(makeRequests(dir));
-  }
-  for (auto _ : state) {
-    analysis::Analyzer session;
-    double acc = 0.0;
-    for (const AnalysisReport& r : session.analyzeBatch(makeRequests(dir)))
-      acc += r.measures[0].values[0];
-    benchmark::DoNotOptimize(acc);
-  }
-  fs::remove_all(dir);
-}
-BENCHMARK(BM_WarmStoreSweep)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bool ok = printReproduction();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return ok ? 0 : 1;
-}
+int main() { return printReproduction() ? 0 : 1; }

@@ -3,11 +3,9 @@
 #include "analysis/analyzer.hpp"
 
 /// \file bench_util.hpp
-/// Shared helpers for the benchmark harnesses: the benches measure the
-/// *cold* pipeline by default (caching disabled), so iteration timings mean
-/// the same thing they meant when the benches called the old analyzeDft
-/// facade.  Session-cached variants are benchmarked explicitly where the
-/// cache is the subject (bench_cas, bench_batch).
+/// Shared helpers for the benchmark harnesses: the benches time the *cold*
+/// pipeline (caching disabled) unless the cache is the subject
+/// (bench_batch).
 
 namespace benchutil {
 
@@ -18,7 +16,7 @@ inline imcdft::analysis::AnalyzerOptions coldOptions() {
   return opts;
 }
 
-/// One-shot, uncached analysis of a request (the old analyzeDft shape).
+/// One-shot, uncached analysis of a request.
 inline imcdft::analysis::AnalysisReport analyzeCold(
     const imcdft::analysis::AnalysisRequest& request) {
   imcdft::analysis::Analyzer session(coldOptions());

@@ -1,9 +1,8 @@
 #!/usr/bin/env sh
-# Builds and runs every benchmark harness.  Each bench leaves a
-# google-benchmark JSON (BENCH_<name>.json) at the repository root, next to
-# the richer custom reports the batch, compose and serve benches write
-# themselves (BENCH_batch.json, BENCH_compose.json, BENCH_serve.json), and
-# a one-line-per-bench summary table is printed at the end.
+# Builds and runs every benchmark harness.  Each bench writes its report
+# at the repository root (BENCH_batch.json, BENCH_compose.json,
+# BENCH_serve.json), and a one-line-per-bench summary table is printed at
+# the end.
 #
 # Usage: bench/run_bench.sh [build-dir] [bench-name ...]
 #   build-dir     defaults to ./build
@@ -29,36 +28,27 @@ else
   done
 fi
 
-# Without Google Benchmark the bench_* targets do not exist and the build
-# command fails; tolerate that so the per-bench skip below reports it.
+# Tolerate a failed build so the per-bench check below reports each bench.
 # shellcheck disable=SC2086
 cmake --build "$build_dir" -j --target $benches || \
-  echo "warning: bench build failed (is Google Benchmark installed?)"
+  echo "warning: bench build failed"
 
 cd "$repo_root"
 summary=""
 status=0
 for name in $benches; do
   if [ ! -x "$build_dir/$name" ]; then
-    echo "ERROR: $name was not built (compile error, or Google Benchmark missing)"
+    echo "ERROR: $name was not built"
     status=1
     continue
   fi
   echo "== $name =="
-  short=${name#bench_}
-  # The batch, compose and serve benches write their own richer
-  # reproduction JSONs under the short name; park their google-benchmark
-  # timings in a *_gbench file so they do not clobber them.
-  case $short in
-    batch|compose|serve) json_name="BENCH_${short}_gbench.json" ;;
-    *) json_name="BENCH_${short}.json" ;;
-  esac
+  json_name="BENCH_${name#bench_}.json"
   start=$(date +%s)
   if BENCH_BATCH_JSON="$repo_root/BENCH_batch.json" \
      BENCH_COMPOSE_JSON="$repo_root/BENCH_compose.json" \
      BENCH_SERVE_JSON="$repo_root/BENCH_serve.json" \
-     "$build_dir/$name" --benchmark_min_warmup_time=0 \
-       --benchmark_out="$repo_root/$json_name" --benchmark_out_format=json; then
+     "$build_dir/$name"; then
     result=ok
   else
     result=FAILED

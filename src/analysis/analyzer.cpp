@@ -10,7 +10,6 @@
 #include <thread>
 #include <utility>
 
-#include "analysis/measures.hpp"
 #include "analysis/static_combine.hpp"
 #include "analysis/symmetry.hpp"
 #include "common/cancel.hpp"
@@ -18,6 +17,7 @@
 #include "ctmc/mttf.hpp"
 #include "ctmc/steady_state.hpp"
 #include "ctmc/transient.hpp"
+#include "ctmdp/reachability.hpp"
 #include "dft/galileo.hpp"
 #include "dft/hash.hpp"
 #include "dft/modules.hpp"
@@ -183,6 +183,33 @@ std::string chainKey(const dft::Dft& tree, dft::ElementId root,
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
+
+const Extraction& fullExtraction(const DftAnalysis& analysis) {
+  require(!analysis.staticCombo,
+          "fullExtraction: not available under static combination (the "
+          "joint model was never built); rerun with "
+          "EngineOptions::staticCombine off");
+  // Concurrent sessions share one DftAnalysis; the memo is installed with
+  // a first-write-wins CAS.  Racing threads compute identical extractions
+  // (the pipeline is deterministic), so whichever pointer lands is correct
+  // and, being immutable afterwards, safe to return by reference.
+  auto memo = std::atomic_load_explicit(&analysis.fullMemo,
+                                        std::memory_order_acquire);
+  if (!memo) {
+    Extraction full = extract(analysis.closedModel, kDownLabel);
+    require(full.deterministic,
+            "unavailability: the model is nondeterministic; no "
+            "scheduler-free answer exists");
+    auto fresh = std::make_shared<const Extraction>(std::move(full));
+    std::shared_ptr<const Extraction> expected;
+    if (std::atomic_compare_exchange_strong(&analysis.fullMemo, &expected,
+                                            fresh))
+      memo = std::move(fresh);
+    else
+      memo = std::move(expected);
+  }
+  return *memo;
+}
 
 const char* measureKindName(MeasureKind kind) {
   switch (kind) {
@@ -464,9 +491,9 @@ std::shared_ptr<const DftAnalysis> Analyzer::runNumericPipeline(
           return nullptr;
         }
         steps = sub->stats.steps.size();
-        // Fold the per-module pipeline into the request's stats: its steps
-        // are the only compositions that happen at all, and its peaks bound
-        // the largest intermediate model of the whole analysis.
+        // The per-module pipelines' steps are the only compositions that
+        // happen at all; the step-derived fields are folded from them once,
+        // below.
         stats.steps.insert(stats.steps.end(), sub->stats.steps.begin(),
                            sub->stats.steps.end());
         stats.cachedModules += sub->stats.cachedModules;
@@ -474,23 +501,6 @@ std::shared_ptr<const DftAnalysis> Analyzer::runNumericPipeline(
         stats.symmetricBuckets += sub->stats.symmetricBuckets;
         stats.symmetricModulesReused += sub->stats.symmetricModulesReused;
         stats.symmetrySavedSteps += sub->stats.symmetrySavedSteps;
-        stats.onTheFlySteps += sub->stats.onTheFlySteps;
-        stats.onTheFlyFallbacks += sub->stats.onTheFlyFallbacks;
-        stats.onTheFlySavedPeakStates += sub->stats.onTheFlySavedPeakStates;
-        stats.otfRefinePassesRun += sub->stats.otfRefinePassesRun;
-        stats.otfIntraWorkers =
-            std::max(stats.otfIntraWorkers, sub->stats.otfIntraWorkers);
-        for (const std::string& reason : sub->stats.onTheFlyFallbackReasons)
-          stats.noteOnTheFlyFallbackReason(reason);
-        stats.peakComposedStates =
-            std::max(stats.peakComposedStates, sub->stats.peakComposedStates);
-        stats.peakComposedTransitions = std::max(
-            stats.peakComposedTransitions, sub->stats.peakComposedTransitions);
-        stats.peakAggregatedStates = std::max(stats.peakAggregatedStates,
-                                              sub->stats.peakAggregatedStates);
-        stats.peakAggregatedTransitions =
-            std::max(stats.peakAggregatedTransitions,
-                     sub->stats.peakAggregatedTransitions);
         if (useChainCache)
           requestStats.chainEvictions += chains_.put(key, ChainEntry{sub, steps});
       }
@@ -505,6 +515,7 @@ std::shared_ptr<const DftAnalysis> Analyzer::runNumericPipeline(
                                     chain.closedModel.numStates(),
                                     chain.closedModel.numTransitions()});
   }
+  stats.foldSteps();
   for (std::size_t members : membersOfChain)
     if (members >= 2) ++stats.symmetricBuckets;
   for (const NumericModule& m : modules)
@@ -923,6 +934,10 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
   // (null token = zero overhead).
   ctmc::TransientOptions solveOpts;
   solveOpts.cancel = cancel.get();
+  ctmdp::ReachabilityOptions boundsOpts;
+  boundsOpts.cancel = cancel.get();
+  ctmc::SteadyStateOptions steadyOpts;
+  steadyOpts.cancel = cancel.get();
   auto warn = [&](const std::string& message) {
     report.diagnostics.push_back({Severity::Warning, message});
   };
@@ -967,14 +982,16 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
           } else if (analysis->nondeterministic) {
             r.boundsSubstituted = true;
             for (double t : spec.times)
-              r.bounds.push_back(
-                  unreliabilityBounds(*analysis, t, solveOpts.cancel));
+              r.bounds.push_back(ctmdp::reachabilityBounds(
+                  analysis->absorbed.mdp, t, boundsOpts));
             warn(
                 "the model is nondeterministic (FDEP-induced simultaneity, "
                 "Section 4.4): scheduler bounds substituted for point "
                 "unreliability");
           } else {
-            r.values = unreliabilityCurve(*analysis, spec.times, solveOpts);
+            // One shared uniformization sweep for the whole grid.
+            r.values = ctmc::labelCurve(analysis->absorbed.chain, kDownLabel,
+                                        spec.times, solveOpts);
           }
           break;
         case MeasureKind::UnreliabilityBounds:
@@ -986,20 +1003,24 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
               r.bounds.push_back(ctmdp::ReachabilityBounds{v, v});
           } else {
             for (double t : spec.times)
-              r.bounds.push_back(
-                  unreliabilityBounds(*analysis, t, solveOpts.cancel));
+              r.bounds.push_back(ctmdp::reachabilityBounds(
+                  analysis->absorbed.mdp, t, boundsOpts));
           }
           break;
         case MeasureKind::Unavailability:
           if (!requireGrid(r)) break;
           // One shared uniformization sweep for the whole grid (each point
-          // is bitwise identical to a per-point unavailability() call).
+          // is bitwise identical to a one-point grid).
           r.values = ctmc::labelCurve(fullExtraction(*analysis).chain,
                                       kDownLabel, spec.times, solveOpts);
           break;
         case MeasureKind::SteadyStateUnavailability:
-          r.values.push_back(
-              steadyStateUnavailability(*analysis, solveOpts.cancel));
+          require(analysis->repairable,
+                  "steadyStateUnavailability: the tree is not repairable; "
+                  "the limit is trivially the probability of eventual "
+                  "failure");
+          r.values.push_back(ctmc::steadyStateLabelProbability(
+              fullExtraction(*analysis).chain, kDownLabel, steadyOpts));
           break;
         case MeasureKind::Mttf: {
           if (analysis->nondeterministic) {

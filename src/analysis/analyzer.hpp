@@ -45,7 +45,7 @@
 /// the module and curve caches sharded by key hash), the session symbol
 /// table is itself synchronized, and cached DftAnalysis objects are
 /// immutable once published (the one lazily computed field, fullMemo, is
-/// installed with a first-write-wins CAS — see measures.cpp).  Concurrent
+/// installed with a first-write-wins CAS — see fullExtraction).  Concurrent
 /// requests for the *same* fingerprint dedup in flight: the first becomes
 /// the leader and runs the aggregation, later arrivals block on a shared
 /// future and receive the leader's (identical) result, counted in
@@ -88,6 +88,14 @@ struct AnalyzerOptions {
   /// Numeric-path curve cache entries (one per solved chain x time grid).
   std::size_t maxCachedCurves = 4096;
 };
+
+/// Extraction of the *non-absorbed* closed model (the unavailability
+/// measures need it: the system leaves the down states again after
+/// repair), memoized on \p analysis.  Throws on a nondeterministic model
+/// and on a static-combination analysis (no joint model exists).  The memo
+/// (DftAnalysis::fullMemo) is installed with a first-write-wins
+/// compare-and-swap, so one analysis may be shared across threads.
+const Extraction& fullExtraction(const DftAnalysis& analysis);
 
 class Analyzer {
  public:

@@ -38,6 +38,29 @@ void CompositionStats::noteOnTheFlyFallbackReason(const std::string& reason) {
   onTheFlyFallbackReasons.push_back(reason);
 }
 
+void CompositionStats::foldSteps() {
+  for (const CompositionStep& s : steps) {
+    peakComposedStates = std::max(peakComposedStates, s.composedStates);
+    peakComposedTransitions =
+        std::max(peakComposedTransitions, s.composedTransitions);
+    peakAggregatedStates = std::max(peakAggregatedStates, s.aggregatedStates);
+    peakAggregatedTransitions =
+        std::max(peakAggregatedTransitions, s.aggregatedTransitions);
+    if (s.onTheFly) {
+      ++onTheFlySteps;
+      const std::size_t bound = s.leftStates * s.rightStates;
+      if (bound > s.composedStates)
+        onTheFlySavedPeakStates += bound - s.composedStates;
+    }
+    if (s.onTheFlyFallback) {
+      ++onTheFlyFallbacks;
+      noteOnTheFlyFallbackReason(s.onTheFlyFallbackReason);
+    }
+    otfRefinePassesRun += s.otfRefinePassesRun;
+    otfIntraWorkers = std::max(otfIntraWorkers, s.otfIntraWorkers);
+  }
+}
+
 namespace {
 
 /// The outputs among \p outputs that are consumed neither by a live pool
@@ -76,32 +99,6 @@ IOIMC hideAndAggregatePool(
   if (opts.aggregateEachStep)
     result = ioimc::aggregateFixpoint(result, opts.weak);
   return result;
-}
-
-/// Folds the per-step size maxima and on-the-fly counters into the stats.
-void foldPeaks(CompositionStats& stats) {
-  for (const CompositionStep& s : stats.steps) {
-    stats.peakComposedStates =
-        std::max(stats.peakComposedStates, s.composedStates);
-    stats.peakComposedTransitions =
-        std::max(stats.peakComposedTransitions, s.composedTransitions);
-    stats.peakAggregatedStates =
-        std::max(stats.peakAggregatedStates, s.aggregatedStates);
-    stats.peakAggregatedTransitions =
-        std::max(stats.peakAggregatedTransitions, s.aggregatedTransitions);
-    if (s.onTheFly) {
-      ++stats.onTheFlySteps;
-      const std::size_t bound = s.leftStates * s.rightStates;
-      if (bound > s.composedStates)
-        stats.onTheFlySavedPeakStates += bound - s.composedStates;
-    }
-    if (s.onTheFlyFallback) {
-      ++stats.onTheFlyFallbacks;
-      stats.noteOnTheFlyFallbackReason(s.onTheFlyFallbackReason);
-    }
-    stats.otfRefinePassesRun += s.otfRefinePassesRun;
-    stats.otfIntraWorkers = std::max(stats.otfIntraWorkers, s.otfIntraWorkers);
-  }
 }
 
 /// The merge mergePool performs next.
@@ -360,7 +357,7 @@ class ModularAggregator {
     CompositionStats stats;
     stats.symmetricBuckets = symmetricBuckets_;
     collectStats(rootNode_, stats);
-    foldPeaks(stats);
+    stats.foldSteps();
     return {std::move(*results_[rootNode_]), std::move(stats),
             properModule_[rootNode_] != 0};
   }
@@ -951,7 +948,7 @@ EngineResult composeCommunity(Community community, const dft::Dft& dft,
     const bool merged = live.size() > 1;
     std::size_t finalIdx =
         mergePool(slots, std::move(live), opts, stats.steps, nullptr);
-    foldPeaks(stats);
+    stats.foldSteps();
     return finishResult(
         EngineResult{std::move(*slots[finalIdx]), std::move(stats)}, merged);
   };
@@ -967,7 +964,7 @@ EngineResult composeCommunity(Community community, const dft::Dft& dft,
         std::vector<std::size_t> pair{acc, i};
         acc = mergePool(slots, std::move(pair), opts, stats.steps, nullptr);
       }
-      foldPeaks(stats);
+      stats.foldSteps();
       return finishResult(
           EngineResult{std::move(*slots[acc]), std::move(stats)},
           originalCount > 1);

@@ -187,10 +187,15 @@ struct CompositionStats {
   /// Distinct fallback reasons seen (deduplicated, capped; Diagnostics).
   std::vector<std::string> onTheFlyFallbackReasons;
 
+  /// Folds every entry of steps into the step-derived fields above: the
+  /// four peaks, the onTheFly* counters, otfRefinePassesRun,
+  /// otfIntraWorkers and the fallback reasons.  Call it once, on stats
+  /// whose step-derived fields are still zero.
+  void foldSteps();
+
+ private:
   /// Appends \p reason to onTheFlyFallbackReasons unless it is already
-  /// recorded or the cap (8 distinct reasons) is reached — the one policy
-  /// for both the engine's per-step folding and the Analyzer's
-  /// per-module stat merging.
+  /// recorded or the cap (8 distinct reasons) is reached.
   void noteOnTheFlyFallbackReason(const std::string& reason);
 };
 

@@ -24,8 +24,8 @@ class StaticCombination;  // analysis/static_combine.hpp
 inline constexpr const char* kDownLabel = "down";
 
 /// Result of the compositional-aggregation pipeline, ready for measures.
-/// (This is the old analyzeDft() return type; the Analyzer shares one
-/// instance per distinct tree across all measures and cached requests.)
+/// (The Analyzer shares one instance per distinct tree across all measures
+/// and cached requests.)
 struct DftAnalysis {
   /// The single aggregated I/O-IMC of the whole tree, all signals hidden.
   ioimc::IOIMC closedModel;
@@ -33,13 +33,12 @@ struct DftAnalysis {
   /// Extraction of the failure-absorbed model (for unreliability).
   Extraction absorbed;
   /// True when FDEP-induced simultaneity left real nondeterminism, in which
-  /// case unreliability() throws and unreliabilityBounds() applies
-  /// (Section 4.4 of the paper).
+  /// case only scheduler bounds exist (Section 4.4 of the paper).
   bool nondeterministic = false;
   bool repairable = false;
   /// Lazily computed extraction of the *non-absorbed* model (needed by the
   /// unavailability measures, where the system leaves the down states again
-  /// after repair).  Use fullExtraction() in measures.hpp; do not touch.
+  /// after repair).  Use fullExtraction() in analyzer.hpp; do not touch.
   /// Accessed only through the std::atomic_* shared_ptr free functions:
   /// reports of concurrent sessions share a single DftAnalysis, and the
   /// first successfully installed extraction wins (racing threads compute

@@ -20,8 +20,7 @@
 
 namespace imcdft::analysis {
 
-/// Knobs of the conversion/composition pipeline (shared by the old
-/// analyzeDft facade and the Analyzer).
+/// Knobs of the conversion/composition pipeline.
 struct AnalysisOptions {
   ConversionOptions conversion;
   EngineOptions engine;

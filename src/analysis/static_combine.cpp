@@ -98,7 +98,7 @@ std::vector<double> StaticCombination::evaluate(
     const std::vector<double>& times, const CurveFn& curveFor) const {
   std::vector<std::vector<double>> curves(chains_.size());
   for (std::size_t i = 0; i < chains_.size(); ++i) {
-    curves[i] = curveFor ? curveFor(i, times) : solveCurve(i, times);
+    curves[i] = curveFor(i, times);
     require(curves[i].size() == times.size(),
             "StaticCombination: curve length mismatch");
   }

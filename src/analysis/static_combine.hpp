@@ -40,8 +40,7 @@
 /// A StaticCombination is the cacheable result of steps 1 and 3: the
 /// solved chains plus the compiled structure function.  It hangs off
 /// DftAnalysis::staticCombo; the Analyzer evaluates time grids against it
-/// (with a session curve cache keyed chain-fingerprint x grid), and the
-/// free functions in measures.hpp evaluate it cache-less.
+/// (with a session curve cache keyed chain-fingerprint x grid).
 
 namespace imcdft {
 class CancelToken;  // common/cancel.hpp
@@ -79,7 +78,7 @@ class StaticCombination {
 
   /// Curve supplier hook: returns the "down"-probability curve of
   /// chains()[index] over \p times.  The Analyzer passes a session-cached
-  /// supplier; null falls back to solveCurve().
+  /// supplier over solveCurve().
   using CurveFn = std::function<std::vector<double>(
       std::size_t index, const std::vector<double>& times)>;
 
@@ -87,12 +86,6 @@ class StaticCombination {
   /// \p curveFor, then one structure-function evaluation per time.
   std::vector<double> evaluate(const std::vector<double>& times,
                                const CurveFn& curveFor) const;
-
-  /// Cache-less convenience (the deprecated free-function facade).
-  std::vector<double> unreliabilityCurve(
-      const std::vector<double>& times) const {
-    return evaluate(times, nullptr);
-  }
 
   /// Solves chains()[index]'s curve directly (one uniformization sweep).
   /// \p cancel, when set, is checkpointed once per uniformization step so a

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
+#include <vector>
 
-#include "analysis/measures.hpp"
+#include "analyze_once.hpp"
 #include "common/error.hpp"
 #include "ctmc/transient.hpp"
 #include "dft/builder.hpp"
@@ -17,10 +20,12 @@ using dft::DftBuilder;
 
 TEST(Analysis, SingleBasicEventMatchesExponential) {
   dft::Dft d = DftBuilder().basicEvent("A", 0.7).orGate("Top", {"A"}).top("Top").build();
-  DftAnalysis a = analyzeDft(d);
-  EXPECT_FALSE(a.nondeterministic);
-  for (double t : {0.0, 0.5, 1.0, 3.0})
-    EXPECT_NEAR(unreliability(a, t), 1.0 - std::exp(-0.7 * t), 1e-8);
+  const std::vector<double> times{0.0, 0.5, 1.0, 3.0};
+  AnalysisReport r = analyzeOnce(d, {MeasureSpec::unreliability(times)});
+  EXPECT_FALSE(r.nondeterministic());
+  for (std::size_t i = 0; i < times.size(); ++i)
+    EXPECT_NEAR(r.measures[0].values.at(i), 1.0 - std::exp(-0.7 * times[i]),
+                1e-8);
 }
 
 TEST(Analysis, AndOfTwoIndependentExponentials) {
@@ -30,9 +35,9 @@ TEST(Analysis, AndOfTwoIndependentExponentials) {
                    .andGate("Top", {"A", "B"})
                    .top("Top")
                    .build();
-  DftAnalysis a = analyzeDft(d);
   const double t = 0.8;
-  EXPECT_NEAR(unreliability(a, t),
+  AnalysisReport r = analyzeOnce(d, {MeasureSpec::unreliability({t})});
+  EXPECT_NEAR(r.measures[0].values.at(0),
               (1 - std::exp(-t)) * (1 - std::exp(-3 * t)), 1e-8);
 }
 
@@ -43,9 +48,9 @@ TEST(Analysis, OrOfTwoIndependentExponentials) {
                    .orGate("Top", {"A", "B"})
                    .top("Top")
                    .build();
-  DftAnalysis a = analyzeDft(d);
   const double t = 0.8;
-  EXPECT_NEAR(unreliability(a, t), 1 - std::exp(-4 * t), 1e-8);
+  AnalysisReport r = analyzeOnce(d, {MeasureSpec::unreliability({t})});
+  EXPECT_NEAR(r.measures[0].values.at(0), 1 - std::exp(-4 * t), 1e-8);
 }
 
 TEST(Analysis, TwoOfThreeVoting) {
@@ -56,11 +61,11 @@ TEST(Analysis, TwoOfThreeVoting) {
                    .votingGate("Top", 2, {"A", "B", "C"})
                    .top("Top")
                    .build();
-  DftAnalysis a = analyzeDft(d);
   const double t = 0.6;
+  AnalysisReport r = analyzeOnce(d, {MeasureSpec::unreliability({t})});
   double p = 1 - std::exp(-t);
   double expected = 3 * p * p * (1 - p) + p * p * p;
-  EXPECT_NEAR(unreliability(a, t), expected, 1e-8);
+  EXPECT_NEAR(r.measures[0].values.at(0), expected, 1e-8);
 }
 
 TEST(Analysis, PandOfTwoClosedForm) {
@@ -74,10 +79,10 @@ TEST(Analysis, PandOfTwoClosedForm) {
                    .pandGate("Top", {"A", "B"})
                    .top("Top")
                    .build();
-  DftAnalysis a = analyzeDft(d);
   const double t = 1.0;
+  AnalysisReport r = analyzeOnce(d, {MeasureSpec::unreliability({t})});
   double expected = 0.5 * std::pow(1 - std::exp(-t), 2.0);
-  EXPECT_NEAR(unreliability(a, t), expected, 1e-8);
+  EXPECT_NEAR(r.measures[0].values.at(0), expected, 1e-8);
 }
 
 TEST(Analysis, ColdSpareErlang) {
@@ -89,9 +94,9 @@ TEST(Analysis, ColdSpareErlang) {
                    .spareGate("Top", dft::SpareKind::Cold, {"P", "S"})
                    .top("Top")
                    .build();
-  DftAnalysis a = analyzeDft(d);
+  AnalysisReport r = analyzeOnce(d, {MeasureSpec::unreliability({t})});
   double x = l * t;
-  EXPECT_NEAR(unreliability(a, t), 1 - std::exp(-x) * (1 + x), 1e-8);
+  EXPECT_NEAR(r.measures[0].values.at(0), 1 - std::exp(-x) * (1 + x), 1e-8);
 }
 
 TEST(Analysis, WarmSpareClosedForm) {
@@ -106,7 +111,7 @@ TEST(Analysis, WarmSpareClosedForm) {
                    .spareGate("Top", dft::SpareKind::Warm, {"P", "S"})
                    .top("Top")
                    .build();
-  DftAnalysis a = analyzeDft(d);
+  AnalysisReport r = analyzeOnce(d, {MeasureSpec::unreliability({t})});
   // Monte-Carlo-free check: numeric integration of the density.
   // f(t) = int_0^t lp e^-lp x [ P(S survives x dormant) * Erlang-ish ... ]
   // Simpler: system fails by t iff P failed at x <= t and S failed by t
@@ -125,38 +130,44 @@ TEST(Analysis, WarmSpareClosedForm) {
     double pSdead = 1.0 - survivalS(x, t);
     sum += fP * pSdead * (t / n);
   }
-  EXPECT_NEAR(unreliability(a, t), sum, 1e-4);
+  EXPECT_NEAR(r.measures[0].values.at(0), sum, 1e-4);
 }
 
 TEST(Analysis, CpsMatchesPaperValue) {
   // Section 5.2: unreliability 0.00135 at t = 1; exact closed form is
   // (1 - e^-1)^12 / 3.
-  DftAnalysis a = analyzeDft(dft::corpus::cps());
-  EXPECT_FALSE(a.nondeterministic);
+  AnalysisReport r =
+      analyzeOnce(dft::corpus::cps(), {MeasureSpec::unreliability({1.0})});
+  EXPECT_FALSE(r.nondeterministic());
   double expected = std::pow(1 - std::exp(-1.0), 12.0) / 3.0;
-  EXPECT_NEAR(unreliability(a, 1.0), expected, 1e-7);
+  EXPECT_NEAR(r.measures[0].values.at(0), expected, 1e-7);
   // The paper prints the truncated value 0.00135 (exact: 0.0013585...).
-  EXPECT_NEAR(unreliability(a, 1.0), 0.00135, 1e-5);
+  EXPECT_NEAR(r.measures[0].values.at(0), 0.00135, 1e-5);
 }
 
 TEST(Analysis, CasMatchesPaperValue) {
   // Section 5.1: unreliability 0.6579 at t = 1 (TIPP and Galileo agree).
-  DftAnalysis a = analyzeDft(dft::corpus::cas());
-  EXPECT_FALSE(a.nondeterministic);
-  EXPECT_NEAR(unreliability(a, 1.0), 0.6579, 1e-3);
+  AnalysisReport r =
+      analyzeOnce(dft::corpus::cas(), {MeasureSpec::unreliability({1.0})});
+  EXPECT_FALSE(r.nondeterministic());
+  EXPECT_NEAR(r.measures[0].values.at(0), 0.6579, 1e-3);
 }
 
 TEST(Analysis, CasModuleSizesAreSmall) {
-  DftAnalysis a = analyzeDft(dft::corpus::cas());
-  // The paper reports 6 states for each aggregated unit I/O-IMC; with the
-  // unobservable-sink collapse ours land in the same range.
+  AnalysisReport r = analyzeOnce(dft::corpus::cas());
+  // The paper reports 6 states for each aggregated unit I/O-IMC.  Ours are
+  // smaller, because unobservable sinks are collapsed before aggregation:
+  // 4 states for the CPU and motor units, 5 for the pump unit.
+  const std::map<std::string, std::size_t> expected{
+      {"CPU_unit", 4}, {"Motor_unit", 4}, {"Pump_unit", 5}};
   int unitsSeen = 0;
-  for (const ModuleResult& m : a.stats.modules) {
+  for (const ModuleResult& m : r.stats().modules) {
     if (m.name == "CPU_unit" || m.name == "Motor_unit" ||
         m.name == "Pump_unit") {
       ++unitsSeen;
       EXPECT_LE(m.states, 8u) << m.name;
       EXPECT_GE(m.states, 3u) << m.name;
+      EXPECT_EQ(m.states, expected.at(m.name)) << m.name;
     }
   }
   EXPECT_EQ(unitsSeen, 3);
@@ -168,24 +179,29 @@ TEST(Analysis, CompositionStrategiesAgree) {
         CompositionStrategy::Declaration}) {
     AnalysisOptions opts;
     opts.engine.strategy = strategy;
-    DftAnalysis a = analyzeDft(dft::corpus::cas(), opts);
-    EXPECT_NEAR(unreliability(a, 1.0), 0.6579, 1e-3)
+    AnalysisReport r = analyzeOnce(
+        dft::corpus::cas(), {MeasureSpec::unreliability({1.0})}, opts);
+    EXPECT_NEAR(r.measures[0].values.at(0), 0.6579, 1e-3)
         << static_cast<int>(strategy);
   }
 }
 
 TEST(Analysis, CurveIsMonotone) {
-  DftAnalysis a = analyzeDft(dft::corpus::cps());
-  auto curve = unreliabilityCurve(a, {0.5, 1.0, 2.0, 4.0});
+  AnalysisReport r = analyzeOnce(
+      dft::corpus::cps(), {MeasureSpec::unreliability({0.5, 1.0, 2.0, 4.0})});
+  const std::vector<double>& curve = r.measures[0].values;
+  ASSERT_EQ(curve.size(), 4u);
   for (std::size_t i = 1; i < curve.size(); ++i)
     EXPECT_GE(curve[i] + 1e-12, curve[i - 1]);
 }
 
 TEST(Analysis, BoundsCoincideForDeterministicModels) {
-  DftAnalysis a = analyzeDft(dft::corpus::cps());
-  auto b = unreliabilityBounds(a, 1.0);
+  AnalysisReport r =
+      analyzeOnce(dft::corpus::cps(), {MeasureSpec::unreliabilityBounds({1.0}),
+                                       MeasureSpec::unreliability({1.0})});
+  auto b = r.measures[0].bounds.at(0);
   EXPECT_NEAR(b.lower, b.upper, 1e-9);
-  EXPECT_NEAR(b.lower, unreliability(a, 1.0), 1e-7);
+  EXPECT_NEAR(b.lower, r.measures[1].values.at(0), 1e-7);
 }
 
 TEST(Analysis, SharedSparesGrantedOnce) {
@@ -201,9 +217,9 @@ TEST(Analysis, SharedSparesGrantedOnce) {
                    .andGate("Top", {"G1", "G2"})
                    .top("Top")
                    .build();
-  DftAnalysis a = analyzeDft(d);
-  EXPECT_FALSE(a.nondeterministic);
-  double u = unreliability(a, 1.0);
+  AnalysisReport r = analyzeOnce(d, {MeasureSpec::unreliability({1.0})});
+  EXPECT_FALSE(r.nondeterministic());
+  double u = r.measures[0].values.at(0);
   EXPECT_GT(u, 0.0);
   EXPECT_LT(u, 1.0);
 }
@@ -218,45 +234,48 @@ TEST(Analysis, SeqGateForcesOrder) {
                    .seqGate("Top", {"A", "B"})
                    .top("Top")
                    .build();
-  DftAnalysis a = analyzeDft(d);
+  AnalysisReport r = analyzeOnce(d, {MeasureSpec::unreliability({t})});
   double x = l * t;
-  EXPECT_NEAR(unreliability(a, t), 1 - std::exp(-x) * (1 + x), 1e-8);
+  EXPECT_NEAR(r.measures[0].values.at(0), 1 - std::exp(-x) * (1 + x), 1e-8);
 }
 
 TEST(Analysis, StatsTrackPeaks) {
-  DftAnalysis a = analyzeDft(dft::corpus::cps());
-  EXPECT_GT(a.stats.steps.size(), 0u);
-  EXPECT_GT(a.stats.peakComposedStates, 0u);
-  EXPECT_GE(a.stats.peakComposedStates, a.stats.peakAggregatedStates);
+  AnalysisReport r = analyzeOnce(dft::corpus::cps());
+  EXPECT_GT(r.stats().steps.size(), 0u);
+  EXPECT_GT(r.stats().peakComposedStates, 0u);
+  EXPECT_GE(r.stats().peakComposedStates, r.stats().peakAggregatedStates);
 }
 
 TEST(Analysis, HecsAgreesAcrossEngines) {
   dft::Dft d = dft::corpus::hecs();
-  DftAnalysis a = analyzeDft(d);
-  EXPECT_FALSE(a.nondeterministic);
+  const std::vector<double> times{0.5, 1.0, 2.0};
+  AnalysisReport r = analyzeOnce(d, {MeasureSpec::unreliability(times)});
+  EXPECT_FALSE(r.nondeterministic());
   diftree::MonolithicResult mono = diftree::generateMonolithic(d);
-  for (double t : {0.5, 1.0, 2.0})
-    EXPECT_NEAR(unreliability(a, t),
-                ctmc::probabilityOfLabelAt(mono.chain, "down", t), 1e-7)
-        << t;
+  for (std::size_t i = 0; i < times.size(); ++i)
+    EXPECT_NEAR(r.measures[0].values.at(i),
+                ctmc::probabilityOfLabelAt(mono.chain, "down", times[i]), 1e-7)
+        << times[i];
 }
 
 TEST(Analysis, HecsCompositionalPeakStaysSmall) {
   // 24 elements, 16 basic events: the monolithic chain runs to thousands
   // of states while the modular composition peak stays small.
   dft::Dft d = dft::corpus::hecs();
-  DftAnalysis a = analyzeDft(d);
+  AnalysisReport r = analyzeOnce(d);
   diftree::MonolithicResult mono = diftree::generateMonolithic(d, {false});
-  EXPECT_LT(a.stats.peakComposedStates, mono.numStates / 4);
+  EXPECT_LT(r.stats().peakComposedStates, mono.numStates / 4);
 }
 
 TEST(Analysis, GalileoRoundTripMatchesBuilder) {
   // The corpus CPS (Galileo text) against a hand-built equivalent.
   dft::Dft viaGalileo = dft::corpus::cps();
   dft::Dft viaBuilder = dft::corpus::cascadedPands(3, 4);
-  DftAnalysis a1 = analyzeDft(viaGalileo);
-  DftAnalysis a2 = analyzeDft(viaBuilder);
-  EXPECT_NEAR(unreliability(a1, 1.0), unreliability(a2, 1.0), 1e-9);
+  AnalysisReport r1 =
+      analyzeOnce(viaGalileo, {MeasureSpec::unreliability({1.0})});
+  AnalysisReport r2 =
+      analyzeOnce(viaBuilder, {MeasureSpec::unreliability({1.0})});
+  EXPECT_NEAR(r1.measures[0].values.at(0), r2.measures[0].values.at(0), 1e-9);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "analysis/analyzer.hpp"
-#include "analysis/measures.hpp"
+#include "analyze_once.hpp"
 #include "dft/builder.hpp"
 #include "dft/corpus.hpp"
 #include "dft/galileo.hpp"
@@ -74,15 +74,16 @@ TEST(Analyzer, VariantsShareModulesAcrossTheSession) {
   EXPECT_EQ(variant.stats().cachedModules, variant.cache.moduleHits);
 
   // And the numbers are identical to a cold, uncached analysis.
-  DftAnalysis cold = analyzeDft(dft::parseGalileo(perturbedCas(0.4)));
-  EXPECT_NEAR(variant.measures[0].values.at(0), unreliability(cold, 1.0),
-              1e-12);
+  AnalysisReport cold = analyzeOnce(dft::parseGalileo(perturbedCas(0.4)),
+                                    {MeasureSpec::unreliability({1.0})});
+  EXPECT_NEAR(variant.measures[0].values.at(0),
+              cold.measures[0].values.at(0), 1e-12);
 }
 
 TEST(Analyzer, BatchMatchesSequentialColdRuns) {
   const std::vector<double> grid{0.5, 1.0, 2.0};
   // Composition path pinned, as in VariantsShareModulesAcrossTheSession:
-  // the cold analyzeDft reference below runs the composition pipeline, and
+  // the cold reference below runs the composition pipeline, and
   // the numeric path only agrees with it up to transient tolerances.
   AnalysisOptions viaComposition;
   viaComposition.engine.staticCombine = false;
@@ -102,12 +103,14 @@ TEST(Analyzer, BatchMatchesSequentialColdRuns) {
   for (std::size_t i = 0; i < requests.size(); ++i) {
     EXPECT_EQ(batch[i].label, requests[i].label);
     batchSteps += batch[i].cache.stepsRun;
-    DftAnalysis cold = analyzeDft(dft::parseGalileo(perturbedCas(lambdas[i])));
-    coldSteps += cold.stats.steps.size();
+    AnalysisReport cold =
+        analyzeOnce(dft::parseGalileo(perturbedCas(lambdas[i])),
+                    {MeasureSpec::unreliability(grid)});
+    coldSteps += cold.stats().steps.size();
     ASSERT_EQ(batch[i].measures.size(), 1u);
     for (std::size_t k = 0; k < grid.size(); ++k)
       EXPECT_NEAR(batch[i].measures[0].values.at(k),
-                  unreliability(cold, grid[k]), 1e-12)
+                  cold.measures[0].values.at(k), 1e-12)
           << requests[i].label;
   }
   EXPECT_LT(batchSteps, coldSteps);
@@ -154,10 +157,15 @@ TEST(Analyzer, CurveEqualsPerPointUnreliability) {
                           .measure(MeasureSpec::unreliability(grid)));
   ASSERT_EQ(report.measures[0].values.size(), grid.size());
 
-  DftAnalysis old = analyzeDft(dft::corpus::cps());
-  std::vector<double> curve = unreliabilityCurve(old, grid);
+  // A cold reference: the whole grid as one measure, and each grid point
+  // as a measure of its own.
+  std::vector<MeasureSpec> measures{MeasureSpec::unreliability(grid)};
+  for (double t : grid) measures.push_back(MeasureSpec::unreliability({t}));
+  AnalysisReport old = analyzeOnce(dft::corpus::cps(), measures);
+  const std::vector<double>& curve = old.measures[0].values;
+  ASSERT_EQ(curve.size(), grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    EXPECT_NEAR(curve[i], unreliability(old, grid[i]), 1e-15);
+    EXPECT_NEAR(curve[i], old.measures[i + 1].values.at(0), 1e-15);
     EXPECT_NEAR(report.measures[0].values[i], curve[i], 1e-12);
   }
 }
@@ -213,15 +221,19 @@ TEST(Analyzer, RepairableMeasuresMatchOldFacade) {
           .measure(MeasureSpec::unavailability({0.5, 1.0, 2.0}))
           .measure(MeasureSpec::steadyStateUnavailability()));
 
-  DftAnalysis old = analyzeDft(tree);
+  // A cold reference with one unavailability measure per time point.
+  AnalysisReport old = analyzeOnce(
+      tree, {MeasureSpec::unavailability({0.5}),
+             MeasureSpec::unavailability({1.0}),
+             MeasureSpec::unavailability({2.0}),
+             MeasureSpec::steadyStateUnavailability()});
   ASSERT_EQ(report.measures.size(), 2u);
   ASSERT_TRUE(report.measures[0].ok);
   for (std::size_t i = 0; i < 3; ++i)
     EXPECT_NEAR(report.measures[0].values.at(i),
-                unavailability(old, std::vector<double>{0.5, 1.0, 2.0}[i]),
-                1e-12);
+                old.measures[i].values.at(0), 1e-12);
   ASSERT_TRUE(report.measures[1].ok);
-  EXPECT_NEAR(report.measures[1].values.at(0), steadyStateUnavailability(old),
+  EXPECT_NEAR(report.measures[1].values.at(0), old.measures[3].values.at(0),
               1e-12);
 }
 

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "analysis/analyzer.hpp"
-#include "analysis/measures.hpp"
 #include "dft/corpus.hpp"
 
 /// \file test_concurrent_analyzer.cpp

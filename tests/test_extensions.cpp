@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
-#include "analysis/measures.hpp"
+#include "analyze_once.hpp"
 #include "common/error.hpp"
 #include "ctmc/transient.hpp"
 #include "dft/builder.hpp"
@@ -18,20 +20,32 @@ using dft::DftBuilder;
 // ---------- Section 4.4: nondeterminism detection (Fig. 6) ----------
 
 TEST(Nondeterminism, Figure6aDetected) {
-  DftAnalysis a = analyzeDft(dft::corpus::figure6a());
+  AnalysisReport r = analyzeOnce(dft::corpus::figure6a(),
+                                 {MeasureSpec::unreliability({1.0}),
+                                  MeasureSpec::unreliabilityBounds({1.0})});
   // The trigger kills both PAND inputs at the same instant: whether the
   // PAND fires depends on the (nondeterministic) cascade order.
-  EXPECT_TRUE(a.nondeterministic);
-  EXPECT_THROW(unreliability(a, 1.0), ModelError);
-  auto b = unreliabilityBounds(a, 1.0);
+  EXPECT_TRUE(r.nondeterministic());
+  // No point unreliability exists: the Analyzer substitutes scheduler
+  // bounds and warns.
+  EXPECT_TRUE(r.measures[0].boundsSubstituted);
+  EXPECT_TRUE(r.measures[0].values.empty());
+  bool warned = false;
+  for (const Diagnostic& d : r.diagnostics)
+    if (d.severity == Severity::Warning &&
+        d.message.find("nondeterministic") != std::string::npos)
+      warned = true;
+  EXPECT_TRUE(warned);
+  auto b = r.measures[1].bounds.at(0);
   EXPECT_LT(b.lower, b.upper);
   EXPECT_GE(b.lower, 0.0);
   EXPECT_LE(b.upper, 1.0);
 }
 
 TEST(Nondeterminism, Figure6aBoundsAreMeaningful) {
-  DftAnalysis a = analyzeDft(dft::corpus::figure6a());
-  auto b = unreliabilityBounds(a, 1.0);
+  AnalysisReport r = analyzeOnce(dft::corpus::figure6a(),
+                                 {MeasureSpec::unreliabilityBounds({1.0})});
+  auto b = r.measures[0].bounds.at(0);
   // Whatever the scheduler does, A failing naturally before B (no trigger
   // involved) fires the PAND; so even the lower bound is positive.
   EXPECT_GT(b.lower, 0.0);
@@ -42,11 +56,12 @@ TEST(Nondeterminism, Figure6aBoundsAreMeaningful) {
 }
 
 TEST(Nondeterminism, Figure6bDetected) {
-  DftAnalysis a = analyzeDft(dft::corpus::figure6b());
+  AnalysisReport r = analyzeOnce(dft::corpus::figure6b(),
+                                 {MeasureSpec::unreliabilityBounds({1.0})});
   // Which spare gate obtains the shared spare S is a nondeterministic
   // race once the FDEP kills both primaries simultaneously.
-  EXPECT_TRUE(a.nondeterministic);
-  auto b = unreliabilityBounds(a, 1.0);
+  EXPECT_TRUE(r.nondeterministic());
+  auto b = r.measures[0].bounds.at(0);
   EXPECT_LT(b.lower, b.upper);
 }
 
@@ -60,22 +75,23 @@ TEST(Nondeterminism, RemovedWhenOrdersConverge) {
       .fdep("F", "T", {"A", "B"})
       .andGate("System", {"A", "B"})
       .top("System");
-  DftAnalysis a = analyzeDft(b.build());
-  EXPECT_FALSE(a.nondeterministic);
-  // System fails when trigger fires or both A and B fail naturally.
   const double t = 1.0;
+  AnalysisReport r = analyzeOnce(b.build(), {MeasureSpec::unreliability({t})});
+  EXPECT_FALSE(r.nondeterministic());
+  // System fails when trigger fires or both A and B fail naturally.
   double p = 1 - std::exp(-t);
   // P(down) = P(T<=t) + P(T>t) P(A<=t) P(B<=t).
   double expected = p + std::exp(-t) * p * p;
-  EXPECT_NEAR(unreliability(a, t), expected, 1e-8);
+  EXPECT_NEAR(r.measures[0].values.at(0), expected, 1e-8);
 }
 
 // ---------- Section 6.1: complex spare modules (Fig. 10 a/b) ----------
 
 TEST(ComplexSpares, AndModuleActivatesAllChildren) {
-  DftAnalysis a = analyzeDft(dft::corpus::figure10a());
-  EXPECT_FALSE(a.nondeterministic);
-  double u = unreliability(a, 1.0);
+  AnalysisReport r = analyzeOnce(dft::corpus::figure10a(),
+                                 {MeasureSpec::unreliability({1.0})});
+  EXPECT_FALSE(r.nondeterministic());
+  double u = r.measures[0].values.at(0);
   EXPECT_GT(u, 0.0);
   EXPECT_LT(u, 1.0);
 }
@@ -84,10 +100,11 @@ TEST(ComplexSpares, SpareGateModuleActivatesPrimaryOnly) {
   // Fig. 10.b vs Fig. 10.a: in the nested-spare variant, D stays dormant
   // when the module is activated, so the system is strictly more reliable
   // than the AND variant where both C and D become active (higher rates).
-  DftAnalysis andVariant = analyzeDft(dft::corpus::figure10a());
-  DftAnalysis spareVariant = analyzeDft(dft::corpus::figure10b());
-  double uAnd = unreliability(andVariant, 1.0);
-  double uSpare = unreliability(spareVariant, 1.0);
+  const std::vector<MeasureSpec> u1{MeasureSpec::unreliability({1.0})};
+  AnalysisReport andVariant = analyzeOnce(dft::corpus::figure10a(), u1);
+  AnalysisReport spareVariant = analyzeOnce(dft::corpus::figure10b(), u1);
+  double uAnd = andVariant.measures[0].values.at(0);
+  double uSpare = spareVariant.measures[0].values.at(0);
   // Both systems fail when both components of the active module die; the
   // nested variant replaces "C and D" by "C then D", which fails later in
   // distribution... but the AND variant needs BOTH to fail while the
@@ -112,7 +129,8 @@ TEST(ComplexSpares, DormantModuleUsesDormantRates) {
       .andGate("spare", {"C", "D"})
       .spareGate("System", dft::SpareKind::Warm, {"primary", "spare"})
       .top("System");
-  DftAnalysis a = analyzeDft(b.build());
+  const std::vector<MeasureSpec> u1{MeasureSpec::unreliability({1.0})};
+  AnalysisReport r = analyzeOnce(b.build(), u1);
   // By time t the system needs primary dead (two Exp(1)) and then the two
   // cold Exp(2)s.  Compare against the monolithic result indirectly via
   // direction: it must be below the all-hot variant.
@@ -125,21 +143,22 @@ TEST(ComplexSpares, DormantModuleUsesDormantRates) {
       .andGate("spare", {"C", "D"})
       .spareGate("System", dft::SpareKind::Warm, {"primary", "spare"})
       .top("System");
-  DftAnalysis aHot = analyzeDft(bHot.build());
-  EXPECT_LT(unreliability(a, 1.0), unreliability(aHot, 1.0));
+  AnalysisReport rHot = analyzeOnce(bHot.build(), u1);
+  EXPECT_LT(r.measures[0].values.at(0), rHot.measures[0].values.at(0));
 }
 
 // ---------- Section 6.2: FDEP on gates (Fig. 10 c) ----------
 
 TEST(FdepOnGates, TriggerKillsGateNotItsParts) {
-  DftAnalysis a = analyzeDft(dft::corpus::figure10c());
-  EXPECT_FALSE(a.nondeterministic);
+  const double t = 1.0;
+  AnalysisReport r =
+      analyzeOnce(dft::corpus::figure10c(), {MeasureSpec::unreliability({t})});
+  EXPECT_FALSE(r.nondeterministic());
   // System = AND(A, E), A = AND(B, C) FDEP-killed by T.
   // P(A down) = P(T) + P(T bar) P(B)P(C); E independent.
-  const double t = 1.0;
   double p = 1 - std::exp(-t);
   double pA = p + (1 - p) * p * p;
-  EXPECT_NEAR(unreliability(a, t), pA * p, 1e-8);
+  EXPECT_NEAR(r.measures[0].values.at(0), pA * p, 1e-8);
 }
 
 TEST(FdepOnGates, GateTriggersAreAllowed) {
@@ -153,11 +172,11 @@ TEST(FdepOnGates, GateTriggersAreAllowed) {
       .fdep("F", "Trig", {"A"})
       .andGate("System", {"A", "E"})
       .top("System");
-  DftAnalysis a = analyzeDft(b.build());
   const double t = 1.0;
+  AnalysisReport r = analyzeOnce(b.build(), {MeasureSpec::unreliability({t})});
   double p = 1 - std::exp(-t);
   double pA = p + (1 - p) * p * p;  // own failure or both triggers
-  EXPECT_NEAR(unreliability(a, t), pA * p, 1e-8);
+  EXPECT_NEAR(r.measures[0].values.at(0), pA * p, 1e-8);
 }
 
 // ---------- Section 7.1: inhibition and mutual exclusivity ----------
@@ -170,11 +189,11 @@ TEST(Inhibition, InhibitorPreventsLaterFailure) {
       .inhibition("A", "B")
       .orGate("System", {"B"})
       .top("System");
-  DftAnalysis a = analyzeDft(b.build());
   // P(B fails by t AND B before A) for iid Exp(1):
   // int_0^t e^-x e^-x dx = (1 - e^-2t)/2.
   const double t = 1.0;
-  EXPECT_NEAR(unreliability(a, t), (1 - std::exp(-2 * t)) / 2.0, 1e-8);
+  AnalysisReport r = analyzeOnce(b.build(), {MeasureSpec::unreliability({t})});
+  EXPECT_NEAR(r.measures[0].values.at(0), (1 - std::exp(-2 * t)) / 2.0, 1e-8);
 }
 
 TEST(Mutex, FailureModesAreExclusive) {
@@ -186,16 +205,18 @@ TEST(Mutex, FailureModesAreExclusive) {
       .mutex({"open", "closed"})
       .andGate("System", {"open", "closed"})
       .top("System");
-  DftAnalysis a = analyzeDft(b.build());
-  EXPECT_NEAR(unreliability(a, 5.0), 0.0, 1e-12);
+  AnalysisReport r =
+      analyzeOnce(b.build(), {MeasureSpec::unreliability({5.0})});
+  EXPECT_NEAR(r.measures[0].values.at(0), 0.0, 1e-12);
 }
 
 TEST(Mutex, SwitchExampleMatchesHandComputation) {
-  DftAnalysis a = analyzeDft(dft::corpus::mutexSwitch());
   // fail_open ~ Exp(.5), fail_closed ~ Exp(.3), pump ~ Exp(1); the two
   // switch modes race; system = open | (closed & pump).
   // P(open first and by t) = int_0^t .5 e^{-.8x} dx.
   const double t = 1.0;
+  AnalysisReport r = analyzeOnce(dft::corpus::mutexSwitch(),
+                                 {MeasureSpec::unreliability({t})});
   double pOpen = 0.5 / 0.8 * (1 - std::exp(-0.8 * t));
   // closed-mode contribution: closed fires at x (beating open), pump by t.
   const int n = 40000;
@@ -204,7 +225,7 @@ TEST(Mutex, SwitchExampleMatchesHandComputation) {
     double x = (i + 0.5) * t / n;
     pClosed += 0.3 * std::exp(-0.8 * x) * (1 - std::exp(-t)) * (t / n);
   }
-  EXPECT_NEAR(unreliability(a, t), pOpen + pClosed, 1e-5);
+  EXPECT_NEAR(r.measures[0].values.at(0), pOpen + pClosed, 1e-5);
 }
 
 // ---------- Section 7.2: repair ----------
@@ -212,30 +233,36 @@ TEST(Mutex, SwitchExampleMatchesHandComputation) {
 TEST(Repair, SingleComponentAvailability) {
   DftBuilder b;
   b.basicEvent("A", 1.0, std::nullopt, 4.0).orGate("System", {"A"}).top("System");
-  DftAnalysis a = analyzeDft(b.build());
-  EXPECT_TRUE(a.repairable);
+  const std::vector<double> times{0.2, 1.0, 5.0};
+  AnalysisReport r =
+      analyzeOnce(b.build(), {MeasureSpec::unavailability(times),
+                              MeasureSpec::steadyStateUnavailability()});
+  EXPECT_TRUE(r.analysis->repairable);
   // Transient unavailability of an M/M repairable unit:
   // U(t) = l/(l+m) (1 - e^-(l+m)t).
-  for (double t : {0.2, 1.0, 5.0}) {
-    double expected = (1.0 / 5.0) * (1 - std::exp(-5.0 * t));
-    EXPECT_NEAR(unavailability(a, t), expected, 1e-8) << t;
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    double expected = (1.0 / 5.0) * (1 - std::exp(-5.0 * times[i]));
+    EXPECT_NEAR(r.measures[0].values.at(i), expected, 1e-8) << times[i];
   }
-  EXPECT_NEAR(steadyStateUnavailability(a), 0.2, 1e-8);
+  EXPECT_NEAR(r.measures[1].values.at(0), 0.2, 1e-8);
 }
 
 TEST(Repair, AndOfTwoIndependentRepairables) {
   const double l = 1.0, mu = 2.0;
-  DftAnalysis a = analyzeDft(dft::corpus::repairableAnd(l, mu));
+  AnalysisReport r = analyzeOnce(dft::corpus::repairableAnd(l, mu),
+                                 {MeasureSpec::steadyStateUnavailability()});
   double single = l / (l + mu);
-  EXPECT_NEAR(steadyStateUnavailability(a), single * single, 1e-8);
+  EXPECT_NEAR(r.measures[0].values.at(0), single * single, 1e-8);
 }
 
 TEST(Repair, UnreliabilityStillDefined) {
   // With failure states absorbed, the repairable AND gives first-passage
   // probability (system ever down by t).
-  DftAnalysis a = analyzeDft(dft::corpus::repairableAnd(1.0, 2.0));
-  double u1 = unreliability(a, 1.0);
-  double u2 = unavailability(a, 1.0);
+  AnalysisReport r = analyzeOnce(dft::corpus::repairableAnd(1.0, 2.0),
+                                 {MeasureSpec::unreliability({1.0}),
+                                  MeasureSpec::unavailability({1.0})});
+  double u1 = r.measures[0].values.at(0);
+  double u2 = r.measures[1].values.at(0);
   EXPECT_GT(u1, u2);  // ever-down dominates down-now
 }
 
@@ -246,17 +273,22 @@ TEST(Repair, MixedRepairableAndNot) {
       .basicEvent("N", 0.5)
       .orGate("System", {"R", "N"})
       .top("System");
-  DftAnalysis a = analyzeDft(b.build());
+  AnalysisReport r =
+      analyzeOnce(b.build(), {MeasureSpec::unavailability({50.0})});
   // Once N fails the system stays down; before that R toggles it.
-  double uLate = unavailability(a, 50.0);
+  double uLate = r.measures[0].values.at(0);
   // In the limit: P(N down) + P(N up) * uR = 1 - e^-25... ~ 1.
   EXPECT_GT(uLate, 0.99);
-  EXPECT_FALSE(a.nondeterministic);
+  EXPECT_FALSE(r.nondeterministic());
 }
 
 TEST(Repair, SteadyStateRequiresRepairableTree) {
-  DftAnalysis a = analyzeDft(dft::corpus::cps());
-  EXPECT_THROW(steadyStateUnavailability(a), ModelError);
+  AnalysisReport r = analyzeOnce(dft::corpus::cps(),
+                                 {MeasureSpec::steadyStateUnavailability()});
+  EXPECT_FALSE(r.measures[0].ok);
+  EXPECT_EQ(r.measures[0].error,
+            "steadyStateUnavailability: the tree is not repairable; the "
+            "limit is trivially the probability of eventual failure");
 }
 
 // ---------- Section 8 future work (3): phase-type distributions ----------
@@ -275,9 +307,12 @@ TEST(PhaseType, SingleErlangEventMatchesClosedForm) {
   b.basicEvent("A", 2.0, std::nullopt, std::nullopt, /*phases=*/3)
       .orGate("System", {"A"})
       .top("System");
-  DftAnalysis a = analyzeDft(b.build());
-  for (double t : {0.3, 1.0, 2.0})
-    EXPECT_NEAR(unreliability(a, t), erlangCdf(3, 2.0, t), 1e-8) << t;
+  const std::vector<double> times{0.3, 1.0, 2.0};
+  AnalysisReport r =
+      analyzeOnce(b.build(), {MeasureSpec::unreliability(times)});
+  for (std::size_t i = 0; i < times.size(); ++i)
+    EXPECT_NEAR(r.measures[0].values.at(i), erlangCdf(3, 2.0, times[i]), 1e-8)
+        << times[i];
 }
 
 TEST(PhaseType, AndOfErlangEvents) {
@@ -286,10 +321,10 @@ TEST(PhaseType, AndOfErlangEvents) {
       .basicEvent("B", 1.0, std::nullopt, std::nullopt, 4)
       .andGate("System", {"A", "B"})
       .top("System");
-  DftAnalysis a = analyzeDft(b.build());
   const double t = 1.5;
-  EXPECT_NEAR(unreliability(a, t), erlangCdf(2, 2.0, t) * erlangCdf(4, 1.0, t),
-              1e-8);
+  AnalysisReport r = analyzeOnce(b.build(), {MeasureSpec::unreliability({t})});
+  EXPECT_NEAR(r.measures[0].values.at(0),
+              erlangCdf(2, 2.0, t) * erlangCdf(4, 1.0, t), 1e-8);
 }
 
 TEST(PhaseType, ColdSpareWithErlangPrimary) {
@@ -300,8 +335,8 @@ TEST(PhaseType, ColdSpareWithErlangPrimary) {
       .basicEvent("S", l)
       .spareGate("System", dft::SpareKind::Cold, {"P", "S"})
       .top("System");
-  DftAnalysis a = analyzeDft(b.build());
-  EXPECT_NEAR(unreliability(a, t), erlangCdf(3, l, t), 1e-8);
+  AnalysisReport r = analyzeOnce(b.build(), {MeasureSpec::unreliability({t})});
+  EXPECT_NEAR(r.measures[0].values.at(0), erlangCdf(3, l, t), 1e-8);
 }
 
 TEST(PhaseType, WarmErlangSparePreservesPhaseOnActivation) {
@@ -313,11 +348,12 @@ TEST(PhaseType, WarmErlangSparePreservesPhaseOnActivation) {
       .spareGate("System", dft::SpareKind::Warm, {"P", "S"})
       .top("System");
   dft::Dft d = b.build();
-  DftAnalysis a = analyzeDft(d);
+  const std::vector<double> times{0.5, 1.0, 2.0};
+  AnalysisReport r = analyzeOnce(d, {MeasureSpec::unreliability(times)});
   diftree::MonolithicResult mono = diftree::generateMonolithic(d);
-  for (double t : {0.5, 1.0, 2.0})
-    EXPECT_NEAR(unreliability(a, t),
-                ctmc::probabilityOfLabelAt(mono.chain, "down", t), 1e-7);
+  for (std::size_t i = 0; i < times.size(); ++i)
+    EXPECT_NEAR(r.measures[0].values.at(i),
+                ctmc::probabilityOfLabelAt(mono.chain, "down", times[i]), 1e-7);
 }
 
 TEST(PhaseType, RepairableErlangComponent) {
@@ -325,10 +361,11 @@ TEST(PhaseType, RepairableErlangComponent) {
   DftBuilder b;
   b.basicEvent("A", 3.0, std::nullopt, 1.0, 3).orGate("System", {"A"}).top(
       "System");
-  DftAnalysis a = analyzeDft(b.build());
+  AnalysisReport r = analyzeOnce(b.build(),
+                                 {MeasureSpec::steadyStateUnavailability()});
   // Mean up time = 3/3 = 1, mean repair = 1: steady-state unavailability
   // = 1 / (1 + 1) = 0.5 by renewal-reward.
-  EXPECT_NEAR(steadyStateUnavailability(a), 0.5, 1e-6);
+  EXPECT_NEAR(r.measures[0].values.at(0), 0.5, 1e-6);
 }
 
 TEST(PhaseType, GalileoPhasesAttribute) {
@@ -338,8 +375,8 @@ TEST(PhaseType, GalileoPhasesAttribute) {
     "A" lambda=2.0 phases=5;
   )");
   EXPECT_EQ(d.element(d.byName("A")).be.phases, 5u);
-  DftAnalysis a = analyzeDft(d);
-  EXPECT_NEAR(unreliability(a, 1.0), erlangCdf(5, 2.0, 1.0), 1e-8);
+  AnalysisReport r = analyzeOnce(d, {MeasureSpec::unreliability({1.0})});
+  EXPECT_NEAR(r.measures[0].values.at(0), erlangCdf(5, 2.0, 1.0), 1e-8);
 }
 
 }  // namespace

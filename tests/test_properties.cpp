@@ -4,7 +4,7 @@
 #include <cmath>
 #include <random>
 
-#include "analysis/measures.hpp"
+#include "analyze_once.hpp"
 #include "ctmc/transient.hpp"
 #include "dft/builder.hpp"
 #include "dft/corpus.hpp"
@@ -24,13 +24,15 @@ using dft::DftBuilder;
 using dft::SpareKind;
 
 void expectAgreement(const dft::Dft& d, double tolerance = 1e-7) {
-  DftAnalysis a = analyzeDft(d);
-  ASSERT_FALSE(a.nondeterministic);
+  const std::vector<double> times{0.25, 1.0, 2.5};
+  AnalysisReport r = analyzeOnce(d, {MeasureSpec::unreliability(times)});
+  ASSERT_FALSE(r.nondeterministic());
   diftree::MonolithicResult mono = diftree::generateMonolithic(d);
-  for (double t : {0.25, 1.0, 2.5}) {
-    EXPECT_NEAR(unreliability(a, t),
-                ctmc::probabilityOfLabelAt(mono.chain, "down", t), tolerance)
-        << "t=" << t;
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    EXPECT_NEAR(r.measures[0].values.at(i),
+                ctmc::probabilityOfLabelAt(mono.chain, "down", times[i]),
+                tolerance)
+        << "t=" << times[i];
   }
 }
 
@@ -178,17 +180,17 @@ class MissionTimeSweep : public ::testing::TestWithParam<double> {};
 TEST_P(MissionTimeSweep, CasAgrees) {
   const double t = GetParam();
   dft::Dft d = dft::corpus::cas();
-  DftAnalysis a = analyzeDft(d);
+  AnalysisReport r = analyzeOnce(d, {MeasureSpec::unreliability({t})});
   diftree::MonolithicResult mono = diftree::generateMonolithic(d);
-  EXPECT_NEAR(unreliability(a, t),
+  EXPECT_NEAR(r.measures[0].values.at(0),
               ctmc::probabilityOfLabelAt(mono.chain, "down", t), 1e-7);
 }
 
 TEST_P(MissionTimeSweep, CpsAgrees) {
   const double t = GetParam();
   dft::Dft d = dft::corpus::cps();
-  DftAnalysis a = analyzeDft(d);
-  EXPECT_NEAR(unreliability(a, t),
+  AnalysisReport r = analyzeOnce(d, {MeasureSpec::unreliability({t})});
+  EXPECT_NEAR(r.measures[0].values.at(0),
               std::pow(1 - std::exp(-t), 12.0) / 3.0, 1e-8);
 }
 
@@ -202,9 +204,10 @@ TEST(Invariance, CompositionOrderDoesNotChangeTheMeasure) {
   AnalysisOptions modular, greedy, declaration;
   greedy.engine.strategy = CompositionStrategy::Greedy;
   declaration.engine.strategy = CompositionStrategy::Declaration;
-  double u1 = unreliability(analyzeDft(d, modular), 1.0);
-  double u2 = unreliability(analyzeDft(d, greedy), 1.0);
-  double u3 = unreliability(analyzeDft(d, declaration), 1.0);
+  const std::vector<MeasureSpec> u{MeasureSpec::unreliability({1.0})};
+  double u1 = analyzeOnce(d, u, modular).measures[0].values.at(0);
+  double u2 = analyzeOnce(d, u, greedy).measures[0].values.at(0);
+  double u3 = analyzeOnce(d, u, declaration).measures[0].values.at(0);
   EXPECT_NEAR(u1, u2, 1e-9);
   EXPECT_NEAR(u1, u3, 1e-9);
 }
@@ -213,8 +216,9 @@ TEST(Invariance, SubsetGatesGiveTheSameAnswer) {
   AnalysisOptions subset;
   subset.conversion.subsetGates = true;
   dft::Dft d = dft::corpus::cps();
-  double u1 = unreliability(analyzeDft(d), 1.0);
-  double u2 = unreliability(analyzeDft(d, subset), 1.0);
+  const std::vector<MeasureSpec> u{MeasureSpec::unreliability({1.0})};
+  double u1 = analyzeOnce(d, u).measures[0].values.at(0);
+  double u2 = analyzeOnce(d, u, subset).measures[0].values.at(0);
   EXPECT_NEAR(u1, u2, 1e-9);
 }
 
@@ -222,12 +226,13 @@ TEST(Invariance, AggregationOffGivesTheSameAnswerAtHigherCost) {
   AnalysisOptions raw;
   raw.engine.aggregateEachStep = false;
   dft::Dft d = dft::corpus::cascadedPands(2, 3);
-  DftAnalysis aggregated = analyzeDft(d);
-  DftAnalysis unaggregated = analyzeDft(d, raw);
-  EXPECT_NEAR(unreliability(aggregated, 1.0), unreliability(unaggregated, 1.0),
-              1e-9);
-  EXPECT_LE(aggregated.stats.peakComposedStates,
-            unaggregated.stats.peakComposedStates);
+  const std::vector<MeasureSpec> u{MeasureSpec::unreliability({1.0})};
+  AnalysisReport aggregated = analyzeOnce(d, u);
+  AnalysisReport unaggregated = analyzeOnce(d, u, raw);
+  EXPECT_NEAR(aggregated.measures[0].values.at(0),
+              unaggregated.measures[0].values.at(0), 1e-9);
+  EXPECT_LE(aggregated.stats().peakComposedStates,
+            unaggregated.stats().peakComposedStates);
 }
 
 // ---------- randomized differential testing ----------
@@ -282,9 +287,9 @@ class RandomStaticTrees : public ::testing::TestWithParam<unsigned> {};
 TEST_P(RandomStaticTrees, ThreeSolversAgree) {
   dft::Dft d = randomStaticTree(GetParam());
   const double t = 0.8;
-  DftAnalysis a = analyzeDft(d);
-  ASSERT_FALSE(a.nondeterministic);
-  double compositional = unreliability(a, t);
+  AnalysisReport r = analyzeOnce(d, {MeasureSpec::unreliability({t})});
+  ASSERT_FALSE(r.nondeterministic());
+  double compositional = r.measures[0].values.at(0);
   double monolithic = ctmc::probabilityOfLabelAt(
       diftree::generateMonolithic(d).chain, "down", t);
   double bddBased = diftree::modularAnalysis(d, t).unreliability;
@@ -300,9 +305,9 @@ TEST(Invariance, ModuleReuseByRenamingMatchesDirectAnalysis) {
   // tree where they are literally distinct elements must equal the
   // closed-form regardless.
   dft::Dft d = dft::corpus::cascadedPands(3, 4);
-  DftAnalysis a = analyzeDft(d);
-  EXPECT_NEAR(unreliability(a, 1.0), std::pow(1 - std::exp(-1.0), 12.0) / 3.0,
-              1e-8);
+  AnalysisReport r = analyzeOnce(d, {MeasureSpec::unreliability({1.0})});
+  EXPECT_NEAR(r.measures[0].values.at(0),
+              std::pow(1 - std::exp(-1.0), 12.0) / 3.0, 1e-8);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "analysis/measures.hpp"
+#include "analyze_once.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "dft/builder.hpp"
@@ -36,9 +36,10 @@ TEST(Simulator, SingleExponential) {
 
 TEST(Simulator, MatchesAnalyticOnCas) {
   dft::Dft d = dft::corpus::cas();
-  analysis::DftAnalysis a = analysis::analyzeDft(d);
+  analysis::AnalysisReport a = analysis::analyzeOnce(
+      d, {analysis::MeasureSpec::unreliability({1.0})});
   Estimate est = simulateUnreliability(d, 1.0, {20'000, 11});
-  expectCovers(est, analysis::unreliability(a, 1.0));
+  expectCovers(est, a.measures[0].values.at(0));
 }
 
 TEST(Simulator, MatchesAnalyticOnCps) {
@@ -59,9 +60,10 @@ TEST(Simulator, WarmSparesAndSharing) {
                    .andGate("Top", {"G1", "G2"})
                    .top("Top")
                    .build();
-  analysis::DftAnalysis a = analysis::analyzeDft(d);
+  analysis::AnalysisReport a = analysis::analyzeOnce(
+      d, {analysis::MeasureSpec::unreliability({1.5})});
   Estimate est = simulateUnreliability(d, 1.5, {20'000, 23});
-  expectCovers(est, analysis::unreliability(a, 1.5));
+  expectCovers(est, a.measures[0].values.at(0));
 }
 
 TEST(Simulator, ErlangPhases) {
@@ -90,11 +92,13 @@ TEST(Simulator, InhibitionSemantics) {
 
 TEST(Simulator, RepairableUnavailability) {
   dft::Dft d = dft::corpus::repairableAnd(1.0, 2.0);
-  analysis::DftAnalysis a = analysis::analyzeDft(d);
+  analysis::AnalysisReport a = analysis::analyzeOnce(
+      d, {analysis::MeasureSpec::unavailability({2.0}),
+          analysis::MeasureSpec::unreliability({2.0})});
   Estimate down = simulateUnavailability(d, 2.0, {20'000, 37});
-  expectCovers(down, analysis::unavailability(a, 2.0));
+  expectCovers(down, a.measures[0].values.at(0));
   Estimate ever = simulateUnreliability(d, 2.0, {20'000, 41});
-  expectCovers(ever, analysis::unreliability(a, 2.0));
+  expectCovers(ever, a.measures[1].values.at(0));
   // First passage dominates point unavailability.
   EXPECT_GT(ever.value, down.value);
 }

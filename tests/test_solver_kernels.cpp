@@ -8,7 +8,6 @@
 
 #include "analysis/analyzer.hpp"
 #include "analysis/extract.hpp"
-#include "analysis/measures.hpp"
 #include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "ctmc/fox_glynn.hpp"
@@ -484,8 +483,11 @@ TEST(SolverKernels, UnavailabilityGridMatchesPerPointCalls) {
     ASSERT_TRUE(m.ok) << m.error;
     ASSERT_EQ(m.values.size(), grid.size());
     for (std::size_t j = 0; j < grid.size(); ++j)
-      EXPECT_TRUE(sameBits(m.values[j],
-                           analysis::unavailability(*report.analysis, grid[j])))
+      EXPECT_TRUE(sameBits(
+          m.values[j],
+          ctmc::probabilityOfLabelAt(
+              analysis::fullExtraction(*report.analysis).chain, kDown,
+              grid[j])))
           << "t=" << grid[j];
   }
 }

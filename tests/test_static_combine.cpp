@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "analysis/analyzer.hpp"
-#include "analysis/measures.hpp"
 #include "analysis/static_combine.hpp"
 #include "common/error.hpp"
 #include "dft/builder.hpp"
@@ -367,6 +366,30 @@ TEST(StaticCombine, SymmetricSiblingsShareOneCurve) {
                        1e-9));
 }
 
+TEST(StaticCombine, StepDerivedStatsAreAFoldOfTheSteps) {
+  // The numeric path concatenates the module pipelines' steps; every
+  // step-derived field of its stats is the engine's fold of those steps.
+  AnalysisReport on = analyzeCold(dft::corpus::clonedCas(4), true);
+  ASSERT_TRUE(on.analysis->staticCombo != nullptr);
+  const CompositionStats& stats = on.stats();
+  ASSERT_FALSE(stats.steps.empty());
+  CompositionStats folded;
+  folded.steps = stats.steps;
+  folded.foldSteps();
+  EXPECT_EQ(stats.peakComposedStates, folded.peakComposedStates);
+  EXPECT_EQ(stats.peakComposedTransitions, folded.peakComposedTransitions);
+  EXPECT_EQ(stats.peakAggregatedStates, folded.peakAggregatedStates);
+  EXPECT_EQ(stats.peakAggregatedTransitions,
+            folded.peakAggregatedTransitions);
+  EXPECT_EQ(stats.onTheFlySteps, folded.onTheFlySteps);
+  EXPECT_EQ(stats.onTheFlyFallbacks, folded.onTheFlyFallbacks);
+  EXPECT_EQ(stats.onTheFlySavedPeakStates, folded.onTheFlySavedPeakStates);
+  EXPECT_EQ(stats.otfRefinePassesRun, folded.otfRefinePassesRun);
+  EXPECT_EQ(stats.otfIntraWorkers, folded.otfIntraWorkers);
+  EXPECT_EQ(stats.onTheFlyFallbackReasons, folded.onTheFlyFallbackReasons);
+  EXPECT_GT(stats.peakComposedStates, 0u);
+}
+
 TEST(StaticCombine, JointProductIsNeverMaterialized) {
   // clonedCas(3) composed fully peaks at thousands of states; numerically
   // combined it peaks at the largest single module pipeline.
@@ -465,9 +488,18 @@ TEST(StaticCombine, FreeFunctionFacadeEvaluatesNumericAnalyses) {
   AnalysisReport rep = analyzeCold(dft::corpus::cas(), true, {1.0});
   ASSERT_TRUE(rep.analysis->staticCombo != nullptr);
   const DftAnalysis& a = *rep.analysis;
-  EXPECT_EQ(unreliability(a, 1.0), rep.measures[0].values[0]);
-  EXPECT_EQ(unreliabilityCurve(a, {1.0})[0], rep.measures[0].values[0]);
-  ctmdp::ReachabilityBounds b = unreliabilityBounds(a, 1.0);
+  // A second cold request asks for the point value, a curve through the
+  // same time and the scheduler bounds; on the numeric path all three
+  // repeat the first request's value.
+  AnalysisReport again = Analyzer(coldOptions()).analyze(
+      AnalysisRequest::forDft(dft::corpus::cas())
+          .measure(MeasureSpec::unreliability({1.0}))
+          .measure(MeasureSpec::unreliability({0.5, 1.0}))
+          .measure(MeasureSpec::unreliabilityBounds({1.0})));
+  ASSERT_TRUE(again.analysis->staticCombo != nullptr);
+  EXPECT_EQ(again.measures[0].values.at(0), rep.measures[0].values[0]);
+  EXPECT_EQ(again.measures[1].values.at(1), rep.measures[0].values[0]);
+  ctmdp::ReachabilityBounds b = again.measures[2].bounds.at(0);
   EXPECT_EQ(b.lower, rep.measures[0].values[0]);
   EXPECT_EQ(b.upper, rep.measures[0].values[0]);
   EXPECT_THROW(fullExtraction(a), Error);

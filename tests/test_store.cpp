@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "analysis/analyzer.hpp"
-#include "analysis/measures.hpp"
 #include "dft/corpus.hpp"
 #include "dft/galileo.hpp"
 #include "ioimc/serialize.hpp"
