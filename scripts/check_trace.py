@@ -16,11 +16,17 @@ Checks, in order:
   6. Optionally (--expect-span / --forbid-span), named spans or instants
      must appear at least once / must never appear.
 
+With --self-times it then prints, per span name, the summed self and
+inclusive seconds.  The rule is the one obs::selfTimes applies (the
+numbers `dftimc --stats` prints): a span's inclusive time is its
+duration, its self time that duration minus its direct children on the
+same thread.
+
 Exit status 0 when every check passes, 1 with a diagnostic otherwise.
 Stdlib only; usage:
 
     check_trace.py TRACE.json [--min-coverage 0.95] [--expect-span NAME]...
-                   [--forbid-span NAME]...
+                   [--forbid-span NAME]... [--self-times]
 """
 
 import argparse
@@ -46,6 +52,9 @@ def main():
     parser.add_argument("--forbid-span", action="append", default=[],
                         help="span name that must never appear "
                              "(repeatable)")
+    parser.add_argument("--self-times", action="store_true",
+                        help="print self and inclusive seconds per span "
+                             "name")
     args = parser.parse_args()
 
     try:
@@ -69,6 +78,10 @@ def main():
     spans = []                   # (begin_ts, end_ts)
     begin_ts = defaultdict(list)
     names = set()
+    # Self times nest per thread: tid -> [[begin_ts, child_us], ...].
+    open_by_tid = defaultdict(list)
+    self_us = defaultdict(float)
+    inclusive_us = defaultdict(float)
     for i, ev in enumerate(events):
         if not isinstance(ev, dict):
             fail(f"event {i} is not an object")
@@ -92,6 +105,7 @@ def main():
         if ph == "B":
             stacks[track].append(ev["name"])
             begin_ts[track].append(ev["ts"])
+            open_by_tid[ev["tid"]].append([ev["ts"], 0.0])
             names.add(ev["name"])
         elif ph == "E":
             if not stacks[track]:
@@ -101,6 +115,12 @@ def main():
                 fail(f"event {i}: 'E' for {ev['name']!r} closes "
                      f"{opened!r} on track {track}")
             spans.append((begin_ts[track].pop(), ev["ts"]))
+            opened_at, child_us = open_by_tid[ev["tid"]].pop()
+            dur = ev["ts"] - opened_at
+            self_us[opened] += dur - min(child_us, dur)
+            inclusive_us[opened] += dur
+            if open_by_tid[ev["tid"]]:
+                open_by_tid[ev["tid"]][-1][1] += dur
         else:  # instant
             names.add(ev["name"])
     for track, stack in stacks.items():
@@ -141,6 +161,11 @@ def main():
     print(f"check_trace: OK: {len(events)} events ({n_spans} spans, "
           f"{n_instants} instants, {dropped} dropped), "
           f"coverage {coverage:.3f}")
+    if args.self_times:
+        print(f"{'span':<24} {'self [s]':>14} {'inclusive [s]':>14}")
+        for name in sorted(inclusive_us):
+            print(f"{name:<24} {self_us[name] * 1e-6:>14.9f} "
+                  f"{inclusive_us[name] * 1e-6:>14.9f}")
 
 
 if __name__ == "__main__":

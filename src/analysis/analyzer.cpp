@@ -33,10 +33,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double secondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
 /// The absorbed extraction of a closed engine result, which is already a
 /// minimal quotient.  Making the down states absorbing changes nothing when
 /// none of them has an outgoing transition, and aggregate() maps a minimal
@@ -419,8 +415,8 @@ std::shared_ptr<store::QuotientStore> Analyzer::openStore(
 
 std::shared_ptr<const DftAnalysis> Analyzer::runNumericPipeline(
     const dft::Dft& tree, const dft::StaticLayer& layer,
-    const AnalysisOptions& opts, PhaseTimings& timings,
-    CacheStats& requestStats, std::vector<Diagnostic>& diagnostics,
+    const AnalysisOptions& opts, CacheStats& requestStats,
+    std::vector<Diagnostic>& diagnostics,
     const std::shared_ptr<store::QuotientStore>& store) {
   obs::TraceSpan span("numeric-combine");
   // Belt and suspenders: the layer's structural checks already imply that
@@ -473,14 +469,7 @@ std::shared_ptr<const DftAnalysis> Analyzer::runNumericPipeline(
       if (!sub) {
         ++requestStats.moduleMisses;
         const dft::Dft moduleDft = dft::extractModule(tree, root);
-        PhaseTimings subTimings;
-        sub = runPipeline(moduleDft, opts, subTimings, requestStats, store);
-        // Fold *all* phases of the sub-module pipeline (including the
-        // fused-engine stage breakdown), not just convert/compose/extract:
-        // the per-module pipelines are the only place this request spends
-        // pipeline time, so dropping fields would make --stats, the serve
-        // summary and traces disagree.
-        timings.accumulate(subTimings);
+        sub = runPipeline(moduleDft, opts, requestStats, store);
         if (sub->nondeterministic) {
           diagnostics.push_back(
               {Severity::Warning,
@@ -565,7 +554,7 @@ std::vector<double> Analyzer::cachedCurve(
 }
 
 std::shared_ptr<const DftAnalysis> Analyzer::runPipeline(
-    const dft::Dft& tree, const AnalysisOptions& opts, PhaseTimings& timings,
+    const dft::Dft& tree, const AnalysisOptions& opts,
     CacheStats& requestStats,
     const std::shared_ptr<store::QuotientStore>& store) {
   ConversionOptions conversion = opts.conversion;
@@ -573,19 +562,16 @@ std::shared_ptr<const DftAnalysis> Analyzer::runPipeline(
       conversion.symbols && conversion.symbols != symbols_;
   if (!conversion.symbols) conversion.symbols = symbols_;
 
-  Clock::time_point phase = Clock::now();
   std::optional<obs::TraceSpan> span;
   span.emplace("convert");
   Community community = convertDft(tree, conversion);
   span->arg("models", community.models.size());
   span.reset();
-  timings.convert = secondsSince(phase);
   const bool repairable = community.repairable;
   // Keep the activation contexts alive past the move of the community into
   // the engine: the module-cache hook consults them for cacheability.
   const std::vector<ActivationContext> contexts = community.contexts;
 
-  phase = Clock::now();
   span.emplace("compose");
   // Cached module models are interned in the session table; a community
   // built over a caller-supplied table cannot exchange models with them.
@@ -603,16 +589,13 @@ std::shared_ptr<const DftAnalysis> Analyzer::runPipeline(
   span->arg("steps", engine.stats.steps.size());
   span->arg("states", engine.model.numStates());
   span.reset();
-  timings.compose = secondsSince(phase);
   requestStats.stepsRun += engine.stats.steps.size();
   requestStats.stepsSaved += engine.stats.stepsSaved;
   requestStats.otfRefinePassesRun += engine.stats.otfRefinePassesRun;
 
-  phase = Clock::now();
   span.emplace("extract");
   Extraction absorbed = absorbedExtraction(engine.model, opts.engine.weak);
   span.reset();
-  timings.extract = secondsSince(phase);
 
   DftAnalysis result{std::move(engine.model), std::move(engine.stats),
                      std::move(absorbed), false, repairable, nullptr,
@@ -636,7 +619,6 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
   obs::TraceSpan requestSpan("request", request.label);
 
   // --- Resolve the DFT source. ---
-  Clock::time_point phase = Clock::now();
   std::optional<dft::Dft> parsed;
   const dft::Dft* tree = nullptr;
   {
@@ -657,7 +639,6 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
         break;
     }
   }
-  report.timings.parse = secondsSince(phase);
 
   // --- Resource budget. ---
   // A limited request gets a CancelToken wired through the engine options
@@ -807,8 +788,8 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
         dft::StaticLayer layer = dft::detectStaticLayer(*tree);
         if (layer.eligible) {
           analysis =
-              runNumericPipeline(*tree, layer, options, report.timings,
-                                 report.cache, report.diagnostics, storeHandle);
+              runNumericPipeline(*tree, layer, options, report.cache,
+                                 report.diagnostics, storeHandle);
           if (analysis) storeKey = numericKey;
           // Null = a module was nondeterministic (Warning already
           // attached); the fallen-back full analysis lands under fullKey.
@@ -824,8 +805,8 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
         // entirely; only the extraction tail runs on the already-aggregated
         // quotient.  Numeric-path analyses are never persisted whole-tree
         // (their value lives in module and curve records), so the probe is
-        // for the full key.
-        phase = Clock::now();
+        // for the full key.  The probe is timed as an extract span.
+        obs::TraceSpan extractSpan("extract");
         if (std::optional<store::QuotientStore::LoadedTree> loaded =
                 storeHandle->loadTree(fullKey, symbols_)) {
           Extraction absorbed =
@@ -837,7 +818,6 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
           analysis = std::make_shared<DftAnalysis>(std::move(rebuilt));
           ++report.cache.storeHits;
           obs::traceInstant("store-probe", request.label, {{"hit", 1}});
-          report.timings.extract += secondsSince(phase);
           report.diagnostics.push_back(
               {Severity::Info,
                "whole-tree quotient served from the persistent store "
@@ -848,8 +828,7 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
         }
       }
       if (!analysis) {
-        analysis = runPipeline(*tree, options, report.timings, report.cache,
-                               storeHandle);
+        analysis = runPipeline(*tree, options, report.cache, storeHandle);
         fresh = true;
       }
       if (report.cache.moduleHits > 0)
@@ -920,7 +899,6 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
         {Severity::Info, analysis->staticCombo->summary()});
 
   // --- Evaluate the measures. ---
-  phase = Clock::now();
   // Numeric-path curves are served through the session curve cache, so a
   // batch over symmetric or repeated grids solves each distinct chain once.
   auto numericCurve = [&](const std::vector<double>& times) {
@@ -1054,7 +1032,6 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
     }
     report.measures.push_back(std::move(r));
   }
-  report.timings.measure = secondsSince(phase);
 
   // --- Session bookkeeping. ---
   if (storeHandle) {
@@ -1072,7 +1049,9 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
   }
   requestSpan.arg("from_cache", report.fromCache ? 1 : 0);
   requestSpan.arg("measures", report.measures.size());
-  publishRequestMetrics(report, secondsSince(requestStart));
+  publishRequestMetrics(
+      report,
+      std::chrono::duration<double>(Clock::now() - requestStart).count());
   return report;
 }
 

@@ -164,7 +164,7 @@ class Analyzer {
 
   std::shared_ptr<const DftAnalysis> runPipeline(
       const dft::Dft& tree, const AnalysisOptions& opts,
-      PhaseTimings& timings, CacheStats& requestStats,
+      CacheStats& requestStats,
       const std::shared_ptr<store::QuotientStore>& store);
 
   /// The static-combination numeric path: per-module pipelines + BDD
@@ -174,8 +174,8 @@ class Analyzer {
   /// runPipeline.
   std::shared_ptr<const DftAnalysis> runNumericPipeline(
       const dft::Dft& tree, const dft::StaticLayer& layer,
-      const AnalysisOptions& opts, PhaseTimings& timings,
-      CacheStats& requestStats, std::vector<Diagnostic>& diagnostics,
+      const AnalysisOptions& opts, CacheStats& requestStats,
+      std::vector<Diagnostic>& diagnostics,
       const std::shared_ptr<store::QuotientStore>& store);
 
   /// Serves a numeric-path chain's curve from the session curve cache

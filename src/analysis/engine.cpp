@@ -943,33 +943,18 @@ EngineResult composeCommunity(Community community, const dft::Dft& dft,
     return result;
   };
 
-  auto sequentialMerge = [&](std::vector<std::size_t> live) {
+  if (opts.strategy == CompositionStrategy::Declaration) {
     CompositionStats stats;
-    const bool merged = live.size() > 1;
-    std::size_t finalIdx =
-        mergePool(slots, std::move(live), opts, stats.steps, nullptr);
+    const std::size_t originalCount = slots.size();
+    std::size_t acc = 0;
+    for (std::size_t i = 1; i < originalCount; ++i) {
+      std::vector<std::size_t> pair{acc, i};
+      acc = mergePool(slots, std::move(pair), opts, stats.steps, nullptr);
+    }
     stats.foldSteps();
     return finishResult(
-        EngineResult{std::move(*slots[finalIdx]), std::move(stats)}, merged);
-  };
-
-  if (opts.strategy != CompositionStrategy::Modular) {
-    std::vector<std::size_t> live(slots.size());
-    for (std::size_t i = 0; i < live.size(); ++i) live[i] = i;
-    if (opts.strategy == CompositionStrategy::Declaration) {
-      CompositionStats stats;
-      const std::size_t originalCount = slots.size();
-      std::size_t acc = 0;
-      for (std::size_t i = 1; i < originalCount; ++i) {
-        std::vector<std::size_t> pair{acc, i};
-        acc = mergePool(slots, std::move(pair), opts, stats.steps, nullptr);
-      }
-      stats.foldSteps();
-      return finishResult(
-          EngineResult{std::move(*slots[acc]), std::move(stats)},
-          originalCount > 1);
-    }
-    return sequentialMerge(std::move(live));
+        EngineResult{std::move(*slots[acc]), std::move(stats)},
+        originalCount > 1);
   }
 
   // Build the module containment tree (modules sorted by size, so a
@@ -995,7 +980,8 @@ EngineResult composeCommunity(Community community, const dft::Dft& dft,
   // The root module (whole tree) is the largest one containing top.
   // Trees where an element below the top is also watched by a gate
   // outside the top's dependency closure have no independent module
-  // around the top at all; fall back to plain greedy composition then.
+  // around the top at all; the merge planner then folds the whole
+  // community as one pool.
   int rootNode = -1;
   for (std::size_t i = 0; i < modules.size(); ++i)
     if (parent[i] < 0 && std::binary_search(modules[i].members.begin(),
@@ -1003,9 +989,16 @@ EngineResult composeCommunity(Community community, const dft::Dft& dft,
                                             dft.top()))
       rootNode = static_cast<int>(i);
   if (rootNode < 0) {
+    modularizeSpan.reset();
     std::vector<std::size_t> live(slots.size());
     for (std::size_t i = 0; i < live.size(); ++i) live[i] = i;
-    return sequentialMerge(std::move(live));
+    CompositionStats stats;
+    const bool merged = live.size() > 1;
+    const std::size_t finalIdx =
+        mergePool(slots, std::move(live), opts, stats.steps, nullptr);
+    stats.foldSteps();
+    return finishResult(
+        EngineResult{std::move(*slots[finalIdx]), std::move(stats)}, merged);
   }
   // Any other parentless module hangs off the root (conservative).
   for (std::size_t i = 0; i < modules.size(); ++i)

@@ -24,11 +24,8 @@ enum class CompositionStrategy {
   /// Compose the models of each independent DFT module first (the paper's
   /// Section 5.2 modular analysis); the merge planner orders each module.
   Modular,
-  /// The merge planner over the whole community as one pool: repeatedly
-  /// merge the synchronizing pair with the lowest predicted cost (product
-  /// size, doubled per action the merged model still shows).
-  Greedy,
-  /// Fold the community left to right as converted.
+  /// Fold the community left to right as converted.  Kept as the tests'
+  /// cross-order oracle: the same measures from a different merge order.
   Declaration,
 };
 
@@ -72,7 +69,7 @@ struct EngineOptions {
   /// analysis/static_combine.hpp).  Falls back to full composition, with a
   /// diagnostic, whenever eligibility cannot be proven or a module turns
   /// out nondeterministic.  Exact up to CTMC transient tolerances; the E14
-  /// bench enforces 1e-9-relative agreement with the composition path.
+  /// tests enforce 1e-9-relative agreement with the composition path.
   bool staticCombine = true;
   /// Fused compose-and-minimize (ioimc::otf::otfComposeAggregate): every
   /// per-step compose/hide/collapse/aggregate chain explores the
@@ -82,7 +79,7 @@ struct EngineOptions {
   /// running quotient instead of the full reachable product.  The fused
   /// result is canonically renumbered and verified inline as a fixpoint of
   /// the ordinary refinement; measures are bit-identical to the classic path
-  /// (the E15 bench enforces this).  Any invariant failure falls back to
+  /// (the E15 tests enforce this).  Any invariant failure falls back to
   /// the classic chain for that step — never a wrong answer — and is
   /// counted in CompositionStats::onTheFlyFallbacks (the Analyzer attaches
   /// a Diagnostic).  Only applies when aggregateEachStep is on.
@@ -177,7 +174,7 @@ struct CompositionStats {
   /// Peak states the fused steps never materialized, summed against the
   /// |left| x |right| materialization bound of each fused step (the exact
   /// reachable-product size is only known when the classic path runs; the
-  /// E15 bench measures that comparison directly).
+  /// E15 tests make that comparison directly).
   std::size_t onTheFlySavedPeakStates = 0;
   /// Partial refinement passes run across all fused steps.
   std::size_t otfRefinePassesRun = 0;

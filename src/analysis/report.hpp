@@ -13,8 +13,8 @@
 
 /// \file report.hpp
 /// The typed response side of the Analyzer session API: per-measure
-/// results, structured diagnostics, composition statistics, cache-hit
-/// counters and per-phase timings.
+/// results, structured diagnostics, composition statistics and cache-hit
+/// counters.  Phase times are the request's trace spans (obs/trace.hpp).
 
 namespace imcdft::analysis {
 
@@ -78,28 +78,6 @@ struct MeasureResult {
   /// bounds were returned instead of point values (with a warning).
   bool boundsSubstituted = false;
   std::string error;
-};
-
-/// Wall-clock seconds spent in each phase of serving one request.
-struct PhaseTimings {
-  double parse = 0.0;    ///< Galileo parsing (0 for in-memory trees)
-  double convert = 0.0;  ///< DFT -> I/O-IMC community
-  double compose = 0.0;  ///< compose/hide/aggregate folding
-  double extract = 0.0;  ///< absorption + CTMC/CTMDP extraction
-  double measure = 0.0;  ///< numerical solvers over all measures
-  /// Finer breakdowns (the fused engine's otf.* stages, per-step and
-  /// per-module time) come from the trace spans (obs::selfTimes).
-  double total() const {
-    return parse + convert + compose + extract + measure;
-  }
-  /// Field-wise sum (sub-module pipelines and serve-batch aggregation).
-  void accumulate(const PhaseTimings& other) {
-    parse += other.parse;
-    convert += other.convert;
-    compose += other.compose;
-    extract += other.extract;
-    measure += other.measure;
-  }
 };
 
 /// Cache activity, either of one request (AnalysisReport::cache) or of a
@@ -179,7 +157,6 @@ struct AnalysisReport {
   std::vector<MeasureResult> measures;
   std::vector<Diagnostic> diagnostics;
   CacheStats cache;  ///< activity attributable to this request alone
-  PhaseTimings timings;
 
   const CompositionStats& stats() const { return analysis->stats; }
   bool nondeterministic() const { return analysis->nondeterministic; }

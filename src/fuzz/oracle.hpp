@@ -19,8 +19,8 @@
 ///    symmetry reduction are all engineered to be bit-identical to it.
 ///    Any differing bit is a bug by definition.
 ///  * *1e-9-relative* against the static-combine numeric path, which is
-///    exact only up to CTMC transient tolerances (the E14 bench enforces
-///    the same band).  Where the tree is ineligible the numeric request
+///    exact only up to CTMC transient tolerances (the E14 ctest
+///    StaticCombine.WideFamiliesStayAtModuleSize enforces the same band).  Where the tree is ineligible the numeric request
 ///    falls back to composition internally and the comparison tightens to
 ///    bitwise for free.
 ///  * *Statistical coverage* against the Monte-Carlo simulator: the

@@ -250,6 +250,7 @@ SelfTimes selfTimes(const TraceSnapshot& snap) {
     const std::uint64_t self =
         rec->durNanos - std::min(childNanos, rec->durNanos);
     out.seconds[rec->name] += static_cast<double>(self) * 1e-9;
+    out.inclusive[rec->name] += static_cast<double>(rec->durNanos) * 1e-9;
   };
   for (const TraceRecord* r : spans) {
     while (!open.empty() && (open.back().first->tid != r->tid ||

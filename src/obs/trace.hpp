@@ -139,20 +139,30 @@ struct TraceSnapshot {
 /// needed happens-before edges).
 TraceSnapshot snapshotTrace();
 
-/// Self time per span name: each span's duration minus what its direct
-/// children on the same thread cover (nesting comes from the per-thread
-/// sequence numbers), summed over every span of that name.  Instants are
-/// ignored.  This is the one reducer behind every per-stage breakdown
-/// (`dftimc --stats`, bench_compose), so stage numbers always come from the
-/// same spans a --trace export shows.
+/// Self and inclusive time per span name.  A span's self time is its
+/// duration minus what its direct children on the same thread cover
+/// (nesting comes from the per-thread sequence numbers); its inclusive time
+/// is its whole duration.  Both are summed over every span of that name.
+/// Instants are ignored.  This is the one reducer behind every per-phase
+/// and per-stage breakdown (`dftimc --stats`), so those numbers always come
+/// from the same spans a --trace export shows.
 struct SelfTimes {
-  std::map<std::string, double, std::less<>> seconds;  ///< by span name
+  std::map<std::string, double, std::less<>> seconds;    ///< self, by name
+  std::map<std::string, double, std::less<>> inclusive;  ///< by span name
   std::size_t dropped = 0;  ///< the snapshot's ring-overflow losses
 
   /// Self seconds of \p name (0 when no such span was recorded).
-  double of(std::string_view name) const {
-    auto it = seconds.find(name);
-    return it == seconds.end() ? 0.0 : it->second;
+  double of(std::string_view name) const { return lookup(seconds, name); }
+  /// Inclusive seconds of \p name (0 when no such span was recorded).
+  double inclusiveOf(std::string_view name) const {
+    return lookup(inclusive, name);
+  }
+
+ private:
+  static double lookup(const std::map<std::string, double, std::less<>>& m,
+                       std::string_view name) {
+    auto it = m.find(name);
+    return it == m.end() ? 0.0 : it->second;
   }
 };
 

@@ -175,8 +175,7 @@ TEST(Analysis, CasModuleSizesAreSmall) {
 
 TEST(Analysis, CompositionStrategiesAgree) {
   for (auto strategy :
-       {CompositionStrategy::Modular, CompositionStrategy::Greedy,
-        CompositionStrategy::Declaration}) {
+       {CompositionStrategy::Modular, CompositionStrategy::Declaration}) {
     AnalysisOptions opts;
     opts.engine.strategy = strategy;
     AnalysisReport r = analyzeOnce(

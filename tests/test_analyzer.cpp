@@ -9,6 +9,7 @@
 #include "dft/builder.hpp"
 #include "dft/corpus.hpp"
 #include "dft/galileo.hpp"
+#include "obs/trace.hpp"
 
 namespace imcdft::analysis {
 namespace {
@@ -82,40 +83,44 @@ TEST(Analyzer, VariantsShareModulesAcrossTheSession) {
 
 TEST(Analyzer, BatchMatchesSequentialColdRuns) {
   const std::vector<double> grid{0.5, 1.0, 2.0};
-  // Composition path pinned, as in VariantsShareModulesAcrossTheSession:
-  // the cold reference below runs the composition pipeline, and
-  // the numeric path only agrees with it up to transient tolerances.
-  AnalysisOptions viaComposition;
-  viaComposition.engine.staticCombine = false;
-  std::vector<AnalysisRequest> requests;
-  std::vector<double> lambdas{0.2, 0.3, 0.45, 0.7};
-  for (double l : lambdas)
-    requests.push_back(
-        AnalysisRequest::forGalileo(perturbedCas(l), "cs=" + std::to_string(l))
-            .withOptions(viaComposition)
-            .measure(MeasureSpec::unreliability(grid)));
+  // Both pipelines: composition, and the static-combination numeric path
+  // with its solved-chain cache.  Each batch value is checked against a
+  // cold run with the same options, since the two paths only agree with
+  // each other up to transient tolerances.
+  for (bool staticCombine : {false, true}) {
+    SCOPED_TRACE(staticCombine ? "numeric path" : "composition");
+    AnalysisOptions options;
+    options.engine.staticCombine = staticCombine;
+    std::vector<AnalysisRequest> requests;
+    for (double l : {0.2, 0.3, 0.45, 0.7})
+      requests.push_back(AnalysisRequest::forGalileo(
+                             perturbedCas(l), "cs=" + std::to_string(l))
+                             .withOptions(options)
+                             .measure(MeasureSpec::unreliability(grid)));
 
-  Analyzer session;
-  std::vector<AnalysisReport> batch = session.analyzeBatch(requests);
-  ASSERT_EQ(batch.size(), requests.size());
+    Analyzer session;
+    std::vector<AnalysisReport> batch = session.analyzeBatch(requests);
+    ASSERT_EQ(batch.size(), requests.size());
 
-  std::size_t batchSteps = 0, coldSteps = 0;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_EQ(batch[i].label, requests[i].label);
-    batchSteps += batch[i].cache.stepsRun;
-    AnalysisReport cold =
-        analyzeOnce(dft::parseGalileo(perturbedCas(lambdas[i])),
-                    {MeasureSpec::unreliability(grid)});
-    coldSteps += cold.stats().steps.size();
-    ASSERT_EQ(batch[i].measures.size(), 1u);
-    for (std::size_t k = 0; k < grid.size(); ++k)
-      EXPECT_NEAR(batch[i].measures[0].values.at(k),
-                  cold.measures[0].values.at(k), 1e-12)
-          << requests[i].label;
+    std::size_t batchSteps = 0, coldSteps = 0;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_EQ(batch[i].label, requests[i].label);
+      batchSteps += batch[i].cache.stepsRun;
+      AnalysisReport cold =
+          Analyzer({.cacheTrees = false, .cacheModules = false})
+              .analyze(requests[i]);
+      EXPECT_EQ(cold.analysis->staticCombo != nullptr, staticCombine);
+      coldSteps += cold.stats().steps.size();
+      ASSERT_EQ(batch[i].measures.size(), 1u);
+      for (std::size_t k = 0; k < grid.size(); ++k)
+        EXPECT_NEAR(batch[i].measures[0].values.at(k),
+                    cold.measures[0].values.at(k), 1e-12)
+            << requests[i].label;
+    }
+    EXPECT_LT(batchSteps, coldSteps);
+    EXPECT_EQ(session.cacheStats().stepsRun, batchSteps);
+    EXPECT_GT(session.cacheStats().moduleHits, 0u);
   }
-  EXPECT_LT(batchSteps, coldSteps);
-  EXPECT_EQ(session.cacheStats().stepsRun, batchSteps);
-  EXPECT_GT(session.cacheStats().moduleHits, 0u);
 }
 
 TEST(Analyzer, NondeterministicModelYieldsBoundsAndWarning) {
@@ -320,18 +325,26 @@ TEST(Analyzer, CustomSymbolTableBypassesTheCaches) {
 }
 
 TEST(Analyzer, TimingsAreRecorded) {
+  // Phase times are the request's spans.
   Analyzer session;
-  AnalysisReport report = session.analyze(
-      AnalysisRequest::forGalileo(dft::corpus::galileoCas())
-          .measure(MeasureSpec::unreliability({1.0})));
-  EXPECT_GT(report.timings.compose, 0.0);
-  EXPECT_GT(report.timings.total(), 0.0);
+  auto tracedRequest = [&session] {
+    obs::clearTrace();
+    obs::setTraceEnabled(true);
+    (void)session.analyze(
+        AnalysisRequest::forGalileo(dft::corpus::galileoCas())
+            .measure(MeasureSpec::unreliability({1.0})));
+    obs::setTraceEnabled(false);
+    const obs::SelfTimes spans = obs::selfTimes(obs::snapshotTrace());
+    obs::clearTrace();
+    return spans;
+  };
+  const obs::SelfTimes cold = tracedRequest();
+  EXPECT_GT(cold.inclusiveOf("compose"), 0.0);
+  EXPECT_GT(cold.inclusiveOf("request"), 0.0);
   // A cache hit skips convert/compose/extract entirely.
-  AnalysisReport hit = session.analyze(
-      AnalysisRequest::forGalileo(dft::corpus::galileoCas())
-          .measure(MeasureSpec::unreliability({1.0})));
-  EXPECT_EQ(hit.timings.compose, 0.0);
-  EXPECT_EQ(hit.timings.convert, 0.0);
+  const obs::SelfTimes hit = tracedRequest();
+  EXPECT_EQ(hit.inclusive.count("compose"), 0u);
+  EXPECT_EQ(hit.inclusive.count("convert"), 0u);
 }
 
 }  // namespace

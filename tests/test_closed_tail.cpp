@@ -186,8 +186,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ClosedTailFuzz, ::testing::Range(0, 6));
 TEST(ClosedTail, EveryStrategySkipsFinalize) {
   const dft::Dft tree = dft::corpus::cps();
   for (CompositionStrategy strategy :
-       {CompositionStrategy::Modular, CompositionStrategy::Greedy,
-        CompositionStrategy::Declaration}) {
+       {CompositionStrategy::Modular, CompositionStrategy::Declaration}) {
     EngineOptions opts;
     opts.strategy = strategy;
     auto [r, finalized] = traceFinalize(tree, opts);
@@ -218,7 +217,7 @@ TEST(ClosedTail, OneModelCommunityStillFinalizes) {
 
   EngineOptions opts;
   opts.numThreads = 1;
-  opts.strategy = CompositionStrategy::Greedy;  // no module tree to walk
+  opts.strategy = CompositionStrategy::Declaration;  // no module tree to walk
   auto [r, finalized] = traceFinalize([&] {
     return analysis::composeCommunity(std::move(single), tree, opts);
   });

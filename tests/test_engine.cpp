@@ -61,12 +61,32 @@ TEST(Engine, CpsModulesAggregateToTheFigure9Chain) {
   }
 }
 
-TEST(Engine, GreedyAndDeclarationSkipModuleBookkeeping) {
-  EngineOptions greedy;
-  greedy.strategy = CompositionStrategy::Greedy;
-  EngineResult r = run(dft::corpus::cps(), greedy);
+TEST(Engine, DeclarationSkipsModuleBookkeeping) {
+  EngineOptions decl;
+  decl.strategy = CompositionStrategy::Declaration;
+  EngineResult r = run(dft::corpus::cps(), decl);
   EXPECT_TRUE(r.stats.modules.empty());
   EXPECT_GT(r.stats.steps.size(), 0u);
+}
+
+TEST(Engine, TreeWithoutATopModuleMergesAsOnePool) {
+  // "Side" watches A from outside the top's dependency closure, so no
+  // independent module contains the top: the merge planner folds the
+  // whole community as one pool and records no modules.
+  dft::Dft d = dft::DftBuilder()
+                   .basicEvent("A", 1.0)
+                   .basicEvent("B", 2.0)
+                   .andGate("Top", {"A", "B"})
+                   .orGate("Side", {"A"})
+                   .top("Top")
+                   .build();
+  EngineResult r = run(d);
+  EXPECT_TRUE(r.stats.modules.empty());
+  EXPECT_EQ(r.stats.steps.size(), convertDft(d).models.size() - 1);
+  EXPECT_TRUE(r.model.isClosed());
+  EngineOptions decl;
+  decl.strategy = CompositionStrategy::Declaration;
+  EXPECT_EQ(r.model.numStates(), run(d, decl).model.numStates());
 }
 
 TEST(Engine, PeaksAreConsistent) {

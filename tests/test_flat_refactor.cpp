@@ -207,9 +207,11 @@ AnalyzerOptions coldOptions() {
 }
 
 AnalysisReport analyzeWithThreads(const dft::Dft& d, unsigned threads,
-                                  std::vector<MeasureSpec> measures) {
+                                  std::vector<MeasureSpec> measures,
+                                  EngineOptions engine = {}) {
   Analyzer session(coldOptions());
   AnalysisRequest req = AnalysisRequest::forDft(d);
+  req.options.engine = std::move(engine);
   req.options.engine.numThreads = threads;
   for (MeasureSpec& m : measures) req.measure(std::move(m));
   return session.analyze(req);
@@ -220,30 +222,57 @@ const std::vector<double> kGrid{0.5, 1.0, 2.0};
 /// Pre-refactor (PR 1 tip) values: unreliability on the grid, then MTTF.
 struct Golden {
   const char* name;
+  dft::Dft tree;
   std::vector<double> unreliability;
   double mttf;  ///< NaN = not checked, inf allowed
 };
 
 TEST(FlatRefactorGolden, MeasuresMatchPreRefactorPipeline) {
+  constexpr double kUnchecked = std::numeric_limits<double>::quiet_NaN();
   const std::vector<Golden> goldens{
-      {"cas",
+      {"cas", dft::corpus::cas(),
        {0.31665058840868077, 0.65790029695800267, 0.95078305010911945},
        0.85973600037066156},
-      {"cps",
+      {"cps", dft::corpus::cps(),
        {4.5899574792177405e-06, 0.0013566809407112423, 0.058217237951973762},
        std::numeric_limits<double>::infinity()},
-      {"hecs",
+      {"hecs", dft::corpus::hecs(),
        {0.067773399769818263, 0.13969399650565353, 0.28780497262613031},
        4.2423510689735924},
-      {"fig10a",
+      {"fig10a", dft::corpus::figure10a(),
        {0.013288446028506666, 0.10327480289036219, 0.44777436550923244},
-       std::numeric_limits<double>::quiet_NaN()},
+       kUnchecked},
+      // The rest of the cascaded-PAND scaling sweep (cps is cps_3x4).
+      {"cps_2x3", dft::corpus::cascadedPands(2, 3),
+       {0.0018553907431752357, 0.031898443794464416, 0.20895676219182924},
+       kUnchecked},
+      {"cps_3x3", dft::corpus::cascadedPands(3, 3),
+       {7.5348877816615496e-05, 0.0053712823471252615, 0.090055114785068668},
+       kUnchecked},
+      {"cps_4x3", dft::corpus::cascadedPands(4, 3),
+       {3.4424681094133067e-06, 0.0010175107055334321, 0.043662928463980316},
+       kUnchecked},
+      {"cps_4x4", dft::corpus::cascadedPands(4, 4),
+       {8.2510361910116204e-08, 0.00016245707828087738, 0.024406404842962005},
+       kUnchecked},
+      {"cps_6x6", dft::corpus::cascadedPands(6, 6),
+       {4.2020575826987086e-16, 1.1236713740215938e-08, 0.00088790663728198428},
+       kUnchecked},
+      {"cps_8x8", dft::corpus::cascadedPands(8, 8),
+       {9.2114505686223758e-29, 2.2254208973589974e-14, 1.1354426441138191e-05},
+       kUnchecked},
+      {"cps_8x10", dft::corpus::cascadedPands(8, 10),
+       {2.9401613875528241e-37, 1.430383343498789e-17, 1.1084827786787282e-06},
+       kUnchecked},
   };
+  // The protocol the values were captured under: symmetry, static
+  // combination and the fused engine off.
+  EngineOptions capture;
+  capture.symmetry = false;
+  capture.staticCombine = false;
+  capture.onTheFly = false;
   for (const Golden& g : goldens) {
-    dft::Dft d = std::string(g.name) == "cas"     ? dft::corpus::cas()
-                 : std::string(g.name) == "cps"   ? dft::corpus::cps()
-                 : std::string(g.name) == "hecs"  ? dft::corpus::hecs()
-                                                  : dft::corpus::figure10a();
+    const dft::Dft& d = g.tree;
     std::vector<MeasureSpec> specs{MeasureSpec::unreliability(kGrid)};
     if (!std::isnan(g.mttf)) specs.push_back(MeasureSpec::mttf());
     AnalysisReport r = analyzeWithThreads(d, 1, std::move(specs));
@@ -259,6 +288,16 @@ TEST(FlatRefactorGolden, MeasuresMatchPreRefactorPipeline) {
       else
         EXPECT_NEAR(r.measures[1].values[0], g.mttf, 1e-12) << g.name;
     }
+    const AnalysisReport one =
+        analyzeWithThreads(d, 1, {MeasureSpec::unreliability(kGrid)}, capture);
+    const AnalysisReport four =
+        analyzeWithThreads(d, 4, {MeasureSpec::unreliability(kGrid)}, capture);
+    ASSERT_TRUE(one.measures[0].ok && four.measures[0].ok) << g.name;
+    ASSERT_EQ(one.measures[0].values.size(), kGrid.size()) << g.name;
+    for (std::size_t i = 0; i < kGrid.size(); ++i)
+      EXPECT_NEAR(one.measures[0].values[i], g.unreliability[i], 1e-9)
+          << g.name << " t=" << kGrid[i];
+    EXPECT_EQ(one.measures[0].values, four.measures[0].values) << g.name;
   }
 }
 

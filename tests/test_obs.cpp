@@ -236,6 +236,11 @@ TEST(TraceObs, SelfTimesSubtractSameThreadChildren) {
   EXPECT_EQ(self.seconds.count("tick"), 0u);
   EXPECT_EQ(self.of("absent"), 0.0);
   EXPECT_EQ(self.dropped, 7u);
+  // Inclusive times are whole durations, children included.
+  EXPECT_NEAR(self.inclusiveOf("outer"), 150e-9, 1e-15);
+  EXPECT_NEAR(self.inclusiveOf("a"), 45e-9, 1e-15);
+  EXPECT_EQ(self.inclusive.count("tick"), 0u);
+  EXPECT_EQ(self.inclusiveOf("absent"), 0.0);
   // Self times partition the root spans' durations.
   double total = 0.0;
   for (const auto& [name, seconds] : self.seconds) total += seconds;

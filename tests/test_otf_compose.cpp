@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <random>
 #include <string>
 #include <vector>
@@ -285,6 +286,36 @@ TEST(OtfEngine, MeasuresBitIdenticalAcrossCorpus) {
     EXPECT_EQ(on.analysis->closedModel.numStates(),
               off.analysis->closedModel.numStates())
         << f.name;
+  }
+}
+
+// Deep PAND-over-module chains (static combination cannot apply) and wide
+// CPS families: every step fuses, and the fused peak stays strictly below
+// the classic product in both states and transitions.
+TEST(OtfEngine, FusedPeakBelowClassicOnDeepFamilies) {
+  const struct {
+    const char* name;
+    dft::Dft tree;
+  } families[] = {
+      {"cpand_4x2", dft::corpus::cascadedPand(4, 2)},
+      {"cpand_4x3", dft::corpus::cascadedPand(4, 3)},
+      {"cpand_6x2", dft::corpus::cascadedPand(6, 2)},
+      {"cps_8x10", dft::corpus::cascadedPands(8, 10)},
+      {"cps_6x14", dft::corpus::cascadedPands(6, 14)},
+  };
+  for (const auto& f : families) {
+    SCOPED_TRACE(f.name);
+    analysis::AnalysisReport off = analyzeWith(f.tree, false);
+    analysis::AnalysisReport on = analyzeWith(f.tree, true);
+    ASSERT_TRUE(on.measures[0].ok && off.measures[0].ok);
+    EXPECT_EQ(on.measures[0].values, off.measures[0].values);
+    for (double v : on.measures[0].values) EXPECT_FALSE(std::isnan(v));
+    EXPECT_LT(on.stats().peakComposedStates, off.stats().peakComposedStates);
+    EXPECT_LT(on.stats().peakComposedTransitions,
+              off.stats().peakComposedTransitions);
+    EXPECT_EQ(on.stats().onTheFlySteps, on.stats().steps.size());
+    EXPECT_EQ(on.stats().onTheFlyFallbacks, 0u);
+    EXPECT_EQ(off.stats().onTheFlySteps, 0u);
   }
 }
 

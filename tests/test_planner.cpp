@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <set>
 #include <vector>
@@ -80,6 +81,10 @@ TEST(Planner, PinnedPeaksOnCliffSeeds) {
     EXPECT_EQ(report.stats().peakComposedTransitions, c.peakTransitions)
         << "seed " << c.seed;
     EXPECT_EQ(report.stats().onTheFlyFallbacks, 0u) << "seed " << c.seed;
+    ASSERT_FALSE(report.measures[0].bounds.empty()) << "seed " << c.seed;
+    for (const auto& b : report.measures[0].bounds)
+      EXPECT_TRUE(std::isfinite(b.lower) && std::isfinite(b.upper))
+          << "seed " << c.seed;
   }
 }
 

@@ -42,10 +42,12 @@ AnalyzerOptions coldOptions() {
 }
 
 AnalysisReport analyzeCold(const dft::Dft& d, bool staticCombine,
-                           std::vector<double> grid = {0.5, 1.0, 2.0}) {
+                           std::vector<double> grid = {0.5, 1.0, 2.0},
+                           bool onTheFly = true) {
   Analyzer session(coldOptions());
   AnalysisRequest req = AnalysisRequest::forDft(d);
   req.options.engine.staticCombine = staticCombine;
+  req.options.engine.onTheFly = onTheFly;
   req.measure(MeasureSpec::unreliability(std::move(grid)));
   return session.analyze(req);
 }
@@ -258,6 +260,55 @@ TEST(StaticCombine, EligibleFamiliesAgreeWithComposition) {
     EXPECT_LE(on.stats().peakComposedStates,
               off.stats().peakComposedStates + kOtfPeakJitter)
         << f.name;
+  }
+}
+
+// Wide replicated systems on the classic engine: one frontier module per
+// replicated component (linear in the replica count), one curve per module
+// shape, and a peak that stays at the largest single module.  Where full
+// composition is affordable it is the reference.
+TEST(StaticCombine, WideFamiliesStayAtModuleSize) {
+  struct Family {
+    std::string name;
+    dft::Dft tree;
+    bool compose;        ///< small enough to compose fully
+    std::size_t modules;
+    std::size_t curves;
+    std::size_t peakBound;
+  };
+  std::vector<Family> families;
+  // Cloned CAS: CPU, motor and pump per unit.  clonedCas(8) composed fully
+  // is a ~2.7M-state joint product.
+  for (int k = 2; k <= 8; ++k)
+    families.push_back({"cas_cloned_" + std::to_string(k),
+                        dft::corpus::clonedCas(k), k <= 4,
+                        static_cast<std::size_t>(3 * k), 3, 100});
+  families.push_back({"banks_6x2", dft::corpus::sensorBanks(6, 2), true, 6, 1,
+                      200});
+  families.push_back({"banks_8x2", dft::corpus::sensorBanks(8, 2), true, 8, 1,
+                      200});
+  // Voter farm: a control chain and a power slot per unit.
+  families.push_back({"voter_4of2", dft::corpus::voterFarm(4, 2), true, 8, 2,
+                      100});
+  families.push_back({"voter_6of3", dft::corpus::voterFarm(6, 3), true, 12, 2,
+                      100});
+  families.push_back({"voter_8of4", dft::corpus::voterFarm(8, 4), false, 16,
+                      2, 100});
+  const std::vector<double> grid{0.5, 1.0, 2.0};
+  for (const Family& f : families) {
+    SCOPED_TRACE(f.name);
+    AnalysisReport on = analyzeCold(f.tree, true, grid, /*onTheFly=*/false);
+    ASSERT_TRUE(on.measures[0].ok);
+    ASSERT_TRUE(on.analysis->staticCombo != nullptr);
+    EXPECT_EQ(on.analysis->staticCombo->modules().size(), f.modules);
+    EXPECT_EQ(on.analysis->staticCombo->chains().size(), f.curves);
+    EXPECT_LT(on.stats().peakComposedStates, f.peakBound);
+    for (double v : on.measures[0].values) EXPECT_FALSE(std::isnan(v));
+    if (!f.compose) continue;
+    AnalysisReport off = analyzeCold(f.tree, false, grid, /*onTheFly=*/false);
+    ASSERT_TRUE(off.measures[0].ok);
+    EXPECT_TRUE(agreeRel(on.measures[0].values, off.measures[0].values, 1e-9));
+    EXPECT_LE(on.stats().peakComposedStates, off.stats().peakComposedStates);
   }
 }
 

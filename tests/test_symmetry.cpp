@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -18,7 +19,7 @@
 /// (dft::moduleShape), the renameActions edge cases it relies on, the
 /// engine's one-aggregation-per-shape bucketing with its counters, the
 /// acceptance golden (--symmetry on is bit-identical to --symmetry off
-/// across the bench families), and the Analyzer's shape-keyed module cache
+/// across the replica families), and the Analyzer's shape-keyed module cache
 /// reusing aggregations across renamed scenario variants.
 
 // ---------------------------------------------------------------------------
@@ -240,11 +241,12 @@ AnalyzerOptions coldOptions() {
 
 AnalysisReport analyzeCold(const dft::Dft& d, bool symmetry,
                            std::vector<MeasureSpec> measures,
-                           unsigned threads = 1) {
+                           unsigned threads = 1, bool onTheFly = true) {
   Analyzer session(coldOptions());
   AnalysisRequest req = AnalysisRequest::forDft(d);
   req.options.engine.symmetry = symmetry;
   req.options.engine.numThreads = threads;
+  req.options.engine.onTheFly = onTheFly;
   // These tests probe the composition engine's symmetry machinery; the
   // static-combination numeric path would bypass the top-level fold (its
   // own symmetry counters are covered in test_static_combine.cpp).
@@ -293,7 +295,7 @@ TEST(EngineSymmetry, SensorBanksFormNestedBuckets) {
 }
 
 // The acceptance golden: every measure with --symmetry on is bit-identical
-// to --symmetry off, across the bench families, deterministic and
+// to --symmetry off, across the replica families, deterministic and
 // nondeterministic trees, and thread counts.
 TEST(EngineSymmetry, MeasuresAreBitIdenticalToTheSymmetryOffPath) {
   const std::vector<double> grid{0.5, 1.0, 2.0};
@@ -341,6 +343,45 @@ TEST(EngineSymmetry, MeasuresAreBitIdenticalToTheSymmetryOffPath) {
                 on.analysis->closedModel.numStates())
           << f.name;
     }
+  }
+}
+
+// The replica families: aggregation work drops from one per module to one
+// per distinct module shape, on the classic engine, without changing a bit.
+TEST(EngineSymmetry, ReplicaFamiliesAggregateOncePerShape) {
+  struct Family {
+    const char* name;
+    dft::Dft tree;
+    /// Distinct proper-module shapes.  Cloned CAS: the unit, its CPU,
+    /// motor and pump sub-modules and the top.  Sensor banks: bank, sensor
+    /// chain, top.  Cascaded PANDs: one AND shape plus every PAND of the
+    /// chain.
+    std::size_t shapes;
+  };
+  const Family families[] = {
+      {"cas_cloned_2", dft::corpus::clonedCas(2), 6},
+      {"cas_cloned_4", dft::corpus::clonedCas(4), 6},
+      {"banks_4x3", dft::corpus::sensorBanks(4, 3), 3},
+      {"banks_8x2", dft::corpus::sensorBanks(8, 2), 3},
+      {"cps_8x10", dft::corpus::cascadedPands(8, 10), 8},
+      {"cps_6x14", dft::corpus::cascadedPands(6, 14), 6},
+  };
+  for (const Family& f : families) {
+    SCOPED_TRACE(f.name);
+    const std::vector<MeasureSpec> grid{
+        MeasureSpec::unreliability({0.5, 1.0, 2.0})};
+    AnalysisReport off = analyzeCold(f.tree, false, grid, 1, false);
+    AnalysisReport on = analyzeCold(f.tree, true, grid, 1, false);
+    ASSERT_TRUE(off.measures[0].ok && on.measures[0].ok);
+    EXPECT_EQ(off.measures[0].values, on.measures[0].values);
+    for (double v : on.measures[0].values) EXPECT_FALSE(std::isnan(v));
+    EXPECT_GT(on.stats().symmetricBuckets, 0u);
+    EXPECT_GT(on.stats().symmetricModulesReused, 0u);
+    const std::size_t aggregated =
+        on.stats().modules.size() - on.stats().symmetricModulesReused;
+    EXPECT_EQ(aggregated, f.shapes);
+    EXPECT_LT(aggregated, off.stats().modules.size());
+    EXPECT_LT(on.stats().steps.size(), off.stats().steps.size());
   }
 }
 

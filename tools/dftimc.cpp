@@ -42,10 +42,11 @@
 ///                       a step scales with the quotient, not the product
 ///                       (default: on; measures are bit-identical either
 ///                       way, invariant failures fall back per step)
-///     --stats           print composition statistics and phase timings;
-///                       traces the request to print the fused engine's
-///                       stage self times (otf.explore/refine/collapse/
-///                       finish spans)
+///     --stats           print composition statistics; traces the request
+///                       to print its phase times (the inclusive seconds
+///                       of the parse/convert/compose/extract/measure
+///                       spans) and the fused engine's stage self times
+///                       (otf.explore/refine/collapse/finish spans)
 ///     --deadline SEC    resource budget: give up on a request after SEC
 ///                       seconds of wall clock, checked cooperatively at
 ///                       every hot-loop checkpoint (compose expansion,
@@ -63,7 +64,6 @@
 ///                       directory; all failures degrade to cold analysis)
 ///     --dot FILE        write the final aggregated I/O-IMC as Graphviz
 ///     --aut FILE        write it in Aldebaran format
-///     --strategy S      composition order: modular | greedy | declaration
 ///     --trace FILE      export a Chrome trace-event JSON file (loadable in
 ///                       Perfetto / chrome://tracing) with one span per
 ///                       pipeline stage — parse, modularize, per-module
@@ -113,13 +113,14 @@
 /// Every serve slot carries a stable request id ([rN] in the slot header,
 /// in error slots, in slow-request log lines, and as the "pid" of the
 /// request's spans in a --trace export), and the summary reports exact
-/// p50/p95/p99 request latencies plus the batch's aggregated phase
-/// timings (finer per-stage numbers come from --trace).
+/// p50/p95/p99 request latencies (per-phase and per-stage times come from
+/// --trace).
 
 #include <algorithm>
 #include <atomic>
 #include <charconv>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -176,8 +177,6 @@ struct CliOptions {
   std::string tracePath;        ///< Chrome trace-event JSON export; "" = off
   std::string metricsJsonPath;  ///< metrics registry JSON dump; "" = off
   double slowThreshold = 1.0;   ///< serve slow-request log floor; 0 = off
-  imcdft::analysis::CompositionStrategy strategy =
-      imcdft::analysis::CompositionStrategy::Modular;
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -191,8 +190,7 @@ struct CliOptions {
                "[--stats]\n"
                "          [--deadline SEC] [--max-live-states N]\n"
                "          [--store DIR] [--dot FILE] [--aut FILE]\n"
-               "          [--trace FILE] [--metrics-json FILE]\n"
-               "          [--strategy modular|greedy|declaration] "
+               "          [--trace FILE] [--metrics-json FILE] "
                "<model.dft | corpus:NAME>\n"
                "       %s --serve [--workers N] [--slow-threshold SEC] "
                "[options]\n"
@@ -309,16 +307,6 @@ CliOptions parseArgs(int argc, char** argv) {
     } else if (arg == "--slow-threshold") {
       number(opts.slowThreshold);
       if (!(opts.slowThreshold >= 0.0)) usage(argv[0]);
-    } else if (arg == "--strategy") {
-      std::string s = next();
-      if (s == "modular")
-        opts.strategy = imcdft::analysis::CompositionStrategy::Modular;
-      else if (s == "greedy")
-        opts.strategy = imcdft::analysis::CompositionStrategy::Greedy;
-      else if (s == "declaration")
-        opts.strategy = imcdft::analysis::CompositionStrategy::Declaration;
-      else
-        usage(argv[0]);
     } else if (!arg.empty() && arg[0] == '-') {
       usage(argv[0]);
     } else if (opts.modelPath.empty()) {
@@ -359,16 +347,16 @@ std::string resolveModelText(const std::string& ref) {
   if (name == "cas") return corpus::galileoCas();
   if (name == "cps") return corpus::galileoCps();
   if (name == "hecs") return corpus::galileoHecs();
-  // Family instances: `<family>_<A>x<B>`, both dimensions positive.
+  // Family instances: `<family>_<A>x<B>`, both dimensions in [1, INT_MAX].
   auto dims = [&name](const char* prefix, int& a, int& b) {
     if (name.rfind(prefix, 0) != 0) return false;
     const char* s = name.c_str() + std::strlen(prefix);
     char* end = nullptr;
     const long x = std::strtol(s, &end, 10);
-    if (end == s || *end != 'x' || x <= 0) return false;
+    if (end == s || *end != 'x' || x <= 0 || x > INT_MAX) return false;
     s = end + 1;
     const long y = std::strtol(s, &end, 10);
-    if (end == s || *end != '\0' || y <= 0) return false;
+    if (end == s || *end != '\0' || y <= 0 || y > INT_MAX) return false;
     a = static_cast<int>(x);
     b = static_cast<int>(y);
     return true;
@@ -430,7 +418,6 @@ void configureRequest(imcdft::analysis::AnalysisRequest& request,
                       const CliOptions& opts,
                       const std::vector<double>& times) {
   namespace analysis = imcdft::analysis;
-  request.options.engine.strategy = opts.strategy;
   request.options.engine.numThreads = opts.jobs;
   request.options.engine.symmetry = opts.symmetry;
   request.options.engine.staticCombine = opts.staticCombine;
@@ -679,18 +666,6 @@ int runServe(const CliOptions& opts) {
                 "max %.3f\n",
                 pct(0.50), pct(0.95), pct(0.99), sorted.back());
   }
-  {
-    // The batch's aggregated phase timings, the same PhaseTimings a
-    // one-shot --stats prints; per-stage numbers come from --trace.
-    analysis::PhaseTimings phases;
-    for (std::size_t i = 0; i < requests.size(); ++i)
-      if (errors[i].empty()) phases.accumulate(reports[i].timings);
-    if (phases.total() > 0.0)
-      std::printf("  phases [s]:      parse %.4f, convert %.4f, "
-                  "compose %.4f, extract %.4f, measure %.4f\n",
-                  phases.parse, phases.convert, phases.compose,
-                  phases.extract, phases.measure);
-  }
   std::printf("  tree cache:      %zu hit(s), %zu miss(es), %zu in-flight "
               "join(s)\n",
               s.treeHits, s.treeMisses, s.inflightJoins);
@@ -741,6 +716,8 @@ int runOneShot(CliOptions& opts) {
     if (traceForStats) obs::setTraceEnabled(false);
 
     if (opts.stats) {
+      // Span times: the same numbers a --trace export shows.
+      const obs::SelfTimes spans = obs::selfTimes(obs::snapshotTrace());
       std::printf("\ncomposition statistics:\n");
       for (const analysis::ModuleResult& m : report.stats().modules)
         std::printf("  module %-16s -> %zu states, %zu transitions\n",
@@ -769,14 +746,12 @@ int runOneShot(CliOptions& opts) {
                     "worker(s)\n",
                     report.stats().otfRefinePassesRun,
                     report.stats().otfIntraWorkers);
-        // Span self times: the same numbers a --trace export shows.
-        const obs::SelfTimes stages = obs::selfTimes(obs::snapshotTrace());
         std::printf("  otf stages [s]:  explore %.4f, refine %.4f, "
                     "collapse %.4f, finish %.4f",
-                    stages.of("otf.explore"), stages.of("otf.refine"),
-                    stages.of("otf.collapse"), stages.of("otf.finish"));
-        if (stages.dropped > 0)
-          std::printf("  (%zu trace event(s) dropped)", stages.dropped);
+                    spans.of("otf.explore"), spans.of("otf.refine"),
+                    spans.of("otf.collapse"), spans.of("otf.finish"));
+        if (spans.dropped > 0)
+          std::printf("  (%zu trace event(s) dropped)", spans.dropped);
         std::printf("\n");
       }
       std::printf("  peak composed:   %zu states, %zu transitions\n",
@@ -792,11 +767,14 @@ int runOneShot(CliOptions& opts) {
         std::printf("  final model:     %zu states, %zu transitions\n",
                     report.analysis->closedModel.numStates(),
                     report.analysis->closedModel.numTransitions());
+      const double phases[] = {
+          spans.inclusiveOf("parse"), spans.inclusiveOf("convert"),
+          spans.inclusiveOf("compose"), spans.inclusiveOf("extract"),
+          spans.inclusiveOf("measure")};
       std::printf("  phases [s]:      parse %.4f, convert %.4f, "
                   "compose %.4f, extract %.4f, measure %.4f  (total %.4f)\n",
-                  report.timings.parse, report.timings.convert,
-                  report.timings.compose, report.timings.extract,
-                  report.timings.measure, report.timings.total());
+                  phases[0], phases[1], phases[2], phases[3], phases[4],
+                  phases[0] + phases[1] + phases[2] + phases[3] + phases[4]);
       if (opts.jobs != 0)
         std::printf("  worker threads:  %u\n", opts.jobs);
       if (!opts.storeDir.empty())
