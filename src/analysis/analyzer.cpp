@@ -115,25 +115,15 @@ void publishRequestMetrics(const AnalysisReport& report, double wallSeconds) {
 std::string optionsKey(const AnalysisOptions& opts) {
   std::string key = "sg=";
   key += opts.conversion.subsetGates ? '1' : '0';
-  key += ";st=";
-  key += std::to_string(static_cast<int>(opts.engine.strategy));
-  key += ";ae=";
-  key += opts.engine.aggregateEachStep ? '1' : '0';
-  key += ";cs=";
-  key += opts.engine.collapseSinks ? '1' : '0';
+  // Every reference path yields the production measures, but its stats
+  // (merge order, peaks, fused steps, fallbacks) differ, so cached
+  // analyses are keyed per path.
+  key += ";rf=";
+  key += std::to_string(static_cast<int>(opts.engine.reference));
   key += ";ou=";
   key += opts.engine.weak.outputsUrgent ? '1' : '0';
   key += ";sy=";
   key += opts.engine.symmetry ? '1' : '0';
-  // The fused engine is built to be bit-identical to the classic path, but
-  // its stats (peaks, fused-step counters) differ — and fallback behavior
-  // may evolve — so cached analyses are keyed per path.  The live-state
-  // cap changes which steps fall back (and hence the cached stats and
-  // diagnostics), so it is part of the key too.
-  key += ";ot=";
-  key += opts.engine.onTheFly ? '1' : '0';
-  key += ";oc=";
-  key += std::to_string(opts.engine.onTheFlyMaxVisited);
   // numThreads is deliberately absent: it is bit-identical for every
   // value.
   return key;
@@ -577,7 +567,7 @@ std::shared_ptr<const DftAnalysis> Analyzer::runPipeline(
   // built over a caller-supplied table cannot exchange models with them.
   const bool useModuleCache =
       opts_.cacheModules && !customSymbols &&
-      opts.engine.strategy == CompositionStrategy::Modular;
+      opts.engine.reference != Reference::DeclarationOrder;
   SessionModuleCache moduleCache(*this, contexts, optionsKey(opts),
                                  /*shapeKeyed=*/opts.engine.symmetry,
                                  requestStats,
@@ -691,7 +681,7 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
   // over the whole tree — runs only on a cache miss.
   const bool wantNumeric =
       options.engine.staticCombine && sessionSymbols &&
-      options.engine.strategy == CompositionStrategy::Modular &&
+      options.engine.reference != Reference::DeclarationOrder &&
       !request.measures.empty() &&
       std::all_of(request.measures.begin(), request.measures.end(),
                   [](const MeasureSpec& m) {
@@ -847,14 +837,6 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
                  " shape bucket(s)), saving " +
                  std::to_string(analysis->stats.symmetrySavedSteps) +
                  " composition step(s)"});
-      if (analysis->stats.onTheFlySteps > 0)
-        report.diagnostics.push_back(
-            {Severity::Info,
-             std::to_string(analysis->stats.onTheFlySteps) +
-                 " composition step(s) ran fused (on-the-fly), keeping at "
-                 "least " +
-                 std::to_string(analysis->stats.onTheFlySavedPeakStates) +
-                 " product state(s) below the materialization bound"});
       if (analysis->stats.onTheFlyFallbacks > 0) {
         std::string why;
         for (const std::string& reason :

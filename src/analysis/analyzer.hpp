@@ -75,10 +75,10 @@ namespace imcdft::analysis {
 struct AnalyzerOptions {
   /// Serve repeated identical (tree, options) requests from cache.
   bool cacheTrees = true;
-  /// Reuse aggregated independent-module models across requests (Modular
-  /// strategy only).  Also gates the numeric path's solved-chain and
-  /// per-module curve caches (they are module-level caches too) and the
-  /// persistent store's module/curve record traffic.
+  /// Reuse aggregated independent-module models across requests (not on
+  /// the DeclarationOrder reference).  Also gates the numeric path's
+  /// solved-chain and per-module curve caches (they are module-level caches
+  /// too) and the persistent store's module/curve record traffic.
   bool cacheModules = true;
   /// Capacity bounds: least-recently-used entries are evicted once a cache
   /// grows past its limit (counted in CacheStats::*Evictions); 0 means

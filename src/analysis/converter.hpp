@@ -36,8 +36,8 @@ struct ActivationContext {
 /// One member of the community.
 struct CommunityModel {
   ioimc::IOIMC model;
-  /// DFT elements this model involves, used by the modular composition
-  /// strategy to group models by independent module.
+  /// DFT elements this model involves, used by the engine's module tree
+  /// to group models by independent module.
   std::vector<dft::ElementId> elements;
 };
 

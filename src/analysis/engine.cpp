@@ -46,12 +46,6 @@ void CompositionStats::foldSteps() {
     peakAggregatedStates = std::max(peakAggregatedStates, s.aggregatedStates);
     peakAggregatedTransitions =
         std::max(peakAggregatedTransitions, s.aggregatedTransitions);
-    if (s.onTheFly) {
-      ++onTheFlySteps;
-      const std::size_t bound = s.leftStates * s.rightStates;
-      if (bound > s.composedStates)
-        onTheFlySavedPeakStates += bound - s.composedStates;
-    }
     if (s.onTheFlyFallback) {
       ++onTheFlyFallbacks;
       noteOnTheFlyFallbackReason(s.onTheFlyFallbackReason);
@@ -84,7 +78,8 @@ std::vector<ioimc::ActionId> hiddenOutputsFor(
 }
 
 /// Hides the outputs of \p m that are consumed neither by a live pool
-/// member nor externally, then collapses/aggregates per the options.
+/// member nor externally, then collapses and aggregates (except on the
+/// Unreduced reference, which leaves all minimizing to finalize).
 IOIMC hideAndAggregatePool(
     IOIMC m, const EngineOptions& opts,
     const std::vector<std::optional<IOIMC>>& pool, std::size_t skipA,
@@ -92,13 +87,12 @@ IOIMC hideAndAggregatePool(
   IOIMC result = ioimc::hide(
       m, hiddenOutputsFor(m.signature().outputs(), pool, skipA, skipB,
                           usedOutside));
-  if (opts.collapseSinks) result = ioimc::collapseUnobservableSinks(result);
-  // To fixpoint, not a single pass: the fused on-the-fly path and this
-  // classic chain reach byte-identical results only in the *minimal*
-  // quotient (both are canonically renumbered there).
-  if (opts.aggregateEachStep)
-    result = ioimc::aggregateFixpoint(result, opts.weak);
-  return result;
+  if (opts.reference == Reference::Unreduced) return result;
+  // To fixpoint, not a single pass: the fused path and this classic chain
+  // reach byte-identical results only in the *minimal* quotient (both are
+  // canonically renumbered there).
+  return ioimc::aggregateFixpoint(ioimc::collapseUnobservableSinks(result),
+                                  opts.weak);
 }
 
 /// The merge mergePool performs next.
@@ -234,7 +228,8 @@ std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
     stepSpan.arg("predicted",
                  static_cast<std::uint64_t>(std::min(plan.predicted, 0x1p63)));
     std::optional<IOIMC> fused;
-    if (opts.onTheFly && opts.aggregateEachStep) {
+    if (opts.reference != Reference::ClassicChain &&
+        opts.reference != Reference::Unreduced) {
       // The composite's outputs (out(A) u out(B); shared outputs are
       // rejected by compose anyway) determine the hide set without
       // materializing the product.
@@ -246,8 +241,8 @@ std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
       outs.erase(std::unique(outs.begin(), outs.end()), outs.end());
       ioimc::otf::OtfOptions fusedOpts;
       fusedOpts.weak = opts.weak;
-      fusedOpts.collapseSinks = opts.collapseSinks;
-      fusedOpts.maxLiveStates = opts.onTheFlyMaxVisited;
+      if (opts.reference == Reference::ForcedFallback)
+        fusedOpts.maxLiveStates = 1;
       fusedOpts.encodePool = fusedOpts.weak.encodePool =
           encodePoolFor(step.leftStates, step.rightStates);
       ioimc::otf::OtfResult r = ioimc::otf::otfComposeAggregate(
@@ -289,7 +284,7 @@ std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
   return live.front();
 }
 
-/// Node of the module containment tree used by the Modular strategy.
+/// Node of the module containment tree (every reference but DeclarationOrder).
 struct ModuleNode {
   std::string name;
   std::vector<std::size_t> ownModels;     // community model indices
@@ -927,23 +922,21 @@ EngineResult composeCommunity(Community community, const dft::Dft& dft,
   // the final merge left no output visible, its result is already the
   // closed minimal quotient: hide, collapse and aggregate would map it to
   // itself.  Only a model not closed that way (a lone community model, a
-  // spliced module, or a run without per-step aggregation) is finalized,
-  // also to a fixpoint, so every result is minimal (the Analyzer's
-  // extraction relies on it).
+  // spliced module, or an Unreduced run) is finalized, also to a fixpoint,
+  // so every result is minimal (the Analyzer's extraction relies on it).
   auto finishResult = [&](EngineResult result, bool merged) {
-    if (merged && opts.aggregateEachStep &&
+    if (merged && opts.reference != Reference::Unreduced &&
         result.model.signature().outputs().empty())
       return result;
     obs::TraceSpan span("finalize");
-    result.model = ioimc::hideAllOutputs(result.model);
-    if (opts.collapseSinks)
-      result.model = ioimc::collapseUnobservableSinks(result.model);
-    result.model = ioimc::aggregateFixpoint(result.model, opts.weak);
+    result.model = ioimc::aggregateFixpoint(
+        ioimc::collapseUnobservableSinks(ioimc::hideAllOutputs(result.model)),
+        opts.weak);
     span.arg("states", result.model.numStates());
     return result;
   };
 
-  if (opts.strategy == CompositionStrategy::Declaration) {
+  if (opts.reference == Reference::DeclarationOrder) {
     CompositionStats stats;
     const std::size_t originalCount = slots.size();
     std::size_t acc = 0;

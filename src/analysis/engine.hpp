@@ -19,26 +19,34 @@
 
 namespace imcdft::analysis {
 
-/// Order in which the community is folded.
-enum class CompositionStrategy {
-  /// Compose the models of each independent DFT module first (the paper's
-  /// Section 5.2 modular analysis); the merge planner orders each module.
-  Modular,
-  /// Fold the community left to right as converted.  Kept as the tests'
-  /// cross-order oracle: the same measures from a different merge order.
-  Declaration,
+/// Which composition path composeCommunity runs.  Production is the
+/// paper's algorithm as every caller runs it: independent modules fold
+/// first (Section 5.2), the merge planner orders each pool, and every step
+/// composes, hides, collapses and aggregates through the fused engine
+/// (ioimc::otf::otfComposeAggregate).  The other values are reference
+/// paths that tests and the fuzz oracle compare against it.
+enum class Reference {
+  Production,
+  /// Every step runs the classic compose/hide/collapse/aggregate chain;
+  /// the bitwise reference of the fused engine.
+  ClassicChain,
+  /// The community folds left to right as converted (no module tree):
+  /// the cross-order reference, the same measures from a different merge
+  /// order.
+  DeclarationOrder,
+  /// No per-step collapse or aggregation, so finalize does all the
+  /// minimizing: the state-space blow-up the paper's Section 4 warns
+  /// about.
+  Unreduced,
+  /// Every fused step aborts at once (an internal live cap of 1), so the
+  /// classic fallback serves each step and is counted as a fallback.
+  ForcedFallback,
 };
 
 struct EngineOptions {
-  CompositionStrategy strategy = CompositionStrategy::Modular;
-  /// Aggregate after every composition step (turning this off reproduces
-  /// the state-space blow-up the paper warns about).
-  bool aggregateEachStep = true;
-  /// Merge states whose whole future is unobservable (see
-  /// ioimc::collapseUnobservableSinks); measure-preserving.
-  bool collapseSinks = true;
-  /// Worker threads for both thread layers of the engine: the Modular
-  /// strategy's per-module aggregation (independent modules share no
+  Reference reference = Reference::Production;
+  /// Worker threads for both thread layers of the engine: the module
+  /// tree's per-module aggregation (independent modules share no
   /// mutable state, so their compose/hide/aggregate chains run
   /// concurrently) and the signature-encode pool each merge shares across
   /// its fused steps.  0 means std::thread::hardware_concurrency(); 1 runs
@@ -47,11 +55,12 @@ struct EngineOptions {
   /// the results are folded in a fixed order, and encoding is block-parallel
   /// while interning stays sequential in state order.
   unsigned numThreads = 0;
-  /// Symmetry reduction (Modular strategy only): bucket independent modules
-  /// by their rename-invariant shape (dft::moduleShape), aggregate exactly
-  /// one representative per bucket, and instantiate the isomorphic siblings
-  /// with ioimc::renameActions under the recorded name substitution — the
-  /// paper's Section 5.2 manual reuse of the CAS motor/pump unit, automated.
+  /// Symmetry reduction (module tree only, so not DeclarationOrder): bucket
+  /// independent modules by their rename-invariant shape (dft::moduleShape),
+  /// aggregate exactly one representative per bucket, and instantiate the
+  /// isomorphic siblings with ioimc::renameActions under the recorded name
+  /// substitution — the paper's Section 5.2 manual reuse of the CAS
+  /// motor/pump unit, automated.
   /// Symmetric trees then cost O(shapes) aggregations instead of
   /// O(modules).  Reuse only happens when the induced ActionId map is
   /// strictly order-preserving and the module structures correspond
@@ -59,7 +68,7 @@ struct EngineOptions {
   /// symmetry-off run; any check failure falls back to aggregating the
   /// module normally (see analysis/symmetry.hpp).
   bool symmetry = true;
-  /// Static-layer numeric combination (Analyzer pipeline, Modular strategy
+  /// Static-layer numeric combination (Analyzer pipeline, module tree
   /// only): when the top of the tree is a static combination layer over
   /// independent modules (dft::detectStaticLayer), solve each module's
   /// unreliability numerically on its own absorbing CTMC and evaluate the
@@ -71,22 +80,6 @@ struct EngineOptions {
   /// out nondeterministic.  Exact up to CTMC transient tolerances; the E14
   /// tests enforce 1e-9-relative agreement with the composition path.
   bool staticCombine = true;
-  /// Fused compose-and-minimize (ioimc::otf::otfComposeAggregate): every
-  /// per-step compose/hide/collapse/aggregate chain explores the
-  /// synchronized product frontier-by-frontier and collapses product
-  /// states into weak-bisimulation classes *while exploration is still
-  /// running*, so the peak memory of a composition step scales with the
-  /// running quotient instead of the full reachable product.  The fused
-  /// result is canonically renumbered and verified inline as a fixpoint of
-  /// the ordinary refinement; measures are bit-identical to the classic path
-  /// (the E15 tests enforce this).  Any invariant failure falls back to
-  /// the classic chain for that step — never a wrong answer — and is
-  /// counted in CompositionStats::onTheFlyFallbacks (the Analyzer attaches
-  /// a Diagnostic).  Only applies when aggregateEachStep is on.
-  bool onTheFly = true;
-  /// Safety valve for the fused engine: a step whose live region exceeds
-  /// this many states falls back to the classic chain.  0 = unlimited.
-  std::size_t onTheFlyMaxVisited = 0;
   /// Directory of the persistent quotient store (store/quotient_store.hpp).
   /// Empty disables persistence.  The Analyzer reads aggregated module and
   /// whole-tree quotients plus solved curves from it before aggregating,
@@ -99,7 +92,7 @@ struct EngineOptions {
   /// Cooperative cancellation / resource budget (common/cancel.hpp).  The
   /// engine checkpoints the token once per merge step and hands it to
   /// every hot loop below it (compose expansion, refinement iterations,
-  /// the on-the-fly frontier); an exhausted budget unwinds the whole
+  /// the fused engine's frontier); an exhausted budget unwinds the whole
   /// composition with BudgetExceeded.  Deliberately NOT part of the
   /// semantic cache key (optionsKey): a budget never changes a result,
   /// only whether it is produced.  The Analyzer builds the token from
@@ -115,8 +108,8 @@ struct CompositionStep {
   std::size_t leftStates = 0;       ///< operand sizes going in
   std::size_t rightStates = 0;
   /// Largest intermediate of the step: the full product size on the
-  /// classic path, the peak *live* region when the step ran fused
-  /// (onTheFly) — both are the step's peak-memory proxy.
+  /// classic path, the peak *live* region when the step ran fused —
+  /// both are the step's peak-memory proxy.
   std::size_t composedStates = 0;
   std::size_t composedTransitions = 0;
   std::size_t aggregatedStates = 0; ///< size after hide/collapse/aggregate
@@ -167,15 +160,8 @@ struct CompositionStats {
   /// Size of the biggest model after aggregation.
   std::size_t peakAggregatedStates = 0;
   std::size_t peakAggregatedTransitions = 0;
-  /// Fused compose-and-minimize (EngineOptions::onTheFly): steps served by
-  /// the fused engine, and steps that fell back to the classic chain.
-  std::size_t onTheFlySteps = 0;
+  /// Steps whose fused attempt fell back to the classic chain.
   std::size_t onTheFlyFallbacks = 0;
-  /// Peak states the fused steps never materialized, summed against the
-  /// |left| x |right| materialization bound of each fused step (the exact
-  /// reachable-product size is only known when the classic path runs; the
-  /// E15 tests make that comparison directly).
-  std::size_t onTheFlySavedPeakStates = 0;
   /// Partial refinement passes run across all fused steps.
   std::size_t otfRefinePassesRun = 0;
   /// Largest intra-step encoding pool any fused step used (0 = the
@@ -185,7 +171,7 @@ struct CompositionStats {
   std::vector<std::string> onTheFlyFallbackReasons;
 
   /// Folds every entry of steps into the step-derived fields above: the
-  /// four peaks, the onTheFly* counters, otfRefinePassesRun,
+  /// four peaks, onTheFlyFallbacks, otfRefinePassesRun,
   /// otfIntraWorkers and the fallback reasons.  Call it once, on stats
   /// whose step-derived fields are still zero.
   void foldSteps();
@@ -209,7 +195,7 @@ struct CachedModule {
   std::size_t steps = 0;
 };
 
-/// Cache consulted by the Modular strategy for whole independent modules.
+/// Cache consulted by the module tree for whole independent modules.
 /// lookup() is called before a module subtree is composed; a hit splices
 /// the cached aggregated I/O-IMC into the community and skips the subtree
 /// entirely.  store() offers every freshly aggregated proper module.  The
@@ -233,10 +219,10 @@ class ModuleCache {
 
 /// Folds the community into a single aggregated I/O-IMC.  The result is
 /// closed (every output hidden) and a weak-bisimulation fixpoint in
-/// canonical numbering, so ioimc::aggregate maps it to itself.  \p dft is used by
-/// the Modular strategy to group models by independent module.  \p cache,
-/// when non-null, lets the Modular strategy reuse previously aggregated
-/// module models across invocations (other strategies ignore it).
+/// canonical numbering, so ioimc::aggregate maps it to itself.  \p dft
+/// groups the models by independent module.  \p cache, when non-null,
+/// lets the module tree reuse previously aggregated module models across
+/// invocations (DeclarationOrder ignores it).
 EngineResult composeCommunity(Community community, const dft::Dft& dft,
                               const EngineOptions& opts = {},
                               ModuleCache* cache = nullptr);

@@ -39,7 +39,7 @@ std::string shortFloat(double v) {
 /// One exact-engine configuration of the oracle matrix.
 struct ExactConfig {
   const char* name;
-  bool onTheFly;
+  analysis::Reference reference;
   unsigned threads;
   bool symmetry;
   bool staticCombine;
@@ -56,7 +56,7 @@ analysis::AnalysisReport runConfig(
   analysis::AnalysisRequest request =
       analysis::AnalysisRequest::forDft(tree, config.name);
   for (const analysis::MeasureSpec& m : measures) request.measure(m);
-  request.options.engine.onTheFly = config.onTheFly;
+  request.options.engine.reference = config.reference;
   request.options.engine.numThreads = config.threads;
   request.options.engine.symmetry = config.symmetry;
   request.options.engine.staticCombine = config.staticCombine;
@@ -236,16 +236,18 @@ OracleVerdict crossCheck(const dft::Dft& tree, const OracleOptions& opts) {
   if (verdict.repairable)
     measures.push_back(analysis::MeasureSpec::unavailability(opts.times));
 
-  // The exact-engine matrix.  Row 0 is the reference (the paper's classic
-  // compose/hide/aggregate chain, sequential, no reductions); each later
-  // row enables features whose contract is bitwise identity with row 0.
+  // The exact-engine matrix.  Row 0 is the reference (ClassicChain: the
+  // paper's compose/hide/aggregate chain, sequential, no reductions); each
+  // later row enables features whose contract is bitwise identity with
+  // row 0.
   // The last row routes through the static-combine numeric path where
   // eligible, whose contract is the 1e-9 band instead.
   const ExactConfig configs[] = {
-      {"classic", false, 1, false, false},
-      {"otf", true, 1, false, false},
-      {"parallel", true, opts.parallelThreads, true, false},
-      {"static", true, 1, true, true},
+      {"classic", analysis::Reference::ClassicChain, 1, false, false},
+      {"otf", analysis::Reference::Production, 1, false, false},
+      {"parallel", analysis::Reference::Production, opts.parallelThreads, true,
+       false},
+      {"static", analysis::Reference::Production, 1, true, true},
   };
 
   std::vector<analysis::AnalysisReport> reports;

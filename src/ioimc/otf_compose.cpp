@@ -209,12 +209,11 @@ class OtfEngine {
   void refineAndPrune() {
     ++stats_->refinementRounds;
     // The inline sink collapse implements the same abstraction as the
-    // classic chain's collapseUnobservableSinks; when the caller disabled
-    // that pass, the fused engine must preserve those states too.
+    // classic chain's collapseUnobservableSinks.
     bool changed;
     {
       obs::TraceSpan span("otf.collapse");
-      changed = opts_.collapseSinks && sinkCollapseInline();
+      changed = sinkCollapseInline();
     }
     obs::TraceSpan span("otf.refine");
     changed = weakCollapseInline() || changed;
@@ -555,7 +554,7 @@ class OtfEngine {
     IOIMC reduced("(" + a_.name() + "||" + b_.name() + ")", a_.symbols(),
                   std::move(sig_), 0, std::move(inter), std::move(markov),
                   std::move(labels), std::move(labelUnion_.names));
-    if (opts_.collapseSinks) reduced = collapseUnobservableSinks(reduced);
+    reduced = collapseUnobservableSinks(reduced);
 
     // The classic tail: aggregate to the minimal quotient, exactly like
     // the classic chain's aggregateFixpoint.  Only the fixpoint's

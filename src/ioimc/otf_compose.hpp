@@ -46,15 +46,13 @@ class WorkerPool;  // common/worker_pool.hpp
 /// number of live states/transitions stays at the scale of the running
 /// quotient instead of the full product.  Any invariant failure is
 /// reported (never silently absorbed) so the caller can fall back to the
-/// classic path; the engine wires this as EngineOptions::onTheFly.
+/// classic path; every analysis::Reference but ClassicChain and Unreduced
+/// runs it.
 
 namespace imcdft::ioimc::otf {
 
 struct OtfOptions {
   WeakOptions weak;
-  /// Apply collapseUnobservableSinks to the reduced graph (must mirror
-  /// EngineOptions::collapseSinks of the classic path being replaced).
-  bool collapseSinks = true;
   /// Run the first refinement when this many states are live.  Products
   /// smaller than this are simply explored whole (the classic quotient
   /// then still shrinks them at the end).

@@ -174,14 +174,14 @@ TEST(Analysis, CasModuleSizesAreSmall) {
 }
 
 TEST(Analysis, CompositionStrategiesAgree) {
-  for (auto strategy :
-       {CompositionStrategy::Modular, CompositionStrategy::Declaration}) {
+  for (Reference reference :
+       {Reference::Production, Reference::DeclarationOrder}) {
     AnalysisOptions opts;
-    opts.engine.strategy = strategy;
+    opts.engine.reference = reference;
     AnalysisReport r = analyzeOnce(
         dft::corpus::cas(), {MeasureSpec::unreliability({1.0})}, opts);
     EXPECT_NEAR(r.measures[0].values.at(0), 0.6579, 1e-3)
-        << static_cast<int>(strategy);
+        << static_cast<int>(reference);
   }
 }
 

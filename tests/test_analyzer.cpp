@@ -49,6 +49,35 @@ TEST(Analyzer, RepeatedRequestIsAPureLookup) {
   EXPECT_NEAR(first.measures[0].values.at(0), 0.6579, 1e-3);
 }
 
+TEST(Analyzer, ReferenceRunsNeverShareCacheEntriesWithProduction) {
+  Analyzer session;
+  AnalysisRequest production =
+      AnalysisRequest::forDft(dft::corpus::cps(), "cps")
+          .measure(MeasureSpec::unreliability({1.0}));
+  AnalysisRequest classic = production;
+  classic.options.engine.reference = Reference::ClassicChain;
+
+  AnalysisReport first = session.analyze(production);
+  AnalysisReport second = session.analyze(classic);
+  AnalysisReport third = session.analyze(production);
+
+  // The reference run composes on its own: no tree or module entry of the
+  // production run serves it.
+  EXPECT_FALSE(second.fromCache);
+  EXPECT_EQ(second.cache.treeMisses, 1u);
+  EXPECT_EQ(second.cache.moduleHits, 0u);
+  for (const CompositionStep& s : second.stats().steps)
+    EXPECT_FALSE(s.onTheFly) << s.name;
+  // The production entry survives it and still carries production stats.
+  EXPECT_TRUE(third.fromCache);
+  EXPECT_EQ(third.cache.treeHits, 1u);
+  EXPECT_EQ(third.analysis.get(), first.analysis.get());
+  ASSERT_FALSE(third.stats().steps.empty());
+  for (const CompositionStep& s : third.stats().steps)
+    EXPECT_TRUE(s.onTheFly) << s.name;
+  EXPECT_EQ(third.measures[0].values, second.measures[0].values);
+}
+
 TEST(Analyzer, VariantsShareModulesAcrossTheSession) {
   Analyzer session;
   // Composition path pinned: this test guards the aggregated-module

@@ -34,10 +34,10 @@ namespace {
 using analysis::AnalysisReport;
 using analysis::AnalysisRequest;
 using analysis::Analyzer;
-using analysis::CompositionStrategy;
 using analysis::EngineOptions;
 using analysis::EngineResult;
 using analysis::Extraction;
+using analysis::Reference;
 using ioimc::IOIMC;
 
 constexpr const char* kDown = "down";
@@ -185,12 +185,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ClosedTailFuzz, ::testing::Range(0, 6));
 
 TEST(ClosedTail, EveryStrategySkipsFinalize) {
   const dft::Dft tree = dft::corpus::cps();
-  for (CompositionStrategy strategy :
-       {CompositionStrategy::Modular, CompositionStrategy::Declaration}) {
+  for (Reference reference :
+       {Reference::Production, Reference::DeclarationOrder}) {
     EngineOptions opts;
-    opts.strategy = strategy;
+    opts.reference = reference;
     auto [r, finalized] = traceFinalize(tree, opts);
-    EXPECT_EQ(finalized, 0u) << "strategy " << static_cast<int>(strategy);
+    EXPECT_EQ(finalized, 0u) << "reference " << static_cast<int>(reference);
     EXPECT_TRUE(r.model.signature().outputs().empty());
     expectSameModel(r.model, oldFinalize(r.model));
   }
@@ -198,7 +198,7 @@ TEST(ClosedTail, EveryStrategySkipsFinalize) {
 
 TEST(ClosedTail, UnaggregatedRunStillFinalizes) {
   EngineOptions raw;
-  raw.aggregateEachStep = false;
+  raw.reference = Reference::Unreduced;
   const dft::Dft tree = dft::corpus::cascadedPands(2, 3);
   auto [r, finalized] = traceFinalize(tree, raw);
   EXPECT_EQ(finalized, 1u);
@@ -217,7 +217,7 @@ TEST(ClosedTail, OneModelCommunityStillFinalizes) {
 
   EngineOptions opts;
   opts.numThreads = 1;
-  opts.strategy = CompositionStrategy::Declaration;  // no module tree to walk
+  opts.reference = Reference::DeclarationOrder;  // no module tree to walk
   auto [r, finalized] = traceFinalize([&] {
     return analysis::composeCommunity(std::move(single), tree, opts);
   });

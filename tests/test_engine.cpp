@@ -63,7 +63,7 @@ TEST(Engine, CpsModulesAggregateToTheFigure9Chain) {
 
 TEST(Engine, DeclarationSkipsModuleBookkeeping) {
   EngineOptions decl;
-  decl.strategy = CompositionStrategy::Declaration;
+  decl.reference = Reference::DeclarationOrder;
   EngineResult r = run(dft::corpus::cps(), decl);
   EXPECT_TRUE(r.stats.modules.empty());
   EXPECT_GT(r.stats.steps.size(), 0u);
@@ -85,7 +85,7 @@ TEST(Engine, TreeWithoutATopModuleMergesAsOnePool) {
   EXPECT_EQ(r.stats.steps.size(), convertDft(d).models.size() - 1);
   EXPECT_TRUE(r.model.isClosed());
   EngineOptions decl;
-  decl.strategy = CompositionStrategy::Declaration;
+  decl.reference = Reference::DeclarationOrder;
   EXPECT_EQ(r.model.numStates(), run(d, decl).model.numStates());
 }
 
@@ -101,19 +101,9 @@ TEST(Engine, PeaksAreConsistent) {
   EXPECT_LE(maxAggregated, maxComposed);
 }
 
-TEST(Engine, DisablingSinkCollapseGrowsModules) {
-  EngineOptions withCollapse;
-  EngineOptions withoutCollapse;
-  withoutCollapse.collapseSinks = false;
-  EngineResult small = run(dft::corpus::cas(), withCollapse);
-  EngineResult big = run(dft::corpus::cas(), withoutCollapse);
-  EXPECT_LT(small.model.numStates(), big.model.numStates());
-}
-
 TEST(Engine, AggregationOffBlowsUpIntermediateSizes) {
   EngineOptions raw;
-  raw.aggregateEachStep = false;
-  raw.collapseSinks = false;
+  raw.reference = Reference::Unreduced;
   dft::Dft d = dft::corpus::cascadedPands(2, 3);
   EngineResult aggregated = run(d);
   EngineResult unaggregated = run(d, raw);
@@ -123,7 +113,7 @@ TEST(Engine, AggregationOffBlowsUpIntermediateSizes) {
 
 TEST(Engine, DeclarationOrderFoldsLeftToRight) {
   EngineOptions decl;
-  decl.strategy = CompositionStrategy::Declaration;
+  decl.reference = Reference::DeclarationOrder;
   dft::Dft d = dft::DftBuilder()
                    .basicEvent("A", 1.0)
                    .basicEvent("B", 1.0)

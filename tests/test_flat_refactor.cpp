@@ -265,12 +265,12 @@ TEST(FlatRefactorGolden, MeasuresMatchPreRefactorPipeline) {
        {2.9401613875528241e-37, 1.430383343498789e-17, 1.1084827786787282e-06},
        kUnchecked},
   };
-  // The protocol the values were captured under: symmetry, static
-  // combination and the fused engine off.
+  // The protocol the values were captured under: symmetry and static
+  // combination off, on the ClassicChain reference.
   EngineOptions capture;
   capture.symmetry = false;
   capture.staticCombine = false;
-  capture.onTheFly = false;
+  capture.reference = Reference::ClassicChain;
   for (const Golden& g : goldens) {
     const dft::Dft& d = g.tree;
     std::vector<MeasureSpec> specs{MeasureSpec::unreliability(kGrid)};

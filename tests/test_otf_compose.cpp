@@ -19,7 +19,8 @@
 /// for any compatible pair and hide set, otfComposeAggregate must produce
 /// exactly aggregateFixpoint(collapseUnobservableSinks(hide(compose(a,b))))
 /// — same states, same transition bytes, same rates — because only then are
-/// all downstream measures bit-identical between --on-the-fly on and off.
+/// all downstream measures bit-identical between the Production and
+/// ClassicChain references.
 /// Random models here are deliberately nastier than converted DFTs
 /// (rampant nondeterminism, tau cycles, dead regions), and the fused
 /// engine's refinement threshold is dropped to 4 so that collapses happen
@@ -241,21 +242,31 @@ TEST(OtfCompose, IncompatibleOperandsReportTheComposeError) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level: --on-the-fly on vs off over whole corpus pipelines
+// Engine-level: Production vs ClassicChain over whole corpus pipelines
 // ---------------------------------------------------------------------------
 
-analysis::AnalysisReport analyzeWith(const dft::Dft& d, bool onTheFly,
-                                     unsigned threads = 1,
-                                     std::size_t maxVisited = 0) {
+using analysis::Reference;
+
+analysis::AnalysisReport analyzeWith(const dft::Dft& d, Reference reference,
+                                     unsigned threads = 1) {
   analysis::Analyzer session({.cacheTrees = false, .cacheModules = false});
   analysis::AnalysisRequest req =
       analysis::AnalysisRequest::forDft(d)
           .measure(analysis::MeasureSpec::unreliability({0.5, 1.0, 2.0}));
   req.options.engine.numThreads = threads;
-  req.options.engine.onTheFly = onTheFly;
-  req.options.engine.onTheFlyMaxVisited = maxVisited;
+  req.options.engine.reference = reference;
   req.options.engine.staticCombine = false;  // exercise composition
   return session.analyze(req);
+}
+
+/// Steps the fused engine served.
+std::size_t fusedSteps(const analysis::AnalysisReport& r) {
+  const std::vector<analysis::CompositionStep>& steps = r.stats().steps;
+  return static_cast<std::size_t>(
+      std::count_if(steps.begin(), steps.end(),
+                    [](const analysis::CompositionStep& s) {
+                      return s.onTheFly;
+                    }));
 }
 
 TEST(OtfEngine, MeasuresBitIdenticalAcrossCorpus) {
@@ -271,14 +282,14 @@ TEST(OtfEngine, MeasuresBitIdenticalAcrossCorpus) {
       {"fig10b", dft::corpus::figure10b()},
   };
   for (const auto& f : families) {
-    analysis::AnalysisReport off = analyzeWith(f.tree, false);
-    analysis::AnalysisReport on = analyzeWith(f.tree, true);
+    analysis::AnalysisReport off = analyzeWith(f.tree, Reference::ClassicChain);
+    analysis::AnalysisReport on = analyzeWith(f.tree, Reference::Production);
     ASSERT_TRUE(on.measures[0].ok && off.measures[0].ok) << f.name;
     // The whole point: not close, *identical*.
     EXPECT_EQ(on.measures[0].values, off.measures[0].values) << f.name;
-    EXPECT_GT(on.stats().onTheFlySteps, 0u) << f.name;
+    EXPECT_GT(fusedSteps(on), 0u) << f.name;
     EXPECT_EQ(on.stats().onTheFlyFallbacks, 0u) << f.name;
-    EXPECT_EQ(off.stats().onTheFlySteps, 0u) << f.name;
+    EXPECT_EQ(fusedSteps(off), 0u) << f.name;
     EXPECT_LE(on.stats().peakComposedStates, off.stats().peakComposedStates)
         << f.name;
     // Step structure is shared; only the peak bookkeeping differs.
@@ -305,29 +316,29 @@ TEST(OtfEngine, FusedPeakBelowClassicOnDeepFamilies) {
   };
   for (const auto& f : families) {
     SCOPED_TRACE(f.name);
-    analysis::AnalysisReport off = analyzeWith(f.tree, false);
-    analysis::AnalysisReport on = analyzeWith(f.tree, true);
+    analysis::AnalysisReport off = analyzeWith(f.tree, Reference::ClassicChain);
+    analysis::AnalysisReport on = analyzeWith(f.tree, Reference::Production);
     ASSERT_TRUE(on.measures[0].ok && off.measures[0].ok);
     EXPECT_EQ(on.measures[0].values, off.measures[0].values);
     for (double v : on.measures[0].values) EXPECT_FALSE(std::isnan(v));
     EXPECT_LT(on.stats().peakComposedStates, off.stats().peakComposedStates);
     EXPECT_LT(on.stats().peakComposedTransitions,
               off.stats().peakComposedTransitions);
-    EXPECT_EQ(on.stats().onTheFlySteps, on.stats().steps.size());
+    EXPECT_EQ(fusedSteps(on), on.stats().steps.size());
     EXPECT_EQ(on.stats().onTheFlyFallbacks, 0u);
-    EXPECT_EQ(off.stats().onTheFlySteps, 0u);
+    EXPECT_EQ(fusedSteps(off), 0u);
   }
 }
 
 TEST(OtfEngine, ForcedFallbackIsCountedAndBitIdentical) {
   dft::Dft d = dft::corpus::cascadedPands(4, 6);
-  analysis::AnalysisReport off = analyzeWith(d, false);
-  // A 1-state live cap makes every fused step fail immediately; the engine
-  // must fall back to the classic chain per step — and still be bitwise
-  // right, with the failures counted and explained.
-  analysis::AnalysisReport capped = analyzeWith(d, true, 1, /*maxVisited=*/1);
+  analysis::AnalysisReport off = analyzeWith(d, Reference::ClassicChain);
+  // ForcedFallback's 1-state live cap makes every fused step fail
+  // immediately; the engine must fall back to the classic chain per step —
+  // and still be bitwise right, with the failures counted and explained.
+  analysis::AnalysisReport capped = analyzeWith(d, Reference::ForcedFallback);
   EXPECT_EQ(capped.measures[0].values, off.measures[0].values);
-  EXPECT_EQ(capped.stats().onTheFlySteps, 0u);
+  EXPECT_EQ(fusedSteps(capped), 0u);
   EXPECT_EQ(capped.stats().onTheFlyFallbacks, capped.stats().steps.size());
   ASSERT_FALSE(capped.stats().onTheFlyFallbackReasons.empty());
   EXPECT_NE(capped.stats().onTheFlyFallbackReasons.front().find("cap"),
@@ -342,19 +353,25 @@ TEST(OtfEngine, ForcedFallbackIsCountedAndBitIdentical) {
 
 TEST(OtfEngine, ThreadCountDoesNotChangeBits) {
   dft::Dft d = dft::corpus::cascadedPand(3, 2);
-  analysis::AnalysisReport one = analyzeWith(d, true, 1);
-  analysis::AnalysisReport four = analyzeWith(d, true, 4);
+  analysis::AnalysisReport one = analyzeWith(d, Reference::Production, 1);
+  analysis::AnalysisReport four = analyzeWith(d, Reference::Production, 4);
   EXPECT_EQ(one.measures[0].values, four.measures[0].values);
   EXPECT_EQ(one.stats().steps.size(), four.stats().steps.size());
 }
 
-TEST(OtfEngine, SavedPeakCounterTracksFusedSteps) {
+TEST(OtfEngine, FusedStepPeaksStayWithinProductBound) {
   dft::Dft d = dft::corpus::cascadedPands(4, 6);
-  analysis::AnalysisReport on = analyzeWith(d, true);
-  EXPECT_GT(on.stats().onTheFlySteps, 0u);
-  // Every fused step's peak is bounded by the |A| x |B| product bound, so
-  // the saved-peak counter can only be positive when anything was fused.
-  EXPECT_GT(on.stats().onTheFlySavedPeakStates, 0u);
+  analysis::AnalysisReport on = analyzeWith(d, Reference::Production);
+  EXPECT_GT(fusedSteps(on), 0u);
+  // A fused step's peak live region is bounded by the |A| x |B| product
+  // bound, and on this family some step stays strictly below it.
+  bool below = false;
+  for (const analysis::CompositionStep& s : on.stats().steps) {
+    if (!s.onTheFly) continue;
+    EXPECT_LE(s.composedStates, s.leftStates * s.rightStates) << s.name;
+    below = below || s.composedStates < s.leftStates * s.rightStates;
+  }
+  EXPECT_TRUE(below);
 }
 
 }  // namespace

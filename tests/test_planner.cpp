@@ -101,7 +101,7 @@ TEST(Planner, ThreadCountSymmetryAndEngineDoNotChangeBits) {
     EngineOptions noSymmetry = base;
     noSymmetry.symmetry = false;
     EngineOptions classic = base;
-    classic.onTheFly = false;
+    classic.reference = analysis::Reference::ClassicChain;
     for (const EngineOptions* variant : {&threads, &noSymmetry, &classic}) {
       const AnalysisReport report = analyzeSeed(c.seed, *variant);
       EXPECT_EQ(boundBits(report), bits) << "seed " << c.seed;

@@ -202,7 +202,7 @@ INSTANTIATE_TEST_SUITE_P(Times, MissionTimeSweep,
 TEST(Invariance, CompositionOrderDoesNotChangeTheMeasure) {
   dft::Dft d = dft::corpus::cas();
   AnalysisOptions modular, declaration;
-  declaration.engine.strategy = CompositionStrategy::Declaration;
+  declaration.engine.reference = Reference::DeclarationOrder;
   const std::vector<MeasureSpec> u{MeasureSpec::unreliability({1.0})};
   double u1 = analyzeOnce(d, u, modular).measures[0].values.at(0);
   double u2 = analyzeOnce(d, u, declaration).measures[0].values.at(0);
@@ -221,7 +221,7 @@ TEST(Invariance, SubsetGatesGiveTheSameAnswer) {
 
 TEST(Invariance, AggregationOffGivesTheSameAnswerAtHigherCost) {
   AnalysisOptions raw;
-  raw.engine.aggregateEachStep = false;
+  raw.engine.reference = Reference::Unreduced;
   dft::Dft d = dft::corpus::cascadedPands(2, 3);
   const std::vector<MeasureSpec> u{MeasureSpec::unreliability({1.0})};
   AnalysisReport aggregated = analyzeOnce(d, u);

@@ -43,11 +43,11 @@ AnalyzerOptions coldOptions() {
 
 AnalysisReport analyzeCold(const dft::Dft& d, bool staticCombine,
                            std::vector<double> grid = {0.5, 1.0, 2.0},
-                           bool onTheFly = true) {
+                           Reference reference = Reference::Production) {
   Analyzer session(coldOptions());
   AnalysisRequest req = AnalysisRequest::forDft(d);
   req.options.engine.staticCombine = staticCombine;
-  req.options.engine.onTheFly = onTheFly;
+  req.options.engine.reference = reference;
   req.measure(MeasureSpec::unreliability(std::move(grid)));
   return session.analyze(req);
 }
@@ -297,7 +297,8 @@ TEST(StaticCombine, WideFamiliesStayAtModuleSize) {
   const std::vector<double> grid{0.5, 1.0, 2.0};
   for (const Family& f : families) {
     SCOPED_TRACE(f.name);
-    AnalysisReport on = analyzeCold(f.tree, true, grid, /*onTheFly=*/false);
+    AnalysisReport on =
+        analyzeCold(f.tree, true, grid, Reference::ClassicChain);
     ASSERT_TRUE(on.measures[0].ok);
     ASSERT_TRUE(on.analysis->staticCombo != nullptr);
     EXPECT_EQ(on.analysis->staticCombo->modules().size(), f.modules);
@@ -305,7 +306,8 @@ TEST(StaticCombine, WideFamiliesStayAtModuleSize) {
     EXPECT_LT(on.stats().peakComposedStates, f.peakBound);
     for (double v : on.measures[0].values) EXPECT_FALSE(std::isnan(v));
     if (!f.compose) continue;
-    AnalysisReport off = analyzeCold(f.tree, false, grid, /*onTheFly=*/false);
+    AnalysisReport off =
+        analyzeCold(f.tree, false, grid, Reference::ClassicChain);
     ASSERT_TRUE(off.measures[0].ok);
     EXPECT_TRUE(agreeRel(on.measures[0].values, off.measures[0].values, 1e-9));
     EXPECT_LE(on.stats().peakComposedStates, off.stats().peakComposedStates);
@@ -432,9 +434,7 @@ TEST(StaticCombine, StepDerivedStatsAreAFoldOfTheSteps) {
   EXPECT_EQ(stats.peakAggregatedStates, folded.peakAggregatedStates);
   EXPECT_EQ(stats.peakAggregatedTransitions,
             folded.peakAggregatedTransitions);
-  EXPECT_EQ(stats.onTheFlySteps, folded.onTheFlySteps);
   EXPECT_EQ(stats.onTheFlyFallbacks, folded.onTheFlyFallbacks);
-  EXPECT_EQ(stats.onTheFlySavedPeakStates, folded.onTheFlySavedPeakStates);
   EXPECT_EQ(stats.otfRefinePassesRun, folded.otfRefinePassesRun);
   EXPECT_EQ(stats.otfIntraWorkers, folded.otfIntraWorkers);
   EXPECT_EQ(stats.onTheFlyFallbackReasons, folded.onTheFlyFallbackReasons);

@@ -241,12 +241,13 @@ AnalyzerOptions coldOptions() {
 
 AnalysisReport analyzeCold(const dft::Dft& d, bool symmetry,
                            std::vector<MeasureSpec> measures,
-                           unsigned threads = 1, bool onTheFly = true) {
+                           unsigned threads = 1,
+                           Reference reference = Reference::Production) {
   Analyzer session(coldOptions());
   AnalysisRequest req = AnalysisRequest::forDft(d);
   req.options.engine.symmetry = symmetry;
   req.options.engine.numThreads = threads;
-  req.options.engine.onTheFly = onTheFly;
+  req.options.engine.reference = reference;
   // These tests probe the composition engine's symmetry machinery; the
   // static-combination numeric path would bypass the top-level fold (its
   // own symmetry counters are covered in test_static_combine.cpp).
@@ -370,8 +371,10 @@ TEST(EngineSymmetry, ReplicaFamiliesAggregateOncePerShape) {
     SCOPED_TRACE(f.name);
     const std::vector<MeasureSpec> grid{
         MeasureSpec::unreliability({0.5, 1.0, 2.0})};
-    AnalysisReport off = analyzeCold(f.tree, false, grid, 1, false);
-    AnalysisReport on = analyzeCold(f.tree, true, grid, 1, false);
+    AnalysisReport off =
+        analyzeCold(f.tree, false, grid, 1, Reference::ClassicChain);
+    AnalysisReport on =
+        analyzeCold(f.tree, true, grid, 1, Reference::ClassicChain);
     ASSERT_TRUE(off.measures[0].ok && on.measures[0].ok);
     EXPECT_EQ(off.measures[0].values, on.measures[0].values);
     for (double v : on.measures[0].values) EXPECT_FALSE(std::isnan(v));

@@ -34,14 +34,6 @@
 ///                       to unreliability measures on eligible trees, falls
 ///                       back to composition otherwise; forced off when
 ///                       --dot/--aut need the composed model)
-///     --on-the-fly on|off
-///                       fused compose-and-minimize: explore each
-///                       composition step's product frontier-by-frontier
-///                       and collapse states into weak-bisimulation
-///                       classes during exploration, so the peak memory of
-///                       a step scales with the quotient, not the product
-///                       (default: on; measures are bit-identical either
-///                       way, invariant failures fall back per step)
 ///     --stats           print composition statistics; traces the request
 ///                       to print its phase times (the inclusive seconds
 ///                       of the parse/convert/compose/extract/measure
@@ -50,7 +42,7 @@
 ///     --deadline SEC    resource budget: give up on a request after SEC
 ///                       seconds of wall clock, checked cooperatively at
 ///                       every hot-loop checkpoint (compose expansion,
-///                       refinement passes, the on-the-fly frontier,
+///                       refinement passes, the fused engine's frontier,
 ///                       uniformization sweeps); an over-budget request
 ///                       unwinds cleanly with a typed error and leaves
 ///                       every cache consistent
@@ -162,7 +154,6 @@ struct CliOptions {
   bool stats = false;
   bool symmetry = true;
   bool staticCombine = true;
-  bool onTheFly = true;
   bool serve = false;
   unsigned jobs = 0;     ///< 0 = hardware_concurrency
   unsigned workers = 0;  ///< serve mode session threads; 0 = hardware
@@ -186,8 +177,7 @@ struct CliOptions {
                "          [--modular] [--monolithic] [--simulate [N]] "
                "[--runs N] [--seed S]\n"
                "          [--jobs N] [--symmetry on|off]\n"
-               "          [--static-combine on|off] [--on-the-fly on|off] "
-               "[--stats]\n"
+               "          [--static-combine on|off] [--stats]\n"
                "          [--deadline SEC] [--max-live-states N]\n"
                "          [--store DIR] [--dot FILE] [--aut FILE]\n"
                "          [--trace FILE] [--metrics-json FILE] "
@@ -246,8 +236,10 @@ CliOptions parseArgs(int argc, char** argv) {
       // the flag form composes with --runs / --seed instead.
       if (i + 1 < argc && argv[i + 1][0] != '\0' &&
           std::string(argv[i + 1]).find_first_not_of("0123456789") ==
-              std::string::npos)
+              std::string::npos) {
         number(opts.simulateRuns);
+        if (opts.simulateRuns == 0) usage(argv[0]);
+      }
     } else if (arg == "--runs") {
       opts.simulate = true;
       number(opts.simulateRuns);
@@ -284,14 +276,6 @@ CliOptions parseArgs(int argc, char** argv) {
         opts.staticCombine = true;
       else if (v == "off")
         opts.staticCombine = false;
-      else
-        usage(argv[0]);
-    } else if (arg == "--on-the-fly") {
-      std::string v = next();
-      if (v == "on")
-        opts.onTheFly = true;
-      else if (v == "off")
-        opts.onTheFly = false;
       else
         usage(argv[0]);
     } else if (arg == "--dot") {
@@ -421,7 +405,6 @@ void configureRequest(imcdft::analysis::AnalysisRequest& request,
   request.options.engine.numThreads = opts.jobs;
   request.options.engine.symmetry = opts.symmetry;
   request.options.engine.staticCombine = opts.staticCombine;
-  request.options.engine.onTheFly = opts.onTheFly;
   request.options.engine.storeDir = opts.storeDir;
   request.budget.deadlineSeconds = opts.deadline;
   request.budget.maxLiveStates = opts.maxLiveStates;
@@ -735,13 +718,16 @@ int runOneShot(CliOptions& opts) {
                     sc.layerGateCount(), sc.modules().size(),
                     sc.chains().size(), sc.bddNodes());
       }
-      if (report.stats().onTheFlySteps > 0 ||
-          report.stats().onTheFlyFallbacks > 0) {
-        std::printf("  on-the-fly:      %zu fused step(s), %zu fallback(s), "
-                    ">= %zu peak state(s) saved vs the product bound\n",
-                    report.stats().onTheFlySteps,
-                    report.stats().onTheFlyFallbacks,
-                    report.stats().onTheFlySavedPeakStates);
+      if (report.stats().onTheFlyFallbacks > 0)
+        std::printf("  on-the-fly:      %zu step(s) fell back to the "
+                    "classic chain\n",
+                    report.stats().onTheFlyFallbacks);
+      const std::vector<analysis::CompositionStep>& steps =
+          report.stats().steps;
+      if (std::any_of(steps.begin(), steps.end(),
+                      [](const analysis::CompositionStep& s) {
+                        return s.onTheFly;
+                      })) {
         std::printf("  otf refinement:  %zu pass(es) run, %u encode "
                     "worker(s)\n",
                     report.stats().otfRefinePassesRun,
@@ -847,13 +833,23 @@ int runOneShot(CliOptions& opts) {
       }
     }
 
-    if (!opts.dotPath.empty())
-      std::ofstream(opts.dotPath)
-          << ioimc::toDot(report.analysis->closedModel);
-    if (!opts.autPath.empty())
-      std::ofstream(opts.autPath)
-          << ioimc::toAut(report.analysis->closedModel);
-    return anyMeasureFailed ? 1 : 0;
+    // Unlike the observability outputs, a requested export that cannot be
+    // written fails the run.
+    bool exportFailed = false;
+    auto writeExport = [&](const std::string& path, const char* what,
+                           std::string (*render)(const ioimc::IOIMC&)) {
+      if (path.empty()) return;
+      std::ofstream out(path);
+      out << render(report.analysis->closedModel);
+      out.close();
+      if (out) return;
+      std::fprintf(stderr, "error: cannot write %s file '%s'\n", what,
+                   path.c_str());
+      exportFailed = true;
+    };
+    writeExport(opts.dotPath, "dot", ioimc::toDot);
+    writeExport(opts.autPath, "aut", ioimc::toAut);
+    return anyMeasureFailed || exportFailed ? 1 : 0;
   }
 }
 
