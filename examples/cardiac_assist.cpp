@@ -8,7 +8,7 @@
 /// layer, so the default pipeline solves each unit's CTMC numerically and
 /// folds the curves through a BDD instead of composing the joint product.
 /// A second, perturbed scenario shows the session reusing the unchanged
-/// units' solved chains.
+/// units' analyses from its tree cache.
 
 #include <cstdio>
 
@@ -61,7 +61,7 @@ int main() {
     std::printf("  %-5.1f %.6f\n", curve.spec.times[i], curve.values[i]);
 
   // A perturbed scenario (slower cross switch): the CPU unit changes, the
-  // motor and pump units are reused from the session's module caches.
+  // motor and pump units are reused from the session's tree cache.
   std::string variant = dft::corpus::galileoCas();
   const std::string needle = "\"CS\" lambda=0.2;";
   variant.replace(variant.find(needle), needle.size(), "\"CS\" lambda=0.1;");

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -96,8 +95,7 @@ void publishRequestMetrics(const AnalysisReport& report, double wallSeconds) {
   storeWrites.add(report.cache.storeWrites);
   storeErrors.add(report.cache.storeErrors);
   inflightJoins.add(report.cache.inflightJoins);
-  evictions.add(report.cache.treeEvictions + report.cache.moduleEvictions +
-                report.cache.chainEvictions + report.cache.curveEvictions);
+  evictions.add(report.cache.treeEvictions + report.cache.moduleEvictions);
   refineRun.add(report.cache.otfRefinePassesRun);
   for (const MeasureResult& m : report.measures)
     (m.ok ? measuresOk : measuresFailed).add();
@@ -135,35 +133,6 @@ std::string readFile(const std::string& path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
-}
-
-/// Exact serialization of a time grid (hexfloat: no rounding collisions);
-/// the curve-cache key suffix.
-std::string gridKey(const std::vector<double>& times) {
-  std::string key;
-  char buf[40];
-  for (double t : times) {
-    std::snprintf(buf, sizeof buf, "%a,", t);
-    key += buf;
-  }
-  return key;
-}
-
-/// The numeric path's per-module fingerprint: rename-invariant shape under
-/// symmetry (isomorphic siblings share one solved chain and one curve),
-/// exact module key otherwise — mirroring the module cache's keying.
-std::string chainKey(const dft::Dft& tree, dft::ElementId root,
-                     const AnalysisOptions& opts, const std::string& optsKey) {
-  std::string k;
-  if (opts.engine.symmetry) {
-    k = "shape\x1f";
-    k += dft::moduleShape(tree, root).key;
-  } else {
-    k = dft::moduleKey(tree, root);
-  }
-  k += '\x1f';
-  k += optsKey;
-  return k;
 }
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -365,9 +334,7 @@ Analyzer::Analyzer(AnalyzerOptions opts)
     : opts_(opts),
       symbols_(ioimc::makeSymbolTable()),
       trees_(opts.maxCachedTrees),
-      modules_(opts.maxCachedModules),
-      chains_(opts.maxCachedModules),
-      curves_(opts.maxCachedCurves) {}
+      modules_(opts.maxCachedModules) {}
 
 Analyzer::~Analyzer() = default;
 
@@ -379,8 +346,6 @@ CacheStats Analyzer::cacheStats() const {
 void Analyzer::clearCache() {
   trees_.clear();
   modules_.clear();
-  chains_.clear();
-  curves_.clear();
 }
 
 std::shared_ptr<store::QuotientStore> Analyzer::openStore(
@@ -403,10 +368,54 @@ std::shared_ptr<store::QuotientStore> Analyzer::openStore(
   return handle;
 }
 
+std::shared_ptr<const DftAnalysis> Analyzer::serveTree(
+    const dft::Dft& tree, const std::string& key, const std::string& label,
+    const AnalysisOptions& opts, bool useTreeCache, CacheStats& requestStats,
+    const std::shared_ptr<store::QuotientStore>& store, Served& served) {
+  if (useTreeCache)
+    if (std::optional<std::shared_ptr<const DftAnalysis>> hit =
+            trees_.get(key)) {
+      served = Served::TreeCache;
+      return std::move(*hit);
+    }
+  served = Served::Pipeline;
+  std::shared_ptr<const DftAnalysis> analysis;
+  if (store) {
+    // Whole-tree store probe: a hit skips conversion and composition
+    // entirely; only the extraction tail runs on the already-aggregated
+    // quotient.  The probe is timed as an extract span.
+    obs::TraceSpan extractSpan("extract");
+    if (std::optional<store::QuotientStore::LoadedTree> loaded =
+            store->loadTree(key, symbols_)) {
+      Extraction absorbed = absorbedExtraction(loaded->model, opts.engine.weak);
+      DftAnalysis rebuilt{std::move(loaded->model), CompositionStats{},
+                          std::move(absorbed), false, loaded->repairable,
+                          nullptr, nullptr};
+      rebuilt.nondeterministic = !rebuilt.absorbed.deterministic;
+      analysis = std::make_shared<DftAnalysis>(std::move(rebuilt));
+      served = Served::Store;
+      ++requestStats.storeHits;
+      obs::traceInstant("store-probe", label, {{"hit", 1}});
+    } else {
+      ++requestStats.storeMisses;
+      obs::traceInstant("store-probe", label, {{"hit", 0}});
+    }
+  }
+  if (!analysis) {
+    analysis = runPipeline(tree, opts, requestStats, store);
+    if (store && store->storeTree(key, analysis->closedModel,
+                                  analysis->repairable))
+      ++requestStats.storeWrites;
+  }
+  if (useTreeCache)
+    requestStats.treeEvictions += trees_.put(key, analysis);
+  return analysis;
+}
+
 std::shared_ptr<const DftAnalysis> Analyzer::runNumericPipeline(
     const dft::Dft& tree, const dft::StaticLayer& layer,
     const AnalysisOptions& opts, CacheStats& requestStats,
-    std::vector<Diagnostic>& diagnostics,
+    std::vector<Diagnostic>& diagnostics, bool useTreeCache,
     const std::shared_ptr<store::QuotientStore>& store) {
   obs::TraceSpan span("numeric-combine");
   // Belt and suspenders: the layer's structural checks already imply that
@@ -424,8 +433,7 @@ std::shared_ptr<const DftAnalysis> Analyzer::runNumericPipeline(
     }
   }
 
-  const std::string optsKey_ = optionsKey(opts);
-  const bool useChainCache = opts_.cacheModules;
+  const std::string optsKey = optionsKey(opts);
   std::vector<StaticCombination::SolvedChain> solved;
   std::vector<NumericModule> modules;
   std::vector<std::size_t> solvedSteps;          // per solved chain
@@ -434,9 +442,14 @@ std::shared_ptr<const DftAnalysis> Analyzer::runNumericPipeline(
   CompositionStats stats;
 
   for (dft::ElementId root : layer.moduleRoots) {
-    const std::string key = chainKey(tree, root, opts, optsKey_);
+    const std::string& name = tree.element(root).name;
+    // Symmetric siblings within this request share one solved chain: the
+    // rename-invariant shape under symmetry, the exact key otherwise.
+    const std::string localKey =
+        opts.engine.symmetry ? "shape\x1f" + dft::moduleShape(tree, root).key
+                             : dft::moduleKey(tree, root);
     std::size_t index;
-    auto local = localIndex.find(key);
+    auto local = localIndex.find(localKey);
     if (local != localIndex.end()) {
       // Symmetric sibling within this request: one curve for free.
       index = local->second;
@@ -444,32 +457,28 @@ std::shared_ptr<const DftAnalysis> Analyzer::runNumericPipeline(
       ++stats.symmetricModulesReused;
       stats.symmetrySavedSteps += solvedSteps[index];
     } else {
-      std::shared_ptr<const DftAnalysis> sub;
-      std::size_t steps = 0;
-      if (useChainCache) {
-        if (std::optional<ChainEntry> hit = chains_.get(key)) {
-          sub = std::move(hit->analysis);
-          steps = hit->steps;
-          ++requestStats.moduleHits;
-          ++stats.cachedModules;
-          stats.stepsSaved += steps;
-          requestStats.stepsSaved += steps;
-        }
-      }
-      if (!sub) {
+      // The frontier module is an ordinary tree, under the key a request
+      // for the extracted module alone probes (see analyze()).
+      const dft::Dft moduleDft = dft::extractModule(tree, root);
+      std::string key =
+          opts.engine.symmetry ? dft::canonicalKey(moduleDft) : localKey;
+      key += '\x1f';
+      key += optsKey;
+      key += ";nc=0";
+      Served served;
+      std::shared_ptr<const DftAnalysis> sub =
+          serveTree(moduleDft, key, name, opts, useTreeCache, requestStats,
+                    store, served);
+      const std::size_t steps = sub->stats.steps.size();
+      const bool hit = served == Served::TreeCache;
+      obs::traceInstant("module-cache", name, {{"hit", hit ? 1u : 0u}});
+      if (hit) {
+        ++requestStats.moduleHits;
+        ++stats.cachedModules;
+        stats.stepsSaved += steps;
+        requestStats.stepsSaved += steps;
+      } else {
         ++requestStats.moduleMisses;
-        const dft::Dft moduleDft = dft::extractModule(tree, root);
-        sub = runPipeline(moduleDft, opts, requestStats, store);
-        if (sub->nondeterministic) {
-          diagnostics.push_back(
-              {Severity::Warning,
-               "static combination fell back to full composition: module '" +
-                   tree.element(root).name +
-                   "' is nondeterministic (FDEP-induced simultaneity, "
-                   "Section 4.4)"});
-          return nullptr;
-        }
-        steps = sub->stats.steps.size();
         // The per-module pipelines' steps are the only compositions that
         // happen at all; the step-derived fields are folded from them once,
         // below.
@@ -480,17 +489,24 @@ std::shared_ptr<const DftAnalysis> Analyzer::runNumericPipeline(
         stats.symmetricBuckets += sub->stats.symmetricBuckets;
         stats.symmetricModulesReused += sub->stats.symmetricModulesReused;
         stats.symmetrySavedSteps += sub->stats.symmetrySavedSteps;
-        if (useChainCache)
-          requestStats.chainEvictions += chains_.put(key, ChainEntry{sub, steps});
+      }
+      if (sub->nondeterministic) {
+        diagnostics.push_back(
+            {Severity::Warning,
+             "static combination fell back to full composition: module '" +
+                 name +
+                 "' is nondeterministic (FDEP-induced simultaneity, "
+                 "Section 4.4)"});
+        return nullptr;
       }
       index = solved.size();
-      solved.push_back({key, std::move(sub)});
+      solved.push_back({localKey, std::move(sub)});
       solvedSteps.push_back(steps);
       membersOfChain.push_back(1);
-      localIndex.emplace(key, index);
+      localIndex.emplace(localKey, index);
     }
     const DftAnalysis& chain = *solved[index].analysis;
-    modules.push_back(NumericModule{tree.element(root).name, index,
+    modules.push_back(NumericModule{name, index,
                                     chain.closedModel.numStates(),
                                     chain.closedModel.numTransitions()});
   }
@@ -499,6 +515,8 @@ std::shared_ptr<const DftAnalysis> Analyzer::runNumericPipeline(
     if (members >= 2) ++stats.symmetricBuckets;
   for (const NumericModule& m : modules)
     stats.modules.push_back(ModuleResult{m.name, m.states, m.transitions});
+  span.arg("modules", modules.size());
+  span.arg("chains", solved.size());
 
   // The placeholder model keeps DftAnalysis well-formed (exports and state
   // counts read 1 state, 0 transitions); every measure evaluates through
@@ -516,31 +534,6 @@ std::shared_ptr<const DftAnalysis> Analyzer::runNumericPipeline(
                      std::make_shared<StaticCombination>(
                          tree, layer, std::move(solved), std::move(modules))};
   return std::make_shared<DftAnalysis>(std::move(result));
-}
-
-std::vector<double> Analyzer::cachedCurve(
-    const StaticCombination& combo, std::size_t chainIndex,
-    const std::vector<double>& times,
-    const std::shared_ptr<store::QuotientStore>& store, CacheStats& stats,
-    const CancelToken* cancel) {
-  if (!opts_.cacheModules) return combo.solveCurve(chainIndex, times, cancel);
-  std::string key = combo.chains()[chainIndex].key;
-  key += '\x1f';
-  key += gridKey(times);
-  if (std::optional<std::vector<double>> hit = curves_.get(key))
-    return std::move(*hit);
-  if (store) {
-    if (std::optional<std::vector<double>> loaded = store->loadCurve(key)) {
-      ++stats.storeHits;
-      stats.curveEvictions += curves_.put(std::move(key), *loaded);
-      return std::move(*loaded);
-    }
-    ++stats.storeMisses;
-  }
-  std::vector<double> curve = combo.solveCurve(chainIndex, times, cancel);
-  if (store && store->storeCurve(key, curve)) ++stats.storeWrites;
-  stats.curveEvictions += curves_.put(std::move(key), curve);
-  return curve;
 }
 
 std::shared_ptr<const DftAnalysis> Analyzer::runPipeline(
@@ -770,56 +763,34 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
   }
 
   if (!analysis) {
-    std::string storeKey = fullKey;
     try {
       ++report.cache.treeMisses;
       obs::traceInstant("tree-cache", request.label, {{"hit", 0}});
       if (wantNumeric) {
         dft::StaticLayer layer = dft::detectStaticLayer(*tree);
         if (layer.eligible) {
-          analysis =
-              runNumericPipeline(*tree, layer, options, report.cache,
-                                 report.diagnostics, storeHandle);
-          if (analysis) storeKey = numericKey;
+          analysis = runNumericPipeline(*tree, layer, options, report.cache,
+                                        report.diagnostics, useTreeCache,
+                                        storeHandle);
           // Null = a module was nondeterministic (Warning already
           // attached); the fallen-back full analysis lands under fullKey.
+          if (analysis && useTreeCache)
+            report.cache.treeEvictions += trees_.put(numericKey, analysis);
         } else {
           report.diagnostics.push_back(
               {Severity::Info,
                "static combination not applicable: " + layer.reason});
         }
       }
-      bool fresh = false;
-      if (!analysis && storeHandle) {
-        // Whole-tree store probe: a hit skips conversion and composition
-        // entirely; only the extraction tail runs on the already-aggregated
-        // quotient.  Numeric-path analyses are never persisted whole-tree
-        // (their value lives in module and curve records), so the probe is
-        // for the full key.  The probe is timed as an extract span.
-        obs::TraceSpan extractSpan("extract");
-        if (std::optional<store::QuotientStore::LoadedTree> loaded =
-                storeHandle->loadTree(fullKey, symbols_)) {
-          Extraction absorbed =
-              absorbedExtraction(loaded->model, options.engine.weak);
-          DftAnalysis rebuilt{std::move(loaded->model), CompositionStats{},
-                              std::move(absorbed), false, loaded->repairable,
-                              nullptr, nullptr};
-          rebuilt.nondeterministic = !rebuilt.absorbed.deterministic;
-          analysis = std::make_shared<DftAnalysis>(std::move(rebuilt));
-          ++report.cache.storeHits;
-          obs::traceInstant("store-probe", request.label, {{"hit", 1}});
+      if (!analysis) {
+        Served served;
+        analysis = serveTree(*tree, fullKey, request.label, options,
+                             useTreeCache, report.cache, storeHandle, served);
+        if (served == Served::Store)
           report.diagnostics.push_back(
               {Severity::Info,
                "whole-tree quotient served from the persistent store "
                "(composition skipped)"});
-        } else {
-          ++report.cache.storeMisses;
-          obs::traceInstant("store-probe", request.label, {{"hit", 0}});
-        }
-      }
-      if (!analysis) {
-        analysis = runPipeline(*tree, options, report.cache, storeHandle);
-        fresh = true;
       }
       if (report.cache.moduleHits > 0)
         report.diagnostics.push_back(
@@ -850,17 +821,6 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
                  std::to_string(analysis->stats.onTheFlyFallbacks) +
                  " step(s): " + why});
       }
-      // Publish the freshly composed whole-tree quotient to the store.
-      // Store-loaded and numeric analyses are skipped: the former's record
-      // already exists, the latter is served by module/curve records.
-      if (fresh && storeHandle && !analysis->staticCombo) {
-        if (storeHandle->storeTree(fullKey, analysis->closedModel,
-                                   analysis->repairable))
-          ++report.cache.storeWrites;
-      }
-      if (useTreeCache)
-        report.cache.treeEvictions +=
-            trees_.put(std::move(storeKey), analysis);
     } catch (...) {
       if (leader) {
         flightPromise.set_exception(std::current_exception());
@@ -881,13 +841,13 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
         {Severity::Info, analysis->staticCombo->summary()});
 
   // --- Evaluate the measures. ---
-  // Numeric-path curves are served through the session curve cache, so a
-  // batch over symmetric or repeated grids solves each distinct chain once.
+  // Numeric-path curves are solved per evaluation, one uniformization sweep
+  // per distinct chain, as the full path solves its one chain.
   auto numericCurve = [&](const std::vector<double>& times) {
-    return analysis->staticCombo->evaluate(
+    const StaticCombination& combo = *analysis->staticCombo;
+    return combo.evaluate(
         times, [&](std::size_t index, const std::vector<double>& ts) {
-          return cachedCurve(*analysis->staticCombo, index, ts, storeHandle,
-                             report.cache, cancel.get());
+          return combo.solveCurve(index, ts, cancel.get());
         });
   };
   // Every solver of a budgeted request checkpoints once per iteration

@@ -22,7 +22,9 @@
 /// through two caches:
 ///
 ///  * a whole-tree cache keyed by the canonical tree fingerprint plus the
-///    conversion/engine options — a repeated request is a pure lookup;
+///    conversion/engine options — a repeated request is a pure lookup.  The
+///    static-combination path (analysis/static_combine.hpp) serves each of
+///    its frontier modules through this cache too, as a tree of its own;
 ///  * a per-module cache of aggregated independent-module I/O-IMCs — a
 ///    batch over N scenario variants that share modules only re-composes
 ///    what changed.  With EngineOptions::symmetry enabled the module cache
@@ -41,30 +43,27 @@
 /// make that splicing sound.
 ///
 /// Concurrency.  One Analyzer serves any number of concurrent sessions:
-/// every cache is an internally synchronized LRU map (common/lru_map.hpp,
-/// the module and curve caches sharded by key hash), the session symbol
-/// table is itself synchronized, and cached DftAnalysis objects are
-/// immutable once published (the one lazily computed field, fullMemo, is
-/// installed with a first-write-wins CAS — see fullExtraction).  Concurrent
-/// requests for the *same* fingerprint dedup in flight: the first becomes
-/// the leader and runs the aggregation, later arrivals block on a shared
-/// future and receive the leader's (identical) result, counted in
+/// both caches are internally synchronized LRU maps (common/lru_map.hpp,
+/// the module cache sharded by key hash), the session symbol table is
+/// itself synchronized, and cached DftAnalysis objects are immutable once
+/// published (the one lazily computed field, fullMemo, is installed with a
+/// first-write-wins CAS — see fullExtraction).  Concurrent requests for
+/// the *same* fingerprint dedup in flight: the first becomes the leader and
+/// runs the aggregation, later arrivals block on a shared future and
+/// receive the leader's (identical) result, counted in
 /// CacheStats::inflightJoins.  N identical concurrent requests therefore
 /// perform exactly one aggregation.
 ///
 /// Persistence.  When EngineOptions::storeDir names a directory, the
-/// session reads aggregated whole-tree and module quotients plus solved
-/// numeric-path curves from the content-addressed on-disk store
-/// (store/quotient_store.hpp) before aggregating, and publishes fresh
-/// results back.  Store records are keyed by the same canonical
-/// fingerprints as the in-memory caches and deserialize by action *name*
-/// into the session symbol table, so a store hit is bitwise identical to
-/// the cold aggregation it replaces.  Store failures are soft: they count
-/// as misses, attach Warning diagnostics, and never change an answer.
-
-namespace imcdft {
-class CancelToken;  // common/cancel.hpp
-}
+/// session reads aggregated whole-tree and module quotients from the
+/// content-addressed on-disk store (store/quotient_store.hpp) before
+/// aggregating, and publishes fresh results back; a numeric-path frontier
+/// module is a whole-tree record like any other tree.  Store records are
+/// keyed by the same canonical fingerprints as the in-memory caches and
+/// deserialize by action *name* into the session symbol table, so a store
+/// hit is bitwise identical to the cold aggregation it replaces.  Store
+/// failures are soft: they count as misses, attach Warning diagnostics,
+/// and never change an answer.
 
 namespace imcdft::store {
 class QuotientStore;  // store/quotient_store.hpp
@@ -76,17 +75,14 @@ struct AnalyzerOptions {
   /// Serve repeated identical (tree, options) requests from cache.
   bool cacheTrees = true;
   /// Reuse aggregated independent-module models across requests (not on
-  /// the DeclarationOrder reference).  Also gates the numeric path's
-  /// solved-chain and per-module curve caches (they are module-level caches
-  /// too) and the persistent store's module/curve record traffic.
+  /// the DeclarationOrder reference).  Also gates the persistent store's
+  /// module record traffic.
   bool cacheModules = true;
   /// Capacity bounds: least-recently-used entries are evicted once a cache
   /// grows past its limit (counted in CacheStats::*Evictions); 0 means
   /// unbounded.
   std::size_t maxCachedTrees = 256;
   std::size_t maxCachedModules = 1024;
-  /// Numeric-path curve cache entries (one per solved chain x time grid).
-  std::size_t maxCachedCurves = 4096;
 };
 
 /// Extraction of the *non-absorbed* closed model (the unavailability
@@ -135,10 +131,6 @@ class Analyzer {
   /// Number of entries currently cached.
   std::size_t cachedTreeCount() const { return trees_.size(); }
   std::size_t cachedModuleCount() const { return modules_.size(); }
-  /// Numeric-path caches: solved per-module CTMCs and their unreliability
-  /// curves (see analysis/static_combine.hpp).
-  std::size_t cachedChainCount() const { return chains_.size(); }
-  std::size_t cachedCurveCount() const { return curves_.size(); }
 
   void clearCache();
 
@@ -155,39 +147,36 @@ class Analyzer {
     /// stored model from this basis at lookup.
     std::vector<std::string> names;
   };
-  /// Numeric-path solved chain: module fingerprint (shape or exact, plus
-  /// engine options) -> whole per-module pipeline result.
-  struct ChainEntry {
-    std::shared_ptr<const DftAnalysis> analysis;
-    std::size_t steps = 0;  ///< compose steps a hit saves
-  };
+  /// Where serveTree() found its analysis.
+  enum class Served { TreeCache, Store, Pipeline };
 
   std::shared_ptr<const DftAnalysis> runPipeline(
       const dft::Dft& tree, const AnalysisOptions& opts,
       CacheStats& requestStats,
       const std::shared_ptr<store::QuotientStore>& store);
 
-  /// The static-combination numeric path: per-module pipelines + BDD
+  /// The full-composition analysis of \p tree under tree-cache key \p key:
+  /// the tree cache (when \p useTreeCache), then the store's whole-tree
+  /// record, then runPipeline; a fresh result is published to the store,
+  /// and every result not served from the tree cache is put into it.
+  /// \p label names the tree in trace events; \p served reports the
+  /// source.
+  std::shared_ptr<const DftAnalysis> serveTree(
+      const dft::Dft& tree, const std::string& key, const std::string& label,
+      const AnalysisOptions& opts, bool useTreeCache, CacheStats& requestStats,
+      const std::shared_ptr<store::QuotientStore>& store, Served& served);
+
+  /// The static-combination numeric path: per-module analyses (each
+  /// frontier module served by serveTree as a tree of its own) + BDD
   /// structure function over the frontier of \p layer (which must be
   /// eligible).  Returns null — after appending a Warning — when a module
-  /// turns out nondeterministic; the caller then falls back to
-  /// runPipeline.
+  /// turns out nondeterministic; the caller then falls back to the full
+  /// pipeline.
   std::shared_ptr<const DftAnalysis> runNumericPipeline(
       const dft::Dft& tree, const dft::StaticLayer& layer,
       const AnalysisOptions& opts, CacheStats& requestStats,
-      std::vector<Diagnostic>& diagnostics,
+      std::vector<Diagnostic>& diagnostics, bool useTreeCache,
       const std::shared_ptr<store::QuotientStore>& store);
-
-  /// Serves a numeric-path chain's curve from the session curve cache
-  /// (keyed chain fingerprint x time grid), then from the persistent
-  /// store, solving on a double miss (and publishing the fresh curve).
-  /// \p cancel (may be null) is checkpointed during the solve; a budget
-  /// trip throws before anything is cached, so caches stay consistent.
-  std::vector<double> cachedCurve(
-      const StaticCombination& combo, std::size_t chainIndex,
-      const std::vector<double>& times,
-      const std::shared_ptr<store::QuotientStore>& store, CacheStats& stats,
-      const CancelToken* cancel = nullptr);
 
   /// Resolves (and memoizes) the store handle for \p dir; an empty dir
   /// returns null.  A directory that cannot be opened warns once (on the
@@ -201,15 +190,12 @@ class Analyzer {
   mutable std::mutex statsMutex_;
   CacheStats sessionStats_;
 
-  /// The four session caches; all internally synchronized LRU maps.
-  /// trees_/chains_ are only touched from request-serving threads;
-  /// modules_ is also stored into from the engine's worker threads, and
-  /// curves_ takes measure-evaluation traffic from every session — both
-  /// are sharded to keep concurrent sessions off one mutex.
+  /// The two session caches; both internally synchronized LRU maps.
+  /// trees_ is only touched from request-serving threads; modules_ is also
+  /// stored into from the engine's worker threads, so it is sharded to keep
+  /// concurrent sessions off one mutex.
   LruMap<std::shared_ptr<const DftAnalysis>> trees_;
   ShardedLruMap<std::shared_ptr<const ModuleEntry>> modules_;
-  LruMap<ChainEntry> chains_;
-  ShardedLruMap<std::vector<double>> curves_;
 
   /// In-flight dedup: fingerprint -> the future every concurrent identical
   /// request joins on.  Entries live only while a leader is aggregating.

@@ -82,8 +82,8 @@ struct EngineOptions {
   bool staticCombine = true;
   /// Directory of the persistent quotient store (store/quotient_store.hpp).
   /// Empty disables persistence.  The Analyzer reads aggregated module and
-  /// whole-tree quotients plus solved curves from it before aggregating,
-  /// and publishes fresh results back; a fleet of processes pointed at one
+  /// whole-tree quotients from it before aggregating, and publishes fresh
+  /// results back; a fleet of processes pointed at one
   /// directory shares a warm cache across restarts.  Deliberately NOT part
   /// of the semantic cache key (optionsKey): store hits are bitwise
   /// identical to cold aggregation, so the same analysis keyed with and

@@ -87,14 +87,16 @@ struct CacheStats {
   std::size_t treeHits = 0;
   std::size_t treeMisses = 0;
   /// Module cache: a hit splices a previously aggregated module I/O-IMC.
+  /// A static-combination frontier module served from the tree cache
+  /// counts here too (a miss is any other source).
   std::size_t moduleHits = 0;
   std::size_t moduleMisses = 0;
   /// Compose/hide/aggregate steps actually executed vs avoided by hits.
   std::size_t stepsRun = 0;
   std::size_t stepsSaved = 0;
   /// Persistent quotient store (EngineOptions::storeDir): records served
-  /// from / probed and absent in the on-disk store, summed over all three
-  /// record kinds (whole-tree quotients, module quotients, solved curves).
+  /// from / probed and absent in the on-disk store, summed over both
+  /// record kinds (whole-tree quotients, module quotients).
   /// Store hits at the module level also count as moduleHits (they splice
   /// like a session-cache hit would).
   std::size_t storeHits = 0;
@@ -114,8 +116,6 @@ struct CacheStats {
   /// bounds in AnalyzerOptions).
   std::size_t treeEvictions = 0;
   std::size_t moduleEvictions = 0;
-  std::size_t chainEvictions = 0;
-  std::size_t curveEvictions = 0;
   /// Partial refinement passes the fused engine ran across all its steps.
   std::size_t otfRefinePassesRun = 0;
 
@@ -134,8 +134,6 @@ struct CacheStats {
     inflightJoins += other.inflightJoins;
     treeEvictions += other.treeEvictions;
     moduleEvictions += other.moduleEvictions;
-    chainEvictions += other.chainEvictions;
-    curveEvictions += other.curveEvictions;
     otfRefinePassesRun += other.otfRefinePassesRun;
   }
 };

@@ -60,14 +60,14 @@ StaticCombination::StaticCombination(dft::Dft layerDft,
                                      std::vector<NumericModule> modules)
     : structure_(layerDft),
       layerGateCount_(layerGateCount),
-      chains_(std::move(chains)),
+      solved_(std::move(chains)),
       modules_(std::move(modules)) {
   // Bind the mini-DFT's basic events (declared in frontier order) to the
   // chain of the equally-named module.
   layerSize_ = layerDft.size();
   std::unordered_map<std::string, std::size_t> chainOfName;
   for (const NumericModule& m : modules_) {
-    require(m.chain < chains_.size(), "StaticCombination: chain out of range");
+    require(m.chain < solved_.size(), "StaticCombination: chain out of range");
     chainOfName.emplace(m.name, m.chain);
   }
   for (dft::ElementId id = 0; id < layerDft.size(); ++id) {
@@ -90,14 +90,14 @@ std::vector<double> StaticCombination::solveCurve(
   ctmc::TransientOptions opts;
   opts.epsilon = 1e-12;
   opts.cancel = cancel;
-  return ctmc::labelCurve(chains_[index].analysis->absorbed.chain, kDownLabel,
+  return ctmc::labelCurve(solved_[index].analysis->absorbed.chain, kDownLabel,
                           times, opts);
 }
 
 std::vector<double> StaticCombination::evaluate(
     const std::vector<double>& times, const CurveFn& curveFor) const {
-  std::vector<std::vector<double>> curves(chains_.size());
-  for (std::size_t i = 0; i < chains_.size(); ++i) {
+  std::vector<std::vector<double>> curves(solved_.size());
+  for (std::size_t i = 0; i < solved_.size(); ++i) {
     curves[i] = curveFor(i, times);
     require(curves[i].size() == times.size(),
             "StaticCombination: curve length mismatch");
@@ -115,7 +115,7 @@ std::vector<double> StaticCombination::evaluate(
 std::string StaticCombination::summary() const {
   return "static combination: layer of " + std::to_string(layerGateCount_) +
          " gate(s) over " + std::to_string(modules_.size()) +
-         " independent module(s), " + std::to_string(chains_.size()) +
+         " independent module(s), " + std::to_string(solved_.size()) +
          " distinct curve(s) solved numerically";
 }
 

@@ -22,7 +22,9 @@
 ///  1. runs the ordinary compositional pipeline *per frontier module* (so
 ///     the worker pool, the symmetry reduction and the session module
 ///     cache all still apply inside each module), extracting one absorbing
-///     CTMC per distinct module;
+///     CTMC per distinct module.  Each frontier module is served as a tree
+///     of its own: from the session tree cache or the store's whole-tree
+///     record when either holds it;
 ///  2. solves each CTMC's "down"-probability at every requested mission
 ///     time with one shared uniformization sweep (ctmc::labelCurve);
 ///  3. evaluates the layer's structure function over the per-time
@@ -39,8 +41,8 @@
 ///
 /// A StaticCombination is the cacheable result of steps 1 and 3: the
 /// solved chains plus the compiled structure function.  It hangs off
-/// DftAnalysis::staticCombo; the Analyzer evaluates time grids against it
-/// (with a session curve cache keyed chain-fingerprint x grid).
+/// DftAnalysis::staticCombo; the Analyzer evaluates each requested time
+/// grid against it, solving step 2 afresh.
 
 namespace imcdft {
 class CancelToken;  // common/cancel.hpp
@@ -61,8 +63,8 @@ class StaticCombination {
  public:
   /// One distinct solved module: the per-module pipeline result (its
   /// absorbed extraction carries the CTMC the curves are computed on) plus
-  /// the session fingerprint it was solved under (module shape or exact
-  /// key, times the engine options — the curve-cache key prefix).
+  /// the key its symmetric siblings share within the request (the module's
+  /// rename-invariant shape under symmetry, its exact key otherwise).
   struct SolvedChain {
     std::string key;
     std::shared_ptr<const DftAnalysis> analysis;
@@ -77,8 +79,7 @@ class StaticCombination {
                     std::vector<NumericModule> modules);
 
   /// Curve supplier hook: returns the "down"-probability curve of
-  /// chains()[index] over \p times.  The Analyzer passes a session-cached
-  /// supplier over solveCurve().
+  /// chains()[index] over \p times.  The Analyzer passes solveCurve().
   using CurveFn = std::function<std::vector<double>(
       std::size_t index, const std::vector<double>& times)>;
 
@@ -94,7 +95,7 @@ class StaticCombination {
                                  const std::vector<double>& times,
                                  const CancelToken* cancel = nullptr) const;
 
-  const std::vector<SolvedChain>& chains() const { return chains_; }
+  const std::vector<SolvedChain>& chains() const { return solved_; }
   const std::vector<NumericModule>& modules() const { return modules_; }
   std::size_t layerGateCount() const { return layerGateCount_; }
   std::size_t bddNodes() const { return structure_.bddNodes(); }
@@ -112,7 +113,7 @@ class StaticCombination {
   std::size_t layerGateCount_ = 0;
   /// Mini-DFT basic-event id -> chain index, in basic-event order.
   std::vector<std::pair<dft::ElementId, std::size_t>> binding_;
-  std::vector<SolvedChain> chains_;
+  std::vector<SolvedChain> solved_;
   std::vector<NumericModule> modules_;
 };
 

@@ -84,15 +84,6 @@ std::string encodeModuleRecord(const std::string& key,
   return finishRecord(RecordKind::ModuleQuotient, payload.take());
 }
 
-std::string encodeCurveRecord(const std::string& key,
-                              const std::vector<double>& values) {
-  ByteWriter payload;
-  payload.str(key);
-  payload.u64(values.size());
-  for (double v : values) payload.f64(v);
-  return finishRecord(RecordKind::Curve, payload.take());
-}
-
 std::string encodeTreeRecord(const std::string& key, const ioimc::IOIMC& model,
                              bool repairable) {
   ByteWriter payload;
@@ -127,32 +118,6 @@ std::optional<ModuleRecord> decodeModuleRecord(
     return std::nullopt;
   }
   return ModuleRecord{key, steps, std::move(names), std::move(*model)};
-}
-
-std::optional<CurveRecord> decodeCurveRecord(const char* data,
-                                             std::size_t size,
-                                             const std::string& key,
-                                             std::string& error) {
-  std::optional<ByteReader> in;
-  if (!openRecord(data, size, RecordKind::Curve, in, error))
-    return std::nullopt;
-  if (in->str() != key) {
-    error.clear();
-    return std::nullopt;
-  }
-  std::uint64_t n = in->u64();
-  if (n > in->remaining() / 8 || !in->ok()) {
-    error = "malformed curve record";
-    return std::nullopt;
-  }
-  std::vector<double> values;
-  values.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) values.push_back(in->f64());
-  if (!in->ok() || in->remaining() != 0) {
-    error = "malformed curve record";
-    return std::nullopt;
-  }
-  return CurveRecord{key, std::move(values)};
 }
 
 std::optional<TreeRecord> decodeTreeRecord(

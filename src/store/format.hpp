@@ -31,7 +31,6 @@
 ///  * ModuleQuotient — key, steps saved, the concrete-name basis of the
 ///    shape (empty under exact keying), and the aggregated module I/O-IMC
 ///    (ioimc/serialize.hpp).
-///  * Curve — key and the raw IEEE-754 solved values.
 ///  * TreeQuotient — key, the repairable flag, and the whole-tree closed
 ///    model; the loader re-derives the absorbed extraction (cheap: the
 ///    model is already aggregated).
@@ -47,9 +46,10 @@ inline constexpr char kMagic[8] = {'I', 'M', 'C', 'Q', 'S', 'T', 'R', '\x01'};
 inline constexpr std::uint32_t kFormatVersion = 1;
 inline constexpr std::size_t kHeaderSize = 32;
 
+/// Value 2 (solved curves in older store directories) is retired; do not
+/// reuse it.
 enum class RecordKind : std::uint32_t {
   ModuleQuotient = 1,
-  Curve = 2,
   TreeQuotient = 3,
 };
 
@@ -63,11 +63,6 @@ struct ModuleRecord {
   ioimc::IOIMC model;
 };
 
-struct CurveRecord {
-  std::string key;
-  std::vector<double> values;
-};
-
 struct TreeRecord {
   std::string key;
   bool repairable = false;
@@ -77,8 +72,6 @@ struct TreeRecord {
 std::string encodeModuleRecord(const std::string& key,
                                const ioimc::IOIMC& model, std::uint64_t steps,
                                const std::vector<std::string>& names);
-std::string encodeCurveRecord(const std::string& key,
-                              const std::vector<double>& values);
 std::string encodeTreeRecord(const std::string& key,
                              const ioimc::IOIMC& model, bool repairable);
 
@@ -88,10 +81,6 @@ std::string encodeTreeRecord(const std::string& key,
 std::optional<ModuleRecord> decodeModuleRecord(
     const char* data, std::size_t size, const std::string& key,
     const ioimc::SymbolTablePtr& symbols, std::string& error);
-std::optional<CurveRecord> decodeCurveRecord(const char* data,
-                                             std::size_t size,
-                                             const std::string& key,
-                                             std::string& error);
 std::optional<TreeRecord> decodeTreeRecord(
     const char* data, std::size_t size, const std::string& key,
     const ioimc::SymbolTablePtr& symbols, std::string& error);

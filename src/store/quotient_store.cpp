@@ -60,7 +60,6 @@ class MappedFile {
 char kindTag(RecordKind kind) {
   switch (kind) {
     case RecordKind::ModuleQuotient: return 'q';
-    case RecordKind::Curve: return 'c';
     case RecordKind::TreeQuotient: return 't';
   }
   return 'x';
@@ -159,17 +158,6 @@ std::optional<QuotientStore::LoadedModule> QuotientStore::loadModule(
   if (!record) return std::nullopt;
   return LoadedModule{std::move(record->model), record->steps,
                       std::move(record->names)};
-}
-
-std::optional<std::vector<double>> QuotientStore::loadCurve(
-    const std::string& key) {
-  auto record = loadRecord<CurveRecord>(
-      key, RecordKind::Curve,
-      [&](const char* data, std::size_t size, std::string& error) {
-        return decodeCurveRecord(data, size, key, error);
-      });
-  if (!record) return std::nullopt;
-  return std::move(record->values);
 }
 
 std::optional<QuotientStore::LoadedTree> QuotientStore::loadTree(
@@ -288,13 +276,6 @@ bool QuotientStore::storeModule(const std::string& key,
   const std::string path = entryPath(key, RecordKind::ModuleQuotient);
   if (std::filesystem::exists(path)) return false;
   return publish(path, encodeModuleRecord(key, model, steps, names));
-}
-
-bool QuotientStore::storeCurve(const std::string& key,
-                               const std::vector<double>& values) {
-  const std::string path = entryPath(key, RecordKind::Curve);
-  if (std::filesystem::exists(path)) return false;
-  return publish(path, encodeCurveRecord(key, values));
 }
 
 bool QuotientStore::storeTree(const std::string& key,

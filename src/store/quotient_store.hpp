@@ -14,11 +14,12 @@
 /// \file quotient_store.hpp
 /// The persistent, content-addressed quotient store: a directory of
 /// checksummed record files (store/format.hpp) holding aggregated module
-/// quotients, whole-tree quotients and solved curves, keyed by the same
-/// canonical fingerprints the Analyzer's in-memory caches use
-/// (dft::canonicalKey / dft::moduleKey / dft::moduleShape plus the engine
-/// options).  A fleet of worker processes pointed at one directory shares
-/// a single warm cache across restarts:
+/// quotients and whole-tree quotients, keyed by the same canonical
+/// fingerprints the Analyzer's in-memory caches use (dft::canonicalKey /
+/// dft::moduleKey / dft::moduleShape plus the engine options).  A
+/// static-combination frontier module is stored as a whole tree of its
+/// own.  A fleet of worker processes pointed at one directory shares a
+/// single warm cache across restarts:
 ///
 ///  * loads go through mmap(2), so identical records read by many workers
 ///    occupy one set of page-cache pages;
@@ -60,7 +61,6 @@ class QuotientStore {
 
   std::optional<LoadedModule> loadModule(const std::string& key,
                                          const ioimc::SymbolTablePtr& symbols);
-  std::optional<std::vector<double>> loadCurve(const std::string& key);
   std::optional<LoadedTree> loadTree(const std::string& key,
                                      const ioimc::SymbolTablePtr& symbols);
 
@@ -69,7 +69,6 @@ class QuotientStore {
   /// write failed (which queues a warning).
   bool storeModule(const std::string& key, const ioimc::IOIMC& model,
                    std::uint64_t steps, const std::vector<std::string>& names);
-  bool storeCurve(const std::string& key, const std::vector<double>& values);
   bool storeTree(const std::string& key, const ioimc::IOIMC& model,
                  bool repairable);
 
@@ -109,7 +108,7 @@ class QuotientStore {
   explicit QuotientStore(std::string dir) : dir_(std::move(dir)) {}
 
   /// Maps the record file for (key, kind) and decodes it via \p decode;
-  /// shared miss/error bookkeeping for the three load fronts.
+  /// shared miss/error bookkeeping for the two load fronts.
   template <class Record, class Decode>
   std::optional<Record> loadRecord(const std::string& key, RecordKind kind,
                                    Decode&& decode);

@@ -81,8 +81,8 @@ TEST(Analyzer, ReferenceRunsNeverShareCacheEntriesWithProduction) {
 TEST(Analyzer, VariantsShareModulesAcrossTheSession) {
   Analyzer session;
   // Composition path pinned: this test guards the aggregated-module
-  // I/O-IMC splice cache (the numeric path has its own chain/curve caches,
-  // covered in test_static_combine.cpp).
+  // I/O-IMC splice cache (the numeric path reuses whole frontier modules
+  // through the tree cache, covered in test_static_combine.cpp).
   AnalysisOptions viaComposition;
   viaComposition.engine.staticCombine = false;
   AnalysisReport base = session.analyze(
@@ -113,7 +113,7 @@ TEST(Analyzer, VariantsShareModulesAcrossTheSession) {
 TEST(Analyzer, BatchMatchesSequentialColdRuns) {
   const std::vector<double> grid{0.5, 1.0, 2.0};
   // Both pipelines: composition, and the static-combination numeric path
-  // with its solved-chain cache.  Each batch value is checked against a
+  // with its frontier modules served from the tree cache.  Each batch value is checked against a
   // cold run with the same options, since the two paths only agree with
   // each other up to transient tolerances.
   for (bool staticCombine : {false, true}) {

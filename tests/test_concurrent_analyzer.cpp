@@ -271,27 +271,10 @@ TEST(LruEviction, ModuleCacheHonorsCapacityBound) {
   EXPECT_GT(session.cacheStats().moduleEvictions, 0u);
 }
 
-TEST(LruEviction, CurveCacheHonorsCapacityBound) {
-  AnalyzerOptions opts;
-  opts.maxCachedCurves = 1;
-  Analyzer session(opts);
-  // The numeric path solves one curve per module chain x time grid; two
-  // grids over the same tree overflow a one-entry cache.
-  auto request = [&](std::vector<double> grid, const std::string& label) {
-    return AnalysisRequest::forDft(dft::corpus::voterFarm(3, 2), label)
-        .measure(MeasureSpec::unreliability(std::move(grid)));
-  };
-  EXPECT_TRUE(session.analyze(request({0.5, 1.0}, "g1")).allMeasuresOk());
-  EXPECT_TRUE(session.analyze(request({2.0, 3.0}, "g2")).allMeasuresOk());
-  EXPECT_LE(session.cachedCurveCount(), 1u);
-  EXPECT_GT(session.cacheStats().curveEvictions, 0u);
-}
-
 TEST(LruEviction, UnboundedCachesNeverEvict) {
   AnalyzerOptions opts;
   opts.maxCachedTrees = 0;  // 0 = unbounded
   opts.maxCachedModules = 0;
-  opts.maxCachedCurves = 0;
   Analyzer session(opts);
   for (double l : {0.2, 0.3, 0.4, 0.5})
     session.analyze(
@@ -301,7 +284,6 @@ TEST(LruEviction, UnboundedCachesNeverEvict) {
   const analysis::CacheStats stats = session.cacheStats();
   EXPECT_EQ(stats.treeEvictions, 0u);
   EXPECT_EQ(stats.moduleEvictions, 0u);
-  EXPECT_EQ(stats.curveEvictions, 0u);
   EXPECT_EQ(session.cachedTreeCount(), 4u);
 }
 

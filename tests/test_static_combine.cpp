@@ -17,8 +17,8 @@
 /// eligibility rules (every ineligible configuration must fall back to the
 /// composition pipeline and reproduce its measures exactly), the numeric
 /// path's agreement with full composition on eligible trees, its peak-size
-/// guarantee (the joint product is never built), and the Analyzer's chain
-/// and curve caches.
+/// guarantee (the joint product is never built), and the reuse of frontier
+/// modules through the session tree cache.
 
 namespace imcdft::analysis {
 namespace {
@@ -454,7 +454,7 @@ TEST(StaticCombine, JointProductIsNeverMaterialized) {
 }
 
 // ---------------------------------------------------------------------------
-// Session caches (chains and curves)
+// Session reuse: frontier modules are trees
 // ---------------------------------------------------------------------------
 
 TEST(StaticCombine, VariantsShareSolvedChainsAcrossTheSession) {
@@ -472,8 +472,6 @@ TEST(StaticCombine, VariantsShareSolvedChainsAcrossTheSession) {
       AnalysisRequest::forGalileo(dft::corpus::galileoCas(), "base")
           .measure(MeasureSpec::unreliability({1.0})));
   ASSERT_TRUE(base.analysis->staticCombo != nullptr);
-  EXPECT_EQ(session.cachedChainCount(), 3u);
-  EXPECT_EQ(session.cachedCurveCount(), 3u);
 
   AnalysisReport variant = session.analyze(
       AnalysisRequest::forGalileo(perturbed(0.4), "cs=0.4")
@@ -490,11 +488,47 @@ TEST(StaticCombine, VariantsShareSolvedChainsAcrossTheSession) {
       AnalysisRequest::forGalileo(perturbed(0.4), "cs=0.4 again")
           .measure(MeasureSpec::unreliability({1.0})));
   EXPECT_TRUE(repeat.fromCache);
+  EXPECT_EQ(repeat.measures[0].values, variant.measures[0].values);
   AnalysisReport regrid = session.analyze(
       AnalysisRequest::forGalileo(perturbed(0.4), "cs=0.4 regrid")
           .measure(MeasureSpec::unreliability({0.25, 0.75})));
   EXPECT_TRUE(regrid.fromCache);  // same tree+options: analysis shared
-  EXPECT_GT(session.cachedCurveCount(), 4u);
+  Analyzer cold(coldOptions());
+  AnalysisReport coldRegrid = cold.analyze(
+      AnalysisRequest::forGalileo(perturbed(0.4), "cs=0.4 cold")
+          .measure(MeasureSpec::unreliability({0.25, 0.75})));
+  ASSERT_TRUE(regrid.allMeasuresOk());
+  EXPECT_EQ(regrid.measures[0].values, coldRegrid.measures[0].values);
+}
+
+TEST(StaticCombine, FrontierModulesShareTheTreeCache) {
+  // A frontier module is an ordinary tree: the numeric path caches it
+  // under the key a request for the extracted module alone probes, so
+  // that request is a pure tree-cache hit.
+  const dft::Dft cas = dft::corpus::cas();
+  const dft::Dft motor = dft::extractModule(cas, cas.byName("Motor_unit"));
+  auto mttf = [&](Analyzer& session) {
+    return session.analyze(
+        AnalysisRequest::forDft(motor, "motor").measure(MeasureSpec::mttf()));
+  };
+  Analyzer session;
+  AnalysisReport numeric = session.analyze(
+      AnalysisRequest::forDft(cas, "cas")
+          .measure(MeasureSpec::unreliability({1.0})));
+  ASSERT_TRUE(numeric.analysis->staticCombo != nullptr);
+  AnalysisReport warm = mttf(session);
+  EXPECT_TRUE(warm.fromCache);
+  EXPECT_EQ(warm.cache.stepsRun, 0u);
+  const StaticCombination& combo = *numeric.analysis->staticCombo;
+  for (const NumericModule& m : combo.modules())
+    if (m.name == "Motor_unit")  // the very analysis the numeric path solved
+      EXPECT_EQ(warm.analysis.get(), combo.chains()[m.chain].analysis.get());
+
+  Analyzer coldSession(coldOptions());
+  AnalysisReport cold = mttf(coldSession);
+  ASSERT_TRUE(warm.allMeasuresOk());
+  ASSERT_TRUE(cold.allMeasuresOk());
+  EXPECT_EQ(warm.measures[0].values, cold.measures[0].values);  // bitwise
 }
 
 TEST(StaticCombine, BoundsCollapseOnTheNumericPath) {

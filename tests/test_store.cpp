@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "analysis/analyzer.hpp"
+#include "dft/builder.hpp"
 #include "dft/corpus.hpp"
 #include "dft/galileo.hpp"
 #include "ioimc/serialize.hpp"
@@ -103,6 +104,45 @@ struct ComposedCas {
   }
 };
 
+/// A small closed model (the aggregated quotient of a two-event AND) plus
+/// the session whose symbol table it is interned in: the record that the
+/// corruption, fault-injection and concurrency tests store and load.
+struct SmallTree {
+  Analyzer session;
+  std::shared_ptr<const analysis::DftAnalysis> analysis;
+
+  SmallTree() {
+    dft::DftBuilder b;
+    b.basicEvent("A", 1.0);
+    b.basicEvent("B", 2.0);
+    b.andGate("Top", {"A", "B"});
+    b.top("Top");
+    AnalysisOptions opts;
+    opts.engine.staticCombine = false;
+    AnalysisReport report = session.analyze(
+        AnalysisRequest::forDft(b.build(), "and2")
+            .withOptions(opts)
+            .measure(MeasureSpec::unreliability({1.0})));
+    EXPECT_TRUE(report.allMeasuresOk());
+    analysis = report.analysis;
+  }
+
+  bool store(QuotientStore& store, const std::string& key,
+             bool repairable = false) const {
+    return store.storeTree(key, analysis->closedModel, repairable);
+  }
+  /// Loads \p key and checks the model round-tripped byte for byte.
+  std::optional<QuotientStore::LoadedTree> load(QuotientStore& store,
+                                                const std::string& key) const {
+    std::optional<QuotientStore::LoadedTree> loaded =
+        store.loadTree(key, session.symbols());
+    if (loaded)
+      EXPECT_EQ(serializedBytes(loaded->model),
+                serializedBytes(analysis->closedModel));
+    return loaded;
+  }
+};
+
 TEST(Store, ModelSerializationRoundTripsByteExactly) {
   ComposedCas cas;
   const ioimc::IOIMC& model = cas.analysis->closedModel;
@@ -159,20 +199,6 @@ TEST(Store, ModuleRecordRoundTrip) {
   EXPECT_TRUE(store->drainWarnings().empty());
 }
 
-TEST(Store, CurveRecordRoundTripIsBitExact) {
-  const std::string dir = freshDir("curve_roundtrip");
-  std::shared_ptr<QuotientStore> store = QuotientStore::open(dir);
-
-  const std::vector<double> values{0.1, 0.6579, 1e-300, 0.0,
-                                   0.30000000000000004};
-  EXPECT_TRUE(store->storeCurve("curve-key", values));
-  std::optional<std::vector<double>> loaded = store->loadCurve("curve-key");
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->size(), values.size());
-  for (std::size_t i = 0; i < values.size(); ++i)
-    EXPECT_EQ((*loaded)[i], values[i]);  // exact, not approximate
-}
-
 TEST(Store, TreeRecordRoundTrip) {
   ComposedCas cas;
   const std::string dir = freshDir("tree_roundtrip");
@@ -191,28 +217,30 @@ TEST(Store, TreeRecordRoundTrip) {
 TEST(Store, MissingRecordIsASilentMiss) {
   const std::string dir = freshDir("missing");
   std::shared_ptr<QuotientStore> store = QuotientStore::open(dir);
-  EXPECT_FALSE(store->loadCurve("never-stored").has_value());
+  EXPECT_FALSE(
+      store->loadTree("never-stored", ioimc::makeSymbolTable()).has_value());
   EXPECT_EQ(store->loadErrors(), 0u);
   EXPECT_TRUE(store->drainWarnings().empty());
 }
 
-/// Applies \p mutate to the stored curve record's file and expects the
+/// Applies \p mutate to the stored tree record's file and expects the
 /// next load to be an error-miss whose warning mentions \p expectWarning
 /// (or a silent miss when \p expectWarning is empty).
 void corruptionCase(const std::string& dirName,
                     void (*mutate)(std::string&),
                     const std::string& expectWarning) {
+  SmallTree tree;
   const std::string dir = freshDir(dirName);
   std::shared_ptr<QuotientStore> store = QuotientStore::open(dir);
-  const std::vector<double> values{0.25, 0.5};
-  ASSERT_TRUE(store->storeCurve("the-key", values));
-  const std::string path = store->entryPath("the-key", RecordKind::Curve);
+  ASSERT_TRUE(tree.store(*store, "the-key"));
+  const std::string path =
+      store->entryPath("the-key", RecordKind::TreeQuotient);
 
   std::string data = readAll(path);
   mutate(data);
   writeAll(path, data);
 
-  EXPECT_FALSE(store->loadCurve("the-key").has_value());
+  EXPECT_FALSE(tree.load(*store, "the-key").has_value());
   if (expectWarning.empty()) {
     EXPECT_EQ(store->loadErrors(), 0u);
     EXPECT_TRUE(store->drainWarnings().empty());
@@ -264,13 +292,13 @@ TEST(StoreRobustness, EmptyFileIsAnErrorMiss) {
 }
 
 TEST(StoreRobustness, RecordKindMismatchIsAnErrorMiss) {
-  ComposedCas cas;
+  SmallTree tree;
   const std::string dir = freshDir("wrong_kind");
   std::shared_ptr<QuotientStore> store = QuotientStore::open(dir);
-  // A well-formed curve record parked at a module path must be rejected.
+  // A well-formed tree record parked at a module path must be rejected.
   writeAll(store->entryPath("k", RecordKind::ModuleQuotient),
-           store::encodeCurveRecord("k", {0.5}));
-  EXPECT_FALSE(store->loadModule("k", cas.session.symbols()).has_value());
+           store::encodeTreeRecord("k", tree.analysis->closedModel, false));
+  EXPECT_FALSE(store->loadModule("k", tree.session.symbols()).has_value());
   EXPECT_EQ(store->loadErrors(), 1u);
   std::vector<std::string> warnings = store->drainWarnings();
   ASSERT_EQ(warnings.size(), 1u);
@@ -278,14 +306,15 @@ TEST(StoreRobustness, RecordKindMismatchIsAnErrorMiss) {
 }
 
 TEST(StoreRobustness, KeyCollisionIsASilentMiss) {
+  SmallTree tree;
   const std::string dir = freshDir("collision");
   std::shared_ptr<QuotientStore> store = QuotientStore::open(dir);
   // Simulate two keys hashing to one file: a record whose embedded key is
   // not the probed key is a plain miss (recompute), never an error — and
   // never the other key's data.
-  writeAll(store->entryPath("wanted", RecordKind::Curve),
-           store::encodeCurveRecord("other", {0.75}));
-  EXPECT_FALSE(store->loadCurve("wanted").has_value());
+  writeAll(store->entryPath("wanted", RecordKind::TreeQuotient),
+           store::encodeTreeRecord("other", tree.analysis->closedModel, true));
+  EXPECT_FALSE(tree.load(*store, "wanted").has_value());
   EXPECT_EQ(store->loadErrors(), 0u);
   EXPECT_TRUE(store->drainWarnings().empty());
 }
@@ -295,51 +324,60 @@ TEST(StoreRobustness, GarbagePayloadNeverCrashes) {
   std::shared_ptr<QuotientStore> store = QuotientStore::open(dir);
   ioimc::SymbolTablePtr symbols = ioimc::makeSymbolTable();
   // Valid header framing around adversarial payload bytes: the decoder's
-  // bounds-checked reader must reject, not crash or over-allocate.
+  // bounds-checked reader must reject, not crash or over-allocate.  Both
+  // record kinds get every payload (serve mode loads tree records from a
+  // shared directory too).
   for (const std::string payload :
        {std::string(1, '\0'), std::string(200, '\xff'),
         std::string("\x06\x00\x00\x00module-key-1\xff\xff\xff\xff", 20)}) {
-    ioimc::ByteWriter w;
-    w.raw(store::kMagic, sizeof store::kMagic);
-    w.u32(store::kFormatVersion);
-    w.u32(static_cast<std::uint32_t>(RecordKind::ModuleQuotient));
-    w.u64(payload.size());
-    w.u64(store::fnv1aBytes(payload.data(), payload.size()));
-    std::string record = w.take() + payload;
-    writeAll(store->entryPath("k", RecordKind::ModuleQuotient), record);
-    EXPECT_FALSE(store->loadModule("k", symbols).has_value());
-    fs::remove(store->entryPath("k", RecordKind::ModuleQuotient));
+    for (RecordKind kind :
+         {RecordKind::ModuleQuotient, RecordKind::TreeQuotient}) {
+      ioimc::ByteWriter w;
+      w.raw(store::kMagic, sizeof store::kMagic);
+      w.u32(store::kFormatVersion);
+      w.u32(static_cast<std::uint32_t>(kind));
+      w.u64(payload.size());
+      w.u64(store::fnv1aBytes(payload.data(), payload.size()));
+      std::string record = w.take() + payload;
+      writeAll(store->entryPath("k", kind), record);
+      if (kind == RecordKind::ModuleQuotient)
+        EXPECT_FALSE(store->loadModule("k", symbols).has_value());
+      else
+        EXPECT_FALSE(store->loadTree("k", symbols).has_value());
+      fs::remove(store->entryPath("k", kind));
+    }
   }
   store->drainWarnings();
 }
 
 TEST(StoreRobustness, ConcurrentWritersPublishOnlyCompleteRecords) {
+  SmallTree tree;
   const std::string dir = freshDir("concurrent_writers");
   // Two handles on one directory, as two fleet processes would hold.
   std::shared_ptr<QuotientStore> a = QuotientStore::open(dir);
   std::shared_ptr<QuotientStore> b = QuotientStore::open(dir);
 
-  const std::vector<double> shared{0.1, 0.2, 0.3};
   constexpr int kThreads = 8;
   std::vector<std::thread> pool;
   for (int i = 0; i < kThreads; ++i)
     pool.emplace_back([&, i] {
       QuotientStore& mine = (i % 2 == 0) ? *a : *b;
       // Everyone races to publish the same key (identical bytes — records
-      // are pure functions of their key) plus one private key each.
-      mine.storeCurve("shared-key", shared);
-      mine.storeCurve("own-" + std::to_string(i), {double(i), 0.5});
+      // are pure functions of their key) plus one private key each, whose
+      // repairable flag tells the records apart.
+      tree.store(mine, "shared-key");
+      tree.store(mine, "own-" + std::to_string(i), i % 2 == 1);
     });
   for (std::thread& t : pool) t.join();
 
-  std::optional<std::vector<double>> got = a->loadCurve("shared-key");
+  std::optional<QuotientStore::LoadedTree> got = tree.load(*a, "shared-key");
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, shared);
+  EXPECT_FALSE(got->repairable);
   for (int i = 0; i < kThreads; ++i) {
-    std::optional<std::vector<double>> own =
-        b->loadCurve("own-" + std::to_string(i));
+    std::optional<QuotientStore::LoadedTree> own =
+        tree.load(*b, "own-" + std::to_string(i));
     ASSERT_TRUE(own.has_value()) << i;
-    EXPECT_EQ((*own)[0], double(i));
+    EXPECT_EQ(own->repairable, i % 2 == 1) << i;
   }
   EXPECT_EQ(a->loadErrors() + b->loadErrors(), 0u);
   // No leftover temporaries: every .tmp either renamed or unlinked.
@@ -407,6 +445,8 @@ TEST(Store, WarmStoreIsBitwiseIdenticalToColdNumericPath) {
 
   EXPECT_GT(cold.storeWrites, 0u);
   EXPECT_GT(warm.storeHits, 0u);
+  EXPECT_EQ(warm.stepsRun, 0u);     // every frontier module from the store
+  EXPECT_EQ(warm.storeWrites, 0u);  // steady state: no write I/O
   ASSERT_EQ(coldStore.size(), noStore.size());
   ASSERT_EQ(warmStore.size(), noStore.size());
   for (std::size_t i = 0; i < noStore.size(); ++i) {
@@ -496,81 +536,83 @@ bool drainedWarningContains(QuotientStore& store, const std::string& needle) {
 }
 
 TEST(StoreFaultInjection, ShortWriteIsSoftAndLeavesNoDebris) {
+  SmallTree tree;
   const std::string dir = freshDir("fault_short_write");
   std::shared_ptr<QuotientStore> store = QuotientStore::open(dir);
   store->injectFault({QuotientStore::IoFault::Kind::ShortWrite, 0});
-  EXPECT_FALSE(store->storeCurve("k", {0.25, 0.5}));
+  EXPECT_FALSE(tree.store(*store, "k"));
   EXPECT_TRUE(drainedWarningContains(*store, "short write"));
   // Nothing published, no leftover temp file.
-  EXPECT_FALSE(store->loadCurve("k").has_value());
+  EXPECT_FALSE(tree.load(*store, "k").has_value());
   for (const fs::directory_entry& e : fs::directory_iterator(dir))
     ADD_FAILURE() << "unexpected file " << e.path();
   // The fault was one-shot: the retry publishes and round-trips.
-  EXPECT_TRUE(store->storeCurve("k", {0.25, 0.5}));
-  std::optional<std::vector<double>> got = store->loadCurve("k");
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, (std::vector<double>{0.25, 0.5}));
+  EXPECT_TRUE(tree.store(*store, "k"));
+  EXPECT_TRUE(tree.load(*store, "k").has_value());
   EXPECT_EQ(store->loadErrors(), 0u);
 }
 
 TEST(StoreFaultInjection, WriteFailureReportsEnospcAndRetries) {
+  SmallTree tree;
   const std::string dir = freshDir("fault_write_fails");
   std::shared_ptr<QuotientStore> store = QuotientStore::open(dir);
   store->injectFault({QuotientStore::IoFault::Kind::WriteFails, 0});
-  EXPECT_FALSE(store->storeCurve("k", {1.0}));
+  EXPECT_FALSE(tree.store(*store, "k"));
   EXPECT_TRUE(drainedWarningContains(*store, "cannot write"));
-  EXPECT_TRUE(store->storeCurve("k", {1.0}));
-  EXPECT_TRUE(store->loadCurve("k").has_value());
+  EXPECT_TRUE(tree.store(*store, "k"));
+  EXPECT_TRUE(tree.load(*store, "k").has_value());
 }
 
 TEST(StoreFaultInjection, SyncFailurePoisonsThePublish) {
   // An fsync error means the kernel may have dropped the dirty pages;
   // publishing anyway could expose a torn record after a crash.  The
   // attempt must be abandoned like a short write.
+  SmallTree tree;
   const std::string dir = freshDir("fault_sync_fails");
   std::shared_ptr<QuotientStore> store = QuotientStore::open(dir);
   store->injectFault({QuotientStore::IoFault::Kind::SyncFails, 0});
-  EXPECT_FALSE(store->storeCurve("k", {1.0}));
+  EXPECT_FALSE(tree.store(*store, "k"));
   EXPECT_TRUE(drainedWarningContains(*store, "cannot sync"));
-  EXPECT_FALSE(store->loadCurve("k").has_value());
-  EXPECT_TRUE(store->storeCurve("k", {1.0}));
+  EXPECT_FALSE(tree.load(*store, "k").has_value());
+  EXPECT_TRUE(tree.store(*store, "k"));
 }
 
 TEST(StoreFaultInjection, ShortReadDegradesToAMiss) {
+  SmallTree tree;
   const std::string dir = freshDir("fault_short_read");
   std::shared_ptr<QuotientStore> store = QuotientStore::open(dir);
-  ASSERT_TRUE(store->storeCurve("k", {0.1, 0.2, 0.3}));
+  ASSERT_TRUE(tree.store(*store, "k"));
   store->injectFault({QuotientStore::IoFault::Kind::ShortRead, 0});
-  EXPECT_FALSE(store->loadCurve("k").has_value());
+  EXPECT_FALSE(tree.load(*store, "k").has_value());
   EXPECT_EQ(store->loadErrors(), 1u);
   EXPECT_TRUE(drainedWarningContains(*store, "recomputing"));
   // One-shot: the record itself is intact.
-  std::optional<std::vector<double>> got = store->loadCurve("k");
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, (std::vector<double>{0.1, 0.2, 0.3}));
+  EXPECT_TRUE(tree.load(*store, "k").has_value());
 }
 
 TEST(StoreFaultInjection, CorruptReadIsCaughtByTheChecksum) {
+  SmallTree tree;
   const std::string dir = freshDir("fault_corrupt_read");
   std::shared_ptr<QuotientStore> store = QuotientStore::open(dir);
-  ASSERT_TRUE(store->storeCurve("k", {0.1, 0.2, 0.3}));
+  ASSERT_TRUE(tree.store(*store, "k"));
   store->injectFault({QuotientStore::IoFault::Kind::CorruptRead, 0});
-  EXPECT_FALSE(store->loadCurve("k").has_value());
+  EXPECT_FALSE(tree.load(*store, "k").has_value());
   EXPECT_EQ(store->loadErrors(), 1u);
   EXPECT_TRUE(drainedWarningContains(*store, "recomputing"));
-  EXPECT_TRUE(store->loadCurve("k").has_value());
+  EXPECT_TRUE(tree.load(*store, "k").has_value());
 }
 
 TEST(StoreFaultInjection, AfterOpsCountsMatchingOperationsOnly) {
+  SmallTree tree;
   const std::string dir = freshDir("fault_after_ops");
   std::shared_ptr<QuotientStore> store = QuotientStore::open(dir);
-  ASSERT_TRUE(store->storeCurve("a", {1.0}));
-  ASSERT_TRUE(store->storeCurve("b", {2.0}));
+  ASSERT_TRUE(tree.store(*store, "a"));
+  ASSERT_TRUE(tree.store(*store, "b"));
   // Fires on the second *read*; the interleaved write is not counted.
   store->injectFault({QuotientStore::IoFault::Kind::CorruptRead, 1});
-  EXPECT_TRUE(store->loadCurve("a").has_value());
-  ASSERT_TRUE(store->storeCurve("c", {3.0}));
-  EXPECT_FALSE(store->loadCurve("b").has_value());
+  EXPECT_TRUE(tree.load(*store, "a").has_value());
+  ASSERT_TRUE(tree.store(*store, "c"));
+  EXPECT_FALSE(tree.load(*store, "b").has_value());
   store->clearFaults();
   store->drainWarnings();
 }

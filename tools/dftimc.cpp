@@ -50,7 +50,7 @@
 ///                       resource budget: abort a request whose live state
 ///                       count at any checkpoint exceeds N
 ///     --store DIR       persistent quotient store: read aggregated
-///                       quotients and solved curves from DIR before
+///                       whole-tree and module quotients from DIR before
 ///                       composing, publish fresh ones back (created on
 ///                       first use; a fleet of processes may share one
 ///                       directory; all failures degrade to cold analysis)
@@ -661,13 +661,9 @@ int runServe(const CliOptions& opts) {
     std::printf("  store:           %zu hit(s), %zu miss(es), %zu write(s), "
                 "%zu error(s)\n",
                 s.storeHits, s.storeMisses, s.storeWrites, s.storeErrors);
-  if (s.treeEvictions + s.moduleEvictions + s.chainEvictions +
-          s.curveEvictions >
-      0)
-    std::printf("  evictions:       %zu tree, %zu module, %zu chain, "
-                "%zu curve\n",
-                s.treeEvictions, s.moduleEvictions, s.chainEvictions,
-                s.curveEvictions);
+  if (s.treeEvictions + s.moduleEvictions > 0)
+    std::printf("  evictions:       %zu tree, %zu module\n", s.treeEvictions,
+                s.moduleEvictions);
   return anyFailed ? 1 : 0;
 }
 
