@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "analysis/static_combine.hpp"
-#include "analysis/symmetry.hpp"
 #include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "ctmc/mttf.hpp"
@@ -184,22 +183,14 @@ const char* measureKindName(MeasureKind kind) {
 /// elementary models depending on that outside context, which the module
 /// key cannot see.  Independence guarantees everything else — no element
 /// below the module root is referenced from outside it, so the key (the
-/// canonical fingerprint of the module's sub-tree) determines the
-/// aggregated model.
-///
-/// With symmetric keying (EngineOptions::symmetry) the fingerprint is the
-/// rename-invariant shape instead, and each entry records the concrete
-/// name basis it was stored under.  A hit whose names differ from the
-/// entry's instantiates the stored model via ioimc::renameActions; the
-/// induced ActionId map must cover the model and be injective (see
-/// analysis/symmetry.hpp) or the lookup counts as a miss and the module
-/// aggregates normally.
+/// exact canonical fingerprint of the module's sub-tree plus the options)
+/// determines the aggregated model.
 ///
 /// Lookup order is memory, then store: a store hit deserializes the module
 /// quotient into the session symbol table, promotes it into the in-memory
-/// LRU, and then behaves exactly like a session hit (including the
-/// rename-instantiation path).  Freshly aggregated modules are published
-/// back to the store.
+/// LRU, and then behaves exactly like a session hit.  Freshly aggregated
+/// modules, and the symmetric siblings the engine instantiates from them,
+/// are published back to the store.
 ///
 /// Thread safety: lookup() runs on this request's calling thread (per the
 /// ModuleCache contract) and may write the request's CacheStats directly;
@@ -209,71 +200,52 @@ const char* measureKindName(MeasureKind kind) {
 class Analyzer::SessionModuleCache : public ModuleCache {
  public:
   SessionModuleCache(Analyzer& owner, const std::vector<ActivationContext>& ctx,
-                     std::string optsKey, bool shapeKeyed,
-                     CacheStats& requestStats,
+                     std::string optsKey, CacheStats& requestStats,
                      std::shared_ptr<store::QuotientStore> store)
       : owner_(owner),
         contexts_(ctx),
         optsKey_(std::move(optsKey)),
-        shapeKeyed_(shapeKeyed),
         stats_(requestStats),
         store_(std::move(store)) {}
 
   std::optional<CachedModule> lookup(const dft::Dft& dft,
                                      dft::ElementId root) override {
     if (!cacheable(root)) return std::nullopt;
-    dft::ModuleShape shape;
-    const std::string k = key(dft, root, shape);
-    std::shared_ptr<const ModuleEntry> entry;
-    if (std::optional<std::shared_ptr<const ModuleEntry>> hit =
+    const std::string k = key(dft, root);
+    std::shared_ptr<const CachedModule> entry;
+    if (std::optional<std::shared_ptr<const CachedModule>> hit =
             owner_.modules_.get(k))
       entry = std::move(*hit);
     if (!entry && store_) {
       if (std::optional<store::QuotientStore::LoadedModule> loaded =
               store_->loadModule(k, owner_.symbols_)) {
-        entry = std::make_shared<const ModuleEntry>(
-            ModuleEntry{std::move(loaded->model), loaded->steps,
-                        std::move(loaded->names)});
+        entry = std::make_shared<const CachedModule>(
+            CachedModule{std::move(loaded->model), loaded->steps});
         ++stats_.storeHits;
         stats_.moduleEvictions += owner_.modules_.put(k, entry);
       } else {
         ++stats_.storeMisses;
       }
     }
+    obs::traceInstant("module-cache", dft.element(root).name,
+                      {{"hit", entry ? 1u : 0u}});
     if (!entry) {
-      ++stats_.moduleMisses;
-      obs::traceInstant("module-cache", dft.element(root).name, {{"hit", 0}});
-      return std::nullopt;
-    }
-    if (!shapeKeyed_ || entry->names == shape.names) {
-      ++stats_.moduleHits;
-      obs::traceInstant("module-cache", dft.element(root).name, {{"hit", 1}});
-      return CachedModule{entry->model, entry->steps};
-    }
-    // Same shape, different names: instantiate the stored model under the
-    // lifted substitution.  Cross-request reuse only needs an injective,
-    // complete map — the instance is isomorphic to what aggregating this
-    // module would produce, so all measures agree exactly.
-    std::optional<ioimc::IOIMC> instance =
-        renamedInstance(dft, root, shape, *entry);
-    if (!instance) {
       ++stats_.moduleMisses;
       return std::nullopt;
     }
     ++stats_.moduleHits;
-    return CachedModule{std::move(*instance), entry->steps};
+    return *entry;
   }
 
   void store(const dft::Dft& dft, dft::ElementId root,
              const ioimc::IOIMC& model, std::size_t steps) override {
     if (!cacheable(root)) return;
-    dft::ModuleShape shape;
-    std::string k = key(dft, root, shape);
-    if (store_ && store_->storeModule(k, model, steps, shape.names))
+    std::string k = key(dft, root);
+    if (store_ && store_->storeModule(k, model, steps))
       storeWrites_.fetch_add(1, std::memory_order_relaxed);
     const std::size_t evicted = owner_.modules_.put(
-        std::move(k), std::make_shared<const ModuleEntry>(
-                          ModuleEntry{model, steps, std::move(shape.names)}));
+        std::move(k),
+        std::make_shared<const CachedModule>(CachedModule{model, steps}));
     moduleEvictions_.fetch_add(evicted, std::memory_order_relaxed);
   }
 
@@ -288,41 +260,16 @@ class Analyzer::SessionModuleCache : public ModuleCache {
   bool cacheable(dft::ElementId root) const {
     return root < contexts_.size() && contexts_[root].alwaysActive;
   }
-  /// Builds the cache key; under shape keying \p shape receives the
-  /// computed shape (key and name basis) as a side product.
-  std::string key(const dft::Dft& dft, dft::ElementId root,
-                  dft::ModuleShape& shape) const {
-    std::string k;
-    if (shapeKeyed_) {
-      shape = dft::moduleShape(dft, root);
-      k = "shape\x1f";
-      k += shape.key;
-    } else {
-      k = dft::moduleKey(dft, root);
-    }
+  std::string key(const dft::Dft& dft, dft::ElementId root) const {
+    std::string k = dft::moduleKey(dft, root);
     k += '\x1f';
     k += optsKey_;
     return k;
   }
 
-  std::optional<ioimc::IOIMC> renamedInstance(const dft::Dft& dft,
-                                              dft::ElementId root,
-                                              const dft::ModuleShape& shape,
-                                              const ModuleEntry& entry) const {
-    const dft::Dft module = dft::extractModule(dft, root);
-    std::optional<std::unordered_map<std::string, std::string>> lift =
-        liftElementRenaming(module, entry.names, shape.names);
-    if (!lift) return std::nullopt;
-    std::optional<std::unordered_map<ioimc::ActionId, std::string>> renaming =
-        modelRenaming(entry.model, *lift);
-    if (!renaming) return std::nullopt;
-    return ioimc::renameActions(entry.model, *renaming);
-  }
-
   Analyzer& owner_;
   const std::vector<ActivationContext>& contexts_;
   std::string optsKey_;
-  const bool shapeKeyed_;
   CacheStats& stats_;
   std::shared_ptr<store::QuotientStore> store_;
   /// Worker-thread counters (store() side); see foldInto().
@@ -341,11 +288,6 @@ Analyzer::~Analyzer() = default;
 CacheStats Analyzer::cacheStats() const {
   std::lock_guard<std::mutex> lock(statsMutex_);
   return sessionStats_;
-}
-
-void Analyzer::clearCache() {
-  trees_.clear();
-  modules_.clear();
 }
 
 std::shared_ptr<store::QuotientStore> Analyzer::openStore(
@@ -370,9 +312,9 @@ std::shared_ptr<store::QuotientStore> Analyzer::openStore(
 
 std::shared_ptr<const DftAnalysis> Analyzer::serveTree(
     const dft::Dft& tree, const std::string& key, const std::string& label,
-    const AnalysisOptions& opts, bool useTreeCache, CacheStats& requestStats,
+    const AnalysisOptions& opts, CacheStats& requestStats,
     const std::shared_ptr<store::QuotientStore>& store, Served& served) {
-  if (useTreeCache)
+  if (opts_.cache)
     if (std::optional<std::shared_ptr<const DftAnalysis>> hit =
             trees_.get(key)) {
       served = Served::TreeCache;
@@ -407,15 +349,14 @@ std::shared_ptr<const DftAnalysis> Analyzer::serveTree(
                                   analysis->repairable))
       ++requestStats.storeWrites;
   }
-  if (useTreeCache)
-    requestStats.treeEvictions += trees_.put(key, analysis);
+  if (opts_.cache) requestStats.treeEvictions += trees_.put(key, analysis);
   return analysis;
 }
 
 std::shared_ptr<const DftAnalysis> Analyzer::runNumericPipeline(
     const dft::Dft& tree, const dft::StaticLayer& layer,
     const AnalysisOptions& opts, CacheStats& requestStats,
-    std::vector<Diagnostic>& diagnostics, bool useTreeCache,
+    std::vector<Diagnostic>& diagnostics,
     const std::shared_ptr<store::QuotientStore>& store) {
   obs::TraceSpan span("numeric-combine");
   // Belt and suspenders: the layer's structural checks already imply that
@@ -467,8 +408,7 @@ std::shared_ptr<const DftAnalysis> Analyzer::runNumericPipeline(
       key += ";nc=0";
       Served served;
       std::shared_ptr<const DftAnalysis> sub =
-          serveTree(moduleDft, key, name, opts, useTreeCache, requestStats,
-                    store, served);
+          serveTree(moduleDft, key, name, opts, requestStats, store, served);
       const std::size_t steps = sub->stats.steps.size();
       const bool hit = served == Served::TreeCache;
       obs::traceInstant("module-cache", name, {{"hit", hit ? 1u : 0u}});
@@ -541,9 +481,7 @@ std::shared_ptr<const DftAnalysis> Analyzer::runPipeline(
     CacheStats& requestStats,
     const std::shared_ptr<store::QuotientStore>& store) {
   ConversionOptions conversion = opts.conversion;
-  const bool customSymbols =
-      conversion.symbols && conversion.symbols != symbols_;
-  if (!conversion.symbols) conversion.symbols = symbols_;
+  conversion.symbols = symbols_;
 
   std::optional<obs::TraceSpan> span;
   span.emplace("convert");
@@ -556,13 +494,9 @@ std::shared_ptr<const DftAnalysis> Analyzer::runPipeline(
   const std::vector<ActivationContext> contexts = community.contexts;
 
   span.emplace("compose");
-  // Cached module models are interned in the session table; a community
-  // built over a caller-supplied table cannot exchange models with them.
   const bool useModuleCache =
-      opts_.cacheModules && !customSymbols &&
-      opts.engine.reference != Reference::DeclarationOrder;
+      opts_.cache && opts.engine.reference != Reference::DeclarationOrder;
   SessionModuleCache moduleCache(*this, contexts, optionsKey(opts),
-                                 /*shapeKeyed=*/opts.engine.symmetry,
                                  requestStats,
                                  useModuleCache ? store : nullptr);
   EngineResult engine =
@@ -600,6 +534,13 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
   const Clock::time_point requestStart = Clock::now();
   obs::ScopedTraceContext traceCtx(report.requestId);
   obs::TraceSpan requestSpan("request", request.label);
+
+  // Every cached model (and every model a cached DftAnalysis holds) is
+  // interned in the session table, and so is everything the store loads.
+  require(!request.options.conversion.symbols ||
+              request.options.conversion.symbols == symbols_,
+          "AnalysisRequest: conversion.symbols must be null or the "
+          "session's own table (Analyzer::symbols())");
 
   // --- Resolve the DFT source. ---
   std::optional<dft::Dft> parsed;
@@ -654,15 +595,6 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
   treeKey += '\x1f';
   treeKey += optionsKey(options);
 
-  // Requests with their own symbol table are served one-shot: every cached
-  // model (and every model a cached DftAnalysis holds) is interned in the
-  // session table, which is not the table such a request asked for.  The
-  // persistent store deserializes into the session table too, so it is
-  // gated the same way.
-  const bool sessionSymbols = !options.conversion.symbols ||
-                              options.conversion.symbols == symbols_;
-  const bool useTreeCache = opts_.cacheTrees && sessionSymbols;
-
   // Static-layer numeric combination (EngineOptions::staticCombine): only
   // unreliability-kind measures can be read off per-module curves, so any
   // other requested measure routes to the full composition pipeline — and
@@ -673,7 +605,7 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
   // probe only the full key.  Layer detection itself — a structural walk
   // over the whole tree — runs only on a cache miss.
   const bool wantNumeric =
-      options.engine.staticCombine && sessionSymbols &&
+      options.engine.staticCombine &&
       options.engine.reference != Reference::DeclarationOrder &&
       !request.measures.empty() &&
       std::all_of(request.measures.begin(), request.measures.end(),
@@ -685,11 +617,10 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
   const std::string numericKey = treeKey + ";nc=1";
 
   const std::shared_ptr<store::QuotientStore> storeHandle =
-      sessionSymbols ? openStore(options.engine.storeDir, report.diagnostics)
-                     : nullptr;
+      openStore(options.engine.storeDir, report.diagnostics);
 
   auto probeTreeCache = [&]() -> std::shared_ptr<const DftAnalysis> {
-    if (!useTreeCache) return nullptr;
+    if (!opts_.cache) return nullptr;
     if (wantNumeric)
       if (std::optional<std::shared_ptr<const DftAnalysis>> hit =
               trees_.get(numericKey))
@@ -730,7 +661,7 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
   bool leader = false;
   std::promise<std::shared_ptr<const DftAnalysis>> flightPromise;
   std::shared_future<std::shared_ptr<const DftAnalysis>> flight;
-  if (!analysis && useTreeCache) {
+  if (!analysis && opts_.cache) {
     std::unique_lock<std::mutex> lock(inflightMutex_);
     auto it = inflight_.find(flightKey);
     if (it != inflight_.end()) {
@@ -770,11 +701,10 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
         dft::StaticLayer layer = dft::detectStaticLayer(*tree);
         if (layer.eligible) {
           analysis = runNumericPipeline(*tree, layer, options, report.cache,
-                                        report.diagnostics, useTreeCache,
-                                        storeHandle);
+                                        report.diagnostics, storeHandle);
           // Null = a module was nondeterministic (Warning already
           // attached); the fallen-back full analysis lands under fullKey.
-          if (analysis && useTreeCache)
+          if (analysis && opts_.cache)
             report.cache.treeEvictions += trees_.put(numericKey, analysis);
         } else {
           report.diagnostics.push_back(
@@ -785,7 +715,7 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
       if (!analysis) {
         Served served;
         analysis = serveTree(*tree, fullKey, request.label, options,
-                             useTreeCache, report.cache, storeHandle, served);
+                             report.cache, storeHandle, served);
         if (served == Served::Store)
           report.diagnostics.push_back(
               {Severity::Info,

@@ -25,22 +25,22 @@
 ///    conversion/engine options — a repeated request is a pure lookup.  The
 ///    static-combination path (analysis/static_combine.hpp) serves each of
 ///    its frontier modules through this cache too, as a tree of its own;
-///  * a per-module cache of aggregated independent-module I/O-IMCs — a
-///    batch over N scenario variants that share modules only re-composes
-///    what changed.  With EngineOptions::symmetry enabled the module cache
-///    keys on the *rename-invariant* shape (dft::moduleShape) and records
-///    the concrete-name basis of the stored model; a later module of the
-///    same shape but different names hits too and is instantiated via
-///    ioimc::renameActions, so a batch over N symmetric variants
-///    aggregates each shape once.  With symmetry disabled the cache keys
-///    on the exact module fingerprint (dft::moduleKey) as before.
+///  * a per-module cache of aggregated independent-module I/O-IMCs, keyed
+///    by the exact module fingerprint (dft::moduleKey) plus the options —
+///    a batch over N scenario variants that share modules only re-composes
+///    what changed.  A module hits only under its own element names.  With
+///    EngineOptions::symmetry the engine instantiates each symmetric
+///    sibling from its representative and offers it to this cache under
+///    the sibling's own key, so a later what-if that changes one unit of a
+///    replicated tree still splices every unchanged sibling.
 ///
 /// The module cache mirrors the nested-reuse idea of DIFTree-style modular
 /// analysis (Section 5.2 of the paper): an independent module's aggregated
 /// model is context-free as long as the module is always active, so it can
 /// be spliced into any later community that contains the same module.  All
 /// requests of a session intern action names in one shared symbol table to
-/// make that splicing sound.
+/// make that splicing sound; a request that brings a table of its own is
+/// rejected.
 ///
 /// Concurrency.  One Analyzer serves any number of concurrent sessions:
 /// both caches are internally synchronized LRU maps (common/lru_map.hpp,
@@ -72,12 +72,12 @@ class QuotientStore;  // store/quotient_store.hpp
 namespace imcdft::analysis {
 
 struct AnalyzerOptions {
-  /// Serve repeated identical (tree, options) requests from cache.
-  bool cacheTrees = true;
-  /// Reuse aggregated independent-module models across requests (not on
-  /// the DeclarationOrder reference).  Also gates the persistent store's
+  /// Serve repeated identical (tree, options) requests from the tree cache
+  /// and reuse aggregated independent-module models across requests (not
+  /// on the DeclarationOrder reference).  Off, every request is cold:
+  /// nothing is cached, and the persistent store sees whole-tree but no
   /// module record traffic.
-  bool cacheModules = true;
+  bool cache = true;
   /// Capacity bounds: least-recently-used entries are evicted once a cache
   /// grows past its limit (counted in CacheStats::*Evictions); 0 means
   /// unbounded.
@@ -132,21 +132,13 @@ class Analyzer {
   std::size_t cachedTreeCount() const { return trees_.size(); }
   std::size_t cachedModuleCount() const { return modules_.size(); }
 
-  void clearCache();
-
-  /// The session symbol table every request's models intern into.
+  /// The session symbol table every request's models intern into.  A
+  /// request may leave ConversionOptions::symbols null or set it to this
+  /// table; analyze() rejects any other table.
   const ioimc::SymbolTablePtr& symbols() const { return symbols_; }
 
  private:
   class SessionModuleCache;
-  struct ModuleEntry {
-    ioimc::IOIMC model;
-    std::size_t steps = 0;
-    /// Concrete element names behind the shape's indices (shape-keyed
-    /// entries only): a same-shape module with different names renames the
-    /// stored model from this basis at lookup.
-    std::vector<std::string> names;
-  };
   /// Where serveTree() found its analysis.
   enum class Served { TreeCache, Store, Pipeline };
 
@@ -156,14 +148,15 @@ class Analyzer {
       const std::shared_ptr<store::QuotientStore>& store);
 
   /// The full-composition analysis of \p tree under tree-cache key \p key:
-  /// the tree cache (when \p useTreeCache), then the store's whole-tree
-  /// record, then runPipeline; a fresh result is published to the store,
-  /// and every result not served from the tree cache is put into it.
+  /// the tree cache (when AnalyzerOptions::cache is set), then the store's
+  /// whole-tree record, then runPipeline; a fresh result is published to
+  /// the store, and every result not served from the tree cache is put
+  /// into it.
   /// \p label names the tree in trace events; \p served reports the
   /// source.
   std::shared_ptr<const DftAnalysis> serveTree(
       const dft::Dft& tree, const std::string& key, const std::string& label,
-      const AnalysisOptions& opts, bool useTreeCache, CacheStats& requestStats,
+      const AnalysisOptions& opts, CacheStats& requestStats,
       const std::shared_ptr<store::QuotientStore>& store, Served& served);
 
   /// The static-combination numeric path: per-module analyses (each
@@ -175,7 +168,7 @@ class Analyzer {
   std::shared_ptr<const DftAnalysis> runNumericPipeline(
       const dft::Dft& tree, const dft::StaticLayer& layer,
       const AnalysisOptions& opts, CacheStats& requestStats,
-      std::vector<Diagnostic>& diagnostics, bool useTreeCache,
+      std::vector<Diagnostic>& diagnostics,
       const std::shared_ptr<store::QuotientStore>& store);
 
   /// Resolves (and memoizes) the store handle for \p dir; an empty dir
@@ -195,7 +188,7 @@ class Analyzer {
   /// stored into from the engine's worker threads, so it is sharded to keep
   /// concurrent sessions off one mutex.
   LruMap<std::shared_ptr<const DftAnalysis>> trees_;
-  ShardedLruMap<std::shared_ptr<const ModuleEntry>> modules_;
+  ShardedLruMap<std::shared_ptr<const CachedModule>> modules_;
 
   /// In-flight dedup: fingerprint -> the future every concurrent identical
   /// request joins on.  Entries live only while a leader is aggregating.

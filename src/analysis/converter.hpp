@@ -23,7 +23,8 @@ struct ConversionOptions {
   /// Symbol table to intern action names in.  When null a fresh table is
   /// created per conversion.  The Analyzer session passes its own table so
   /// models cached from one request can be composed with communities
-  /// converted for later requests (composition requires a shared table).
+  /// converted for later requests (composition requires a shared table);
+  /// it rejects a request that sets any other table.
   ioimc::SymbolTablePtr symbols;
 };
 

@@ -661,12 +661,17 @@ class ModularAggregator {
   /// Instantiates every symmetric sibling of \p rep by renaming the
   /// representative's aggregated model (called right after the
   /// representative's task finishes, before its parent may consume it).
+  /// The order-preserving rename makes each instance bitwise what
+  /// aggregating the sibling would give, so it is offered to the cache
+  /// under the sibling's own key, as a fresh aggregation would be.
   void instantiateSiblings(int rep) {
     for (int sib : symSiblingsOf_[rep]) {
       IOIMC instance =
           ioimc::renameActions(*results_[rep], symRenaming_[sib]);
       symRecord_[sib] = ModuleResult{nodes_[sib].name, instance.numStates(),
                                      instance.numTransitions()};
+      if (cache_ && properModule_[rep])
+        cache_->store(dft_, modules_[sib].root, instance, subtreeSteps(rep));
       results_[sib].emplace(std::move(instance));
     }
   }

@@ -198,11 +198,13 @@ struct CachedModule {
 /// Cache consulted by the module tree for whole independent modules.
 /// lookup() is called before a module subtree is composed; a hit splices
 /// the cached aggregated I/O-IMC into the community and skips the subtree
-/// entirely.  store() offers every freshly aggregated proper module.  The
-/// implementation decides cacheability and keying (see
+/// entirely.  store() offers every freshly aggregated proper module, and
+/// every symmetric sibling instantiated from one (EngineOptions::symmetry)
+/// under the sibling's own root, with the representative's subtree step
+/// count.  The implementation decides cacheability and keying (see
 /// analysis/analyzer.hpp for the session implementation; it keys on the
-/// module's canonical sub-tree hash and rejects modules whose activation
-/// depends on context outside the module).
+/// module's exact canonical sub-tree fingerprint and rejects modules whose
+/// activation depends on context outside the module).
 ///
 /// Thread safety: lookup() is only invoked from the engine's calling
 /// thread, but store() is invoked from worker threads when

@@ -50,44 +50,4 @@ bool orderPreserving(std::vector<ActionIdPair>& pairs) {
   return true;
 }
 
-std::optional<std::unordered_map<ioimc::ActionId, std::string>>
-modelRenaming(const ioimc::IOIMC& model,
-              const std::unordered_map<std::string, std::string>& nameMap) {
-  const SymbolTable& symbols = *model.symbols();
-  std::vector<ActionIdPair> pairs;
-  auto mapActions = [&](const std::vector<ioimc::ActionId>& actions) {
-    for (ioimc::ActionId a : actions) {
-      const std::string& name = symbols.name(a);
-      if (name == ioimc::kTauName) {
-        pairs.emplace_back(a, a);
-        continue;
-      }
-      auto it = nameMap.find(name);
-      if (it == nameMap.end()) return false;  // unexpected action
-      ioimc::ActionId to = symbols.find(it->second);
-      if (to == SymbolTable::npos) return false;  // target never interned
-      pairs.emplace_back(a, to);
-    }
-    return true;
-  };
-  if (!mapActions(model.signature().inputs()) ||
-      !mapActions(model.signature().outputs()) ||
-      !mapActions(model.signature().internals()))
-    return std::nullopt;
-
-  // Injectivity is mandatory: a non-injective rename would merge distinct
-  // actions and change the semantics.
-  std::vector<ioimc::ActionId> targets;
-  targets.reserve(pairs.size());
-  for (const ActionIdPair& p : pairs) targets.push_back(p.second);
-  std::sort(targets.begin(), targets.end());
-  if (std::adjacent_find(targets.begin(), targets.end()) != targets.end())
-    return std::nullopt;
-
-  std::unordered_map<ioimc::ActionId, std::string> renaming;
-  for (const ActionIdPair& p : pairs)
-    if (p.first != p.second) renaming.emplace(p.first, symbols.name(p.second));
-  return renaming;
-}
-
 }  // namespace imcdft::analysis

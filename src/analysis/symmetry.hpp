@@ -11,8 +11,8 @@
 /// \file symmetry.hpp
 /// Shared machinery of the symmetry reduction (the paper's Section 5.2
 /// reuse-by-renaming, automated): lifting an element-name substitution to
-/// the signal-name level, and validating that the induced ActionId map is
-/// safe to apply to an aggregated module I/O-IMC.
+/// the signal-name level, and checking that the induced ActionId map is
+/// order-preserving.
 ///
 /// Two modules with equal dft::moduleShape() keys are isomorphic under the
 /// index-wise name substitution sigma.  The conversion (analysis/converter)
@@ -20,21 +20,18 @@
 /// signal constructors of semantics/signals.hpp, so sigma lifts to a map of
 /// action names; applying ioimc::renameActions with that map to the
 /// representative's aggregated model yields the sibling's aggregated model.
-/// Both consumers of the lift validate it before use:
+/// The engine (same-request symmetry) requires the id map to be
+/// *order-preserving*: because every ordering decision in
+/// compose/hide/quotient depends on ActionIds only through their relative
+/// order (never their raw values), an order-preserving rename makes the
+/// instantiated sibling bitwise identical to what aggregating the sibling
+/// itself would have produced — the foundation of the "--symmetry on is
+/// bit-identical to --symmetry off" guarantee, and the reason the engine
+/// may offer each instantiated sibling to the Analyzer's module cache
+/// under the sibling's own exact key.  (That cache keys on exact module
+/// fingerprints only; it never renames a stored model.)
 ///
-///  * the engine (same-request symmetry) additionally requires the id map
-///    to be *order-preserving*; because every ordering decision in
-///    compose/hide/quotient depends on ActionIds only through their
-///    relative order (never their raw values), an order-preserving rename
-///    makes the instantiated sibling bitwise identical to what aggregating
-///    the sibling itself would have produced — the foundation of the
-///    "--symmetry on is bit-identical to --symmetry off" guarantee;
-///  * the Analyzer's shape-keyed module cache (cross-request reuse) only
-///    requires injectivity and completeness; a hit is then exact up to
-///    action renaming (the spliced model is isomorphic, all measures are
-///    mathematically equal).
-///
-/// Every check failure makes the caller fall back to aggregating the
+/// Every check failure makes the engine fall back to aggregating the
 /// module normally, so an ambiguous lift can cost performance but never
 /// correctness.
 
@@ -63,20 +60,5 @@ using ActionIdPair = std::pair<ioimc::ActionId, ioimc::ActionId>;
 /// makes a renamed instantiation bitwise identical to a from-scratch
 /// aggregation (see the file comment).
 bool orderPreserving(std::vector<ActionIdPair>& pairs);
-
-/// Builds the ActionId -> new-name renaming of \p model induced by
-/// \p nameMap (a lift produced by liftElementRenaming), as the Analyzer's
-/// shape-keyed module cache applies to a stored model.  Every non-tau
-/// action of the model's signature must be covered by the lift, every
-/// target name must already be interned (the sibling's own community
-/// interned them during conversion), and the resulting id map must be
-/// injective.  (The engine's same-request reuse performs its stricter
-/// order-preserving validation over the whole subtree action universe
-/// instead, before any model exists — see engine.cpp.)  Returns
-/// std::nullopt when any condition fails; identity entries are omitted
-/// from the result.
-std::optional<std::unordered_map<ioimc::ActionId, std::string>>
-modelRenaming(const ioimc::IOIMC& model,
-              const std::unordered_map<std::string, std::string>& nameMap);
 
 }  // namespace imcdft::analysis

@@ -407,12 +407,17 @@ IOIMC aggregate(const IOIMC& m, const WeakOptions& opts) {
   return canonicalRenumber(restrictToReachable(weakQuotient(m, opts)));
 }
 
-IOIMC aggregateFixpoint(const IOIMC& m, const WeakOptions& opts) {
-  IOIMC current = aggregate(m, opts);
+IOIMC aggregateFixpoint(const IOIMC& m, const WeakOptions& opts,
+                        bool* canonicalComplete) {
+  auto pass = [&](const IOIMC& in) {
+    return canonicalRenumber(restrictToReachable(weakQuotient(in, opts)),
+                             canonicalComplete);
+  };
+  IOIMC current = pass(m);
   while (true) {
     const Partition p = weakBisimulation(current, opts);
     if (p.numClasses == current.numStates()) return current;
-    current = aggregate(current, opts);
+    current = pass(current);
   }
 }
 

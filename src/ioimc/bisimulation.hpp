@@ -86,7 +86,10 @@ IOIMC aggregate(const IOIMC& m, const WeakOptions& opts = {});
 /// classic chain only meet in the *minimal* quotient, so the engine
 /// aggregates every composition step to fixpoint.  Terminates because the
 /// state count strictly decreases; on typical models it converges after
-/// the first pass.
-IOIMC aggregateFixpoint(const IOIMC& m, const WeakOptions& opts = {});
+/// the first pass.  \p canonicalComplete, when non-null, receives whether
+/// the last pass's canonical renumbering separated every state (see
+/// ioimc::canonicalRenumber).
+IOIMC aggregateFixpoint(const IOIMC& m, const WeakOptions& opts = {},
+                        bool* canonicalComplete = nullptr);
 
 }  // namespace imcdft::ioimc

@@ -376,14 +376,4 @@ IOIMC collapseUnobservableSinks(const IOIMC& m) {
   return restrictToReachable(out);
 }
 
-std::vector<ActionId> usedInputs(const std::vector<const IOIMC*>& others) {
-  std::vector<ActionId> used;
-  for (const IOIMC* m : others)
-    used.insert(used.end(), m->signature().inputs().begin(),
-                m->signature().inputs().end());
-  std::sort(used.begin(), used.end());
-  used.erase(std::unique(used.begin(), used.end()), used.end());
-  return used;
-}
-
 }  // namespace imcdft::ioimc

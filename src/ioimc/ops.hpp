@@ -26,11 +26,10 @@ IOIMC hideAllOutputs(const IOIMC& m);
 /// actions absent from the map keep their names.  This implements the
 /// reuse-by-renaming of Section 5.2 of the paper: an aggregated module
 /// I/O-IMC is instantiated for a sibling module by renaming its firing,
-/// activation and claim signals (the engine's symmetry reduction and the
-/// Analyzer's shape-keyed module cache both build on it, see
-/// analysis/symmetry.hpp).  Action kinds, state order and transition
-/// order are preserved, so an *order-preserving* renaming commutes
-/// bitwise with compose/hide/aggregate.  Throws ModelError when the
+/// activation and claim signals (the engine's symmetry reduction builds
+/// on it, see analysis/symmetry.hpp).  Action kinds, state order and
+/// transition order are preserved, so an *order-preserving* renaming
+/// commutes bitwise with compose/hide/aggregate.  Throws ModelError when the
 /// resolved map is not injective on the model's signature, i.e. two
 /// distinct actions would collapse into one name (identity entries are
 /// allowed).  New target names are interned in the model's symbol table.
@@ -61,11 +60,6 @@ IOIMC canonicalRenumber(const IOIMC& m, bool* complete = nullptr);
 /// absorbing.  Sound for time-bounded reachability of \p label (the measure
 /// the paper computes: system unreliability).
 IOIMC makeLabelAbsorbing(const IOIMC& m, const std::string& label);
-
-/// Returns the ids of all actions that appear as an input anywhere in
-/// \p others (used to decide which outputs can be hidden after a
-/// composition step).
-std::vector<ActionId> usedInputs(const std::vector<const IOIMC*>& others);
 
 /// Collapses *unobservable sinks*: maximal sets of states from which no
 /// visible (input or output) transition is reachable and whose reachable

@@ -498,13 +498,6 @@ class OtfEngine {
     }
   }
 
-  /// One aggregation pass (ioimc::aggregate) that also reports whether its
-  /// canonical renumbering separated every state.
-  IOIMC aggregatePass(const IOIMC& m, bool& canonicalComplete) {
-    return canonicalRenumber(restrictToReachable(weakQuotient(m, opts_.weak)),
-                             &canonicalComplete);
-  }
-
   IOIMC finish() {
     // BFS renumbering of the reduced graph (interactive row first, then
     // Markovian, matching restrictToReachable's traversal convention).
@@ -556,21 +549,16 @@ class OtfEngine {
                   std::move(labels), std::move(labelUnion_.names));
     reduced = collapseUnobservableSinks(reduced);
 
-    // The classic tail: aggregate to the minimal quotient, exactly like
-    // the classic chain's aggregateFixpoint.  Only the fixpoint's
-    // renumbering must be complete: an intermediate quotient may still hold
-    // strongly bisimilar states (the classic chain keeps its order-dependent
-    // numbering for one more pass too), but an incomplete renumbering of
-    // the final, minimal quotient would leave its bytes a function of the
-    // discovery order, which differs between the fused and the classic
-    // exploration — abort to the classic path instead.
+    // The classic tail: aggregate to the minimal quotient, exactly as the
+    // classic chain does.  Only the fixpoint's renumbering must be
+    // complete: an intermediate quotient may still hold strongly bisimilar
+    // states (the classic chain keeps its order-dependent numbering for one
+    // more pass too), but an incomplete renumbering of the final, minimal
+    // quotient would leave its bytes a function of the discovery order,
+    // which differs between the fused and the classic exploration — abort
+    // to the classic path instead.
     bool canonicalComplete = false;
-    IOIMC result = aggregatePass(reduced, canonicalComplete);
-    while (true) {
-      const Partition check = weakBisimulation(result, opts_.weak);
-      if (check.numClasses == result.numStates()) break;
-      result = aggregatePass(result, canonicalComplete);
-    }
+    IOIMC result = aggregateFixpoint(reduced, opts_.weak, &canonicalComplete);
     if (!canonicalComplete)
       throw OtfAbort{
           "canonical renumbering could not separate all quotient states"};

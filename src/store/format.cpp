@@ -73,13 +73,11 @@ std::uint64_t fnv1aBytes(const char* data, std::size_t size) {
 }
 
 std::string encodeModuleRecord(const std::string& key,
-                               const ioimc::IOIMC& model, std::uint64_t steps,
-                               const std::vector<std::string>& names) {
+                               const ioimc::IOIMC& model, std::uint64_t steps) {
   ByteWriter payload;
   payload.str(key);
   payload.u64(steps);
-  payload.u32(static_cast<std::uint32_t>(names.size()));
-  for (const std::string& name : names) payload.str(name);
+  payload.u32(0);  // the name list, always empty (see format.hpp)
   ioimc::serializeModel(model, payload);
   return finishRecord(RecordKind::ModuleQuotient, payload.take());
 }
@@ -109,15 +107,13 @@ std::optional<ModuleRecord> decodeModuleRecord(
     error = "malformed module record";
     return std::nullopt;
   }
-  std::vector<std::string> names;
-  names.reserve(numNames);
-  for (std::uint32_t i = 0; i < numNames; ++i) names.push_back(in->str());
+  for (std::uint32_t i = 0; i < numNames; ++i) in->str();  // skipped
   std::optional<ioimc::IOIMC> model = ioimc::deserializeModel(*in, symbols);
   if (!model || in->remaining() != 0) {
     error = "malformed module record";
     return std::nullopt;
   }
-  return ModuleRecord{key, steps, std::move(names), std::move(*model)};
+  return ModuleRecord{key, steps, std::move(*model)};
 }
 
 std::optional<TreeRecord> decodeTreeRecord(

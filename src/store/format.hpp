@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "ioimc/model.hpp"
 
@@ -28,9 +27,10 @@
 /// hash collision) as a miss, never as an answer.
 ///
 /// Payloads:
-///  * ModuleQuotient — key, steps saved, the concrete-name basis of the
-///    shape (empty under exact keying), and the aggregated module I/O-IMC
-///    (ioimc/serialize.hpp).
+///  * ModuleQuotient — key, steps saved, a name list, and the aggregated
+///    module I/O-IMC (ioimc/serialize.hpp).  Module keys are exact, so the
+///    name list is always written empty; it is kept for the layout, and the
+///    loader skips whatever list a record holds.
 ///  * TreeQuotient — key, the repairable flag, and the whole-tree closed
 ///    model; the loader re-derives the absorbed extraction (cheap: the
 ///    model is already aggregated).
@@ -59,7 +59,6 @@ std::uint64_t fnv1aBytes(const char* data, std::size_t size);
 struct ModuleRecord {
   std::string key;
   std::uint64_t steps = 0;
-  std::vector<std::string> names;
   ioimc::IOIMC model;
 };
 
@@ -70,8 +69,7 @@ struct TreeRecord {
 };
 
 std::string encodeModuleRecord(const std::string& key,
-                               const ioimc::IOIMC& model, std::uint64_t steps,
-                               const std::vector<std::string>& names);
+                               const ioimc::IOIMC& model, std::uint64_t steps);
 std::string encodeTreeRecord(const std::string& key,
                              const ioimc::IOIMC& model, bool repairable);
 

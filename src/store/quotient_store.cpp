@@ -156,8 +156,7 @@ std::optional<QuotientStore::LoadedModule> QuotientStore::loadModule(
         return decodeModuleRecord(data, size, key, symbols, error);
       });
   if (!record) return std::nullopt;
-  return LoadedModule{std::move(record->model), record->steps,
-                      std::move(record->names)};
+  return LoadedModule{std::move(record->model), record->steps};
 }
 
 std::optional<QuotientStore::LoadedTree> QuotientStore::loadTree(
@@ -271,11 +270,10 @@ std::optional<QuotientStore::IoFault::Kind> QuotientStore::takeFault(
 
 bool QuotientStore::storeModule(const std::string& key,
                                 const ioimc::IOIMC& model,
-                                std::uint64_t steps,
-                                const std::vector<std::string>& names) {
+                                std::uint64_t steps) {
   const std::string path = entryPath(key, RecordKind::ModuleQuotient);
   if (std::filesystem::exists(path)) return false;
-  return publish(path, encodeModuleRecord(key, model, steps, names));
+  return publish(path, encodeModuleRecord(key, model, steps));
 }
 
 bool QuotientStore::storeTree(const std::string& key,

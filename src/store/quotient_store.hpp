@@ -14,12 +14,13 @@
 /// \file quotient_store.hpp
 /// The persistent, content-addressed quotient store: a directory of
 /// checksummed record files (store/format.hpp) holding aggregated module
-/// quotients and whole-tree quotients, keyed by the same canonical
+/// quotients and whole-tree quotients, keyed by the same exact canonical
 /// fingerprints the Analyzer's in-memory caches use (dft::canonicalKey /
-/// dft::moduleKey / dft::moduleShape plus the engine options).  A
-/// static-combination frontier module is stored as a whole tree of its
-/// own.  A fleet of worker processes pointed at one directory shares a
-/// single warm cache across restarts:
+/// dft::moduleKey plus the engine options).  A static-combination frontier
+/// module is stored as a whole tree of its own, and a symmetric sibling
+/// the engine instantiates by renaming is a module record of its own.  A
+/// fleet of worker processes pointed at one directory shares a single warm
+/// cache across restarts:
 ///
 ///  * loads go through mmap(2), so identical records read by many workers
 ///    occupy one set of page-cache pages;
@@ -52,7 +53,6 @@ class QuotientStore {
   struct LoadedModule {
     ioimc::IOIMC model;
     std::uint64_t steps = 0;
-    std::vector<std::string> names;
   };
   struct LoadedTree {
     ioimc::IOIMC model;
@@ -68,7 +68,7 @@ class QuotientStore {
   /// when the record already existed (the common steady-state case) or the
   /// write failed (which queues a warning).
   bool storeModule(const std::string& key, const ioimc::IOIMC& model,
-                   std::uint64_t steps, const std::vector<std::string>& names);
+                   std::uint64_t steps);
   bool storeTree(const std::string& key, const ioimc::IOIMC& model,
                  bool repairable);
 

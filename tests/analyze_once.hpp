@@ -22,8 +22,7 @@ inline AnalysisReport analyzeOnce(dft::Dft tree,
                                   std::vector<MeasureSpec> measures = {},
                                   AnalysisOptions opts = {}) {
   AnalyzerOptions session;
-  session.cacheTrees = false;
-  session.cacheModules = false;
+  session.cache = false;
   opts.engine.staticCombine = false;
   AnalysisRequest request =
       AnalysisRequest::forDft(std::move(tree)).withOptions(std::move(opts));

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "analysis/analyzer.hpp"
+#include "common/error.hpp"
 #include "analyze_once.hpp"
 #include "dft/builder.hpp"
 #include "dft/corpus.hpp"
@@ -136,7 +137,7 @@ TEST(Analyzer, BatchMatchesSequentialColdRuns) {
       EXPECT_EQ(batch[i].label, requests[i].label);
       batchSteps += batch[i].cache.stepsRun;
       AnalysisReport cold =
-          Analyzer({.cacheTrees = false, .cacheModules = false})
+          Analyzer({.cache = false})
               .analyze(requests[i]);
       EXPECT_EQ(cold.analysis->staticCombo != nullptr, staticCombine);
       coldSteps += cold.stats().steps.size();
@@ -311,8 +312,7 @@ TEST(Analyzer, GalileoTextAndInMemorySourcesAgree) {
 
 TEST(Analyzer, CacheCanBeDisabled) {
   AnalyzerOptions opts;
-  opts.cacheTrees = false;
-  opts.cacheModules = false;
+  opts.cache = false;
   Analyzer session(opts);
   AnalysisRequest req = AnalysisRequest::forDft(dft::corpus::cas())
                             .measure(MeasureSpec::unreliability({1.0}));
@@ -325,32 +325,32 @@ TEST(Analyzer, CacheCanBeDisabled) {
   EXPECT_EQ(session.cachedModuleCount(), 0u);
 }
 
-TEST(Analyzer, CustomSymbolTableBypassesTheCaches) {
-  // A request bringing its own symbol table cannot exchange models with
-  // the session caches (they intern in the session table); it must be
-  // served one-shot — correctly, not via a crash or a wrong-table model.
+TEST(Analyzer, ForeignSymbolTableIsRejected) {
+  // Every cached model interns in the session table, so a request may name
+  // no table or the session's own; any other table is malformed input.
   Analyzer session;
-  AnalysisRequest warm = AnalysisRequest::forDft(dft::corpus::cas())
-                             .measure(MeasureSpec::unreliability({1.0}));
-  AnalysisReport first = session.analyze(warm);
+  AnalysisRequest foreign = AnalysisRequest::forDft(dft::corpus::cas())
+                                .measure(MeasureSpec::unreliability({1.0}));
+  foreign.options.conversion.symbols = ioimc::makeSymbolTable();
+  EXPECT_THROW(session.analyze(foreign), Error);
+  EXPECT_EQ(session.cachedTreeCount(), 0u);
+  EXPECT_EQ(session.cachedModuleCount(), 0u);
 
-  AnalysisRequest custom = AnalysisRequest::forDft(dft::corpus::cas())
-                               .measure(MeasureSpec::unreliability({1.0}));
-  custom.options.conversion.symbols = ioimc::makeSymbolTable();
-  AnalysisReport report = session.analyze(custom);
-  EXPECT_FALSE(report.fromCache);
-  EXPECT_EQ(report.cache.moduleHits, 0u);
-  EXPECT_EQ(report.analysis->closedModel.symbols(),
-            custom.options.conversion.symbols);
-  // 1e-9: the warm default request was served by the numeric path, the
-  // custom-table one by full composition; they agree up to transient
-  // truncation tolerances, not bitwise.
-  EXPECT_NEAR(report.measures[0].values.at(0), first.measures[0].values.at(0),
-              1e-9);
+  // The session's own table is served and cached like a null one.
+  AnalysisRequest own = AnalysisRequest::forDft(dft::corpus::cas())
+                            .measure(MeasureSpec::unreliability({1.0}));
+  own.options.engine.staticCombine = false;
+  own.options.conversion.symbols = session.symbols();
+  AnalysisReport first = session.analyze(own);
+  EXPECT_FALSE(first.fromCache);
+  EXPECT_EQ(first.analysis->closedModel.symbols(), session.symbols());
+  EXPECT_GT(session.cachedModuleCount(), 0u);
 
-  // And the session still serves later default requests from cache.
-  AnalysisReport third = session.analyze(warm);
-  EXPECT_TRUE(third.fromCache);
+  AnalysisRequest plain = own;
+  plain.options.conversion.symbols = nullptr;
+  AnalysisReport second = session.analyze(plain);
+  EXPECT_TRUE(second.fromCache);
+  EXPECT_EQ(second.analysis, first.analysis);
 }
 
 TEST(Analyzer, TimingsAreRecorded) {

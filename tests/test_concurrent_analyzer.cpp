@@ -15,8 +15,9 @@
 /// one Analyzer, in-flight dedup of identical requests (N concurrent
 /// identical requests perform exactly one aggregation), the lazily
 /// installed unavailability extraction under contention, a fleet of
-/// sessions sharing one persistent store, and LRU eviction of every
-/// session cache.  The whole file runs under TSan in CI (the suite names
+/// sessions sharing one persistent store, symmetric siblings published to
+/// the module cache from the engine's worker threads, and LRU eviction of
+/// every session cache.  The whole file runs under TSan in CI (the suite names
 /// contain "Concurrent"/run via ctest -R 'Concurrent' — see also
 /// StoreRobustness.ConcurrentWriters in test_store.cpp).
 
@@ -213,6 +214,57 @@ TEST(ConcurrentAnalyzer, ManyDistinctRequestsStressSharedCaches) {
   EXPECT_EQ(session.cacheStats().treeMisses, requests.size());
 }
 
+/// \p tree with the failure rate of basic event \p be scaled by \p factor.
+dft::Dft scaleOneRate(const dft::Dft& tree, const std::string& be,
+                      double factor) {
+  std::vector<dft::Element> elements;
+  for (dft::ElementId id = 0; id < tree.size(); ++id) {
+    dft::Element e = tree.element(id);
+    if (e.name == be) e.be.lambda *= factor;
+    elements.push_back(std::move(e));
+  }
+  return dft::Dft(std::move(elements), tree.top(), tree.inhibitions());
+}
+
+TEST(ConcurrentAnalyzer, SymmetricSiblingsPublishFromWorkerThreads) {
+  // cps_8x10 holds eight identical AND modules M0..M7 under the cascade
+  // System = PAND(M0, P1), P<k> = PAND(M<k>, P<k+1>), P6 = PAND(M6, M7).
+  // With symmetry on, the warm request aggregates one of them and
+  // instantiates the other seven by renaming on the engine's worker
+  // threads, which publish each instance to the module cache under its own
+  // exact key.  A what-if on one basic event of M<k> then splices every
+  // module whose subtree it leaves unchanged: M0..M<k-1> and P<k+1> for
+  // k <= 5, M0..M5 and M7 for k = 6, M0..M6 for k = 7.
+  AnalysisOptions opts = viaComposition();
+  opts.engine.numThreads = 4;
+  const dft::Dft cps = dft::corpus::cascadedPands(8, 10);
+  const MeasureSpec measure = MeasureSpec::unreliability({0.5, 1.0});
+  Analyzer session;
+  AnalysisReport warm = session.analyze(
+      AnalysisRequest::forDft(cps, "cps_8x10").withOptions(opts).measure(
+          measure));
+  ASSERT_TRUE(warm.allMeasuresOk());
+  EXPECT_EQ(warm.stats().symmetricModulesReused, 7u);
+
+  for (int k = 0; k < 8; ++k) {
+    const std::string be = "M" + std::to_string(k) + "_0";
+    SCOPED_TRACE(be);
+    const AnalysisRequest whatIf =
+        AnalysisRequest::forDft(scaleOneRate(cps, be, 1.5), "what-if")
+            .withOptions(opts)
+            .measure(measure);
+    AnalysisReport report = session.analyze(whatIf);
+    EXPECT_FALSE(report.fromCache);
+    EXPECT_EQ(report.cache.moduleHits, k <= 5 ? k + 1u : 7u);
+    AnalysisReport cold = Analyzer({.cache = false}).analyze(whatIf);
+    ASSERT_TRUE(report.allMeasuresOk());
+    ASSERT_TRUE(cold.allMeasuresOk());
+    for (std::size_t p = 0; p < cold.measures[0].values.size(); ++p)
+      EXPECT_NEAR(report.measures[0].values[p], cold.measures[0].values[p],
+                  1e-12);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // LRU eviction.
 // ---------------------------------------------------------------------------
@@ -257,8 +309,7 @@ TEST(LruEviction, TreeCacheHitRefreshesRecency) {
 
 TEST(LruEviction, ModuleCacheHonorsCapacityBound) {
   AnalyzerOptions opts;
-  opts.cacheTrees = false;     // force the pipeline every time
-  opts.maxCachedModules = 1;   // clamps to one shard: strict bound
+  opts.maxCachedModules = 1;  // clamps to one shard: strict bound
   Analyzer session(opts);
   AnalysisRequest request =
       AnalysisRequest::forGalileo(dft::corpus::galileoCas(), "cas")

@@ -201,8 +201,7 @@ namespace {
 
 AnalyzerOptions coldOptions() {
   AnalyzerOptions o;
-  o.cacheTrees = false;
-  o.cacheModules = false;
+  o.cache = false;
   return o;
 }
 

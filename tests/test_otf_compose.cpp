@@ -249,7 +249,7 @@ using analysis::Reference;
 
 analysis::AnalysisReport analyzeWith(const dft::Dft& d, Reference reference,
                                      unsigned threads = 1) {
-  analysis::Analyzer session({.cacheTrees = false, .cacheModules = false});
+  analysis::Analyzer session({.cache = false});
   analysis::AnalysisRequest req =
       analysis::AnalysisRequest::forDft(d)
           .measure(analysis::MeasureSpec::unreliability({0.5, 1.0, 2.0}));

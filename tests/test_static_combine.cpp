@@ -36,8 +36,7 @@ std::vector<std::string> names(const dft::Dft& d,
 
 AnalyzerOptions coldOptions() {
   AnalyzerOptions o;
-  o.cacheTrees = false;
-  o.cacheModules = false;
+  o.cache = false;
   return o;
 }
 

@@ -181,18 +181,37 @@ TEST(Store, ModuleRecordRoundTrip) {
   std::shared_ptr<QuotientStore> store = QuotientStore::open(dir);
 
   const std::string key = "module-key-1";
-  const std::vector<std::string> names{"MA", "MB", "MS"};
-  EXPECT_TRUE(
-      store->storeModule(key, cas.analysis->closedModel, 7, names));
+  EXPECT_TRUE(store->storeModule(key, cas.analysis->closedModel, 7));
   // Content-addressed: a record that exists is never rewritten.
-  EXPECT_FALSE(
-      store->storeModule(key, cas.analysis->closedModel, 7, names));
+  EXPECT_FALSE(store->storeModule(key, cas.analysis->closedModel, 7));
 
   std::optional<QuotientStore::LoadedModule> loaded =
       store->loadModule(key, cas.session.symbols());
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->steps, 7u);
-  EXPECT_EQ(loaded->names, names);
+  EXPECT_EQ(serializedBytes(loaded->model),
+            serializedBytes(cas.analysis->closedModel));
+
+  // A record whose name list is not empty (older stores wrote one for
+  // shape-keyed entries) still loads: the list is skipped.
+  ioimc::ByteWriter payload;
+  payload.str("module-key-2");
+  payload.u64(5);
+  payload.u32(3);
+  for (const char* name : {"MA", "MB", "MS"}) payload.str(name);
+  ioimc::serializeModel(cas.analysis->closedModel, payload);
+  const std::string body = payload.take();
+  ioimc::ByteWriter header;
+  header.raw(store::kMagic, sizeof store::kMagic);
+  header.u32(store::kFormatVersion);
+  header.u32(static_cast<std::uint32_t>(RecordKind::ModuleQuotient));
+  header.u64(body.size());
+  header.u64(store::fnv1aBytes(body.data(), body.size()));
+  writeAll(store->entryPath("module-key-2", RecordKind::ModuleQuotient),
+           header.take() + body);
+  loaded = store->loadModule("module-key-2", cas.session.symbols());
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->steps, 5u);
   EXPECT_EQ(serializedBytes(loaded->model),
             serializedBytes(cas.analysis->closedModel));
   EXPECT_EQ(store->loadErrors(), 0u);

@@ -19,8 +19,8 @@
 /// (dft::moduleShape), the renameActions edge cases it relies on, the
 /// engine's one-aggregation-per-shape bucketing with its counters, the
 /// acceptance golden (--symmetry on is bit-identical to --symmetry off
-/// across the replica families), and the Analyzer's shape-keyed module cache
-/// reusing aggregations across renamed scenario variants.
+/// across the replica families), and the Analyzer's exact-keyed module
+/// cache, which does not reuse a module across renamed scenario variants.
 
 // ---------------------------------------------------------------------------
 // dft::moduleShape
@@ -234,8 +234,7 @@ namespace {
 
 AnalyzerOptions coldOptions() {
   AnalyzerOptions o;
-  o.cacheTrees = false;
-  o.cacheModules = false;
+  o.cache = false;
   return o;
 }
 
@@ -410,7 +409,7 @@ TEST(EngineSymmetry, BitIdenticalOnNondeterministicAndRepairableTrees) {
 }
 
 // ---------------------------------------------------------------------------
-// Analyzer shape-keyed module cache
+// Analyzer module cache across renamed variants
 // ---------------------------------------------------------------------------
 
 /// Two trees identical up to a consistent renaming of one AND module.
@@ -427,46 +426,45 @@ dft::Dft variantTree(const std::string& prefix) {
       .build();
 }
 
-TEST(AnalyzerSymmetry, ShapeCacheHitsAcrossRenamedVariants) {
-  Analyzer session;
-  AnalysisReport first =
-      session.analyze(AnalysisRequest::forDft(variantTree("M"), "M")
-                          .measure(MeasureSpec::unreliability({1.0})));
-  AnalysisReport second =
-      session.analyze(AnalysisRequest::forDft(variantTree("N"), "N")
-                          .measure(MeasureSpec::unreliability({1.0})));
-  EXPECT_NE(first.treeHash, second.treeHash);
-  EXPECT_FALSE(second.fromCache);
-  // The renamed module N splices the model stored for M (renamed), and
-  // the unchanged module K splices identically: both hit.
-  EXPECT_GE(second.cache.moduleHits, 2u);
-  EXPECT_LT(second.cache.stepsRun, first.cache.stepsRun);
-
-  // The spliced pipeline agrees with a cold, uncached analysis.
-  AnalysisReport cold = analyzeCold(variantTree("N"), true,
-                                    {MeasureSpec::unreliability({1.0})});
-  ASSERT_TRUE(second.measures[0].ok);
-  EXPECT_NEAR(second.measures[0].values[0], cold.measures[0].values[0], 1e-12);
-
-  // Because the two module shapes of each tree differ (rates differ), no
-  // false sharing happens between M/N and K.
-  EXPECT_GT(second.measures[0].values[0], 0.0);
-}
-
-TEST(AnalyzerSymmetry, SymmetryOffKeepsExactKeying) {
+/// Module keys are exact, with symmetry on or off: across two requests of
+/// one session, the renamed module N misses the model stored for M, and only
+/// the unchanged K splices.
+void expectOnlyTheUnchangedModuleHits(bool symmetry) {
   Analyzer session;
   auto request = [&](const std::string& prefix) {
     AnalysisRequest req = AnalysisRequest::forDft(variantTree(prefix), prefix);
-    req.options.engine.symmetry = false;
+    req.options.engine.symmetry = symmetry;
     return req.measure(MeasureSpec::unreliability({1.0}));
   };
   AnalysisReport first = session.analyze(request("M"));
   AnalysisReport second = session.analyze(request("N"));
-  // Only the unchanged K module can hit under exact keying.
-  EXPECT_LE(second.cache.moduleHits, 1u);
+  EXPECT_NE(first.treeHash, second.treeHash);
+  EXPECT_FALSE(second.fromCache);
+  EXPECT_EQ(second.cache.moduleHits, 1u);
+  EXPECT_EQ(second.cache.moduleMisses, 1u);
+  EXPECT_EQ(second.stats().cachedModules, 1u);
+  EXPECT_LT(second.cache.stepsRun, first.cache.stepsRun);
+
+  // The spliced pipeline agrees with a cold, uncached analysis.
+  AnalysisReport cold = analyzeCold(variantTree("N"), symmetry,
+                                    {MeasureSpec::unreliability({1.0})});
   ASSERT_TRUE(second.measures[0].ok);
+  EXPECT_GT(second.measures[0].values[0], 0.0);
+  EXPECT_NEAR(second.measures[0].values[0], cold.measures[0].values[0], 1e-12);
+  // The variants differ only in names, so they agree on the measure too.
   EXPECT_NEAR(second.measures[0].values[0], first.measures[0].values[0],
               1e-12);
+}
+
+// With symmetry on, the module cache still hits across renamed variants, but
+// only on the module whose names did not change: there is no shape-keyed
+// lookup that would splice M's model for N.
+TEST(AnalyzerSymmetry, ShapeCacheHitsAcrossRenamedVariants) {
+  expectOnlyTheUnchangedModuleHits(true);
+}
+
+TEST(AnalyzerSymmetry, SymmetryOffKeepsExactKeying) {
+  expectOnlyTheUnchangedModuleHits(false);
 }
 
 }  // namespace
