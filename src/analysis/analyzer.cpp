@@ -334,6 +334,7 @@ std::shared_ptr<const DftAnalysis> Analyzer::serveTree(
                           std::move(absorbed), false, loaded->repairable,
                           nullptr, nullptr};
       rebuilt.nondeterministic = !rebuilt.absorbed.deterministic;
+      rebuilt.composeSteps = loaded->steps;
       analysis = std::make_shared<DftAnalysis>(std::move(rebuilt));
       served = Served::Store;
       ++requestStats.storeHits;
@@ -346,7 +347,8 @@ std::shared_ptr<const DftAnalysis> Analyzer::serveTree(
   if (!analysis) {
     analysis = runPipeline(tree, opts, requestStats, store);
     if (store && store->storeTree(key, analysis->closedModel,
-                                  analysis->repairable))
+                                  analysis->repairable,
+                                  analysis->composeSteps))
       ++requestStats.storeWrites;
   }
   if (opts_.cache) requestStats.treeEvictions += trees_.put(key, analysis);
@@ -409,7 +411,7 @@ std::shared_ptr<const DftAnalysis> Analyzer::runNumericPipeline(
       Served served;
       std::shared_ptr<const DftAnalysis> sub =
           serveTree(moduleDft, key, name, opts, requestStats, store, served);
-      const std::size_t steps = sub->stats.steps.size();
+      const std::size_t steps = sub->composeSteps;
       const bool hit = served == Served::TreeCache;
       obs::traceInstant("module-cache", name, {{"hit", hit ? 1u : 0u}});
       if (hit) {
@@ -473,6 +475,7 @@ std::shared_ptr<const DftAnalysis> Analyzer::runNumericPipeline(
                      nullptr,
                      std::make_shared<StaticCombination>(
                          tree, layer, std::move(solved), std::move(modules))};
+  result.composeSteps = result.stats.steps.size();
   return std::make_shared<DftAnalysis>(std::move(result));
 }
 
@@ -518,6 +521,7 @@ std::shared_ptr<const DftAnalysis> Analyzer::runPipeline(
                      std::move(absorbed), false, repairable, nullptr,
                      nullptr};
   result.nondeterministic = !result.absorbed.deterministic;
+  result.composeSteps = result.stats.steps.size();
   return std::make_shared<DftAnalysis>(std::move(result));
 }
 

@@ -77,22 +77,87 @@ std::vector<ioimc::ActionId> hiddenOutputsFor(
   return hidden;
 }
 
-/// Hides the outputs of \p m that are consumed neither by a live pool
-/// member nor externally, then collapses and aggregates (except on the
-/// Unreduced reference, which leaves all minimizing to finalize).
-IOIMC hideAndAggregatePool(
-    IOIMC m, const EngineOptions& opts,
-    const std::vector<std::optional<IOIMC>>& pool, std::size_t skipA,
-    std::size_t skipB, const std::function<bool(ioimc::ActionId)>& usedOutside) {
-  IOIMC result = ioimc::hide(
-      m, hiddenOutputsFor(m.signature().outputs(), pool, skipA, skipB,
-                          usedOutside));
-  if (opts.reference == Reference::Unreduced) return result;
+/// The classic chain of one step: composes \p a and \p b, hides the
+/// outputs of the product that are consumed neither by a live pool member
+/// nor externally, then collapses and aggregates (except on the Unreduced
+/// reference, which leaves all minimizing to finalize).  Records the
+/// product's size in \p step.
+IOIMC classicStep(const IOIMC& a, const IOIMC& b, const EngineOptions& opts,
+                  const ioimc::WeakOptions& weak,
+                  const std::vector<std::optional<IOIMC>>& pool,
+                  std::size_t skipA, std::size_t skipB,
+                  const std::function<bool(ioimc::ActionId)>& usedOutside,
+                  CompositionStep& step) {
+  // Each intermediate is dropped as soon as the next one exists.
+  std::optional<IOIMC> m;
+  {
+    obs::TraceSpan span("classic.compose");
+    m.emplace(ioimc::compose(a, b, opts.cancel.get()));
+    step.composedStates = m->numStates();
+    step.composedTransitions = m->numTransitions();
+  }
+  {
+    obs::TraceSpan span("classic.collapse");
+    m = ioimc::hide(*m, hiddenOutputsFor(m->signature().outputs(), pool,
+                                         skipA, skipB, usedOutside));
+    if (opts.reference == Reference::Unreduced) return std::move(*m);
+    m = ioimc::collapseUnobservableSinks(*m);
+  }
+  obs::TraceSpan span("classic.aggregate");
   // To fixpoint, not a single pass: the fused path and this classic chain
   // reach byte-identical results only in the *minimal* quotient (both are
   // canonically renumbered there).
-  return ioimc::aggregateFixpoint(ioimc::collapseUnobservableSinks(result),
-                                  opts.weak);
+  return ioimc::aggregateFixpoint(*m, weak);
+}
+
+/// True when a merge of \p a and \p b cannot exceed \p cancel's caps on
+/// either engine: the product bound |A||B| fits the live-state cap, and
+/// its nominal charge (|A||B| states plus |T_A||B| + |T_B||A| transitions)
+/// fits the memory cap.  The classic product and the fused live region
+/// both stay inside that bound, so a step that fits trips on neither.
+bool fitsCaps(const IOIMC& a, const IOIMC& b, const CancelToken* cancel) {
+  if (!cancel) return true;
+  const double statesA = static_cast<double>(a.numStates());
+  const double statesB = static_cast<double>(b.numStates());
+  const double states = statesA * statesB;
+  if (cancel->maxLiveStates() > 0 &&
+      states > static_cast<double>(cancel->maxLiveStates()))
+    return false;
+  if (cancel->maxMemoryBytes() > 0) {
+    const double transitions =
+        static_cast<double>(a.numTransitions()) * statesB +
+        static_cast<double>(b.numTransitions()) * statesA;
+    const double charge =
+        states * static_cast<double>(CancelToken::kStateBytes) +
+        transitions * static_cast<double>(CancelToken::kTransitionBytes);
+    if (charge > static_cast<double>(cancel->maxMemoryBytes())) return false;
+  }
+  return true;
+}
+
+/// Product bound from which a classic step's aggregation takes the merge's
+/// encode pool.  Each refinement pass of a pooled aggregation pays one
+/// fork-join and keeps every state's encoded signature at once; below
+/// this size that costs more than the parallel encode saves (on 4 cores,
+/// cps_6x14's ~12,800-state products ran at 2-3x the CPU time for no
+/// wall-time gain), while pand_6x2's 155,000-state merge still gains
+/// wall time.
+constexpr std::size_t kClassicParallelMinProduct = std::size_t{1} << 16;
+
+/// Whether a merge of \p a and \p b tries the fused engine first.
+bool runsFused(const IOIMC& a, const IOIMC& b, const EngineOptions& opts) {
+  switch (opts.reference) {
+    case Reference::ClassicChain:
+    case Reference::Unreduced:
+      return false;
+    case Reference::FusedChain:
+    case Reference::ForcedFallback:
+      return true;
+    case Reference::Production:
+    case Reference::DeclarationOrder:
+      break;
+  }
+  return !fitsCaps(a, b, opts.cancel.get());
 }
 
 /// The merge mergePool performs next.
@@ -185,17 +250,18 @@ unsigned resolveThreads(unsigned requested) {
 
 /// Greedily folds the live entries of \p pool into one model, recording
 /// one CompositionStep per pairwise composition into \p steps.  planMerge
-/// picks each step's pair; \p usedOutside reports whether an output action
-/// has consumers beyond this pool (null = none).
+/// picks each step's pair and runsFused its engine; \p usedOutside reports
+/// whether an output action has consumers beyond this pool (null = none).
 std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
                       std::vector<std::size_t> live,
                       const EngineOptions& opts,
                       std::vector<CompositionStep>& steps,
                       const std::function<bool(ioimc::ActionId)>& usedOutside) {
   require(!live.empty(), "composeCommunity: empty module pool");
-  // One encoding pool shared by every fused step of this merge (partial
-  // refinement and quotient tail alike), so repeated refinement passes
-  // reuse the same worker threads instead of respawning them.  Sized by
+  // One encoding pool shared by every step of this merge (the fused
+  // engine's partial refinement and quotient tail, the classic chain's
+  // aggregation), so repeated refinement passes reuse the same worker
+  // threads instead of respawning them.  Sized by
   // EngineOptions::numThreads and created lazily: only once a step's
   // product bound is big enough that the parallel encode could engage.
   const unsigned encodeThreads = resolveThreads(opts.numThreads);
@@ -227,9 +293,16 @@ std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
     stepSpan.arg("hidden", plan.hidden);
     stepSpan.arg("predicted",
                  static_cast<std::uint64_t>(std::min(plan.predicted, 0x1p63)));
+    // Both engines share the merge's encode pool: every fused step, and a
+    // classic step from kClassicParallelMinProduct on, so a large step
+    // keeps the block-parallel refinement whichever engine runs it.
+    const bool tryFused = runsFused(*pool[a], *pool[b], opts);
+    ioimc::WeakOptions weak = opts.weak;
+    if (tryFused ||
+        step.leftStates * step.rightStates >= kClassicParallelMinProduct)
+      weak.encodePool = encodePoolFor(step.leftStates, step.rightStates);
     std::optional<IOIMC> fused;
-    if (opts.reference != Reference::ClassicChain &&
-        opts.reference != Reference::Unreduced) {
+    if (tryFused) {
       // The composite's outputs (out(A) u out(B); shared outputs are
       // rejected by compose anyway) determine the hide set without
       // materializing the product.
@@ -240,11 +313,10 @@ std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
       std::sort(outs.begin(), outs.end());
       outs.erase(std::unique(outs.begin(), outs.end()), outs.end());
       ioimc::otf::OtfOptions fusedOpts;
-      fusedOpts.weak = opts.weak;
+      fusedOpts.weak = weak;
+      fusedOpts.encodePool = weak.encodePool;
       if (opts.reference == Reference::ForcedFallback)
         fusedOpts.maxLiveStates = 1;
-      fusedOpts.encodePool = fusedOpts.weak.encodePool =
-          encodePoolFor(step.leftStates, step.rightStates);
       ioimc::otf::OtfResult r = ioimc::otf::otfComposeAggregate(
           *pool[a], *pool[b],
           hiddenOutputsFor(outs, pool, a, b, usedOutside), fusedOpts);
@@ -261,14 +333,9 @@ std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
         obs::traceInstant("otf-fallback", step.onTheFlyFallbackReason);
       }
     }
-    IOIMC result = [&] {
-      if (fused) return std::move(*fused);
-      IOIMC composed = ioimc::compose(*pool[a], *pool[b], opts.cancel.get());
-      step.composedStates = composed.numStates();
-      step.composedTransitions = composed.numTransitions();
-      return hideAndAggregatePool(std::move(composed), opts, pool, a, b,
-                                  usedOutside);
-    }();
+    IOIMC result = fused ? std::move(*fused)
+                         : classicStep(*pool[a], *pool[b], opts, weak, pool,
+                                       a, b, usedOutside, step);
     step.aggregatedStates = result.numStates();
     step.aggregatedTransitions = result.numTransitions();
     stepSpan.arg("aggregated_states", step.aggregatedStates);

@@ -22,25 +22,35 @@ namespace imcdft::analysis {
 /// Which composition path composeCommunity runs.  Production is the
 /// paper's algorithm as every caller runs it: independent modules fold
 /// first (Section 5.2), the merge planner orders each pool, and every step
-/// composes, hides, collapses and aggregates through the fused engine
-/// (ioimc::otf::otfComposeAggregate).  The other values are reference
-/// paths that tests and the fuzz oracle compare against it.
+/// composes, hides, collapses and aggregates.  A step runs the classic
+/// chain, which is faster, when its product bound |A||B| (and that bound's
+/// nominal memory charge) fits the request's caps; only a step that could
+/// exceed a cap runs the fused engine (ioimc::otf::otfComposeAggregate),
+/// whose live region can stay under the cap where the full product would
+/// not.  An uncapped request runs classic throughout.  Both engines emit
+/// the same canonical minimal quotient, so the choice never changes a bit.
+/// The other values are reference paths that tests and the fuzz oracle
+/// compare against it.  (The values are part of the semantic cache key:
+/// append new ones, never renumber.)
 enum class Reference {
   Production,
   /// Every step runs the classic compose/hide/collapse/aggregate chain;
   /// the bitwise reference of the fused engine.
   ClassicChain,
-  /// The community folds left to right as converted (no module tree):
-  /// the cross-order reference, the same measures from a different merge
-  /// order.
+  /// The community folds left to right as converted (no module tree),
+  /// each step on Production's engine: the cross-order reference, the
+  /// same measures from a different merge order.
   DeclarationOrder,
   /// No per-step collapse or aggregation, so finalize does all the
   /// minimizing: the state-space blow-up the paper's Section 4 warns
   /// about.
   Unreduced,
-  /// Every fused step aborts at once (an internal live cap of 1), so the
-  /// classic fallback serves each step and is counted as a fallback.
+  /// Every step tries the fused engine, which aborts at once (an internal
+  /// live cap of 1), so the classic fallback serves each step and is
+  /// counted as a fallback.
   ForcedFallback,
+  /// Every step runs through the fused engine, whatever the caps.
+  FusedChain,
 };
 
 struct EngineOptions {
@@ -49,7 +59,7 @@ struct EngineOptions {
   /// tree's per-module aggregation (independent modules share no
   /// mutable state, so their compose/hide/aggregate chains run
   /// concurrently) and the signature-encode pool each merge shares across
-  /// its fused steps.  0 means std::thread::hardware_concurrency(); 1 runs
+  /// its steps.  0 means std::thread::hardware_concurrency(); 1 runs
   /// everything on the calling thread.  Results are bitwise identical for
   /// every thread count: each module task is a pure function of its inputs,
   /// the results are folded in a fixed order, and encoding is block-parallel
@@ -93,9 +103,10 @@ struct EngineOptions {
   /// engine checkpoints the token once per merge step and hands it to
   /// every hot loop below it (compose expansion, refinement iterations,
   /// the fused engine's frontier); an exhausted budget unwinds the whole
-  /// composition with BudgetExceeded.  Deliberately NOT part of the
-  /// semantic cache key (optionsKey): a budget never changes a result,
-  /// only whether it is produced.  The Analyzer builds the token from
+  /// composition with BudgetExceeded.  Its live-state and memory caps also
+  /// pick each Production step's engine (see Reference).  Deliberately NOT
+  /// part of the semantic cache key (optionsKey): a budget never changes a
+  /// result, only whether it is produced.  The Analyzer builds the token from
   /// AnalysisRequest::budget and mirrors it into weak.cancel; direct
   /// engine callers who set one should do the same.
   std::shared_ptr<CancelToken> cancel;

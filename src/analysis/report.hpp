@@ -51,6 +51,10 @@ struct DftAnalysis {
   /// placeholder and absorbed is empty — unreliability measures evaluate
   /// through this object instead (see analysis/static_combine.hpp).
   std::shared_ptr<const StaticCombination> staticCombo;
+  /// Compose/hide/aggregate steps that built this analysis (what a later
+  /// cache hit on it saves): stats.steps.size() after a pipeline run, the
+  /// recorded count when it was loaded from a whole-tree store record.
+  std::size_t composeSteps = 0;
 };
 
 enum class Severity : std::uint8_t { Info, Warning, Error };

@@ -92,6 +92,11 @@ class CancelToken {
            maxMemoryBytes_ > 0 || maxCheckpoints_ > 0;
   }
 
+  /// The live-state cap (0 = unlimited).
+  std::size_t maxLiveStates() const { return maxLiveStates_; }
+  /// The rough memory cap in bytes (0 = unlimited).
+  std::size_t maxMemoryBytes() const { return maxMemoryBytes_; }
+
   double elapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }

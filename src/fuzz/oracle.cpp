@@ -239,12 +239,13 @@ OracleVerdict crossCheck(const dft::Dft& tree, const OracleOptions& opts) {
   // The exact-engine matrix.  Row 0 is the reference (ClassicChain: the
   // paper's compose/hide/aggregate chain, sequential, no reductions); each
   // later row enables features whose contract is bitwise identity with
-  // row 0.
+  // row 0: every step through the fused engine (FusedChain), then the
+  // production engine choice with threads and symmetry.
   // The last row routes through the static-combine numeric path where
   // eligible, whose contract is the 1e-9 band instead.
   const ExactConfig configs[] = {
       {"classic", analysis::Reference::ClassicChain, 1, false, false},
-      {"otf", analysis::Reference::Production, 1, false, false},
+      {"otf", analysis::Reference::FusedChain, 1, false, false},
       {"parallel", analysis::Reference::Production, opts.parallelThreads, true,
        false},
       {"static", analysis::Reference::Production, 1, true, true},

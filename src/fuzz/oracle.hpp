@@ -15,9 +15,10 @@
 ///
 ///  * *Bitwise* among the exact composition configurations — the
 ///    ClassicChain reference (analysis::Reference; 1 thread, symmetry off)
-///    is the reference, and the fused engine of the Production path, the
-///    multi-threaded module pool and the symmetry reduction are all
-///    engineered to be bit-identical to it.
+///    is the reference, and the fused engine on every step (FusedChain),
+///    the Production path's per-step engine choice, the multi-threaded
+///    module pool and the symmetry reduction are all engineered to be
+///    bit-identical to it.
 ///    Any differing bit is a bug by definition.
 ///  * *1e-9-relative* against the static-combine numeric path, which is
 ///    exact only up to CTMC transient tolerances (the E14 ctest

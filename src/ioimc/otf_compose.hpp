@@ -46,8 +46,9 @@ class WorkerPool;  // common/worker_pool.hpp
 /// number of live states/transitions stays at the scale of the running
 /// quotient instead of the full product.  Any invariant failure is
 /// reported (never silently absorbed) so the caller can fall back to the
-/// classic path; every analysis::Reference but ClassicChain and Unreduced
-/// runs it.
+/// classic path.  analysis::Reference::Production runs it on the steps
+/// whose product bound exceeds a request cap; FusedChain and
+/// ForcedFallback run it on every step.
 
 namespace imcdft::ioimc::otf {
 

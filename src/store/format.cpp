@@ -11,6 +11,10 @@ namespace {
 using ioimc::ByteReader;
 using ioimc::ByteWriter;
 
+/// Flag bits of a tree record (see format.hpp).
+constexpr std::uint8_t kTreeRepairable = 1;
+constexpr std::uint8_t kTreeHasSteps = 2;
+
 std::string finishRecord(RecordKind kind, std::string payload) {
   ByteWriter header;
   header.raw(kMagic, sizeof kMagic);
@@ -83,10 +87,11 @@ std::string encodeModuleRecord(const std::string& key,
 }
 
 std::string encodeTreeRecord(const std::string& key, const ioimc::IOIMC& model,
-                             bool repairable) {
+                             bool repairable, std::uint64_t steps) {
   ByteWriter payload;
   payload.str(key);
-  payload.u8(repairable ? 1 : 0);
+  payload.u8((repairable ? kTreeRepairable : 0) | kTreeHasSteps);
+  payload.u64(steps);
   ioimc::serializeModel(model, payload);
   return finishRecord(RecordKind::TreeQuotient, payload.take());
 }
@@ -126,13 +131,19 @@ std::optional<TreeRecord> decodeTreeRecord(
     error.clear();
     return std::nullopt;
   }
-  const bool repairable = in->u8() != 0;
+  const std::uint8_t flags = in->u8();
+  if ((flags & ~(kTreeRepairable | kTreeHasSteps)) != 0) {
+    error = "malformed tree record";
+    return std::nullopt;
+  }
+  const std::uint64_t steps = (flags & kTreeHasSteps) != 0 ? in->u64() : 0;
   std::optional<ioimc::IOIMC> model = ioimc::deserializeModel(*in, symbols);
   if (!model || in->remaining() != 0) {
     error = "malformed tree record";
     return std::nullopt;
   }
-  return TreeRecord{key, repairable, std::move(*model)};
+  return TreeRecord{key, (flags & kTreeRepairable) != 0, steps,
+                    std::move(*model)};
 }
 
 }  // namespace imcdft::store

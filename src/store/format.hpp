@@ -31,9 +31,12 @@
 ///    module I/O-IMC (ioimc/serialize.hpp).  Module keys are exact, so the
 ///    name list is always written empty; it is kept for the layout, and the
 ///    loader skips whatever list a record holds.
-///  * TreeQuotient — key, the repairable flag, and the whole-tree closed
-///    model; the loader re-derives the absorbed extraction (cheap: the
-///    model is already aggregated).
+///  * TreeQuotient — key, a flags byte (bit 0: repairable; bit 1: a step
+///    count follows), the compose steps that built the model (u64, when
+///    flagged), and the whole-tree closed model; the loader re-derives the
+///    absorbed extraction (cheap: the model is already aggregated).
+///    Records written before the step count existed carry only bit 0 and
+///    load as 0 steps.
 ///
 /// Decoders never throw and never read out of bounds; any malformation
 /// (bad magic, version mismatch, truncation, checksum mismatch, malformed
@@ -65,13 +68,15 @@ struct ModuleRecord {
 struct TreeRecord {
   std::string key;
   bool repairable = false;
+  std::uint64_t steps = 0;
   ioimc::IOIMC model;
 };
 
 std::string encodeModuleRecord(const std::string& key,
                                const ioimc::IOIMC& model, std::uint64_t steps);
 std::string encodeTreeRecord(const std::string& key,
-                             const ioimc::IOIMC& model, bool repairable);
+                             const ioimc::IOIMC& model, bool repairable,
+                             std::uint64_t steps);
 
 /// Decode a whole record file.  \p error receives a human-readable reason
 /// on failure; a key that parses fine but differs from \p key sets \p

@@ -167,7 +167,8 @@ std::optional<QuotientStore::LoadedTree> QuotientStore::loadTree(
         return decodeTreeRecord(data, size, key, symbols, error);
       });
   if (!record) return std::nullopt;
-  return LoadedTree{std::move(record->model), record->repairable};
+  return LoadedTree{std::move(record->model), record->repairable,
+                    record->steps};
 }
 
 bool QuotientStore::publish(const std::string& path,
@@ -277,10 +278,11 @@ bool QuotientStore::storeModule(const std::string& key,
 }
 
 bool QuotientStore::storeTree(const std::string& key,
-                              const ioimc::IOIMC& model, bool repairable) {
+                              const ioimc::IOIMC& model, bool repairable,
+                              std::uint64_t steps) {
   const std::string path = entryPath(key, RecordKind::TreeQuotient);
   if (std::filesystem::exists(path)) return false;
-  return publish(path, encodeTreeRecord(key, model, repairable));
+  return publish(path, encodeTreeRecord(key, model, repairable, steps));
 }
 
 std::vector<std::string> QuotientStore::drainWarnings() {

@@ -57,6 +57,7 @@ class QuotientStore {
   struct LoadedTree {
     ioimc::IOIMC model;
     bool repairable = false;
+    std::uint64_t steps = 0;  ///< 0 for records that predate the count
   };
 
   std::optional<LoadedModule> loadModule(const std::string& key,
@@ -70,7 +71,7 @@ class QuotientStore {
   bool storeModule(const std::string& key, const ioimc::IOIMC& model,
                    std::uint64_t steps);
   bool storeTree(const std::string& key, const ioimc::IOIMC& model,
-                 bool repairable);
+                 bool repairable, std::uint64_t steps);
 
   /// The file the record for \p key lives at (exposed for tests/tooling).
   std::string entryPath(const std::string& key, RecordKind kind) const;

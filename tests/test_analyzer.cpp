@@ -55,11 +55,13 @@ TEST(Analyzer, ReferenceRunsNeverShareCacheEntriesWithProduction) {
   AnalysisRequest production =
       AnalysisRequest::forDft(dft::corpus::cps(), "cps")
           .measure(MeasureSpec::unreliability({1.0}));
-  AnalysisRequest classic = production;
-  classic.options.engine.reference = Reference::ClassicChain;
+  // Uncapped, production runs every step classic; the fused reference
+  // runs every step fused, so the step flags tell the two entries apart.
+  AnalysisRequest fused = production;
+  fused.options.engine.reference = Reference::FusedChain;
 
   AnalysisReport first = session.analyze(production);
-  AnalysisReport second = session.analyze(classic);
+  AnalysisReport second = session.analyze(fused);
   AnalysisReport third = session.analyze(production);
 
   // The reference run composes on its own: no tree or module entry of the
@@ -67,15 +69,16 @@ TEST(Analyzer, ReferenceRunsNeverShareCacheEntriesWithProduction) {
   EXPECT_FALSE(second.fromCache);
   EXPECT_EQ(second.cache.treeMisses, 1u);
   EXPECT_EQ(second.cache.moduleHits, 0u);
+  ASSERT_FALSE(second.stats().steps.empty());
   for (const CompositionStep& s : second.stats().steps)
-    EXPECT_FALSE(s.onTheFly) << s.name;
+    EXPECT_TRUE(s.onTheFly) << s.name;
   // The production entry survives it and still carries production stats.
   EXPECT_TRUE(third.fromCache);
   EXPECT_EQ(third.cache.treeHits, 1u);
   EXPECT_EQ(third.analysis.get(), first.analysis.get());
   ASSERT_FALSE(third.stats().steps.empty());
   for (const CompositionStep& s : third.stats().steps)
-    EXPECT_TRUE(s.onTheFly) << s.name;
+    EXPECT_FALSE(s.onTheFly) << s.name;
   EXPECT_EQ(third.measures[0].values, second.measures[0].values);
 }
 

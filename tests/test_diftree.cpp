@@ -287,8 +287,12 @@ TEST(Importance, ParallelSystemClosedForm) {
   auto imp = birnbaumImportance(d, 1.0);
   double pA = 1 - std::exp(-1.0), pB = 1 - std::exp(-0.5);
   for (const auto& r : imp) {
-    if (r.name == "A") EXPECT_NEAR(r.birnbaum, pB, 1e-9);
-    if (r.name == "B") EXPECT_NEAR(r.birnbaum, pA, 1e-9);
+    if (r.name == "A") {
+      EXPECT_NEAR(r.birnbaum, pB, 1e-9);
+    }
+    if (r.name == "B") {
+      EXPECT_NEAR(r.birnbaum, pA, 1e-9);
+    }
     // For an AND top, criticality of every component is 1: the system
     // fails exactly when its last component fails.
     EXPECT_NEAR(r.criticality, 1.0, 1e-9);

@@ -151,8 +151,9 @@ void expectRoundTrip(const Dft& tree, std::uint64_t seed) {
     EXPECT_EQ(a.type, b.type) << "seed " << seed;
     EXPECT_EQ(a.inputs, b.inputs) << "seed " << seed;
     EXPECT_EQ(a.votingThreshold, b.votingThreshold) << "seed " << seed;
-    if (a.type == ElementType::Spare)
+    if (a.type == ElementType::Spare) {
       EXPECT_EQ(a.spareKind, b.spareKind) << "seed " << seed;
+    }
     // Bit-exact attributes: the printer uses shortest-round-trip
     // formatting, so even swept dormancies and 3-decimal rates survive.
     EXPECT_EQ(a.be.lambda, b.be.lambda) << "seed " << seed;

@@ -33,6 +33,7 @@ using analysis::AnalysisReport;
 using analysis::AnalysisRequest;
 using analysis::Analyzer;
 using analysis::MeasureSpec;
+using analysis::Reference;
 
 /// Every trace test leaves the process with tracing off and the rings
 /// drained, so suites can run in any order.
@@ -162,7 +163,9 @@ void expectWellFormed(const obs::TraceSnapshot& snap) {
   std::map<std::uint32_t, std::vector<const obs::TraceRecord*>> byTid;
   for (const obs::TraceRecord& rec : snap.records) {
     EXPECT_LE(rec.beginSeq, rec.endSeq);
-    if (rec.instant) EXPECT_EQ(rec.beginSeq, rec.endSeq);
+    if (rec.instant) {
+      EXPECT_EQ(rec.beginSeq, rec.endSeq);
+    }
     EXPECT_LE(rec.args.size(), obs::kMaxTraceArgs);
     byTid[rec.tid].push_back(&rec);
   }
@@ -253,6 +256,7 @@ TEST(TraceObs, SelfTimesCoverFusedStages) {
       AnalysisRequest::forGalileo(dft::corpus::galileoCas())
           .measure(MeasureSpec::unreliability({1.0}));
   request.options.engine.staticCombine = false;
+  request.options.engine.reference = Reference::FusedChain;
   Analyzer().analyze(request);
   const obs::SelfTimes self = obs::selfTimes(obs::snapshotTrace());
   EXPECT_EQ(self.dropped, 0u);
@@ -260,6 +264,27 @@ TEST(TraceObs, SelfTimesCoverFusedStages) {
   EXPECT_GT(self.of("otf.finish"), 0.0);
   for (const auto& [name, seconds] : self.seconds)
     EXPECT_GE(seconds, 0.0) << name;
+}
+
+TEST(TraceObs, SelfTimesCoverClassicStages) {
+  // Uncapped, every production step runs the classic chain; its stages
+  // are child spans of compose.step, so the step's own self time is only
+  // the bookkeeping around them.
+  TraceGuard guard;
+  AnalysisRequest request =
+      AnalysisRequest::forGalileo(dft::corpus::galileoCas())
+          .measure(MeasureSpec::unreliability({1.0}));
+  request.options.engine.staticCombine = false;
+  Analyzer().analyze(request);
+  const obs::SelfTimes self = obs::selfTimes(obs::snapshotTrace());
+  EXPECT_EQ(self.dropped, 0u);
+  for (const char* stage :
+       {"classic.compose", "classic.collapse", "classic.aggregate"})
+    EXPECT_GT(self.of(stage), 0.0) << stage;
+  EXPECT_EQ(self.of("otf.explore"), 0.0);
+  EXPECT_LT(self.of("compose.step"),
+            self.of("classic.compose") + self.of("classic.collapse") +
+                self.of("classic.aggregate"));
 }
 
 TEST(TraceObs, ComposeStepCarriesPlannerArgs) {

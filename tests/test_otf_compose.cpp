@@ -283,7 +283,7 @@ TEST(OtfEngine, MeasuresBitIdenticalAcrossCorpus) {
   };
   for (const auto& f : families) {
     analysis::AnalysisReport off = analyzeWith(f.tree, Reference::ClassicChain);
-    analysis::AnalysisReport on = analyzeWith(f.tree, Reference::Production);
+    analysis::AnalysisReport on = analyzeWith(f.tree, Reference::FusedChain);
     ASSERT_TRUE(on.measures[0].ok && off.measures[0].ok) << f.name;
     // The whole point: not close, *identical*.
     EXPECT_EQ(on.measures[0].values, off.measures[0].values) << f.name;
@@ -317,7 +317,7 @@ TEST(OtfEngine, FusedPeakBelowClassicOnDeepFamilies) {
   for (const auto& f : families) {
     SCOPED_TRACE(f.name);
     analysis::AnalysisReport off = analyzeWith(f.tree, Reference::ClassicChain);
-    analysis::AnalysisReport on = analyzeWith(f.tree, Reference::Production);
+    analysis::AnalysisReport on = analyzeWith(f.tree, Reference::FusedChain);
     ASSERT_TRUE(on.measures[0].ok && off.measures[0].ok);
     EXPECT_EQ(on.measures[0].values, off.measures[0].values);
     for (double v : on.measures[0].values) EXPECT_FALSE(std::isnan(v));
@@ -361,7 +361,7 @@ TEST(OtfEngine, ThreadCountDoesNotChangeBits) {
 
 TEST(OtfEngine, FusedStepPeaksStayWithinProductBound) {
   dft::Dft d = dft::corpus::cascadedPands(4, 6);
-  analysis::AnalysisReport on = analyzeWith(d, Reference::Production);
+  analysis::AnalysisReport on = analyzeWith(d, Reference::FusedChain);
   EXPECT_GT(fusedSteps(on), 0u);
   // A fused step's peak live region is bounded by the |A| x |B| product
   // bound, and on this family some step stays strictly below it.

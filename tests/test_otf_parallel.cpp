@@ -219,12 +219,14 @@ TEST(OtfIntraParallel, BudgetTripInsideParallelRefinementUnwindsCleanly) {
 TEST(OtfIntraParallel, EngineEncodePoolFollowsNumThreads) {
   // EngineOptions::numThreads sizes the merge's shared encode pool:
   // numThreads = 1 never goes parallel, numThreads = 4 does, and the
-  // composed models are bitwise equal.
+  // composed models are bitwise equal.  Only fused steps record their
+  // encode workers, so every step runs fused here.
   namespace analysis = imcdft::analysis;
   const dft::Dft tree = dft::corpus::cascadedPand(4, 3);
   auto compose = [&](unsigned threads) {
     analysis::EngineOptions opts;
     opts.numThreads = threads;
+    opts.reference = analysis::Reference::FusedChain;
     return analysis::composeCommunity(analysis::convertDft(tree), tree, opts);
   };
   const analysis::EngineResult seq = compose(1);

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -63,8 +64,8 @@ struct Cliff {
 // Seeds where the old cheapest-product rule was 5-100x slower than
 // declaration order (2, 14, 26), a large deterministic tree (22), and a
 // dense repairable tree whose final merges are the planner's worst case
-// (67).  Peaks are the largest intermediate of any step with default
-// options (fused engine: the peak live region).
+// (67).  Peaks are the largest intermediate of any step with every step
+// fused (Reference::FusedChain: the peak live region).
 constexpr Cliff kCliffs[] = {
     {2, 1578, 15858},
     {14, 18216, 179864},
@@ -74,8 +75,10 @@ constexpr Cliff kCliffs[] = {
 };
 
 TEST(Planner, PinnedPeaksOnCliffSeeds) {
+  EngineOptions fused;
+  fused.reference = analysis::Reference::FusedChain;
   for (const Cliff& c : kCliffs) {
-    const AnalysisReport report = analyzeSeed(c.seed, EngineOptions{});
+    const AnalysisReport report = analyzeSeed(c.seed, fused);
     EXPECT_EQ(report.stats().peakComposedStates, c.peakStates)
         << "seed " << c.seed;
     EXPECT_EQ(report.stats().peakComposedTransitions, c.peakTransitions)
@@ -102,7 +105,10 @@ TEST(Planner, ThreadCountSymmetryAndEngineDoNotChangeBits) {
     noSymmetry.symmetry = false;
     EngineOptions classic = base;
     classic.reference = analysis::Reference::ClassicChain;
-    for (const EngineOptions* variant : {&threads, &noSymmetry, &classic}) {
+    EngineOptions fused = base;
+    fused.reference = analysis::Reference::FusedChain;
+    for (const EngineOptions* variant :
+         {&threads, &noSymmetry, &classic, &fused}) {
       const AnalysisReport report = analyzeSeed(c.seed, *variant);
       EXPECT_EQ(boundBits(report), bits) << "seed " << c.seed;
       EXPECT_EQ(report.analysis->closedModel.numStates(),
@@ -122,15 +128,42 @@ TEST(Planner, ThreadCountSymmetryAndEngineDoNotChangeBits) {
 }
 
 TEST(Planner, LiveStateCapTripsExactlyTheKnownSeeds) {
-  std::set<std::uint64_t> tripped;
-  for (std::uint64_t seed = 0; seed < 75; ++seed) {
+  // Production fuses only the merges whose product bound exceeds the cap,
+  // so it trips exactly where FusedChain (every merge fused) trips, and
+  // wherever a reference finishes, its bounds equal Production's bit for
+  // bit.  ClassicChain trips on more seeds (it builds whole products).
+  EngineOptions fused;
+  fused.reference = analysis::Reference::FusedChain;
+  EngineOptions classic;
+  classic.reference = analysis::Reference::ClassicChain;
+  auto capped = [](std::uint64_t seed, const EngineOptions& engine)
+      -> std::optional<std::vector<std::uint64_t>> {
     try {
-      analyzeSeed(seed, EngineOptions{}, 30000);
+      return boundBits(analyzeSeed(seed, engine, 30000));
     } catch (const BudgetExceeded&) {
-      tripped.insert(seed);
+      return std::nullopt;
+    }
+  };
+  std::set<std::uint64_t> tripped, fusedTripped;
+  std::size_t classicCompared = 0;
+  for (std::uint64_t seed = 0; seed < 75; ++seed) {
+    const std::optional<std::vector<std::uint64_t>> production =
+        capped(seed, EngineOptions{});
+    const std::optional<std::vector<std::uint64_t>> allFused =
+        capped(seed, fused);
+    if (!production) tripped.insert(seed);
+    if (!allFused) fusedTripped.insert(seed);
+    if (!production || !allFused) continue;
+    EXPECT_EQ(*allFused, *production) << "seed " << seed;
+    if (const std::optional<std::vector<std::uint64_t>> allClassic =
+            capped(seed, classic)) {
+      EXPECT_EQ(*allClassic, *production) << "seed " << seed;
+      ++classicCompared;
     }
   }
   EXPECT_EQ(tripped, (std::set<std::uint64_t>{5, 11}));
+  EXPECT_EQ(fusedTripped, tripped);
+  EXPECT_GE(classicCompared, 60u);
 }
 
 }  // namespace

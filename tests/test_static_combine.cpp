@@ -519,9 +519,11 @@ TEST(StaticCombine, FrontierModulesShareTheTreeCache) {
   EXPECT_TRUE(warm.fromCache);
   EXPECT_EQ(warm.cache.stepsRun, 0u);
   const StaticCombination& combo = *numeric.analysis->staticCombo;
-  for (const NumericModule& m : combo.modules())
-    if (m.name == "Motor_unit")  // the very analysis the numeric path solved
+  for (const NumericModule& m : combo.modules()) {
+    if (m.name == "Motor_unit") {  // the very analysis the numeric path solved
       EXPECT_EQ(warm.analysis.get(), combo.chains()[m.chain].analysis.get());
+    }
+  }
 
   Analyzer coldSession(coldOptions());
   AnalysisReport cold = mttf(coldSession);

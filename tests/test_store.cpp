@@ -129,16 +129,18 @@ struct SmallTree {
 
   bool store(QuotientStore& store, const std::string& key,
              bool repairable = false) const {
-    return store.storeTree(key, analysis->closedModel, repairable);
+    return store.storeTree(key, analysis->closedModel, repairable,
+                           analysis->composeSteps);
   }
   /// Loads \p key and checks the model round-tripped byte for byte.
   std::optional<QuotientStore::LoadedTree> load(QuotientStore& store,
                                                 const std::string& key) const {
     std::optional<QuotientStore::LoadedTree> loaded =
         store.loadTree(key, session.symbols());
-    if (loaded)
+    if (loaded) {
       EXPECT_EQ(serializedBytes(loaded->model),
                 serializedBytes(analysis->closedModel));
+    }
     return loaded;
   }
 };
@@ -224,13 +226,38 @@ TEST(Store, TreeRecordRoundTrip) {
   std::shared_ptr<QuotientStore> store = QuotientStore::open(dir);
 
   EXPECT_TRUE(store->storeTree("tree-key", cas.analysis->closedModel,
-                               /*repairable=*/true));
+                               /*repairable=*/true, /*steps=*/9));
   std::optional<QuotientStore::LoadedTree> loaded =
       store->loadTree("tree-key", cas.session.symbols());
   ASSERT_TRUE(loaded.has_value());
   EXPECT_TRUE(loaded->repairable);
+  EXPECT_EQ(loaded->steps, 9u);
   EXPECT_EQ(serializedBytes(loaded->model),
             serializedBytes(cas.analysis->closedModel));
+
+  // A record in the layout that predates the step count (a plain
+  // repairable byte, no count) still loads, as 0 steps.
+  ioimc::ByteWriter payload;
+  payload.str("old-tree-key");
+  payload.u8(1);
+  ioimc::serializeModel(cas.analysis->closedModel, payload);
+  const std::string body = payload.take();
+  ioimc::ByteWriter header;
+  header.raw(store::kMagic, sizeof store::kMagic);
+  header.u32(store::kFormatVersion);
+  header.u32(static_cast<std::uint32_t>(RecordKind::TreeQuotient));
+  header.u64(body.size());
+  header.u64(store::fnv1aBytes(body.data(), body.size()));
+  writeAll(store->entryPath("old-tree-key", RecordKind::TreeQuotient),
+           header.take() + body);
+  loaded = store->loadTree("old-tree-key", cas.session.symbols());
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_TRUE(loaded->repairable);
+  EXPECT_EQ(loaded->steps, 0u);
+  EXPECT_EQ(serializedBytes(loaded->model),
+            serializedBytes(cas.analysis->closedModel));
+  EXPECT_EQ(store->loadErrors(), 0u);
+  EXPECT_TRUE(store->drainWarnings().empty());
 }
 
 TEST(Store, MissingRecordIsASilentMiss) {
@@ -316,7 +343,8 @@ TEST(StoreRobustness, RecordKindMismatchIsAnErrorMiss) {
   std::shared_ptr<QuotientStore> store = QuotientStore::open(dir);
   // A well-formed tree record parked at a module path must be rejected.
   writeAll(store->entryPath("k", RecordKind::ModuleQuotient),
-           store::encodeTreeRecord("k", tree.analysis->closedModel, false));
+           store::encodeTreeRecord("k", tree.analysis->closedModel, false,
+                                   tree.analysis->composeSteps));
   EXPECT_FALSE(store->loadModule("k", tree.session.symbols()).has_value());
   EXPECT_EQ(store->loadErrors(), 1u);
   std::vector<std::string> warnings = store->drainWarnings();
@@ -332,7 +360,8 @@ TEST(StoreRobustness, KeyCollisionIsASilentMiss) {
   // not the probed key is a plain miss (recompute), never an error — and
   // never the other key's data.
   writeAll(store->entryPath("wanted", RecordKind::TreeQuotient),
-           store::encodeTreeRecord("other", tree.analysis->closedModel, true));
+           store::encodeTreeRecord("other", tree.analysis->closedModel, true,
+                                   tree.analysis->composeSteps));
   EXPECT_FALSE(tree.load(*store, "wanted").has_value());
   EXPECT_EQ(store->loadErrors(), 0u);
   EXPECT_TRUE(store->drainWarnings().empty());
@@ -346,7 +375,7 @@ TEST(StoreRobustness, GarbagePayloadNeverCrashes) {
   // bounds-checked reader must reject, not crash or over-allocate.  Both
   // record kinds get every payload (serve mode loads tree records from a
   // shared directory too).
-  for (const std::string payload :
+  for (const std::string& payload :
        {std::string(1, '\0'), std::string(200, '\xff'),
         std::string("\x06\x00\x00\x00module-key-1\xff\xff\xff\xff", 20)}) {
     for (RecordKind kind :
@@ -471,6 +500,40 @@ TEST(Store, WarmStoreIsBitwiseIdenticalToColdNumericPath) {
   for (std::size_t i = 0; i < noStore.size(); ++i) {
     EXPECT_EQ(coldStore[i], noStore[i]) << i;
     EXPECT_EQ(warmStore[i], noStore[i]) << i;
+  }
+}
+
+TEST(Store, WarmTreeRecordsKeepTheirStepCount) {
+  // Tree records carry the compose steps that built them, so an analysis
+  // served from the store reports what the cold run did: the numeric
+  // path's symmetric HECS sibling saves the representative's steps, and a
+  // whole-tree record keeps its count.
+  const std::string dir = freshDir("warm_steps");
+  auto run = [&](bool staticCombine) {
+    Analyzer session;
+    AnalysisRequest request =
+        AnalysisRequest::forGalileo(dft::corpus::galileoHecs(), "hecs")
+            .measure(MeasureSpec::unreliability({1.0}));
+    request.options.engine.staticCombine = staticCombine;
+    request.options.engine.storeDir = dir;
+    return session.analyze(request);
+  };
+  for (bool staticCombine : {true, false}) {
+    SCOPED_TRACE(staticCombine ? "numeric" : "composition");
+    const AnalysisReport cold = run(staticCombine);
+    const AnalysisReport warm = run(staticCombine);
+    EXPECT_EQ(cold.cache.storeHits, 0u);
+    EXPECT_GT(warm.cache.storeHits, 0u);
+    EXPECT_EQ(warm.cache.stepsRun, 0u);
+    if (staticCombine) {
+      EXPECT_GT(cold.analysis->stats.symmetrySavedSteps, 0u);
+      EXPECT_EQ(warm.analysis->stats.symmetrySavedSteps,
+                cold.analysis->stats.symmetrySavedSteps);
+    } else {
+      EXPECT_GT(cold.analysis->composeSteps, 0u);
+      EXPECT_EQ(warm.analysis->composeSteps, cold.analysis->composeSteps);
+    }
+    EXPECT_EQ(warm.measures[0].values, cold.measures[0].values);
   }
 }
 

@@ -37,8 +37,10 @@
 ///     --stats           print composition statistics; traces the request
 ///                       to print its phase times (the inclusive seconds
 ///                       of the parse/convert/compose/extract/measure
-///                       spans) and the fused engine's stage self times
-///                       (otf.explore/refine/collapse/finish spans)
+///                       spans) and each engine's stage self times: the
+///                       classic chain's classic.compose/collapse/
+///                       aggregate spans and the fused engine's
+///                       otf.explore/refine/collapse/finish spans
 ///     --deadline SEC    resource budget: give up on a request after SEC
 ///                       seconds of wall clock, checked cooperatively at
 ///                       every hot-loop checkpoint (compose expansion,
@@ -48,7 +50,9 @@
 ///                       every cache consistent
 ///     --max-live-states N
 ///                       resource budget: abort a request whose live state
-///                       count at any checkpoint exceeds N
+///                       count at any checkpoint exceeds N; a merge whose
+///                       product bound exceeds N runs the fused engine,
+///                       whose live region can stay under N
 ///     --store DIR       persistent quotient store: read aggregated
 ///                       whole-tree and module quotients from DIR before
 ///                       composing, publish fresh ones back (created on
@@ -686,8 +690,8 @@ int runOneShot(CliOptions& opts) {
       opts.staticCombine = false;
     configureRequest(request, opts, opts.times);
 
-    // --stats reads the fused engine's stage times from the request's
-    // spans, so it traces the request even without --trace.
+    // --stats reads the engines' stage times from the request's spans, so
+    // it traces the request even without --trace.
     const bool traceForStats = opts.stats && !obs::traceEnabled();
     if (traceForStats) obs::setTraceEnabled(true);
     analysis::Analyzer session;
@@ -720,10 +724,17 @@ int runOneShot(CliOptions& opts) {
                     report.stats().onTheFlyFallbacks);
       const std::vector<analysis::CompositionStep>& steps =
           report.stats().steps;
-      if (std::any_of(steps.begin(), steps.end(),
-                      [](const analysis::CompositionStep& s) {
-                        return s.onTheFly;
-                      })) {
+      const std::size_t fusedSteps = static_cast<std::size_t>(
+          std::count_if(steps.begin(), steps.end(),
+                        [](const analysis::CompositionStep& s) {
+                          return s.onTheFly;
+                        }));
+      auto endStageLine = [&spans] {
+        if (spans.dropped > 0)
+          std::printf("  (%zu trace event(s) dropped)", spans.dropped);
+        std::printf("\n");
+      };
+      if (fusedSteps > 0) {
         std::printf("  otf refinement:  %zu pass(es) run, %u encode "
                     "worker(s)\n",
                     report.stats().otfRefinePassesRun,
@@ -732,9 +743,14 @@ int runOneShot(CliOptions& opts) {
                     "collapse %.4f, finish %.4f",
                     spans.of("otf.explore"), spans.of("otf.refine"),
                     spans.of("otf.collapse"), spans.of("otf.finish"));
-        if (spans.dropped > 0)
-          std::printf("  (%zu trace event(s) dropped)", spans.dropped);
-        std::printf("\n");
+        endStageLine();
+      }
+      if (fusedSteps < steps.size()) {
+        std::printf("  classic stages [s]: compose %.4f, collapse %.4f, "
+                    "aggregate %.4f",
+                    spans.of("classic.compose"), spans.of("classic.collapse"),
+                    spans.of("classic.aggregate"));
+        endStageLine();
       }
       std::printf("  peak composed:   %zu states, %zu transitions\n",
                   report.stats().peakComposedStates,
