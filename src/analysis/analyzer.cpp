@@ -412,7 +412,10 @@ std::shared_ptr<const DftAnalysis> Analyzer::runNumericPipeline(
       std::shared_ptr<const DftAnalysis> sub =
           serveTree(moduleDft, key, name, opts, requestStats, store, served);
       const std::size_t steps = sub->composeSteps;
-      const bool hit = served == Served::TreeCache;
+      // A module served from the tree cache or from a whole-tree store
+      // record is a hit, as a store-served module is on the composition
+      // path: it saves every step that originally built it.
+      const bool hit = served != Served::Pipeline;
       obs::traceInstant("module-cache", name, {{"hit", hit ? 1u : 0u}});
       if (hit) {
         ++requestStats.moduleHits;

@@ -16,13 +16,11 @@
 
 #include "analysis/symmetry.hpp"
 #include "common/error.hpp"
-#include "common/worker_pool.hpp"
 #include "dft/hash.hpp"
 #include "dft/modules.hpp"
 #include "ioimc/compose.hpp"
 #include "ioimc/ops.hpp"
 #include "ioimc/otf_compose.hpp"
-#include "ioimc/signature_interner.hpp"
 #include "obs/trace.hpp"
 
 namespace imcdft::analysis {
@@ -51,7 +49,6 @@ void CompositionStats::foldSteps() {
       noteOnTheFlyFallbackReason(s.onTheFlyFallbackReason);
     }
     otfRefinePassesRun += s.otfRefinePassesRun;
-    otfIntraWorkers = std::max(otfIntraWorkers, s.otfIntraWorkers);
   }
 }
 
@@ -83,7 +80,6 @@ std::vector<ioimc::ActionId> hiddenOutputsFor(
 /// reference, which leaves all minimizing to finalize).  Records the
 /// product's size in \p step.
 IOIMC classicStep(const IOIMC& a, const IOIMC& b, const EngineOptions& opts,
-                  const ioimc::WeakOptions& weak,
                   const std::vector<std::optional<IOIMC>>& pool,
                   std::size_t skipA, std::size_t skipB,
                   const std::function<bool(ioimc::ActionId)>& usedOutside,
@@ -107,7 +103,7 @@ IOIMC classicStep(const IOIMC& a, const IOIMC& b, const EngineOptions& opts,
   // To fixpoint, not a single pass: the fused path and this classic chain
   // reach byte-identical results only in the *minimal* quotient (both are
   // canonically renumbered there).
-  return ioimc::aggregateFixpoint(*m, weak);
+  return ioimc::aggregateFixpoint(*m, opts.weak);
 }
 
 /// True when a merge of \p a and \p b cannot exceed \p cancel's caps on
@@ -134,15 +130,6 @@ bool fitsCaps(const IOIMC& a, const IOIMC& b, const CancelToken* cancel) {
   }
   return true;
 }
-
-/// Product bound from which a classic step's aggregation takes the merge's
-/// encode pool.  Each refinement pass of a pooled aggregation pays one
-/// fork-join and keeps every state's encoded signature at once; below
-/// this size that costs more than the parallel encode saves (on 4 cores,
-/// cps_6x14's ~12,800-state products ran at 2-3x the CPU time for no
-/// wall-time gain), while pand_6x2's 155,000-state merge still gains
-/// wall time.
-constexpr std::size_t kClassicParallelMinProduct = std::size_t{1} << 16;
 
 /// Whether a merge of \p a and \p b tries the fused engine first.
 bool runsFused(const IOIMC& a, const IOIMC& b, const EngineOptions& opts) {
@@ -258,22 +245,6 @@ std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
                       std::vector<CompositionStep>& steps,
                       const std::function<bool(ioimc::ActionId)>& usedOutside) {
   require(!live.empty(), "composeCommunity: empty module pool");
-  // One encoding pool shared by every step of this merge (the fused
-  // engine's partial refinement and quotient tail, the classic chain's
-  // aggregation), so repeated refinement passes reuse the same worker
-  // threads instead of respawning them.  Sized by
-  // EngineOptions::numThreads and created lazily: only once a step's
-  // product bound is big enough that the parallel encode could engage.
-  const unsigned encodeThreads = resolveThreads(opts.numThreads);
-  std::unique_ptr<WorkerPool> encodePool;
-  auto encodePoolFor = [&](std::size_t leftStates,
-                           std::size_t rightStates) -> WorkerPool* {
-    if (!encodePool && encodeThreads > 1 &&
-        leftStates * rightStates >= ioimc::detail::kIntraParallelMinStates)
-      encodePool = std::make_unique<WorkerPool>(encodeThreads);
-    return encodePool.get();
-  };
-
   while (live.size() > 1) {
     // One budget checkpoint per merge step: catches explosion between hot
     // loops (e.g. a pool whose pairwise products are individually cheap
@@ -293,16 +264,8 @@ std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
     stepSpan.arg("hidden", plan.hidden);
     stepSpan.arg("predicted",
                  static_cast<std::uint64_t>(std::min(plan.predicted, 0x1p63)));
-    // Both engines share the merge's encode pool: every fused step, and a
-    // classic step from kClassicParallelMinProduct on, so a large step
-    // keeps the block-parallel refinement whichever engine runs it.
-    const bool tryFused = runsFused(*pool[a], *pool[b], opts);
-    ioimc::WeakOptions weak = opts.weak;
-    if (tryFused ||
-        step.leftStates * step.rightStates >= kClassicParallelMinProduct)
-      weak.encodePool = encodePoolFor(step.leftStates, step.rightStates);
     std::optional<IOIMC> fused;
-    if (tryFused) {
+    if (runsFused(*pool[a], *pool[b], opts)) {
       // The composite's outputs (out(A) u out(B); shared outputs are
       // rejected by compose anyway) determine the hide set without
       // materializing the product.
@@ -313,8 +276,7 @@ std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
       std::sort(outs.begin(), outs.end());
       outs.erase(std::unique(outs.begin(), outs.end()), outs.end());
       ioimc::otf::OtfOptions fusedOpts;
-      fusedOpts.weak = weak;
-      fusedOpts.encodePool = weak.encodePool;
+      fusedOpts.weak = opts.weak;
       if (opts.reference == Reference::ForcedFallback)
         fusedOpts.maxLiveStates = 1;
       ioimc::otf::OtfResult r = ioimc::otf::otfComposeAggregate(
@@ -325,7 +287,6 @@ std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
         step.composedStates = r.stats.peakLiveStates;
         step.composedTransitions = r.stats.peakLiveTransitions;
         step.otfRefinePassesRun = r.stats.refinementRounds;
-        step.otfIntraWorkers = r.stats.intraWorkers;
         fused.emplace(std::move(*r.model));
       } else {
         step.onTheFlyFallback = true;
@@ -334,8 +295,8 @@ std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
       }
     }
     IOIMC result = fused ? std::move(*fused)
-                         : classicStep(*pool[a], *pool[b], opts, weak, pool,
-                                       a, b, usedOutside, step);
+                         : classicStep(*pool[a], *pool[b], opts, pool, a, b,
+                                       usedOutside, step);
     step.aggregatedStates = result.numStates();
     step.aggregatedTransitions = result.numTransitions();
     stepSpan.arg("aggregated_states", step.aggregatedStates);

@@ -27,8 +27,9 @@ namespace imcdft::analysis {
 /// nominal memory charge) fits the request's caps; only a step that could
 /// exceed a cap runs the fused engine (ioimc::otf::otfComposeAggregate),
 /// whose live region can stay under the cap where the full product would
-/// not.  An uncapped request runs classic throughout.  Both engines emit
-/// the same canonical minimal quotient, so the choice never changes a bit.
+/// not.  An uncapped request runs classic throughout.  Either engine runs
+/// a step on one thread.  Both engines emit the same canonical minimal
+/// quotient, so the choice never changes a bit.
 /// The other values are reference paths that tests and the fuzz oracle
 /// compare against it.  (The values are part of the semantic cache key:
 /// append new ones, never renumber.)
@@ -55,15 +56,13 @@ enum class Reference {
 
 struct EngineOptions {
   Reference reference = Reference::Production;
-  /// Worker threads for both thread layers of the engine: the module
-  /// tree's per-module aggregation (independent modules share no
+  /// Worker threads of the module tree: independent modules share no
   /// mutable state, so their compose/hide/aggregate chains run
-  /// concurrently) and the signature-encode pool each merge shares across
-  /// its steps.  0 means std::thread::hardware_concurrency(); 1 runs
+  /// concurrently.  Each merge step, and every refinement inside it, runs
+  /// on one thread.  0 means std::thread::hardware_concurrency(); 1 runs
   /// everything on the calling thread.  Results are bitwise identical for
-  /// every thread count: each module task is a pure function of its inputs,
-  /// the results are folded in a fixed order, and encoding is block-parallel
-  /// while interning stays sequential in state order.
+  /// every thread count: each module task is a pure function of its
+  /// inputs, and the results are folded in a fixed order.
   unsigned numThreads = 0;
   /// Symmetry reduction (module tree only, so not DeclarationOrder): bucket
   /// independent modules by their rename-invariant shape (dft::moduleShape),
@@ -131,11 +130,9 @@ struct CompositionStep {
   /// was served by the classic chain instead (reason below).
   bool onTheFlyFallback = false;
   std::string onTheFlyFallbackReason;
-  /// Fused-step detail (all zero on classic steps): partial refinement
-  /// passes run and the intra-step encoding pool size (0 = the refinement
-  /// never went parallel).  Stage times come from the otf.* trace spans.
+  /// Fused-step detail (zero on classic steps): partial refinement passes
+  /// run.  Stage times come from the otf.* trace spans.
   std::size_t otfRefinePassesRun = 0;
-  unsigned otfIntraWorkers = 0;
 };
 
 /// Aggregated I/O-IMC of one completed independent module.  Modules that
@@ -175,16 +172,13 @@ struct CompositionStats {
   std::size_t onTheFlyFallbacks = 0;
   /// Partial refinement passes run across all fused steps.
   std::size_t otfRefinePassesRun = 0;
-  /// Largest intra-step encoding pool any fused step used (0 = the
-  /// refinement never went parallel anywhere).
-  unsigned otfIntraWorkers = 0;
   /// Distinct fallback reasons seen (deduplicated, capped; Diagnostics).
   std::vector<std::string> onTheFlyFallbackReasons;
 
   /// Folds every entry of steps into the step-derived fields above: the
-  /// four peaks, onTheFlyFallbacks, otfRefinePassesRun,
-  /// otfIntraWorkers and the fallback reasons.  Call it once, on stats
-  /// whose step-derived fields are still zero.
+  /// four peaks, onTheFlyFallbacks, otfRefinePassesRun and the fallback
+  /// reasons.  Call it once, on stats whose step-derived fields are still
+  /// zero.
   void foldSteps();
 
  private:

@@ -7,7 +7,6 @@
 
 #include "common/cancel.hpp"
 #include "common/error.hpp"
-#include "common/worker_pool.hpp"
 #include "ioimc/builder.hpp"
 #include "ioimc/ops.hpp"
 #include "ioimc/signature_interner.hpp"
@@ -266,71 +265,21 @@ Partition weakBisimulationWithTau(const IOIMC& m, const TauInfo& tau,
   Partition p = initialByLabel(m);
   SignatureInterner interner;
   std::vector<std::uint32_t> newClassOf(n);
-
-  // Parallel per-iteration encode: workers fill disjoint state blocks with
-  // token streams + hashes, then one thread interns every stream in
-  // ascending state order — class numbering (first appearance in state
-  // order) is therefore identical to the sequential loop's for any worker
-  // count, which is the bitwise 1-vs-N-thread contract.  The sequential
-  // path below stays byte-for-byte the old loop (same checkpoint cadence).
-  WorkerPool* pool = opts.encodePool;
-  const std::size_t numBlocks =
-      (n + detail::kIntraBlockStates - 1) / detail::kIntraBlockStates;
-  const bool parallel =
-      pool && pool->threads() > 1 && n >= detail::kIntraParallelMinStates;
-  std::vector<detail::EncodedBlock> blocks;
-  std::vector<WeakScratch> scratches;
-  if (parallel) {
-    blocks.resize(numBlocks);
-    scratches.resize(pool->threads());
-  } else {
-    scratches.resize(1);
-  }
+  WeakScratch ws;
 
   while (true) {
     // One checkpoint per refinement pass, plus a strided one inside the
     // (possibly huge) per-state interning loop.
     if (cancel) cancel->checkpoint("weak-refinement", n);
     interner.beginIteration(n);
-    if (parallel) {
-      pool->run(numBlocks, [&](std::size_t blk, unsigned worker) {
-        detail::EncodedBlock& eb = blocks[blk];
-        eb.clear();
-        WeakScratch& ws = scratches[worker];
-        if (cancel) cancel->checkpoint("weak-refinement", n);
-        const StateId begin =
-            static_cast<StateId>(blk * detail::kIntraBlockStates);
-        const StateId end = static_cast<StateId>(
-            std::min<std::size_t>(n, begin + detail::kIntraBlockStates));
-        for (StateId s = begin; s < end; ++s) {
-          const std::size_t at = eb.tokens.size();
-          eb.tokens.push_back(p.classOf[s]);
-          encodeWeakSignature(m, tau, weak, roles, p, s, ws, eb.tokens);
-          eb.ends.push_back(eb.tokens.size());
-          eb.hashes.push_back(SignatureInterner::hashTokens(
-              eb.tokens.data() + at, eb.tokens.size() - at));
-        }
-      });
-      StateId s = 0;
-      for (const detail::EncodedBlock& eb : blocks) {
-        std::size_t at = 0;
-        for (std::size_t i = 0; i < eb.ends.size(); ++i, ++s) {
-          newClassOf[s] = interner.internTokens(eb.tokens.data() + at,
-                                                eb.ends[i] - at, eb.hashes[i]);
-          at = eb.ends[i];
-        }
-      }
-    } else {
-      WeakScratch& ws = scratches.front();
-      for (StateId s = 0; s < n; ++s) {
-        if (cancel && (s & 1023u) == 1023u)
-          cancel->checkpoint("weak-refinement", n);
-        auto& out = interner.scratch();
-        out.clear();
-        out.push_back(p.classOf[s]);
-        encodeWeakSignature(m, tau, weak, roles, p, s, ws, out);
-        newClassOf[s] = interner.internScratch();
-      }
+    for (StateId s = 0; s < n; ++s) {
+      if (cancel && (s & 1023u) == 1023u)
+        cancel->checkpoint("weak-refinement", n);
+      auto& out = interner.scratch();
+      out.clear();
+      out.push_back(p.classOf[s]);
+      encodeWeakSignature(m, tau, weak, roles, p, s, ws, out);
+      newClassOf[s] = interner.internScratch();
     }
     const std::uint32_t newCount = interner.numClasses();
     const bool stable = newCount == p.numClasses;

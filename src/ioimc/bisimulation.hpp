@@ -24,7 +24,6 @@
 
 namespace imcdft {
 class CancelToken;  // common/cancel.hpp
-class WorkerPool;   // common/worker_pool.hpp
 }
 
 namespace imcdft::ioimc {
@@ -35,26 +34,19 @@ struct Partition {
   std::uint32_t numClasses = 0;
 };
 
-/// Options for weak bisimulation.
+/// Options for weak bisimulation.  The refinement runs on the calling
+/// thread; the only concurrency is one layer up, where the engine
+/// aggregates independent modules on separate workers.
 struct WeakOptions {
   /// Treat states with enabled output transitions as unstable (I/O-IMC
   /// urgency).  Disable to get plain IMC weak bisimulation.
   bool outputsUrgent = true;
-  /// Cooperative cancellation: when set, every refinement iteration calls
-  /// CancelToken::checkpoint() once per state pass, so an over-budget
+  /// Cooperative cancellation: when set, every refinement pass calls
+  /// CancelToken::checkpoint() once, and again every 1024 states, so an over-budget
   /// request unwinds from inside the aggregation instead of running it to
   /// completion.  Never changes a result — only whether it is produced.
   /// Not owned; the caller keeps the token alive across the call.
   const CancelToken* cancel = nullptr;
-  /// Borrowed pool for the per-iteration signature-encoding pass of the
-  /// weak refinement (null = sequential).  Encoding is split into fixed
-  /// state blocks filled concurrently, then interned sequentially in
-  /// ascending state order, so the partition — and every byte downstream —
-  /// is identical with or without a pool; only small models (where the
-  /// pool costs more than it saves) skip the split.  Deliberately excluded
-  /// from semantic cache keys for the same reason.  Not owned; the caller
-  /// keeps it alive across the call.
-  WorkerPool* encodePool = nullptr;
 };
 
 /// Computes the weak bisimulation partition of \p m.

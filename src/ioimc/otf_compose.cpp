@@ -7,11 +7,9 @@
 
 #include "common/cancel.hpp"
 #include "common/error.hpp"
-#include "common/worker_pool.hpp"
 #include "ioimc/compose_internal.hpp"
 #include "ioimc/ops.hpp"
 #include "ioimc/otf_partition.hpp"
-#include "ioimc/signature_interner.hpp"
 #include "obs/trace.hpp"
 
 namespace imcdft::ioimc::otf {
@@ -335,12 +333,7 @@ class OtfEngine {
     g.expanded = &expanded;
     g.roles = &croles_;
     g.outputsUrgent = opts_.weak.outputsUrgent;
-    WorkerPool* pool = opts_.encodePool;
-    if (pool && pool->threads() > 1 &&
-        live.size() >= detail::kIntraParallelMinStates)
-      stats_->intraWorkers = pool->threads();
-    const PartialPartition part =
-        refinePartial(g, live, pool, opts_.weak.cancel);
+    const PartialPartition part = refinePartial(g, live, opts_.weak.cancel);
 
     // Group the members of every multi-member class (in ascending-id
     // order; frontier states are singletons by construction, so every

@@ -7,10 +7,6 @@
 #include "ioimc/bisimulation.hpp"
 #include "ioimc/model.hpp"
 
-namespace imcdft {
-class WorkerPool;  // common/worker_pool.hpp
-}
-
 /// \file otf_compose.hpp
 /// The fused compose-and-minimize engine: parallel composition that never
 /// materializes the full reachable product.
@@ -49,6 +45,10 @@ class WorkerPool;  // common/worker_pool.hpp
 /// classic path.  analysis::Reference::Production runs it on the steps
 /// whose product bound exceeds a request cap; FusedChain and
 /// ForcedFallback run it on every step.
+///
+/// A step runs entirely on the calling thread, exploration and every
+/// refinement alike; the engine's only concurrency is one layer up, where
+/// independent modules are aggregated on separate workers.
 
 namespace imcdft::ioimc::otf {
 
@@ -58,13 +58,6 @@ struct OtfOptions {
   /// smaller than this are simply explored whole (the classic quotient
   /// then still shrinks them at the end).
   std::size_t refineThreshold = 256;
-  /// Caller-owned pool for the per-iteration signature encoding inside the
-  /// partial refinement, reused across composition steps so a chain of
-  /// fused steps does not respawn worker threads per step.  Null is the
-  /// sequential reference path; any pool yields the same bytes (see
-  /// otf_partition.hpp).  The quotient tail takes its pool from
-  /// weak.encodePool.  Must outlive the call.  Not owned.
-  WorkerPool* encodePool = nullptr;
   /// Safety valve: fail (so the caller falls back) when the live region
   /// exceeds this many states.  0 = unlimited.
   std::size_t maxLiveStates = 0;
@@ -79,8 +72,6 @@ struct OtfStats {
   /// revived states).
   std::size_t statesVisited = 0;
   std::size_t refinementRounds = 0;     ///< refinement passes actually run
-  /// Workers of the intra-step encoding pool (0 = never went parallel).
-  unsigned intraWorkers = 0;
   std::size_t statesMerged = 0;         ///< collapsed into a representative
   std::size_t statesSinkCollapsed = 0;  ///< absorbed by the inline sink collapse
   std::size_t statesPruned = 0;         ///< became unreachable, dropped

@@ -6,7 +6,6 @@
 
 #include "common/cancel.hpp"
 #include "common/error.hpp"
-#include "common/worker_pool.hpp"
 #include "ioimc/signature_interner.hpp"
 #include "ioimc/tau_closure.hpp"
 
@@ -69,8 +68,7 @@ struct Scratch {
 /// state's weak signature that do not depend on the current partition.
 /// Refinement iterations only remap dense targets through classOf, so
 /// the tau-closure walks run once per pass instead of once per
-/// iteration.  All vectors are read-only during refinement and safe to
-/// share across encode workers.
+/// iteration.  All vectors are read-only during refinement.
 struct Saturation {
   /// Dedup'd weak interactive edges per dense state, packed as
   /// (action << 32 | targetDense), CSR via visOff.
@@ -220,12 +218,16 @@ void encodePartialWeakSignature(const std::vector<Role>& roles,
 /// their streams start with a class id, always < 2^32).
 constexpr std::uint64_t kFrontierMarker = ~0ull;
 
+/// Recomputed states per "otf-refine" checkpoint, so a budget can trip
+/// inside a long refinement round.
+constexpr std::size_t kRefineCheckpointStates = 128;
+
 }  // namespace
 
 
 PartialPartition refinePartial(const PartialGraph& g,
                                const std::vector<StateId>& live,
-                               WorkerPool* pool, const CancelToken* cancel) {
+                               const CancelToken* cancel) {
   const std::size_t n = live.size();
   std::size_t maxId = 0;
   for (StateId s : live) maxId = std::max<std::size_t>(maxId, s);
@@ -292,18 +294,7 @@ PartialPartition refinePartial(const PartialGraph& g,
   // and the final first-appearance renumbering below reproduces the
   // interner's numbering of the last full iteration, so the result is
   // bitwise identical to the non-incremental loop.
-  //
-  // Parallel per-round encode (same split as bisimulation.cpp's weak
-  // refinement): workers encode and hash disjoint blocks of the recompute
-  // list, then one thread interns every stream in ascending dense order —
-  // grouping is by stream equality either way, so the partition is
-  // bitwise identical with and without the pool.
-  const bool parallel = pool && pool->threads() > 1 &&
-                        n >= detail::kIntraParallelMinStates;
-  std::vector<detail::EncodedBlock> blocks;
-  std::vector<Scratch> scratches;
-  scratches.resize(parallel ? pool->threads() : 1);
-
+  Scratch ws;
   std::vector<std::vector<std::uint64_t>> cache(n);
   std::vector<std::uint8_t> stateDirty(n, 1);
   std::vector<std::uint8_t> classDirty;
@@ -350,68 +341,25 @@ PartialPartition refinePartial(const PartialGraph& g,
     const std::size_t m = recompute.size();
     interner.beginIteration(m);
     tmpId.resize(m);
-    if (parallel) {
-      const std::size_t numBlocks =
-          (m + detail::kIntraBlockStates - 1) / detail::kIntraBlockStates;
-      blocks.resize(numBlocks);
-      pool->run(numBlocks, [&](std::size_t blk, unsigned worker) {
-        detail::EncodedBlock& eb = blocks[blk];
-        eb.clear();
-        Scratch& ws = scratches[worker];
-        if (cancel) cancel->checkpoint("otf-refine", n);
-        const std::size_t begin = blk * detail::kIntraBlockStates;
-        const std::size_t end =
-            std::min<std::size_t>(m, begin + detail::kIntraBlockStates);
-        for (std::size_t i = begin; i < end; ++i) {
-          const std::uint32_t d = recompute[i];
-          std::vector<std::uint64_t>& cs = cache[d];
-          if (stateDirty[d]) {
-            cs.clear();
-            if ((*g.expanded)[live[d]]) {
-              encodePartialWeakSignature(roles, tau, sat, p.classOf, d, ws,
-                                         cs);
-            } else {
-              cs.push_back(kFrontierMarker);
-              cs.push_back(d);
-            }
-          }
-          const std::size_t at = eb.tokens.size();
-          eb.tokens.push_back(p.classOf[d]);
-          eb.tokens.insert(eb.tokens.end(), cs.begin(), cs.end());
-          eb.ends.push_back(eb.tokens.size());
-          eb.hashes.push_back(detail::SignatureInterner::hashTokens(
-              eb.tokens.data() + at, eb.tokens.size() - at));
-        }
-      });
-      std::size_t idx = 0;
-      for (const detail::EncodedBlock& eb : blocks) {
-        std::size_t at = 0;
-        for (std::size_t i = 0; i < eb.ends.size(); ++i, ++idx) {
-          tmpId[idx] = interner.internTokens(eb.tokens.data() + at,
-                                             eb.ends[i] - at, eb.hashes[i]);
-          at = eb.ends[i];
+    for (std::size_t i = 0; i < m; ++i) {
+      if (cancel && i % kRefineCheckpointStates == 0)
+        cancel->checkpoint("otf-refine", n);
+      const std::uint32_t d = recompute[i];
+      std::vector<std::uint64_t>& cs = cache[d];
+      if (stateDirty[d]) {
+        cs.clear();
+        if ((*g.expanded)[live[d]]) {
+          encodePartialWeakSignature(roles, tau, sat, p.classOf, d, ws, cs);
+        } else {
+          cs.push_back(kFrontierMarker);
+          cs.push_back(d);
         }
       }
-    } else {
-      Scratch& ws = scratches.front();
-      for (std::size_t i = 0; i < m; ++i) {
-        const std::uint32_t d = recompute[i];
-        std::vector<std::uint64_t>& cs = cache[d];
-        if (stateDirty[d]) {
-          cs.clear();
-          if ((*g.expanded)[live[d]]) {
-            encodePartialWeakSignature(roles, tau, sat, p.classOf, d, ws, cs);
-          } else {
-            cs.push_back(kFrontierMarker);
-            cs.push_back(d);
-          }
-        }
-        auto& out = interner.scratch();
-        out.clear();
-        out.push_back(p.classOf[d]);
-        out.insert(out.end(), cs.begin(), cs.end());
-        tmpId[i] = interner.internScratch();
-      }
+      auto& out = interner.scratch();
+      out.clear();
+      out.push_back(p.classOf[d]);
+      out.insert(out.end(), cs.begin(), cs.end());
+      tmpId[i] = interner.internScratch();
     }
 
     // Split each recomputed class by stream equality.  When a clean

@@ -8,7 +8,6 @@
 
 namespace imcdft {
 class CancelToken;  // common/cancel.hpp
-class WorkerPool;   // common/worker_pool.hpp
 }
 
 /// \file otf_partition.hpp
@@ -73,17 +72,12 @@ struct PartialPartition {
 /// ModelError is thrown (the engine treats that as an invariant failure
 /// and falls back to the classic path).
 ///
-/// \p pool, when non-null, parallelizes the per-iteration signature
-/// encoding over fixed state blocks; interning stays sequential in
-/// ascending dense order, so the partition is bitwise identical for any
-/// pool size (including none).  Small live regions ignore the pool.
-/// \p cancel, when non-null, is checkpointed once per encoded block in the
-/// parallel path (site "otf-refine"), so a budget can trip inside the
-/// refinement loop itself; the sequential path relies on the engine's
-/// frontier checkpoints, exactly as before.
+/// \p cancel, when non-null, is checkpointed once per 128 recomputed
+/// states of every refinement round (site "otf-refine"), so a budget can
+/// trip inside the refinement loop itself, not only at the engine's
+/// frontier checkpoints.
 PartialPartition refinePartial(const PartialGraph& g,
                                const std::vector<StateId>& live,
-                               WorkerPool* pool = nullptr,
                                const CancelToken* cancel = nullptr);
 
 }  // namespace imcdft::ioimc::otf

@@ -35,43 +35,20 @@ class SignatureInterner {
 
   /// Interns scratch() and returns its dense class id.
   std::uint32_t internScratch() {
-    return internTokens(scratch_.data(), scratch_.size(),
-                        hashTokens(scratch_.data(), scratch_.size()));
-  }
-
-  /// Interns an externally encoded token stream whose hash (hashTokens over
-  /// the same tokens) was precomputed — the merge half of the parallel
-  /// encode-then-intern split: workers encode and hash blocks of states
-  /// concurrently, then one thread interns every stream in ascending state
-  /// order, so class numbering (first appearance in state order) is
-  /// independent of the number of encoding workers.
-  std::uint32_t internTokens(const std::uint64_t* tokens, std::size_t count,
-                             std::uint64_t hash) {
+    const std::uint64_t hash = hashScratch();
     const std::size_t mask = table_.size() - 1;
     std::size_t idx = static_cast<std::size_t>(hash) & mask;
     while (table_[idx] != kEmpty) {
       const std::uint32_t cls = table_[idx];
-      if (hashes_[cls] == hash && equalsClass(cls, tokens, count)) return cls;
+      if (hashes_[cls] == hash && scratchEqualsClass(cls)) return cls;
       idx = (idx + 1) & mask;
     }
     const std::uint32_t cls = numClasses_++;
     table_[idx] = cls;
     hashes_.push_back(hash);
-    arena_.insert(arena_.end(), tokens, tokens + count);
+    arena_.insert(arena_.end(), scratch_.begin(), scratch_.end());
     sigOffsets_.push_back(arena_.size());
     return cls;
-  }
-
-  /// The hash internTokens expects; safe to call from encoding workers.
-  static std::uint64_t hashTokens(const std::uint64_t* tokens,
-                                  std::size_t count) {
-    std::uint64_t h = 0x9e3779b97f4a7c15ull ^ count;
-    for (std::size_t i = 0; i < count; ++i) {
-      h ^= tokens[i];
-      h *= 0xff51afd7ed558ccdull;
-      h ^= h >> 33;
-    }
-    return h;
   }
 
   std::uint32_t numClasses() const { return numClasses_; }
@@ -79,11 +56,20 @@ class SignatureInterner {
  private:
   static constexpr std::uint32_t kEmpty = static_cast<std::uint32_t>(-1);
 
-  bool equalsClass(std::uint32_t cls, const std::uint64_t* tokens,
-                   std::size_t count) const {
+  std::uint64_t hashScratch() const {
+    std::uint64_t h = 0x9e3779b97f4a7c15ull ^ scratch_.size();
+    for (std::uint64_t token : scratch_) {
+      h ^= token;
+      h *= 0xff51afd7ed558ccdull;
+      h ^= h >> 33;
+    }
+    return h;
+  }
+
+  bool scratchEqualsClass(std::uint32_t cls) const {
     const std::uint64_t begin = sigOffsets_[cls], end = sigOffsets_[cls + 1];
-    if (end - begin != count) return false;
-    return std::equal(tokens, tokens + count,
+    if (end - begin != scratch_.size()) return false;
+    return std::equal(scratch_.begin(), scratch_.end(),
                       arena_.begin() + static_cast<std::ptrdiff_t>(begin));
   }
 
@@ -93,30 +79,6 @@ class SignatureInterner {
   std::vector<std::uint32_t> table_;      ///< open-addressing slots
   std::vector<std::uint64_t> scratch_;
   std::uint32_t numClasses_ = 0;
-};
-
-/// Shared gate constants of the parallel encode-then-intern split
-/// (bisimulation.cpp and otf_partition.cpp): states are encoded in fixed
-/// blocks of kIntraBlockStates, and a pass only goes parallel at all when
-/// the state count reaches kIntraParallelMinStates — below that the pool
-/// dispatch costs more than the encode.
-inline constexpr std::size_t kIntraBlockStates = 128;
-inline constexpr std::size_t kIntraParallelMinStates = 512;
-
-/// Per-block output of one parallel encoding pass: the block's token
-/// streams concatenated, each stream's end offset, and each stream's
-/// hashTokens value.  One worker fills one block; the sequential merge
-/// walks blocks in order and interns stream by stream.
-struct EncodedBlock {
-  std::vector<std::uint64_t> tokens;
-  std::vector<std::size_t> ends;
-  std::vector<std::uint64_t> hashes;
-
-  void clear() {
-    tokens.clear();
-    ends.clear();
-    hashes.clear();
-  }
 };
 
 }  // namespace imcdft::ioimc::detail

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "analysis/analyzer.hpp"
+#include "common/cancel.hpp"
 #include "dft/corpus.hpp"
 #include "ioimc/builder.hpp"
 #include "ioimc/compose.hpp"
@@ -113,7 +114,7 @@ std::pair<IOIMC, IOIMC> randomCompatiblePair(std::mt19937& rng,
 }
 
 /// The classic per-step chain the fused engine replaces (the exact calls
-/// of the engine's hideAndAggregatePool).
+/// of the engine's classicStep).
 IOIMC classicChain(const IOIMC& a, const IOIMC& b,
                    const std::vector<ActionId>& hidden) {
   return aggregateFixpoint(
@@ -239,6 +240,114 @@ TEST(OtfCompose, IncompatibleOperandsReportTheComposeError) {
   otf::OtfResult r = otf::otfComposeAggregate(a, b, {}, testOptions());
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.failureReason.find("share output action"), std::string::npos);
+}
+
+/// Random mostly-Markovian models whose product keeps a live region of
+/// a few thousand states (distinct rates keep merges rare), so refinement
+/// rounds recompute hundreds of states at a time.
+IOIMC bigModel(std::mt19937& rng, const SymbolTablePtr& symbols,
+               const std::string& name, const std::string& out,
+               const std::string& in) {
+  std::uniform_int_distribution<int> stateCount(40, 60);
+  std::uniform_real_distribution<double> rate(0.1, 5.0);
+  std::uniform_int_distribution<int> coin(0, 3);
+
+  IOIMCBuilder b(name, symbols);
+  const int n = stateCount(rng);
+  for (int i = 0; i < n; ++i) b.addState();
+  b.setInitial(0);
+  const ActionId o = b.output(out);
+  const ActionId i = b.input(in);
+  b.declareLabel("down");
+
+  std::uniform_int_distribution<int> stateDist(0, n - 1);
+  for (int s = 0; s < n; ++s) {
+    b.markovian(static_cast<StateId>(s), rate(rng),
+                static_cast<StateId>(stateDist(rng)));
+    b.markovian(static_cast<StateId>(s), rate(rng),
+                static_cast<StateId>(stateDist(rng)));
+    if (coin(rng) == 0)
+      b.interactive(static_cast<StateId>(s), o,
+                    static_cast<StateId>(stateDist(rng)));
+    if (coin(rng) == 1)
+      b.interactive(static_cast<StateId>(s), i,
+                    static_cast<StateId>(stateDist(rng)));
+    if (coin(rng) == 2) b.label(static_cast<StateId>(s), "down");
+  }
+  return std::move(b).build();
+}
+
+std::pair<IOIMC, IOIMC> bigPair(unsigned seed, const SymbolTablePtr& symbols) {
+  std::mt19937 rng(seed);
+  IOIMC a = bigModel(rng, symbols, "A", "ping", "pong");
+  IOIMC b = bigModel(rng, symbols, "B", "pong", "ping");
+  return {std::move(a), std::move(b)};
+}
+
+TEST(OtfCompose, AdaptiveCadenceGoldenEquality) {
+  // The refinement threshold and the adaptive cadence decide only *when*
+  // refinement passes run, never what the engine finally computes: every
+  // threshold must yield identical bytes.
+  bool timingChanged = false;
+  for (unsigned seed = 20; seed < 26; ++seed) {
+    auto symbols = makeSymbolTable();
+    auto [a, b] = bigPair(seed, symbols);
+    const std::vector<ActionId> hidden = detailHiddenAll(a, b);
+
+    otf::OtfResult ref = otf::otfComposeAggregate(a, b, hidden, testOptions());
+    ASSERT_TRUE(ref.ok) << "seed " << seed << ": " << ref.failureReason;
+
+    for (std::size_t threshold : {64u, 256u, 1024u}) {
+      otf::OtfOptions opts = testOptions();
+      opts.refineThreshold = threshold;
+      otf::OtfResult r = otf::otfComposeAggregate(a, b, hidden, opts);
+      ASSERT_TRUE(r.ok) << "seed " << seed << " threshold " << threshold
+                        << ": " << r.failureReason;
+      EXPECT_TRUE(equalModels(*ref.model, *r.model))
+          << "seed " << seed << " threshold " << threshold;
+      if (r.stats.refinementRounds != ref.stats.refinementRounds)
+        timingChanged = true;
+    }
+  }
+  // The sweep must actually have moved the passes, or it compared one
+  // schedule with itself.
+  EXPECT_TRUE(timingChanged);
+}
+
+TEST(OtfCompose, BudgetTripInsideRefinementUnwindsCleanly) {
+  // The partial refinement checkpoints every 128 recomputed states (site
+  // "otf-refine"), so a checkpoint budget can trip inside a refinement
+  // round, not only at the frontier.  The trip must unwind as
+  // BudgetExceeded, and an unbudgeted rerun must still be byte-identical:
+  // the trip may not leave any state behind.
+  auto symbols = makeSymbolTable();
+  auto [a, b] = bigPair(3, symbols);
+  const std::vector<ActionId> hidden = detailHiddenAll(a, b);
+
+  otf::OtfResult ref = otf::otfComposeAggregate(a, b, hidden, testOptions());
+  ASSERT_TRUE(ref.ok) << ref.failureReason;
+
+  bool trippedInRefine = false;
+  for (std::uint64_t cap = 1; cap <= 20000 && !trippedInRefine; ++cap) {
+    CancelToken token;
+    token.limitCheckpoints(cap);
+    otf::OtfOptions opts = testOptions();
+    opts.weak.cancel = &token;
+    try {
+      otf::OtfResult r = otf::otfComposeAggregate(a, b, hidden, opts);
+      ASSERT_TRUE(r.ok) << r.failureReason;
+      break;  // budget never tripped: every checkpoint fit under the cap
+    } catch (const BudgetExceeded& e) {
+      if (e.checkpoint() == "otf-refine") trippedInRefine = true;
+    }
+  }
+  EXPECT_TRUE(trippedInRefine)
+      << "no checkpoint cap tripped inside the refinement loop";
+
+  otf::OtfResult again =
+      otf::otfComposeAggregate(a, b, hidden, testOptions());
+  ASSERT_TRUE(again.ok) << again.failureReason;
+  EXPECT_TRUE(equalModels(*ref.model, *again.model));
 }
 
 // ---------------------------------------------------------------------------

@@ -435,7 +435,6 @@ TEST(StaticCombine, StepDerivedStatsAreAFoldOfTheSteps) {
             folded.peakAggregatedTransitions);
   EXPECT_EQ(stats.onTheFlyFallbacks, folded.onTheFlyFallbacks);
   EXPECT_EQ(stats.otfRefinePassesRun, folded.otfRefinePassesRun);
-  EXPECT_EQ(stats.otfIntraWorkers, folded.otfIntraWorkers);
   EXPECT_EQ(stats.onTheFlyFallbackReasons, folded.onTheFlyFallbackReasons);
   EXPECT_GT(stats.peakComposedStates, 0u);
 }

@@ -537,6 +537,34 @@ TEST(Store, WarmTreeRecordsKeepTheirStepCount) {
   }
 }
 
+TEST(Store, WarmNumericPathCountsStoreServedModulesAsHits) {
+  // On the numeric path every frontier module is its own tree.  A warm
+  // session served from whole-tree store records composes nothing, and
+  // accounts each store-served module as a module-cache hit that saves the
+  // steps that built it, as the composition path does.
+  const std::string dir = freshDir("numeric_module_hits");
+  auto run = [&] {
+    Analyzer session;
+    AnalysisRequest request =
+        AnalysisRequest::forGalileo(dft::corpus::galileoHecs(), "hecs")
+            .measure(MeasureSpec::unreliability({1.0}));
+    request.options.engine.storeDir = dir;
+    return session.analyze(request);
+  };
+  const AnalysisReport cold = run();
+  const AnalysisReport warm = run();
+  ASSERT_TRUE(cold.analysis->staticCombo != nullptr);
+  ASSERT_TRUE(warm.analysis->staticCombo != nullptr);
+  EXPECT_GT(cold.cache.stepsRun, 0u);
+  EXPECT_GT(cold.cache.moduleMisses, 0u);
+  EXPECT_GT(warm.cache.storeHits, 0u);
+  EXPECT_EQ(warm.cache.stepsRun, 0u);
+  EXPECT_EQ(warm.cache.moduleMisses, 0u);
+  EXPECT_EQ(warm.cache.moduleHits, cold.cache.moduleMisses);
+  EXPECT_EQ(warm.cache.stepsSaved, cold.cache.stepsRun);
+  EXPECT_EQ(warm.measures[0].values, cold.measures[0].values);
+}
+
 TEST(Store, CorruptedStoreFallsBackToColdAggregationEverywhere) {
   const std::string dir = freshDir("corrupt_all");
   const std::vector<double> reference = runSweep("", false);

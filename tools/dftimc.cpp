@@ -18,9 +18,9 @@
 ///                       printed seed replays the estimates exactly)
 ///     --runs N          Monte-Carlo trajectory count (implies --simulate)
 ///     --seed S          Monte-Carlo master seed (default 42)
-///     --jobs N          worker threads for module aggregation and for the
-///                       fused engine's signature encoding (default: one
-///                       per hardware thread; 1 = fully sequential;
+///     --jobs N          worker threads for module aggregation; each merge
+///                       step runs on one thread (default: one per
+///                       hardware thread; 1 = fully sequential;
 ///                       measures are bit-identical for every N)
 ///     --symmetry on|off symmetry reduction: aggregate one representative
 ///                       per module shape and instantiate isomorphic
@@ -735,10 +735,8 @@ int runOneShot(CliOptions& opts) {
         std::printf("\n");
       };
       if (fusedSteps > 0) {
-        std::printf("  otf refinement:  %zu pass(es) run, %u encode "
-                    "worker(s)\n",
-                    report.stats().otfRefinePassesRun,
-                    report.stats().otfIntraWorkers);
+        std::printf("  otf refinement:  %zu pass(es) run\n",
+                    report.stats().otfRefinePassesRun);
         std::printf("  otf stages [s]:  explore %.4f, refine %.4f, "
                     "collapse %.4f, finish %.4f",
                     spans.of("otf.explore"), spans.of("otf.refine"),
