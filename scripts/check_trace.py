@@ -15,6 +15,8 @@ Checks, in order:
      "spans cover >= 95% of measured wall time" acceptance bar.
   6. Optionally (--expect-span / --forbid-span), named spans or instants
      must appear at least once / must never appear.
+  7. Optionally (--expect-arg SPAN:KEY), some SPAN event must carry the
+     arg KEY (e.g. classic.aggregate:encoded).
 
 With --self-times it then prints, per span name, the summed self and
 inclusive seconds.  The rule is the one obs::selfTimes applies (the
@@ -26,7 +28,8 @@ Exit status 0 when every check passes, 1 with a diagnostic otherwise.
 Stdlib only; usage:
 
     check_trace.py TRACE.json [--min-coverage 0.95] [--expect-span NAME]...
-                   [--forbid-span NAME]... [--self-times]
+                   [--forbid-span NAME]... [--expect-arg SPAN:KEY]...
+                   [--self-times]
 """
 
 import argparse
@@ -51,6 +54,10 @@ def main():
                              "(repeatable)")
     parser.add_argument("--forbid-span", action="append", default=[],
                         help="span name that must never appear "
+                             "(repeatable)")
+    parser.add_argument("--expect-arg", action="append", default=[],
+                        metavar="SPAN:KEY",
+                        help="some SPAN event must carry the arg KEY "
                              "(repeatable)")
     parser.add_argument("--self-times", action="store_true",
                         help="print self and inclusive seconds per span "
@@ -78,6 +85,7 @@ def main():
     spans = []                   # (begin_ts, end_ts)
     begin_ts = defaultdict(list)
     names = set()
+    arg_keys = defaultdict(set)  # span name -> arg keys seen on its events
     # Self times nest per thread: tid -> [[begin_ts, child_us], ...].
     open_by_tid = defaultdict(list)
     self_us = defaultdict(float)
@@ -101,6 +109,8 @@ def main():
             fail(f"event {i}: ts went backwards on tid {ev['tid']} "
                  f"({ev['ts']} < {last_ts[ev['tid']]})")
         last_ts[ev["tid"]] = ev["ts"]
+        if isinstance(ev.get("args"), dict):
+            arg_keys[ev["name"]].update(ev["args"])
         track = (ev["pid"], ev["tid"])
         if ph == "B":
             stacks[track].append(ev["name"])
@@ -136,6 +146,13 @@ def main():
     for name in args.forbid_span:
         if name in names:
             fail(f"forbidden span {name!r} appears")
+    for spec in args.expect_arg:
+        span, sep, key = spec.partition(":")
+        if not sep or not span or not key:
+            fail(f"--expect-arg {spec!r} is not SPAN:KEY")
+        if key not in arg_keys[span]:
+            seen = ", ".join(sorted(arg_keys[span])) or "none"
+            fail(f"no {span!r} event carries arg {key!r} (its args: {seen})")
 
     # Coverage: union of span intervals over the global event extent.
     all_ts = [ts for per_tid in (last_ts,) for ts in per_tid.values()]

@@ -94,8 +94,9 @@ IOIMC classicStep(const IOIMC& a, const IOIMC& b, const EngineOptions& opts,
   }
   {
     obs::TraceSpan span("classic.collapse");
-    m = ioimc::hide(*m, hiddenOutputsFor(m->signature().outputs(), pool,
-                                         skipA, skipB, usedOutside));
+    m = ioimc::hide(std::move(*m),
+                    hiddenOutputsFor(m->signature().outputs(), pool, skipA,
+                                     skipB, usedOutside));
     if (opts.reference == Reference::Unreduced) return std::move(*m);
     m = ioimc::collapseUnobservableSinks(*m);
   }
@@ -103,7 +104,12 @@ IOIMC classicStep(const IOIMC& a, const IOIMC& b, const EngineOptions& opts,
   // To fixpoint, not a single pass: the fused path and this classic chain
   // reach byte-identical results only in the *minimal* quotient (both are
   // canonically renumbered there).
-  return ioimc::aggregateFixpoint(*m, opts.weak);
+  ioimc::RefineStats work;
+  IOIMC out = ioimc::aggregateFixpoint(*m, opts.weak, nullptr, &work);
+  span.arg("refine_rounds", work.rounds);
+  span.arg("encoded", work.encoded);
+  span.arg("fixpoint_passes", work.fixpointPasses);
+  return out;
 }
 
 /// True when a merge of \p a and \p b cannot exceed \p cancel's caps on

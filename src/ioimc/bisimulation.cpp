@@ -7,7 +7,6 @@
 
 #include "common/cancel.hpp"
 #include "common/error.hpp"
-#include "ioimc/builder.hpp"
 #include "ioimc/ops.hpp"
 #include "ioimc/signature_interner.hpp"
 #include "ioimc/tau_closure.hpp"
@@ -16,36 +15,11 @@ namespace imcdft::ioimc {
 
 namespace {
 
-/// Rate vector: cumulative rate into each partition class, sorted by class.
-using RateVector = std::vector<std::pair<std::uint32_t, double>>;
-
-/// Structured signature of one state under the current partition; used only
-/// for quotient construction (once per class).  The refinement loop itself
-/// works on the flat token encoding below.
-struct WeakSig {
-  std::vector<std::uint32_t> tauTargets;  ///< classes weakly reachable by tau
-  std::vector<std::pair<ActionId, std::uint32_t>> visible;  ///< weak moves
-  std::vector<RateVector> stableRates;  ///< rate vectors of stable derivatives
-};
-
 using Role = ActionRole;
 
 /// Tau-reachability and stability, shared with the semantic sink collapse
 /// (see tau_closure.hpp).
 using TauInfo = detail::TauClosure;
-
-/// Deterministically accumulates (class, rate) pairs into a rate vector.
-RateVector accumulateRates(std::vector<std::pair<std::uint32_t, double>> raw) {
-  std::sort(raw.begin(), raw.end());
-  RateVector out;
-  for (const auto& [cls, rate] : raw) {
-    if (!out.empty() && out.back().first == cls)
-      out.back().second += rate;
-    else
-      out.emplace_back(cls, rate);
-  }
-  return out;
-}
 
 Partition initialByLabel(const IOIMC& m) {
   Partition p;
@@ -71,9 +45,62 @@ Partition initialByLabel(const IOIMC& m) {
 // interns it via the shared detail::SignatureInterner; the interned index
 // is the state's class in the refined partition.  Classes are numbered in
 // order of first appearance (scanning states 0..n-1).
+//
+// A signature starts with the state's current class, so a state alone in
+// its class cannot share its new class with any other state: it is neither
+// encoded nor interned and takes the next fresh id in scan order, which is
+// the id interning would have given it.  Only the classes that can still
+// split cost work, the rule of partition refinement since Paige-Tarjan
+// (Valmari 2009 makes it O(m log n); this is the signature-refiner form).
 // ---------------------------------------------------------------------------
 
 using detail::SignatureInterner;
+
+/// Refines \p p to the coarsest stable partition under \p encode, which
+/// appends a state's signature tokens (after its current class) to a
+/// buffer.  Checkpoints \p cancel at \p site once per pass and every 1024
+/// states, skipped ones included.  Adds passes and encoded signatures to
+/// \p stats when set.
+template <class Encode>
+Partition refineBySignature(Partition p, const char* site,
+                            const CancelToken* cancel, RefineStats* stats,
+                            Encode&& encode) {
+  const std::size_t n = p.classOf.size();
+  SignatureInterner interner;
+  std::vector<std::uint32_t> newClassOf(n), classSize;
+  while (true) {
+    if (cancel) cancel->checkpoint(site, n);
+    classSize.assign(p.numClasses, 0);
+    for (std::uint32_t c : p.classOf) ++classSize[c];
+    std::size_t shared = 0;  // states in classes that can still split
+    for (std::uint32_t size : classSize)
+      if (size > 1) shared += size;
+    // Only these states are interned, so the table stays at most half full.
+    interner.beginIteration(shared);
+    for (StateId s = 0; s < n; ++s) {
+      if (cancel && (s & 1023u) == 1023u) cancel->checkpoint(site, n);
+      if (classSize[p.classOf[s]] == 1) {
+        newClassOf[s] = interner.freshClass();
+        continue;
+      }
+      auto& out = interner.scratch();
+      out.clear();
+      out.push_back(p.classOf[s]);
+      encode(p, s, out);
+      newClassOf[s] = interner.internScratch();
+    }
+    if (stats) {
+      ++stats->rounds;
+      stats->encoded += shared;
+    }
+    const std::uint32_t newCount = interner.numClasses();
+    const bool stable = newCount == p.numClasses;
+    std::swap(p.classOf, newClassOf);
+    p.numClasses = newCount;
+    if (stable) break;
+  }
+  return p;
+}
 
 /// Reusable scratch buffers for one state's weak-signature encoding.
 struct WeakScratch {
@@ -131,23 +158,24 @@ WeakMoves collectWeakMoves(const IOIMC& m, const TauInfo& tau,
   return w;
 }
 
-/// Appends the canonical token encoding of state \p s's weak signature
-/// under partition \p p to \p out.  Token stream: |tauTargets|, targets...,
-/// |visible|, (action<<32|class)..., |rateVecs|, then per vector its length
-/// and (class, rate-bits) token pairs.  Every section is sorted, so equal
-/// signatures produce equal streams.
-void encodeWeakSignature(const IOIMC& m, const TauInfo& tau,
-                         const WeakMoves& weak, const std::vector<Role>& roles,
-                         const Partition& p, StateId s, WeakScratch& ws,
-                         std::vector<std::uint64_t>& out) {
+/// State \p s's weak signature under partition \p p, left in \p ws:
+/// the sorted classes it reaches by tau*, its sorted weak visible moves
+/// (action << 32 | class) and the sorted, deduplicated rate vectors of its
+/// stable tau-derivatives, each a run of (class, rate-bits) token pairs in
+/// ws.rateTokens.
+void signWeak(const IOIMC& m, const TauInfo& tau, const WeakMoves& weak,
+              const std::vector<Role>& roles, const Partition& p, StateId s,
+              WeakScratch& ws) {
   auto closure = tau.closure(s);
 
   ws.tauTargets.clear();
   for (StateId u : closure) ws.tauTargets.push_back(p.classOf[u]);
-  std::sort(ws.tauTargets.begin(), ws.tauTargets.end());
-  ws.tauTargets.erase(
-      std::unique(ws.tauTargets.begin(), ws.tauTargets.end()),
-      ws.tauTargets.end());
+  if (closure.size() > 1) {
+    std::sort(ws.tauTargets.begin(), ws.tauTargets.end());
+    ws.tauTargets.erase(
+        std::unique(ws.tauTargets.begin(), ws.tauTargets.end()),
+        ws.tauTargets.end());
+  }
 
   ws.visible.clear();
   for (std::uint64_t move : weak.row(s)) {
@@ -204,7 +232,14 @@ void encodeWeakSignature(const IOIMC& m, const TauInfo& tau,
   ws.rateVecs.erase(
       std::unique(ws.rateVecs.begin(), ws.rateVecs.end(), vecEqual),
       ws.rateVecs.end());
+}
 
+/// Appends the canonical token encoding of the signature in \p ws to
+/// \p out: |tauTargets|, targets..., |visible|, (action<<32|class)...,
+/// |rateVecs|, then per vector its length and (class, rate-bits) token
+/// pairs.  Every section is sorted, so equal signatures produce equal
+/// streams.
+void appendWeakTokens(const WeakScratch& ws, std::vector<std::uint64_t>& out) {
   out.push_back(ws.tauTargets.size());
   out.insert(out.end(), ws.tauTargets.begin(), ws.tauTargets.end());
   out.push_back(ws.visible.size());
@@ -217,133 +252,116 @@ void encodeWeakSignature(const IOIMC& m, const TauInfo& tau,
   }
 }
 
-/// Structured weak signature of one state (for quotient construction).
-WeakSig weakSignature(const IOIMC& m, const TauInfo& tau,
-                      const WeakMoves& weak, const std::vector<Role>& roles,
-                      const Partition& p, StateId s) {
-  WeakSig sig;
-  for (StateId u : tau.closure(s)) sig.tauTargets.push_back(p.classOf[u]);
-  std::sort(sig.tauTargets.begin(), sig.tauTargets.end());
-  sig.tauTargets.erase(
-      std::unique(sig.tauTargets.begin(), sig.tauTargets.end()),
-      sig.tauTargets.end());
+/// Everything a weak refinement of one model reads besides the partition.
+struct WeakContext {
+  const IOIMC& m;
+  TauInfo tau;
+  std::vector<Role> roles;
+  WeakMoves weak;
 
-  auto inTauTargets = [&](std::uint32_t c) {
-    return std::binary_search(sig.tauTargets.begin(), sig.tauTargets.end(), c);
-  };
+  WeakContext(const IOIMC& model, const WeakOptions& opts)
+      : m(model),
+        tau(detail::computeTauClosure(model, opts.outputsUrgent)),
+        roles(actionRoles(model)),
+        weak(collectWeakMoves(model, tau, roles, opts.cancel)) {}
 
-  for (std::uint64_t move : weak.row(s)) {
-    const ActionId action = static_cast<ActionId>(move >> 32);
-    const std::uint32_t c = p.classOf[static_cast<StateId>(move)];
-    if (roles[action] == Role::Input && inTauTargets(c)) continue;
-    sig.visible.emplace_back(action, c);
+  Partition refine(const WeakOptions& opts, RefineStats* stats) const {
+    WeakScratch ws;
+    return refineBySignature(
+        initialByLabel(m), "weak-refinement", opts.cancel, stats,
+        [&](const Partition& p, StateId s, std::vector<std::uint64_t>& out) {
+          signWeak(m, tau, weak, roles, p, s, ws);
+          appendWeakTokens(ws, out);
+        });
   }
-  for (StateId u : tau.closure(s)) {
-    if (tau.stable[u]) {
-      std::vector<std::pair<std::uint32_t, double>> raw;
-      for (const auto& t : m.markovian(u))
-        raw.emplace_back(p.classOf[t.to], t.rate);
-      sig.stableRates.push_back(accumulateRates(std::move(raw)));
+
+  /// The reachable part of m's quotient under its weak-bisimulation
+  /// partition \p p, classes numbered breadth-first from the initial class
+  /// in row order (restrictToReachable's numbering).  Each class's CSR row
+  /// is written straight from the signature of its lowest state, as the
+  /// search reaches it.  All internal actions become "__tau"; inert
+  /// (intra-class) internal moves disappear, and a class with a
+  /// cross-class tau move keeps no Markovian behaviour (maximal progress).
+  IOIMC quotient(const Partition& p) const {
+    std::vector<StateId> rep(p.numClasses);
+    for (StateId s = m.numStates(); s-- > 0;) rep[p.classOf[s]] = s;
+
+    // Preserve the full visible signature for later composition.
+    Signature sig;
+    for (ActionId a : m.signature().inputs()) sig.add(a, ActionKind::Input);
+    for (ActionId a : m.signature().outputs()) sig.add(a, ActionKind::Output);
+    const ActionId tauAction = m.symbols()->intern(kTauName);
+    sig.add(tauAction, ActionKind::Internal);
+
+    constexpr StateId kUnvisited = static_cast<StateId>(-1);
+    std::vector<StateId> id(p.numClasses, kUnvisited);
+    std::vector<std::uint32_t> order;  // doubles as the BFS queue
+    order.reserve(p.numClasses);
+    auto visit = [&](std::uint32_t c) {
+      if (id[c] == kUnvisited) {
+        id[c] = static_cast<StateId>(order.size());
+        order.push_back(c);
+      }
+      return id[c];
+    };
+    visit(p.classOf[m.initial()]);
+    CsrInteractive inter;
+    CsrMarkovian markov;
+    std::vector<std::uint32_t> labels;
+    labels.reserve(p.numClasses);
+    inter.offsets.reserve(p.numClasses + 1);
+    markov.offsets.reserve(p.numClasses + 1);
+    WeakScratch ws;
+    for (std::size_t head = 0; head < order.size(); ++head) {
+      const std::uint32_t c = order[head];
+      signWeak(m, tau, weak, roles, p, rep[c], ws);
+      labels.push_back(m.labelMask(rep[c]));
+      inter.beginState();
+      markov.beginState();
+      bool hasCrossTau = false;
+      for (std::uint32_t c2 : ws.tauTargets) {
+        if (c2 == c) continue;
+        inter.data.push_back({tauAction, visit(c2)});
+        hasCrossTau = true;
+      }
+      // Visible moves (input self-targets were already filtered away; an
+      // output to the own class is observable and kept).
+      for (std::uint64_t move : ws.visible)
+        inter.data.push_back({static_cast<ActionId>(move >> 32),
+                              visit(static_cast<std::uint32_t>(move))});
+      if (hasCrossTau || ws.rateVecs.empty()) continue;
+      require(ws.rateVecs.size() == 1,
+              "weakQuotient: ambiguous rate vector in a stable class");
+      const auto [begin, end] = ws.rateVecs.front();
+      for (std::uint32_t i = begin; i < end; i += 2)
+        markov.data.push_back(
+            {std::bit_cast<double>(ws.rateTokens[i + 1]),
+             visit(static_cast<std::uint32_t>(ws.rateTokens[i]))});
     }
+    inter.finish();
+    markov.finish();
+    return IOIMC(m.name() + "/weak", m.symbols(), std::move(sig), 0,
+                 std::move(inter), std::move(markov), std::move(labels),
+                 m.labelNames());
   }
-  std::sort(sig.visible.begin(), sig.visible.end());
-  sig.visible.erase(std::unique(sig.visible.begin(), sig.visible.end()),
-                    sig.visible.end());
-  std::sort(sig.stableRates.begin(), sig.stableRates.end());
-  sig.stableRates.erase(
-      std::unique(sig.stableRates.begin(), sig.stableRates.end()),
-      sig.stableRates.end());
-  return sig;
-}
+};
 
-Partition weakBisimulationWithTau(const IOIMC& m, const TauInfo& tau,
-                                  const std::vector<Role>& roles,
-                                  const WeakMoves& weak,
-                                  const WeakOptions& opts) {
-  const std::size_t n = m.numStates();
-  const CancelToken* cancel = opts.cancel;
-  Partition p = initialByLabel(m);
-  SignatureInterner interner;
-  std::vector<std::uint32_t> newClassOf(n);
-  WeakScratch ws;
-
-  while (true) {
-    // One checkpoint per refinement pass, plus a strided one inside the
-    // (possibly huge) per-state interning loop.
-    if (cancel) cancel->checkpoint("weak-refinement", n);
-    interner.beginIteration(n);
-    for (StateId s = 0; s < n; ++s) {
-      if (cancel && (s & 1023u) == 1023u)
-        cancel->checkpoint("weak-refinement", n);
-      auto& out = interner.scratch();
-      out.clear();
-      out.push_back(p.classOf[s]);
-      encodeWeakSignature(m, tau, weak, roles, p, s, ws, out);
-      newClassOf[s] = interner.internScratch();
-    }
-    const std::uint32_t newCount = interner.numClasses();
-    const bool stable = newCount == p.numClasses;
-    std::swap(p.classOf, newClassOf);
-    p.numClasses = newCount;
-    if (stable) break;
-  }
-  return p;
+/// weakQuotient(), adding the refinement's work to \p stats when set.  The
+/// closures, moves and partition die before the caller's next pass.
+IOIMC quotientPass(const IOIMC& m, const WeakOptions& opts,
+                   RefineStats* stats) {
+  const WeakContext ctx(m, opts);
+  return ctx.quotient(ctx.refine(opts, stats));
 }
 
 }  // namespace
 
 Partition weakBisimulation(const IOIMC& m, const WeakOptions& opts) {
-  const TauInfo tau = detail::computeTauClosure(m, opts.outputsUrgent);
-  const std::vector<Role> roles = actionRoles(m);
-  return weakBisimulationWithTau(
-      m, tau, roles, collectWeakMoves(m, tau, roles, opts.cancel), opts);
+  return WeakContext(m, opts).refine(opts, nullptr);
 }
 
 IOIMC weakQuotient(const IOIMC& m, const WeakOptions& opts) {
-  const TauInfo tau = detail::computeTauClosure(m, opts.outputsUrgent);
-  const std::vector<Role> roles = actionRoles(m);
-  const WeakMoves weak = collectWeakMoves(m, tau, roles, opts.cancel);
-  Partition p = weakBisimulationWithTau(m, tau, roles, weak, opts);
-
-  // Representative (lowest state id) per class, and its converged signature.
-  std::vector<StateId> rep(p.numClasses, static_cast<StateId>(-1));
-  for (StateId s = m.numStates(); s-- > 0;) rep[p.classOf[s]] = s;
-
-  IOIMCBuilder b(m.name() + "/weak", m.symbols());
-  b.reserveStates(p.numClasses);
-  b.setInitial(p.classOf[m.initial()]);
-  // Preserve the full visible signature for later composition.
-  for (ActionId a : m.signature().inputs()) b.input(m.actionName(a));
-  for (ActionId a : m.signature().outputs()) b.output(m.actionName(a));
-  for (const std::string& labelName : m.labelNames()) b.declareLabel(labelName);
-  ActionId tauAction = b.internal(kTauName);
-
-  for (std::uint32_t c = 0; c < p.numClasses; ++c) {
-    StateId r = rep[c];
-    WeakSig sig = weakSignature(m, tau, weak, roles, p, r);
-    // Labels.
-    std::uint32_t mask = m.labelMask(r);
-    for (std::size_t i = 0; i < m.labelNames().size(); ++i)
-      if ((mask >> i) & 1u) b.label(c, m.labelNames()[i]);
-    // Cross-class tau moves.
-    bool hasCrossTau = false;
-    for (std::uint32_t c2 : sig.tauTargets) {
-      if (c2 == c) continue;
-      b.interactive(c, tauAction, c2);
-      hasCrossTau = true;
-    }
-    // Visible moves (input self-targets were already filtered away; an
-    // output to the own class is observable and kept).
-    for (const auto& [act, c2] : sig.visible) b.interactive(c, act, c2);
-    // Markovian behavior only for classes without cross-class tau moves.
-    if (!hasCrossTau && !sig.stableRates.empty()) {
-      require(sig.stableRates.size() == 1,
-              "weakQuotient: ambiguous rate vector in a stable class");
-      for (const auto& [c2, rate] : sig.stableRates.front())
-        b.markovian(c, rate, c2);
-    }
-  }
-  return std::move(b).build();
+  return quotientPass(m, opts, nullptr);
 }
 
 IOIMC aggregate(const IOIMC& m, const WeakOptions& opts) {
@@ -353,18 +371,21 @@ IOIMC aggregate(const IOIMC& m, const WeakOptions& opts) {
   // same minimal quotient through different intermediate graphs (hence
   // different state discovery orders), and renumbering both canonically is
   // what makes every downstream measure bit-identical between the paths.
-  return canonicalRenumber(restrictToReachable(weakQuotient(m, opts)));
+  return canonicalRenumber(weakQuotient(m, opts));
 }
 
 IOIMC aggregateFixpoint(const IOIMC& m, const WeakOptions& opts,
-                        bool* canonicalComplete) {
+                        bool* canonicalComplete, RefineStats* stats) {
   auto pass = [&](const IOIMC& in) {
-    return canonicalRenumber(restrictToReachable(weakQuotient(in, opts)),
-                             canonicalComplete);
+    if (stats) ++stats->fixpointPasses;
+    return canonicalRenumber(quotientPass(in, opts, stats), canonicalComplete);
   };
   IOIMC current = pass(m);
   while (true) {
-    const Partition p = weakBisimulation(current, opts);
+    RefineStats check;
+    const Partition p =
+        WeakContext(current, opts).refine(opts, stats ? &check : nullptr);
+    if (stats) stats->encoded += check.encoded;
     if (p.numClasses == current.numStates()) return current;
     current = pass(current);
   }
@@ -372,42 +393,22 @@ IOIMC aggregateFixpoint(const IOIMC& m, const WeakOptions& opts,
 
 namespace {
 
-/// Strong signature: exact moves per action plus the full rate vector.
-struct StrongSig {
-  std::vector<std::pair<ActionId, std::uint32_t>> moves;
-  RateVector rates;
+/// Reusable scratch for one state's strong signature: its sorted moves
+/// (action << 32 | class) without input moves into the own class, and its
+/// cumulative rate into each class, sorted by class.
+struct StrongScratch {
+  std::vector<std::uint64_t> moves;
+  std::vector<std::pair<std::uint32_t, double>> raw;
+  std::vector<std::pair<std::uint32_t, double>> rates;
 };
 
-StrongSig strongSignature(const IOIMC& m, const Partition& p, StateId s) {
-  StrongSig sig;
+void signStrong(const IOIMC& m, const std::vector<Role>& roles,
+                const Partition& p, StateId s, StrongScratch& ss) {
+  ss.moves.clear();
   for (const auto& t : m.interactive(s)) {
     std::uint32_t c = p.classOf[t.to];
     // Implicit input self-loop equivalence: an explicit input move into the
     // own class is indistinguishable from having no explicit move.
-    if (m.signature().isInput(t.action) && c == p.classOf[s]) continue;
-    sig.moves.emplace_back(t.action, c);
-  }
-  std::sort(sig.moves.begin(), sig.moves.end());
-  sig.moves.erase(std::unique(sig.moves.begin(), sig.moves.end()),
-                  sig.moves.end());
-  std::vector<std::pair<std::uint32_t, double>> raw;
-  for (const auto& t : m.markovian(s)) raw.emplace_back(p.classOf[t.to], t.rate);
-  sig.rates = accumulateRates(std::move(raw));
-  return sig;
-}
-
-/// Reusable scratch for one state's strong-signature encoding.
-struct StrongScratch {
-  std::vector<std::uint64_t> moves;
-  std::vector<std::pair<std::uint32_t, double>> raw;
-};
-
-void encodeStrongSignature(const IOIMC& m, const std::vector<Role>& roles,
-                           const Partition& p, StateId s, StrongScratch& ss,
-                           std::vector<std::uint64_t>& out) {
-  ss.moves.clear();
-  for (const auto& t : m.interactive(s)) {
-    std::uint32_t c = p.classOf[t.to];
     if (roles[t.action] == Role::Input && c == p.classOf[s]) continue;
     ss.moves.push_back((static_cast<std::uint64_t>(t.action) << 32) | c);
   }
@@ -418,71 +419,61 @@ void encodeStrongSignature(const IOIMC& m, const std::vector<Role>& roles,
   ss.raw.clear();
   for (const auto& t : m.markovian(s)) ss.raw.emplace_back(p.classOf[t.to], t.rate);
   std::sort(ss.raw.begin(), ss.raw.end());
-
-  out.push_back(ss.moves.size());
-  out.insert(out.end(), ss.moves.begin(), ss.moves.end());
+  ss.rates.clear();
   for (std::size_t i = 0; i < ss.raw.size();) {
     const std::uint32_t cls = ss.raw[i].first;
     double sum = 0.0;
     while (i < ss.raw.size() && ss.raw[i].first == cls) sum += ss.raw[i++].second;
-    out.push_back(cls);
-    out.push_back(std::bit_cast<std::uint64_t>(sum));
+    ss.rates.emplace_back(cls, sum);
   }
 }
 
 }  // namespace
 
 Partition strongBisimulation(const IOIMC& m, const CancelToken* cancel) {
-  const std::size_t n = m.numStates();
   const std::vector<Role> roles = actionRoles(m);
-  Partition p = initialByLabel(m);
-  SignatureInterner interner;
   StrongScratch ss;
-  std::vector<std::uint32_t> newClassOf(n);
-  while (true) {
-    if (cancel) cancel->checkpoint("strong-refinement", n);
-    interner.beginIteration(n);
-    for (StateId s = 0; s < n; ++s) {
-      if (cancel && (s & 1023u) == 1023u)
-        cancel->checkpoint("strong-refinement", n);
-      auto& out = interner.scratch();
-      out.clear();
-      out.push_back(p.classOf[s]);
-      encodeStrongSignature(m, roles, p, s, ss, out);
-      newClassOf[s] = interner.internScratch();
-    }
-    const std::uint32_t newCount = interner.numClasses();
-    const bool stable = newCount == p.numClasses;
-    std::swap(p.classOf, newClassOf);
-    p.numClasses = newCount;
-    if (stable) break;
-  }
-  return p;
+  return refineBySignature(
+      initialByLabel(m), "strong-refinement", cancel, nullptr,
+      [&](const Partition& p, StateId s, std::vector<std::uint64_t>& out) {
+        signStrong(m, roles, p, s, ss);
+        out.push_back(ss.moves.size());
+        out.insert(out.end(), ss.moves.begin(), ss.moves.end());
+        for (const auto& [cls, rate] : ss.rates) {
+          out.push_back(cls);
+          out.push_back(std::bit_cast<std::uint64_t>(rate));
+        }
+      });
 }
 
 IOIMC strongQuotient(const IOIMC& m) {
-  Partition p = strongBisimulation(m);
-  std::vector<StateId> rep(p.numClasses, static_cast<StateId>(-1));
+  const Partition p = strongBisimulation(m);
+  const std::vector<Role> roles = actionRoles(m);
+  std::vector<StateId> rep(p.numClasses);
   for (StateId s = m.numStates(); s-- > 0;) rep[p.classOf[s]] = s;
 
-  IOIMCBuilder b(m.name() + "/strong", m.symbols());
-  b.reserveStates(p.numClasses);
-  b.setInitial(p.classOf[m.initial()]);
-  for (ActionId a : m.signature().inputs()) b.input(m.actionName(a));
-  for (ActionId a : m.signature().outputs()) b.output(m.actionName(a));
-  for (ActionId a : m.signature().internals()) b.internal(m.actionName(a));
-  for (const std::string& labelName : m.labelNames()) b.declareLabel(labelName);
-
+  CsrInteractive inter;
+  CsrMarkovian markov;
+  std::vector<std::uint32_t> labels(p.numClasses);
+  inter.offsets.reserve(p.numClasses + 1);
+  markov.offsets.reserve(p.numClasses + 1);
+  StrongScratch ss;
   for (std::uint32_t c = 0; c < p.numClasses; ++c) {
-    StateId r = rep[c];
-    StrongSig sig = strongSignature(m, p, r);
-    std::uint32_t mask = m.labelMask(r);
-    for (std::size_t i = 0; i < m.labelNames().size(); ++i)
-      if ((mask >> i) & 1u) b.label(c, m.labelNames()[i]);
-    for (const auto& [act, c2] : sig.moves) b.interactive(c, act, c2);
-    for (const auto& [c2, rate] : sig.rates) b.markovian(c, rate, c2);
+    signStrong(m, roles, p, rep[c], ss);
+    labels[c] = m.labelMask(rep[c]);
+    inter.beginState();
+    markov.beginState();
+    for (std::uint64_t move : ss.moves)
+      inter.data.push_back(
+          {static_cast<ActionId>(move >> 32), static_cast<StateId>(move)});
+    for (const auto& [cls, rate] : ss.rates) markov.data.push_back({rate, cls});
   }
-  return restrictToReachable(std::move(b).build());
+  inter.finish();
+  markov.finish();
+  return restrictToReachable(
+      IOIMC(m.name() + "/strong", m.symbols(), m.signature(),
+            p.classOf[m.initial()], std::move(inter), std::move(markov),
+            std::move(labels), m.labelNames()));
 }
 
 }  // namespace imcdft::ioimc

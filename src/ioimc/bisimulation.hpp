@@ -19,8 +19,9 @@
 ///  * atomic state labels (e.g. the monitor's "down") are respected.
 ///
 /// The implementation is signature-based partition refinement (Blom/Orzan
-/// style) over the tau-closure, which for our model sizes is simple and
-/// fast, followed by quotient construction from the converged signatures.
+/// style) over the tau-closure that re-signs only the states of classes
+/// that can still split, followed by quotient construction that writes one
+/// CSR row per class straight from the converged signatures.
 
 namespace imcdft {
 class CancelToken;  // common/cancel.hpp
@@ -59,29 +60,53 @@ Partition weakBisimulation(const IOIMC& m, const WeakOptions& opts = {});
 Partition strongBisimulation(const IOIMC& m,
                              const CancelToken* cancel = nullptr);
 
-/// Builds the quotient model induced by a weak-bisimulation partition.
-/// All internal actions of the quotient are collapsed to the canonical
-/// action "__tau"; inert (intra-class) internal moves disappear.
+/// Builds the quotient model induced by the weak-bisimulation partition,
+/// restricted to the classes reachable from the initial one and numbered
+/// as restrictToReachable() numbers states.  All internal actions of the
+/// quotient are collapsed to the canonical action "__tau"; inert
+/// (intra-class) internal moves disappear.
 IOIMC weakQuotient(const IOIMC& m, const WeakOptions& opts = {});
 
 /// Builds the quotient induced by strongBisimulation().
 IOIMC strongQuotient(const IOIMC& m);
 
-/// Convenience: weakQuotient followed by reachability restriction and
-/// canonical renumbering (ioimc::canonicalRenumber).
+/// Convenience: weakQuotient followed by canonical renumbering
+/// (ioimc::canonicalRenumber).
 IOIMC aggregate(const IOIMC& m, const WeakOptions& opts = {});
+
+/// Work done by aggregateFixpoint(), for the trace spans that run it.
+struct RefineStats {
+  std::uint64_t rounds = 0;   ///< passes of the quotient refinements
+  std::uint64_t encoded = 0;  ///< signatures encoded by every refinement
+                              ///< (states alone in their class are not)
+  std::uint64_t fixpointPasses = 0;  ///< quotients built
+};
 
 /// aggregate() iterated until the result is a fixpoint of the refinement
 /// (weakBisimulation finds no further merges).  One quotient pass is not
-/// always a fixpoint — quotient construction saturates tau edges and can
-/// expose second-order merges — and the fused on-the-fly engine and the
-/// classic chain only meet in the *minimal* quotient, so the engine
-/// aggregates every composition step to fixpoint.  Terminates because the
-/// state count strictly decreases; on typical models it converges after
-/// the first pass.  \p canonicalComplete, when non-null, receives whether
-/// the last pass's canonical renumbering separated every state (see
-/// ioimc::canonicalRenumber).
+/// always a fixpoint, for two reasons:
+///  * floating-point summation order: the refinement compares rates summed
+///    per class of its intermediate partitions, while the quotient's rates
+///    are pre-summed per final class, and the two sums can round
+///    differently.  This is the one corpus case: a 166-state hecs step
+///    whose actions are all internal has a 9-state quotient with one tau
+///    edge, which the second pass takes to 8 (the count the refinement
+///    reaches in exact rational arithmetic);
+///  * divergence: a state that can only cycle on internal moves has no
+///    stable derivative, so the refinement tells it apart from a stable
+///    state without behaviour; the quotient drops the class's inert tau
+///    loop, the class turns stable, and the next pass merges it (random
+///    pairs of test_flat_refactor.cpp, e.g. seed 14: 18 -> 8 -> 7 states).
+/// The fused on-the-fly engine and the classic chain only meet in the
+/// *minimal* quotient, so the engine aggregates every composition step to
+/// fixpoint.
+/// Terminates because the state count strictly decreases; on typical
+/// models it converges after the first pass.  \p canonicalComplete, when
+/// non-null, receives whether the last pass's canonical renumbering
+/// separated every state (see ioimc::canonicalRenumber); \p stats, when
+/// non-null, accumulates the work done.
 IOIMC aggregateFixpoint(const IOIMC& m, const WeakOptions& opts = {},
-                        bool* canonicalComplete = nullptr);
+                        bool* canonicalComplete = nullptr,
+                        RefineStats* stats = nullptr);
 
 }  // namespace imcdft::ioimc

@@ -101,6 +101,12 @@ IOIMC::IOIMC(std::string name, SymbolTablePtr symbols, Signature signature,
   validate();
 }
 
+IOIMC IOIMC::withSignature(Signature signature) && {
+  return IOIMC(std::move(name_), std::move(symbols_), std::move(signature),
+               initial_, std::move(inter_), std::move(markov_),
+               std::move(labelMasks_), std::move(labelNames_));
+}
+
 void IOIMC::validate() const {
   // Error messages are built only on the failing path: this runs once per
   // constructed model over every transition, and eagerly concatenating the
@@ -122,9 +128,15 @@ void IOIMC::validate() const {
       markov_.offsets.back() != markov_.data.size() ||
       !std::is_sorted(markov_.offsets.begin(), markov_.offsets.end()))
     fail("malformed CSR offsets");
+  // One table lookup per transition instead of three signature searches.
+  std::vector<std::uint8_t> declared(symbols_->size(), 0);
+  for (const auto* actions :
+       {&signature_.inputs(), &signature_.outputs(), &signature_.internals()})
+    for (ActionId a : *actions)
+      if (a < declared.size()) declared[a] = 1;
   for (const auto& t : inter_.data) {
     if (t.to >= n) fail("transition target out of range");
-    if (!signature_.hasAction(t.action))
+    if (t.action >= declared.size() || !declared[t.action])
       require(false, "IOIMC '" + name_ + "': transition uses action '" +
                          symbols_->name(t.action) + "' missing from signature");
   }

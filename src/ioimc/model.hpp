@@ -148,6 +148,10 @@ class IOIMC {
         std::vector<std::uint32_t> labelMasks,
         std::vector<std::string> labelNames);
 
+  /// This model with \p signature in place of its own, keeping its
+  /// states, labels and transition arrays, which move over (hiding).
+  IOIMC withSignature(Signature signature) &&;
+
   const std::string& name() const { return name_; }
   const SymbolTablePtr& symbols() const { return symbols_; }
   const Signature& signature() const { return signature_; }

@@ -3,35 +3,22 @@
 #include <algorithm>
 #include <bit>
 #include <numeric>
-#include <queue>
+#include <span>
 #include <unordered_map>
 
 #include "common/error.hpp"
 
 namespace imcdft::ioimc {
 
-IOIMC hide(const IOIMC& m, const std::vector<ActionId>& actions) {
+IOIMC hide(IOIMC&& m, const std::vector<ActionId>& actions) {
   Signature sig = m.signature();
   for (ActionId a : actions) sig.hideOutput(a);
-  // Transitions are untouched by hiding; copy the flat storage wholesale.
-  const std::size_t n = m.numStates();
-  CsrInteractive inter;
-  CsrMarkovian markov;
-  std::vector<std::uint32_t> labels(n);
-  inter.data.assign(m.allInteractive().begin(), m.allInteractive().end());
-  markov.data.assign(m.allMarkovian().begin(), m.allMarkovian().end());
-  inter.offsets.resize(n + 1, 0);
-  markov.offsets.resize(n + 1, 0);
-  for (StateId s = 0; s < n; ++s) {
-    inter.offsets[s + 1] =
-        inter.offsets[s] + static_cast<std::uint32_t>(m.interactive(s).size());
-    markov.offsets[s + 1] =
-        markov.offsets[s] + static_cast<std::uint32_t>(m.markovian(s).size());
-    labels[s] = m.labelMask(s);
-  }
-  return IOIMC(m.name(), m.symbols(), std::move(sig), m.initial(),
-               std::move(inter), std::move(markov), std::move(labels),
-               m.labelNames());
+  // Transitions are untouched by hiding.
+  return std::move(m).withSignature(std::move(sig));
+}
+
+IOIMC hide(const IOIMC& m, const std::vector<ActionId>& actions) {
+  return hide(IOIMC(m), actions);
 }
 
 IOIMC hideAllOutputs(const IOIMC& m) { return hide(m, m.signature().outputs()); }
@@ -99,46 +86,70 @@ IOIMC renameActions(
                m.labelNames());
 }
 
-IOIMC restrictToReachable(const IOIMC& m) {
-  const StateId kUnvisited = static_cast<StateId>(-1);
-  std::vector<StateId> remap(m.numStates(), kUnvisited);
-  std::vector<StateId> order;
-  std::queue<StateId> frontier;
-  remap[m.initial()] = 0;
-  order.push_back(m.initial());
-  frontier.push(m.initial());
-  while (!frontier.empty()) {
-    StateId s = frontier.front();
-    frontier.pop();
-    auto visit = [&](StateId t) {
-      if (remap[t] == kUnvisited) {
-        remap[t] = static_cast<StateId>(order.size());
-        order.push_back(t);
-        frontier.push(t);
-      }
-    };
-    for (const auto& t : m.interactive(s)) visit(t.to);
-    for (const auto& t : m.markovian(s)) visit(t.to);
+namespace {
+
+constexpr StateId kNoState = static_cast<StateId>(-1);
+
+/// The part of a graph derived from \p m that is reachable from \p root,
+/// states numbered in breadth-first order, each state's targets visited
+/// in row order (interactive row, then Markovian).  Derived state c has
+/// the rows of m's state rowOf(c) with every target t mapped to mapTo(t),
+/// or no transitions when rowOf(c) is kNoState, and label mask maskOf(c).
+/// restrictToReachable is the case where every map is the identity.
+template <class RowOf, class MapTo, class MaskOf>
+IOIMC reachableCopy(const IOIMC& m, std::size_t numStates, StateId root,
+                    RowOf&& rowOf, MapTo&& mapTo, MaskOf&& maskOf) {
+  std::vector<StateId> id(numStates, kNoState);
+  std::vector<StateId> order;  // doubles as the BFS queue
+  order.reserve(numStates);
+  id[root] = 0;
+  order.push_back(root);
+  std::size_t numInter = 0, numMarkov = 0;
+  auto visit = [&](StateId t) {
+    const StateId c = mapTo(t);
+    if (id[c] == kNoState) {
+      id[c] = static_cast<StateId>(order.size());
+      order.push_back(c);
+    }
+  };
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const StateId src = rowOf(order[head]);
+    if (src == kNoState) continue;
+    for (const auto& t : m.interactive(src)) visit(t.to);
+    for (const auto& t : m.markovian(src)) visit(t.to);
+    numInter += m.interactive(src).size();
+    numMarkov += m.markovian(src).size();
   }
   CsrInteractive inter;
   CsrMarkovian markov;
   std::vector<std::uint32_t> labels(order.size());
   inter.offsets.reserve(order.size() + 1);
   markov.offsets.reserve(order.size() + 1);
+  inter.data.reserve(numInter);
+  markov.data.reserve(numMarkov);
   for (StateId ns = 0; ns < order.size(); ++ns) {
-    StateId os = order[ns];
     inter.beginState();
     markov.beginState();
-    for (const auto& t : m.interactive(os))
-      inter.data.push_back({t.action, remap[t.to]});
-    for (const auto& t : m.markovian(os))
-      markov.data.push_back({t.rate, remap[t.to]});
-    labels[ns] = m.labelMask(os);
+    labels[ns] = maskOf(order[ns]);
+    const StateId src = rowOf(order[ns]);
+    if (src == kNoState) continue;
+    for (const auto& t : m.interactive(src))
+      inter.data.push_back({t.action, id[mapTo(t.to)]});
+    for (const auto& t : m.markovian(src))
+      markov.data.push_back({t.rate, id[mapTo(t.to)]});
   }
   inter.finish();
   markov.finish();
   return IOIMC(m.name(), m.symbols(), m.signature(), 0, std::move(inter),
                std::move(markov), std::move(labels), m.labelNames());
+}
+
+}  // namespace
+
+IOIMC restrictToReachable(const IOIMC& m) {
+  auto identity = [](StateId s) { return s; };
+  return reachableCopy(m, m.numStates(), m.initial(), identity, identity,
+                       [&](StateId s) { return m.labelMask(s); });
 }
 
 IOIMC canonicalRenumber(const IOIMC& m, bool* complete) {
@@ -164,63 +175,83 @@ IOIMC canonicalRenumber(const IOIMC& m, bool* complete) {
           sorted.begin());
   }
 
-  // Iterate: each round encodes every state's strong one-step signature
-  // under the current ranks as a token stream, orders the streams
-  // lexicographically and re-ranks by position among the distinct streams.
-  // Streams start with the state's current rank, so the partition only
-  // refines; the rank *values* are derived from the sorted stream order,
-  // never from state ids, which keeps them isomorphism-invariant.
+  // Iterate: each round orders the states by their strong one-step
+  // signature under the current ranks — (rank, sorted (action, rank of
+  // target) moves, sorted (rank of target, rate bits) rates), compared
+  // lexicographically — and re-ranks by position among the distinct
+  // signatures.  Signatures lead with the current rank, so the partition
+  // only refines; the rank *values* are derived from the sorted signature
+  // order, never from state ids, which keeps them isomorphism-invariant.
+  // A round counting-sorts the states by rank and then orders each bucket
+  // on its own; a rank held by one state needs no signature at all.
+  std::vector<std::uint32_t> bucketOffsets, fill;
+  std::vector<StateId> byRank(n);
   std::vector<std::uint64_t> arena;
   std::vector<std::size_t> offsets;
+  std::vector<std::uint32_t> order;
   std::vector<std::uint64_t> interTokens;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> markovTokens;
-  std::vector<std::uint32_t> order(n), next(n);
+  std::vector<std::uint32_t> next(n);
   while (numRanks < n) {
-    arena.clear();
-    offsets.assign(1, 0);
-    for (StateId s = 0; s < n; ++s) {
-      arena.push_back(rank[s]);
-      interTokens.clear();
-      for (const auto& t : m.interactive(s))
-        interTokens.push_back((static_cast<std::uint64_t>(t.action) << 32) |
-                              rank[t.to]);
-      std::sort(interTokens.begin(), interTokens.end());
-      arena.push_back(interTokens.size());
-      arena.insert(arena.end(), interTokens.begin(), interTokens.end());
-      markovTokens.clear();
-      for (const auto& t : m.markovian(s))
-        markovTokens.emplace_back(rank[t.to],
-                                  std::bit_cast<std::uint64_t>(t.rate));
-      std::sort(markovTokens.begin(), markovTokens.end());
-      arena.push_back(markovTokens.size());
-      for (const auto& [to, rate] : markovTokens) {
-        arena.push_back(to);
-        arena.push_back(rate);
-      }
-      offsets.push_back(arena.size());
-    }
-    auto stream = [&](StateId s) {
-      return std::span<const std::uint64_t>(arena.data() + offsets[s],
-                                            offsets[s + 1] - offsets[s]);
-    };
-    auto less = [&](StateId x, StateId y) {
-      auto sx = stream(x), sy = stream(y);
-      return std::lexicographical_compare(sx.begin(), sx.end(), sy.begin(),
-                                          sy.end());
-    };
-    auto equal = [&](StateId x, StateId y) {
-      auto sx = stream(x), sy = stream(y);
-      return sx.size() == sy.size() &&
-             std::equal(sx.begin(), sx.end(), sy.begin());
-    };
-    std::iota(order.begin(), order.end(), 0u);
-    std::stable_sort(order.begin(), order.end(), less);
+    bucketOffsets.assign(numRanks + 1, 0);
+    for (StateId s = 0; s < n; ++s) ++bucketOffsets[rank[s] + 1];
+    for (std::uint32_t r = 0; r < numRanks; ++r)
+      bucketOffsets[r + 1] += bucketOffsets[r];
+    fill.assign(bucketOffsets.begin(), bucketOffsets.end() - 1);
+    for (StateId s = 0; s < n; ++s) byRank[fill[rank[s]]++] = s;
+
     std::uint32_t newRanks = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i > 0 && !equal(order[i - 1], order[i])) ++newRanks;
-      next[order[i]] = newRanks;
+    for (std::uint32_t r = 0; r < numRanks; ++r) {
+      const std::span<const StateId> bucket(
+          byRank.data() + bucketOffsets[r],
+          bucketOffsets[r + 1] - bucketOffsets[r]);
+      if (bucket.size() == 1) {
+        next[bucket.front()] = newRanks++;
+        continue;
+      }
+      arena.clear();
+      offsets.assign(1, 0);
+      for (StateId s : bucket) {
+        interTokens.clear();
+        for (const auto& t : m.interactive(s))
+          interTokens.push_back((static_cast<std::uint64_t>(t.action) << 32) |
+                                rank[t.to]);
+        std::sort(interTokens.begin(), interTokens.end());
+        arena.push_back(interTokens.size());
+        arena.insert(arena.end(), interTokens.begin(), interTokens.end());
+        markovTokens.clear();
+        for (const auto& t : m.markovian(s))
+          markovTokens.emplace_back(rank[t.to],
+                                    std::bit_cast<std::uint64_t>(t.rate));
+        std::sort(markovTokens.begin(), markovTokens.end());
+        arena.push_back(markovTokens.size());
+        for (const auto& [to, rate] : markovTokens) {
+          arena.push_back(to);
+          arena.push_back(rate);
+        }
+        offsets.push_back(arena.size());
+      }
+      auto stream = [&](std::uint32_t i) {
+        return std::span<const std::uint64_t>(arena.data() + offsets[i],
+                                              offsets[i + 1] - offsets[i]);
+      };
+      order.resize(bucket.size());
+      std::iota(order.begin(), order.end(), 0u);
+      std::sort(order.begin(), order.end(), [&](std::uint32_t x, std::uint32_t y) {
+        auto sx = stream(x), sy = stream(y);
+        return std::lexicographical_compare(sx.begin(), sx.end(), sy.begin(),
+                                            sy.end());
+      });
+      for (std::size_t i = 0; i < order.size(); ++i) {
+        if (i > 0) {
+          auto prev = stream(order[i - 1]), cur = stream(order[i]);
+          if (!std::equal(prev.begin(), prev.end(), cur.begin(), cur.end()))
+            ++newRanks;
+        }
+        next[bucket[order[i]]] = newRanks;
+      }
+      ++newRanks;
     }
-    ++newRanks;
     if (newRanks == numRanks) break;  // converged short of singletons
     rank.swap(next);
     numRanks = newRanks;
@@ -275,27 +306,12 @@ IOIMC canonicalRenumber(const IOIMC& m, bool* complete) {
 IOIMC makeLabelAbsorbing(const IOIMC& m, const std::string& label) {
   int idx = m.labelIndex(label);
   require(idx >= 0, "makeLabelAbsorbing: model has no label '" + label + "'");
-  CsrInteractive inter;
-  CsrMarkovian markov;
-  std::vector<std::uint32_t> labels(m.numStates());
-  inter.offsets.reserve(m.numStates() + 1);
-  markov.offsets.reserve(m.numStates() + 1);
-  for (StateId s = 0; s < m.numStates(); ++s) {
-    inter.beginState();
-    markov.beginState();
-    labels[s] = m.labelMask(s);
-    if (m.hasLabel(s, idx)) continue;  // drop all outgoing transitions
-    auto it = m.interactive(s);
-    inter.data.insert(inter.data.end(), it.begin(), it.end());
-    auto mt = m.markovian(s);
-    markov.data.insert(markov.data.end(), mt.begin(), mt.end());
-  }
-  inter.finish();
-  markov.finish();
-  IOIMC out(m.name(), m.symbols(), m.signature(), m.initial(),
-            std::move(inter), std::move(markov), std::move(labels),
-            m.labelNames());
-  return restrictToReachable(out);
+  // A labelled state keeps no outgoing transition.
+  return reachableCopy(
+      m, m.numStates(), m.initial(),
+      [&](StateId s) { return m.hasLabel(s, idx) ? kNoState : s; },
+      [](StateId s) { return s; },
+      [&](StateId s) { return m.labelMask(s); });
 }
 
 IOIMC collapseUnobservableSinks(const IOIMC& m) {
@@ -313,23 +329,36 @@ IOIMC collapseUnobservableSinks(const IOIMC& m) {
   //    environment that triggers it and then sees an unobservable same-mask
   //    future has learned nothing (co-inductive: badness of the target
   //    propagates to the edge owner through the backward closure below).
-  std::vector<std::uint8_t> bad(n, 0);
-  std::vector<std::vector<StateId>> predecessors(n);
-  for (StateId s = 0; s < n; ++s) {
+  //
+  // The closure walks back along every interactive edge and the Markovian
+  // edges of states without internal transitions (maximal progress: such a
+  // rate can never fire, so it neither observes nor reaches anything).
+  auto forEachEdge = [&](StateId s, auto&& visit) {
     bool hasTau = false;
-    for (const auto& t : m.interactive(s))
-      if (roles[t.action] == ActionRole::Internal) hasTau = true;
     for (const auto& t : m.interactive(s)) {
-      predecessors[t.to].push_back(s);
+      hasTau = hasTau || roles[t.action] == ActionRole::Internal;
+      visit(t.to);
+    }
+    if (!hasTau)
+      for (const auto& t : m.markovian(s)) visit(t.to);
+  };
+  std::vector<std::uint8_t> bad(n, 0);
+  std::vector<std::uint32_t> predOffsets(n + 1, 0);
+  for (StateId s = 0; s < n; ++s) {
+    for (const auto& t : m.interactive(s))
       if (roles[t.action] == ActionRole::Output) bad[s] = 1;
-      if (m.labelMask(t.to) != m.labelMask(s)) bad[s] = 1;
-    }
-    for (const auto& t : m.markovian(s)) {
-      if (hasTau) continue;  // maximal progress: this rate can never fire,
-                             // so it neither observes nor reaches anything
-      predecessors[t.to].push_back(s);
-      if (m.labelMask(t.to) != m.labelMask(s)) bad[s] = 1;
-    }
+    forEachEdge(s, [&](StateId to) {
+      ++predOffsets[to + 1];
+      if (m.labelMask(to) != m.labelMask(s)) bad[s] = 1;
+    });
+  }
+  // Predecessor lists in CSR.
+  for (std::size_t s = 0; s < n; ++s) predOffsets[s + 1] += predOffsets[s];
+  std::vector<StateId> preds(predOffsets[n]);
+  {
+    std::vector<std::uint32_t> fill(predOffsets.begin(), predOffsets.end() - 1);
+    for (StateId s = 0; s < n; ++s)
+      forEachEdge(s, [&](StateId to) { preds[fill[to]++] = s; });
   }
   // Backward closure: anything that can reach a boundary state stays.
   std::vector<StateId> frontier;
@@ -338,42 +367,39 @@ IOIMC collapseUnobservableSinks(const IOIMC& m) {
   while (!frontier.empty()) {
     StateId s = frontier.back();
     frontier.pop_back();
-    for (StateId p : predecessors[s])
-      if (!bad[p]) {
-        bad[p] = 1;
-        frontier.push_back(p);
+    for (std::uint32_t i = predOffsets[s]; i < predOffsets[s + 1]; ++i)
+      if (!bad[preds[i]]) {
+        bad[preds[i]] = 1;
+        frontier.push_back(preds[i]);
       }
   }
 
-  // One absorbing sink per label mask found among sinkable states.
-  std::unordered_map<std::uint32_t, StateId> sinkOf;
-  sinkOf.reserve(32);  // at most one sink per label-mask bit combination seen
-  std::vector<StateId> remap(n);
-  StateId next = 0;
+  // Kept states first, in state order, then one absorbing sink per label
+  // mask found among the sinkable states.
+  std::vector<StateId> remap(n), keptState;
   for (StateId s = 0; s < n; ++s)
-    if (bad[s]) remap[s] = next++;
+    if (bad[s]) {
+      remap[s] = static_cast<StateId>(keptState.size());
+      keptState.push_back(s);
+    }
+  if (keptState.size() == n) return restrictToReachable(m);  // nothing collapses
+  const StateId kept = static_cast<StateId>(keptState.size());
+  std::unordered_map<std::uint32_t, StateId> sinkOf;
+  std::vector<std::uint32_t> sinkMask;
   for (StateId s = 0; s < n; ++s) {
     if (bad[s]) continue;
-    auto [it, inserted] = sinkOf.try_emplace(m.labelMask(s), next);
-    if (inserted) ++next;
+    auto [it, inserted] = sinkOf.try_emplace(
+        m.labelMask(s), kept + static_cast<StateId>(sinkMask.size()));
+    if (inserted) sinkMask.push_back(m.labelMask(s));
     remap[s] = it->second;
   }
-
-  std::vector<std::vector<InteractiveTransition>> inter(next);
-  std::vector<std::vector<MarkovianTransition>> markov(next);
-  std::vector<std::uint32_t> labels(next, 0);
-  for (StateId s = 0; s < n; ++s) {
-    labels[remap[s]] = m.labelMask(s);
-    if (!bad[s]) continue;  // sinks are absorbing
-    for (const auto& t : m.interactive(s))
-      inter[remap[s]].push_back({t.action, remap[t.to]});
-    for (const auto& t : m.markovian(s))
-      markov[remap[s]].push_back({t.rate, remap[t.to]});
-  }
-  IOIMC out(m.name(), m.symbols(), m.signature(), remap[m.initial()],
-            std::move(inter), std::move(markov), std::move(labels),
-            m.labelNames());
-  return restrictToReachable(out);
+  return reachableCopy(
+      m, kept + sinkMask.size(), remap[m.initial()],
+      [&](StateId c) { return c < kept ? keptState[c] : kNoState; },
+      [&](StateId s) { return remap[s]; },
+      [&](StateId c) {
+        return c < kept ? m.labelMask(keptState[c]) : sinkMask[c - kept];
+      });
 }
 
 }  // namespace imcdft::ioimc

@@ -17,6 +17,8 @@ namespace imcdft::ioimc {
 /// synchronize in later compositions and are abstracted by weak
 /// bisimulation.  Throws ModelError when an action is not an output.
 IOIMC hide(const IOIMC& m, const std::vector<ActionId>& actions);
+/// As above, moving \p m's transition arrays into the result.
+IOIMC hide(IOIMC&& m, const std::vector<ActionId>& actions);
 
 /// Hides every output action of \p m (used once the community has been
 /// reduced to a single model).

@@ -118,7 +118,12 @@ class OtfEngine {
     span->arg("refine_rounds", stats_->refinementRounds);
     span.reset();
     span.emplace("otf.finish");
-    return finish();
+    RefineStats work;
+    IOIMC result = finish(work);
+    span->arg("refine_rounds", work.rounds);
+    span->arg("encoded", work.encoded);
+    span->arg("fixpoint_passes", work.fixpointPasses);
+    return result;
   }
 
  private:
@@ -491,7 +496,7 @@ class OtfEngine {
     }
   }
 
-  IOIMC finish() {
+  IOIMC finish(RefineStats& work) {
     // BFS renumbering of the reduced graph (interactive row first, then
     // Markovian, matching restrictToReachable's traversal convention).
     const StateId root = st_.find(0);
@@ -551,7 +556,8 @@ class OtfEngine {
     // which differs between the fused and the classic exploration — abort
     // to the classic path instead.
     bool canonicalComplete = false;
-    IOIMC result = aggregateFixpoint(reduced, opts_.weak, &canonicalComplete);
+    IOIMC result =
+        aggregateFixpoint(reduced, opts_.weak, &canonicalComplete, &work);
     if (!canonicalComplete)
       throw OtfAbort{
           "canonical renumbering could not separate all quotient states"};

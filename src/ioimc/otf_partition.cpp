@@ -31,24 +31,26 @@ PartialTauInfo computePartialTauInfo(
   const std::vector<Role>& roles = *g.roles;
   PartialTauInfo info;
   info.stable.assign(n, true);
-  std::vector<std::vector<std::uint32_t>> tauSucc(n);
+  detail::TauGraph tauSucc;
+  tauSucc.offsets.reserve(n + 1);
   for (std::uint32_t d = 0; d < n; ++d) {
     const StateId s = live[d];
-    if (!(*g.expanded)[s]) continue;
+    if (!(*g.expanded)[s]) {
+      tauSucc.endRow();
+      continue;
+    }
     for (const auto& t : (*g.inter)[s]) {
       const StateId to = (*g.rep)[t.to];
       require(to < denseOf.size() && denseOf[to] != kNoDense,
               "otf refine: live state has an edge to a non-live state");
       if (roles[t.action] == Role::Internal) {
-        tauSucc[d].push_back(denseOf[to]);
+        tauSucc.succ.push_back(denseOf[to]);
         info.stable[d] = false;
       } else if (g.outputsUrgent && roles[t.action] == Role::Output) {
         info.stable[d] = false;
       }
     }
-    std::sort(tauSucc[d].begin(), tauSucc[d].end());
-    tauSucc[d].erase(std::unique(tauSucc[d].begin(), tauSucc[d].end()),
-                     tauSucc[d].end());
+    tauSucc.endRow();
   }
   detail::computeSccClosures(tauSucc, info);
   return info;

@@ -51,6 +51,15 @@ class SignatureInterner {
     return cls;
   }
 
+  /// Numbers a class no other signature can join (its state is alone in
+  /// its current class): the next id in order of first appearance, with
+  /// nothing hashed or stored.
+  std::uint32_t freshClass() {
+    hashes_.push_back(0);
+    sigOffsets_.push_back(arena_.size());
+    return numClasses_++;
+  }
+
   std::uint32_t numClasses() const { return numClasses_; }
 
  private:

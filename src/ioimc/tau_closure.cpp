@@ -4,44 +4,29 @@
 
 namespace imcdft::ioimc::detail {
 
-namespace {
-
-std::vector<StateId> sortedUnion(const std::vector<StateId>& a,
-                                 const std::vector<StateId>& b) {
-  std::vector<StateId> out;
-  out.reserve(a.size() + b.size());
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
-  return out;
-}
-
-}  // namespace
-
 TauClosure computeTauClosure(const IOIMC& m, bool outputsUrgent) {
   const std::size_t n = m.numStates();
   const std::vector<ActionRole> roles = actionRoles(m);
-  std::vector<std::vector<StateId>> tauSucc(n);
+  TauGraph tauSucc;
+  tauSucc.offsets.reserve(n + 1);
   TauClosure info;
   info.stable.assign(n, true);
   for (StateId s = 0; s < n; ++s) {
     for (const auto& t : m.interactive(s)) {
       if (roles[t.action] == ActionRole::Internal) {
-        tauSucc[s].push_back(t.to);
+        tauSucc.succ.push_back(t.to);
         info.stable[s] = false;
       } else if (outputsUrgent && roles[t.action] == ActionRole::Output) {
         info.stable[s] = false;
       }
     }
-    std::sort(tauSucc[s].begin(), tauSucc[s].end());
-    tauSucc[s].erase(std::unique(tauSucc[s].begin(), tauSucc[s].end()),
-                     tauSucc[s].end());
+    tauSucc.endRow();
   }
   computeSccClosures(tauSucc, info);
   return info;
 }
 
-void computeSccClosures(const std::vector<std::vector<std::uint32_t>>& tauSucc,
-                        TauClosure& info) {
+void computeSccClosures(const TauGraph& tauSucc, TauClosure& info) {
   const std::size_t n = tauSucc.size();
 
   // Iterative Tarjan SCC over the tau graph.
@@ -68,8 +53,9 @@ void computeSccClosures(const std::vector<std::vector<std::uint32_t>>& tauSucc,
         onStack[v] = true;
       }
       bool descended = false;
-      while (f.child < tauSucc[v].size()) {
-        StateId w = tauSucc[v][f.child++];
+      const auto succ = tauSucc.row(v);
+      while (f.child < succ.size()) {
+        StateId w = succ[f.child++];
         if (index[w] == kUndef) {
           callStack.push_back({w, 0});
           descended = true;
@@ -98,35 +84,46 @@ void computeSccClosures(const std::vector<std::vector<std::uint32_t>>& tauSucc,
 
   // Components are numbered such that every tau successor's component id is
   // strictly smaller (Tarjan closes sinks first); compute closures bottom-up
-  // and flatten them into one shared CSR array.
-  std::vector<std::vector<StateId>> compMembers(numComps);
-  for (StateId s = 0; s < n; ++s) compMembers[info.compOf[s]].push_back(s);
-  std::vector<std::vector<StateId>> compClosure(numComps);
-  std::size_t totalClosure = 0;
-  for (std::uint32_t c = 0; c < numComps; ++c) {
-    std::vector<StateId> acc = compMembers[c];
-    std::sort(acc.begin(), acc.end());
-    std::vector<std::uint32_t> succComps;
-    for (StateId s : compMembers[c])
-      for (StateId t : tauSucc[s])
-        if (info.compOf[t] != c) succComps.push_back(info.compOf[t]);
-    std::sort(succComps.begin(), succComps.end());
-    succComps.erase(std::unique(succComps.begin(), succComps.end()),
-                    succComps.end());
-    for (std::uint32_t sc : succComps) acc = sortedUnion(acc, compClosure[sc]);
-    totalClosure += acc.size();
-    compClosure[c] = std::move(acc);
+  // straight into one shared CSR array.  Members per component come from a
+  // counting sort, so each list is sorted.
+  std::vector<std::uint32_t> memberOffsets(numComps + 1, 0);
+  for (StateId s = 0; s < n; ++s) ++memberOffsets[info.compOf[s] + 1];
+  for (std::uint32_t c = 0; c < numComps; ++c)
+    memberOffsets[c + 1] += memberOffsets[c];
+  std::vector<StateId> members(n);
+  {
+    std::vector<std::uint32_t> fill(memberOffsets.begin(),
+                                    memberOffsets.end() - 1);
+    for (StateId s = 0; s < n; ++s) members[fill[info.compOf[s]]++] = s;
   }
+  info.compOffsets.assign(1, 0);
   info.compOffsets.reserve(numComps + 1);
-  info.compClosure.reserve(totalClosure);
+  info.compClosure.clear();
+  info.compClosure.reserve(n);
+  std::vector<StateId> acc;
+  std::vector<std::uint32_t> succComps;
   for (std::uint32_t c = 0; c < numComps; ++c) {
+    const std::span<const StateId> own(members.data() + memberOffsets[c],
+                                       memberOffsets[c + 1] - memberOffsets[c]);
+    succComps.clear();
+    for (StateId s : own)
+      for (StateId t : tauSucc.row(s))
+        if (info.compOf[t] != c) succComps.push_back(info.compOf[t]);
+    acc.assign(own.begin(), own.end());
+    if (!succComps.empty()) {
+      std::sort(succComps.begin(), succComps.end());
+      succComps.erase(std::unique(succComps.begin(), succComps.end()),
+                      succComps.end());
+      for (std::uint32_t sc : succComps)
+        acc.insert(acc.end(), info.compClosure.begin() + info.compOffsets[sc],
+                   info.compClosure.begin() + info.compOffsets[sc + 1]);
+      std::sort(acc.begin(), acc.end());
+      acc.erase(std::unique(acc.begin(), acc.end()), acc.end());
+    }
+    info.compClosure.insert(info.compClosure.end(), acc.begin(), acc.end());
     info.compOffsets.push_back(
         static_cast<std::uint32_t>(info.compClosure.size()));
-    info.compClosure.insert(info.compClosure.end(), compClosure[c].begin(),
-                            compClosure[c].end());
   }
-  info.compOffsets.push_back(
-      static_cast<std::uint32_t>(info.compClosure.size()));
 }
 
 }  // namespace imcdft::ioimc::detail

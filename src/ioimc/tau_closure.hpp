@@ -35,6 +35,26 @@ struct TauClosure {
   }
 };
 
+/// Tau successor lists in CSR form: row s is succ[offsets[s]..offsets[s+1]),
+/// sorted and deduplicated.
+struct TauGraph {
+  std::vector<std::uint32_t> offsets{0};
+  std::vector<std::uint32_t> succ;
+
+  std::size_t size() const { return offsets.size() - 1; }
+  std::span<const std::uint32_t> row(std::uint32_t s) const {
+    return {succ.data() + offsets[s], offsets[s + 1] - offsets[s]};
+  }
+  /// Closes the row appended since the last call: sorts and deduplicates
+  /// its successors.
+  void endRow() {
+    const auto begin = succ.begin() + offsets.back();
+    std::sort(begin, succ.end());
+    succ.erase(std::unique(begin, succ.end()), succ.end());
+    offsets.push_back(static_cast<std::uint32_t>(succ.size()));
+  }
+};
+
 /// Computes tau closures and stability.  A state is stable when it enables
 /// no internal transition and — when \p outputsUrgent — no output
 /// transition (I/O-IMC maximal progress).
@@ -43,10 +63,9 @@ TauClosure computeTauClosure(const IOIMC& m, bool outputsUrgent);
 /// The graph-agnostic core shared by computeTauClosure and the partial
 /// refiner (otf_partition.cpp): SCC decomposition of the given adjacency
 /// (Tarjan, iterative) plus per-SCC reflexive-transitive closures
-/// flattened into one shared CSR array.  \p tauSucc rows must be sorted
-/// and deduplicated; the result's compOf/compOffsets/compClosure are
-/// filled, stability is left to the caller.
-void computeSccClosures(const std::vector<std::vector<std::uint32_t>>& tauSucc,
-                        TauClosure& info);
+/// flattened into one shared CSR array.  The result's
+/// compOf/compOffsets/compClosure are filled, stability is left to the
+/// caller.
+void computeSccClosures(const TauGraph& tauSucc, TauClosure& info);
 
 }  // namespace imcdft::ioimc::detail

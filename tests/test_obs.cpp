@@ -316,6 +316,38 @@ TEST(TraceObs, ComposeStepCarriesPlannerArgs) {
   EXPECT_GT(hidden, 0u);
 }
 
+TEST(TraceObs, AggregationSpansCarryRefinementWork) {
+  // classic.aggregate (every step of an uncapped request) and otf.finish
+  // (every step of the FusedChain reference) report what their
+  // aggregateFixpoint did: refinement passes, signatures encoded and
+  // quotients built.
+  for (const auto& [reference, span] :
+       {std::pair{Reference::Production, "classic.aggregate"},
+        std::pair{Reference::FusedChain, "otf.finish"}}) {
+    SCOPED_TRACE(span);
+    TraceGuard guard;
+    AnalysisRequest request = AnalysisRequest::forDft(dft::corpus::cps())
+                                  .measure(MeasureSpec::unreliability({1.0}));
+    request.options.engine.staticCombine = false;
+    request.options.engine.reference = reference;
+    Analyzer({.cache = false}).analyze(request);
+    std::size_t spans = 0;
+    std::uint64_t encoded = 0;
+    for (const obs::TraceRecord& rec : obs::snapshotTrace().records) {
+      if (std::strcmp(rec.name, span) != 0) continue;
+      ++spans;
+      std::map<std::string, std::uint64_t> args;
+      for (const obs::TraceArg& arg : rec.args) args[arg.key] = arg.value;
+      ASSERT_EQ(args.count("encoded"), 1u);
+      EXPECT_GE(args["refine_rounds"], 1u);
+      EXPECT_GE(args["fixpoint_passes"], 1u);
+      encoded += args["encoded"];
+    }
+    EXPECT_GT(spans, 0u);
+    EXPECT_GT(encoded, 0u);
+  }
+}
+
 TEST(TraceObs, CtmdpBoundsEmitSolveSpan) {
   // Generator seed 24 keeps real scheduler choices, so the bounds sweep
   // runs both value vectors.
