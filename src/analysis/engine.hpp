@@ -130,7 +130,7 @@ struct CompositionStep {
   /// was served by the classic chain instead (reason below).
   bool onTheFlyFallback = false;
   std::string onTheFlyFallbackReason;
-  /// Fused-step detail (zero on classic steps): partial refinement passes
+  /// Fused-step detail (zero on classic steps): inline refinement passes
   /// run.  Stage times come from the otf.* trace spans.
   std::size_t otfRefinePassesRun = 0;
 };
@@ -170,7 +170,7 @@ struct CompositionStats {
   std::size_t peakAggregatedTransitions = 0;
   /// Steps whose fused attempt fell back to the classic chain.
   std::size_t onTheFlyFallbacks = 0;
-  /// Partial refinement passes run across all fused steps.
+  /// Inline refinement passes run across all fused steps.
   std::size_t otfRefinePassesRun = 0;
   /// Distinct fallback reasons seen (deduplicated, capped; Diagnostics).
   std::vector<std::string> onTheFlyFallbackReasons;

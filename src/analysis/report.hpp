@@ -120,7 +120,7 @@ struct CacheStats {
   /// bounds in AnalyzerOptions).
   std::size_t treeEvictions = 0;
   std::size_t moduleEvictions = 0;
-  /// Partial refinement passes the fused engine ran across all its steps.
+  /// Inline refinement passes the fused engine ran across all its steps.
   std::size_t otfRefinePassesRun = 0;
 
   /// Field-wise sum (request stats folding into session stats).

@@ -36,4 +36,8 @@ std::string formatSig(double value, int digits) {
   return buf;
 }
 
+std::string indexedName(std::string_view prefix, std::size_t index) {
+  return std::string(prefix).append(std::to_string(index));
+}
+
 }  // namespace imcdft

@@ -21,4 +21,10 @@ bool startsWith(std::string_view s, std::string_view prefix);
 /// Formats \p value with \p digits significant digits (for report tables).
 std::string formatSig(double value, int digits);
 
+/// \p prefix followed by the decimal digits of \p index ("M" and 3 give
+/// "M3"), the naming scheme of generated tree elements.  It appends where
+/// `"M" + std::to_string(3)` would insert, on which g++ 12.2 at -O2 reports
+/// a false -Wrestrict (GCC bug 105651).
+std::string indexedName(std::string_view prefix, std::size_t index);
+
 }  // namespace imcdft

@@ -1,6 +1,7 @@
 #include "dft/corpus.hpp"
 
 #include "common/error.hpp"
+#include "common/text.hpp"
 #include "dft/builder.hpp"
 #include "dft/galileo.hpp"
 
@@ -67,7 +68,7 @@ Dft cascadedPands(int modules, int besPerModule, double lambda) {
   DftBuilder b;
   std::vector<std::string> moduleNames;
   for (int m = 0; m < modules; ++m) {
-    std::string name = "M" + std::to_string(m);
+    std::string name = indexedName("M", m);
     std::vector<std::string> bes;
     for (int i = 0; i < besPerModule; ++i) {
       std::string be = name + "_" + std::to_string(i);
@@ -80,7 +81,7 @@ Dft cascadedPands(int modules, int besPerModule, double lambda) {
   // Right-leaning cascade: P_k = PAND(M_k, P_{k+1}) like the CPS.
   std::string right = moduleNames.back();
   for (int m = modules - 2; m >= 0; --m) {
-    std::string name = m == 0 ? "System" : "P" + std::to_string(m);
+    std::string name = m == 0 ? "System" : indexedName("P", m);
     b.pandGate(name, {moduleNames[m], right});
     right = name;
   }
@@ -94,7 +95,7 @@ Dft cascadedPand(int depth, int width) {
   DftBuilder b;
   std::vector<std::string> unitNames;
   for (int k = 0; k < depth; ++k) {
-    const std::string s = "_" + std::to_string(k);
+    const std::string s = indexedName("_", k);
     // Quarter-step rates are exactly representable, so the family is
     // bit-reproducible across machines; distinct rates per level keep the
     // units in distinct shape buckets (symmetry reduction cannot absorb
@@ -115,7 +116,7 @@ Dft cascadedPand(int depth, int width) {
   // Right-leaning cascade like the CPS: P_k = PAND(U_k, P_{k+1}).
   std::string right = unitNames.back();
   for (int k = depth - 2; k >= 0; --k) {
-    std::string name = k == 0 ? "System" : "P" + std::to_string(k);
+    std::string name = k == 0 ? "System" : indexedName("P", k);
     b.pandGate(name, {unitNames[k], right});
     right = name;
   }
@@ -128,7 +129,7 @@ Dft clonedCas(int units) {
   DftBuilder b;
   std::vector<std::string> roots;
   for (int u = 0; u < units; ++u) {
-    const std::string s = "_" + std::to_string(u);
+    const std::string s = indexedName("_", u);
     // CPU unit: warm spare killed by the cross switch or supervision.
     b.basicEvent("P" + s, 0.5);
     b.basicEvent("B" + s, 0.5, 0.5);
@@ -169,7 +170,7 @@ Dft sensorBanks(int banks, int sensorsPerBank) {
   DftBuilder b;
   std::vector<std::string> bankNames;
   for (int k = 0; k < banks; ++k) {
-    const std::string s = "_" + std::to_string(k);
+    const std::string s = indexedName("_", k);
     for (const char* side : {"A", "B"}) {
       std::vector<std::string> sensors;
       for (int i = 0; i < sensorsPerBank; ++i) {
@@ -194,7 +195,7 @@ Dft voterFarm(int units, int need) {
   DftBuilder b;
   std::vector<std::string> unitNames;
   for (int u = 0; u < units; ++u) {
-    const std::string s = "_" + std::to_string(u);
+    const std::string s = indexedName("_", u);
     // Control chain: the sensor must outlive the controller for the chain
     // to fail (PAND keeps the unit genuinely dynamic).
     b.basicEvent("C1" + s, 0.8);

@@ -12,6 +12,7 @@
 #include "analysis/converter.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/text.hpp"
 #include "dft/builder.hpp"
 
 namespace imcdft::dft {
@@ -49,7 +50,7 @@ struct GenState {
 
   std::string newBasicEvent(bool shareable, double dormancy = 1.0,
                             bool dormancyExplicit = false) {
-    std::string name = "e" + std::to_string(beCounter++);
+    std::string name = indexedName("e", beCounter++);
     double lambda = randomRate(opts.lambdaMin, opts.lambdaMax);
     std::optional<double> mu;
     if (repairable && armed(ArmRepair) && rng.chance(0.7))
@@ -67,7 +68,7 @@ struct GenState {
     return name;
   }
 
-  std::string newGateName() { return "g" + std::to_string(gateCounter++); }
+  std::string newGateName() { return indexedName("g", gateCounter++); }
 };
 
 /// The gate vocabulary available at this tree's settings.
@@ -215,7 +216,7 @@ void addFdeps(GenState& s) {
       }
     }
     if (dependents.empty()) continue;
-    s.builder.fdep("f" + std::to_string(f), trigger.first, dependents);
+    s.builder.fdep(indexedName("f", f), trigger.first, dependents);
     for (const std::string& d : dependents) s.fdepDependents.push_back(d);
   }
 }

@@ -1,5 +1,6 @@
 #include "diftree/monolithic.hpp"
 
+#include <algorithm>
 #include <deque>
 #include <map>
 
@@ -16,12 +17,27 @@ using dft::ElementId;
 using dft::ExecutionState;
 using dft::Executor;
 
+namespace {
+
+/// Byte-wise order of packed states: std::less's order, spelled out
+/// because g++ 12.2 at -O2 reports a false -Wstringop-overread on the
+/// vector <=> that std::less reaches.
+struct PackedLess {
+  bool operator()(const std::vector<std::uint8_t>& a,
+                  const std::vector<std::uint8_t>& b) const {
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end());
+  }
+};
+
+}  // namespace
+
 MonolithicResult generateMonolithic(const Dft& dft,
                                     const MonolithicOptions& opts) {
   analysis::checkConvertible(dft);
   Executor executor(dft);
 
-  std::map<std::vector<std::uint8_t>, ctmc::StateId> ids;
+  std::map<std::vector<std::uint8_t>, ctmc::StateId, PackedLess> ids;
   std::vector<ExecutionState> states;
   std::deque<ctmc::StateId> frontier;
   auto stateOf = [&](ExecutionState g) {

@@ -17,11 +17,13 @@ namespace {
 
 using Role = ActionRole;
 
-/// Tau-reachability and stability, shared with the semantic sink collapse
-/// (see tau_closure.hpp).
+/// Tau-reachability and stability (see tau_closure.hpp).
 using TauInfo = detail::TauClosure;
 
-Partition initialByLabel(const IOIMC& m) {
+/// The partition by label mask, with each state flagged in \p pinned (when
+/// non-null) in a class of its own.
+Partition initialByLabel(const IOIMC& m,
+                         const std::vector<std::uint8_t>* pinned = nullptr) {
   Partition p;
   p.classOf.resize(m.numStates());
   // Class numbering is by first encounter, so the map's iteration order
@@ -29,6 +31,10 @@ Partition initialByLabel(const IOIMC& m) {
   std::unordered_map<std::uint32_t, std::uint32_t> byMask;
   byMask.reserve(m.numStates());
   for (StateId s = 0; s < m.numStates(); ++s) {
+    if (pinned && (*pinned)[s]) {
+      p.classOf[s] = p.numClasses++;
+      continue;
+    }
     auto [it, inserted] =
         byMask.try_emplace(m.labelMask(s), p.numClasses);
     if (inserted) ++p.numClasses;
@@ -125,7 +131,7 @@ struct WeakMoves {
 };
 
 WeakMoves collectWeakMoves(const IOIMC& m, const TauInfo& tau,
-                           const std::vector<Role>& roles,
+                           const std::vector<Role>& roles, const char* site,
                            const CancelToken* cancel) {
   const std::size_t n = m.numStates();
   WeakMoves w;
@@ -133,8 +139,7 @@ WeakMoves collectWeakMoves(const IOIMC& m, const TauInfo& tau,
   w.offsets.push_back(0);
   std::vector<std::uint64_t> direct;  // (action, successor) before tau*
   for (StateId s = 0; s < n; ++s) {
-    if (cancel && (s & 1023u) == 1023u)
-      cancel->checkpoint("weak-refinement", n);
+    if (cancel && (s & 1023u) == 1023u) cancel->checkpoint(site, n);
     direct.clear();
     for (StateId u : tau.closure(s))
       for (const auto& t : m.interactive(u))
@@ -252,23 +257,42 @@ void appendWeakTokens(const WeakScratch& ws, std::vector<std::uint64_t>& out) {
   }
 }
 
+/// The tau closure of \p m with every state flagged in \p pinned (when
+/// non-null) unstable.
+TauInfo tauClosure(const IOIMC& m, bool outputsUrgent,
+                   const std::vector<std::uint8_t>* pinned) {
+  TauInfo tau = detail::computeTauClosure(m, outputsUrgent);
+  if (pinned)
+    for (StateId s = 0; s < m.numStates(); ++s)
+      if ((*pinned)[s]) tau.stable[s] = false;
+  return tau;
+}
+
 /// Everything a weak refinement of one model reads besides the partition.
+/// Pinned states (when \p pinned is set) start alone in their class and
+/// never count as stable; every checkpoint reports \p site.
 struct WeakContext {
   const IOIMC& m;
+  const char* site;
+  const std::vector<std::uint8_t>* pinned;
   TauInfo tau;
   std::vector<Role> roles;
   WeakMoves weak;
 
-  WeakContext(const IOIMC& model, const WeakOptions& opts)
+  WeakContext(const IOIMC& model, const WeakOptions& opts,
+              const char* checkpointSite = "weak-refinement",
+              const std::vector<std::uint8_t>* pinnedStates = nullptr)
       : m(model),
-        tau(detail::computeTauClosure(model, opts.outputsUrgent)),
+        site(checkpointSite),
+        pinned(pinnedStates),
+        tau(tauClosure(model, opts.outputsUrgent, pinned)),
         roles(actionRoles(model)),
-        weak(collectWeakMoves(model, tau, roles, opts.cancel)) {}
+        weak(collectWeakMoves(model, tau, roles, site, opts.cancel)) {}
 
   Partition refine(const WeakOptions& opts, RefineStats* stats) const {
     WeakScratch ws;
     return refineBySignature(
-        initialByLabel(m), "weak-refinement", opts.cancel, stats,
+        initialByLabel(m, pinned), site, opts.cancel, stats,
         [&](const Partition& p, StateId s, std::vector<std::uint64_t>& out) {
           signWeak(m, tau, weak, roles, p, s, ws);
           appendWeakTokens(ws, out);
@@ -355,6 +379,18 @@ IOIMC quotientPass(const IOIMC& m, const WeakOptions& opts,
 }
 
 }  // namespace
+
+namespace detail {
+
+PinnedWeakPartition weakBisimulationPinned(
+    const IOIMC& m, const std::vector<std::uint8_t>& pinned,
+    const WeakOptions& opts, const char* site) {
+  WeakContext ctx(m, opts, site, &pinned);
+  Partition p = ctx.refine(opts, nullptr);
+  return {std::move(p), std::move(ctx.tau)};
+}
+
+}  // namespace detail
 
 Partition weakBisimulation(const IOIMC& m, const WeakOptions& opts) {
   return WeakContext(m, opts).refine(opts, nullptr);

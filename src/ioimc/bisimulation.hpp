@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "ioimc/model.hpp"
+#include "ioimc/tau_closure.hpp"
 
 /// \file bisimulation.hpp
 /// State-space aggregation (step 4 of the paper's algorithm).
@@ -108,5 +109,25 @@ struct RefineStats {
 IOIMC aggregateFixpoint(const IOIMC& m, const WeakOptions& opts = {},
                         bool* canonicalComplete = nullptr,
                         RefineStats* stats = nullptr);
+
+namespace detail {
+
+/// A weak-bisimulation partition and the tau closure it was refined over.
+struct PinnedWeakPartition {
+  Partition partition;
+  TauClosure tau;
+};
+
+/// weakBisimulation() with the states flagged in \p pinned held apart:
+/// each starts in a class of its own and never counts as stable, so it
+/// enters other states' signatures through its class id only.  The fused
+/// engine (otf_compose.cpp) runs it on a snapshot of its live region with
+/// the unexplored frontier pinned.  Every checkpoint of the token in
+/// \p opts reports \p site.
+PinnedWeakPartition weakBisimulationPinned(
+    const IOIMC& m, const std::vector<std::uint8_t>& pinned,
+    const WeakOptions& opts, const char* site);
+
+}  // namespace detail
 
 }  // namespace imcdft::ioimc

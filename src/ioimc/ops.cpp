@@ -314,7 +314,10 @@ IOIMC makeLabelAbsorbing(const IOIMC& m, const std::string& label) {
       [&](StateId s) { return m.labelMask(s); });
 }
 
-IOIMC collapseUnobservableSinks(const IOIMC& m) {
+namespace detail {
+
+std::vector<std::uint8_t> observableStates(
+    const IOIMC& m, const std::vector<std::uint8_t>& pinned) {
   const std::size_t n = m.numStates();
   const std::vector<ActionRole> roles = actionRoles(m);
   // A state is a "boundary" when its future can actually be observed.  The
@@ -342,7 +345,8 @@ IOIMC collapseUnobservableSinks(const IOIMC& m) {
     if (!hasTau)
       for (const auto& t : m.markovian(s)) visit(t.to);
   };
-  std::vector<std::uint8_t> bad(n, 0);
+  std::vector<std::uint8_t> bad =
+      pinned.empty() ? std::vector<std::uint8_t>(n, 0) : pinned;
   std::vector<std::uint32_t> predOffsets(n + 1, 0);
   for (StateId s = 0; s < n; ++s) {
     for (const auto& t : m.interactive(s))
@@ -373,6 +377,14 @@ IOIMC collapseUnobservableSinks(const IOIMC& m) {
         frontier.push_back(preds[i]);
       }
   }
+  return bad;
+}
+
+}  // namespace detail
+
+IOIMC collapseUnobservableSinks(const IOIMC& m) {
+  const std::size_t n = m.numStates();
+  const std::vector<std::uint8_t> bad = detail::observableStates(m);
 
   // Kept states first, in state order, then one absorbing sink per label
   // mask found among the sinkable states.

@@ -77,4 +77,16 @@ IOIMC makeLabelAbsorbing(const IOIMC& m, const std::string& label);
 /// paper reports (Section 5.1: six states per CAS module).
 IOIMC collapseUnobservableSinks(const IOIMC& m);
 
+namespace detail {
+
+/// The marking collapseUnobservableSinks() collapses by: 1 for each state
+/// of \p m whose future can be observed, 0 for each state it absorbs.  A
+/// state flagged in \p pinned (when non-empty, one flag per state) counts
+/// as observable; the fused engine (otf_compose.cpp) pins its unexplored
+/// frontier, whose future is unknown.
+std::vector<std::uint8_t> observableStates(
+    const IOIMC& m, const std::vector<std::uint8_t>& pinned = {});
+
+}  // namespace detail
+
 }  // namespace imcdft::ioimc

@@ -9,7 +9,6 @@
 #include "common/error.hpp"
 #include "ioimc/compose_internal.hpp"
 #include "ioimc/ops.hpp"
-#include "ioimc/otf_partition.hpp"
 #include "obs/trace.hpp"
 
 namespace imcdft::ioimc::otf {
@@ -18,7 +17,7 @@ namespace {
 
 using detail::GroupedModel;
 
-/// Base refinement cadence: a partial refinement runs when the live region
+/// Base refinement cadence: the inline reductions run when the live region
 /// has grown by this factor since the last pass (see maybeRefine).
 constexpr double kRefineCadence = 2.0;
 
@@ -223,74 +222,85 @@ class OtfEngine {
     if (changed) pruneUnreachable();
   }
 
-  void collectLive(std::vector<StateId>& rep, std::vector<StateId>& live) {
-    const std::size_t total = st_.pairs.size();
-    rep.resize(total);
-    for (StateId i = 0; i < total; ++i) rep[i] = st_.find(i);
-    live.clear();
-    live.reserve(liveStates_);
-    for (StateId i = 0; i < total; ++i)
-      if (st_.status[i] == Status::Frontier || st_.status[i] == Status::Expanded)
-        live.push_back(i);
+  bool isLive(StateId s) const {
+    return st_.status[s] == Status::Frontier ||
+           st_.status[s] == Status::Expanded;
   }
 
-  /// The co-inductive sink collapse of collapseUnobservableSinks, run over
-  /// the partially explored graph with every frontier state conservatively
-  /// observable (its future is unknown).  States whose entire *explored*
-  /// firable future is unobservable and same-mask are exactly the states
-  /// the final collapse would absorb too — merging them into one absorbing
-  /// node per mask right now is what keeps the dead regions of the product
-  /// (spares failing on after their module died) out of the live peak.
-  bool sinkCollapseInline() {
-    std::vector<StateId> rep, live;
-    collectLive(rep, live);
-    const std::size_t count = live.size();
-    std::vector<std::uint32_t> denseOf(st_.pairs.size(),
-                                       static_cast<std::uint32_t>(-1));
-    for (std::uint32_t d = 0; d < count; ++d) denseOf[live[d]] = d;
+  /// The live region as a dense model, which both inline reductions hand
+  /// to the whole-model kernels.  Dense ids follow product ids; edges
+  /// resolve through the union-find, and frontier states have empty rows
+  /// and are pinned: their future is unknown.
+  struct LiveSnapshot {
+    std::vector<StateId> live;  ///< dense id -> product id
+    /// Product id -> dense id of its representative (kNotLive when that is
+    /// not live).
+    std::vector<std::uint32_t> denseOf;
+    std::vector<std::uint8_t> pinned;  ///< dense id -> frontier state
+    IOIMC model;
+  };
+  static constexpr std::uint32_t kNotLive = static_cast<std::uint32_t>(-1);
 
-    std::vector<std::uint8_t> bad(count, 0);
-    std::vector<std::vector<std::uint32_t>> preds(count);
-    for (std::uint32_t d = 0; d < count; ++d) {
+  LiveSnapshot snapshot() {
+    const std::size_t total = st_.pairs.size();
+    std::vector<StateId> live;
+    live.reserve(liveStates_);
+    // A representative is the lowest id of its set, so it is resolved
+    // before any member that points to it.
+    std::vector<std::uint32_t> denseOf(total, kNotLive);
+    for (StateId i = 0; i < total; ++i) {
+      const StateId r = st_.find(i);
+      if (r != i) {
+        denseOf[i] = denseOf[r];
+      } else if (isLive(i)) {
+        denseOf[i] = static_cast<std::uint32_t>(live.size());
+        live.push_back(i);
+      }
+    }
+    auto target = [&](StateId raw) {
+      const std::uint32_t d = denseOf[raw];
+      require(d != kNotLive, "otf snapshot: edge target is not live");
+      return d;
+    };
+    std::vector<std::uint8_t> pinned(live.size(), 0);
+    CsrInteractive inter;
+    CsrMarkovian markov;
+    std::vector<std::uint32_t> labels(live.size());
+    inter.offsets.reserve(live.size() + 1);
+    markov.offsets.reserve(live.size() + 1);
+    for (std::uint32_t d = 0; d < live.size(); ++d) {
       const StateId s = live[d];
+      inter.beginState();
+      markov.beginState();
+      labels[d] = st_.labels[s];
       if (st_.status[s] != Status::Expanded) {
-        bad[d] = 1;  // frontier: unknown future is observable until proven
+        pinned[d] = 1;
         continue;
       }
-      bool hasTau = false;
       for (const InteractiveTransition& t : st_.inter[s])
-        if (croles_[t.action] == ActionRole::Internal) hasTau = true;
-      auto target = [&](StateId raw) {
-        const std::uint32_t td = denseOf[rep[raw]];
-        require(td != static_cast<std::uint32_t>(-1),
-                "otf sink collapse: edge target is not live");
-        return td;
-      };
-      for (const InteractiveTransition& t : st_.inter[s]) {
-        const std::uint32_t td = target(t.to);
-        preds[td].push_back(d);
-        if (croles_[t.action] == ActionRole::Output) bad[d] = 1;
-        if (st_.labels[live[td]] != st_.labels[s]) bad[d] = 1;
-      }
-      for (const MarkovianTransition& t : st_.markov[s]) {
-        if (hasTau) continue;  // maximal progress: this rate can never fire
-        const std::uint32_t td = target(t.to);
-        preds[td].push_back(d);
-        if (st_.labels[live[td]] != st_.labels[s]) bad[d] = 1;
-      }
+        inter.data.push_back({t.action, target(t.to)});
+      for (const MarkovianTransition& t : st_.markov[s])
+        markov.data.push_back({t.rate, target(t.to)});
     }
-    std::vector<std::uint32_t> stack;
-    for (std::uint32_t d = 0; d < count; ++d)
-      if (bad[d]) stack.push_back(d);
-    while (!stack.empty()) {
-      const std::uint32_t d = stack.back();
-      stack.pop_back();
-      for (std::uint32_t p : preds[d])
-        if (!bad[p]) {
-          bad[p] = 1;
-          stack.push_back(p);
-        }
-    }
+    inter.finish();
+    markov.finish();
+    IOIMC model("otf-live", a_.symbols(), sig_, denseOf[0], std::move(inter),
+                std::move(markov), std::move(labels), labelUnion_.names);
+    return {std::move(live), std::move(denseOf), std::move(pinned),
+            std::move(model)};
+  }
+
+  /// The sink collapse of collapseUnobservableSinks, run over the live
+  /// region with every frontier state observable (its future is unknown).
+  /// States whose entire *explored* firable future is unobservable and
+  /// same-mask are exactly the states the final collapse would absorb too
+  /// — merging them into one absorbing node per mask right now is what
+  /// keeps the dead regions of the product (spares failing on after their
+  /// module died) out of the live peak.
+  bool sinkCollapseInline() {
+    const LiveSnapshot snap = snapshot();
+    const std::vector<std::uint8_t> observable =
+        detail::observableStates(snap.model, snap.pinned);
 
     // One absorbing node per label mask, lowest id first (an absorbing
     // node from an earlier round is sinkable again and keeps its role).
@@ -298,9 +308,9 @@ class OtfEngine {
     sinkOf.reserve(32);
     absorbed_.resize(st_.pairs.size(), 0);
     bool collapsedAny = false;
-    for (std::uint32_t d = 0; d < count; ++d) {
-      if (bad[d]) continue;
-      const StateId s = live[d];
+    for (std::uint32_t d = 0; d < snap.live.size(); ++d) {
+      if (observable[d]) continue;
+      const StateId s = snap.live[d];
       auto [it, inserted] = sinkOf.try_emplace(st_.labels[s], s);
       if (inserted) {
         // s becomes the absorbing sink for its mask: its whole (dead)
@@ -316,50 +326,35 @@ class OtfEngine {
       liveTransitions_ -= st_.rowSize(s);
       st_.freeRow(s);
       --liveStates_;
-      ++stats_->statesSinkCollapsed;
       collapsedAny = true;
     }
     return collapsedAny;
   }
 
+  /// Weak refinement of the live region with the frontier pinned (see the
+  /// file comment of otf_compose.hpp); every multi-member class collapses
+  /// onto its lowest-id member.
   bool weakCollapseInline() {
-    std::vector<StateId> rep, live;
-    collectLive(rep, live);
-    const std::size_t total = st_.pairs.size();
-    std::vector<std::uint8_t> expanded(total, 0);
-    for (StateId i = 0; i < total; ++i)
-      expanded[i] = st_.status[i] == Status::Expanded ? 1 : 0;
-
-    PartialGraph g;
-    g.inter = &st_.inter;
-    g.markov = &st_.markov;
-    g.labelMask = &st_.labels;
-    g.rep = &rep;
-    g.expanded = &expanded;
-    g.roles = &croles_;
-    g.outputsUrgent = opts_.weak.outputsUrgent;
-    const PartialPartition part = refinePartial(g, live, opts_.weak.cancel);
+    const LiveSnapshot snap = snapshot();
+    const detail::PinnedWeakPartition refined = detail::weakBisimulationPinned(
+        snap.model, snap.pinned, opts_.weak, "otf-refine");
+    const Partition& part = refined.partition;
 
     // Group the members of every multi-member class (in ascending-id
     // order; frontier states are singletons by construction, so every
     // member is expanded).
     std::vector<std::vector<StateId>> members(part.numClasses);
     bool collapsible = false;
-    for (std::size_t d = 0; d < live.size(); ++d) {
-      members[part.classOf[d]].push_back(live[d]);
+    for (std::size_t d = 0; d < snap.live.size(); ++d) {
+      members[part.classOf[d]].push_back(snap.live[d]);
       if (members[part.classOf[d]].size() == 2) collapsible = true;
     }
     if (!collapsible) return false;
 
-    // Dense class of a raw edge target under this round's partition.
-    std::vector<std::uint32_t> denseOf(st_.pairs.size(),
-                                       static_cast<std::uint32_t>(-1));
-    for (std::uint32_t d = 0; d < live.size(); ++d) denseOf[live[d]] = d;
+    // Class of a raw edge target of an expanded state (the snapshot has
+    // checked that it is live).
     auto classOfTarget = [&](StateId raw) {
-      const std::uint32_t dense = denseOf[rep[raw]];
-      require(dense != static_cast<std::uint32_t>(-1),
-              "otf merge: edge target is not live");
-      return part.classOf[dense];
+      return part.classOf[snap.denseOf[raw]];
     };
 
     bool collapsedAny = false;
@@ -385,6 +380,13 @@ class OtfEngine {
       //    when it also has no cross-class tau, one inert tau survives as
       //    a self-loop so the divergent class stays unstable.
       const StateId repState = members[c].front();
+      // Whether class \p target lies in the class's tau-closure (a class
+      // invariant at convergence, read off the representative).
+      auto tauReaches = [&](std::uint32_t target) {
+        for (StateId u : refined.tau.closure(snap.denseOf[repState]))
+          if (part.classOf[u] == target) return true;
+        return false;
+      };
       std::vector<InteractiveTransition> newInter;
       std::vector<MarkovianTransition> newMarkov;
       bool crossTau = false;
@@ -411,8 +413,7 @@ class OtfEngine {
             // semantically unobservable state look observable to the
             // sink collapse (and differ from the classic product, where
             // the edge-free bisimilar member realizes the class).
-            if (role == ActionRole::Input &&
-                part.tauReaches(c, classOfTarget(t.to)))
+            if (role == ActionRole::Input && tauReaches(classOfTarget(t.to)))
               continue;
             newInter.push_back(t);
           }
@@ -446,7 +447,6 @@ class OtfEngine {
         liveTransitions_ -= st_.rowSize(victim);
         st_.freeRow(victim);
         --liveStates_;
-        ++stats_->statesMerged;
       }
       collapsedAny = true;
     }
@@ -460,13 +460,11 @@ class OtfEngine {
   /// must keep resolving to live states, and they themselves stay live —
   /// their victims' rows are gone, so pruning them would be irreversible.
   void pruneUnreachable() {
-    std::vector<StateId> rep, live;
-    collectLive(rep, live);
     const std::size_t total = st_.pairs.size();
     std::vector<std::uint8_t> reachable(total, 0);
     std::vector<StateId> stack{st_.find(0)};
     reachable[stack.back()] = 1;
-    for (StateId i : live) {
+    for (StateId i = 0; i < total; ++i) {
       if (i < absorbed_.size() && absorbed_[i] && !reachable[i] &&
           st_.status[i] == Status::Expanded) {
         reachable[i] = 1;
@@ -486,13 +484,12 @@ class OtfEngine {
       for (const auto& t : st_.inter[v]) visit(t.to);
       for (const auto& t : st_.markov[v]) visit(t.to);
     }
-    for (StateId i : live) {
-      if (st_.status[i] == Status::Merged || reachable[i]) continue;
+    for (StateId i = 0; i < total; ++i) {
+      if (!isLive(i) || reachable[i]) continue;
       liveTransitions_ -= st_.rowSize(i);
       st_.freeRow(i);
       st_.status[i] = Status::Dead;
       --liveStates_;
-      ++stats_->statesPruned;
     }
   }
 

@@ -19,14 +19,18 @@
 /// computes in four, while keeping only a shrinking *live region* of the
 /// product in memory:
 ///
-///  1. the synchronized product is explored breadth-first, with the
+///  1. the synchronized product is explored depth-first (LIFO), with the
 ///     to-be-hidden outputs already internal (so the weak bisimulation has
 ///     its tau structure from the start);
-///  2. every time the live region doubles, a signature-based refinement
-///     runs over the visited states with all unexpanded frontier states
-///     pinned to singleton classes (otf_partition.hpp).  Multi-member
-///     classes — necessarily all expanded, with identical futures even
-///     beyond the frontier — collapse onto their lowest-id member;
+///  2. every time the live region doubles, the engine copies it into a
+///     dense IOIMC snapshot (frontier states with empty rows) and runs the
+///     whole-model kernels on it: the sink collapse's observability
+///     marking (ops.hpp, detail::observableStates) and the weak refinement
+///     (bisimulation.hpp, detail::weakBisimulationPinned), each with every
+///     unexpanded frontier state pinned — observable, alone in its class,
+///     never stable.  Multi-member classes — necessarily all expanded, with
+///     identical futures even beyond the frontier — collapse onto their
+///     lowest-id member;
 ///  3. edges into collapsed states are redirected to the representative,
 ///     the collapsed states' subtrees are dropped, and frontier states
 ///     that became unreachable are pruned from the work queue: only class
@@ -35,9 +39,15 @@
 ///     weak-quotient machinery, is canonically renumbered, and re-verified
 ///     as a fixpoint of the existing refinement.
 ///
-/// Because each collapse merges genuinely weakly-bisimilar product states
-/// (see otf_partition.hpp) and the final model is the canonical form of
-/// the minimal quotient, the result is byte-identical to the classic
+/// The pinning makes a collapse final before exploration ends: two
+/// expanded states only share a class when their signatures agree
+/// *including* the singleton classes of the frontier states they reach, so
+/// everything still unknown about the product lies behind the same
+/// frontier states for both, and the partition (extended with singletons
+/// for the unvisited remainder) is a weak bisimulation of the full
+/// product.  Because each collapse merges genuinely weakly-bisimilar
+/// product states and the final model is the canonical form of the minimal
+/// quotient, the result is byte-identical to the classic
 /// chain's — every downstream measure is bit-identical — while the peak
 /// number of live states/transitions stays at the scale of the running
 /// quotient instead of the full product.  Any invariant failure is
@@ -71,10 +81,7 @@ struct OtfStats {
   /// Distinct product states ever visited (including re-expansions of
   /// revived states).
   std::size_t statesVisited = 0;
-  std::size_t refinementRounds = 0;     ///< refinement passes actually run
-  std::size_t statesMerged = 0;         ///< collapsed into a representative
-  std::size_t statesSinkCollapsed = 0;  ///< absorbed by the inline sink collapse
-  std::size_t statesPruned = 0;         ///< became unreachable, dropped
+  std::size_t refinementRounds = 0;  ///< refinement passes actually run
 };
 
 struct OtfResult {

@@ -5,9 +5,9 @@
 #include <vector>
 
 /// \file signature_interner.hpp
-/// The hashed flat-token signature interner shared by the whole-model
-/// partition refiners (bisimulation.cpp) and the on-the-fly partial refiner
-/// (otf_partition.cpp).  Not part of the public ioimc surface.
+/// The hashed flat-token signature interner of the weak and strong
+/// partition refiners (bisimulation.cpp), whose weak refiner also reduces
+/// the fused engine's live region.  Not part of the public ioimc surface.
 
 namespace imcdft::ioimc::detail {
 

@@ -1,33 +1,37 @@
 #include "ioimc/tau_closure.hpp"
 
 #include <algorithm>
+#include <span>
 
 namespace imcdft::ioimc::detail {
 
 TauClosure computeTauClosure(const IOIMC& m, bool outputsUrgent) {
   const std::size_t n = m.numStates();
   const std::vector<ActionRole> roles = actionRoles(m);
-  TauGraph tauSucc;
-  tauSucc.offsets.reserve(n + 1);
   TauClosure info;
   info.stable.assign(n, true);
+  // Tau successors in CSR, each row sorted and deduplicated.
+  std::vector<std::uint32_t> succOffsets{0};
+  std::vector<StateId> succ;
+  succOffsets.reserve(n + 1);
   for (StateId s = 0; s < n; ++s) {
+    const auto begin = static_cast<std::ptrdiff_t>(succ.size());
     for (const auto& t : m.interactive(s)) {
       if (roles[t.action] == ActionRole::Internal) {
-        tauSucc.succ.push_back(t.to);
+        succ.push_back(t.to);
         info.stable[s] = false;
       } else if (outputsUrgent && roles[t.action] == ActionRole::Output) {
         info.stable[s] = false;
       }
     }
-    tauSucc.endRow();
+    std::sort(succ.begin() + begin, succ.end());
+    succ.erase(std::unique(succ.begin() + begin, succ.end()), succ.end());
+    succOffsets.push_back(static_cast<std::uint32_t>(succ.size()));
   }
-  computeSccClosures(tauSucc, info);
-  return info;
-}
-
-void computeSccClosures(const TauGraph& tauSucc, TauClosure& info) {
-  const std::size_t n = tauSucc.size();
+  auto tauSucc = [&](StateId s) {
+    return std::span<const StateId>(succ.data() + succOffsets[s],
+                                    succOffsets[s + 1] - succOffsets[s]);
+  };
 
   // Iterative Tarjan SCC over the tau graph.
   constexpr StateId kUndef = static_cast<StateId>(-1);
@@ -53,9 +57,9 @@ void computeSccClosures(const TauGraph& tauSucc, TauClosure& info) {
         onStack[v] = true;
       }
       bool descended = false;
-      const auto succ = tauSucc.row(v);
-      while (f.child < succ.size()) {
-        StateId w = succ[f.child++];
+      const auto row = tauSucc(v);
+      while (f.child < row.size()) {
+        StateId w = row[f.child++];
         if (index[w] == kUndef) {
           callStack.push_back({w, 0});
           descended = true;
@@ -98,7 +102,6 @@ void computeSccClosures(const TauGraph& tauSucc, TauClosure& info) {
   }
   info.compOffsets.assign(1, 0);
   info.compOffsets.reserve(numComps + 1);
-  info.compClosure.clear();
   info.compClosure.reserve(n);
   std::vector<StateId> acc;
   std::vector<std::uint32_t> succComps;
@@ -107,7 +110,7 @@ void computeSccClosures(const TauGraph& tauSucc, TauClosure& info) {
                                        memberOffsets[c + 1] - memberOffsets[c]);
     succComps.clear();
     for (StateId s : own)
-      for (StateId t : tauSucc.row(s))
+      for (StateId t : tauSucc(s))
         if (info.compOf[t] != c) succComps.push_back(info.compOf[t]);
     acc.assign(own.begin(), own.end());
     if (!succComps.empty()) {
@@ -124,6 +127,7 @@ void computeSccClosures(const TauGraph& tauSucc, TauClosure& info) {
     info.compOffsets.push_back(
         static_cast<std::uint32_t>(info.compClosure.size()));
   }
+  return info;
 }
 
 }  // namespace imcdft::ioimc::detail

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "analysis/analyzer.hpp"
+#include "common/text.hpp"
 #include "dft/corpus.hpp"
 
 /// \file test_concurrent_analyzer.cpp
@@ -247,7 +248,7 @@ TEST(ConcurrentAnalyzer, SymmetricSiblingsPublishFromWorkerThreads) {
   EXPECT_EQ(warm.stats().symmetricModulesReused, 7u);
 
   for (int k = 0; k < 8; ++k) {
-    const std::string be = "M" + std::to_string(k) + "_0";
+    const std::string be = indexedName("M", k) + "_0";
     SCOPED_TRACE(be);
     const AnalysisRequest whatIf =
         AnalysisRequest::forDft(scaleOneRate(cps, be, 1.5), "what-if")

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -348,6 +350,113 @@ TEST(OtfCompose, BudgetTripInsideRefinementUnwindsCleanly) {
       otf::otfComposeAggregate(a, b, hidden, testOptions());
   ASSERT_TRUE(again.ok) << again.failureReason;
   EXPECT_TRUE(equalModels(*ref.model, *again.model));
+}
+
+/// One fused step's intermediate work: peak live states, peak live
+/// transitions, states visited and refinement passes.
+using Work = std::array<std::size_t, 4>;
+
+std::string formatWork(const std::vector<Work>& rows) {
+  std::ostringstream out;
+  for (const Work& w : rows)
+    out << '{' << w[0] << ", " << w[1] << ", " << w[2] << ", " << w[3]
+        << "},\n";
+  return out.str();
+}
+
+TEST(OtfCompose, IntermediateWorkKeepsItsCounts) {
+  // The canonical final bytes cannot show how the engine got there: a
+  // refiner that merges less, or later, reaches the same minimal quotient
+  // through a larger live region.  These counts pin every inline
+  // reduction's effect, since a different partition of the live region
+  // moves the peaks, the visits or the pass count.  On a mismatch the
+  // measured table is printed in this layout.
+  const std::vector<Work> golden = {
+      {28, 126, 31, 2}, {11, 50, 11, 1}, {6, 8, 8, 2},
+      {33, 122, 35, 2}, {9, 26, 9, 1}, {20, 94, 20, 1},
+      {70, 311, 110, 5}, {16, 74, 16, 1}, {40, 138, 47, 3},
+      {2, 4, 2, 0}, {38, 124, 38, 2}, {2, 3, 2, 0},
+      {20, 73, 24, 2}, {16, 62, 16, 1}, {24, 80, 24, 2},
+      {4, 8, 4, 1}, {19, 57, 20, 2}, {5, 10, 6, 1},
+      {31, 107, 38, 3}, {20, 53, 22, 2}, {25, 101, 27, 2},
+      {3, 5, 3, 0}, {24, 118, 27, 2}, {34, 174, 37, 2},
+      {63, 246, 95, 4}, {21, 64, 23, 2}, {34, 175, 35, 2},
+      {9, 39, 9, 1}, {31, 155, 40, 3}, {20, 78, 20, 2},
+      {7, 18, 7, 1}, {12, 38, 12, 1}, {14, 33, 14, 1},
+      {4, 12, 4, 1}, {3, 7, 3, 0}, {30, 146, 30, 2},
+      {16, 54, 16, 1}, {4, 9, 5, 1}, {56, 225, 56, 2},
+      {45, 240, 72, 4}, {30, 151, 30, 2}, {3, 5, 3, 0},
+      {4, 5, 4, 1}, {16, 49, 16, 1}, {5, 5, 5, 1},
+      {2, 1, 2, 0}, {44, 170, 45, 2}, {23, 98, 24, 2},
+      {7, 13, 7, 1}, {24, 121, 24, 2}, {2, 4, 2, 0},
+      {16, 75, 16, 2}, {12, 30, 12, 1}, {21, 62, 27, 2},
+      {1, 1, 1, 0}, {21, 56, 21, 2}, {12, 28, 12, 1},
+      {3, 5, 3, 0}, {12, 51, 12, 1}, {31, 98, 33, 2},
+      {48, 180, 49, 2}, {10, 26, 10, 1}, {4, 4, 4, 1},
+      {31, 108, 32, 2}, {1, 0, 1, 0}, {5, 20, 5, 1},
+      {22, 92, 22, 1}, {15, 61, 15, 1}, {19, 79, 19, 1},
+      {20, 86, 26, 2}, {3, 11, 3, 0}, {4, 8, 4, 1},
+      {40, 204, 42, 2}, {2, 2, 2, 0}, {3, 5, 3, 0},
+      {3, 5, 3, 0}, {4, 10, 5, 1}, {6, 20, 6, 1},
+      {61, 234, 81, 4}, {28, 91, 44, 3}, {9, 33, 9, 1},
+      {12, 44, 16, 2}, {16, 67, 16, 2}, {6, 9, 6, 1},
+      {12, 51, 12, 1}, {2, 5, 2, 0}, {17, 81, 18, 2},
+      {1, 0, 1, 0}, {26, 128, 27, 2}, {2, 1, 2, 0},
+      {8, 34, 8, 1}, {42, 209, 42, 2}, {57, 248, 63, 3},
+      {4, 7, 4, 1}, {62, 212, 62, 2}, {2, 1, 2, 0},
+      {8, 38, 8, 1}, {39, 193, 39, 2}, {47, 221, 48, 2},
+      {3, 3, 3, 0}, {4, 4, 4, 1}, {20, 76, 21, 2},
+      {28, 108, 30, 2}, {48, 210, 48, 2}, {6, 14, 6, 1},
+      {2, 2, 2, 0}, {20, 64, 20, 2}, {6, 11, 6, 1},
+      {1, 0, 1, 0}, {4, 5, 4, 1}, {24, 137, 27, 2},
+      {7, 14, 8, 1}, {2, 1, 2, 0}, {6, 11, 6, 1},
+      {4, 9, 4, 1}, {12, 22, 12, 1}, {8, 22, 8, 1},
+      {23, 56, 23, 1}, {2, 1, 2, 0}, {6, 16, 6, 1},
+      {1880, 8355, 2221, 7}, {1816, 7733, 2329, 6}, {1968, 8691, 2168, 3},
+      {1782, 8033, 2199, 2}, {1686, 7733, 1758, 6}, {1688, 7743, 1754, 3},
+      {1603, 7392, 1996, 4}, {1578, 6534, 1877, 2}, {1817, 8186, 2295, 6},
+      {1741, 7881, 2418, 8}, {1771, 7953, 2401, 5}, {1757, 7875, 2278, 2},
+      {2062, 9046, 2552, 8}, {2072, 9110, 2395, 5}, {2059, 9074, 2375, 4},
+      {1933, 8588, 2265, 2}, {1857, 8442, 2299, 6}, {1761, 8119, 2280, 5},
+      {1761, 8119, 2288, 4}, {1820, 8311, 2304, 2}, {2123, 9394, 2688, 9},
+      {2066, 9147, 2556, 5}, {2131, 9434, 2704, 5}, {2120, 9367, 2533, 2},
+  };
+  std::vector<Work> measured;
+  auto run = [&](const IOIMC& a, const IOIMC& b,
+                 const std::vector<ActionId>& hidden,
+                 const otf::OtfOptions& opts) {
+    otf::OtfResult r = otf::otfComposeAggregate(a, b, hidden, opts);
+    ASSERT_TRUE(r.ok) << r.failureReason;
+    measured.push_back({r.stats.peakLiveStates, r.stats.peakLiveTransitions,
+                        r.stats.statesVisited, r.stats.refinementRounds});
+  };
+  // The random pairs of the hide-all and hide-subset tests above.
+  for (unsigned seed : {0u, 100u}) {
+    for (unsigned s = seed; s < seed + 60; ++s) {
+      std::mt19937 rng(s);
+      auto symbols = makeSymbolTable();
+      auto [a, b] = randomCompatiblePair(rng, symbols);
+      std::vector<ActionId> hidden = detailHiddenAll(a, b);
+      if (seed == 100) {
+        std::vector<ActionId> half;
+        for (std::size_t i = 0; i < hidden.size(); i += 2)
+          half.push_back(hidden[i]);
+        hidden = half;
+      }
+      run(a, b, hidden, testOptions());
+    }
+  }
+  // The big pairs of AdaptiveCadenceGoldenEquality at each threshold.
+  for (unsigned seed = 20; seed < 26; ++seed) {
+    auto symbols = makeSymbolTable();
+    auto [a, b] = bigPair(seed, symbols);
+    for (std::size_t threshold : {4u, 64u, 256u, 1024u}) {
+      otf::OtfOptions opts = testOptions();
+      opts.refineThreshold = threshold;
+      run(a, b, detailHiddenAll(a, b), opts);
+    }
+  }
+  EXPECT_EQ(measured, golden) << "measured:\n" << formatWork(measured);
 }
 
 // ---------------------------------------------------------------------------

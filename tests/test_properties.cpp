@@ -5,6 +5,7 @@
 #include <random>
 
 #include "analyze_once.hpp"
+#include "common/text.hpp"
 #include "ctmc/transient.hpp"
 #include "dft/builder.hpp"
 #include "dft/corpus.hpp"
@@ -45,7 +46,7 @@ TEST_P(StaticGateSweep, AndAgrees) {
   DftBuilder b;
   std::vector<std::string> names;
   for (int i = 0; i < n; ++i) {
-    names.push_back("E" + std::to_string(i));
+    names.push_back(indexedName("E", i));
     b.basicEvent(names.back(), 0.5 + 0.4 * i);
   }
   b.andGate("Top", names).top("Top");
@@ -57,7 +58,7 @@ TEST_P(StaticGateSweep, OrAgrees) {
   DftBuilder b;
   std::vector<std::string> names;
   for (int i = 0; i < n; ++i) {
-    names.push_back("E" + std::to_string(i));
+    names.push_back(indexedName("E", i));
     b.basicEvent(names.back(), 0.5 + 0.4 * i);
   }
   b.orGate("Top", names).top("Top");
@@ -70,7 +71,7 @@ TEST_P(StaticGateSweep, VotingAgreesForEveryThreshold) {
     DftBuilder b;
     std::vector<std::string> names;
     for (int i = 0; i < n; ++i) {
-      names.push_back("E" + std::to_string(i));
+      names.push_back(indexedName("E", i));
       b.basicEvent(names.back(), 0.3 + 0.3 * i);
     }
     b.votingGate("Top", static_cast<std::uint32_t>(k), names).top("Top");
@@ -89,7 +90,7 @@ TEST_P(PandSweep, Agrees) {
   DftBuilder b;
   std::vector<std::string> names;
   for (int i = 0; i < n; ++i) {
-    names.push_back("E" + std::to_string(i));
+    names.push_back(indexedName("E", i));
     b.basicEvent(names.back(), 1.0 + 0.5 * i);
   }
   b.pandGate("Top", names).top("Top");
@@ -245,7 +246,7 @@ dft::Dft randomStaticTree(unsigned seed) {
   const int numBes = randint(3, 6);
   std::vector<std::string> pool;
   for (int i = 0; i < numBes; ++i) {
-    pool.push_back("e" + std::to_string(i));
+    pool.push_back(indexedName("e", i));
     b.basicEvent(pool.back(), 0.25 * randint(1, 8));
   }
   const int numGates = randint(2, 4);
@@ -254,7 +255,7 @@ dft::Dft randomStaticTree(unsigned seed) {
     std::vector<std::string> inputs = pool;
     std::shuffle(inputs.begin(), inputs.end(), rng);
     inputs.resize(static_cast<std::size_t>(randint(2, 3)));
-    std::string name = "g" + std::to_string(g);
+    std::string name = indexedName("g", g);
     switch (randint(0, 2)) {
       case 0:
         b.andGate(name, inputs);
@@ -273,7 +274,7 @@ dft::Dft randomStaticTree(unsigned seed) {
   // events stay shared between gates (the interesting case for BDDs).
   std::vector<std::string> topInputs;
   for (int g = 0; g < numGates; ++g)
-    topInputs.push_back("g" + std::to_string(g));
+    topInputs.push_back(indexedName("g", g));
   b.orGate("Top", topInputs);
   b.top("Top");
   return b.build();
