@@ -74,21 +74,54 @@ std::vector<ioimc::ActionId> hiddenOutputsFor(
   return hidden;
 }
 
+/// How a merge step picks its engine (see Reference).
+enum class StepEngine {
+  Classic,   ///< the classic chain; an over-cap product trips the budget
+  Measured,  ///< the classic chain until its product outgrows a cap, then fused
+  Fused,     ///< the fused engine, the classic chain only as its fallback
+};
+
+StepEngine stepEngine(const EngineOptions& opts) {
+  switch (opts.reference) {
+    case Reference::ClassicChain:
+    case Reference::Unreduced:
+      return StepEngine::Classic;
+    case Reference::FusedChain:
+    case Reference::ForcedFallback:
+      return StepEngine::Fused;
+    case Reference::Production:
+    case Reference::DeclarationOrder:
+      break;
+  }
+  return opts.cancel ? StepEngine::Measured : StepEngine::Classic;
+}
+
 /// The classic chain of one step: composes \p a and \p b, hides the
 /// outputs of the product that are consumed neither by a live pool member
 /// nor externally, then collapses and aggregates (except on the Unreduced
 /// reference, which leaves all minimizing to finalize).  Records the
-/// product's size in \p step.
-IOIMC classicStep(const IOIMC& a, const IOIMC& b, const EngineOptions& opts,
-                  const std::vector<std::optional<IOIMC>>& pool,
-                  std::size_t skipA, std::size_t skipB,
-                  const std::function<bool(ioimc::ActionId)>& usedOutside,
-                  CompositionStep& step) {
+/// product's size in \p step.  With \p stopAtCaps, returns nullopt as
+/// soon as the product outgrows the request's live-state or memory cap
+/// (ioimc::composeWithinCaps), so the caller can run the fused engine.
+std::optional<IOIMC> classicStep(
+    const IOIMC& a, const IOIMC& b, const EngineOptions& opts,
+    const std::vector<std::optional<IOIMC>>& pool, std::size_t skipA,
+    std::size_t skipB, const std::function<bool(ioimc::ActionId)>& usedOutside,
+    bool stopAtCaps, CompositionStep& step) {
   // Each intermediate is dropped as soon as the next one exists.
   std::optional<IOIMC> m;
   {
     obs::TraceSpan span("classic.compose");
-    m.emplace(ioimc::compose(a, b, opts.cancel.get()));
+    std::size_t discovered = 0;
+    if (stopAtCaps) {
+      m = ioimc::composeWithinCaps(a, b, *opts.cancel, discovered);
+    } else {
+      m.emplace(ioimc::compose(a, b, opts.cancel.get()));
+      discovered = m->numStates();
+    }
+    span.arg("states", discovered);
+    span.arg("overflow", m ? 0 : 1);
+    if (!m) return std::nullopt;
     step.composedStates = m->numStates();
     step.composedTransitions = m->numTransitions();
   }
@@ -97,7 +130,7 @@ IOIMC classicStep(const IOIMC& a, const IOIMC& b, const EngineOptions& opts,
     m = ioimc::hide(std::move(*m),
                     hiddenOutputsFor(m->signature().outputs(), pool, skipA,
                                      skipB, usedOutside));
-    if (opts.reference == Reference::Unreduced) return std::move(*m);
+    if (opts.reference == Reference::Unreduced) return m;
     m = ioimc::collapseUnobservableSinks(*m);
   }
   obs::TraceSpan span("classic.aggregate");
@@ -110,47 +143,6 @@ IOIMC classicStep(const IOIMC& a, const IOIMC& b, const EngineOptions& opts,
   span.arg("encoded", work.encoded);
   span.arg("fixpoint_passes", work.fixpointPasses);
   return out;
-}
-
-/// True when a merge of \p a and \p b cannot exceed \p cancel's caps on
-/// either engine: the product bound |A||B| fits the live-state cap, and
-/// its nominal charge (|A||B| states plus |T_A||B| + |T_B||A| transitions)
-/// fits the memory cap.  The classic product and the fused live region
-/// both stay inside that bound, so a step that fits trips on neither.
-bool fitsCaps(const IOIMC& a, const IOIMC& b, const CancelToken* cancel) {
-  if (!cancel) return true;
-  const double statesA = static_cast<double>(a.numStates());
-  const double statesB = static_cast<double>(b.numStates());
-  const double states = statesA * statesB;
-  if (cancel->maxLiveStates() > 0 &&
-      states > static_cast<double>(cancel->maxLiveStates()))
-    return false;
-  if (cancel->maxMemoryBytes() > 0) {
-    const double transitions =
-        static_cast<double>(a.numTransitions()) * statesB +
-        static_cast<double>(b.numTransitions()) * statesA;
-    const double charge =
-        states * static_cast<double>(CancelToken::kStateBytes) +
-        transitions * static_cast<double>(CancelToken::kTransitionBytes);
-    if (charge > static_cast<double>(cancel->maxMemoryBytes())) return false;
-  }
-  return true;
-}
-
-/// Whether a merge of \p a and \p b tries the fused engine first.
-bool runsFused(const IOIMC& a, const IOIMC& b, const EngineOptions& opts) {
-  switch (opts.reference) {
-    case Reference::ClassicChain:
-    case Reference::Unreduced:
-      return false;
-    case Reference::FusedChain:
-    case Reference::ForcedFallback:
-      return true;
-    case Reference::Production:
-    case Reference::DeclarationOrder:
-      break;
-  }
-  return !fitsCaps(a, b, opts.cancel.get());
 }
 
 /// The merge mergePool performs next.
@@ -243,7 +235,7 @@ unsigned resolveThreads(unsigned requested) {
 
 /// Greedily folds the live entries of \p pool into one model, recording
 /// one CompositionStep per pairwise composition into \p steps.  planMerge
-/// picks each step's pair and runsFused its engine; \p usedOutside reports
+/// picks each step's pair and stepEngine its engine; \p usedOutside reports
 /// whether an output action has consumers beyond this pool (null = none).
 std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
                       std::vector<std::size_t> live,
@@ -251,6 +243,7 @@ std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
                       std::vector<CompositionStep>& steps,
                       const std::function<bool(ioimc::ActionId)>& usedOutside) {
   require(!live.empty(), "composeCommunity: empty module pool");
+  const StepEngine engine = stepEngine(opts);
   while (live.size() > 1) {
     // One budget checkpoint per merge step: catches explosion between hot
     // loops (e.g. a pool whose pairwise products are individually cheap
@@ -270,8 +263,11 @@ std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
     stepSpan.arg("hidden", plan.hidden);
     stepSpan.arg("predicted",
                  static_cast<std::uint64_t>(std::min(plan.predicted, 0x1p63)));
-    std::optional<IOIMC> fused;
-    if (runsFused(*pool[a], *pool[b], opts)) {
+    std::optional<IOIMC> result;
+    if (engine != StepEngine::Fused)
+      result = classicStep(*pool[a], *pool[b], opts, pool, a, b, usedOutside,
+                           engine == StepEngine::Measured, step);
+    if (!result) {
       // The composite's outputs (out(A) u out(B); shared outputs are
       // rejected by compose anyway) determine the hide set without
       // materializing the product.
@@ -293,24 +289,23 @@ std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
         step.composedStates = r.stats.peakLiveStates;
         step.composedTransitions = r.stats.peakLiveTransitions;
         step.otfRefinePassesRun = r.stats.refinementRounds;
-        fused.emplace(std::move(*r.model));
+        result.emplace(std::move(*r.model));
       } else {
         step.onTheFlyFallback = true;
         step.onTheFlyFallbackReason = std::move(r.failureReason);
         obs::traceInstant("otf-fallback", step.onTheFlyFallbackReason);
+        result = classicStep(*pool[a], *pool[b], opts, pool, a, b,
+                             usedOutside, false, step);
       }
     }
-    IOIMC result = fused ? std::move(*fused)
-                         : classicStep(*pool[a], *pool[b], opts, pool, a, b,
-                                       usedOutside, step);
-    step.aggregatedStates = result.numStates();
-    step.aggregatedTransitions = result.numTransitions();
+    step.aggregatedStates = result->numStates();
+    step.aggregatedTransitions = result->numTransitions();
     stepSpan.arg("aggregated_states", step.aggregatedStates);
     stepSpan.arg("otf", step.onTheFly ? 1 : 0);
     steps.push_back(std::move(step));
     pool[a].reset();
     pool[b].reset();
-    pool.emplace_back(std::move(result));
+    pool.emplace_back(std::move(*result));
     live.erase(live.begin() + static_cast<std::ptrdiff_t>(plan.j));
     live.erase(live.begin() + static_cast<std::ptrdiff_t>(plan.i));
     live.push_back(pool.size() - 1);

@@ -22,21 +22,23 @@ namespace imcdft::analysis {
 /// Which composition path composeCommunity runs.  Production is the
 /// paper's algorithm as every caller runs it: independent modules fold
 /// first (Section 5.2), the merge planner orders each pool, and every step
-/// composes, hides, collapses and aggregates.  A step runs the classic
-/// chain, which is faster, when its product bound |A||B| (and that bound's
-/// nominal memory charge) fits the request's caps; only a step that could
-/// exceed a cap runs the fused engine (ioimc::otf::otfComposeAggregate),
-/// whose live region can stay under the cap where the full product would
-/// not.  An uncapped request runs classic throughout.  Either engine runs
-/// a step on one thread.  Both engines emit the same canonical minimal
-/// quotient, so the choice never changes a bit.
+/// composes, hides, collapses and aggregates.  Every step first runs the
+/// classic chain, which is faster; under a capped request its compose
+/// gives up as soon as the product outgrows the live-state or memory cap
+/// (ioimc::composeWithinCaps), and only such a step runs the fused engine
+/// (ioimc::otf::otfComposeAggregate), whose live region can stay under the
+/// cap where the full product would not.  An uncapped request runs
+/// classic throughout.  Either engine runs a step on one thread.  Both
+/// engines emit the same canonical minimal quotient, so the choice never
+/// changes a bit.
 /// The other values are reference paths that tests and the fuzz oracle
 /// compare against it.  (The values are part of the semantic cache key:
 /// append new ones, never renumber.)
 enum class Reference {
   Production,
-  /// Every step runs the classic compose/hide/collapse/aggregate chain;
-  /// the bitwise reference of the fused engine.
+  /// Every step runs the classic compose/hide/collapse/aggregate chain,
+  /// whose compose trips the budget on an over-cap product; the bitwise
+  /// reference of the fused engine.
   ClassicChain,
   /// The community folds left to right as converted (no module tree),
   /// each step on Production's engine: the cross-order reference, the
@@ -103,11 +105,12 @@ struct EngineOptions {
   /// every hot loop below it (compose expansion, refinement iterations,
   /// the fused engine's frontier); an exhausted budget unwinds the whole
   /// composition with BudgetExceeded.  Its live-state and memory caps also
-  /// pick each Production step's engine (see Reference).  Deliberately NOT
-  /// part of the semantic cache key (optionsKey): a budget never changes a
-  /// result, only whether it is produced.  The Analyzer builds the token from
-  /// AnalysisRequest::budget and mirrors it into weak.cancel; direct
-  /// engine callers who set one should do the same.
+  /// pick each Production step's engine (see Reference): a classic product
+  /// that outgrows them hands its step to the fused engine without a trip.
+  /// Deliberately NOT part of the semantic cache key (optionsKey): a budget
+  /// never changes a result, only whether it is produced.  The Analyzer
+  /// builds the token from AnalysisRequest::budget and mirrors it into
+  /// weak.cancel; direct engine callers who set one should do the same.
   std::shared_ptr<CancelToken> cancel;
   ioimc::WeakOptions weak;
 };

@@ -35,19 +35,19 @@ void CancelToken::checkpoint(const char* where, std::size_t liveStates,
     throwExceeded(where, liveStates,
                   "checkpoint budget of " + std::to_string(maxCheckpoints_) +
                       " exhausted");
-  if (maxLiveStates_ > 0 && liveStates > maxLiveStates_)
-    throwExceeded(where, liveStates,
-                  std::to_string(liveStates) +
-                      " live states exceed the cap of " +
-                      std::to_string(maxLiveStates_));
-  if (maxMemoryBytes_ > 0) {
-    const std::size_t rough =
-        liveStates * kStateBytes + liveTransitions * kTransitionBytes;
-    if (rough > maxMemoryBytes_)
+  if (exceedsCaps(liveStates, liveTransitions)) {
+    if (maxLiveStates_ > 0 && liveStates > maxLiveStates_)
       throwExceeded(where, liveStates,
-                    "~" + std::to_string(rough) +
-                        " bytes of live model exceed the rough cap of " +
-                        std::to_string(maxMemoryBytes_) + " bytes");
+                    std::to_string(liveStates) +
+                        " live states exceed the cap of " +
+                        std::to_string(maxLiveStates_));
+    // Appended, not prefixed: `"~" + std::to_string(n)` draws a false
+    // -Wrestrict from g++ 12.2 (GCC bug 105651).
+    std::string what = "~";
+    what += std::to_string(roughBytes(liveStates, liveTransitions));
+    throwExceeded(where, liveStates,
+                  what + " bytes of live model exceed the rough cap of " +
+                      std::to_string(maxMemoryBytes_) + " bytes");
   }
   if (deadlineSeconds_ > 0.0) {
     const double elapsed = elapsedSeconds();

@@ -113,9 +113,22 @@ class CancelToken {
   void checkpoint(const char* where, std::size_t liveStates = 0,
                   std::size_t liveTransitions = 0) const;
 
+  /// True when a live region of \p liveStates states and \p liveTransitions
+  /// transitions exceeds the live-state cap or the rough memory cap: the
+  /// size test of checkpoint(), without counting a checkpoint or throwing.
+  bool exceedsCaps(std::size_t liveStates, std::size_t liveTransitions) const {
+    return (maxLiveStates_ > 0 && liveStates > maxLiveStates_) ||
+           (maxMemoryBytes_ > 0 &&
+            roughBytes(liveStates, liveTransitions) > maxMemoryBytes_);
+  }
+
   /// Nominal per-item sizes behind limitMemoryBytes().
   static constexpr std::size_t kStateBytes = 64;
   static constexpr std::size_t kTransitionBytes = 16;
+  /// The rough memory charge of a live region.
+  static std::size_t roughBytes(std::size_t states, std::size_t transitions) {
+    return states * kStateBytes + transitions * kTransitionBytes;
+  }
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -1,7 +1,7 @@
 #include "ioimc/compose.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <optional>
 #include <unordered_map>
 
 #include "common/cancel.hpp"
@@ -98,7 +98,17 @@ MergedLabels mergeLabels(const IOIMC& a, const IOIMC& b) {
 
 }  // namespace detail
 
-IOIMC compose(const IOIMC& a, const IOIMC& b, const CancelToken* cancel) {
+namespace {
+
+/// The reachable product of \p a and \p b.  With \p stopAtCaps (which
+/// needs a token), gives up and returns nullopt as soon as the pairs
+/// discovered and the transitions emitted so far exceed the token's
+/// live-state or rough memory cap; otherwise an over-cap product trips the
+/// periodic checkpoint.  \p discovered receives the pairs discovered.
+std::optional<IOIMC> reachableProduct(const IOIMC& a, const IOIMC& b,
+                                      const CancelToken* cancel,
+                                      bool stopAtCaps,
+                                      std::size_t& discovered) {
   detail::checkCompatible(a, b);
   Signature sig = detail::compositeSignature(a, b);
   detail::MergedLabels labelUnion = detail::mergeLabels(a, b);
@@ -109,26 +119,18 @@ IOIMC compose(const IOIMC& a, const IOIMC& b, const CancelToken* cancel) {
   const detail::GroupedModel groupedA = detail::groupModel(a);
   const detail::GroupedModel groupedB = detail::groupModel(b);
 
-  // BFS over reachable state pairs.  Ids are assigned in discovery order
-  // and the FIFO frontier pops them in exactly that order, so the output
-  // rows can be appended straight into CSR storage.
-  auto key = [](StateId sa, StateId sb) {
-    return (static_cast<std::uint64_t>(sa) << 32) | sb;
-  };
+  // Breadth-first over reachable state pairs.  Ids are assigned in
+  // discovery order and expanded in exactly that order, so the output rows
+  // can be appended straight into CSR storage.
   const std::size_t sizeEstimate = a.numStates() + b.numStates();
-  std::unordered_map<std::uint64_t, StateId> ids;
-  ids.reserve(2 * sizeEstimate);
+  detail::PairIndex ids(sizeEstimate);
   std::vector<std::pair<StateId, StateId>> pairs;
   pairs.reserve(sizeEstimate);
-  std::queue<StateId> frontier;
   auto stateOf = [&](StateId sa, StateId sb) {
-    auto [it, inserted] = ids.try_emplace(key(sa, sb),
-                                          static_cast<StateId>(pairs.size()));
-    if (inserted) {
-      pairs.emplace_back(sa, sb);
-      frontier.push(it->second);
-    }
-    return it->second;
+    const auto [id, inserted] =
+        ids.insert(sa, sb, static_cast<StateId>(pairs.size()));
+    if (inserted) pairs.emplace_back(sa, sb);
+    return id;
   };
 
   const std::size_t degreeEstimate =
@@ -142,15 +144,18 @@ IOIMC compose(const IOIMC& a, const IOIMC& b, const CancelToken* cancel) {
   markov.data.reserve(degreeEstimate);
   labels.reserve(sizeEstimate);
 
+  // The discovered pair set and its transitions are this loop's live
+  // region — exactly what explodes on pathological products.
+  auto transitions = [&] { return inter.data.size() + markov.data.size(); };
+  auto overCaps = [&] {
+    return stopAtCaps && cancel->exceedsCaps(pairs.size(), transitions());
+  };
   stateOf(a.initial(), b.initial());
-  while (!frontier.empty()) {
-    StateId id = frontier.front();
-    frontier.pop();
-    // Cooperative cancellation: the discovered pair set is this loop's
-    // live region — exactly what explodes on pathological products.
+  for (StateId id = 0; id < pairs.size(); ++id) {
+    if (overCaps()) break;
     if (cancel && (id & 255u) == 0u)
-      cancel->checkpoint("compose", pairs.size(), inter.data.size());
-    auto [sa, sb] = pairs[id];
+      cancel->checkpoint("compose", pairs.size(), transitions());
+    const auto [sa, sb] = pairs[id];
     inter.beginState();
     markov.beginState();
     labels.push_back(labelUnion.compositeMask(a.labelMask(sa), b.labelMask(sb)));
@@ -163,12 +168,27 @@ IOIMC compose(const IOIMC& a, const IOIMC& b, const CancelToken* cancel) {
           markov.data.push_back({rate, stateOf(ta, tb)});
         });
   }
+  discovered = pairs.size();
+  if (overCaps()) return std::nullopt;
   inter.finish();
   markov.finish();
 
   return IOIMC("(" + a.name() + "||" + b.name() + ")", a.symbols(),
                std::move(sig), 0, std::move(inter), std::move(markov),
                std::move(labels), std::move(labelUnion.names));
+}
+
+}  // namespace
+
+IOIMC compose(const IOIMC& a, const IOIMC& b, const CancelToken* cancel) {
+  std::size_t discovered = 0;
+  return *reachableProduct(a, b, cancel, false, discovered);
+}
+
+std::optional<IOIMC> composeWithinCaps(const IOIMC& a, const IOIMC& b,
+                                       const CancelToken& cancel,
+                                       std::size_t& discovered) {
+  return reachableProduct(a, b, &cancel, true, discovered);
 }
 
 }  // namespace imcdft::ioimc

@@ -1,5 +1,8 @@
 #pragma once
 
+#include <cstddef>
+#include <optional>
+
 #include "ioimc/model.hpp"
 
 /// \file compose.hpp
@@ -33,5 +36,16 @@ namespace imcdft::ioimc {
 /// BudgetExceeded instead of materializing the full product.
 IOIMC compose(const IOIMC& a, const IOIMC& b,
               const CancelToken* cancel = nullptr);
+
+/// compose() for a caller that has another way to build the step: gives
+/// up and returns nullopt as soon as the pairs discovered and transitions
+/// emitted so far exceed \p cancel's live-state or rough memory cap
+/// (CancelToken::exceedsCaps), without tripping the token.  Its other
+/// limits (deadline, checkpoint count, cancel()) still throw
+/// BudgetExceeded.  \p discovered receives the pairs discovered: the
+/// product's states when it fits.
+std::optional<IOIMC> composeWithinCaps(const IOIMC& a, const IOIMC& b,
+                                       const CancelToken& cancel,
+                                       std::size_t& discovered);
 
 }  // namespace imcdft::ioimc

@@ -1,9 +1,11 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ioimc/model.hpp"
@@ -50,6 +52,65 @@ struct GroupedModel {
 };
 
 GroupedModel groupModel(const IOIMC& m);
+
+/// The product's pair index: maps a state pair (sa, sb) to the id its
+/// engine assigned on discovery.  Insert-only open addressing with linear
+/// probing over a power-of-two table kept at most half full; the slot of a
+/// pair is the top bits of its packed 64-bit key times the golden-ratio
+/// constant.  Never iterated, so the table layout cannot reach any output.
+class PairIndex {
+ public:
+  explicit PairIndex(std::size_t expected = 0) {
+    std::size_t capacity = 16;
+    while (capacity < 2 * expected) capacity *= 2;
+    resize(capacity);
+  }
+
+  /// The id of (sa, sb).  A new pair gets \p next; the flag says whether
+  /// the pair was new.
+  std::pair<StateId, bool> insert(StateId sa, StateId sb, StateId next) {
+    if (2 * (size_ + 1) > slots_.size()) resize(2 * slots_.size());
+    for (std::size_t i = slotOf(sa, sb);; i = (i + 1) & mask_) {
+      Slot& slot = slots_[i];
+      if (slot.id == kNone) {
+        slot = {sa, sb, next};
+        ++size_;
+        return {next, true};
+      }
+      if (slot.sa == sa && slot.sb == sb) return {slot.id, false};
+    }
+  }
+
+ private:
+  struct Slot {
+    StateId sa, sb, id;
+  };
+  /// Marks an empty slot; no product has 2^32 - 1 states.
+  static constexpr StateId kNone = ~StateId{0};
+
+  std::size_t slotOf(StateId sa, StateId sb) const {
+    const std::uint64_t key = (static_cast<std::uint64_t>(sa) << 32) | sb;
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  void resize(std::size_t capacity) {
+    std::vector<Slot> old(capacity, Slot{0, 0, kNone});
+    old.swap(slots_);
+    mask_ = capacity - 1;
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+    for (const Slot& slot : old) {
+      if (slot.id == kNone) continue;
+      std::size_t i = slotOf(slot.sa, slot.sb);
+      while (slots_[i].id != kNone) i = (i + 1) & mask_;
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+  std::size_t mask_ = 0;
+  unsigned shift_ = 0;
+};
 
 /// Throws ModelError when the models are incompatible (shared outputs,
 /// different symbol tables, internal/visible collisions).

@@ -32,7 +32,7 @@ enum class Status : std::uint8_t {
 /// order and never reused; merged ids resolve through the union-find.
 struct ProductStore {
   std::vector<std::pair<StateId, StateId>> pairs;
-  std::unordered_map<std::uint64_t, StateId> ids;
+  detail::PairIndex ids;
   std::vector<Status> status;
   std::vector<StateId> parent;  ///< union-find, representative = lowest id
   std::vector<std::vector<InteractiveTransition>> inter;
@@ -126,14 +126,9 @@ class OtfEngine {
   }
 
  private:
-  static std::uint64_t key(StateId sa, StateId sb) {
-    return (static_cast<std::uint64_t>(sa) << 32) | sb;
-  }
-
   StateId stateOf(StateId sa, StateId sb) {
-    auto [it, inserted] =
-        st_.ids.try_emplace(key(sa, sb), static_cast<StateId>(st_.pairs.size()));
-    const StateId id = it->second;
+    const auto [id, inserted] =
+        st_.ids.insert(sa, sb, static_cast<StateId>(st_.pairs.size()));
     if (inserted) {
       st_.pairs.emplace_back(sa, sb);
       st_.status.push_back(Status::Frontier);

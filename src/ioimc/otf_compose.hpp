@@ -53,7 +53,7 @@
 /// quotient instead of the full product.  Any invariant failure is
 /// reported (never silently absorbed) so the caller can fall back to the
 /// classic path.  analysis::Reference::Production runs it on the steps
-/// whose product bound exceeds a request cap; FusedChain and
+/// whose classic product outgrows a request cap; FusedChain and
 /// ForcedFallback run it on every step.
 ///
 /// A step runs entirely on the calling thread, exploration and every

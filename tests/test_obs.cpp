@@ -316,6 +316,46 @@ TEST(TraceObs, ComposeStepCarriesPlannerArgs) {
   EXPECT_GT(hidden, 0u);
 }
 
+TEST(TraceObs, ClassicComposeCarriesStatesAndOverflow) {
+  // classic.compose reports the pairs it discovered and whether it gave up
+  // on the request's caps.  Uncapped, no attempt overflows and every span
+  // reports its whole product.  Under 9,000 live states, pand_4x3's last
+  // merge (9,925 states) overflows just past the cap and runs fused.
+  for (const std::size_t cap : {std::size_t{0}, std::size_t{9000}}) {
+    SCOPED_TRACE(cap);
+    TraceGuard guard;
+    AnalysisRequest request =
+        AnalysisRequest::forDft(dft::corpus::cascadedPand(4, 3))
+            .measure(MeasureSpec::unreliability({1.0}));
+    request.options.engine.staticCombine = false;
+    request.budget.maxLiveStates = cap;
+    const AnalysisReport report = Analyzer({.cache = false}).analyze(request);
+    std::vector<std::uint64_t> composed;
+    for (const analysis::CompositionStep& s : report.stats().steps)
+      if (!s.onTheFly) composed.push_back(s.composedStates);
+    std::vector<std::uint64_t> fits, overflows;
+    for (const obs::TraceRecord& rec : obs::snapshotTrace().records) {
+      if (std::strcmp(rec.name, "classic.compose") != 0) continue;
+      std::map<std::string, std::uint64_t> args;
+      for (const obs::TraceArg& arg : rec.args) args[arg.key] = arg.value;
+      ASSERT_EQ(args.count("states"), 1u);
+      ASSERT_EQ(args.count("overflow"), 1u);
+      (args["overflow"] ? overflows : fits).push_back(args["states"]);
+    }
+    // Module workers trace on their own threads, so compare as multisets.
+    std::sort(fits.begin(), fits.end());
+    std::sort(composed.begin(), composed.end());
+    EXPECT_EQ(fits, composed);
+    if (cap == 0) {
+      EXPECT_TRUE(overflows.empty());
+    } else {
+      ASSERT_EQ(overflows.size(), 1u);
+      EXPECT_GT(overflows.front(), cap);
+      EXPECT_LT(overflows.front(), 9925u);
+    }
+  }
+}
+
 TEST(TraceObs, AggregationSpansCarryRefinementWork) {
   // classic.aggregate (every step of an uncapped request) and otf.finish
   // (every step of the FusedChain reference) report what their

@@ -317,8 +317,8 @@ TEST(OtfCompose, AdaptiveCadenceGoldenEquality) {
 }
 
 TEST(OtfCompose, BudgetTripInsideRefinementUnwindsCleanly) {
-  // The partial refinement checkpoints every 128 recomputed states (site
-  // "otf-refine"), so a checkpoint budget can trip inside a refinement
+  // The inline refinement checkpoints once per pass and every 1024 states
+  // (site "otf-refine"), so a checkpoint budget can trip inside a refinement
   // round, not only at the frontier.  The trip must unwind as
   // BudgetExceeded, and an unbudgeted rerun must still be byte-identical:
   // the trip may not leave any state behind.

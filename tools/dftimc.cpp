@@ -51,8 +51,8 @@
 ///     --max-live-states N
 ///                       resource budget: abort a request whose live state
 ///                       count at any checkpoint exceeds N; a merge whose
-///                       product bound exceeds N runs the fused engine,
-///                       whose live region can stay under N
+///                       classic product outgrows N runs the fused
+///                       engine, whose live region can stay under N
 ///     --store DIR       persistent quotient store: read aggregated
 ///                       whole-tree and module quotients from DIR before
 ///                       composing, publish fresh ones back (created on
