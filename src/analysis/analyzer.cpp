@@ -113,8 +113,13 @@ std::string optionsKey(const AnalysisOptions& opts) {
   std::string key = "sg=";
   key += opts.conversion.subsetGates ? '1' : '0';
   // Every reference path yields the production measures, but its stats
-  // (merge order, peaks, fused steps, fallbacks) differ, so cached
-  // analyses are keyed per path.
+  // (merge order, peaks, fused steps) differ, so cached analyses are keyed
+  // per path.  Store records carry this key: the values may never move.
+  static_assert(static_cast<int>(Reference::Production) == 0 &&
+                static_cast<int>(Reference::ClassicChain) == 1 &&
+                static_cast<int>(Reference::DeclarationOrder) == 2 &&
+                static_cast<int>(Reference::Unreduced) == 3 &&
+                static_cast<int>(Reference::FusedChain) == 5);
   key += ";rf=";
   key += std::to_string(static_cast<int>(opts.engine.reference));
   key += ";ou=";
@@ -745,19 +750,6 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
                  " shape bucket(s)), saving " +
                  std::to_string(analysis->stats.symmetrySavedSteps) +
                  " composition step(s)"});
-      if (analysis->stats.onTheFlyFallbacks > 0) {
-        std::string why;
-        for (const std::string& reason :
-             analysis->stats.onTheFlyFallbackReasons) {
-          if (!why.empty()) why += "; ";
-          why += reason;
-        }
-        report.diagnostics.push_back(
-            {Severity::Warning,
-             "on-the-fly composition fell back to the classic path for " +
-                 std::to_string(analysis->stats.onTheFlyFallbacks) +
-                 " step(s): " + why});
-      }
     } catch (...) {
       if (leader) {
         flightPromise.set_exception(std::current_exception());

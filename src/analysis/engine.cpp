@@ -28,14 +28,6 @@ namespace imcdft::analysis {
 using ioimc::IOIMC;
 
 
-void CompositionStats::noteOnTheFlyFallbackReason(const std::string& reason) {
-  if (onTheFlyFallbackReasons.size() >= 8) return;
-  if (std::find(onTheFlyFallbackReasons.begin(), onTheFlyFallbackReasons.end(),
-                reason) != onTheFlyFallbackReasons.end())
-    return;
-  onTheFlyFallbackReasons.push_back(reason);
-}
-
 void CompositionStats::foldSteps() {
   for (const CompositionStep& s : steps) {
     peakComposedStates = std::max(peakComposedStates, s.composedStates);
@@ -44,41 +36,17 @@ void CompositionStats::foldSteps() {
     peakAggregatedStates = std::max(peakAggregatedStates, s.aggregatedStates);
     peakAggregatedTransitions =
         std::max(peakAggregatedTransitions, s.aggregatedTransitions);
-    if (s.onTheFlyFallback) {
-      ++onTheFlyFallbacks;
-      noteOnTheFlyFallbackReason(s.onTheFlyFallbackReason);
-    }
     otfRefinePassesRun += s.otfRefinePassesRun;
   }
 }
 
 namespace {
 
-/// The outputs among \p outputs that are consumed neither by a live pool
-/// member (other than the two operands) nor externally — what the step
-/// hides right after composing.
-std::vector<ioimc::ActionId> hiddenOutputsFor(
-    const std::vector<ioimc::ActionId>& outputs,
-    const std::vector<std::optional<IOIMC>>& pool, std::size_t skipA,
-    std::size_t skipB, const std::function<bool(ioimc::ActionId)>& usedOutside) {
-  std::vector<ioimc::ActionId> hidden;
-  for (ioimc::ActionId out : outputs) {
-    bool used = false;
-    for (std::size_t i = 0; i < pool.size() && !used; ++i) {
-      if (!pool[i] || i == skipA || i == skipB) continue;
-      used = pool[i]->signature().isInput(out);
-    }
-    if (!used && usedOutside) used = usedOutside(out);
-    if (!used) hidden.push_back(out);
-  }
-  return hidden;
-}
-
 /// How a merge step picks its engine (see Reference).
 enum class StepEngine {
   Classic,   ///< the classic chain; an over-cap product trips the budget
   Measured,  ///< the classic chain until its product outgrows a cap, then fused
-  Fused,     ///< the fused engine, the classic chain only as its fallback
+  Fused,     ///< the fused engine
 };
 
 StepEngine stepEngine(const EngineOptions& opts) {
@@ -87,7 +55,6 @@ StepEngine stepEngine(const EngineOptions& opts) {
     case Reference::Unreduced:
       return StepEngine::Classic;
     case Reference::FusedChain:
-    case Reference::ForcedFallback:
       return StepEngine::Fused;
     case Reference::Production:
     case Reference::DeclarationOrder:
@@ -96,18 +63,16 @@ StepEngine stepEngine(const EngineOptions& opts) {
   return opts.cancel ? StepEngine::Measured : StepEngine::Classic;
 }
 
-/// The classic chain of one step: composes \p a and \p b, hides the
-/// outputs of the product that are consumed neither by a live pool member
-/// nor externally, then collapses and aggregates (except on the Unreduced
+/// The classic chain of one step: composes \p a and \p b, hides
+/// \p hidden, then collapses and aggregates (except on the Unreduced
 /// reference, which leaves all minimizing to finalize).  Records the
 /// product's size in \p step.  With \p stopAtCaps, returns nullopt as
 /// soon as the product outgrows the request's live-state or memory cap
 /// (ioimc::composeWithinCaps), so the caller can run the fused engine.
-std::optional<IOIMC> classicStep(
-    const IOIMC& a, const IOIMC& b, const EngineOptions& opts,
-    const std::vector<std::optional<IOIMC>>& pool, std::size_t skipA,
-    std::size_t skipB, const std::function<bool(ioimc::ActionId)>& usedOutside,
-    bool stopAtCaps, CompositionStep& step) {
+std::optional<IOIMC> classicStep(const IOIMC& a, const IOIMC& b,
+                                 const std::vector<ioimc::ActionId>& hidden,
+                                 const EngineOptions& opts, bool stopAtCaps,
+                                 CompositionStep& step) {
   // Each intermediate is dropped as soon as the next one exists.
   std::optional<IOIMC> m;
   {
@@ -127,9 +92,7 @@ std::optional<IOIMC> classicStep(
   }
   {
     obs::TraceSpan span("classic.collapse");
-    m = ioimc::hide(std::move(*m),
-                    hiddenOutputsFor(m->signature().outputs(), pool, skipA,
-                                     skipB, usedOutside));
+    m = ioimc::hide(std::move(*m), hidden);
     if (opts.reference == Reference::Unreduced) return m;
     m = ioimc::collapseUnobservableSinks(*m);
   }
@@ -148,11 +111,14 @@ std::optional<IOIMC> classicStep(
 /// The merge mergePool performs next.
 struct MergePlan {
   std::size_t i = 0, j = 1;  ///< positions in the live list, i < j
-  std::size_t hidden = 0;    ///< outputs the merge hides
-  double predicted = 0.0;    ///< the planner's cost estimate
+  /// Outputs of the merged pair that no other pool member consumes and
+  /// usedOutside does not claim: what the step hides right after composing.
+  std::vector<ioimc::ActionId> hidden;
+  double predicted = 0.0;  ///< the planner's cost estimate
 };
 
-/// Picks the next merge among the live entries of \p pool.  A pair (A, B)
+/// Picks the next merge among the live entries of \p pool, with the list
+/// of outputs it hides, which both engines are handed.  A pair (A, B)
 /// is scored by the product it builds, |A||B| + |T_A||B| + |T_B||A| states
 /// and interleaved transitions, doubled for every action the merged model
 /// still shows: the union of both alphabets minus the outputs the merge
@@ -168,14 +134,15 @@ struct MergePlan {
 MergePlan planMerge(const std::vector<std::optional<IOIMC>>& pool,
                     const std::vector<std::size_t>& live,
                     const std::function<bool(ioimc::ActionId)>& usedOutside) {
-  // Consumers per action among all pool members (the members
-  // hiddenOutputsFor scans), counted once per step instead of per pair.
+  // Consumers per action among all pool members, counted once per step
+  // instead of per pair.
   std::unordered_map<ioimc::ActionId, std::uint32_t> consumers;
   for (const std::optional<IOIMC>& m : pool)
     if (m)
       for (ioimc::ActionId in : m->signature().inputs()) ++consumers[in];
-  auto hiddenBy = [&](const ioimc::Signature& x, const ioimc::Signature& y) {
-    std::size_t hidden = 0;
+  // Calls \p f on every output of x or y the merge of the two hides.
+  auto forEachHidden = [&](const ioimc::Signature& x,
+                           const ioimc::Signature& y, auto&& f) {
     for (const ioimc::Signature* own : {&x, &y}) {
       for (ioimc::ActionId out : own->outputs()) {
         auto it = consumers.find(out);
@@ -183,11 +150,9 @@ MergePlan planMerge(const std::vector<std::optional<IOIMC>>& pool,
         const bool consumedElsewhere =
             all != static_cast<std::uint32_t>(x.isInput(out)) +
                        static_cast<std::uint32_t>(y.isInput(out));
-        if (!consumedElsewhere && !(usedOutside && usedOutside(out)))
-          ++hidden;
+        if (!consumedElsewhere && !(usedOutside && usedOutside(out))) f(out);
       }
     }
-    return hidden;
   };
   MergePlan best;
   best.predicted = std::numeric_limits<double>::infinity();
@@ -208,7 +173,8 @@ MergePlan planMerge(const std::vector<std::optional<IOIMC>>& pool,
       const std::size_t alphabet = sx.inputs().size() + sx.outputs().size() +
                                    sy.inputs().size() + sy.outputs().size() -
                                    shared;
-      const std::size_t hidden = hiddenBy(sx, sy);
+      std::size_t hidden = 0;
+      forEachHidden(sx, sy, [&](ioimc::ActionId) { ++hidden; });
       const double statesX = static_cast<double>(x.numStates());
       const double statesY = static_cast<double>(y.numStates());
       const double product =
@@ -218,11 +184,16 @@ MergePlan planMerge(const std::vector<std::optional<IOIMC>>& pool,
       const double predicted =
           std::ldexp(product, static_cast<int>(alphabet - hidden));
       if ((sync && !bestSync) || predicted < best.predicted) {
-        best = {i, j, hidden, predicted};
+        best.i = i;
+        best.j = j;
+        best.predicted = predicted;
         bestSync = sync;
       }
     }
   }
+  forEachHidden(pool[live[best.i]]->signature(),
+                pool[live[best.j]]->signature(),
+                [&](ioimc::ActionId out) { best.hidden.push_back(out); });
   return best;
 }
 
@@ -260,43 +231,23 @@ std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
     obs::TraceSpan stepSpan("compose.step", step.name);
     stepSpan.arg("left_states", step.leftStates);
     stepSpan.arg("right_states", step.rightStates);
-    stepSpan.arg("hidden", plan.hidden);
+    stepSpan.arg("hidden", plan.hidden.size());
     stepSpan.arg("predicted",
                  static_cast<std::uint64_t>(std::min(plan.predicted, 0x1p63)));
     std::optional<IOIMC> result;
     if (engine != StepEngine::Fused)
-      result = classicStep(*pool[a], *pool[b], opts, pool, a, b, usedOutside,
+      result = classicStep(*pool[a], *pool[b], plan.hidden, opts,
                            engine == StepEngine::Measured, step);
     if (!result) {
-      // The composite's outputs (out(A) u out(B); shared outputs are
-      // rejected by compose anyway) determine the hide set without
-      // materializing the product.
-      std::vector<ioimc::ActionId> outs = pool[a]->signature().outputs();
-      const std::vector<ioimc::ActionId>& outsB =
-          pool[b]->signature().outputs();
-      outs.insert(outs.end(), outsB.begin(), outsB.end());
-      std::sort(outs.begin(), outs.end());
-      outs.erase(std::unique(outs.begin(), outs.end()), outs.end());
       ioimc::otf::OtfOptions fusedOpts;
       fusedOpts.weak = opts.weak;
-      if (opts.reference == Reference::ForcedFallback)
-        fusedOpts.maxLiveStates = 1;
       ioimc::otf::OtfResult r = ioimc::otf::otfComposeAggregate(
-          *pool[a], *pool[b],
-          hiddenOutputsFor(outs, pool, a, b, usedOutside), fusedOpts);
-      if (r.ok) {
-        step.onTheFly = true;
-        step.composedStates = r.stats.peakLiveStates;
-        step.composedTransitions = r.stats.peakLiveTransitions;
-        step.otfRefinePassesRun = r.stats.refinementRounds;
-        result.emplace(std::move(*r.model));
-      } else {
-        step.onTheFlyFallback = true;
-        step.onTheFlyFallbackReason = std::move(r.failureReason);
-        obs::traceInstant("otf-fallback", step.onTheFlyFallbackReason);
-        result = classicStep(*pool[a], *pool[b], opts, pool, a, b,
-                             usedOutside, false, step);
-      }
+          *pool[a], *pool[b], plan.hidden, fusedOpts);
+      step.onTheFly = true;
+      step.composedStates = r.stats.peakLiveStates;
+      step.composedTransitions = r.stats.peakLiveTransitions;
+      step.otfRefinePassesRun = r.stats.refinementRounds;
+      result.emplace(std::move(r.model));
     }
     step.aggregatedStates = result->numStates();
     step.aggregatedTransitions = result->numTransitions();

@@ -30,30 +30,28 @@ namespace imcdft::analysis {
 /// cap where the full product would not.  An uncapped request runs
 /// classic throughout.  Either engine runs a step on one thread.  Both
 /// engines emit the same canonical minimal quotient, so the choice never
-/// changes a bit.
+/// changes a bit; a fused step that cannot deliver it throws, it is never
+/// rerun on the classic chain.
 /// The other values are reference paths that tests and the fuzz oracle
 /// compare against it.  (The values are part of the semantic cache key:
-/// append new ones, never renumber.)
+/// every value is explicit, and a deleted one is never reused.)
 enum class Reference {
-  Production,
+  Production = 0,
   /// Every step runs the classic compose/hide/collapse/aggregate chain,
   /// whose compose trips the budget on an over-cap product; the bitwise
   /// reference of the fused engine.
-  ClassicChain,
+  ClassicChain = 1,
   /// The community folds left to right as converted (no module tree),
   /// each step on Production's engine: the cross-order reference, the
   /// same measures from a different merge order.
-  DeclarationOrder,
+  DeclarationOrder = 2,
   /// No per-step collapse or aggregation, so finalize does all the
   /// minimizing: the state-space blow-up the paper's Section 4 warns
   /// about.
-  Unreduced,
-  /// Every step tries the fused engine, which aborts at once (an internal
-  /// live cap of 1), so the classic fallback serves each step and is
-  /// counted as a fallback.
-  ForcedFallback,
-  /// Every step runs through the fused engine, whatever the caps.
-  FusedChain,
+  Unreduced = 3,
+  /// Every step runs through the fused engine, whatever the caps.  (4 is
+  /// retired and never reused.)
+  FusedChain = 5,
 };
 
 struct EngineOptions {
@@ -129,10 +127,6 @@ struct CompositionStep {
   std::size_t aggregatedTransitions = 0;
   /// The step ran through the fused compose-and-minimize engine.
   bool onTheFly = false;
-  /// The fused engine was attempted but hit an invariant failure; the step
-  /// was served by the classic chain instead (reason below).
-  bool onTheFlyFallback = false;
-  std::string onTheFlyFallbackReason;
   /// Fused-step detail (zero on classic steps): inline refinement passes
   /// run.  Stage times come from the otf.* trace spans.
   std::size_t otfRefinePassesRun = 0;
@@ -171,23 +165,17 @@ struct CompositionStats {
   /// Size of the biggest model after aggregation.
   std::size_t peakAggregatedStates = 0;
   std::size_t peakAggregatedTransitions = 0;
-  /// Steps whose fused attempt fell back to the classic chain.
+  /// Always 0: a fused step returns the classic chain's quotient or
+  /// throws, and never falls back.  Kept only because the perfbench ledger
+  /// reads it for its engine.otf_fallbacks metric; both go together.
   std::size_t onTheFlyFallbacks = 0;
   /// Inline refinement passes run across all fused steps.
   std::size_t otfRefinePassesRun = 0;
-  /// Distinct fallback reasons seen (deduplicated, capped; Diagnostics).
-  std::vector<std::string> onTheFlyFallbackReasons;
 
   /// Folds every entry of steps into the step-derived fields above: the
-  /// four peaks, onTheFlyFallbacks, otfRefinePassesRun and the fallback
-  /// reasons.  Call it once, on stats whose step-derived fields are still
-  /// zero.
+  /// four peaks and otfRefinePassesRun.  Call it once, on stats whose
+  /// step-derived fields are still zero.
   void foldSteps();
-
- private:
-  /// Appends \p reason to onTheFlyFallbackReasons unless it is already
-  /// recorded or the cap (8 distinct reasons) is reached.
-  void noteOnTheFlyFallbackReason(const std::string& reason);
 };
 
 struct EngineResult {

@@ -56,12 +56,6 @@ struct ProductStore {
   }
 };
 
-/// Thrown for conditions that abort the fused engine but are served
-/// correctly by the classic path (the caller falls back).
-struct OtfAbort {
-  std::string reason;
-};
-
 class OtfEngine {
  public:
   OtfEngine(const IOIMC& a, const IOIMC& b,
@@ -99,18 +93,12 @@ class OtfEngine {
       const StateId id = queue_.back();
       queue_.pop_back();
       if (st_.status[id] != Status::Frontier) continue;  // stale entry
-      // Budget checkpoint before the expansion work.  A BudgetExceeded
-      // from here deliberately does NOT become an OtfAbort: falling back
-      // to the classic chain would just re-explode the same product
-      // without a live-region bound — otfComposeAggregate rethrows it.
+      // Budget checkpoint before the expansion work.
       if (opts_.weak.cancel && (pops_++ & 255u) == 0u)
         opts_.weak.cancel->checkpoint("otf-frontier", liveStates_,
                                       liveTransitions_);
       expand(id);
       notePeak();
-      if (opts_.maxLiveStates && liveStates_ > opts_.maxLiveStates)
-        throw OtfAbort{"live region exceeded the configured cap of " +
-                       std::to_string(opts_.maxLiveStates) + " states"};
       maybeRefine();
     }
     span->arg("visited", stats_->statesVisited);
@@ -421,9 +409,8 @@ class OtfEngine {
                            st_.markov[m].end());
         }
       }
-      if (haveStable && crossTau)
-        throw OtfAbort{
-            "merged class has both a stable member and a cross-class tau"};
+      require(!(haveStable && crossTau),
+              "merged class has both a stable member and a cross-class tau");
       if (!haveStable && !crossTau && firstInertTau)
         newInter.push_back({firstInertTau->action, repState});
 
@@ -435,8 +422,8 @@ class OtfEngine {
       absorbed_[repState] = 1;
       for (std::size_t i = 1; i < members[c].size(); ++i) {
         const StateId victim = members[c][i];
-        if (st_.status[victim] != Status::Expanded)
-          throw OtfAbort{"refinement merged an unexpanded frontier state"};
+        require(st_.status[victim] == Status::Expanded,
+                "refinement merged an unexpanded frontier state");
         st_.parent[victim] = repState;
         st_.status[victim] = Status::Merged;
         liveTransitions_ -= st_.rowSize(victim);
@@ -502,8 +489,8 @@ class OtfEngine {
     while (!bfs.empty()) {
       const StateId s = bfs.front();
       bfs.pop_front();
-      if (st_.status[s] != Status::Expanded)
-        throw OtfAbort{"unexpanded state survived in the final live graph"};
+      require(st_.status[s] == Status::Expanded,
+              "unexpanded state survived in the final live graph");
       auto visit = [&](StateId raw) {
         const StateId t = st_.find(raw);
         if (remap[t] == kUnvisited) {
@@ -545,14 +532,12 @@ class OtfEngine {
     // states (the classic chain keeps its order-dependent numbering for one
     // more pass too), but an incomplete renumbering of the final, minimal
     // quotient would leave its bytes a function of the discovery order,
-    // which differs between the fused and the classic exploration — abort
-    // to the classic path instead.
+    // which differs between the fused and the classic exploration.
     bool canonicalComplete = false;
     IOIMC result =
         aggregateFixpoint(reduced, opts_.weak, &canonicalComplete, &work);
-    if (!canonicalComplete)
-      throw OtfAbort{
-          "canonical renumbering could not separate all quotient states"};
+    require(canonicalComplete,
+            "canonical renumbering could not separate all quotient states");
     return result;
   }
 
@@ -581,28 +566,9 @@ class OtfEngine {
 OtfResult otfComposeAggregate(const IOIMC& a, const IOIMC& b,
                               const std::vector<ActionId>& hiddenOutputs,
                               const OtfOptions& opts) {
-  OtfResult result;
-  try {
-    OtfEngine engine(a, b, hiddenOutputs, opts);
-    result.model.emplace(engine.run(result.stats));
-    result.ok = true;
-  } catch (const OtfAbort& abort) {
-    result.ok = false;
-    result.failureReason = abort.reason;
-    result.model.reset();
-  } catch (const BudgetExceeded&) {
-    // A tripped budget must unwind the whole request, not trigger the
-    // classic fallback: the classic chain would materialize the very
-    // product the budget just refused to pay for.
-    throw;
-  } catch (const Error& e) {
-    // Compatibility and validation errors: the classic path will throw the
-    // same error — report, let the caller re-raise it there.
-    result.ok = false;
-    result.failureReason = e.what();
-    result.model.reset();
-  }
-  return result;
+  OtfStats stats;
+  IOIMC model = OtfEngine(a, b, hiddenOutputs, opts).run(stats);
+  return {std::move(model), stats};
 }
 
 }  // namespace imcdft::ioimc::otf

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "ioimc/bisimulation.hpp"
@@ -50,11 +48,10 @@
 /// quotient, the result is byte-identical to the classic
 /// chain's — every downstream measure is bit-identical — while the peak
 /// number of live states/transitions stays at the scale of the running
-/// quotient instead of the full product.  Any invariant failure is
-/// reported (never silently absorbed) so the caller can fall back to the
-/// classic path.  analysis::Reference::Production runs it on the steps
-/// whose classic product outgrows a request cap; FusedChain and
-/// ForcedFallback run it on every step.
+/// quotient instead of the full product.  A violated invariant throws
+/// ModelError: a fused step either returns those bytes or fails.
+/// analysis::Reference::Production runs it on the steps whose classic
+/// product outgrows a request cap; FusedChain runs it on every step.
 ///
 /// A step runs entirely on the calling thread, exploration and every
 /// refinement alike; the engine's only concurrency is one layer up, where
@@ -68,9 +65,6 @@ struct OtfOptions {
   /// smaller than this are simply explored whole (the classic quotient
   /// then still shrinks them at the end).
   std::size_t refineThreshold = 256;
-  /// Safety valve: fail (so the caller falls back) when the live region
-  /// exceeds this many states.  0 = unlimited.
-  std::size_t maxLiveStates = 0;
 };
 
 struct OtfStats {
@@ -85,19 +79,16 @@ struct OtfStats {
 };
 
 struct OtfResult {
-  bool ok = false;
-  /// Set when !ok: why the fused engine gave up (the caller's Diagnostic).
-  std::string failureReason;
   /// The aggregated composite (byte-identical to the classic chain).
-  std::optional<IOIMC> model;
+  IOIMC model;
   OtfStats stats;
 };
 
 /// Runs the fused engine.  \p hiddenOutputs are the composite outputs the
 /// classic path would hide right after this composition (they must all be
-/// outputs of the composite signature).  Incompatible operands surface as
-/// !ok with the compose() error text — the classic fallback then throws
-/// the identical error.
+/// outputs of the composite signature).  Incompatible operands throw the
+/// compose() error, a violated engine invariant throws ModelError, and an
+/// exhausted budget (opts.weak.cancel) unwinds as BudgetExceeded.
 OtfResult otfComposeAggregate(const IOIMC& a, const IOIMC& b,
                               const std::vector<ActionId>& hiddenOutputs,
                               const OtfOptions& opts = {});

@@ -110,7 +110,7 @@ class TraceSpan {
   char detail_[kTraceDetailBytes];
 };
 
-/// Zero-duration instant event (budget trips, fallbacks, cache probes).
+/// Zero-duration instant event (budget trips, cache probes).
 void traceInstant(const char* name, std::string_view detailText = {},
                   std::initializer_list<TraceArg> args = {});
 

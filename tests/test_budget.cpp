@@ -102,10 +102,9 @@ TEST(Budget, StrongRefinementSiteTrips) {
 }
 
 TEST(Budget, OtfFrontierSiteTripsInsteadOfFallingBack) {
-  // A budget trip inside the fused engine must unwind the request, not
-  // trigger the classic-path fallback: the classic chain would
-  // materialize the very product the budget refused to pay for.  The
-  // site name proves the trip surfaced from the frontier loop directly.
+  // A budget trip inside the fused engine unwinds the request as
+  // BudgetExceeded, like every other failure of a fused step.  The site
+  // name proves the trip surfaced from the frontier loop directly.
   auto [a, b] = cpsOperands();
   ioimc::otf::OtfOptions opts;
   CancelToken token;

@@ -117,7 +117,6 @@ TEST(EngineChoice, StepsWithinTheLiveCapRunClassic) {
       EXPECT_EQ(s.leftStates, classic[i].leftStates) << s.name;
       EXPECT_EQ(s.rightStates, classic[i].rightStates) << s.name;
       EXPECT_EQ(s.onTheFly, classic[i].composedStates > c.cap) << s.name;
-      EXPECT_FALSE(s.onTheFlyFallback) << s.name;
       if (s.onTheFly) ++fused;
       if (!s.onTheFly && s.leftStates * s.rightStates > c.cap)
         ++classicOverBound;

@@ -433,9 +433,7 @@ TEST(StaticCombine, StepDerivedStatsAreAFoldOfTheSteps) {
   EXPECT_EQ(stats.peakAggregatedStates, folded.peakAggregatedStates);
   EXPECT_EQ(stats.peakAggregatedTransitions,
             folded.peakAggregatedTransitions);
-  EXPECT_EQ(stats.onTheFlyFallbacks, folded.onTheFlyFallbacks);
   EXPECT_EQ(stats.otfRefinePassesRun, folded.otfRefinePassesRun);
-  EXPECT_EQ(stats.onTheFlyFallbackReasons, folded.onTheFlyFallbackReasons);
   EXPECT_GT(stats.peakComposedStates, 0u);
 }
 

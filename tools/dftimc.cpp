@@ -65,7 +65,7 @@
 ///                       pipeline stage — parse, modularize, per-module
 ///                       aggregation, every compose step's fused stages,
 ///                       CTMC solve, each measure — grouped per request;
-///                       budget trips and fallbacks appear as instants
+///                       budget trips and cache probes appear as instants
 ///     --metrics-json FILE
 ///                       dump the process-wide metrics registry (counters,
 ///                       gauges, latency histograms) as JSON at exit
@@ -718,10 +718,6 @@ int runOneShot(CliOptions& opts) {
                     sc.layerGateCount(), sc.modules().size(),
                     sc.chains().size(), sc.bddNodes());
       }
-      if (report.stats().onTheFlyFallbacks > 0)
-        std::printf("  on-the-fly:      %zu step(s) fell back to the "
-                    "classic chain\n",
-                    report.stats().onTheFlyFallbacks);
       const std::vector<analysis::CompositionStep>& steps =
           report.stats().steps;
       const std::size_t fusedSteps = static_cast<std::size_t>(
