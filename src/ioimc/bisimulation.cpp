@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <optional>
 #include <span>
 #include <unordered_map>
 
@@ -46,60 +47,112 @@ Partition initialByLabel(const IOIMC& m,
 // ---------------------------------------------------------------------------
 // Hashed signature refinement (Blom/Orzan style, flat-buffer edition).
 //
-// Each iteration canonicalizes every state's signature under the current
-// partition into a reusable scratch buffer of 64-bit tokens, hashes it, and
-// interns it via the shared detail::SignatureInterner; the interned index
-// is the state's class in the refined partition.  Classes are numbered in
-// order of first appearance (scanning states 0..n-1).
+// Each round maps every state to its signature under the current partition,
+// a canonical stream of 64-bit tokens that starts with the state's current
+// class, hashes it and interns it via the shared detail::SignatureInterner;
+// the interned index is the state's class in the refined partition.
+// Classes are numbered in order of first appearance (scanning states
+// 0..n-1).
 //
-// A signature starts with the state's current class, so a state alone in
-// its class cannot share its new class with any other state: it is neither
-// encoded nor interned and takes the next fresh id in scan order, which is
-// the id interning would have given it.  Only the classes that can still
-// split cost work, the rule of partition refinement since Paige-Tarjan
-// (Valmari 2009 makes it O(m log n); this is the signature-refiner form).
+// Only dirty states are encoded: Hopcroft's "all but the largest piece"
+// rule, on which Paige-Tarjan partition refinement rests (Valmari 2009
+// makes it O(m log n) for bisimulation; this is the signature-refiner
+// form):
+//  * a state alone in its class cannot share its new class with any other
+//    state: it takes the next fresh id in scan order, which is the id
+//    interning would have given it;
+//  * after a round that splits a class, the largest piece keeps standing
+//    for the class and the states of every other piece have *moved*.  A
+//    state is dirty when it moved or when a state its signature reads (see
+//    the callers' forEachRead) moved; round 1 marks every state dirty.
+//    The clean members of a class share one fresh id, handed out at the
+//    first of them in scan order.
+// This is exactly full re-encoding.  Clean members of one class had equal
+// signatures last round (that is why they share the class), and each one's
+// signature is its old one under the injective renaming "class -> its kept
+// piece", with the same rates per class summed in the same order, so they
+// still agree bit for bit.  A dirty member's signature names a non-kept
+// piece (its own class, or the class of a moved state it reads), which no
+// clean signature names, so it never joins the clean group.  The partition,
+// its numbering and the round count are the full re-encoding's.  The dirty
+// test walks each state's reads forward, stopping at the first moved one;
+// there is no reverse (reader) index.
 // ---------------------------------------------------------------------------
 
 using detail::SignatureInterner;
 
 /// Refines \p p to the coarsest stable partition under \p encode, which
 /// appends a state's signature tokens (after its current class) to a
-/// buffer.  Checkpoints \p cancel at \p site once per pass and every 1024
-/// states, skipped ones included.  Adds passes and encoded signatures to
-/// \p stats when set.
-template <class Encode>
+/// buffer.  \p forEachRead(s, f) calls f(t) on every state t whose class
+/// \p encode reads for s, stopping and returning true as soon as f does.
+/// Checkpoints \p cancel at \p site once per pass and every 1024 states,
+/// skipped ones included.  Adds passes and encoded signatures to \p stats
+/// when set.
+template <class Encode, class ForEachRead>
 Partition refineBySignature(Partition p, const char* site,
                             const CancelToken* cancel, RefineStats* stats,
-                            Encode&& encode) {
+                            Encode&& encode, ForEachRead&& forEachRead) {
+  constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
   const std::size_t n = p.classOf.size();
   SignatureInterner interner;
-  std::vector<std::uint32_t> newClassOf(n), classSize;
+  std::vector<std::uint32_t> newClassOf(n), classSize(p.numClasses),
+      pieceSize, parentOf, largest, cleanClass;
+  // Per current class: 1 when it is the piece its parent class kept.  The
+  // states of the other pieces moved.  Empty in round 1: every state dirty.
+  std::vector<std::uint8_t> kept;
+  for (std::uint32_t c : p.classOf) ++classSize[c];
+  const auto hasMoved = [&](StateId t) { return !kept[p.classOf[t]]; };
   while (true) {
     if (cancel) cancel->checkpoint(site, n);
-    classSize.assign(p.numClasses, 0);
-    for (std::uint32_t c : p.classOf) ++classSize[c];
     std::size_t shared = 0;  // states in classes that can still split
     for (std::uint32_t size : classSize)
       if (size > 1) shared += size;
-    // Only these states are interned, so the table stays at most half full.
+    // At most these states are interned, so the table stays at most half
+    // full.
     interner.beginIteration(shared);
+    cleanClass.assign(p.numClasses, kNone);
+    std::uint64_t encoded = 0;
     for (StateId s = 0; s < n; ++s) {
       if (cancel && (s & 1023u) == 1023u) cancel->checkpoint(site, n);
-      if (classSize[p.classOf[s]] == 1) {
+      const std::uint32_t c = p.classOf[s];
+      if (classSize[c] == 1) {
         newClassOf[s] = interner.freshClass();
+        continue;
+      }
+      if (!kept.empty() && kept[c] && !forEachRead(s, hasMoved)) {
+        if (cleanClass[c] == kNone) cleanClass[c] = interner.freshClass();
+        newClassOf[s] = cleanClass[c];
         continue;
       }
       auto& out = interner.scratch();
       out.clear();
-      out.push_back(p.classOf[s]);
+      out.push_back(c);
       encode(p, s, out);
       newClassOf[s] = interner.internScratch();
+      ++encoded;
     }
     if (stats) {
       ++stats->rounds;
-      stats->encoded += shared;
+      stats->encoded += encoded;
     }
     const std::uint32_t newCount = interner.numClasses();
+    if (newCount != p.numClasses) {
+      // Each class keeps its largest piece (the first on a tie).
+      pieceSize.assign(newCount, 0);
+      parentOf.resize(newCount);
+      for (StateId s = 0; s < n; ++s) {
+        ++pieceSize[newClassOf[s]];
+        parentOf[newClassOf[s]] = p.classOf[s];
+      }
+      largest.assign(p.numClasses, kNone);
+      for (std::uint32_t piece = 0; piece < newCount; ++piece) {
+        std::uint32_t& k = largest[parentOf[piece]];
+        if (k == kNone || pieceSize[piece] > pieceSize[k]) k = piece;
+      }
+      kept.assign(newCount, 0);
+      for (std::uint32_t piece : largest) kept[piece] = 1;
+      std::swap(classSize, pieceSize);
+    }
     const bool stable = newCount == p.numClasses;
     std::swap(p.classOf, newClassOf);
     p.numClasses = newCount;
@@ -296,6 +349,21 @@ struct WeakContext {
         [&](const Partition& p, StateId s, std::vector<std::uint64_t>& out) {
           signWeak(m, tau, weak, roles, p, s, ws);
           appendWeakTokens(ws, out);
+        },
+        [&](StateId s, auto&& f) {
+          // signWeak reads the tau closure, the Markovian targets of its
+          // stable members and the weak visible move targets.
+          const auto closure = tau.closure(s);
+          for (StateId u : closure)
+            if (f(u)) return true;
+          for (StateId u : closure) {
+            if (!tau.stable[u]) continue;
+            for (const auto& t : m.markovian(u))
+              if (f(t.to)) return true;
+          }
+          for (std::uint64_t move : weak.row(s))
+            if (f(static_cast<StateId>(move))) return true;
+          return false;
         });
   }
 
@@ -370,14 +438,6 @@ struct WeakContext {
   }
 };
 
-/// weakQuotient(), adding the refinement's work to \p stats when set.  The
-/// closures, moves and partition die before the caller's next pass.
-IOIMC quotientPass(const IOIMC& m, const WeakOptions& opts,
-                   RefineStats* stats) {
-  const WeakContext ctx(m, opts);
-  return ctx.quotient(ctx.refine(opts, stats));
-}
-
 }  // namespace
 
 namespace detail {
@@ -397,7 +457,8 @@ Partition weakBisimulation(const IOIMC& m, const WeakOptions& opts) {
 }
 
 IOIMC weakQuotient(const IOIMC& m, const WeakOptions& opts) {
-  return quotientPass(m, opts, nullptr);
+  const WeakContext ctx(m, opts);
+  return ctx.quotient(ctx.refine(opts, nullptr));
 }
 
 IOIMC aggregate(const IOIMC& m, const WeakOptions& opts) {
@@ -412,18 +473,21 @@ IOIMC aggregate(const IOIMC& m, const WeakOptions& opts) {
 
 IOIMC aggregateFixpoint(const IOIMC& m, const WeakOptions& opts,
                         bool* canonicalComplete, RefineStats* stats) {
-  auto pass = [&](const IOIMC& in) {
-    if (stats) ++stats->fixpointPasses;
-    return canonicalRenumber(quotientPass(in, opts, stats), canonicalComplete);
-  };
-  IOIMC current = pass(m);
+  // Each model is refined once: the refinement that checks a quotient for
+  // merges is also the one its next quotient is built from.
+  std::optional<IOIMC> current;
   while (true) {
-    RefineStats check;
-    const Partition p =
-        WeakContext(current, opts).refine(opts, stats ? &check : nullptr);
-    if (stats) stats->encoded += check.encoded;
-    if (p.numClasses == current.numStates()) return current;
-    current = pass(current);
+    const WeakContext ctx(current ? *current : m, opts);
+    RefineStats work;
+    const Partition p = ctx.refine(opts, &work);
+    if (stats) stats->encoded += work.encoded;
+    if (current && p.numClasses == current->numStates())
+      return std::move(*current);
+    if (stats) {
+      stats->rounds += work.rounds;
+      ++stats->fixpointPasses;
+    }
+    current = canonicalRenumber(ctx.quotient(p), canonicalComplete);
   }
 }
 
@@ -479,6 +543,13 @@ Partition strongBisimulation(const IOIMC& m, const CancelToken* cancel) {
           out.push_back(cls);
           out.push_back(std::bit_cast<std::uint64_t>(rate));
         }
+      },
+      [&](StateId s, auto&& f) {
+        for (const auto& t : m.interactive(s))
+          if (f(t.to)) return true;
+        for (const auto& t : m.markovian(s))
+          if (f(t.to)) return true;
+        return false;
       });
 }
 

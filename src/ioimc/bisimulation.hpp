@@ -20,9 +20,10 @@
 ///  * atomic state labels (e.g. the monitor's "down") are respected.
 ///
 /// The implementation is signature-based partition refinement (Blom/Orzan
-/// style) over the tau-closure that re-signs only the states of classes
-/// that can still split, followed by quotient construction that writes one
-/// CSR row per class straight from the converged signatures.
+/// style) over the tau-closure that re-signs only the states whose
+/// signature can have changed (those that left the largest piece of a split
+/// class, and those reading one), followed by quotient construction that
+/// writes one CSR row per class straight from the converged signatures.
 
 namespace imcdft {
 class CancelToken;  // common/cancel.hpp
@@ -78,8 +79,10 @@ IOIMC aggregate(const IOIMC& m, const WeakOptions& opts = {});
 /// Work done by aggregateFixpoint(), for the trace spans that run it.
 struct RefineStats {
   std::uint64_t rounds = 0;   ///< passes of the quotient refinements
-  std::uint64_t encoded = 0;  ///< signatures encoded by every refinement
-                              ///< (states alone in their class are not)
+  /// Signatures encoded by every refinement: dirty states only (moved out
+  /// of the largest piece of a split class, or reading a state that did),
+  /// so neither states alone in their class nor clean states count.
+  std::uint64_t encoded = 0;
   std::uint64_t fixpointPasses = 0;  ///< quotients built
 };
 

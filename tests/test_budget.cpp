@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -186,6 +187,76 @@ TEST(Budget, MergeStepSiteTrips) {
     FAIL() << "expected BudgetExceeded";
   } catch (const BudgetExceeded& e) {
     EXPECT_EQ(e.checkpoint(), "merge-step");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Refiner checkpoint counts, pinned at the values the refiners had when
+// every round re-signed every state of a splittable class: re-signing only
+// the states that can have changed keeps the scan and its checkpoints, so a
+// count budget trips at the same checkpoint.
+// ---------------------------------------------------------------------------
+
+/// The product of the first \p members members of \p tree's community,
+/// nothing hidden.
+ioimc::IOIMC communityProduct(const dft::Dft& tree, std::size_t members) {
+  analysis::Community c = analysis::convertDft(tree);
+  ioimc::IOIMC product = c.models[0].model;
+  for (std::size_t i = 1; i < members; ++i)
+    product = ioimc::compose(product, c.models[i].model);
+  return product;
+}
+
+TEST(Budget, RefinersCheckpointAsOftenAsFullReEncoding) {
+  struct Pinned {
+    const char* name;
+    dft::Dft tree;
+    std::size_t members, states;
+    std::uint64_t weak, strong, fixpoint;
+  };
+  const Pinned pins[] = {
+      {"cps", dft::corpus::cps(), 2, 11, 5, 5, 10},
+      {"cps", dft::corpus::cps(), 8, 5184, 47, 36, 78},
+      {"hecs", dft::corpus::hecs(), 11, 8592, 98, 45, 133},
+  };
+  for (const Pinned& pin : pins) {
+    SCOPED_TRACE(std::string(pin.name) + " x" + std::to_string(pin.members));
+    const ioimc::IOIMC m = communityProduct(pin.tree, pin.members);
+    ASSERT_EQ(m.numStates(), pin.states);
+    struct Run {
+      std::uint64_t checkpoints;
+      const char* site;  ///< where the last checkpoint is
+      std::function<void(const CancelToken*)> run;
+    };
+    const Run runs[] = {
+        {pin.weak, "weak-refinement",
+         [&](const CancelToken* t) {
+           ioimc::weakBisimulation(m, {.cancel = t});
+         }},
+        {pin.strong, "strong-refinement",
+         [&](const CancelToken* t) { ioimc::strongBisimulation(m, t); }},
+        {pin.fixpoint, "weak-refinement",
+         [&](const CancelToken* t) {
+           ioimc::aggregateFixpoint(m, {.cancel = t});
+         }},
+    };
+    for (const auto& [count, site, run] : runs) {
+      CancelToken unlimited;
+      run(&unlimited);
+      EXPECT_EQ(unlimited.checkpoints(), count);
+      // The last checkpoint trips a budget of exactly that many.
+      CancelToken exact;
+      exact.limitCheckpoints(count);
+      try {
+        run(&exact);
+        ADD_FAILURE() << "expected BudgetExceeded at checkpoint " << count;
+      } catch (const BudgetExceeded& e) {
+        EXPECT_EQ(e.checkpoint(), site);
+      }
+      CancelToken roomy;
+      roomy.limitCheckpoints(count + 1);
+      EXPECT_NO_THROW(run(&roomy));
+    }
   }
 }
 

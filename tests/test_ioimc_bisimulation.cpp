@@ -206,6 +206,32 @@ TEST(StrongBisim, LumpsSymmetricStates) {
   EXPECT_DOUBLE_EQ(q.markovian(q.initial())[0].rate, 3.0);
 }
 
+TEST(StrongBisim, MovedStateIsReSignedEvenWhenNothingItReadsMoved) {
+  // Round 1 splits {s0..s4} into {s2,s3,s4} (kept, the largest piece) and
+  // {s0,s1} (moved).  s0's input move into its own class was dropped so
+  // far; now its target s2 sits in the kept piece, so s0 reads no moved
+  // state, yet the move names another class and sets s0 apart from s1
+  // (whose input self-loop is implicit).  A refiner that re-signed only
+  // the readers of moved states would keep {s0,s1} together.
+  auto symbols = makeSymbolTable();
+  IOIMCBuilder b("moved", symbols);
+  std::vector<StateId> s;
+  for (int i = 0; i < 6; ++i) s.push_back(b.addState());
+  b.setInitial(s[0]);
+  b.input("a");
+  b.interactive(s[0], "a", s[2]);
+  for (int i = 2; i <= 4; ++i) b.markovian(s[i], 1.0, s[5]);
+  b.label(s[5], "down");
+  const IOIMC m = std::move(b).build();
+  const std::vector<std::uint32_t> expected{0, 1, 2, 2, 2, 3};
+  const Partition strong = strongBisimulation(m);
+  EXPECT_EQ(strong.numClasses, 4u);
+  EXPECT_EQ(strong.classOf, expected);
+  const Partition weak = weakBisimulation(m);
+  EXPECT_EQ(weak.numClasses, 4u);
+  EXPECT_EQ(weak.classOf, expected);
+}
+
 TEST(StrongBisim, DoesNotAbstractTau) {
   auto symbols = makeSymbolTable();
   IOIMCBuilder b("strongTau", symbols);

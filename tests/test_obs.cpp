@@ -388,6 +388,56 @@ TEST(TraceObs, AggregationSpansCarryRefinementWork) {
   }
 }
 
+TEST(TraceObs, AggregationRoundsArePinnedAndEncodesBounded) {
+  // The refiner re-signs only the states whose signature can have changed;
+  // its partitions, and so its round counts, are those of re-signing every
+  // state.  The rounds and quotient passes of every classic.aggregate span
+  // are pinned at the values full re-encoding took.  Full re-encoding
+  // signed 316,785 states over cps_8x10's spans, where the dirty-state
+  // refiner must sign at most 40% of that, and 1,545 over hecs's, which it
+  // must not exceed.
+  struct Pinned {
+    const char* name;
+    dft::Dft tree;
+    std::vector<std::uint64_t> rounds, passes;  ///< in span order
+    std::uint64_t maxEncoded;
+  };
+  const std::vector<std::uint64_t> onePassEach(25, 1);
+  std::vector<std::uint64_t> hecsPasses(24, 1);
+  hecsPasses[20] = 2;  // the floating-point summation case
+  const Pinned pins[] = {
+      {"cps_8x10", dft::corpus::cascadedPands(8, 10),
+       {11, 11, 11, 11, 11, 11, 11, 11, 11, 2, 4, 11, 4,
+        11, 4, 11, 4, 11, 4, 11, 4, 11, 3, 3, 11},
+       onePassEach, 316785 * 2 / 5},
+      {"hecs", dft::corpus::hecs(),
+       {2, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 3, 3, 3, 4, 4, 3, 4, 3, 6, 2, 2,
+        2},
+       hecsPasses, 1545},
+  };
+  for (const Pinned& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    TraceGuard guard;
+    AnalysisRequest request = AnalysisRequest::forDft(pin.tree).measure(
+        MeasureSpec::unreliability({1.0}));
+    request.options.engine.numThreads = 1;  // one thread: one span order
+    Analyzer({.cache = false}).analyze(request);
+    std::vector<std::uint64_t> rounds, passes;
+    std::uint64_t encoded = 0;
+    for (const obs::TraceRecord& rec : obs::snapshotTrace().records) {
+      if (std::strcmp(rec.name, "classic.aggregate") != 0) continue;
+      std::map<std::string, std::uint64_t> args;
+      for (const obs::TraceArg& arg : rec.args) args[arg.key] = arg.value;
+      rounds.push_back(args["refine_rounds"]);
+      passes.push_back(args["fixpoint_passes"]);
+      encoded += args["encoded"];
+    }
+    EXPECT_EQ(rounds, pin.rounds);
+    EXPECT_EQ(passes, pin.passes);
+    EXPECT_LE(encoded, pin.maxEncoded);
+  }
+}
+
 TEST(TraceObs, CtmdpBoundsEmitSolveSpan) {
   // Generator seed 24 keeps real scheduler choices, so the bounds sweep
   // runs both value vectors.
