@@ -74,9 +74,7 @@ void publishRequestMetrics(const AnalysisReport& report, double wallSeconds) {
   static obs::Counter& storeMisses = reg.counter("store.misses");
   static obs::Counter& storeWrites = reg.counter("store.writes");
   static obs::Counter& storeErrors = reg.counter("store.errors");
-  static obs::Counter& inflightJoins = reg.counter("analyzer.inflight_joins");
   static obs::Counter& evictions = reg.counter("analyzer.cache.evictions");
-  static obs::Counter& refineRun = reg.counter("otf.refine_passes_run");
   static obs::Counter& measuresOk = reg.counter("analyzer.measures_ok");
   static obs::Counter& measuresFailed =
       reg.counter("analyzer.measures_failed");
@@ -93,9 +91,7 @@ void publishRequestMetrics(const AnalysisReport& report, double wallSeconds) {
   storeMisses.add(report.cache.storeMisses);
   storeWrites.add(report.cache.storeWrites);
   storeErrors.add(report.cache.storeErrors);
-  inflightJoins.add(report.cache.inflightJoins);
   evictions.add(report.cache.treeEvictions + report.cache.moduleEvictions);
-  refineRun.add(report.cache.otfRefinePassesRun);
   for (const MeasureResult& m : report.measures)
     (m.ok ? measuresOk : measuresFailed).add();
   if (report.analysis)
@@ -122,8 +118,10 @@ std::string optionsKey(const AnalysisOptions& opts) {
                 static_cast<int>(Reference::FusedChain) == 5);
   key += ";rf=";
   key += std::to_string(static_cast<int>(opts.engine.reference));
-  key += ";ou=";
-  key += opts.engine.weak.outputsUrgent ? '1' : '0';
+  // Output urgency was once a weak-bisimulation option and is now always
+  // on; the literal keeps every cache and store key byte-identical, so
+  // records already on disk stay reachable.
+  key += ";ou=1";
   key += ";sy=";
   key += opts.engine.symmetry ? '1' : '0';
   // numThreads is deliberately absent: it is bit-identical for every
@@ -283,8 +281,7 @@ class Analyzer::SessionModuleCache : public ModuleCache {
 };
 
 Analyzer::Analyzer(AnalyzerOptions opts)
-    : opts_(opts),
-      symbols_(ioimc::makeSymbolTable()),
+    : symbols_(ioimc::makeSymbolTable()),
       trees_(opts.maxCachedTrees),
       modules_(opts.maxCachedModules) {}
 
@@ -319,12 +316,11 @@ std::shared_ptr<const DftAnalysis> Analyzer::serveTree(
     const dft::Dft& tree, const std::string& key, const std::string& label,
     const AnalysisOptions& opts, CacheStats& requestStats,
     const std::shared_ptr<store::QuotientStore>& store, Served& served) {
-  if (opts_.cache)
-    if (std::optional<std::shared_ptr<const DftAnalysis>> hit =
-            trees_.get(key)) {
-      served = Served::TreeCache;
-      return std::move(*hit);
-    }
+  if (std::optional<std::shared_ptr<const DftAnalysis>> hit =
+          trees_.get(key)) {
+    served = Served::TreeCache;
+    return std::move(*hit);
+  }
   served = Served::Pipeline;
   std::shared_ptr<const DftAnalysis> analysis;
   if (store) {
@@ -356,7 +352,7 @@ std::shared_ptr<const DftAnalysis> Analyzer::serveTree(
                                   analysis->composeSteps))
       ++requestStats.storeWrites;
   }
-  if (opts_.cache) requestStats.treeEvictions += trees_.put(key, analysis);
+  requestStats.treeEvictions += trees_.put(key, analysis);
   return analysis;
 }
 
@@ -506,7 +502,7 @@ std::shared_ptr<const DftAnalysis> Analyzer::runPipeline(
 
   span.emplace("compose");
   const bool useModuleCache =
-      opts_.cache && opts.engine.reference != Reference::DeclarationOrder;
+      opts.engine.reference != Reference::DeclarationOrder;
   SessionModuleCache moduleCache(*this, contexts, optionsKey(opts),
                                  requestStats,
                                  useModuleCache ? store : nullptr);
@@ -519,7 +515,6 @@ std::shared_ptr<const DftAnalysis> Analyzer::runPipeline(
   span.reset();
   requestStats.stepsRun += engine.stats.steps.size();
   requestStats.stepsSaved += engine.stats.stepsSaved;
-  requestStats.otfRefinePassesRun += engine.stats.otfRefinePassesRun;
 
   span.emplace("extract");
   Extraction absorbed = absorbedExtraction(engine.model, opts.engine.weak);
@@ -584,7 +579,8 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
   // options and are budget-blind by construction (optionsKey never
   // serializes the token), so budgeted and unbudgeted requests share the
   // tree cache — a budget decides whether an answer is produced, never
-  // which answer.
+  // which answer.  A trip unwinds before the tree-cache put, so no tripped
+  // analysis ever reaches a shared cache.
   AnalysisOptions options = request.options;
   std::shared_ptr<CancelToken> cancel;
   if (request.budget.limited()) {
@@ -631,138 +627,69 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
   const std::shared_ptr<store::QuotientStore> storeHandle =
       openStore(options.engine.storeDir, report.diagnostics);
 
-  auto probeTreeCache = [&]() -> std::shared_ptr<const DftAnalysis> {
-    if (!opts_.cache) return nullptr;
-    if (wantNumeric)
-      if (std::optional<std::shared_ptr<const DftAnalysis>> hit =
-              trees_.get(numericKey))
-        return *hit;
+  std::shared_ptr<const DftAnalysis> analysis;
+  if (wantNumeric)
+    if (std::optional<std::shared_ptr<const DftAnalysis>> hit =
+            trees_.get(numericKey))
+      analysis = std::move(*hit);
+  if (!analysis)
     if (std::optional<std::shared_ptr<const DftAnalysis>> hit =
             trees_.get(fullKey))
-      return *hit;
-    return nullptr;
-  };
-  auto noteTreeHit = [&]() {
+      analysis = std::move(*hit);
+
+  if (analysis) {
     report.fromCache = true;
     ++report.cache.treeHits;
     obs::traceInstant("tree-cache", request.label, {{"hit", 1}});
     report.diagnostics.push_back(
         {Severity::Info, "composition served from the whole-tree cache"});
-  };
-
-  std::shared_ptr<const DftAnalysis> analysis = probeTreeCache();
-  if (analysis) noteTreeHit();
-
-  // --- In-flight dedup. ---
-  // The first concurrent request for a fingerprint becomes the leader and
-  // aggregates; identical requests arriving while it runs join its future
-  // instead of aggregating again.  The wantNumeric flag is part of the
-  // flight key because the two request kinds build different analyses.
-  // Budgeted requests never lead or join a flight with differently (or un-)
-  // budgeted ones: a joiner inherits the leader's exception, and a leader
-  // whose budget trips mid-aggregation would fail joiners who asked for no
-  // limit at all.  Identically budgeted concurrent requests still dedup.
-  std::string flightKey = treeKey + (wantNumeric ? ";wn=1" : ";wn=0");
-  if (request.budget.limited()) {
-    const Budget& b = request.budget;
-    flightKey += ";bg=" + std::to_string(b.deadlineSeconds) + ',' +
-                 std::to_string(b.maxLiveStates) + ',' +
-                 std::to_string(b.maxMemoryBytes) + ',' +
-                 std::to_string(b.maxCheckpoints);
-  }
-  bool leader = false;
-  std::promise<std::shared_ptr<const DftAnalysis>> flightPromise;
-  std::shared_future<std::shared_ptr<const DftAnalysis>> flight;
-  if (!analysis && opts_.cache) {
-    std::unique_lock<std::mutex> lock(inflightMutex_);
-    auto it = inflight_.find(flightKey);
-    if (it != inflight_.end()) {
-      flight = it->second;
-    } else {
-      // Double-check the tree cache under the flight lock: a leader may
-      // have finished (published and left the map) between our first probe
-      // and here.
-      analysis = probeTreeCache();
-      if (analysis) {
-        noteTreeHit();
+  } else {
+    // A miss computes, even while a concurrent identical request computes
+    // the same analysis: both results are bitwise identical, and the later
+    // put overwrites the earlier with an equal entry.
+    ++report.cache.treeMisses;
+    obs::traceInstant("tree-cache", request.label, {{"hit", 0}});
+    if (wantNumeric) {
+      dft::StaticLayer layer = dft::detectStaticLayer(*tree);
+      if (layer.eligible) {
+        analysis = runNumericPipeline(*tree, layer, options, report.cache,
+                                      report.diagnostics, storeHandle);
+        // Null = a module was nondeterministic (Warning already attached);
+        // the fallen-back full analysis lands under fullKey.
+        if (analysis)
+          report.cache.treeEvictions += trees_.put(numericKey, analysis);
       } else {
-        flight = flightPromise.get_future().share();
-        inflight_.emplace(flightKey, flight);
-        leader = true;
+        report.diagnostics.push_back(
+            {Severity::Info,
+             "static combination not applicable: " + layer.reason});
       }
     }
-    lock.unlock();
-    if (!leader && !analysis) {
-      // Joiner: block on the leader's aggregation (its exception, if any,
-      // rethrows here — identical input, identical failure).
-      analysis = flight.get();
-      report.fromCache = true;
-      ++report.cache.inflightJoins;
+    if (!analysis) {
+      Served served;
+      analysis = serveTree(*tree, fullKey, request.label, options,
+                           report.cache, storeHandle, served);
+      if (served == Served::Store)
+        report.diagnostics.push_back(
+            {Severity::Info,
+             "whole-tree quotient served from the persistent store "
+             "(composition skipped)"});
+    }
+    if (report.cache.moduleHits > 0)
       report.diagnostics.push_back(
           {Severity::Info,
-           "served from an in-flight aggregation of a concurrent identical "
-           "request"});
-    }
-  }
-
-  if (!analysis) {
-    try {
-      ++report.cache.treeMisses;
-      obs::traceInstant("tree-cache", request.label, {{"hit", 0}});
-      if (wantNumeric) {
-        dft::StaticLayer layer = dft::detectStaticLayer(*tree);
-        if (layer.eligible) {
-          analysis = runNumericPipeline(*tree, layer, options, report.cache,
-                                        report.diagnostics, storeHandle);
-          // Null = a module was nondeterministic (Warning already
-          // attached); the fallen-back full analysis lands under fullKey.
-          if (analysis && opts_.cache)
-            report.cache.treeEvictions += trees_.put(numericKey, analysis);
-        } else {
-          report.diagnostics.push_back(
-              {Severity::Info,
-               "static combination not applicable: " + layer.reason});
-        }
-      }
-      if (!analysis) {
-        Served served;
-        analysis = serveTree(*tree, fullKey, request.label, options,
-                             report.cache, storeHandle, served);
-        if (served == Served::Store)
-          report.diagnostics.push_back(
-              {Severity::Info,
-               "whole-tree quotient served from the persistent store "
-               "(composition skipped)"});
-      }
-      if (report.cache.moduleHits > 0)
-        report.diagnostics.push_back(
-            {Severity::Info,
-             std::to_string(report.cache.moduleHits) +
-                 " module(s) spliced from the session cache, saving " +
-                 std::to_string(report.cache.stepsSaved) +
-                 " composition step(s)"});
-      if (analysis->stats.symmetricModulesReused > 0)
-        report.diagnostics.push_back(
-            {Severity::Info,
-             std::to_string(analysis->stats.symmetricModulesReused) +
-                 " symmetric module(s) instantiated by renaming (" +
-                 std::to_string(analysis->stats.symmetricBuckets) +
-                 " shape bucket(s)), saving " +
-                 std::to_string(analysis->stats.symmetrySavedSteps) +
-                 " composition step(s)"});
-    } catch (...) {
-      if (leader) {
-        flightPromise.set_exception(std::current_exception());
-        std::lock_guard<std::mutex> lock(inflightMutex_);
-        inflight_.erase(flightKey);
-      }
-      throw;
-    }
-    if (leader) {
-      flightPromise.set_value(analysis);
-      std::lock_guard<std::mutex> lock(inflightMutex_);
-      inflight_.erase(flightKey);
-    }
+           std::to_string(report.cache.moduleHits) +
+               " module(s) spliced from the session cache, saving " +
+               std::to_string(report.cache.stepsSaved) +
+               " composition step(s)"});
+    if (analysis->stats.symmetricModulesReused > 0)
+      report.diagnostics.push_back(
+          {Severity::Info,
+           std::to_string(analysis->stats.symmetricModulesReused) +
+               " symmetric module(s) instantiated by renaming (" +
+               std::to_string(analysis->stats.symmetricBuckets) +
+               " shape bucket(s)), saving " +
+               std::to_string(analysis->stats.symmetrySavedSteps) +
+               " composition step(s)"});
   }
   report.analysis = analysis;
   if (analysis->staticCombo)

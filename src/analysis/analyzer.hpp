@@ -1,6 +1,5 @@
 #pragma once
 
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -32,7 +31,8 @@
 ///    EngineOptions::symmetry the engine instantiates each symmetric
 ///    sibling from its representative and offers it to this cache under
 ///    the sibling's own key, so a later what-if that changes one unit of a
-///    replicated tree still splices every unchanged sibling.
+///    replicated tree still splices every unchanged sibling.  Requests on
+///    the DeclarationOrder reference neither read nor fill this cache.
 ///
 /// The module cache mirrors the nested-reuse idea of DIFTree-style modular
 /// analysis (Section 5.2 of the paper): an independent module's aggregated
@@ -43,16 +43,15 @@
 /// rejected.
 ///
 /// Concurrency.  One Analyzer serves any number of concurrent sessions:
-/// both caches are internally synchronized LRU maps (common/lru_map.hpp,
-/// the module cache sharded by key hash), the session symbol table is
-/// itself synchronized, and cached DftAnalysis objects are immutable once
-/// published (the one lazily computed field, fullMemo, is installed with a
-/// first-write-wins CAS — see fullExtraction).  Concurrent requests for
-/// the *same* fingerprint dedup in flight: the first becomes the leader and
-/// runs the aggregation, later arrivals block on a shared future and
-/// receive the leader's (identical) result, counted in
-/// CacheStats::inflightJoins.  N identical concurrent requests therefore
-/// perform exactly one aggregation.
+/// both caches are internally synchronized LRU maps (common/lru_map.hpp),
+/// the session symbol table is itself synchronized, and cached DftAnalysis
+/// objects are immutable once published (the one lazily computed field,
+/// fullMemo, is installed with a first-write-wins CAS — see
+/// fullExtraction).  A request is served one way: it probes the tree cache
+/// and, on a miss, runs the pipeline and fills the caches.  Concurrent
+/// misses on the same fingerprint each compute; their analyses are bitwise
+/// identical (the pipeline is a pure function of the tree and the keyed
+/// options), so whichever put lands last leaves an equal entry cached.
 ///
 /// Persistence.  When EngineOptions::storeDir names a directory, the
 /// session reads aggregated whole-tree and module quotients from the
@@ -72,12 +71,6 @@ class QuotientStore;  // store/quotient_store.hpp
 namespace imcdft::analysis {
 
 struct AnalyzerOptions {
-  /// Serve repeated identical (tree, options) requests from the tree cache
-  /// and reuse aggregated independent-module models across requests (not
-  /// on the DeclarationOrder reference).  Off, every request is cold:
-  /// nothing is cached, and the persistent store sees whole-tree but no
-  /// module record traffic.
-  bool cache = true;
   /// Capacity bounds: least-recently-used entries are evicted once a cache
   /// grows past its limit (counted in CacheStats::*Evictions); 0 means
   /// unbounded.
@@ -119,9 +112,10 @@ class Analyzer {
 
   /// Concurrent batch: serves the requests on \p workers threads over the
   /// shared session caches and returns the reports in request order.
-  /// 0 picks std::thread::hardware_concurrency().  Identical requests
-  /// dedup in flight (one aggregation, many joiners).  The first
-  /// exception, if any, is rethrown after all workers finish.
+  /// 0 picks std::thread::hardware_concurrency().  Each request is served
+  /// as analyze() serves it, so identical requests that miss together each
+  /// compute (with bitwise identical results).  The first exception, if
+  /// any, is rethrown after all workers finish.
   std::vector<AnalysisReport> analyzeBatch(
       const std::vector<AnalysisRequest>& requests, unsigned workers);
 
@@ -148,12 +142,10 @@ class Analyzer {
       const std::shared_ptr<store::QuotientStore>& store);
 
   /// The full-composition analysis of \p tree under tree-cache key \p key:
-  /// the tree cache (when AnalyzerOptions::cache is set), then the store's
-  /// whole-tree record, then runPipeline; a fresh result is published to
-  /// the store, and every result not served from the tree cache is put
-  /// into it.
-  /// \p label names the tree in trace events; \p served reports the
-  /// source.
+  /// the tree cache, then the store's whole-tree record, then runPipeline;
+  /// a fresh result is published to the store, and every result not served
+  /// from the tree cache is put into it.  \p label names the tree in trace
+  /// events; \p served reports the source.
   std::shared_ptr<const DftAnalysis> serveTree(
       const dft::Dft& tree, const std::string& key, const std::string& label,
       const AnalysisOptions& opts, CacheStats& requestStats,
@@ -177,7 +169,6 @@ class Analyzer {
   std::shared_ptr<store::QuotientStore> openStore(
       const std::string& dir, std::vector<Diagnostic>& diagnostics);
 
-  AnalyzerOptions opts_;
   ioimc::SymbolTablePtr symbols_;
 
   mutable std::mutex statsMutex_;
@@ -185,17 +176,9 @@ class Analyzer {
 
   /// The two session caches; both internally synchronized LRU maps.
   /// trees_ is only touched from request-serving threads; modules_ is also
-  /// stored into from the engine's worker threads, so it is sharded to keep
-  /// concurrent sessions off one mutex.
+  /// stored into from the engine's worker threads.
   LruMap<std::shared_ptr<const DftAnalysis>> trees_;
-  ShardedLruMap<std::shared_ptr<const CachedModule>> modules_;
-
-  /// In-flight dedup: fingerprint -> the future every concurrent identical
-  /// request joins on.  Entries live only while a leader is aggregating.
-  std::mutex inflightMutex_;
-  std::unordered_map<std::string,
-                     std::shared_future<std::shared_ptr<const DftAnalysis>>>
-      inflight_;
+  LruMap<std::shared_ptr<const CachedModule>> modules_;
 
   /// Persistent stores by directory (null = directory unusable, warned).
   std::mutex storesMutex_;

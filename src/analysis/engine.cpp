@@ -36,7 +36,6 @@ void CompositionStats::foldSteps() {
     peakAggregatedStates = std::max(peakAggregatedStates, s.aggregatedStates);
     peakAggregatedTransitions =
         std::max(peakAggregatedTransitions, s.aggregatedTransitions);
-    otfRefinePassesRun += s.otfRefinePassesRun;
   }
 }
 

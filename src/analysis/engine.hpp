@@ -169,12 +169,9 @@ struct CompositionStats {
   /// throws, and never falls back.  Kept only because the perfbench ledger
   /// reads it for its engine.otf_fallbacks metric; both go together.
   std::size_t onTheFlyFallbacks = 0;
-  /// Inline refinement passes run across all fused steps.
-  std::size_t otfRefinePassesRun = 0;
 
   /// Folds every entry of steps into the step-derived fields above: the
-  /// four peaks and otfRefinePassesRun.  Call it once, on stats whose
-  /// step-derived fields are still zero.
+  /// four peaks.  Call it once, on stats whose peaks are still zero.
   void foldSteps();
 };
 

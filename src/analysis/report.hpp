@@ -113,15 +113,14 @@ struct CacheStats {
   /// that failed).  Each degrades to the cold path and attaches a Warning
   /// diagnostic — never a wrong answer.
   std::size_t storeErrors = 0;
-  /// Requests that joined an in-flight identical aggregation started by a
-  /// concurrent request instead of running their own (in-flight dedup).
+  /// Always 0: concurrent identical misses each compute, and nothing joins
+  /// another request's aggregation.  Kept only because the perfbench ledger
+  /// reads it for its in-flight-joins metric; both go together.
   std::size_t inflightJoins = 0;
   /// LRU evictions per session cache (entries dropped past the capacity
   /// bounds in AnalyzerOptions).
   std::size_t treeEvictions = 0;
   std::size_t moduleEvictions = 0;
-  /// Inline refinement passes the fused engine ran across all its steps.
-  std::size_t otfRefinePassesRun = 0;
 
   /// Field-wise sum (request stats folding into session stats).
   void accumulate(const CacheStats& other) {
@@ -135,10 +134,8 @@ struct CacheStats {
     storeMisses += other.storeMisses;
     storeWrites += other.storeWrites;
     storeErrors += other.storeErrors;
-    inflightJoins += other.inflightJoins;
     treeEvictions += other.treeEvictions;
     moduleEvictions += other.moduleEvictions;
-    otfRefinePassesRun += other.otfRefinePassesRun;
   }
 };
 

@@ -113,8 +113,8 @@ struct AnalysisRequest {
   std::vector<MeasureSpec> measures;
   AnalysisOptions options;
   /// Resource budget (deadline / live-state / memory caps); default
-  /// unlimited.  Deliberately not part of any cache key except the
-  /// in-flight dedup key: budgets never change answers.
+  /// unlimited.  Deliberately not part of any cache key: budgets never
+  /// change answers.
   Budget budget;
   /// Stable request/trace id echoed in the report, stamped on every span
   /// this request emits (the Chrome trace "pid") and printed in serve-mode

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <deque>
-#include <functional>
 #include <list>
 #include <mutex>
 #include <optional>
@@ -11,11 +9,11 @@
 #include <utility>
 
 /// \file lru_map.hpp
-/// The synchronized LRU maps behind the Analyzer's session caches: bounded
-/// maps from string cache keys to values that evict the least recently
-/// used entries past their capacity instead of clearing whole (the crude
-/// pre-LRU policy), plus a sharded wrapper for the caches hit from the
-/// engine's worker threads.
+/// The synchronized LRU map behind both of the Analyzer's session caches: a
+/// bounded map from string cache keys to values that evicts the least
+/// recently used entries past its capacity.  One mutex guards each map;
+/// the module cache's callers copy the model outside the lock, so engine
+/// workers hold it only for the map insert.
 
 namespace imcdft {
 
@@ -61,12 +59,6 @@ class LruMap {
     return order_.size();
   }
 
-  void clear() {
-    std::lock_guard<std::mutex> lock(m_);
-    index_.clear();
-    order_.clear();
-  }
-
  private:
   using Entry = std::pair<std::string, V>;
 
@@ -76,49 +68,6 @@ class LruMap {
   /// Views into the list nodes' key strings (stable across splices).
   std::unordered_map<std::string_view, typename std::list<Entry>::iterator>
       index_;
-};
-
-/// An LRU map split into independently locked shards by key hash, for the
-/// caches the engine's parallel module aggregation stores into from worker
-/// threads.  The capacity is divided evenly across shards, so the bound is
-/// approximate per shard but exact in total order of magnitude; the shard
-/// count never exceeds the capacity, so small caps still evict strictly.
-template <class V>
-class ShardedLruMap {
- public:
-  explicit ShardedLruMap(std::size_t capacity, std::size_t shards = 8) {
-    if (capacity != 0 && shards > capacity) shards = capacity;
-    if (shards == 0) shards = 1;
-    const std::size_t perShard =
-        capacity == 0 ? 0 : (capacity + shards - 1) / shards;
-    for (std::size_t i = 0; i < shards; ++i) shards_.emplace_back(perShard);
-  }
-
-  std::optional<V> get(std::string_view key) {
-    return shards_[shardOf(key)].get(key);
-  }
-
-  std::size_t put(std::string key, V value) {
-    LruMap<V>& shard = shards_[shardOf(key)];
-    return shard.put(std::move(key), std::move(value));
-  }
-
-  std::size_t size() const {
-    std::size_t total = 0;
-    for (const LruMap<V>& shard : shards_) total += shard.size();
-    return total;
-  }
-
-  void clear() {
-    for (LruMap<V>& shard : shards_) shard.clear();
-  }
-
- private:
-  std::size_t shardOf(std::string_view key) const {
-    return std::hash<std::string_view>{}(key) % shards_.size();
-  }
-
-  std::deque<LruMap<V>> shards_;  ///< deque: LruMap is not movable
 };
 
 }  // namespace imcdft

@@ -13,7 +13,7 @@ std::vector<double> steadyStateDistribution(const Ctmc& chain,
                                             const SteadyStateOptions& opts) {
   chain.validate();
   const std::size_t n = chain.numStates();
-  const Uniformized u(chain.rates, opts.uniformizationSlack);
+  const Uniformized u(chain.rates);
   if (u.maxExitRate() == 0.0) {
     // Every state is absorbing: the chain never leaves its initial state.
     std::vector<double> pi(n, 0.0);

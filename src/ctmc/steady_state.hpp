@@ -18,7 +18,6 @@ namespace imcdft::ctmc {
 struct SteadyStateOptions {
   double tolerance = 1e-12;    ///< L-infinity convergence threshold
   std::size_t maxIterations = 2'000'000;
-  double uniformizationSlack = 1.02;
   /// Cooperative cancellation: when set, every power-iteration step calls
   /// CancelToken::checkpoint() (site "steady"), so a slowly mixing chain
   /// unwinds on an exhausted budget instead of running to maxIterations.

@@ -19,7 +19,7 @@ std::vector<double> transientDistribution(const Ctmc& chain,
   require(initial.size() == chain.numStates(),
           "transientDistribution: initial distribution size mismatch");
   if (t == 0.0) return initial;
-  const Uniformized u(chain.rates, opts.uniformizationSlack);
+  const Uniformized u(chain.rates);
   if (u.maxExitRate() == 0.0) return initial;
 
   PoissonWeights pw = poissonWeights(u.lambda() * t, opts.epsilon);
@@ -66,7 +66,7 @@ std::vector<std::vector<double>> transientDistributions(
           "transientDistributions: initial distribution size mismatch");
   for (double t : times)
     require(t >= 0.0, "transientDistributions: negative time");
-  const Uniformized u(chain.rates, opts.uniformizationSlack);
+  const Uniformized u(chain.rates);
 
   std::vector<std::vector<double>> out(times.size());
   if (u.maxExitRate() == 0.0) {

@@ -18,7 +18,6 @@ namespace imcdft::ctmc {
 
 struct TransientOptions {
   double epsilon = 1e-10;       ///< truncation error bound
-  double uniformizationSlack = 1.02;  ///< Lambda = slack * max exit rate
   /// Cooperative cancellation: when set, every uniformization step (one
   /// vector-matrix product) calls CancelToken::checkpoint(), so a sweep
   /// with a huge truncation window (stiff chain, large lambda*t) unwinds

@@ -4,7 +4,7 @@
 
 namespace imcdft::ctmc {
 
-Uniformized::Uniformized(const RateRows& rows, double slack)
+Uniformized::Uniformized(const RateRows& rows)
     : rows_(rows), stay_(rows.numRows()) {
   // stay_ holds the exit rates until Lambda is known.
   for (StateId s = 0; s < stay_.size(); ++s) {
@@ -12,7 +12,7 @@ Uniformized::Uniformized(const RateRows& rows, double slack)
     maxExit_ = std::max(maxExit_, stay_[s]);
   }
   if (maxExit_ == 0.0) return;
-  lambda_ = slack * maxExit_;
+  lambda_ = kUniformizationSlack * maxExit_;
   prob_.resize(rows.numTransitions());
   for (std::size_t i = 0; i < prob_.size(); ++i)
     prob_[i] = rows.rates[i] / lambda_;

@@ -86,7 +86,7 @@ ReachabilityBounds sweep(const Ctmdp& mdp, double t, unsigned sides,
   }
   if (t == 0.0) return result();
 
-  const ctmc::Uniformized u(mdp.rates, opts.uniformizationSlack);
+  const ctmc::Uniformized u(mdp.rates);
   if (u.maxExitRate() == 0.0) return result();
   ctmc::PoissonWeights pw = ctmc::poissonWeights(u.lambda() * t, opts.epsilon);
 

@@ -22,7 +22,6 @@ namespace imcdft::ctmdp {
 
 struct ReachabilityOptions {
   double epsilon = 1e-10;
-  double uniformizationSlack = 1.02;
   /// Cooperative cancellation: when set, every backward value-iteration
   /// step calls CancelToken::checkpoint() (site "ctmdp-bounds").  Not
   /// owned; the caller keeps the token alive across the call.

@@ -6,7 +6,6 @@
 
 #include "analysis/converter.hpp"
 #include "common/error.hpp"
-#include "ctmc/transient.hpp"
 #include "dft/execution.hpp"
 
 namespace imcdft::diftree {
@@ -97,11 +96,6 @@ MonolithicResult generateMonolithic(const Dft& dft,
   result.numStates = chain.numStates();
   result.numTransitions = chain.numTransitions();
   return result;
-}
-
-double monolithicUnreliability(const Dft& dft, double missionTime) {
-  MonolithicResult result = generateMonolithic(dft);
-  return ctmc::probabilityOfLabelAt(result.chain, "down", missionTime);
 }
 
 }  // namespace imcdft::diftree

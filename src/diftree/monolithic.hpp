@@ -35,7 +35,4 @@ struct MonolithicResult {
 MonolithicResult generateMonolithic(const dft::Dft& dft,
                                     const MonolithicOptions& opts = {});
 
-/// Convenience: monolithic generation + uniformization.
-double monolithicUnreliability(const dft::Dft& dft, double missionTime);
-
 }  // namespace imcdft::diftree

@@ -312,9 +312,8 @@ void appendWeakTokens(const WeakScratch& ws, std::vector<std::uint64_t>& out) {
 
 /// The tau closure of \p m with every state flagged in \p pinned (when
 /// non-null) unstable.
-TauInfo tauClosure(const IOIMC& m, bool outputsUrgent,
-                   const std::vector<std::uint8_t>* pinned) {
-  TauInfo tau = detail::computeTauClosure(m, outputsUrgent);
+TauInfo tauClosure(const IOIMC& m, const std::vector<std::uint8_t>* pinned) {
+  TauInfo tau = detail::computeTauClosure(m);
   if (pinned)
     for (StateId s = 0; s < m.numStates(); ++s)
       if ((*pinned)[s]) tau.stable[s] = false;
@@ -338,7 +337,7 @@ struct WeakContext {
       : m(model),
         site(checkpointSite),
         pinned(pinnedStates),
-        tau(tauClosure(model, opts.outputsUrgent, pinned)),
+        tau(tauClosure(model, pinned)),
         roles(actionRoles(model)),
         weak(collectWeakMoves(model, tau, roles, site, opts.cancel)) {}
 

@@ -41,9 +41,6 @@ struct Partition {
 /// thread; the only concurrency is one layer up, where the engine
 /// aggregates independent modules on separate workers.
 struct WeakOptions {
-  /// Treat states with enabled output transitions as unstable (I/O-IMC
-  /// urgency).  Disable to get plain IMC weak bisimulation.
-  bool outputsUrgent = true;
   /// Cooperative cancellation: when set, every refinement pass calls
   /// CancelToken::checkpoint() once, and again every 1024 states, so an over-budget
   /// request unwinds from inside the aggregation instead of running it to

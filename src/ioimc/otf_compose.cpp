@@ -388,7 +388,7 @@ class OtfEngine {
             crossTau = true;
             newInter.push_back(t);
           } else {
-            if (role == ActionRole::Output && opts_.weak.outputsUrgent)
+            if (role == ActionRole::Output)
               stable = false;
             // An input edge into the class's own tau-closure is the
             // implicit-self-loop equivalent the signature filters away;

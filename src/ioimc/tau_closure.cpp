@@ -5,7 +5,7 @@
 
 namespace imcdft::ioimc::detail {
 
-TauClosure computeTauClosure(const IOIMC& m, bool outputsUrgent) {
+TauClosure computeTauClosure(const IOIMC& m) {
   const std::size_t n = m.numStates();
   const std::vector<ActionRole> roles = actionRoles(m);
   TauClosure info;
@@ -20,7 +20,7 @@ TauClosure computeTauClosure(const IOIMC& m, bool outputsUrgent) {
       if (roles[t.action] == ActionRole::Internal) {
         succ.push_back(t.to);
         info.stable[s] = false;
-      } else if (outputsUrgent && roles[t.action] == ActionRole::Output) {
+      } else if (roles[t.action] == ActionRole::Output) {
         info.stable[s] = false;
       }
     }

@@ -31,8 +31,8 @@ struct TauClosure {
 };
 
 /// Computes tau closures and stability.  A state is stable when it enables
-/// no internal transition and — when \p outputsUrgent — no output
-/// transition (I/O-IMC maximal progress).
-TauClosure computeTauClosure(const IOIMC& m, bool outputsUrgent);
+/// no internal and no output transition (I/O-IMC urgency: outputs, like
+/// internal actions, take no time).
+TauClosure computeTauClosure(const IOIMC& m);
 
 }  // namespace imcdft::ioimc::detail

@@ -139,9 +139,7 @@ TEST(Analyzer, BatchMatchesSequentialColdRuns) {
     for (std::size_t i = 0; i < requests.size(); ++i) {
       EXPECT_EQ(batch[i].label, requests[i].label);
       batchSteps += batch[i].cache.stepsRun;
-      AnalysisReport cold =
-          Analyzer({.cache = false})
-              .analyze(requests[i]);
+      AnalysisReport cold = Analyzer().analyze(requests[i]);
       EXPECT_EQ(cold.analysis->staticCombo != nullptr, staticCombine);
       coldSteps += cold.stats().steps.size();
       ASSERT_EQ(batch[i].measures.size(), 1u);
@@ -313,19 +311,21 @@ TEST(Analyzer, GalileoTextAndInMemorySourcesAgree) {
               viaTree.measures[0].values.at(0), 0.0);
 }
 
-TEST(Analyzer, CacheCanBeDisabled) {
-  AnalyzerOptions opts;
-  opts.cache = false;
-  Analyzer session(opts);
+TEST(Analyzer, FreshSessionIsCold) {
+  // A cold run is a fresh Analyzer: the repeat on a second session hits
+  // nothing and runs every step again, while the first session's own
+  // repeat is a pure tree-cache hit.
   AnalysisRequest req = AnalysisRequest::forDft(dft::corpus::cas())
                             .measure(MeasureSpec::unreliability({1.0}));
+  Analyzer session;
   AnalysisReport first = session.analyze(req);
-  AnalysisReport second = session.analyze(req);
+  Analyzer fresh;
+  AnalysisReport second = fresh.analyze(req);
   EXPECT_FALSE(second.fromCache);
   EXPECT_EQ(second.cache.moduleHits, 0u);
+  EXPECT_GT(second.cache.stepsRun, 0u);
   EXPECT_EQ(first.cache.stepsRun, second.cache.stepsRun);
-  EXPECT_EQ(session.cachedTreeCount(), 0u);
-  EXPECT_EQ(session.cachedModuleCount(), 0u);
+  EXPECT_TRUE(session.analyze(req).fromCache);
 }
 
 TEST(Analyzer, ForeignSymbolTableIsRejected) {

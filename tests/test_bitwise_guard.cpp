@@ -38,7 +38,7 @@ std::uint64_t closedDigest(const dft::Dft& tree, std::size_t maxLiveStates) {
   request.options.engine.staticCombine = false;
   try {
     return test::modelDigest(
-        Analyzer({.cache = false}).analyze(request).analysis->closedModel);
+        Analyzer().analyze(request).analysis->closedModel);
   } catch (const BudgetExceeded&) {
     return kTrip;
   }

@@ -479,14 +479,14 @@ TEST(ConcurrentBudget, HeavyDeadlineTripsWhileSiblingsComplete) {
   EXPECT_EQ(siblingsOk.load(), 3);
 }
 
-TEST(ConcurrentBudget, BudgetedRequestsNeverPoisonUnbudgetedFlights) {
-  // Budgeted and unbudgeted requests for the same tree carry different
-  // in-flight dedup keys, so an unbudgeted request can never join a
-  // budgeted leader and inherit its BudgetExceeded.  Whatever the
-  // interleaving: every unbudgeted request succeeds, every
-  // one-checkpoint-budget request trips — either as an exception (trip
-  // during aggregation) or as a partial report (trip during measures,
-  // when a finished sibling already cached the analysis).
+TEST(ConcurrentBudget, BudgetedRequestsNeverPoisonUnbudgetedOnes) {
+  // Budgeted and unbudgeted requests for the same tree share the tree
+  // cache, but a tripped request unwinds before its put, so no tripped
+  // analysis ever reaches a shared cache.  Whatever the interleaving:
+  // every unbudgeted request succeeds, every one-checkpoint-budget request
+  // trips — either as an exception (trip during aggregation) or as a
+  // partial report (trip during measures, when a finished sibling already
+  // cached the analysis).
   Analyzer session;
   constexpr int kEach = 4;
   std::atomic<int> ok{0}, tripped{0};

@@ -37,7 +37,7 @@ using analysis::Reference;
 
 AnalysisReport analyze(const dft::Dft& tree, Reference reference,
                        const analysis::Budget& budget = {}) {
-  Analyzer session({.cache = false});
+  Analyzer session;
   AnalysisRequest request =
       AnalysisRequest::forDft(tree)
           .measure(MeasureSpec::unreliabilityBounds({0.5, 1.0, 2.0}))

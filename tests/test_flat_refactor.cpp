@@ -344,16 +344,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FlatCoreSeeds, ::testing::Range(0, 25));
 namespace imcdft::analysis {
 namespace {
 
-AnalyzerOptions coldOptions() {
-  AnalyzerOptions o;
-  o.cache = false;
-  return o;
-}
-
 AnalysisReport analyzeWithThreads(const dft::Dft& d, unsigned threads,
                                   std::vector<MeasureSpec> measures,
                                   EngineOptions engine = {}) {
-  Analyzer session(coldOptions());
+  Analyzer session;
   AnalysisRequest req = AnalysisRequest::forDft(d);
   req.options.engine = std::move(engine);
   req.options.engine.numThreads = threads;

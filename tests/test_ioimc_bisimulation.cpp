@@ -140,7 +140,7 @@ TEST(WeakBisim, PreservesNondeterministicTauChoice) {
   EXPECT_TRUE(q.markovian(init).empty());  // maximal progress
 }
 
-TEST(WeakBisim, OutputUrgencyOptionControlsRatePruning) {
+TEST(WeakBisim, OutputUrgencyPrunesRates) {
   auto symbols = makeSymbolTable();
   IOIMCBuilder b("urgent", symbols);
   StateId s0 = b.addState();
@@ -154,19 +154,12 @@ TEST(WeakBisim, OutputUrgencyOptionControlsRatePruning) {
   IOIMC m = std::move(b).build();
 
   // I/O-IMC urgency: the output fires immediately, the delay never does.
-  IOIMC urgent = aggregate(m, {.outputsUrgent = true});
+  IOIMC urgent = aggregate(m);
   bool delayedReachable = false;
   for (StateId s = 0; s < urgent.numStates(); ++s)
     if (urgent.hasLabel(s, urgent.labelIndex("delayed")))
       delayedReachable = true;
   EXPECT_FALSE(delayedReachable);
-
-  // Plain IMC semantics: visible actions can be blocked, the race stays.
-  IOIMC lazy = aggregate(m, {.outputsUrgent = false});
-  bool rateKept = false;
-  for (StateId s = 0; s < lazy.numStates(); ++s)
-    if (!lazy.markovian(s).empty()) rateKept = true;
-  EXPECT_TRUE(rateKept);
 }
 
 TEST(WeakBisim, QuotientIsIdempotent) {

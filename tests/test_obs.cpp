@@ -329,7 +329,7 @@ TEST(TraceObs, ClassicComposeCarriesStatesAndOverflow) {
             .measure(MeasureSpec::unreliability({1.0}));
     request.options.engine.staticCombine = false;
     request.budget.maxLiveStates = cap;
-    const AnalysisReport report = Analyzer({.cache = false}).analyze(request);
+    const AnalysisReport report = Analyzer().analyze(request);
     std::vector<std::uint64_t> composed;
     for (const analysis::CompositionStep& s : report.stats().steps)
       if (!s.onTheFly) composed.push_back(s.composedStates);
@@ -370,7 +370,7 @@ TEST(TraceObs, AggregationSpansCarryRefinementWork) {
                                   .measure(MeasureSpec::unreliability({1.0}));
     request.options.engine.staticCombine = false;
     request.options.engine.reference = reference;
-    Analyzer({.cache = false}).analyze(request);
+    Analyzer().analyze(request);
     std::size_t spans = 0;
     std::uint64_t encoded = 0;
     for (const obs::TraceRecord& rec : obs::snapshotTrace().records) {
@@ -421,7 +421,7 @@ TEST(TraceObs, AggregationRoundsArePinnedAndEncodesBounded) {
     AnalysisRequest request = AnalysisRequest::forDft(pin.tree).measure(
         MeasureSpec::unreliability({1.0}));
     request.options.engine.numThreads = 1;  // one thread: one span order
-    Analyzer({.cache = false}).analyze(request);
+    Analyzer().analyze(request);
     std::vector<std::uint64_t> rounds, passes;
     std::uint64_t encoded = 0;
     for (const obs::TraceRecord& rec : obs::snapshotTrace().records) {

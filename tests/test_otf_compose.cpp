@@ -451,7 +451,7 @@ using analysis::Reference;
 
 analysis::AnalysisReport analyzeWith(const dft::Dft& d, Reference reference,
                                      unsigned threads = 1) {
-  analysis::Analyzer session({.cache = false});
+  analysis::Analyzer session;
   analysis::AnalysisRequest req =
       analysis::AnalysisRequest::forDft(d)
           .measure(analysis::MeasureSpec::unreliability({0.5, 1.0, 2.0}));

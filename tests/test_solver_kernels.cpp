@@ -13,6 +13,7 @@
 #include "ctmc/fox_glynn.hpp"
 #include "ctmc/steady_state.hpp"
 #include "ctmc/transient.hpp"
+#include "ctmc/uniformized.hpp"
 #include "ctmdp/reachability.hpp"
 #include "dft/corpus.hpp"
 #include "dft/generate.hpp"
@@ -155,7 +156,7 @@ std::vector<double> rowTransient(const RowChain& chain,
   const ctmc::TransientOptions opts;
   const double maxExit = rowMaxExit(chain.rates);
   if (t == 0.0 || maxExit == 0.0) return initial;
-  const double lambda = opts.uniformizationSlack * maxExit;
+  const double lambda = ctmc::kUniformizationSlack * maxExit;
   ctmc::PoissonWeights pw = ctmc::poissonWeights(lambda * t, opts.epsilon);
   const std::size_t n = chain.rates.size();
   std::vector<double> current = std::move(initial), next(n), result(n, 0.0);
@@ -184,7 +185,7 @@ std::vector<std::vector<double>> rowTransientMulti(
     for (auto& o : out) o = initial;
     return out;
   }
-  const double lambda = opts.uniformizationSlack * maxExit;
+  const double lambda = ctmc::kUniformizationSlack * maxExit;
   const std::size_t n = chain.rates.size();
   std::vector<ctmc::PoissonWeights> windows(times.size());
   std::size_t maxRight = 0;
@@ -227,7 +228,7 @@ std::vector<double> rowSteady(const RowChain& chain,
     pi[chain.initial] = 1.0;
     return pi;
   }
-  const double lambda = opts.uniformizationSlack * maxExit;
+  const double lambda = ctmc::kUniformizationSlack * maxExit;
   std::vector<double> current(n, 0.0), next(n, 0.0);
   current[chain.initial] = 1.0;
   for (std::size_t iter = 0; iter < opts.maxIterations; ++iter) {
@@ -280,7 +281,7 @@ double rowReachability(const RowMdp& mdp, double t, bool maximize) {
   if (t == 0.0) return value[mdp.initial];
   const double maxExit = rowMaxExit(mdp.rates);
   if (maxExit == 0.0) return value[mdp.initial];
-  const double lambda = opts.uniformizationSlack * maxExit;
+  const double lambda = ctmc::kUniformizationSlack * maxExit;
   ctmc::PoissonWeights pw = ctmc::poissonWeights(lambda * t, opts.epsilon);
   std::vector<double> q(n, 0.0);
   for (ctmdp::StateId s = 0; s < n; ++s) value[s] = 0.0;

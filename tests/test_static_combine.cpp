@@ -34,16 +34,10 @@ std::vector<std::string> names(const dft::Dft& d,
   return out;
 }
 
-AnalyzerOptions coldOptions() {
-  AnalyzerOptions o;
-  o.cache = false;
-  return o;
-}
-
 AnalysisReport analyzeCold(const dft::Dft& d, bool staticCombine,
                            std::vector<double> grid = {0.5, 1.0, 2.0},
                            Reference reference = Reference::Production) {
-  Analyzer session(coldOptions());
+  Analyzer session;
   AnalysisRequest req = AnalysisRequest::forDft(d);
   req.options.engine.staticCombine = staticCombine;
   req.options.engine.reference = reference;
@@ -403,7 +397,7 @@ TEST(StaticCombine, SymmetricSiblingsShareOneCurve) {
   // Aggregation work is linear in the number of *shapes*, not modules:
   // with symmetry off every module is solved separately.
   AnalysisReport noSym = [] {
-    Analyzer session(coldOptions());
+    Analyzer session;
     AnalysisRequest req = AnalysisRequest::forDft(dft::corpus::clonedCas(4));
     req.options.engine.symmetry = false;
     req.measure(MeasureSpec::unreliability({1.0}));
@@ -433,7 +427,6 @@ TEST(StaticCombine, StepDerivedStatsAreAFoldOfTheSteps) {
   EXPECT_EQ(stats.peakAggregatedStates, folded.peakAggregatedStates);
   EXPECT_EQ(stats.peakAggregatedTransitions,
             folded.peakAggregatedTransitions);
-  EXPECT_EQ(stats.otfRefinePassesRun, folded.otfRefinePassesRun);
   EXPECT_GT(stats.peakComposedStates, 0u);
 }
 
@@ -489,7 +482,7 @@ TEST(StaticCombine, VariantsShareSolvedChainsAcrossTheSession) {
       AnalysisRequest::forGalileo(perturbed(0.4), "cs=0.4 regrid")
           .measure(MeasureSpec::unreliability({0.25, 0.75})));
   EXPECT_TRUE(regrid.fromCache);  // same tree+options: analysis shared
-  Analyzer cold(coldOptions());
+  Analyzer cold;
   AnalysisReport coldRegrid = cold.analyze(
       AnalysisRequest::forGalileo(perturbed(0.4), "cs=0.4 cold")
           .measure(MeasureSpec::unreliability({0.25, 0.75})));
@@ -522,7 +515,7 @@ TEST(StaticCombine, FrontierModulesShareTheTreeCache) {
     }
   }
 
-  Analyzer coldSession(coldOptions());
+  Analyzer coldSession;
   AnalysisReport cold = mttf(coldSession);
   ASSERT_TRUE(warm.allMeasuresOk());
   ASSERT_TRUE(cold.allMeasuresOk());
@@ -531,7 +524,7 @@ TEST(StaticCombine, FrontierModulesShareTheTreeCache) {
 
 TEST(StaticCombine, BoundsCollapseOnTheNumericPath) {
   AnalysisReport rep = [] {
-    Analyzer session(coldOptions());
+    Analyzer session;
     AnalysisRequest req = AnalysisRequest::forDft(dft::corpus::cas());
     req.measure(MeasureSpec::unreliability({1.0}))
         .measure(MeasureSpec::unreliabilityBounds({1.0}));
@@ -574,7 +567,7 @@ TEST(StaticCombine, FreeFunctionFacadeEvaluatesNumericAnalyses) {
   // A second cold request asks for the point value, a curve through the
   // same time and the scheduler bounds; on the numeric path all three
   // repeat the first request's value.
-  AnalysisReport again = Analyzer(coldOptions()).analyze(
+  AnalysisReport again = Analyzer().analyze(
       AnalysisRequest::forDft(dft::corpus::cas())
           .measure(MeasureSpec::unreliability({1.0}))
           .measure(MeasureSpec::unreliability({0.5, 1.0}))

@@ -232,17 +232,11 @@ TEST(RenameActions, CommutesWithComposeUpToStrongBisimulation) {
 namespace imcdft::analysis {
 namespace {
 
-AnalyzerOptions coldOptions() {
-  AnalyzerOptions o;
-  o.cache = false;
-  return o;
-}
-
 AnalysisReport analyzeCold(const dft::Dft& d, bool symmetry,
                            std::vector<MeasureSpec> measures,
                            unsigned threads = 1,
                            Reference reference = Reference::Production) {
-  Analyzer session(coldOptions());
+  Analyzer session;
   AnalysisRequest req = AnalysisRequest::forDft(d);
   req.options.engine.symmetry = symmetry;
   req.options.engine.numThreads = threads;

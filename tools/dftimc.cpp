@@ -95,8 +95,9 @@
 /// lines and `#` comments are skipped) — serves them concurrently over one
 /// shared Analyzer session on N worker threads (default: one per hardware
 /// thread), prints the results in input order, and ends with a summary of
-/// the session's cache, in-flight-dedup and store counters.  Concurrent
-/// identical requests perform exactly one aggregation; with --store, a
+/// the session's cache and store counters.  A request that misses the tree
+/// cache computes its analysis, even when a concurrent identical request
+/// is computing the same one; both print the same values.  With --store, a
 /// warm store turns repeated sweeps into pure record reads.
 ///
 /// Serve mode is fault-isolated: every request runs inside its own error
@@ -465,7 +466,7 @@ bool printMeasureResults(const imcdft::analysis::AnalysisReport& report) {
 
 /// Service mode: newline-delimited requests on stdin, served concurrently
 /// over one shared Analyzer session, results in input order, then a
-/// session summary (cache, in-flight dedup, store counters).
+/// session summary (cache and store counters).
 int runServe(const CliOptions& opts) {
   namespace analysis = imcdft::analysis;
   namespace obs = imcdft::obs;
@@ -515,8 +516,8 @@ int runServe(const CliOptions& opts) {
       if (times.empty()) times = opts.times;
       try {
         // Resolve the model text up front so a bad path or corpus name
-        // errors on its own line; the text form also keys dedup purely on
-        // content, not path identity.
+        // errors on its own line; the text form also keys the caches
+        // purely on content, not path identity.
         analysis::AnalysisRequest request =
             analysis::AnalysisRequest::forGalileo(resolveModelText(path),
                                                   path);
@@ -653,14 +654,11 @@ int runServe(const CliOptions& opts) {
                 "max %.3f\n",
                 pct(0.50), pct(0.95), pct(0.99), sorted.back());
   }
-  std::printf("  tree cache:      %zu hit(s), %zu miss(es), %zu in-flight "
-              "join(s)\n",
-              s.treeHits, s.treeMisses, s.inflightJoins);
+  std::printf("  tree cache:      %zu hit(s), %zu miss(es)\n", s.treeHits,
+              s.treeMisses);
   std::printf("  module cache:    %zu hit(s), %zu miss(es), %zu step(s) "
               "saved\n",
               s.moduleHits, s.moduleMisses, s.stepsSaved);
-  if (s.otfRefinePassesRun > 0)
-    std::printf("  otf refinement:  %zu pass(es) run\n", s.otfRefinePassesRun);
   if (!opts.storeDir.empty())
     std::printf("  store:           %zu hit(s), %zu miss(es), %zu write(s), "
                 "%zu error(s)\n",
@@ -731,8 +729,10 @@ int runOneShot(CliOptions& opts) {
         std::printf("\n");
       };
       if (fusedSteps > 0) {
-        std::printf("  otf refinement:  %zu pass(es) run\n",
-                    report.stats().otfRefinePassesRun);
+        std::size_t refinePasses = 0;
+        for (const analysis::CompositionStep& s : steps)
+          refinePasses += s.otfRefinePassesRun;
+        std::printf("  otf refinement:  %zu pass(es) run\n", refinePasses);
         std::printf("  otf stages [s]:  explore %.4f, refine %.4f, "
                     "collapse %.4f, finish %.4f",
                     spans.of("otf.explore"), spans.of("otf.refine"),
