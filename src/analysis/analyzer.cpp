@@ -112,7 +112,6 @@ std::string optionsKey(const AnalysisOptions& opts) {
   // (merge order, peaks, fused steps) differ, so cached analyses are keyed
   // per path.  Store records carry this key: the values may never move.
   static_assert(static_cast<int>(Reference::Production) == 0 &&
-                static_cast<int>(Reference::ClassicChain) == 1 &&
                 static_cast<int>(Reference::DeclarationOrder) == 2 &&
                 static_cast<int>(Reference::Unreduced) == 3 &&
                 static_cast<int>(Reference::FusedChain) == 5);
@@ -315,13 +314,8 @@ std::shared_ptr<store::QuotientStore> Analyzer::openStore(
 std::shared_ptr<const DftAnalysis> Analyzer::serveTree(
     const dft::Dft& tree, const std::string& key, const std::string& label,
     const AnalysisOptions& opts, CacheStats& requestStats,
-    const std::shared_ptr<store::QuotientStore>& store, Served& served) {
-  if (std::optional<std::shared_ptr<const DftAnalysis>> hit =
-          trees_.get(key)) {
-    served = Served::TreeCache;
-    return std::move(*hit);
-  }
-  served = Served::Pipeline;
+    const std::shared_ptr<store::QuotientStore>& store, bool& fromStore) {
+  fromStore = false;
   std::shared_ptr<const DftAnalysis> analysis;
   if (store) {
     // Whole-tree store probe: a hit skips conversion and composition
@@ -337,7 +331,7 @@ std::shared_ptr<const DftAnalysis> Analyzer::serveTree(
       rebuilt.nondeterministic = !rebuilt.absorbed.deterministic;
       rebuilt.composeSteps = loaded->steps;
       analysis = std::make_shared<DftAnalysis>(std::move(rebuilt));
-      served = Served::Store;
+      fromStore = true;
       ++requestStats.storeHits;
       obs::traceInstant("store-probe", label, {{"hit", 1}});
     } else {
@@ -409,14 +403,17 @@ std::shared_ptr<const DftAnalysis> Analyzer::runNumericPipeline(
       key += '\x1f';
       key += optsKey;
       key += ";nc=0";
-      Served served;
-      std::shared_ptr<const DftAnalysis> sub =
-          serveTree(moduleDft, key, name, opts, requestStats, store, served);
-      const std::size_t steps = sub->composeSteps;
       // A module served from the tree cache or from a whole-tree store
       // record is a hit, as a store-served module is on the composition
       // path: it saves every step that originally built it.
-      const bool hit = served != Served::Pipeline;
+      bool hit = true;
+      std::shared_ptr<const DftAnalysis> sub;
+      if (std::optional<std::shared_ptr<const DftAnalysis>> cached =
+              trees_.get(key))
+        sub = std::move(*cached);
+      else
+        sub = serveTree(moduleDft, key, name, opts, requestStats, store, hit);
+      const std::size_t steps = sub->composeSteps;
       obs::traceInstant("module-cache", name, {{"hit", hit ? 1u : 0u}});
       if (hit) {
         ++requestStats.moduleHits;
@@ -665,10 +662,10 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
       }
     }
     if (!analysis) {
-      Served served;
+      bool fromStore = false;
       analysis = serveTree(*tree, fullKey, request.label, options,
-                           report.cache, storeHandle, served);
-      if (served == Served::Store)
+                           report.cache, storeHandle, fromStore);
+      if (fromStore)
         report.diagnostics.push_back(
             {Severity::Info,
              "whole-tree quotient served from the persistent store "

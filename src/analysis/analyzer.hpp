@@ -133,26 +133,25 @@ class Analyzer {
 
  private:
   class SessionModuleCache;
-  /// Where serveTree() found its analysis.
-  enum class Served { TreeCache, Store, Pipeline };
 
   std::shared_ptr<const DftAnalysis> runPipeline(
       const dft::Dft& tree, const AnalysisOptions& opts,
       CacheStats& requestStats,
       const std::shared_ptr<store::QuotientStore>& store);
 
-  /// The full-composition analysis of \p tree under tree-cache key \p key:
-  /// the tree cache, then the store's whole-tree record, then runPipeline;
-  /// a fresh result is published to the store, and every result not served
-  /// from the tree cache is put into it.  \p label names the tree in trace
-  /// events; \p served reports the source.
+  /// The full-composition analysis of \p tree under tree-cache key \p key,
+  /// for a caller whose tree-cache probe of \p key missed: the store's
+  /// whole-tree record, else runPipeline, whose result is published to the
+  /// store; either way the result is put into the tree cache.  \p label
+  /// names the tree in trace events; \p fromStore reports a store hit.
   std::shared_ptr<const DftAnalysis> serveTree(
       const dft::Dft& tree, const std::string& key, const std::string& label,
       const AnalysisOptions& opts, CacheStats& requestStats,
-      const std::shared_ptr<store::QuotientStore>& store, Served& served);
+      const std::shared_ptr<store::QuotientStore>& store, bool& fromStore);
 
   /// The static-combination numeric path: per-module analyses (each
-  /// frontier module served by serveTree as a tree of its own) + BDD
+  /// frontier module probed in the tree cache, then served by serveTree as
+  /// a tree of its own) + BDD
   /// structure function over the frontier of \p layer (which must be
   /// eligible).  Returns null — after appending a Warning — when a module
   /// turns out nondeterministic; the caller then falls back to the full

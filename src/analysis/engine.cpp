@@ -41,27 +41,6 @@ void CompositionStats::foldSteps() {
 
 namespace {
 
-/// How a merge step picks its engine (see Reference).
-enum class StepEngine {
-  Classic,   ///< the classic chain; an over-cap product trips the budget
-  Measured,  ///< the classic chain until its product outgrows a cap, then fused
-  Fused,     ///< the fused engine
-};
-
-StepEngine stepEngine(const EngineOptions& opts) {
-  switch (opts.reference) {
-    case Reference::ClassicChain:
-    case Reference::Unreduced:
-      return StepEngine::Classic;
-    case Reference::FusedChain:
-      return StepEngine::Fused;
-    case Reference::Production:
-    case Reference::DeclarationOrder:
-      break;
-  }
-  return opts.cancel ? StepEngine::Measured : StepEngine::Classic;
-}
-
 /// The classic chain of one step: composes \p a and \p b, hides
 /// \p hidden, then collapses and aggregates (except on the Unreduced
 /// reference, which leaves all minimizing to finalize).  Records the
@@ -205,15 +184,20 @@ unsigned resolveThreads(unsigned requested) {
 
 /// Greedily folds the live entries of \p pool into one model, recording
 /// one CompositionStep per pairwise composition into \p steps.  planMerge
-/// picks each step's pair and stepEngine its engine; \p usedOutside reports
-/// whether an output action has consumers beyond this pool (null = none).
+/// picks each step's pair; \p usedOutside reports whether an output action
+/// has consumers beyond this pool (null = none).  FusedChain fuses every
+/// step; otherwise a step runs the classic chain, and only a capped request
+/// off the Unreduced reference hands an over-cap product to the fused
+/// engine (see Reference).
 std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
                       std::vector<std::size_t> live,
                       const EngineOptions& opts,
                       std::vector<CompositionStep>& steps,
                       const std::function<bool(ioimc::ActionId)>& usedOutside) {
   require(!live.empty(), "composeCommunity: empty module pool");
-  const StepEngine engine = stepEngine(opts);
+  const bool fuseEvery = opts.reference == Reference::FusedChain;
+  const bool stopAtCaps =
+      opts.cancel && opts.reference != Reference::Unreduced;
   while (live.size() > 1) {
     // One budget checkpoint per merge step: catches explosion between hot
     // loops (e.g. a pool whose pairwise products are individually cheap
@@ -234,9 +218,9 @@ std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
     stepSpan.arg("predicted",
                  static_cast<std::uint64_t>(std::min(plan.predicted, 0x1p63)));
     std::optional<IOIMC> result;
-    if (engine != StepEngine::Fused)
-      result = classicStep(*pool[a], *pool[b], plan.hidden, opts,
-                           engine == StepEngine::Measured, step);
+    if (!fuseEvery)
+      result = classicStep(*pool[a], *pool[b], plan.hidden, opts, stopAtCaps,
+                           step);
     if (!result) {
       ioimc::otf::OtfOptions fusedOpts;
       fusedOpts.weak = opts.weak;
@@ -957,8 +941,10 @@ EngineResult composeCommunity(Community community, const dft::Dft& dft,
   // The root module (whole tree) is the largest one containing top.
   // Trees where an element below the top is also watched by a gate
   // outside the top's dependency closure have no independent module
-  // around the top at all; the merge planner then folds the whole
-  // community as one pool.
+  // around the top at all; their tree is one root node, named after the
+  // top and without children, so the assignment below gives it every
+  // community model and the merge planner folds them as one pool.
+  modularizeSpan->arg("modules", modules.size());
   int rootNode = -1;
   for (std::size_t i = 0; i < modules.size(); ++i)
     if (parent[i] < 0 && std::binary_search(modules[i].members.begin(),
@@ -966,16 +952,10 @@ EngineResult composeCommunity(Community community, const dft::Dft& dft,
                                             dft.top()))
       rootNode = static_cast<int>(i);
   if (rootNode < 0) {
-    modularizeSpan.reset();
-    std::vector<std::size_t> live(slots.size());
-    for (std::size_t i = 0; i < live.size(); ++i) live[i] = i;
-    CompositionStats stats;
-    const bool merged = live.size() > 1;
-    const std::size_t finalIdx =
-        mergePool(slots, std::move(live), opts, stats.steps, nullptr);
-    stats.foldSteps();
-    return finishResult(
-        EngineResult{std::move(*slots[finalIdx]), std::move(stats)}, merged);
+    modules.clear();
+    nodes.assign(1, ModuleNode{dft.element(dft.top()).name, {}, {}});
+    parent.assign(1, -1);
+    rootNode = 0;
   }
   // Any other parentless module hangs off the root (conservative).
   for (std::size_t i = 0; i < modules.size(); ++i)
@@ -1002,8 +982,6 @@ EngineResult composeCommunity(Community community, const dft::Dft& dft,
     }
     nodes[best].ownModels.push_back(m);
   }
-
-  modularizeSpan->arg("modules", modules.size());
   modularizeSpan.reset();
 
   ModularAggregator aggregator(std::move(slots), std::move(nodes), rootNode,

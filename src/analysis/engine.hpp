@@ -22,35 +22,31 @@ namespace imcdft::analysis {
 /// Which composition path composeCommunity runs.  Production is the
 /// paper's algorithm as every caller runs it: independent modules fold
 /// first (Section 5.2), the merge planner orders each pool, and every step
-/// composes, hides, collapses and aggregates.  Every step first runs the
-/// classic chain, which is faster; under a capped request its compose
-/// gives up as soon as the product outgrows the live-state or memory cap
-/// (ioimc::composeWithinCaps), and only such a step runs the fused engine
-/// (ioimc::otf::otfComposeAggregate), whose live region can stay under the
-/// cap where the full product would not.  An uncapped request runs
-/// classic throughout.  Either engine runs a step on one thread.  Both
-/// engines emit the same canonical minimal quotient, so the choice never
-/// changes a bit; a fused step that cannot deliver it throws, it is never
-/// rerun on the classic chain.
+/// composes, hides, collapses and aggregates on the classic chain.  Under a
+/// capped request the classic compose gives up as soon as the product
+/// outgrows the live-state or memory cap (ioimc::composeWithinCaps), and
+/// only such a step runs the fused engine (ioimc::otf::otfComposeAggregate),
+/// whose live region can stay under the cap where the full product would
+/// not.  An uncapped request runs classic throughout, so it is also the
+/// classic reference the fused engine is checked against.  Either engine
+/// runs a step on one thread.  Both engines emit the same canonical minimal
+/// quotient, so the choice never changes a bit; a fused step that cannot
+/// deliver it throws, it is never rerun on the classic chain.
 /// The other values are reference paths that tests and the fuzz oracle
 /// compare against it.  (The values are part of the semantic cache key:
-/// every value is explicit, and a deleted one is never reused.)
+/// every value is explicit, and a deleted one — 1 and 4 — is never reused.)
 enum class Reference {
   Production = 0,
-  /// Every step runs the classic compose/hide/collapse/aggregate chain,
-  /// whose compose trips the budget on an over-cap product; the bitwise
-  /// reference of the fused engine.
-  ClassicChain = 1,
   /// The community folds left to right as converted (no module tree),
   /// each step on Production's engine: the cross-order reference, the
   /// same measures from a different merge order.
   DeclarationOrder = 2,
   /// No per-step collapse or aggregation, so finalize does all the
   /// minimizing: the state-space blow-up the paper's Section 4 warns
-  /// about.
+  /// about.  Every step runs the classic chain, whose compose trips the
+  /// budget on an over-cap product.
   Unreduced = 3,
-  /// Every step runs through the fused engine, whatever the caps.  (4 is
-  /// retired and never reused.)
+  /// Every step runs through the fused engine, whatever the caps.
   FusedChain = 5,
 };
 
@@ -103,8 +99,10 @@ struct EngineOptions {
   /// every hot loop below it (compose expansion, refinement iterations,
   /// the fused engine's frontier); an exhausted budget unwinds the whole
   /// composition with BudgetExceeded.  Its live-state and memory caps also
-  /// pick each Production step's engine (see Reference): a classic product
-  /// that outgrows them hands its step to the fused engine without a trip.
+  /// pick each step's engine on Production and DeclarationOrder (see
+  /// Reference): a classic product that outgrows them hands its step to the
+  /// fused engine without a trip.  Without a token every such step runs
+  /// classic.
   /// Deliberately NOT part of the semantic cache key (optionsKey): a budget
   /// never changes a result, only whether it is produced.  The Analyzer
   /// builds the token from AnalysisRequest::budget and mirrors it into

@@ -82,14 +82,14 @@ std::string compareReports(const analysis::AnalysisReport& ref,
     return diff <= relTol * std::max(std::fabs(a), std::fabs(b));
   };
   auto where = [&](const analysis::MeasureResult& m, std::size_t i) {
-    std::string loc = std::string(otherName) + " vs classic: " +
+    std::string loc = std::string(otherName) + " vs reference: " +
                       analysis::measureKindName(m.spec.kind);
     if (i < m.spec.times.size()) loc += "[t=" + shortFloat(m.spec.times[i]) + ']';
     return loc;
   };
 
   if (ref.measures.size() != other.measures.size())
-    return std::string(otherName) + " vs classic: measure count " +
+    return std::string(otherName) + " vs reference: measure count " +
            std::to_string(other.measures.size()) + " != " +
            std::to_string(ref.measures.size());
   for (std::size_t m = 0; m < ref.measures.size(); ++m) {
@@ -104,14 +104,14 @@ std::string compareReports(const analysis::AnalysisReport& ref,
     if (a.boundsSubstituted != b.boundsSubstituted)
       return where(a, a.spec.times.size()) +
              ": nondeterminism detected by only one engine (bounds "
-             "substituted: classic=" +
+             "substituted: reference=" +
              std::to_string(a.boundsSubstituted) + ", " + otherName + "=" +
              std::to_string(b.boundsSubstituted) + ')';
     if (a.values.size() != b.values.size() || a.bounds.size() != b.bounds.size())
       return where(a, a.spec.times.size()) + ": result shape mismatch";
     for (std::size_t i = 0; i < a.values.size(); ++i) {
       if (std::isnan(a.values[i]) || std::isnan(b.values[i]))
-        return where(a, i) + ": NaN (classic=" + hexFloat(a.values[i]) +
+        return where(a, i) + ": NaN (reference=" + hexFloat(a.values[i]) +
                ", " + otherName + '=' + hexFloat(b.values[i]) + ')';
       if (!close(a.values[i], b.values[i]))
         return where(a, i) + ": " + hexFloat(b.values[i]) +
@@ -217,10 +217,10 @@ std::string checkCoverage(const analysis::MeasureResult& exact, std::size_t i,
   }
   const double v = exact.values[i];
   if (std::isnan(v))
-    return "simulator vs classic: " + at + ": exact value is NaN";
+    return "simulator vs reference: " + at + ": exact value is NaN";
   const double tail = binomTail(est.runs, est.hits, v, /*upper=*/pHat >= v);
   if (tail < alpha)
-    return "simulator vs classic: " + at + describe(v, tail);
+    return "simulator vs reference: " + at + describe(v, tail);
   return {};
 }
 
@@ -236,15 +236,16 @@ OracleVerdict crossCheck(const dft::Dft& tree, const OracleOptions& opts) {
   if (verdict.repairable)
     measures.push_back(analysis::MeasureSpec::unavailability(opts.times));
 
-  // The exact-engine matrix.  Row 0 is the reference (ClassicChain: the
-  // paper's compose/hide/aggregate chain, sequential, no reductions); each
-  // later row enables features whose contract is bitwise identity with
-  // row 0: every step through the fused engine (FusedChain), then the
-  // production engine choice with threads and symmetry.
+  // The exact-engine matrix.  Row 0 is the reference (Production on one
+  // thread with symmetry off: the paper's compose/hide/aggregate chain on
+  // every merge whose product fits the cap, the fused engine on the
+  // others); each later row enables features whose contract is bitwise
+  // identity with row 0: every step through the fused engine (FusedChain),
+  // then threads and symmetry.
   // The last row routes through the static-combine numeric path where
   // eligible, whose contract is the 1e-9 band instead.
   const ExactConfig configs[] = {
-      {"classic", analysis::Reference::ClassicChain, 1, false, false},
+      {"reference", analysis::Reference::Production, 1, false, false},
       {"otf", analysis::Reference::FusedChain, 1, false, false},
       {"parallel", analysis::Reference::Production, opts.parallelThreads, true,
        false},

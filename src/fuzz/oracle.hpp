@@ -13,10 +13,10 @@
 ///
 /// Agreement contract (also documented in docs/ARCHITECTURE.md):
 ///
-///  * *Bitwise* among the exact composition configurations — the
-///    ClassicChain reference (analysis::Reference; 1 thread, symmetry off)
-///    is the reference, and the fused engine on every step (FusedChain),
-///    the Production path's per-step engine choice, the multi-threaded
+///  * *Bitwise* among the exact composition configurations — Production
+///    on 1 thread with symmetry off (analysis::Reference; the classic
+///    chain on every merge whose product fits the cap) is the reference,
+///    and the fused engine on every step (FusedChain), the multi-threaded
 ///    module pool and the symmetry reduction are all engineered to be
 ///    bit-identical to it.
 ///    Any differing bit is a bug by definition.

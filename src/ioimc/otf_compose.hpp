@@ -50,8 +50,10 @@
 /// number of live states/transitions stays at the scale of the running
 /// quotient instead of the full product.  A violated invariant throws
 /// ModelError: a fused step either returns those bytes or fails.
-/// analysis::Reference::Production runs it on the steps whose classic
-/// product outgrows a request cap; FusedChain runs it on every step.
+/// analysis::Reference::Production (and DeclarationOrder) runs it only on
+/// the steps whose classic product outgrows a request cap, so an uncapped
+/// run never fuses and is the classic reference it is checked against;
+/// FusedChain runs it on every step.
 ///
 /// A step runs entirely on the calling thread, exploration and every
 /// refinement alike; the engine's only concurrency is one layer up, where

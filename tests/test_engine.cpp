@@ -71,8 +71,9 @@ TEST(Engine, DeclarationSkipsModuleBookkeeping) {
 
 TEST(Engine, TreeWithoutATopModuleMergesAsOnePool) {
   // "Side" watches A from outside the top's dependency closure, so no
-  // independent module contains the top: the merge planner folds the
-  // whole community as one pool and records no modules.
+  // independent module contains the top: the module tree is one root node,
+  // named after the top, that holds every community model, so the merge
+  // planner folds the whole community as one pool and records one module.
   dft::Dft d = dft::DftBuilder()
                    .basicEvent("A", 1.0)
                    .basicEvent("B", 2.0)
@@ -81,7 +82,8 @@ TEST(Engine, TreeWithoutATopModuleMergesAsOnePool) {
                    .top("Top")
                    .build();
   EngineResult r = run(d);
-  EXPECT_TRUE(r.stats.modules.empty());
+  ASSERT_EQ(r.stats.modules.size(), 1u);
+  EXPECT_EQ(r.stats.modules[0].name, "Top");
   EXPECT_EQ(r.stats.steps.size(), convertDft(d).models.size() - 1);
   EXPECT_TRUE(r.model.isClosed());
   EngineOptions decl;

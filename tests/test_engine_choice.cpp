@@ -12,18 +12,21 @@
 #include "common/cancel.hpp"
 #include "dft/corpus.hpp"
 #include "dft/generate.hpp"
+#include "ioimc/builder.hpp"
+#include "ioimc/compose.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 /// \file test_engine_choice.cpp
-/// The per-step engine choice of Reference::Production (stepEngine in
+/// The per-step engine choice of Reference::Production (mergePool in
 /// analysis/engine.cpp): under a capped request every merge first runs the
 /// classic chain, whose compose gives up once the product outgrows the
-/// live-state or memory cap; only such a merge runs the fused engine.
-/// Both engines emit the same canonical quotient, so Production,
-/// FusedChain and ClassicChain must agree bit for bit, and Production must
-/// trip exactly where FusedChain trips (on generated trees:
-/// Planner.LiveStateCapTripsExactlyTheKnownSeeds).
+/// live-state or memory cap; only such a merge runs the fused engine.  An
+/// uncapped Production run is the classic chain throughout, the reference
+/// of these tests.  Both engines emit the same canonical quotient, so
+/// capped and uncapped Production and FusedChain must agree bit for bit,
+/// and Production must trip exactly where FusedChain trips (on generated
+/// trees: Planner.LiveStateCapTripsExactlyTheKnownSeeds).
 
 namespace imcdft {
 namespace {
@@ -84,13 +87,13 @@ std::size_t charge(const CompositionStep& s) {
 }
 
 TEST(EngineChoice, StepsWithinTheLiveCapRunClassic) {
-  // Step i of Production fuses exactly when step i of an uncapped
-  // ClassicChain run composed more than the cap's states: the plan reads
-  // only sizes and signatures, so both runs take the same steps.
-  // pand_4x3's last merge has the bound 902 x 14 = 12,628 but reaches
-  // only 9,925 states, so it runs classic under 10,000 and fuses under
-  // 9,000; the generated seeds need the fused engine on their largest
-  // merges under 30,000 (ClassicChain trips there).
+  // Step i of a capped Production run fuses exactly when step i of an
+  // uncapped one composed more than the cap's states: the plan reads only
+  // sizes and signatures, so both runs take the same steps.  pand_4x3's
+  // last merge has the bound 902 x 14 = 12,628 but reaches only 9,925
+  // states, so it runs classic under 10,000 and fuses under 9,000; the
+  // generated seeds need the fused engine on their largest merges under
+  // 30,000.
   const struct {
     const char* name;
     dft::Dft tree;
@@ -106,7 +109,7 @@ TEST(EngineChoice, StepsWithinTheLiveCapRunClassic) {
   for (const auto& c : cases) {
     SCOPED_TRACE(std::string(c.name) + " under " + std::to_string(c.cap));
     const std::vector<CompositionStep> classic =
-        analyze(c.tree, Reference::ClassicChain).stats().steps;
+        analyze(c.tree, Reference::Production).stats().steps;
     const AnalysisReport report =
         analyze(c.tree, Reference::Production, liveCap(c.cap));
     const std::vector<CompositionStep>& steps = report.stats().steps;
@@ -142,7 +145,7 @@ TEST(EngineChoice, StepsOverTheMemoryCapRunFused) {
   // the steps whose product charge exceeds the cap fuse, and their live
   // regions stay below it.
   const dft::Dft tree = dft::corpus::cascadedPand(4, 3);
-  const AnalysisReport classic = analyze(tree, Reference::ClassicChain);
+  const AnalysisReport classic = analyze(tree, Reference::Production);
   const std::vector<CompositionStep>& classicSteps = classic.stats().steps;
   std::size_t largest = 0;
   for (const CompositionStep& s : classicSteps)
@@ -164,19 +167,43 @@ TEST(EngineChoice, StepsOverTheMemoryCapRunFused) {
   EXPECT_EQ(bits(report), bits(classic));
 }
 
+/// A cycle of \p n states, each with two Markovian transitions forward.
+ioimc::IOIMC markovCycle(const std::string& name,
+                         const ioimc::SymbolTablePtr& symbols,
+                         ioimc::StateId n) {
+  ioimc::IOIMCBuilder b(name, symbols);
+  for (ioimc::StateId s = 0; s < n; ++s) b.addState();
+  b.setInitial(0);
+  for (ioimc::StateId s = 0; s < n; ++s) {
+    b.markovian(s, 1.0, (s + 1) % n);
+    b.markovian(s, 2.0, (s + 2) % n);
+  }
+  return std::move(b).build();
+}
+
 TEST(EngineChoice, ClassicComposeChargesEveryTransition) {
-  // pand_4x3's largest product has 9,925 states, 917 interactive and
-  // 75,658 Markovian transitions.  A memory cap that holds its states and
-  // half its transitions is far above the interactive-only charge, so
-  // only a compose that charges the Markovian transitions too trips on it.
-  const dft::Dft tree = dft::corpus::cascadedPand(4, 3);
-  const AnalysisReport classic = analyze(tree, Reference::ClassicChain);
-  analysis::Budget budget;
-  budget.maxMemoryBytes =
-      CancelToken::roughBytes(classic.stats().peakComposedStates, 0) +
-      CancelToken::roughBytes(0, classic.stats().peakComposedTransitions) / 2;
+  // Two independent Markovian cycles of 64 states: their product has 4,096
+  // states, 16,384 Markovian and no interactive transitions.  A memory cap
+  // that holds its states and half its transitions is above the charge of
+  // the states and interactive transitions, so only a compose that charges
+  // the Markovian transitions too trips on it.
+  const ioimc::SymbolTablePtr symbols = ioimc::makeSymbolTable();
+  const ioimc::IOIMC a = markovCycle("A", symbols, 64);
+  const ioimc::IOIMC b = markovCycle("B", symbols, 64);
+  const ioimc::IOIMC product = ioimc::compose(a, b);
+  ASSERT_EQ(product.numStates(), 4096u);
+  ASSERT_EQ(product.numInteractiveTransitions(), 0u);
+  const std::size_t markovian = product.numMarkovianTransitions();
+  ASSERT_EQ(markovian, 16384u);
+  CancelToken fits;
+  fits.limitMemoryBytes(
+      CancelToken::roughBytes(product.numStates(), markovian));
+  EXPECT_EQ(ioimc::compose(a, b, &fits).numStates(), product.numStates());
+  CancelToken half;
+  half.limitMemoryBytes(CancelToken::roughBytes(product.numStates(), 0) +
+                        CancelToken::roughBytes(0, markovian) / 2);
   try {
-    analyze(tree, Reference::ClassicChain, budget);
+    ioimc::compose(a, b, &half);
     FAIL() << "expected BudgetExceeded";
   } catch (const BudgetExceeded& e) {
     EXPECT_EQ(e.checkpoint(), "compose");
@@ -227,11 +254,10 @@ TEST(EngineChoice, ReferencesBitIdenticalAcrossCorpus) {
   std::size_t mixed = 0;
   for (const auto& f : families) {
     SCOPED_TRACE(f.name);
-    const AnalysisReport classic = analyze(f.tree, Reference::ClassicChain);
+    const AnalysisReport classic = analyze(f.tree, Reference::Production);
     const std::vector<std::uint64_t> want = bits(classic);
     ASSERT_FALSE(want.empty());
     EXPECT_EQ(bits(analyze(f.tree, Reference::FusedChain)), want);
-    EXPECT_EQ(bits(analyze(f.tree, Reference::Production)), want);
     // A cap just below the classic chain's largest product sends that
     // merge to the fused engine: Production finishes exactly when
     // FusedChain does, and then with the same bits.

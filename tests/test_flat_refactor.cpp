@@ -404,11 +404,11 @@ TEST(FlatRefactorGolden, MeasuresMatchPreRefactorPipeline) {
        kUnchecked},
   };
   // The protocol the values were captured under: symmetry and static
-  // combination off, on the ClassicChain reference.
+  // combination off, on an uncapped Production run (the classic chain on
+  // every step).
   EngineOptions capture;
   capture.symmetry = false;
   capture.staticCombine = false;
-  capture.reference = Reference::ClassicChain;
   for (const Golden& g : goldens) {
     const dft::Dft& d = g.tree;
     std::vector<MeasureSpec> specs{MeasureSpec::unreliability(kGrid)};

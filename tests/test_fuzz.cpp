@@ -44,7 +44,7 @@ TEST(Oracle, AgreesOnCorpusModels) {
                     dft::corpus::figure10c, dft::corpus::mutexSwitch}) {
     const OracleVerdict verdict = crossCheck(make(), fastOracle());
     EXPECT_TRUE(verdict.agreed()) << verdict.detail;
-    // classic, otf, parallel, static — the full exact matrix.
+    // reference, otf, parallel, static — the full exact matrix.
     EXPECT_EQ(verdict.configsCompared, 4u);
   }
 }
@@ -95,6 +95,19 @@ TEST(Oracle, AgreesOnGeneratedSeedBlock) {
     EXPECT_FALSE(verdict.disagreed()) << "seed " << seed << ": "
                                       << verdict.detail;
   }
+}
+
+TEST(Oracle, FormerClassicTripsAreCrossChecked) {
+  // Generated seed 67's last merge builds 23,995 states under the fused
+  // engine but outgrows a 30,000 live-state cap on the classic chain.  The
+  // reference row (Production) hands that merge to the fused engine, so
+  // the oracle compares the whole matrix instead of skipping the tree.
+  OracleOptions opts = fastOracle();
+  opts.simRuns = 500;
+  opts.maxLiveStates = 30'000;
+  const OracleVerdict verdict = crossCheck(dft::generateDft(67), opts);
+  EXPECT_TRUE(verdict.agreed()) << verdict.detail;
+  EXPECT_EQ(verdict.configsCompared, 4u);
 }
 
 TEST(Oracle, ReplayCommandNamesBothTools) {

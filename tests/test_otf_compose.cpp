@@ -22,8 +22,8 @@
 /// for any compatible pair and hide set, otfComposeAggregate must produce
 /// exactly aggregateFixpoint(collapseUnobservableSinks(hide(compose(a,b))))
 /// — same states, same transition bytes, same rates — because only then are
-/// all downstream measures bit-identical between the Production and
-/// ClassicChain references.
+/// all downstream measures bit-identical between a capped Production run,
+/// which fuses its over-cap steps, and an uncapped one, which never fuses.
 /// Random models here are deliberately nastier than converted DFTs
 /// (rampant nondeterminism, tau cycles, dead regions), and the fused
 /// engine's refinement threshold is dropped to 4 so that collapses happen
@@ -140,7 +140,7 @@ std::vector<ActionId> detailHiddenAll(const IOIMC& a, const IOIMC& b) {
   return outs;
 }
 
-TEST(OtfCompose, RandomPairsHideAllMatchClassicChain) {
+TEST(OtfCompose, RandomPairsHideAllMatchClassic) {
   for (unsigned seed = 0; seed < 60; ++seed) {
     std::mt19937 rng(seed);
     auto symbols = makeSymbolTable();
@@ -154,7 +154,7 @@ TEST(OtfCompose, RandomPairsHideAllMatchClassicChain) {
   }
 }
 
-TEST(OtfCompose, RandomPairsHideSubsetMatchClassicChain) {
+TEST(OtfCompose, RandomPairsHideSubsetMatchClassic) {
   for (unsigned seed = 100; seed < 160; ++seed) {
     std::mt19937 rng(seed);
     auto symbols = makeSymbolTable();
@@ -170,7 +170,7 @@ TEST(OtfCompose, RandomPairsHideSubsetMatchClassicChain) {
   }
 }
 
-TEST(OtfCompose, RandomChainsMatchClassicChain) {
+TEST(OtfCompose, RandomChainsMatchClassic) {
   // Fold three models left to right through both engines, hiding all
   // outputs that are not consumed further — the shape of the engine's
   // chain of top-level compositions.
@@ -444,7 +444,8 @@ TEST(OtfCompose, IntermediateWorkKeepsItsCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level: Production vs ClassicChain over whole corpus pipelines
+// Engine-level: FusedChain vs uncapped Production (the classic chain on
+// every step) over whole corpus pipelines
 // ---------------------------------------------------------------------------
 
 using analysis::Reference;
@@ -484,7 +485,7 @@ TEST(OtfEngine, MeasuresBitIdenticalAcrossCorpus) {
       {"fig10b", dft::corpus::figure10b()},
   };
   for (const auto& f : families) {
-    analysis::AnalysisReport off = analyzeWith(f.tree, Reference::ClassicChain);
+    analysis::AnalysisReport off = analyzeWith(f.tree, Reference::Production);
     analysis::AnalysisReport on = analyzeWith(f.tree, Reference::FusedChain);
     ASSERT_TRUE(on.measures[0].ok && off.measures[0].ok) << f.name;
     // The whole point: not close, *identical*.
@@ -518,7 +519,7 @@ TEST(OtfEngine, FusedPeakBelowClassicOnDeepFamilies) {
   };
   for (const auto& f : families) {
     SCOPED_TRACE(f.name);
-    analysis::AnalysisReport off = analyzeWith(f.tree, Reference::ClassicChain);
+    analysis::AnalysisReport off = analyzeWith(f.tree, Reference::Production);
     analysis::AnalysisReport on = analyzeWith(f.tree, Reference::FusedChain);
     ASSERT_TRUE(on.measures[0].ok && off.measures[0].ok);
     EXPECT_EQ(on.measures[0].values, off.measures[0].values);

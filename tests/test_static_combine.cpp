@@ -35,12 +35,10 @@ std::vector<std::string> names(const dft::Dft& d,
 }
 
 AnalysisReport analyzeCold(const dft::Dft& d, bool staticCombine,
-                           std::vector<double> grid = {0.5, 1.0, 2.0},
-                           Reference reference = Reference::Production) {
+                           std::vector<double> grid = {0.5, 1.0, 2.0}) {
   Analyzer session;
   AnalysisRequest req = AnalysisRequest::forDft(d);
   req.options.engine.staticCombine = staticCombine;
-  req.options.engine.reference = reference;
   req.measure(MeasureSpec::unreliability(std::move(grid)));
   return session.analyze(req);
 }
@@ -290,8 +288,7 @@ TEST(StaticCombine, WideFamiliesStayAtModuleSize) {
   const std::vector<double> grid{0.5, 1.0, 2.0};
   for (const Family& f : families) {
     SCOPED_TRACE(f.name);
-    AnalysisReport on =
-        analyzeCold(f.tree, true, grid, Reference::ClassicChain);
+    AnalysisReport on = analyzeCold(f.tree, true, grid);
     ASSERT_TRUE(on.measures[0].ok);
     ASSERT_TRUE(on.analysis->staticCombo != nullptr);
     EXPECT_EQ(on.analysis->staticCombo->modules().size(), f.modules);
@@ -299,8 +296,7 @@ TEST(StaticCombine, WideFamiliesStayAtModuleSize) {
     EXPECT_LT(on.stats().peakComposedStates, f.peakBound);
     for (double v : on.measures[0].values) EXPECT_FALSE(std::isnan(v));
     if (!f.compose) continue;
-    AnalysisReport off =
-        analyzeCold(f.tree, false, grid, Reference::ClassicChain);
+    AnalysisReport off = analyzeCold(f.tree, false, grid);
     ASSERT_TRUE(off.measures[0].ok);
     EXPECT_TRUE(agreeRel(on.measures[0].values, off.measures[0].values, 1e-9));
     EXPECT_LE(on.stats().peakComposedStates, off.stats().peakComposedStates);

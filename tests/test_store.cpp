@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -628,6 +629,30 @@ TEST(Store, UnusableStoreDirectoryDegradesSoftly) {
   EXPECT_TRUE(
       hasDiagnostic(report, Severity::Warning, "quotient store disabled"));
   EXPECT_NEAR(report.measures[0].values.at(0), 0.6579, 1e-3);
+}
+
+TEST(Store, ProductionRecordNamesArePinned) {
+  // A record's file name hashes its key, and every key ends in the
+  // session's optionsKey: records already on disk stay reachable only
+  // while the Production key is byte-identical.  These are the names a
+  // default-options `corpus:cas` request wrote when they were captured; a
+  // change to optionsKey, the canonical tree key or the module key shows
+  // up here as a rename.
+  const std::string dir = freshDir("pinned_names");
+  Analyzer session;
+  AnalysisRequest request =
+      AnalysisRequest::forGalileo(dft::corpus::galileoCas(), "cas")
+          .measure(MeasureSpec::unreliability({1.0}));
+  request.options.engine.storeDir = dir;
+  ASSERT_TRUE(session.analyze(request).allMeasuresOk());
+  std::vector<std::string> names;
+  for (const fs::directory_entry& e : fs::directory_iterator(dir))
+    names.push_back(e.path().filename().string());
+  std::sort(names.begin(), names.end());
+  const std::vector<std::string> pinned{
+      "q7d65878ac35e5db2.imcq", "t014920b302635477.imcq",
+      "ted8152d7787d191b.imcq", "tf6531860e9bbeb5a.imcq"};
+  EXPECT_EQ(names, pinned);
 }
 
 

@@ -234,13 +234,11 @@ namespace {
 
 AnalysisReport analyzeCold(const dft::Dft& d, bool symmetry,
                            std::vector<MeasureSpec> measures,
-                           unsigned threads = 1,
-                           Reference reference = Reference::Production) {
+                           unsigned threads = 1) {
   Analyzer session;
   AnalysisRequest req = AnalysisRequest::forDft(d);
   req.options.engine.symmetry = symmetry;
   req.options.engine.numThreads = threads;
-  req.options.engine.reference = reference;
   // These tests probe the composition engine's symmetry machinery; the
   // static-combination numeric path would bypass the top-level fold (its
   // own symmetry counters are covered in test_static_combine.cpp).
@@ -364,10 +362,8 @@ TEST(EngineSymmetry, ReplicaFamiliesAggregateOncePerShape) {
     SCOPED_TRACE(f.name);
     const std::vector<MeasureSpec> grid{
         MeasureSpec::unreliability({0.5, 1.0, 2.0})};
-    AnalysisReport off =
-        analyzeCold(f.tree, false, grid, 1, Reference::ClassicChain);
-    AnalysisReport on =
-        analyzeCold(f.tree, true, grid, 1, Reference::ClassicChain);
+    AnalysisReport off = analyzeCold(f.tree, false, grid);
+    AnalysisReport on = analyzeCold(f.tree, true, grid);
     ASSERT_TRUE(off.measures[0].ok && on.measures[0].ok);
     EXPECT_EQ(off.measures[0].values, on.measures[0].values);
     for (double v : on.measures[0].values) EXPECT_FALSE(std::isnan(v));
