@@ -49,15 +49,19 @@ std::vector<std::vector<double>> transientDistributions(
     const Ctmc& chain, std::vector<double> initial,
     const std::vector<double>& times, const TransientOptions& opts = {});
 
-/// P(state carries \p label at time \p t).  With failure states made
-/// absorbing this is exactly the paper's unreliability measure; without, it
-/// is the instantaneous unavailability of Section 7.2.
+/// P(state carries \p label at time \p t): the one-point labelCurve.  With
+/// failure states made absorbing this is exactly the paper's unreliability
+/// measure; without, it is the instantaneous unavailability of Section 7.2.
 double probabilityOfLabelAt(const Ctmc& chain, const std::string& label,
                             double t, const TransientOptions& opts = {});
 
 /// Evaluates probabilityOfLabelAt over many time points through one shared
-/// uniformization sweep (transientDistributions); this is the inner loop of
-/// every time-grid measure, including the static-combination numeric path.
+/// uniformization sweep; this is the inner loop of every time-grid measure,
+/// including the static-combination numeric path.  Each iterate's mass on
+/// the labelled states is summed once and weighted per point, so each
+/// point is bitwise identical to a one-point curve (and to
+/// probabilityOfLabelAt, which is one).  With one labelled state this is
+/// also bitwise the labelled entry of transientDistributions.
 std::vector<double> labelCurve(const Ctmc& chain, const std::string& label,
                                const std::vector<double>& times,
                                const TransientOptions& opts = {});

@@ -11,6 +11,7 @@
 #include "ioimc/ops.hpp"
 #include "ioimc/signature_interner.hpp"
 #include "ioimc/tau_closure.hpp"
+#include "obs/trace.hpp"
 
 namespace imcdft::ioimc {
 
@@ -18,7 +19,7 @@ namespace {
 
 using Role = ActionRole;
 
-/// Tau-reachability and stability (see tau_closure.hpp).
+/// Tau closures, weak visible moves and stability (see tau_closure.hpp).
 using TauInfo = detail::TauClosure;
 
 /// The partition by label mask, with each state flagged in \p pinned (when
@@ -161,6 +162,28 @@ Partition refineBySignature(Partition p, const char* site,
   return p;
 }
 
+/// A set of classes that empties in O(1): a class is in it when its mark
+/// holds the current epoch.
+struct ClassStamps {
+  std::vector<std::uint32_t> mark;
+  std::uint32_t epoch = 0;
+
+  void clear(std::uint32_t numClasses) {
+    if (mark.size() < numClasses) mark.resize(numClasses, 0);
+    if (++epoch == 0) {  // wrapped: forget every old mark
+      std::fill(mark.begin(), mark.end(), 0);
+      epoch = 1;
+    }
+  }
+  bool contains(std::uint32_t c) const { return mark[c] == epoch; }
+  /// Adds \p c; returns whether it was new.
+  bool insert(std::uint32_t c) {
+    if (contains(c)) return false;
+    mark[c] = epoch;
+    return true;
+  }
+};
+
 /// Reusable scratch buffers for one state's weak-signature encoding.
 struct WeakScratch {
   std::vector<std::uint32_t> tauTargets;
@@ -168,88 +191,48 @@ struct WeakScratch {
   std::vector<std::pair<std::uint32_t, double>> raw;
   std::vector<std::uint64_t> rateTokens;  ///< class/rate-bits pairs, flat
   std::vector<std::pair<std::uint32_t, std::uint32_t>> rateVecs;  ///< ranges
+  ClassStamps tauStamps;      ///< the classes in tauTargets
+  ClassStamps visibleStamps;  ///< one action's visible target classes
 };
-
-/// The partition-independent half of every state's weak visible moves:
-/// row s holds the deduplicated (action << 32 | target state) pairs with
-/// s =tau*=> -a-> =tau*=> target for a visible a, sorted.  Built once per
-/// refinement, so a pass only maps the targets through the partition
-/// instead of re-walking two tau closures per visible edge.
-struct WeakMoves {
-  std::vector<std::size_t> offsets;
-  std::vector<std::uint64_t> moves;
-  std::span<const std::uint64_t> row(StateId s) const {
-    return {moves.data() + offsets[s], offsets[s + 1] - offsets[s]};
-  }
-};
-
-WeakMoves collectWeakMoves(const IOIMC& m, const TauInfo& tau,
-                           const std::vector<Role>& roles, const char* site,
-                           const CancelToken* cancel) {
-  const std::size_t n = m.numStates();
-  WeakMoves w;
-  w.offsets.reserve(n + 1);
-  w.offsets.push_back(0);
-  std::vector<std::uint64_t> direct;  // (action, successor) before tau*
-  for (StateId s = 0; s < n; ++s) {
-    if (cancel && (s & 1023u) == 1023u) cancel->checkpoint(site, n);
-    direct.clear();
-    for (StateId u : tau.closure(s))
-      for (const auto& t : m.interactive(u))
-        if (roles[t.action] != Role::Internal)
-          direct.push_back((static_cast<std::uint64_t>(t.action) << 32) |
-                           t.to);
-    std::sort(direct.begin(), direct.end());
-    direct.erase(std::unique(direct.begin(), direct.end()), direct.end());
-    const std::size_t begin = w.moves.size();
-    for (std::uint64_t move : direct)
-      for (StateId v : tau.closure(static_cast<StateId>(move)))
-        w.moves.push_back((move & ~std::uint64_t{0xffffffff}) | v);
-    std::sort(w.moves.begin() + static_cast<std::ptrdiff_t>(begin),
-              w.moves.end());
-    w.moves.erase(std::unique(w.moves.begin() +
-                                  static_cast<std::ptrdiff_t>(begin),
-                              w.moves.end()),
-                  w.moves.end());
-    w.offsets.push_back(w.moves.size());
-  }
-  return w;
-}
 
 /// State \p s's weak signature under partition \p p, left in \p ws:
 /// the sorted classes it reaches by tau*, its sorted weak visible moves
 /// (action << 32 | class) and the sorted, deduplicated rate vectors of its
 /// stable tau-derivatives, each a run of (class, rate-bits) token pairs in
 /// ws.rateTokens.
-void signWeak(const IOIMC& m, const TauInfo& tau, const WeakMoves& weak,
+void signWeak(const IOIMC& m, const TauInfo& tau,
               const std::vector<Role>& roles, const Partition& p, StateId s,
               WeakScratch& ws) {
   auto closure = tau.closure(s);
 
+  // Distinct classes first (stamped), then only those get sorted.
   ws.tauTargets.clear();
-  for (StateId u : closure) ws.tauTargets.push_back(p.classOf[u]);
-  if (closure.size() > 1) {
-    std::sort(ws.tauTargets.begin(), ws.tauTargets.end());
-    ws.tauTargets.erase(
-        std::unique(ws.tauTargets.begin(), ws.tauTargets.end()),
-        ws.tauTargets.end());
-  }
+  ws.tauStamps.clear(p.numClasses);
+  for (StateId u : closure)
+    if (ws.tauStamps.insert(p.classOf[u]))
+      ws.tauTargets.push_back(p.classOf[u]);
+  std::sort(ws.tauTargets.begin(), ws.tauTargets.end());
 
+  // The moves are sorted by action, so each action's distinct target
+  // classes are collected (stamped) and sorted on their own.
   ws.visible.clear();
-  for (std::uint64_t move : weak.row(s)) {
-    const ActionId action = static_cast<ActionId>(move >> 32);
-    const std::uint32_t c = p.classOf[static_cast<StateId>(move)];
-    // Implicit input self-loops make every tau-target an input target for
-    // free; recording those adds no discriminating power, so filter them
-    // to obtain the coarsest (minimal) quotient.
-    if (roles[action] == Role::Input &&
-        std::binary_search(ws.tauTargets.begin(), ws.tauTargets.end(), c))
-      continue;
-    ws.visible.push_back((static_cast<std::uint64_t>(action) << 32) | c);
+  const auto moves = tau.moves(s);
+  for (std::size_t i = 0; i < moves.size();) {
+    const ActionId action = static_cast<ActionId>(moves[i] >> 32);
+    const std::uint64_t tag = static_cast<std::uint64_t>(action) << 32;
+    const std::size_t begin = ws.visible.size();
+    ws.visibleStamps.clear(p.numClasses);
+    for (; i < moves.size() && (moves[i] >> 32) == action; ++i) {
+      const std::uint32_t c = p.classOf[static_cast<StateId>(moves[i])];
+      // Implicit input self-loops make every tau-target an input target
+      // for free; recording those adds no discriminating power, so filter
+      // them to obtain the coarsest (minimal) quotient.
+      if (roles[action] == Role::Input && ws.tauStamps.contains(c)) continue;
+      if (ws.visibleStamps.insert(c)) ws.visible.push_back(tag | c);
+    }
+    std::sort(ws.visible.begin() + static_cast<std::ptrdiff_t>(begin),
+              ws.visible.end());
   }
-  std::sort(ws.visible.begin(), ws.visible.end());
-  ws.visible.erase(std::unique(ws.visible.begin(), ws.visible.end()),
-                   ws.visible.end());
 
   ws.rateTokens.clear();
   ws.rateVecs.clear();
@@ -310,16 +293,6 @@ void appendWeakTokens(const WeakScratch& ws, std::vector<std::uint64_t>& out) {
   }
 }
 
-/// The tau closure of \p m with every state flagged in \p pinned (when
-/// non-null) unstable.
-TauInfo tauClosure(const IOIMC& m, const std::vector<std::uint8_t>* pinned) {
-  TauInfo tau = detail::computeTauClosure(m);
-  if (pinned)
-    for (StateId s = 0; s < m.numStates(); ++s)
-      if ((*pinned)[s]) tau.stable[s] = false;
-  return tau;
-}
-
 /// Everything a weak refinement of one model reads besides the partition.
 /// Pinned states (when \p pinned is set) start alone in their class and
 /// never count as stable; every checkpoint reports \p site.
@@ -327,26 +300,32 @@ struct WeakContext {
   const IOIMC& m;
   const char* site;
   const std::vector<std::uint8_t>* pinned;
-  TauInfo tau;
   std::vector<Role> roles;
-  WeakMoves weak;
+  TauInfo tau;
 
+  /// Builds the tau closures and weak moves in a "weak.context" span,
+  /// whose args size what it built (rows shared by a tau-SCC or aliased
+  /// count once).
   WeakContext(const IOIMC& model, const WeakOptions& opts,
               const char* checkpointSite = "weak-refinement",
               const std::vector<std::uint8_t>* pinnedStates = nullptr)
       : m(model),
         site(checkpointSite),
         pinned(pinnedStates),
-        tau(tauClosure(model, pinned)),
-        roles(actionRoles(model)),
-        weak(collectWeakMoves(model, tau, roles, site, opts.cancel)) {}
+        roles(actionRoles(model)) {
+    obs::TraceSpan span("weak.context");
+    tau = detail::computeTauClosure(m, roles, pinned, site, opts.cancel);
+    span.arg("states", m.numStates());
+    span.arg("closure", tau.compClosure.size());
+    span.arg("weak_moves", tau.compMoves.size());
+  }
 
   Partition refine(const WeakOptions& opts, RefineStats* stats) const {
     WeakScratch ws;
     return refineBySignature(
         initialByLabel(m, pinned), site, opts.cancel, stats,
         [&](const Partition& p, StateId s, std::vector<std::uint64_t>& out) {
-          signWeak(m, tau, weak, roles, p, s, ws);
+          signWeak(m, tau, roles, p, s, ws);
           appendWeakTokens(ws, out);
         },
         [&](StateId s, auto&& f) {
@@ -360,7 +339,7 @@ struct WeakContext {
             for (const auto& t : m.markovian(u))
               if (f(t.to)) return true;
           }
-          for (std::uint64_t move : weak.row(s))
+          for (std::uint64_t move : tau.moves(s))
             if (f(static_cast<StateId>(move))) return true;
           return false;
         });
@@ -405,7 +384,7 @@ struct WeakContext {
     WeakScratch ws;
     for (std::size_t head = 0; head < order.size(); ++head) {
       const std::uint32_t c = order[head];
-      signWeak(m, tau, weak, roles, p, rep[c], ws);
+      signWeak(m, tau, roles, p, rep[c], ws);
       labels.push_back(m.labelMask(rep[c]));
       inter.beginState();
       markov.beginState();
@@ -488,98 +467,6 @@ IOIMC aggregateFixpoint(const IOIMC& m, const WeakOptions& opts,
     }
     current = canonicalRenumber(ctx.quotient(p), canonicalComplete);
   }
-}
-
-namespace {
-
-/// Reusable scratch for one state's strong signature: its sorted moves
-/// (action << 32 | class) without input moves into the own class, and its
-/// cumulative rate into each class, sorted by class.
-struct StrongScratch {
-  std::vector<std::uint64_t> moves;
-  std::vector<std::pair<std::uint32_t, double>> raw;
-  std::vector<std::pair<std::uint32_t, double>> rates;
-};
-
-void signStrong(const IOIMC& m, const std::vector<Role>& roles,
-                const Partition& p, StateId s, StrongScratch& ss) {
-  ss.moves.clear();
-  for (const auto& t : m.interactive(s)) {
-    std::uint32_t c = p.classOf[t.to];
-    // Implicit input self-loop equivalence: an explicit input move into the
-    // own class is indistinguishable from having no explicit move.
-    if (roles[t.action] == Role::Input && c == p.classOf[s]) continue;
-    ss.moves.push_back((static_cast<std::uint64_t>(t.action) << 32) | c);
-  }
-  std::sort(ss.moves.begin(), ss.moves.end());
-  ss.moves.erase(std::unique(ss.moves.begin(), ss.moves.end()),
-                 ss.moves.end());
-
-  ss.raw.clear();
-  for (const auto& t : m.markovian(s)) ss.raw.emplace_back(p.classOf[t.to], t.rate);
-  std::sort(ss.raw.begin(), ss.raw.end());
-  ss.rates.clear();
-  for (std::size_t i = 0; i < ss.raw.size();) {
-    const std::uint32_t cls = ss.raw[i].first;
-    double sum = 0.0;
-    while (i < ss.raw.size() && ss.raw[i].first == cls) sum += ss.raw[i++].second;
-    ss.rates.emplace_back(cls, sum);
-  }
-}
-
-}  // namespace
-
-Partition strongBisimulation(const IOIMC& m, const CancelToken* cancel) {
-  const std::vector<Role> roles = actionRoles(m);
-  StrongScratch ss;
-  return refineBySignature(
-      initialByLabel(m), "strong-refinement", cancel, nullptr,
-      [&](const Partition& p, StateId s, std::vector<std::uint64_t>& out) {
-        signStrong(m, roles, p, s, ss);
-        out.push_back(ss.moves.size());
-        out.insert(out.end(), ss.moves.begin(), ss.moves.end());
-        for (const auto& [cls, rate] : ss.rates) {
-          out.push_back(cls);
-          out.push_back(std::bit_cast<std::uint64_t>(rate));
-        }
-      },
-      [&](StateId s, auto&& f) {
-        for (const auto& t : m.interactive(s))
-          if (f(t.to)) return true;
-        for (const auto& t : m.markovian(s))
-          if (f(t.to)) return true;
-        return false;
-      });
-}
-
-IOIMC strongQuotient(const IOIMC& m) {
-  const Partition p = strongBisimulation(m);
-  const std::vector<Role> roles = actionRoles(m);
-  std::vector<StateId> rep(p.numClasses);
-  for (StateId s = m.numStates(); s-- > 0;) rep[p.classOf[s]] = s;
-
-  CsrInteractive inter;
-  CsrMarkovian markov;
-  std::vector<std::uint32_t> labels(p.numClasses);
-  inter.offsets.reserve(p.numClasses + 1);
-  markov.offsets.reserve(p.numClasses + 1);
-  StrongScratch ss;
-  for (std::uint32_t c = 0; c < p.numClasses; ++c) {
-    signStrong(m, roles, p, rep[c], ss);
-    labels[c] = m.labelMask(rep[c]);
-    inter.beginState();
-    markov.beginState();
-    for (std::uint64_t move : ss.moves)
-      inter.data.push_back(
-          {static_cast<ActionId>(move >> 32), static_cast<StateId>(move)});
-    for (const auto& [cls, rate] : ss.rates) markov.data.push_back({rate, cls});
-  }
-  inter.finish();
-  markov.finish();
-  return restrictToReachable(
-      IOIMC(m.name() + "/strong", m.symbols(), m.signature(),
-            p.classOf[m.initial()], std::move(inter), std::move(markov),
-            std::move(labels), m.labelNames()));
 }
 
 }  // namespace imcdft::ioimc

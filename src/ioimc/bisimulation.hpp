@@ -20,10 +20,12 @@
 ///  * atomic state labels (e.g. the monitor's "down") are respected.
 ///
 /// The implementation is signature-based partition refinement (Blom/Orzan
-/// style) over the tau-closure that re-signs only the states whose
-/// signature can have changed (those that left the largest piece of a split
-/// class, and those reading one), followed by quotient construction that
-/// writes one CSR row per class straight from the converged signatures.
+/// style) over the tau closures and weak visible moves built once per
+/// refinement (tau_closure.hpp; the "weak.context" span).  It re-signs only
+/// the states whose signature can have changed (those that left the
+/// largest piece of a split class, and those reading one), and is followed
+/// by quotient construction that writes one CSR row per class straight
+/// from the converged signatures.
 
 namespace imcdft {
 class CancelToken;  // common/cancel.hpp
@@ -52,22 +54,12 @@ struct WeakOptions {
 /// Computes the weak bisimulation partition of \p m.
 Partition weakBisimulation(const IOIMC& m, const WeakOptions& opts = {});
 
-/// Computes the strong bisimulation partition (no tau abstraction, no
-/// maximal progress — on a model without interactive transitions this is
-/// the coarsest exact aggregation of its CTMC).  \p cancel, when set, is
-/// checkpointed once per refinement pass (see WeakOptions::cancel).
-Partition strongBisimulation(const IOIMC& m,
-                             const CancelToken* cancel = nullptr);
-
 /// Builds the quotient model induced by the weak-bisimulation partition,
 /// restricted to the classes reachable from the initial one and numbered
 /// as restrictToReachable() numbers states.  All internal actions of the
 /// quotient are collapsed to the canonical action "__tau"; inert
 /// (intra-class) internal moves disappear.
 IOIMC weakQuotient(const IOIMC& m, const WeakOptions& opts = {});
-
-/// Builds the quotient induced by strongBisimulation().
-IOIMC strongQuotient(const IOIMC& m);
 
 /// Convenience: weakQuotient followed by canonical renumbering
 /// (ioimc::canonicalRenumber).

@@ -194,14 +194,19 @@ class OtfEngine {
   void refineAndPrune() {
     ++stats_->refinementRounds;
     // The inline sink collapse implements the same abstraction as the
-    // classic chain's collapseUnobservableSinks.
+    // classic chain's collapseUnobservableSinks.  A collapse that merges
+    // nothing leaves the live region as it was, so its snapshot serves the
+    // weak refinement too.
+    std::optional<LiveSnapshot> snap;
     bool changed;
     {
       obs::TraceSpan span("otf.collapse");
-      changed = sinkCollapseInline();
+      snap.emplace(snapshot());
+      changed = sinkCollapseInline(*snap);
     }
     obs::TraceSpan span("otf.refine");
-    changed = weakCollapseInline() || changed;
+    if (changed) snap.emplace(snapshot());
+    changed = weakCollapseInline(*snap) || changed;
     if (changed) pruneUnreachable();
   }
 
@@ -280,8 +285,7 @@ class OtfEngine {
   /// — merging them into one absorbing node per mask right now is what
   /// keeps the dead regions of the product (spares failing on after their
   /// module died) out of the live peak.
-  bool sinkCollapseInline() {
-    const LiveSnapshot snap = snapshot();
+  bool sinkCollapseInline(const LiveSnapshot& snap) {
     const std::vector<std::uint8_t> observable =
         detail::observableStates(snap.model, snap.pinned);
 
@@ -317,8 +321,7 @@ class OtfEngine {
   /// Weak refinement of the live region with the frontier pinned (see the
   /// file comment of otf_compose.hpp); every multi-member class collapses
   /// onto its lowest-id member.
-  bool weakCollapseInline() {
-    const LiveSnapshot snap = snapshot();
+  bool weakCollapseInline(const LiveSnapshot& snap) {
     const detail::PinnedWeakPartition refined = detail::weakBisimulationPinned(
         snap.model, snap.pinned, opts_.weak, "otf-refine");
     const Partition& part = refined.partition;

@@ -5,9 +5,9 @@
 #include <vector>
 
 /// \file signature_interner.hpp
-/// The hashed flat-token signature interner of the weak and strong
-/// partition refiners (bisimulation.cpp), whose weak refiner also reduces
-/// the fused engine's live region.  Not part of the public ioimc surface.
+/// The hashed flat-token signature interner of the weak-bisimulation
+/// refiner (bisimulation.cpp), which also reduces the fused engine's live
+/// region.  Not part of the public ioimc surface.
 
 namespace imcdft::ioimc::detail {
 

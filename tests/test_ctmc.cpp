@@ -116,6 +116,23 @@ TEST(Transient, SharedSweepIsBitwiseIdenticalToPerPointRuns) {
     EXPECT_EQ(curve[j], probabilityOfLabelAt(c, "down", times[j]));
 }
 
+TEST(Transient, CurvePointsAreBitwiseOnePointCurves) {
+  // labelCurve sums each iterate's goal mass once and weighs it per point,
+  // so a point does not depend on the other points of its grid.  Two goal
+  // states, so the goal mass is a real sum.
+  Ctmc c = Ctmc::fromRows(
+      0, {{{1.0, 1}, {2.0, 2}}, {{0.5, 2}, {0.25, 0}}, {{4.0, 0}, {0.75, 1}}},
+      {0, 1, 1}, {"down"});
+  const std::vector<double> times{0.0, 3.7, 0.3, 1.0, 1.0, 0.05};
+  const std::vector<double> curve = labelCurve(c, "down", times);
+  ASSERT_EQ(curve.size(), times.size());
+  for (std::size_t j = 0; j < times.size(); ++j) {
+    EXPECT_EQ(curve[j], labelCurve(c, "down", {times[j]})[0])
+        << "t=" << times[j];
+    EXPECT_NEAR(curve[j], probabilityOfLabelAt(c, "down", times[j]), 1e-15);
+  }
+}
+
 TEST(Transient, SharedSweepOnRatelessChain) {
   Ctmc c = Ctmc::fromRows(0, {{}, {}}, {0, 1}, {"down"});
   auto curve = labelCurve(c, "down", {0.0, 1.0, 5.0});

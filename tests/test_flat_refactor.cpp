@@ -4,25 +4,27 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <random>
 #include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
+#include "analysis/converter.hpp"
 #include "common/cancel.hpp"
 #include "dft/corpus.hpp"
 #include "ioimc/bisimulation.hpp"
 #include "ioimc/builder.hpp"
 #include "ioimc/compose.hpp"
 #include "ioimc/ops.hpp"
+#include "ioimc/tau_closure.hpp"
 #include "model_digest.hpp"
+#include "strong_bisimulation.hpp"
 
 /// Invariants of the flat-storage (CSR) I/O-IMC core, checked on randomized
 /// models: composition is commutative up to strong bisimulation, the weak
-/// quotient is idempotent, and the refactored pipeline reproduces the
+/// quotient is idempotent, the weak kernel's tau-closure and weak-move rows
+/// equal a naive reference, and the refactored pipeline reproduces the
 /// pre-refactor measure results on the paper's example systems (the golden
 /// values below were captured from the vector-of-vectors implementation at
 /// PR 1 tip; on the capture machine the refactored pipeline reproduces them
@@ -91,101 +93,114 @@ std::pair<IOIMC, IOIMC> randomCompatiblePair(std::mt19937& rng,
 }
 
 // ---------------------------------------------------------------------------
-// Strong-bisimilarity oracle: disjoint union + one partition refinement
+// Naive weak-kernel rows
 // ---------------------------------------------------------------------------
 
-/// True when the initial states of \p x and \p y fall into the same class
-/// of the strong bisimulation on their disjoint union.  Requires equal
-/// signatures; label universes are unified by name.
-bool stronglyBisimilar(const IOIMC& x, const IOIMC& y) {
-  EXPECT_EQ(x.signature(), y.signature());
-  std::vector<std::string> labelNames = x.labelNames();
-  std::vector<int> yRemap(y.labelNames().size());
-  for (std::size_t i = 0; i < y.labelNames().size(); ++i) {
-    auto it = std::find(labelNames.begin(), labelNames.end(),
-                        y.labelNames()[i]);
-    if (it == labelNames.end()) {
-      labelNames.push_back(y.labelNames()[i]);
-      yRemap[i] = static_cast<int>(labelNames.size() - 1);
-    } else {
-      yRemap[i] = static_cast<int>(it - labelNames.begin());
+/// Every state's tau closure (by search) and weak visible moves (every
+/// (action << 32 | target) candidate pushed, then sorted and deduplicated):
+/// the reference for detail::computeTauClosure.
+struct NaiveWeakRows {
+  std::vector<std::vector<StateId>> closure;
+  std::vector<std::vector<std::uint64_t>> moves;
+};
+
+NaiveWeakRows naiveWeakRows(const IOIMC& m) {
+  const std::vector<ActionRole> roles = actionRoles(m);
+  const std::size_t n = m.numStates();
+  NaiveWeakRows rows;
+  rows.closure.resize(n);
+  rows.moves.resize(n);
+  for (StateId s = 0; s < n; ++s) {
+    std::set<StateId> seen{s};
+    std::vector<StateId> stack{s};
+    while (!stack.empty()) {
+      const StateId u = stack.back();
+      stack.pop_back();
+      for (const auto& t : m.interactive(u))
+        if (roles[t.action] == ActionRole::Internal && seen.insert(t.to).second)
+          stack.push_back(t.to);
     }
+    rows.closure[s].assign(seen.begin(), seen.end());
   }
-  const StateId nx = static_cast<StateId>(x.numStates());
-  std::vector<std::vector<InteractiveTransition>> inter(nx + y.numStates());
-  std::vector<std::vector<MarkovianTransition>> markov(nx + y.numStates());
-  std::vector<std::uint32_t> masks(nx + y.numStates());
-  for (StateId s = 0; s < nx; ++s) {
-    inter[s].assign(x.interactive(s).begin(), x.interactive(s).end());
-    markov[s].assign(x.markovian(s).begin(), x.markovian(s).end());
-    masks[s] = x.labelMask(s);
+  for (StateId s = 0; s < n; ++s) {
+    std::vector<std::uint64_t>& moves = rows.moves[s];
+    for (StateId u : rows.closure[s])
+      for (const auto& t : m.interactive(u)) {
+        if (roles[t.action] == ActionRole::Internal) continue;
+        for (StateId v : rows.closure[t.to])
+          moves.push_back(static_cast<std::uint64_t>(t.action) << 32 | v);
+      }
+    std::sort(moves.begin(), moves.end());
+    moves.erase(std::unique(moves.begin(), moves.end()), moves.end());
   }
-  for (StateId s = 0; s < y.numStates(); ++s) {
-    for (const auto& t : y.interactive(s))
-      inter[nx + s].push_back({t.action, nx + t.to});
-    for (const auto& t : y.markovian(s))
-      markov[nx + s].push_back({t.rate, nx + t.to});
-    std::uint32_t mask = 0;
-    for (std::size_t i = 0; i < yRemap.size(); ++i)
-      if ((y.labelMask(s) >> i) & 1u) mask |= 1u << yRemap[i];
-    masks[nx + s] = mask;
-  }
-  IOIMC u("union", x.symbols(), x.signature(), 0, std::move(inter),
-          std::move(markov), std::move(masks), std::move(labelNames));
-  Partition p = strongBisimulation(u);
-  return p.classOf[x.initial()] == p.classOf[nx + y.initial()];
+  return rows;
 }
 
-/// Strong bisimulation by full re-encoding, the reference for the library's
-/// refiner, which re-signs only the states whose signature can have
-/// changed.  Every round signs every state (its class, its moves without
-/// input moves into its own class, its rate into each class) and numbers
-/// the signatures in order of first appearance, until the class count
-/// stops growing.  Rates into one class are summed in ascending order, as
-/// the library sums them, so equal rate multisets give equal bits.
-Partition fullReEncodingStrongBisimulation(const IOIMC& m) {
-  using Sig = std::tuple<std::uint32_t,
-                         std::set<std::pair<ActionId, std::uint32_t>>,
-                         std::map<std::uint32_t, double>>;
-  const std::size_t n = m.numStates();
-  Partition p;
-  p.classOf.resize(n);
-  std::map<std::uint32_t, std::uint32_t> byMask;
-  for (StateId s = 0; s < n; ++s)
-    p.classOf[s] = byMask
-                       .try_emplace(m.labelMask(s),
-                                    static_cast<std::uint32_t>(byMask.size()))
-                       .first->second;
-  p.numClasses = static_cast<std::uint32_t>(byMask.size());
-  while (true) {
-    std::map<Sig, std::uint32_t> ids;
-    std::vector<std::uint32_t> next(n);
-    for (StateId s = 0; s < n; ++s) {
-      Sig sig;
-      auto& [own, moves, rates] = sig;
-      own = p.classOf[s];
-      for (const auto& t : m.interactive(s)) {
-        const std::uint32_t c = p.classOf[t.to];
-        if (!(m.signature().isInput(t.action) && c == own))
-          moves.emplace(t.action, c);
-      }
-      std::map<std::uint32_t, std::vector<double>> raw;
-      for (const auto& t : m.markovian(s))
-        raw[p.classOf[t.to]].push_back(t.rate);
-      for (auto& [c, values] : raw) {
-        std::sort(values.begin(), values.end());
-        double sum = 0.0;
-        for (double v : values) sum += v;
-        rates[c] = sum;
-      }
-      next[s] = ids.try_emplace(sig, static_cast<std::uint32_t>(ids.size()))
-                    .first->second;
-    }
-    const bool stable = ids.size() == p.numClasses;
-    p.classOf = std::move(next);
-    p.numClasses = static_cast<std::uint32_t>(ids.size());
-    if (stable) return p;
+/// Checks every closure row, weak-move row and stability flag of
+/// detail::computeTauClosure on \p m against the naive reference.  A
+/// state is stable when it enables no internal and no output move and is
+/// not flagged in \p pinned.
+void expectWeakRowsMatchNaive(
+    const IOIMC& m, const std::vector<std::uint8_t>* pinned = nullptr) {
+  const std::vector<ActionRole> roles = actionRoles(m);
+  const detail::TauClosure tau = detail::computeTauClosure(m, roles, pinned);
+  const NaiveWeakRows want = naiveWeakRows(m);
+  for (StateId s = 0; s < m.numStates(); ++s) {
+    const auto closure = tau.closure(s);
+    EXPECT_EQ(std::vector<StateId>(closure.begin(), closure.end()),
+              want.closure[s])
+        << m.name() << ", state " << s;
+    const auto moves = tau.moves(s);
+    EXPECT_EQ(std::vector<std::uint64_t>(moves.begin(), moves.end()),
+              want.moves[s])
+        << m.name() << ", state " << s;
+    bool stable = !(pinned && (*pinned)[s]);
+    for (const auto& t : m.interactive(s))
+      if (roles[t.action] == ActionRole::Internal ||
+          roles[t.action] == ActionRole::Output)
+        stable = false;
+    EXPECT_EQ(tau.stable[s], stable) << m.name() << ", state " << s;
   }
+}
+
+/// \p m cut the way the fused engine snapshots its live region: the first
+/// \p expanded states in breadth-first order keep their rows, and the
+/// states they reach beyond those are frontier states, with empty rows and
+/// flagged in \p pinned.  States are numbered in discovery order.
+IOIMC frontierSnapshot(const IOIMC& m, std::size_t expanded,
+                       std::vector<std::uint8_t>& pinned) {
+  constexpr StateId kUnseen = static_cast<StateId>(-1);
+  std::vector<StateId> dense(m.numStates(), kUnseen);
+  std::vector<StateId> order{m.initial()};
+  dense[m.initial()] = 0;
+  auto visit = [&](StateId s) {
+    if (dense[s] == kUnseen) {
+      dense[s] = static_cast<StateId>(order.size());
+      order.push_back(s);
+    }
+    return dense[s];
+  };
+  std::vector<std::vector<InteractiveTransition>> inter;
+  std::vector<std::vector<MarkovianTransition>> markov;
+  for (std::size_t i = 0; i < order.size() && i < expanded; ++i) {
+    inter.emplace_back();
+    markov.emplace_back();
+    for (const auto& t : m.interactive(order[i]))
+      inter[i].push_back({t.action, visit(t.to)});
+    for (const auto& t : m.markovian(order[i]))
+      markov[i].push_back({t.rate, visit(t.to)});
+  }
+  const std::size_t rows = inter.size();
+  inter.resize(order.size());
+  markov.resize(order.size());
+  pinned.assign(order.size(), 0);
+  std::vector<std::uint32_t> labels(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    labels[i] = m.labelMask(order[i]);
+    if (i >= rows) pinned[i] = 1;
+  }
+  return IOIMC("snapshot", m.symbols(), m.signature(), 0, std::move(inter),
+               std::move(markov), std::move(labels), m.labelNames());
 }
 
 // ---------------------------------------------------------------------------
@@ -200,7 +215,7 @@ TEST_P(FlatCoreSeeds, ComposeIsCommutativeUpToStrongBisimulation) {
   auto [a, b] = randomCompatiblePair(rng, symbols);
   IOIMC ab = compose(a, b);
   IOIMC ba = compose(b, a);
-  EXPECT_TRUE(stronglyBisimilar(ab, ba));
+  EXPECT_TRUE(test::stronglyBisimilar(ab, ba));
 }
 
 TEST_P(FlatCoreSeeds, WeakQuotientReachesAFixpoint) {
@@ -228,21 +243,36 @@ TEST_P(FlatCoreSeeds, WeakQuotientReachesAFixpoint) {
   EXPECT_EQ(p.numClasses, q2.numStates());
 }
 
-TEST_P(FlatCoreSeeds, StrongRefinementMatchesFullReEncoding) {
-  // Same partition and same class numbering, on both operands and their
-  // product, over the pairs of the two seed streams above.
+TEST_P(FlatCoreSeeds, TauClosuresAndWeakMovesMatchNaiveRows) {
+  // Over the pairs of both seed streams above: each operand, their
+  // product, and the product with every output hidden (more, and cyclic,
+  // tau structure).
   for (const auto& [mul, add] :
        {std::pair{7919u, 13u}, std::pair{104729u, 7u}}) {
     std::mt19937 rng(static_cast<unsigned>(GetParam()) * mul + add);
     SymbolTablePtr symbols = makeSymbolTable();
     auto [a, b] = randomCompatiblePair(rng, symbols);
-    for (const IOIMC& m : {a, b, compose(a, b)}) {
-      const Partition want = fullReEncodingStrongBisimulation(m);
-      const Partition got = strongBisimulation(m);
-      EXPECT_EQ(got.numClasses, want.numClasses) << m.name();
-      EXPECT_EQ(got.classOf, want.classOf) << m.name();
-    }
+    const IOIMC ab = compose(a, b);
+    for (const IOIMC& m : {a, b, ab, hideAllOutputs(ab)})
+      expectWeakRowsMatchNaive(m);
   }
+}
+
+TEST(WeakKernel, FusedSnapshotRowsMatchNaiveRows) {
+  // The shape the fused engine refines: the live region of a product whose
+  // exploration stopped half way, frontier states pinned with empty rows.
+  // Here the product of the first six CPS community members with every
+  // output hidden (the engine hides them before refining).
+  const analysis::Community community =
+      analysis::convertDft(dft::corpus::cps());
+  IOIMC product = community.models[0].model;
+  for (std::size_t i = 1; i < 6; ++i)
+    product = compose(product, community.models[i].model);
+  product = hideAllOutputs(product);
+  std::vector<std::uint8_t> pinned;
+  const IOIMC snap = frontierSnapshot(product, product.numStates() / 2, pinned);
+  ASSERT_GT(snap.numStates(), product.numStates() / 2);
+  expectWeakRowsMatchNaive(snap, &pinned);
 }
 
 TEST(AggregateFixpoint, AMergeReusesTheCheckRefinement) {
@@ -323,9 +353,10 @@ TEST_P(FlatCoreSeeds, AggregateFixpointKeepsItsBytes) {
   SymbolTablePtr symbols = makeSymbolTable();
   auto [a, b] = randomCompatiblePair(rng, symbols);
   const IOIMC m = compose(a, b);
-  const Pinned got{test::partitionDigest(weakBisimulation(m)),
-                   test::partitionDigest(strongBisimulation(m)),
-                   test::modelDigest(aggregateFixpoint(m))};
+  const Pinned got{
+      test::partitionDigest(weakBisimulation(m)),
+      test::partitionDigest(test::fullReEncodingStrongBisimulation(m)),
+      test::modelDigest(aggregateFixpoint(m))};
   const Pinned& want = kPinned[GetParam()];
   EXPECT_EQ(got.weak, want.weak);
   EXPECT_EQ(got.strong, want.strong);

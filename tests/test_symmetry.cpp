@@ -14,6 +14,7 @@
 #include "ioimc/builder.hpp"
 #include "ioimc/compose.hpp"
 #include "ioimc/ops.hpp"
+#include "strong_bisimulation.hpp"
 
 /// The symmetry reduction end to end: rename-invariant module shapes
 /// (dft::moduleShape), the renameActions edge cases it relies on, the
@@ -109,32 +110,6 @@ void expectSameModel(const IOIMC& x, const IOIMC& y) {
   }
 }
 
-/// True when the initial states of \p x and \p y are strongly bisimilar on
-/// their disjoint union (requires equal signatures and a shared table).
-bool stronglyBisimilar(const IOIMC& x, const IOIMC& y) {
-  EXPECT_EQ(x.signature(), y.signature());
-  const StateId nx = static_cast<StateId>(x.numStates());
-  std::vector<std::vector<InteractiveTransition>> inter(nx + y.numStates());
-  std::vector<std::vector<MarkovianTransition>> markov(nx + y.numStates());
-  std::vector<std::uint32_t> masks(nx + y.numStates());
-  for (StateId s = 0; s < nx; ++s) {
-    inter[s].assign(x.interactive(s).begin(), x.interactive(s).end());
-    markov[s].assign(x.markovian(s).begin(), x.markovian(s).end());
-    masks[s] = x.labelMask(s);
-  }
-  for (StateId s = 0; s < y.numStates(); ++s) {
-    for (const auto& t : y.interactive(s))
-      inter[nx + s].push_back({t.action, nx + t.to});
-    for (const auto& t : y.markovian(s))
-      markov[nx + s].push_back({t.rate, nx + t.to});
-    masks[nx + s] = y.labelMask(s);  // same label universe below
-  }
-  IOIMC u("union", x.symbols(), x.signature(), 0, std::move(inter),
-          std::move(markov), std::move(masks), x.labelNames());
-  Partition p = strongBisimulation(u);
-  return p.classOf[x.initial()] == p.classOf[nx + y.initial()];
-}
-
 /// A producer/consumer pair over one shared action plus private behavior.
 std::pair<IOIMC, IOIMC> makePair(const SymbolTablePtr& symbols) {
   IOIMCBuilder a("A", symbols);
@@ -219,7 +194,7 @@ TEST(RenameActions, CommutesWithComposeUpToStrongBisimulation) {
   IOIMC left = compose(renameActions(a, renamingFor(symbols, sigma)),
                        renameActions(b, renamingFor(symbols, sigma)));
   IOIMC right = renameActions(compose(a, b), renamingFor(symbols, sigma));
-  EXPECT_TRUE(stronglyBisimilar(left, right));
+  EXPECT_TRUE(test::stronglyBisimilar(left, right));
 }
 
 }  // namespace

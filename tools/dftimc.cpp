@@ -746,6 +746,12 @@ int runOneShot(CliOptions& opts) {
                     spans.of("classic.aggregate"));
         endStageLine();
       }
+      if (spans.of("weak.context") > 0.0) {
+        std::printf("  weak context [s]: %.4f (tau closures and weak moves, "
+                    "outside the stages' self times)",
+                    spans.of("weak.context"));
+        endStageLine();
+      }
       std::printf("  peak composed:   %zu states, %zu transitions\n",
                   report.stats().peakComposedStates,
                   report.stats().peakComposedTransitions);
