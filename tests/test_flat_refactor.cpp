@@ -23,7 +23,8 @@
 
 /// Invariants of the flat-storage (CSR) I/O-IMC core, checked on randomized
 /// models: composition is commutative up to strong bisimulation, the weak
-/// quotient is idempotent, the weak kernel's tau-closure and weak-move rows
+/// refiner matches a naive strong refiner where the two relations coincide,
+/// the weak quotient is idempotent, the weak kernel's tau-closure and weak-move rows
 /// equal a naive reference, and the refactored pipeline reproduces the
 /// pre-refactor measure results on the paper's example systems (the golden
 /// values below were captured from the vector-of-vectors implementation at
@@ -203,6 +204,28 @@ IOIMC frontierSnapshot(const IOIMC& m, std::size_t expanded,
                std::move(markov), std::move(labels), m.labelNames());
 }
 
+/// \p m with every action an input: the same states, rows and labels, but
+/// no internal or output action.  Such a model has singleton tau closures,
+/// weak moves equal to its moves and every state stable, so its weak and
+/// its strong bisimulation coincide.
+IOIMC inputsOnly(const IOIMC& m) {
+  Signature sig;
+  for (const auto* actions : {&m.signature().inputs(), &m.signature().outputs(),
+                              &m.signature().internals()})
+    for (ActionId a : *actions) sig.add(a, ActionKind::Input);
+  std::vector<std::vector<InteractiveTransition>> inter(m.numStates());
+  std::vector<std::vector<MarkovianTransition>> markov(m.numStates());
+  std::vector<std::uint32_t> labels(m.numStates());
+  for (StateId s = 0; s < m.numStates(); ++s) {
+    inter[s].assign(m.interactive(s).begin(), m.interactive(s).end());
+    markov[s].assign(m.markovian(s).begin(), m.markovian(s).end());
+    labels[s] = m.labelMask(s);
+  }
+  return IOIMC(m.name() + "/inputs", m.symbols(), std::move(sig),
+               m.initial(), std::move(inter), std::move(markov),
+               std::move(labels), m.labelNames());
+}
+
 // ---------------------------------------------------------------------------
 // Properties
 // ---------------------------------------------------------------------------
@@ -241,6 +264,32 @@ TEST_P(FlatCoreSeeds, WeakQuotientReachesAFixpoint) {
   // Every state of the converged quotient is its own weak-bisim class.
   Partition p = weakBisimulation(q2);
   EXPECT_EQ(p.numClasses, q2.numStates());
+}
+
+TEST_P(FlatCoreSeeds, StrongRefinementMatchesFullReEncoding) {
+  // The library's one refiner against the naive strong refiner, where the
+  // two relations coincide: each operand and their product with every
+  // action turned into an input (no tau, every state stable), over the
+  // pairs of both seed streams above.  The refiners number classes
+  // differently, so the partitions are compared up to renaming.
+  for (const auto& [mul, add] :
+       {std::pair{7919u, 13u}, std::pair{104729u, 7u}}) {
+    std::mt19937 rng(static_cast<unsigned>(GetParam()) * mul + add);
+    SymbolTablePtr symbols = makeSymbolTable();
+    auto [a, b] = randomCompatiblePair(rng, symbols);
+    for (const IOIMC& m : {inputsOnly(a), inputsOnly(b),
+                           inputsOnly(compose(a, b))}) {
+      const Partition want = test::fullReEncodingStrongBisimulation(m);
+      const Partition got = weakBisimulation(m);
+      ASSERT_EQ(got.numClasses, want.numClasses) << m.name();
+      std::vector<std::uint32_t> rename(got.numClasses, want.numClasses);
+      for (StateId s = 0; s < m.numStates(); ++s) {
+        std::uint32_t& r = rename[got.classOf[s]];
+        if (r == want.numClasses) r = want.classOf[s];
+        EXPECT_EQ(r, want.classOf[s]) << m.name() << ", state " << s;
+      }
+    }
+  }
 }
 
 TEST_P(FlatCoreSeeds, TauClosuresAndWeakMovesMatchNaiveRows) {
