@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <thread>
 #include <utility>
 
 #include "analysis/static_combine.hpp"
 #include "common/cancel.hpp"
 #include "common/error.hpp"
+#include "common/text.hpp"
 #include "ctmc/mttf.hpp"
 #include "ctmc/steady_state.hpp"
 #include "ctmc/transient.hpp"
@@ -126,14 +125,6 @@ std::string optionsKey(const AnalysisOptions& opts) {
   // numThreads is deliberately absent: it is bit-identical for every
   // value.
   return key;
-}
-
-std::string readFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot open '" + path + "'");
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
 }
 
 constexpr double kInf = std::numeric_limits<double>::infinity();

@@ -18,7 +18,8 @@ namespace imcdft::analysis {
 
 struct ConversionOptions {
   /// Use the subset-tracking AND/OR/K-M gates instead of the counting ones
-  /// (ablation; exponentially larger elementary models).
+  /// (exponentially larger elementary models): the test reference for the
+  /// counting gates, Invariance.SubsetGatesGiveTheSameAnswer.
   bool subsetGates = false;
   /// Symbol table to intern action names in.  When null a fresh table is
   /// created per conversion.  The Analyzer session passes its own table so

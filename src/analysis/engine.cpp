@@ -10,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <system_error>
 #include <thread>
 #include <tuple>
 #include <unordered_map>
@@ -247,105 +248,81 @@ std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
   return live.front();
 }
 
-/// Node of the module containment tree (every reference but DeclarationOrder).
+/// Node of the module containment tree (every reference but
+/// DeclarationOrder).  composeCommunity numbers the tree in post-order:
+/// children come before their parent, in their order, and the root is
+/// last, so the subtree of node n is the index range [first, n].
 struct ModuleNode {
   std::string name;
-  std::vector<std::size_t> ownModels;     // community model indices
-  std::vector<std::size_t> childModules;  // indices into the node array
+  dft::ModuleInfo info;
+  std::vector<std::size_t> ownModels;  ///< community model indices
+  std::vector<int> children;           ///< node indices
+  int parent = -1;
+  int first = 0;  ///< lowest index of the subtree
 };
 
+/// Numbers the module tree in post-order from \p root.  \p byModule holds
+/// the nodes in dft::independentModules order (ascending size), children
+/// and parents as module indices; the result holds them as described at
+/// ModuleNode, and \p nodeOfModule receives each module's node index.
+std::vector<ModuleNode> numberPostOrder(std::vector<ModuleNode> byModule,
+                                        int root,
+                                        std::vector<int>& nodeOfModule) {
+  std::vector<ModuleNode> nodes;
+  nodeOfModule.assign(byModule.size(), -1);
+  std::vector<std::pair<int, std::size_t>> stack{{root, 0}};  // next child
+  while (!stack.empty()) {
+    auto& [module, next] = stack.back();
+    ModuleNode& node = byModule[module];
+    if (next < node.children.size()) {
+      const int child = node.children[next++];
+      stack.emplace_back(child, 0);
+      continue;
+    }
+    const int n = static_cast<int>(nodes.size());
+    for (int& c : node.children) {
+      c = nodeOfModule[c];
+      nodes[c].parent = n;
+    }
+    node.first = node.children.empty() ? n : nodes[node.children[0]].first;
+    nodeOfModule[module] = n;
+    nodes.push_back(std::move(node));
+    stack.pop_back();
+  }
+  return nodes;
+}
+
 /// Parallel aggregation of the module containment tree: one task per
-/// module node, executed once all child modules finished, on a small
-/// worker pool.  Tasks share no mutable state — every node folds its own
-/// community models plus its children's aggregated results, and the
-/// question "is this output consumed outside the pool?" is answered from
-/// the *static* input sets of the original community models outside the
-/// node's subtree (a composite consumes an input action iff one of its
-/// members did, so the static answer equals the sequential engine's scan
-/// over live slots).  Results are therefore bitwise identical for every
-/// thread count.
+/// module node, executed once all child modules finished, on the calling
+/// thread and a few helper threads.  Tasks share no mutable state — every
+/// node folds its own community models plus its children's aggregated
+/// results, and the question "is this output consumed outside the pool?"
+/// is answered from the *static* input sets of the original community
+/// models outside the node's subtree (a composite consumes an input action
+/// iff one of its members did, so the static answer equals the sequential
+/// engine's scan over live slots).  Results are therefore bitwise identical
+/// for every thread count.
 class ModularAggregator {
  public:
   ModularAggregator(std::vector<std::optional<IOIMC>> models,
-                    std::vector<ModuleNode> nodes, int rootNode,
-                    const std::vector<dft::ModuleInfo>& modules,
-                    std::vector<int> parentOf, const dft::Dft& dft,
+                    std::vector<ModuleNode> nodes,
+                    std::vector<int> nodeOfModule, const dft::Dft& dft,
                     const std::vector<std::vector<dft::ElementId>>& modelElements,
                     const std::vector<ActivationContext>& contexts,
                     const EngineOptions& opts, ModuleCache* cache)
       : models_(std::move(models)),
         nodes_(std::move(nodes)),
-        parentOf_(std::move(parentOf)),
-        rootNode_(rootNode),
-        modules_(modules),
+        nodeOfModule_(std::move(nodeOfModule)),
         dft_(dft),
         modelElements_(modelElements),
         contexts_(contexts),
         opts_(opts),
-        cache_(cache) {
-    const std::size_t numNodes = nodes_.size();
-    spliced_.assign(numNodes, false);
-    spliceRecord_.resize(numNodes);
-    spliceSavedSteps_.assign(numNodes, 0);
-    results_.resize(numNodes);
-    stats_.resize(numNodes);
-    moduleRecord_.resize(numNodes);
-    properModule_.assign(numNodes, 0);
-    pending_.assign(numNodes, 0);
-    symmetric_.assign(numNodes, 0);
-    symRepOf_.assign(numNodes, -1);
-    symSiblingsOf_.resize(numNodes);
-    symRenaming_.resize(numNodes);
-    symRecord_.resize(numNodes);
-    buildSubtreeMembership();
-  }
-
-  /// Resolves cache splices (sequentially, on the calling thread), plans
-  /// the symmetry buckets, then aggregates all remaining module tasks on
-  /// \p numThreads workers and returns the root model, deterministic
-  /// post-ordered stats, and whether the root model came out of a merge
-  /// step at the root.
-  std::tuple<IOIMC, CompositionStats, bool> run(unsigned numThreads) {
-    resolveSplices(rootNode_);
-    if (opts_.symmetry) planSymmetry();
-    scheduleReadyTasks();
-    runWorkers(numThreads);
-    if (firstError_) std::rethrow_exception(firstError_);
-
-    CompositionStats stats;
-    stats.symmetricBuckets = symmetricBuckets_;
-    collectStats(rootNode_, stats);
-    stats.foldSteps();
-    return {std::move(*results_[rootNode_]), std::move(stats),
-            properModule_[rootNode_] != 0};
-  }
-
- private:
-  /// models_ index sets of each node's subtree (own models + descendants),
-  /// used for the static "consumed outside this subtree?" test.
-  void buildSubtreeMembership() {
-    inSubtree_.assign(nodes_.size(),
-                      std::vector<char>(models_.size(), 0));
-    // Children have larger module indices than parents is not guaranteed;
-    // do an explicit post-order walk.
-    struct Frame {
-      int node;
-      std::size_t child = 0;
-    };
-    std::vector<Frame> stack{{rootNode_, 0}};
-    while (!stack.empty()) {
-      Frame& f = stack.back();
-      if (f.child < nodes_[f.node].childModules.size()) {
-        stack.push_back({static_cast<int>(nodes_[f.node].childModules[f.child++]), 0});
-        continue;
-      }
-      std::vector<char>& mine = inSubtree_[f.node];
-      for (std::size_t m : nodes_[f.node].ownModels) mine[m] = 1;
-      for (std::size_t c : nodes_[f.node].childModules)
-        for (std::size_t m = 0; m < models_.size(); ++m)
-          if (inSubtree_[c][m]) mine[m] = 1;
-      stack.pop_back();
-    }
+        cache_(cache),
+        symbols_(models_.front()->symbols()),
+        state_(nodes_.size()),
+        ownerOf_(models_.size()) {
+    for (int n = 0; n <= root(); ++n)
+      for (std::size_t m : nodes_[n].ownModels) ownerOf_[m] = n;
     // Static consumer lists: which original community models input which
     // action.
     for (std::size_t m = 0; m < models_.size(); ++m)
@@ -353,57 +330,109 @@ class ModularAggregator {
         consumers_[in].push_back(static_cast<std::uint32_t>(m));
   }
 
+  /// Resolves cache splices (sequentially, on the calling thread), plans
+  /// the symmetry buckets, then aggregates all remaining module tasks on
+  /// \p numThreads threads and returns the root model, deterministic
+  /// post-ordered stats, and whether the root model came out of a merge
+  /// step at the root.
+  std::tuple<IOIMC, CompositionStats, bool> run(unsigned numThreads) {
+    resolveSplices();
+    if (opts_.symmetry) planSymmetry();
+    scheduleReadyTasks();
+    runWorkers(numThreads);
+    if (firstError_) std::rethrow_exception(firstError_);
+    NodeState& top = state_[root()];
+    return {std::move(*top.result), collectStats(), top.record.has_value()};
+  }
+
+ private:
+  /// A module whose model this run does not aggregate, and where the model
+  /// comes from.  None of the tasks of its subtree run.
+  struct Reused {
+    enum class From : char { Nowhere, Cache, Representative };
+    From from = From::Nowhere;
+    /// Steps the reuse avoided: as recorded with the cached model, or the
+    /// representative's subtree steps.
+    std::size_t savedSteps = 0;
+    /// From::Representative: the action renaming of the representative's
+    /// model into this module's.
+    std::unordered_map<ioimc::ActionId, std::string> renaming;
+  };
+
+  /// Per-node state.  Each field of a node is written by one thread at a
+  /// time: the planning on the calling thread, then the node's task (or
+  /// its representative's, for a symmetric sibling); collectStats reads
+  /// them after the helpers are joined.
+  struct NodeState {
+    std::optional<IOIMC> result;  ///< until the parent's task takes it
+    std::vector<CompositionStep> steps;  ///< the node's own merges
+    /// Its CompositionStats::modules entry: the aggregated model of a
+    /// proper module (more than one model merged) or the reused model.
+    std::optional<ModuleResult> record;
+    Reused reuse;
+    bool belowReuse = false;  ///< inside a reused node's subtree
+    std::vector<int> siblings;  ///< a representative's symmetric siblings
+    int pending = 0;  ///< unfinished children; mutex_-guarded
+  };
+
+  int root() const { return static_cast<int>(nodes_.size()) - 1; }
+
+  /// A module whose reuse would save no composition.
+  bool trivial(int n) const {
+    return nodes_[n].children.empty() && nodes_[n].ownModels.size() <= 1;
+  }
+
+  bool reused(int n) const {
+    return state_[n].reuse.from != Reused::From::Nowhere;
+  }
+
+  /// Whether community model \p m belongs to the subtree of \p node.
+  bool ownedWithin(std::size_t m, int node) const {
+    return nodes_[node].first <= ownerOf_[m] && ownerOf_[m] <= node;
+  }
+
   bool usedOutsideSubtree(ioimc::ActionId action, int node) const {
     auto it = consumers_.find(action);
     if (it == consumers_.end()) return false;
-    const std::vector<char>& mine = inSubtree_[node];
     for (std::uint32_t m : it->second)
-      if (!mine[m]) return true;
+      if (!ownedWithin(m, node)) return true;
     return false;
   }
 
-  /// Walks the tree in the sequential engine's order, consulting the cache
-  /// for every non-trivial child module; a hit marks the whole child
-  /// subtree spliced (its tasks never run).
-  void resolveSplices(int root) {
-    std::vector<int> pendingNodes{root};
-    while (!pendingNodes.empty()) {
-      int node = pendingNodes.back();
-      pendingNodes.pop_back();
-      for (std::size_t childIdx : nodes_[node].childModules) {
-        int child = static_cast<int>(childIdx);
-        const ModuleNode& childNode = nodes_[child];
-        const bool trivial =
-            childNode.childModules.empty() && childNode.ownModels.size() <= 1;
-        if (cache_ && !trivial) {
-          if (std::optional<CachedModule> hit =
-                  cache_->lookup(dft_, modules_[child].root)) {
-            spliced_[child] = true;
-            spliceRecord_[child] = ModuleResult{childNode.name,
-                                                hit->model.numStates(),
-                                                hit->model.numTransitions()};
-            spliceSavedSteps_[child] = hit->steps;
-            results_[child].emplace(std::move(hit->model));
-            releaseSubtreeModels(child);
-            continue;
-          }
-        }
-        pendingNodes.push_back(child);
-      }
+  /// Marks \p n reused and frees the community models of its subtree: they
+  /// will never be composed and must not hold memory for the whole run
+  /// (the static consumer lists were built from their signatures).
+  void reuseSubtree(int n, Reused::From from) {
+    state_[n].reuse.from = from;
+    for (int d = nodes_[n].first; d <= n; ++d) {
+      state_[d].belowReuse = d < n;
+      for (std::size_t m : nodes_[d].ownModels) models_[m].reset();
     }
   }
 
-  /// Frees the community models of a spliced-away subtree: they will
-  /// never be composed and must not hold memory for the whole run (the
-  /// static consumer lists were built from their signatures beforehand).
-  void releaseSubtreeModels(int root) {
-    std::vector<int> pendingNodes{root};
-    while (!pendingNodes.empty()) {
-      int node = pendingNodes.back();
-      pendingNodes.pop_back();
-      for (std::size_t m : nodes_[node].ownModels) models_[m].reset();
-      for (std::size_t c : nodes_[node].childModules)
-        pendingNodes.push_back(static_cast<int>(c));
+  /// Consults the cache for every non-trivial child module, visiting the
+  /// nodes in descending index order, which is the order of a LIFO walk
+  /// from the root; a hit splices the child, and the walk skips its
+  /// subtree (its tasks never run).
+  void resolveSplices() {
+    if (!cache_) return;
+    for (int n = root(); n >= 0; --n) {
+      if (reused(n)) {
+        n = nodes_[n].first;
+        continue;
+      }
+      for (int child : nodes_[n].children) {
+        if (trivial(child)) continue;
+        std::optional<CachedModule> hit =
+            cache_->lookup(dft_, nodes_[child].info.root);
+        if (!hit) continue;
+        state_[child].record = ModuleResult{nodes_[child].name,
+                                            hit->model.numStates(),
+                                            hit->model.numTransitions()};
+        state_[child].reuse.savedSteps = hit->steps;
+        state_[child].result.emplace(std::move(hit->model));
+        reuseSubtree(child, Reused::From::Cache);
+      }
     }
   }
 
@@ -421,22 +450,18 @@ class ModularAggregator {
   /// check failure silently falls back to normal aggregation.
   void planSymmetry() {
     if (contexts_.empty()) return;
-    std::vector<char> absorbed(nodes_.size(), 0);
-    // Nodes inside a spliced subtree never run; they must not become
-    // representatives (their results would never materialize).
-    for (std::size_t i = 0; i < nodes_.size(); ++i)
-      if (spliced_[i]) absorbSubtree(static_cast<int>(i), absorbed);
     std::unordered_map<std::string, int> repOfShape;
     std::unordered_map<int, dft::ModuleShape> shapeOf;
-    // Walk larger modules first (node indices ascend with module size):
-    // when an outer sibling is absorbed, its inner modules are marked
-    // before they are visited, so nested buckets never overlap.
-    for (int node = static_cast<int>(nodes_.size()) - 1; node >= 0; --node) {
-      if (node == rootNode_ || spliced_[node] || absorbed[node]) continue;
-      const ModuleNode& n = nodes_[node];
-      if (n.childModules.empty() && n.ownModels.size() <= 1)
-        continue;  // trivial: reuse would not save any composition
-      const dft::ElementId moduleRoot = modules_[node].root;
+    // Walk larger modules first: when an outer sibling is reused, its inner
+    // modules are marked before they are visited, so nested buckets never
+    // overlap.  Nodes inside a spliced subtree never run; they must not
+    // become representatives (their results would never materialize).
+    for (std::size_t i = nodeOfModule_.size(); i-- > 0;) {
+      const int node = nodeOfModule_[i];
+      if (node == root() || reused(node) || state_[node].belowReuse ||
+          trivial(node))
+        continue;
+      const dft::ElementId moduleRoot = nodes_[node].info.root;
       if (moduleRoot >= contexts_.size() || !contexts_[moduleRoot].alwaysActive)
         continue;  // context-dependent conversion; not reusable
       if (subtreeHasSplice(node)) continue;  // the cache already covers it
@@ -450,38 +475,15 @@ class ModularAggregator {
       std::optional<std::unordered_map<ioimc::ActionId, std::string>> renaming =
           planSiblingRenaming(rep, shapeOf.at(rep), node, shape);
       if (!renaming) continue;  // fall back to aggregating this module
-      symmetric_[node] = 1;
-      symRepOf_[node] = rep;
-      symSiblingsOf_[rep].push_back(node);
-      symRenaming_[node] = std::move(*renaming);
-      absorbSubtree(node, absorbed);
-      releaseSubtreeModels(node);
-    }
-    for (const std::vector<int>& siblings : symSiblingsOf_)
-      if (!siblings.empty()) ++symmetricBuckets_;
-  }
-
-  void absorbSubtree(int root, std::vector<char>& absorbed) const {
-    std::vector<int> stack{root};
-    while (!stack.empty()) {
-      int node = stack.back();
-      stack.pop_back();
-      absorbed[node] = 1;
-      for (std::size_t c : nodes_[node].childModules)
-        stack.push_back(static_cast<int>(c));
+      state_[rep].siblings.push_back(node);
+      state_[node].reuse.renaming = std::move(*renaming);
+      reuseSubtree(node, Reused::From::Representative);
     }
   }
 
-  bool subtreeHasSplice(int root) const {
-    std::vector<int> stack{root};
-    while (!stack.empty()) {
-      int node = stack.back();
-      stack.pop_back();
-      for (std::size_t c : nodes_[node].childModules) {
-        if (spliced_[c]) return true;
-        stack.push_back(static_cast<int>(c));
-      }
-    }
+  bool subtreeHasSplice(int node) const {
+    for (int d = nodes_[node].first; d < node; ++d)
+      if (state_[d].reuse.from == Reused::From::Cache) return true;
     return false;
   }
 
@@ -492,9 +494,8 @@ class ModularAggregator {
   /// and the quotient adds only tau).
   std::vector<ioimc::ActionId> subtreeActions(int node) const {
     std::vector<ioimc::ActionId> acts;
-    const std::vector<char>& mine = inSubtree_[node];
     for (std::size_t m = 0; m < models_.size(); ++m) {
-      if (!mine[m] || !models_[m]) continue;
+      if (!models_[m] || !ownedWithin(m, node)) continue;
       const ioimc::Signature& s = models_[m]->signature();
       acts.insert(acts.end(), s.inputs().begin(), s.inputs().end());
       acts.insert(acts.end(), s.outputs().begin(), s.outputs().end());
@@ -508,26 +509,28 @@ class ModularAggregator {
   /// Verifies that the sibling's module subtree corresponds node-for-node
   /// and model-for-model to the representative's under the index-wise
   /// member substitution — same child order, same own-model element sets.
-  /// Corresponding structures plus an order-preserving action map make the
-  /// representative's aggregation *equivariant*: every ordering decision
-  /// on the sibling's side mirrors the representative's, so the renamed
-  /// result is bitwise what aggregating the sibling would have produced.
+  /// Both subtrees are post-ordered index ranges, and a post-order
+  /// sequence of child counts fixes the tree's shape, so the k-th nodes of
+  /// the two ranges correspond.  Corresponding structures plus an
+  /// order-preserving action map make the representative's aggregation
+  /// *equivariant*: every ordering decision on the sibling's side mirrors
+  /// the representative's, so the renamed result is bitwise what
+  /// aggregating the sibling would have produced.
   bool structuresCorrespond(int rep, int sib) const {
     static constexpr dft::ElementId kNoElement =
         static_cast<dft::ElementId>(-1);
-    const std::vector<dft::ElementId>& ma = modules_[rep].members;
-    const std::vector<dft::ElementId>& mb = modules_[sib].members;
+    const std::vector<dft::ElementId>& ma = nodes_[rep].info.members;
+    const std::vector<dft::ElementId>& mb = nodes_[sib].info.members;
     if (ma.size() != mb.size()) return false;
+    if (rep - nodes_[rep].first != sib - nodes_[sib].first) return false;
     std::vector<dft::ElementId> toSib(dft_.size(), kNoElement);
     for (std::size_t i = 0; i < ma.size(); ++i) toSib[ma[i]] = mb[i];
-    std::vector<std::pair<int, int>> stack{{rep, sib}};
-    while (!stack.empty()) {
-      auto [x, y] = stack.back();
-      stack.pop_back();
-      if (toSib[modules_[x].root] != modules_[y].root) return false;
+    for (int x = nodes_[rep].first, y = nodes_[sib].first; x <= rep;
+         ++x, ++y) {
       const ModuleNode& nx = nodes_[x];
       const ModuleNode& ny = nodes_[y];
-      if (nx.childModules.size() != ny.childModules.size()) return false;
+      if (toSib[nx.info.root] != ny.info.root) return false;
+      if (nx.children.size() != ny.children.size()) return false;
       if (nx.ownModels.size() != ny.ownModels.size()) return false;
       for (std::size_t k = 0; k < nx.ownModels.size(); ++k) {
         std::vector<dft::ElementId> ea = modelElements_[nx.ownModels[k]];
@@ -540,9 +543,6 @@ class ModularAggregator {
         std::sort(eb.begin(), eb.end());
         if (ea != eb) return false;
       }
-      for (std::size_t c = 0; c < nx.childModules.size(); ++c)
-        stack.push_back({static_cast<int>(nx.childModules[c]),
-                         static_cast<int>(ny.childModules[c])});
     }
     return true;
   }
@@ -560,12 +560,12 @@ class ModularAggregator {
     if (repShape.names.size() != sibShape.names.size()) return std::nullopt;
     if (!structuresCorrespond(rep, sib)) return std::nullopt;
 
-    const dft::Dft repModule = dft::extractModule(dft_, modules_[rep].root);
+    const dft::Dft repModule = dft::extractModule(dft_, nodes_[rep].info.root);
     std::optional<std::unordered_map<std::string, std::string>> lift =
         liftElementRenaming(repModule, repShape.names, sibShape.names);
     if (!lift) return std::nullopt;
 
-    const SymbolTable& symbols = *symbolTable();
+    const SymbolTable& symbols = *symbols_;
     const std::vector<ioimc::ActionId> repActs = subtreeActions(rep);
     std::vector<ActionIdPair> pairs;
     pairs.reserve(repActs.size() + 1);
@@ -596,9 +596,8 @@ class ModularAggregator {
     // an output consumed outside the other, and vice versa.
     std::unordered_map<ioimc::ActionId, ioimc::ActionId> idMap(pairs.begin(),
                                                                pairs.end());
-    const std::vector<char>& mine = inSubtree_[rep];
     for (std::size_t m = 0; m < models_.size(); ++m) {
-      if (!mine[m] || !models_[m]) continue;
+      if (!models_[m] || !ownedWithin(m, rep)) continue;
       for (ioimc::ActionId out : models_[m]->signature().outputs())
         if (usedOutsideSubtree(out, rep) !=
             usedOutsideSubtree(idMap.at(out), sib))
@@ -611,16 +610,6 @@ class ModularAggregator {
     return renaming;
   }
 
-  /// The shared symbol table (every community model interns in one table;
-  /// compose() asserts as much).
-  const ioimc::SymbolTablePtr& symbolTable() const {
-    for (const std::optional<IOIMC>& m : models_)
-      if (m) return m->symbols();
-    for (const std::optional<IOIMC>& r : results_)
-      if (r) return r->symbols();
-    throw ModelError("composeCommunity: no model left to take symbols from");
-  }
-
   /// Instantiates every symmetric sibling of \p rep by renaming the
   /// representative's aggregated model (called right after the
   /// representative's task finishes, before its parent may consume it).
@@ -628,242 +617,181 @@ class ModularAggregator {
   /// aggregating the sibling would give, so it is offered to the cache
   /// under the sibling's own key, as a fresh aggregation would be.
   void instantiateSiblings(int rep) {
-    for (int sib : symSiblingsOf_[rep]) {
+    const std::size_t steps = subtreeSteps(rep);
+    for (int sib : state_[rep].siblings) {
+      NodeState& s = state_[sib];
       IOIMC instance =
-          ioimc::renameActions(*results_[rep], symRenaming_[sib]);
-      symRecord_[sib] = ModuleResult{nodes_[sib].name, instance.numStates(),
-                                     instance.numTransitions()};
-      if (cache_ && properModule_[rep])
-        cache_->store(dft_, modules_[sib].root, instance, subtreeSteps(rep));
-      results_[sib].emplace(std::move(instance));
+          ioimc::renameActions(*state_[rep].result, s.reuse.renaming);
+      s.record = ModuleResult{nodes_[sib].name, instance.numStates(),
+                              instance.numTransitions()};
+      s.reuse.savedSteps = steps;
+      if (cache_ && state_[rep].record)
+        cache_->store(dft_, nodes_[sib].info.root, instance, steps);
+      s.result.emplace(std::move(instance));
     }
   }
 
-  int liveChildren(int node) const {
-    int count = 0;
-    for (std::size_t c : nodes_[node].childModules)
-      if (!spliced_[c]) ++count;
-    return count;
-  }
-
+  /// Queues, in ascending index order, every task without an unfinished
+  /// child: the leaf order of a depth-first walk.  Reused nodes carry
+  /// results already or get them from their representative, and nothing
+  /// below them runs.
   void scheduleReadyTasks() {
-    struct Frame {
-      int node;
-      std::size_t child = 0;
-    };
-    std::vector<Frame> stack{{rootNode_, 0}};
-    while (!stack.empty()) {
-      Frame& f = stack.back();
-      const ModuleNode& node = nodes_[f.node];
-      if (f.child == 0) {
-        ++numTasks_;
-        int live = liveChildren(f.node);
-        pending_[f.node] = live;
-        if (live == 0) ready_.push_back(f.node);
-      }
-      if (f.child < node.childModules.size()) {
-        int child = static_cast<int>(node.childModules[f.child++]);
-        // Spliced children already carry results; symmetric children are
-        // instantiated when their representative finishes — neither
-        // subtree gets tasks of its own.
-        if (!spliced_[child] && !symmetric_[child])
-          stack.push_back({child, 0});
-        continue;
-      }
-      stack.pop_back();
+    for (int n = 0; n <= root(); ++n) {
+      NodeState& s = state_[n];
+      if (reused(n) || s.belowReuse) continue;
+      ++numTasks_;
+      for (int c : nodes_[n].children)
+        if (state_[c].reuse.from != Reused::From::Cache) ++s.pending;
+      if (s.pending == 0) ready_.push_back(n);
     }
   }
 
+  /// Runs the tasks on the calling thread and numThreads - 1 helpers (no
+  /// more threads than tasks: an extra one would only wait and be joined).
+  /// A helper the system cannot start leaves its share to the others.
   void runWorkers(unsigned numThreads) {
-    // More workers than module tasks would only block on the condition
-    // variable and be joined again; a small tree gets a small pool.
-    numThreads =
-        static_cast<unsigned>(std::min<std::size_t>(numThreads, numTasks_));
-    if (numThreads <= 1) {
-      while (!ready_.empty() && !firstError_) {
-        int node = ready_.front();
-        ready_.pop_front();
-        runTask(node);
-      }
-      return;
+    std::vector<std::thread> helpers;
+    const std::size_t threads = std::min<std::size_t>(numThreads, numTasks_);
+    helpers.reserve(threads - 1);
+    try {
+      for (std::size_t i = 1; i < threads; ++i)
+        helpers.emplace_back([this] {
+          // Module-task spans of a helper land in the submitting request's
+          // trace group (the context was captured at construction).
+          obs::ScopedTraceContext ctxGuard(traceCtx_);
+          workLoop();
+        });
+    } catch (const std::system_error&) {
     }
-    std::vector<std::thread> workers;
-    auto workerLoop = [this] {
-      // Module-task spans of this worker land in the submitting request's
-      // trace group (the context was captured at aggregator construction).
-      obs::ScopedTraceContext ctxGuard(traceCtx_);
-      std::unique_lock<std::mutex> lock(mutex_);
-      while (true) {
-        cv_.wait(lock, [this] { return stop_ || !ready_.empty(); });
-        if (stop_ || ready_.empty()) return;  // error, completion, or drained
-        int node = ready_.front();
-        ready_.pop_front();
-        lock.unlock();
-        runTask(node);
-        lock.lock();
-      }
-    };
-    workers.reserve(numThreads);
-    for (unsigned i = 0; i < numThreads; ++i)
-      workers.emplace_back(workerLoop);
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return done_ || firstError_ != nullptr; });
-      stop_ = true;
+    workLoop();
+    for (std::thread& h : helpers) h.join();
+  }
+
+  /// Runs ready tasks until the root finished or a task failed.
+  void workLoop() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (true) {
+      cv_.wait(lock, [this] { return stop_ || !ready_.empty(); });
+      if (stop_) return;
+      const int node = ready_.front();
+      ready_.pop_front();
+      lock.unlock();
+      runTask(node);
+      lock.lock();
     }
-    cv_.notify_all();
-    for (std::thread& w : workers) w.join();
   }
 
   void runTask(int node) {
+    std::exception_ptr error;
     try {
       runModuleTask(node);
       // Symmetric siblings are pure renames of this result; materialize
       // them before any parent (theirs or ours) can become ready.
-      if (!symSiblingsOf_[node].empty()) instantiateSiblings(node);
+      if (!state_[node].siblings.empty()) instantiateSiblings(node);
     } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!firstError_) firstError_ = std::current_exception();
-      stop_ = true;
-      cv_.notify_all();
-      return;
+      error = std::current_exception();
     }
     std::lock_guard<std::mutex> lock(mutex_);
-    if (node == rootNode_) {
-      done_ = true;
+    if (error && !firstError_) firstError_ = error;
+    if (error || node == root()) {
       stop_ = true;
     } else if (!stop_) {
-      int parent = parentOf_[node];
-      if (--pending_[parent] == 0) ready_.push_back(parent);
-      for (int sib : symSiblingsOf_[node]) {
-        int sibParent = parentOf_[sib];
-        if (--pending_[sibParent] == 0) ready_.push_back(sibParent);
-      }
+      auto childDone = [this](int parent) {
+        if (--state_[parent].pending == 0) ready_.push_back(parent);
+      };
+      childDone(nodes_[node].parent);
+      for (int sib : state_[node].siblings) childDone(nodes_[sib].parent);
     }
     cv_.notify_all();
   }
 
   void runModuleTask(int nodeIdx) {
     const ModuleNode& node = nodes_[nodeIdx];
+    NodeState& state = state_[nodeIdx];
     obs::TraceSpan span("module", node.name);
     std::vector<std::optional<IOIMC>> pool;
     std::vector<std::size_t> live;
-    pool.reserve(node.ownModels.size() + node.childModules.size());
+    pool.reserve(node.ownModels.size() + node.children.size());
     for (std::size_t m : node.ownModels) {
       pool.emplace_back(std::move(models_[m]));
       live.push_back(pool.size() - 1);
     }
-    for (std::size_t c : node.childModules) {
-      pool.emplace_back(std::move(results_[c]));
-      results_[c].reset();
+    for (int c : node.children) {
+      pool.emplace_back(std::move(state_[c].result));
+      state_[c].result.reset();
       live.push_back(pool.size() - 1);
     }
     const bool properModule = live.size() > 1;
-    properModule_[nodeIdx] = properModule ? 1 : 0;
     auto usedOutside = [this, nodeIdx](ioimc::ActionId a) {
       return usedOutsideSubtree(a, nodeIdx);
     };
-    std::size_t merged =
-        mergePool(pool, std::move(live), opts_, stats_[nodeIdx], usedOutside);
-    if (properModule)
-      moduleRecord_[nodeIdx] = ModuleResult{node.name,
-                                            pool[merged]->numStates(),
-                                            pool[merged]->numTransitions()};
-    if (cache_ && properModule && nodeIdx != rootNode_)
-      cache_->store(dft_, modules_[nodeIdx].root, *pool[merged],
-                    subtreeSteps(nodeIdx));
-    span.arg("states", pool[merged]->numStates());
-    span.arg("transitions", pool[merged]->numTransitions());
-    results_[nodeIdx].emplace(std::move(*pool[merged]));
+    IOIMC& model = *pool[mergePool(pool, std::move(live), opts_, state.steps,
+                                   usedOutside)];
+    if (properModule) {
+      state.record = ModuleResult{node.name, model.numStates(),
+                                  model.numTransitions()};
+      if (cache_ && nodeIdx != root())
+        cache_->store(dft_, node.info.root, model, subtreeSteps(nodeIdx));
+    }
+    span.arg("states", model.numStates());
+    span.arg("transitions", model.numTransitions());
+    state.result.emplace(std::move(model));
   }
 
   /// Compose steps actually executed for this node's whole subtree (what a
-  /// future cache hit on the module saves).
-  std::size_t subtreeSteps(int root) const {
+  /// future cache hit on the module saves).  Reused nodes ran none.
+  std::size_t subtreeSteps(int node) const {
     std::size_t steps = 0;
-    std::vector<int> pendingNodes{root};
-    while (!pendingNodes.empty()) {
-      int node = pendingNodes.back();
-      pendingNodes.pop_back();
-      steps += stats_[node].size();
-      for (std::size_t c : nodes_[node].childModules)
-        if (!spliced_[c]) pendingNodes.push_back(static_cast<int>(c));
-    }
+    for (int d = nodes_[node].first; d <= node; ++d)
+      steps += state_[d].steps.size();
     return steps;
   }
 
-  /// Concatenates per-node stats in the sequential engine's post-order.
-  void collectStats(int root, CompositionStats& out) const {
-    struct Frame {
-      int node;
-      std::size_t child = 0;
-    };
-    std::vector<Frame> stack{{root, 0}};
-    while (!stack.empty()) {
-      Frame& f = stack.back();
-      const std::vector<std::size_t>& children = nodes_[f.node].childModules;
-      if (f.child < children.size()) {
-        int child = static_cast<int>(children[f.child++]);
-        if (spliced_[child]) {
-          out.modules.push_back(spliceRecord_[child]);
-          ++out.cachedModules;
-          out.stepsSaved += spliceSavedSteps_[child];
-        } else if (symmetric_[child]) {
-          out.modules.push_back(symRecord_[child]);
-          ++out.symmetricModulesReused;
-          out.symmetrySavedSteps += subtreeSteps(symRepOf_[child]);
-        } else {
-          stack.push_back({child, 0});
-        }
-        continue;
+  /// Concatenates per-node stats in ascending index order, the sequential
+  /// engine's post-order.  A reused node holds its record and no steps,
+  /// and no node below it holds either.
+  CompositionStats collectStats() const {
+    CompositionStats out;
+    for (const NodeState& s : state_) {
+      out.steps.insert(out.steps.end(), s.steps.begin(), s.steps.end());
+      if (!s.siblings.empty()) ++out.symmetricBuckets;
+      if (s.record) out.modules.push_back(*s.record);
+      if (s.reuse.from == Reused::From::Cache) {
+        ++out.cachedModules;
+        out.stepsSaved += s.reuse.savedSteps;
+      } else if (s.reuse.from == Reused::From::Representative) {
+        ++out.symmetricModulesReused;
+        out.symmetrySavedSteps += s.reuse.savedSteps;
       }
-      out.steps.insert(out.steps.end(), stats_[f.node].begin(),
-                       stats_[f.node].end());
-      if (properModule_[f.node]) out.modules.push_back(moduleRecord_[f.node]);
-      stack.pop_back();
     }
+    out.foldSteps();
+    return out;
   }
 
   std::vector<std::optional<IOIMC>> models_;
-  std::vector<ModuleNode> nodes_;
-  std::vector<int> parentOf_;
-  int rootNode_;
-  const std::vector<dft::ModuleInfo>& modules_;
+  const std::vector<ModuleNode> nodes_;
+  /// Node of each module, in ascending module size.
+  const std::vector<int> nodeOfModule_;
   const dft::Dft& dft_;
   const std::vector<std::vector<dft::ElementId>>& modelElements_;
   const std::vector<ActivationContext>& contexts_;
   const EngineOptions& opts_;
   ModuleCache* cache_;
+  /// The one table every community model interns in (compose() asserts
+  /// as much).
+  const ioimc::SymbolTablePtr symbols_;
 
-  std::vector<std::vector<char>> inSubtree_;
+  std::vector<NodeState> state_;
+  std::vector<int> ownerOf_;  ///< community model -> node
   std::unordered_map<ioimc::ActionId, std::vector<std::uint32_t>> consumers_;
 
-  std::vector<bool> spliced_;
-  std::vector<ModuleResult> spliceRecord_;
-  std::vector<std::size_t> spliceSavedSteps_;
-  std::vector<std::optional<IOIMC>> results_;
-  std::vector<std::vector<CompositionStep>> stats_;
-  std::vector<ModuleResult> moduleRecord_;
-  std::vector<char> properModule_;  ///< char: workers write concurrently
-  std::vector<int> pending_;  ///< unfinished children; mutex_-guarded
-
-  /// Symmetry plan (fixed before scheduling; only symRecord_ is written
-  /// later, by the representative's worker, before any reader can run).
-  std::vector<char> symmetric_;  ///< instantiated from a representative
-  std::vector<int> symRepOf_;    ///< sibling -> its bucket representative
-  std::vector<std::vector<int>> symSiblingsOf_;  ///< representative -> siblings
-  std::vector<std::unordered_map<ioimc::ActionId, std::string>> symRenaming_;
-  std::vector<ModuleResult> symRecord_;
-  std::size_t symmetricBuckets_ = 0;
-
-  std::size_t numTasks_ = 0;  ///< scheduled (non-spliced) module tasks
-  /// The submitting request's trace context, re-established in workers.
+  std::size_t numTasks_ = 0;  ///< scheduled (non-reused) module tasks
+  /// The submitting request's trace context, re-established in helpers.
   const std::uint64_t traceCtx_ = obs::currentTraceContext();
   std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<int> ready_;
-  bool stop_ = false;
-  bool done_ = false;
+  bool stop_ = false;  ///< the root finished or a task failed
   std::exception_ptr firstError_;
 };
 
@@ -922,21 +850,21 @@ EngineResult composeCommunity(Community community, const dft::Dft& dft,
   // module's parent is the first later module that contains its root).
   std::optional<obs::TraceSpan> modularizeSpan;
   modularizeSpan.emplace("modularize");
-  std::vector<dft::ModuleInfo> modules = dft::independentModules(dft);
-  std::vector<ModuleNode> nodes(modules.size());
-  std::vector<int> parent(modules.size(), -1);
-  for (std::size_t i = 0; i < modules.size(); ++i) {
-    nodes[i].name = dft.element(modules[i].root).name;
-    for (std::size_t j = i + 1; j < modules.size(); ++j) {
-      if (std::binary_search(modules[j].members.begin(),
-                             modules[j].members.end(), modules[i].root) &&
-          modules[j].root != modules[i].root) {
-        parent[i] = static_cast<int>(j);
+  std::vector<ModuleNode> tree;
+  for (dft::ModuleInfo& info : dft::independentModules(dft))
+    tree.push_back({dft.element(info.root).name, std::move(info), {}, {}});
+  for (std::size_t i = 0; i < tree.size(); ++i) {
+    const dft::ModuleInfo& inner = tree[i].info;
+    for (std::size_t j = i + 1; j < tree.size(); ++j) {
+      const dft::ModuleInfo& outer = tree[j].info;
+      if (std::binary_search(outer.members.begin(), outer.members.end(),
+                             inner.root) &&
+          outer.root != inner.root) {
+        tree[i].parent = static_cast<int>(j);
+        tree[j].children.push_back(static_cast<int>(i));
         break;
       }
     }
-    if (parent[i] >= 0)
-      nodes[parent[i]].childModules.push_back(i);
   }
   // The root module (whole tree) is the largest one containing top.
   // Trees where an element below the top is also watched by a gate
@@ -944,48 +872,44 @@ EngineResult composeCommunity(Community community, const dft::Dft& dft,
   // around the top at all; their tree is one root node, named after the
   // top and without children, so the assignment below gives it every
   // community model and the merge planner folds them as one pool.
-  modularizeSpan->arg("modules", modules.size());
-  int rootNode = -1;
-  for (std::size_t i = 0; i < modules.size(); ++i)
-    if (parent[i] < 0 && std::binary_search(modules[i].members.begin(),
-                                            modules[i].members.end(),
-                                            dft.top()))
-      rootNode = static_cast<int>(i);
-  if (rootNode < 0) {
-    modules.clear();
-    nodes.assign(1, ModuleNode{dft.element(dft.top()).name, {}, {}});
-    parent.assign(1, -1);
-    rootNode = 0;
+  modularizeSpan->arg("modules", tree.size());
+  int rootModule = -1;
+  for (std::size_t i = 0; i < tree.size(); ++i)
+    if (tree[i].parent < 0 && std::binary_search(tree[i].info.members.begin(),
+                                                 tree[i].info.members.end(),
+                                                 dft.top()))
+      rootModule = static_cast<int>(i);
+  if (rootModule < 0) {
+    tree.assign(1, {dft.element(dft.top()).name, {dft.top(), {}}, {}, {}});
+    rootModule = 0;
   }
   // Any other parentless module hangs off the root (conservative).
-  for (std::size_t i = 0; i < modules.size(); ++i)
-    if (parent[i] < 0 && static_cast<int>(i) != rootNode) {
-      parent[i] = rootNode;
-      nodes[rootNode].childModules.push_back(i);
-    }
+  for (std::size_t i = 0; i < tree.size(); ++i)
+    if (tree[i].parent < 0 && static_cast<int>(i) != rootModule)
+      tree[rootModule].children.push_back(static_cast<int>(i));
 
   // Assign every community model to the smallest module containing all
-  // the elements it involves.
+  // the elements it involves (the lone root of a tree without a top
+  // module contains nothing and takes them all).
   for (std::size_t m = 0; m < modelElements.size(); ++m) {
-    int best = rootNode;
-    for (std::size_t i = 0; i < modules.size(); ++i) {
-      bool containsAll = std::all_of(
-          modelElements[m].begin(), modelElements[m].end(),
-          [&](dft::ElementId e) {
-            return std::binary_search(modules[i].members.begin(),
-                                      modules[i].members.end(), e);
-          });
-      if (containsAll) {
-        best = static_cast<int>(i);
-        break;  // modules are sorted by size: first hit is smallest
-      }
-    }
-    nodes[best].ownModels.push_back(m);
+    const std::vector<dft::ElementId>& elements = modelElements[m];
+    auto containsAll = [&](const ModuleNode& node) {
+      const std::vector<dft::ElementId>& members = node.info.members;
+      return std::all_of(elements.begin(), elements.end(), [&](auto e) {
+        return std::binary_search(members.begin(), members.end(), e);
+      });
+    };
+    // Modules are sorted by size: the first hit is the smallest.
+    auto best = std::find_if(tree.begin(), tree.end(), containsAll);
+    (best == tree.end() ? tree[rootModule] : *best).ownModels.push_back(m);
   }
+  std::vector<int> nodeOfModule;
+  std::vector<ModuleNode> nodes =
+      numberPostOrder(std::move(tree), rootModule, nodeOfModule);
   modularizeSpan.reset();
 
-  ModularAggregator aggregator(std::move(slots), std::move(nodes), rootNode,
-                               modules, std::move(parent), dft, modelElements,
+  ModularAggregator aggregator(std::move(slots), std::move(nodes),
+                               std::move(nodeOfModule), dft, modelElements,
                                contexts, opts, cache);
   auto [model, stats, merged] =
       aggregator.run(resolveThreads(opts.numThreads));

@@ -52,13 +52,14 @@ enum class Reference {
 
 struct EngineOptions {
   Reference reference = Reference::Production;
-  /// Worker threads of the module tree: independent modules share no
-  /// mutable state, so their compose/hide/aggregate chains run
-  /// concurrently.  Each merge step, and every refinement inside it, runs
-  /// on one thread.  0 means std::thread::hardware_concurrency(); 1 runs
-  /// everything on the calling thread.  Results are bitwise identical for
-  /// every thread count: each module task is a pure function of its
-  /// inputs, and the results are folded in a fixed order.
+  /// Threads of the module tree: independent modules share no mutable
+  /// state, so their compose/hide/aggregate chains run concurrently.  Each
+  /// merge step, and every refinement inside it, runs on one thread.  0
+  /// means std::thread::hardware_concurrency(); 1 runs everything on the
+  /// calling thread; N >= 2 means the calling thread plus N - 1 helper
+  /// threads (never more threads than module tasks).  Results are bitwise
+  /// identical for every thread count: each module task is a pure function
+  /// of its inputs, and the results are folded in a fixed order.
   unsigned numThreads = 0;
   /// Symmetry reduction (module tree only, so not DeclarationOrder): bucket
   /// independent modules by their rename-invariant shape (dft::moduleShape),
@@ -198,8 +199,8 @@ struct CachedModule {
 /// activation depends on context outside the module).
 ///
 /// Thread safety: lookup() is only invoked from the engine's calling
-/// thread, but store() is invoked from worker threads when
-/// EngineOptions::numThreads enables parallel module aggregation —
+/// thread, but store() is invoked from whichever thread runs the module's
+/// task, a helper thread too when EngineOptions::numThreads is above 1 —
 /// implementations must synchronize store() against itself and lookup().
 class ModuleCache {
  public:

@@ -3,6 +3,10 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
+
+#include "common/error.hpp"
 
 namespace imcdft {
 
@@ -38,6 +42,14 @@ std::string formatSig(double value, int digits) {
 
 std::string indexedName(std::string_view prefix, std::size_t index) {
   return std::string(prefix).append(std::to_string(index));
+}
+
+std::string readFile(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) throw Error("cannot open '" + path + "'");
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
 }
 
 }  // namespace imcdft

@@ -5,7 +5,8 @@
 #include <vector>
 
 /// \file text.hpp
-/// Small string helpers shared by the parser and the report printers.
+/// Small string helpers shared by the parser and the report printers, and
+/// the file reader of the Galileo front ends.
 
 namespace imcdft {
 
@@ -26,5 +27,9 @@ std::string formatSig(double value, int digits);
 /// `"M" + std::to_string(3)` would insert, on which g++ 12.2 at -O2 reports
 /// a false -Wrestrict (GCC bug 105651).
 std::string indexedName(std::string_view prefix, std::size_t index);
+
+/// The whole content of the file at \p path.  Throws Error
+/// "cannot open '<path>'" when the file cannot be opened.
+std::string readFile(const std::string& path);
 
 }  // namespace imcdft

@@ -143,7 +143,10 @@ TraceSnapshot snapshotTrace();
 /// duration minus what its direct children on the same thread cover
 /// (nesting comes from the per-thread sequence numbers); its inclusive time
 /// is its whole duration.  Both are summed over every span of that name.
-/// Instants are ignored.  This is the one reducer behind every per-phase
+/// Time a span's thread spends waiting on other threads (a `compose` span
+/// while helper threads run module tasks) is not covered by a child on
+/// that thread, so it stays in the span's self time.  Instants are
+/// ignored.  This is the one reducer behind every per-phase
 /// and per-stage breakdown (`dftimc --stats`), so those numbers always come
 /// from the same spans a --trace export shows.
 struct SelfTimes {

@@ -14,7 +14,8 @@
 /// All unrepairable gate models rely on the *single-firing discipline*:
 /// in any community our converter produces, each firing signal is output at
 /// most once (fired states are absorbing), so counting failed inputs is
-/// exact.  Subset-tracking variants exist for the ablation benchmark.
+/// exact.  The subset-tracking variants are the test reference for the
+/// counting gates (Invariance.SubsetGatesGiveTheSameAnswer).
 
 namespace imcdft::semantics {
 

@@ -57,13 +57,13 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/text.hpp"
 #include "dft/execution.hpp"
 #include "dft/galileo.hpp"
 #include "dft/generate.hpp"
@@ -191,18 +191,10 @@ CliOptions parseArgs(int argc, char** argv) {
   return opts;
 }
 
-std::string readFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot open '" + path + "'");
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
 /// Replay mode: one oracle run over an existing Galileo file.
 int runCheck(const CliOptions& opts) {
   try {
-    dft::Dft tree = dft::parseGalileo(readFile(opts.checkPath));
+    dft::Dft tree = dft::parseGalileo(imcdft::readFile(opts.checkPath));
     const fuzz::OracleVerdict verdict = fuzz::crossCheck(tree, opts.oracle);
     switch (verdict.status) {
       case fuzz::OracleStatus::Agree:

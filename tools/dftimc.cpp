@@ -135,6 +135,7 @@
 #include "analysis/static_combine.hpp"
 #include "common/cancel.hpp"
 #include "common/error.hpp"
+#include "common/text.hpp"
 #include "ctmc/transient.hpp"
 #include "dft/corpus.hpp"
 #include "dft/galileo.hpp"
@@ -317,21 +318,13 @@ CliOptions parseArgs(int argc, char** argv) {
   return opts;
 }
 
-std::string readFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw imcdft::Error("cannot open '" + path + "'");
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
 /// Resolves a model reference to Galileo text.  `corpus:NAME` names a
 /// built-in model (paper examples or an AxB instance of a parametric
 /// family, printed through the faithful Galileo round-trip); anything else
 /// is a file path.
 std::string resolveModelText(const std::string& ref) {
   namespace corpus = imcdft::dft::corpus;
-  if (ref.rfind("corpus:", 0) != 0) return readFile(ref);
+  if (ref.rfind("corpus:", 0) != 0) return imcdft::readFile(ref);
   const std::string name = ref.substr(7);
   if (name == "cas") return corpus::galileoCas();
   if (name == "cps") return corpus::galileoCps();
