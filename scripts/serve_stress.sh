@@ -9,6 +9,8 @@
 #     clean run produces,
 #   * the summary counts completed / over budget / failed requests and
 #     the exit status is nonzero iff any slot failed,
+#   * the store directory holds only q*.imcq records (one record kind,
+#     no leftover temporaries),
 #   * file-level store corruption degrades to recompute-plus-warning —
 #     never a wrong answer, never a crash.
 #
@@ -115,6 +117,15 @@ expect_grep 'requests: *2 completed, 1 over budget, 2 failed' \
 healthy=$(grep -c '^unreliability' "$work/out1.txt" || true)
 [ "$healthy" -eq 2 ] || \
     fail "both healthy requests must still be served (got $healthy)"
+# One record kind: module and whole-tree quotients alike publish q*.imcq
+# records, and nothing else is left in the directory.
+for entry in "$work/store"/* "$work/store"/.[!.]*; do
+  [ -e "$entry" ] || continue
+  case $(basename -- "$entry") in
+    q*.imcq) ;;
+    *) fail "store directory holds a non-record file: $entry" ;;
+  esac
+done
 
 # ------------------------------------- phase 2: corrupted store records
 # Truncate every published record to half its size; the warm re-serve

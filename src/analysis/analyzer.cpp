@@ -100,10 +100,10 @@ void publishRequestMetrics(const AnalysisReport& report, double wallSeconds) {
 
 /// Serialization of every option that influences the composed model (or
 /// its reported statistics, which symmetry changes); part of both cache
-/// keys.  EngineOptions::storeDir is deliberately absent: a store hit is
-/// bitwise identical to cold aggregation, so the same analysis keyed with
-/// and without a store must share cache entries (and store records written
-/// by a session with one store directory stay valid for every other).
+/// keys.  The store directory (AnalyzerOptions::storeDir) is a session
+/// setting, not a request option: a store hit is bitwise identical to cold
+/// aggregation, so records written by a session with one store directory
+/// stay valid for every other.
 std::string optionsKey(const AnalysisOptions& opts) {
   std::string key = "sg=";
   key += opts.conversion.subsetGates ? '1' : '0';
@@ -193,13 +193,11 @@ const char* measureKindName(MeasureKind kind) {
 class Analyzer::SessionModuleCache : public ModuleCache {
  public:
   SessionModuleCache(Analyzer& owner, const std::vector<ActivationContext>& ctx,
-                     std::string optsKey, CacheStats& requestStats,
-                     std::shared_ptr<store::QuotientStore> store)
+                     std::string optsKey, CacheStats& requestStats)
       : owner_(owner),
         contexts_(ctx),
         optsKey_(std::move(optsKey)),
-        stats_(requestStats),
-        store_(std::move(store)) {}
+        stats_(requestStats) {}
 
   std::optional<CachedModule> lookup(const dft::Dft& dft,
                                      dft::ElementId root) override {
@@ -209,9 +207,9 @@ class Analyzer::SessionModuleCache : public ModuleCache {
     if (std::optional<std::shared_ptr<const CachedModule>> hit =
             owner_.modules_.get(k))
       entry = std::move(*hit);
-    if (!entry && store_) {
-      if (std::optional<store::QuotientStore::LoadedModule> loaded =
-              store_->loadModule(k, owner_.symbols_)) {
+    if (!entry && owner_.store_) {
+      if (std::optional<store::Record> loaded =
+              owner_.store_->load(k, owner_.symbols_)) {
         entry = std::make_shared<const CachedModule>(
             CachedModule{std::move(loaded->model), loaded->steps});
         ++stats_.storeHits;
@@ -234,7 +232,7 @@ class Analyzer::SessionModuleCache : public ModuleCache {
              const ioimc::IOIMC& model, std::size_t steps) override {
     if (!cacheable(root)) return;
     std::string k = key(dft, root);
-    if (store_ && store_->storeModule(k, model, steps))
+    if (owner_.store_ && owner_.store_->store(k, model, steps))
       storeWrites_.fetch_add(1, std::memory_order_relaxed);
     const std::size_t evicted = owner_.modules_.put(
         std::move(k),
@@ -264,7 +262,6 @@ class Analyzer::SessionModuleCache : public ModuleCache {
   const std::vector<ActivationContext>& contexts_;
   std::string optsKey_;
   CacheStats& stats_;
-  std::shared_ptr<store::QuotientStore> store_;
   /// Worker-thread counters (store() side); see foldInto().
   std::atomic<std::size_t> storeWrites_{0};
   std::atomic<std::size_t> moduleEvictions_{0};
@@ -273,7 +270,17 @@ class Analyzer::SessionModuleCache : public ModuleCache {
 Analyzer::Analyzer(AnalyzerOptions opts)
     : symbols_(ioimc::makeSymbolTable()),
       trees_(opts.maxCachedTrees),
-      modules_(opts.maxCachedModules) {}
+      modules_(opts.maxCachedModules) {
+  if (opts.storeDir.empty()) return;
+  try {
+    store_ = store::QuotientStore::open(opts.storeDir);
+  } catch (const Error& e) {
+    // Soft: the session serves without persistence, and its first request
+    // carries the one warning.
+    storeDisabled_ = std::string("quotient store disabled: ") + e.what();
+    storeWarningPending_ = true;
+  }
+}
 
 Analyzer::~Analyzer() = default;
 
@@ -282,42 +289,20 @@ CacheStats Analyzer::cacheStats() const {
   return sessionStats_;
 }
 
-std::shared_ptr<store::QuotientStore> Analyzer::openStore(
-    const std::string& dir, std::vector<Diagnostic>& diagnostics) {
-  if (dir.empty()) return nullptr;
-  std::lock_guard<std::mutex> lock(storesMutex_);
-  auto it = stores_.find(dir);
-  if (it != stores_.end()) return it->second;
-  std::shared_ptr<store::QuotientStore> handle;
-  try {
-    handle = store::QuotientStore::open(dir);
-  } catch (const Error& e) {
-    // Soft: the session keeps serving without persistence.  Remembered as
-    // disabled so a long-lived service warns once, not once per request.
-    diagnostics.push_back(
-        {Severity::Warning,
-         std::string("quotient store disabled: ") + e.what()});
-  }
-  stores_.emplace(dir, handle);
-  return handle;
-}
-
 std::shared_ptr<const DftAnalysis> Analyzer::serveTree(
     const dft::Dft& tree, const std::string& key, const std::string& label,
-    const AnalysisOptions& opts, CacheStats& requestStats,
-    const std::shared_ptr<store::QuotientStore>& store, bool& fromStore) {
+    const AnalysisOptions& opts, CacheStats& requestStats, bool& fromStore) {
   fromStore = false;
   std::shared_ptr<const DftAnalysis> analysis;
-  if (store) {
+  if (store_) {
     // Whole-tree store probe: a hit skips conversion and composition
     // entirely; only the extraction tail runs on the already-aggregated
     // quotient.  The probe is timed as an extract span.
     obs::TraceSpan extractSpan("extract");
-    if (std::optional<store::QuotientStore::LoadedTree> loaded =
-            store->loadTree(key, symbols_)) {
+    if (std::optional<store::Record> loaded = store_->load(key, symbols_)) {
       Extraction absorbed = absorbedExtraction(loaded->model, opts.engine.weak);
       DftAnalysis rebuilt{std::move(loaded->model), CompositionStats{},
-                          std::move(absorbed), false, loaded->repairable,
+                          std::move(absorbed), false, tree.isRepairable(),
                           nullptr, nullptr};
       rebuilt.nondeterministic = !rebuilt.absorbed.deterministic;
       rebuilt.composeSteps = loaded->steps;
@@ -331,10 +316,9 @@ std::shared_ptr<const DftAnalysis> Analyzer::serveTree(
     }
   }
   if (!analysis) {
-    analysis = runPipeline(tree, opts, requestStats, store);
-    if (store && store->storeTree(key, analysis->closedModel,
-                                  analysis->repairable,
-                                  analysis->composeSteps))
+    analysis = runPipeline(tree, opts, requestStats);
+    if (store_ &&
+        store_->store(key, analysis->closedModel, analysis->composeSteps))
       ++requestStats.storeWrites;
   }
   requestStats.treeEvictions += trees_.put(key, analysis);
@@ -344,8 +328,7 @@ std::shared_ptr<const DftAnalysis> Analyzer::serveTree(
 std::shared_ptr<const DftAnalysis> Analyzer::runNumericPipeline(
     const dft::Dft& tree, const dft::StaticLayer& layer,
     const AnalysisOptions& opts, CacheStats& requestStats,
-    std::vector<Diagnostic>& diagnostics,
-    const std::shared_ptr<store::QuotientStore>& store) {
+    std::vector<Diagnostic>& diagnostics) {
   obs::TraceSpan span("numeric-combine");
   // Belt and suspenders: the layer's structural checks already imply that
   // every frontier module is always active (its only referencers are the
@@ -403,7 +386,7 @@ std::shared_ptr<const DftAnalysis> Analyzer::runNumericPipeline(
               trees_.get(key))
         sub = std::move(*cached);
       else
-        sub = serveTree(moduleDft, key, name, opts, requestStats, store, hit);
+        sub = serveTree(moduleDft, key, name, opts, requestStats, hit);
       const std::size_t steps = sub->composeSteps;
       obs::traceInstant("module-cache", name, {{"hit", hit ? 1u : 0u}});
       if (hit) {
@@ -473,8 +456,7 @@ std::shared_ptr<const DftAnalysis> Analyzer::runNumericPipeline(
 
 std::shared_ptr<const DftAnalysis> Analyzer::runPipeline(
     const dft::Dft& tree, const AnalysisOptions& opts,
-    CacheStats& requestStats,
-    const std::shared_ptr<store::QuotientStore>& store) {
+    CacheStats& requestStats) {
   ConversionOptions conversion = opts.conversion;
   conversion.symbols = symbols_;
 
@@ -492,8 +474,7 @@ std::shared_ptr<const DftAnalysis> Analyzer::runPipeline(
   const bool useModuleCache =
       opts.engine.reference != Reference::DeclarationOrder;
   SessionModuleCache moduleCache(*this, contexts, optionsKey(opts),
-                                 requestStats,
-                                 useModuleCache ? store : nullptr);
+                                 requestStats);
   EngineResult engine =
       composeCommunity(std::move(community), tree, opts.engine,
                        useModuleCache ? &moduleCache : nullptr);
@@ -612,8 +593,8 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
   const std::string fullKey = treeKey + ";nc=0";
   const std::string numericKey = treeKey + ";nc=1";
 
-  const std::shared_ptr<store::QuotientStore> storeHandle =
-      openStore(options.engine.storeDir, report.diagnostics);
+  if (storeWarningPending_.exchange(false))
+    report.diagnostics.push_back({Severity::Warning, storeDisabled_});
 
   std::shared_ptr<const DftAnalysis> analysis;
   if (wantNumeric)
@@ -641,7 +622,7 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
       dft::StaticLayer layer = dft::detectStaticLayer(*tree);
       if (layer.eligible) {
         analysis = runNumericPipeline(*tree, layer, options, report.cache,
-                                      report.diagnostics, storeHandle);
+                                      report.diagnostics);
         // Null = a module was nondeterministic (Warning already attached);
         // the fallen-back full analysis lands under fullKey.
         if (analysis)
@@ -655,7 +636,7 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
     if (!analysis) {
       bool fromStore = false;
       analysis = serveTree(*tree, fullKey, request.label, options,
-                           report.cache, storeHandle, fromStore);
+                           report.cache, fromStore);
       if (fromStore)
         report.diagnostics.push_back(
             {Severity::Info,
@@ -820,10 +801,10 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
   }
 
   // --- Session bookkeeping. ---
-  if (storeHandle) {
+  if (store_) {
     // Surface soft store failures on whichever request drains them first
     // (the store is shared; attribution is best-effort by design).
-    for (std::string& w : storeHandle->drainWarnings()) {
+    for (std::string& w : store_->drainWarnings()) {
       ++report.cache.storeErrors;
       report.diagnostics.push_back(
           {Severity::Warning, "quotient store: " + std::move(w)});

@@ -1,9 +1,9 @@
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/report.hpp"
@@ -53,16 +53,19 @@
 /// identical (the pipeline is a pure function of the tree and the keyed
 /// options), so whichever put lands last leaves an equal entry cached.
 ///
-/// Persistence.  When EngineOptions::storeDir names a directory, the
-/// session reads aggregated whole-tree and module quotients from the
-/// content-addressed on-disk store (store/quotient_store.hpp) before
-/// aggregating, and publishes fresh results back; a numeric-path frontier
-/// module is a whole-tree record like any other tree.  Store records are
-/// keyed by the same canonical fingerprints as the in-memory caches and
-/// deserialize by action *name* into the session symbol table, so a store
-/// hit is bitwise identical to the cold aggregation it replaces.  Store
-/// failures are soft: they count as misses, attach Warning diagnostics,
-/// and never change an answer.
+/// Persistence.  When AnalyzerOptions::storeDir names a directory, the
+/// session opens the content-addressed on-disk store
+/// (store/quotient_store.hpp) once, at construction, and every request
+/// reads aggregated whole-tree and module quotients from it before
+/// aggregating and publishes fresh results back; a numeric-path frontier
+/// module is a whole-tree record like any other tree.  Whole-tree and
+/// module quotients are one record kind, each under its own key.  Store
+/// records are keyed by the same canonical fingerprints as the in-memory
+/// caches and deserialize by action *name* into the session symbol table,
+/// so a store hit is bitwise identical to the cold aggregation it replaces.
+/// Store failures are soft: a directory that cannot be opened leaves the
+/// session without a store and warns on its first request; a bad record
+/// counts as a miss and attaches a Warning; neither changes an answer.
 
 namespace imcdft::store {
 class QuotientStore;  // store/quotient_store.hpp
@@ -76,6 +79,10 @@ struct AnalyzerOptions {
   /// unbounded.
   std::size_t maxCachedTrees = 256;
   std::size_t maxCachedModules = 1024;
+  /// Directory of the persistent quotient store (store/quotient_store.hpp),
+  /// created when absent; empty means no store.  Not part of any cache
+  /// key: a store hit is bitwise identical to cold aggregation.
+  std::string storeDir;
 };
 
 /// Extraction of the *non-absorbed* closed model (the unavailability
@@ -134,20 +141,18 @@ class Analyzer {
  private:
   class SessionModuleCache;
 
-  std::shared_ptr<const DftAnalysis> runPipeline(
-      const dft::Dft& tree, const AnalysisOptions& opts,
-      CacheStats& requestStats,
-      const std::shared_ptr<store::QuotientStore>& store);
+  std::shared_ptr<const DftAnalysis> runPipeline(const dft::Dft& tree,
+                                                 const AnalysisOptions& opts,
+                                                 CacheStats& requestStats);
 
   /// The full-composition analysis of \p tree under tree-cache key \p key,
   /// for a caller whose tree-cache probe of \p key missed: the store's
-  /// whole-tree record, else runPipeline, whose result is published to the
+  /// record for \p key, else runPipeline, whose result is published to the
   /// store; either way the result is put into the tree cache.  \p label
   /// names the tree in trace events; \p fromStore reports a store hit.
   std::shared_ptr<const DftAnalysis> serveTree(
       const dft::Dft& tree, const std::string& key, const std::string& label,
-      const AnalysisOptions& opts, CacheStats& requestStats,
-      const std::shared_ptr<store::QuotientStore>& store, bool& fromStore);
+      const AnalysisOptions& opts, CacheStats& requestStats, bool& fromStore);
 
   /// The static-combination numeric path: per-module analyses (each
   /// frontier module probed in the tree cache, then served by serveTree as
@@ -159,14 +164,7 @@ class Analyzer {
   std::shared_ptr<const DftAnalysis> runNumericPipeline(
       const dft::Dft& tree, const dft::StaticLayer& layer,
       const AnalysisOptions& opts, CacheStats& requestStats,
-      std::vector<Diagnostic>& diagnostics,
-      const std::shared_ptr<store::QuotientStore>& store);
-
-  /// Resolves (and memoizes) the store handle for \p dir; an empty dir
-  /// returns null.  A directory that cannot be opened warns once (on the
-  /// first request that touches it) and is remembered as disabled.
-  std::shared_ptr<store::QuotientStore> openStore(
-      const std::string& dir, std::vector<Diagnostic>& diagnostics);
+      std::vector<Diagnostic>& diagnostics);
 
   ioimc::SymbolTablePtr symbols_;
 
@@ -179,10 +177,12 @@ class Analyzer {
   LruMap<std::shared_ptr<const DftAnalysis>> trees_;
   LruMap<std::shared_ptr<const CachedModule>> modules_;
 
-  /// Persistent stores by directory (null = directory unusable, warned).
-  std::mutex storesMutex_;
-  std::unordered_map<std::string, std::shared_ptr<store::QuotientStore>>
-      stores_;
+  /// The persistent store; null without AnalyzerOptions::storeDir or when
+  /// the directory could not be opened.  In the latter case
+  /// storeDisabled_ holds the Warning the first request takes.
+  std::shared_ptr<store::QuotientStore> store_;
+  std::string storeDisabled_;
+  std::atomic<bool> storeWarningPending_{false};
 };
 
 }  // namespace imcdft::analysis

@@ -15,7 +15,10 @@
 /// Steps 2-5 of the paper's conversion/analysis algorithm: repeatedly pick
 /// two I/O-IMC of the community, parallel-compose them, hide the output
 /// signals that are no longer synchronized on, and aggregate with weak
-/// bisimulation, until a single model remains.
+/// bisimulation, until a single model remains.  EngineOptions are set per
+/// request; the persistent quotient store is a session resource
+/// (AnalyzerOptions::storeDir) that reaches the engine only through the
+/// ModuleCache hook.
 
 namespace imcdft::analysis {
 
@@ -86,15 +89,6 @@ struct EngineOptions {
   /// out nondeterministic.  Exact up to CTMC transient tolerances; the E14
   /// tests enforce 1e-9-relative agreement with the composition path.
   bool staticCombine = true;
-  /// Directory of the persistent quotient store (store/quotient_store.hpp).
-  /// Empty disables persistence.  The Analyzer reads aggregated module and
-  /// whole-tree quotients from it before aggregating, and publishes fresh
-  /// results back; a fleet of processes pointed at one
-  /// directory shares a warm cache across restarts.  Deliberately NOT part
-  /// of the semantic cache key (optionsKey): store hits are bitwise
-  /// identical to cold aggregation, so the same analysis keyed with and
-  /// without a store must share cache entries.
-  std::string storeDir;
   /// Cooperative cancellation / resource budget (common/cancel.hpp).  The
   /// engine checkpoints the token once per merge step and hands it to
   /// every hot loop below it (compose expansion, refinement iterations,

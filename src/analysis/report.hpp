@@ -53,7 +53,7 @@ struct DftAnalysis {
   std::shared_ptr<const StaticCombination> staticCombo;
   /// Compose/hide/aggregate steps that built this analysis (what a later
   /// cache hit on it saves): stats.steps.size() after a pipeline run, the
-  /// recorded count when it was loaded from a whole-tree store record.
+  /// recorded count when it was loaded from the store.
   std::size_t composeSteps = 0;
 };
 
@@ -98,9 +98,9 @@ struct CacheStats {
   /// Compose/hide/aggregate steps actually executed vs avoided by hits.
   std::size_t stepsRun = 0;
   std::size_t stepsSaved = 0;
-  /// Persistent quotient store (EngineOptions::storeDir): records served
-  /// from / probed and absent in the on-disk store, summed over both
-  /// record kinds (whole-tree quotients, module quotients).
+  /// Persistent quotient store (AnalyzerOptions::storeDir): records served
+  /// from / probed and absent in the on-disk store, whole-tree and module
+  /// quotients alike.
   /// Store hits at the module level also count as moduleHits (they splice
   /// like a session-cache hit would).
   std::size_t storeHits = 0;

@@ -14,9 +14,10 @@
 /// The typed request side of the Analyzer session API: what to analyze
 /// (a DFT given in memory, as Galileo text, or as a file path), which
 /// measures to evaluate (each with its own time grid), and the
-/// conversion/engine knobs to use.  See analysis/analyzer.hpp for the
-/// session object that consumes requests and analysis/report.hpp for the
-/// response side.
+/// conversion/engine knobs to use.  Settings that hold for a whole session
+/// (cache capacities, the persistent store directory) are AnalyzerOptions,
+/// not request options.  See analysis/analyzer.hpp for the session object
+/// that consumes requests and analysis/report.hpp for the response side.
 
 namespace imcdft::analysis {
 

@@ -124,57 +124,4 @@ double BddManager::probability(NodeRef f,
   return memo[f];
 }
 
-std::vector<std::vector<std::uint32_t>> BddManager::minimalCutSets(
-    NodeRef f) const {
-  // Enumerate paths to the 1-terminal keeping only positive literals, then
-  // filter non-minimal sets.  Adequate for the monotone functions produced
-  // by fault trees.
-  std::vector<std::vector<std::uint32_t>> sets;
-  std::vector<std::uint32_t> path;
-  struct Frame {
-    NodeRef node;
-    int stage;  // 0: descend low, 1: descend high (var in path), 2: done
-  };
-  std::vector<Frame> stack{{f, 0}};
-  while (!stack.empty()) {
-    Frame& fr = stack.back();
-    if (fr.node == kTrue) {
-      sets.push_back(path);
-      stack.pop_back();
-      continue;
-    }
-    if (fr.node == kFalse) {
-      stack.pop_back();
-      continue;
-    }
-    if (fr.stage == 0) {
-      fr.stage = 1;
-      stack.push_back({nodes_[fr.node].low, 0});
-    } else if (fr.stage == 1) {
-      fr.stage = 2;
-      path.push_back(nodes_[fr.node].var);
-      stack.push_back({nodes_[fr.node].high, 0});
-    } else {
-      path.pop_back();
-      stack.pop_back();
-    }
-  }
-  for (auto& s : sets) std::sort(s.begin(), s.end());
-  std::sort(sets.begin(), sets.end(),
-            [](const auto& a, const auto& b) { return a.size() < b.size(); });
-  std::vector<std::vector<std::uint32_t>> minimal;
-  for (const auto& s : sets) {
-    bool superset = false;
-    for (const auto& m : minimal) {
-      if (std::includes(s.begin(), s.end(), m.begin(), m.end())) {
-        superset = true;
-        break;
-      }
-    }
-    if (!superset) minimal.push_back(s);
-  }
-  std::sort(minimal.begin(), minimal.end());
-  return minimal;
-}
-
 }  // namespace imcdft::bdd

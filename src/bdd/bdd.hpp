@@ -10,8 +10,8 @@
 /// DIFTree (the paper's baseline, [11]) solves *static* fault tree modules
 /// with binary decision diagrams; this is the substrate that reproduces
 /// that part of the pipeline.  Supports the usual apply-style boolean
-/// operators via ITE with a computed-table, top-event probability
-/// evaluation by Shannon expansion, and minimal cut set extraction.
+/// operators via ITE with a computed-table and top-event probability
+/// evaluation by Shannon expansion.
 
 namespace imcdft::bdd {
 
@@ -47,9 +47,6 @@ class BddManager {
   /// P(f = 1) when variable v is true independently with probability
   /// \p varProbs[v]; computed by Shannon expansion with memoization.
   double probability(NodeRef f, const std::vector<double>& varProbs) const;
-
-  /// All minimal cut sets of f (monotone f), as sorted variable lists.
-  std::vector<std::vector<std::uint32_t>> minimalCutSets(NodeRef f) const;
 
   /// Total number of live nodes (for benchmarks).
   std::size_t numNodes() const { return nodes_.size(); }

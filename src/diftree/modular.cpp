@@ -86,16 +86,6 @@ std::vector<double> StaticStructure::curve(
   return out;
 }
 
-std::vector<std::vector<ElementId>> StaticStructure::minimalCutSets() const {
-  std::vector<std::vector<ElementId>> out;
-  for (const auto& cut : manager_.minimalCutSets(root_)) {
-    std::vector<ElementId> ids;
-    for (std::uint32_t var : cut) ids.push_back(beOfVar_[var]);
-    out.push_back(std::move(ids));
-  }
-  return out;
-}
-
 double staticUnreliability(const Dft& dft,
                            const std::vector<double>& beProbability) {
   return StaticStructure(dft).probability(beProbability);
@@ -225,62 +215,6 @@ ModularResult modularAnalysis(const Dft& dft, double missionTime) {
   ModularResult out;
   out.unreliability =
       solveModule(dft::extractModule(dft, dft.top()), missionTime, out);
-  return out;
-}
-
-namespace {
-
-std::vector<double> staticBeProbabilities(const Dft& dft, double t) {
-  std::vector<double> probs(dft.size(), 0.0);
-  for (ElementId id = 0; id < dft.size(); ++id)
-    if (dft.element(id).isBasicEvent())
-      probs[id] =
-          erlangCdf(dft.element(id).be.phases, dft.element(id).be.lambda, t);
-  return probs;
-}
-
-void requireStatic(const Dft& dft, const char* who) {
-  if (dft.isDynamic())
-    throw UnsupportedError(std::string(who) +
-                           ": only static trees are supported");
-}
-
-}  // namespace
-
-std::vector<ImportanceResult> birnbaumImportance(const Dft& dft,
-                                                 double missionTime) {
-  requireStatic(dft, "birnbaumImportance");
-  std::vector<double> probs = staticBeProbabilities(dft, missionTime);
-  // One BDD for the whole sweep: only the probability evaluation repeats
-  // over the 2N+1 perturbed vectors.
-  const StaticStructure structure(dft);
-  const double top = structure.probability(probs);
-  std::vector<ImportanceResult> out;
-  for (ElementId id = 0; id < dft.size(); ++id) {
-    const Element& e = dft.element(id);
-    if (!e.isBasicEvent()) continue;
-    ImportanceResult r;
-    r.name = e.name;
-    r.failureProbability = probs[id];
-    std::vector<double> hi = probs, lo = probs;
-    hi[id] = 1.0;
-    lo[id] = 0.0;
-    r.birnbaum = structure.probability(hi) - structure.probability(lo);
-    r.criticality = top > 0.0 ? r.birnbaum * probs[id] / top : 0.0;
-    out.push_back(std::move(r));
-  }
-  return out;
-}
-
-std::vector<std::vector<std::string>> minimalCutSets(const Dft& dft) {
-  requireStatic(dft, "minimalCutSets");
-  std::vector<std::vector<std::string>> out;
-  for (const std::vector<ElementId>& cut :
-       StaticStructure(dft).minimalCutSets()) {
-    std::vector<std::string> names;
-    for (ElementId id : cut) names.push_back(dft.element(id).name);
-    out.push_back(std::move(names));
-  }
   return out;
 }
 

@@ -43,8 +43,8 @@ ModularResult modularAnalysis(const dft::Dft& dft, double missionTime);
 /// A static (sub)tree's structure function compiled to a BDD once and
 /// evaluated any number of times — the DIFTree static solver with the BDD
 /// construction hoisted out of the evaluation loop.  Callers that evaluate
-/// the same tree under many probability vectors (mission-time grids,
-/// importance measures, the engine's static-combination numeric path)
+/// the same tree under many probability vectors (mission-time grids, the
+/// engine's static-combination numeric path)
 /// construct one StaticStructure and call probability() per vector;
 /// staticUnreliability() below stays as the one-shot convenience.
 class StaticStructure {
@@ -67,9 +67,6 @@ class StaticStructure {
   /// Basic events in variable order (ElementIds of the compiled tree).
   const std::vector<dft::ElementId>& basicEvents() const { return beOfVar_; }
 
-  /// Minimal cut sets as sorted ElementId lists of the compiled tree.
-  std::vector<std::vector<dft::ElementId>> minimalCutSets() const;
-
   std::size_t bddNodes() const { return manager_.size(root_); }
 
  private:
@@ -85,24 +82,5 @@ class StaticStructure {
 /// yourself when evaluating the same tree repeatedly.
 double staticUnreliability(const dft::Dft& dft,
                            const std::vector<double>& beProbability);
-
-/// Classic component-importance measures for static trees, computed on the
-/// BDD (part of what DIFTree-era tooling reported for static modules).
-struct ImportanceResult {
-  std::string name;
-  double failureProbability = 0.0;  ///< p_i at the mission time
-  /// Birnbaum importance: dU/dp_i = U(p_i:=1) - U(p_i:=0).
-  double birnbaum = 0.0;
-  /// Criticality importance: birnbaum * p_i / U.
-  double criticality = 0.0;
-};
-
-/// Importance of every basic event of a *static* tree at \p missionTime.
-/// Throws UnsupportedError on dynamic trees.
-std::vector<ImportanceResult> birnbaumImportance(const dft::Dft& dft,
-                                                 double missionTime);
-
-/// Minimal cut sets of a static tree, as sorted lists of element names.
-std::vector<std::vector<std::string>> minimalCutSets(const dft::Dft& dft);
 
 }  // namespace imcdft::diftree

@@ -11,15 +11,11 @@ namespace {
 using ioimc::ByteReader;
 using ioimc::ByteWriter;
 
-/// Flag bits of a tree record (see format.hpp).
-constexpr std::uint8_t kTreeRepairable = 1;
-constexpr std::uint8_t kTreeHasSteps = 2;
-
-std::string finishRecord(RecordKind kind, std::string payload) {
+std::string finishRecord(std::string payload) {
   ByteWriter header;
   header.raw(kMagic, sizeof kMagic);
   header.u32(kFormatVersion);
-  header.u32(static_cast<std::uint32_t>(kind));
+  header.u32(kQuotientKind);
   header.u64(payload.size());
   header.u64(fnv1aBytes(payload.data(), payload.size()));
   std::string record = header.take();
@@ -29,7 +25,7 @@ std::string finishRecord(RecordKind kind, std::string payload) {
 
 /// Validates the fixed header and hands back a reader positioned at the
 /// payload.  Returns false with \p error set on any malformation.
-bool openRecord(const char* data, std::size_t size, RecordKind expectedKind,
+bool openRecord(const char* data, std::size_t size,
                 std::optional<ByteReader>& payload, std::string& error) {
   if (size < kHeaderSize) {
     error = "truncated record (shorter than the fixed header)";
@@ -49,7 +45,7 @@ bool openRecord(const char* data, std::size_t size, RecordKind expectedKind,
             ", reader v" + std::to_string(kFormatVersion) + ")";
     return false;
   }
-  if (kind != static_cast<std::uint32_t>(expectedKind)) {
+  if (kind != kQuotientKind) {
     error = "record kind mismatch";
     return false;
   }
@@ -76,32 +72,22 @@ std::uint64_t fnv1aBytes(const char* data, std::size_t size) {
   return h;
 }
 
-std::string encodeModuleRecord(const std::string& key,
-                               const ioimc::IOIMC& model, std::uint64_t steps) {
+std::string encodeRecord(const std::string& key, const ioimc::IOIMC& model,
+                         std::uint64_t steps) {
   ByteWriter payload;
   payload.str(key);
   payload.u64(steps);
   payload.u32(0);  // the name list, always empty (see format.hpp)
   ioimc::serializeModel(model, payload);
-  return finishRecord(RecordKind::ModuleQuotient, payload.take());
+  return finishRecord(payload.take());
 }
 
-std::string encodeTreeRecord(const std::string& key, const ioimc::IOIMC& model,
-                             bool repairable, std::uint64_t steps) {
-  ByteWriter payload;
-  payload.str(key);
-  payload.u8((repairable ? kTreeRepairable : 0) | kTreeHasSteps);
-  payload.u64(steps);
-  ioimc::serializeModel(model, payload);
-  return finishRecord(RecordKind::TreeQuotient, payload.take());
-}
-
-std::optional<ModuleRecord> decodeModuleRecord(
-    const char* data, std::size_t size, const std::string& key,
-    const ioimc::SymbolTablePtr& symbols, std::string& error) {
+std::optional<Record> decodeRecord(const char* data, std::size_t size,
+                                   const std::string& key,
+                                   const ioimc::SymbolTablePtr& symbols,
+                                   std::string& error) {
   std::optional<ByteReader> in;
-  if (!openRecord(data, size, RecordKind::ModuleQuotient, in, error))
-    return std::nullopt;
+  if (!openRecord(data, size, in, error)) return std::nullopt;
   if (in->str() != key) {
     error.clear();  // hash collision: a miss, not a malformation
     return std::nullopt;
@@ -109,41 +95,16 @@ std::optional<ModuleRecord> decodeModuleRecord(
   std::uint64_t steps = in->u64();
   std::uint32_t numNames = in->u32();
   if (numNames > in->remaining() / 4 + 1 || !in->ok()) {
-    error = "malformed module record";
+    error = "malformed record";
     return std::nullopt;
   }
   for (std::uint32_t i = 0; i < numNames; ++i) in->str();  // skipped
   std::optional<ioimc::IOIMC> model = ioimc::deserializeModel(*in, symbols);
   if (!model || in->remaining() != 0) {
-    error = "malformed module record";
+    error = "malformed record";
     return std::nullopt;
   }
-  return ModuleRecord{key, steps, std::move(*model)};
-}
-
-std::optional<TreeRecord> decodeTreeRecord(
-    const char* data, std::size_t size, const std::string& key,
-    const ioimc::SymbolTablePtr& symbols, std::string& error) {
-  std::optional<ByteReader> in;
-  if (!openRecord(data, size, RecordKind::TreeQuotient, in, error))
-    return std::nullopt;
-  if (in->str() != key) {
-    error.clear();
-    return std::nullopt;
-  }
-  const std::uint8_t flags = in->u8();
-  if ((flags & ~(kTreeRepairable | kTreeHasSteps)) != 0) {
-    error = "malformed tree record";
-    return std::nullopt;
-  }
-  const std::uint64_t steps = (flags & kTreeHasSteps) != 0 ? in->u64() : 0;
-  std::optional<ioimc::IOIMC> model = ioimc::deserializeModel(*in, symbols);
-  if (!model || in->remaining() != 0) {
-    error = "malformed tree record";
-    return std::nullopt;
-  }
-  return TreeRecord{key, (flags & kTreeRepairable) != 0, steps,
-                    std::move(*model)};
+  return Record{key, steps, std::move(*model)};
 }
 
 }  // namespace imcdft::store

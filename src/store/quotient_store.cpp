@@ -57,14 +57,6 @@ class MappedFile {
   bool empty_ = false;
 };
 
-char kindTag(RecordKind kind) {
-  switch (kind) {
-    case RecordKind::ModuleQuotient: return 'q';
-    case RecordKind::TreeQuotient: return 't';
-  }
-  return 'x';
-}
-
 std::string hex64(std::uint64_t v) {
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx",
@@ -73,8 +65,8 @@ std::string hex64(std::uint64_t v) {
 }
 
 /// Process-wide temp-file sequence.  Deliberately not per-instance: two
-/// open handles on the same directory (one per Analyzer store entry, or a
-/// test holding two) would otherwise both count 0, 1, 2, ... and clobber
+/// open handles on the same directory (one per Analyzer session, or a test
+/// holding two) would otherwise both count 0, 1, 2, ... and clobber
 /// each other's in-flight `.tmp-<pid>-<seq>` files — publishing one
 /// writer's bytes under the other's key.
 std::atomic<std::uint64_t> gTmpSeq{0};
@@ -102,19 +94,14 @@ std::shared_ptr<QuotientStore> QuotientStore::open(const std::string& dir) {
   return std::shared_ptr<QuotientStore>(new QuotientStore(dir));
 }
 
-std::string QuotientStore::entryPath(const std::string& key,
-                                     RecordKind kind) const {
-  return dir_ + "/" + kindTag(kind) +
-         hex64(fnv1aBytes(key.data(), key.size())) + ".imcq";
+std::string QuotientStore::entryPath(const std::string& key) const {
+  return dir_ + "/q" + hex64(fnv1aBytes(key.data(), key.size())) + ".imcq";
 }
 
-template <class Record, class Decode>
-std::optional<Record> QuotientStore::loadRecord(const std::string& key,
-                                                RecordKind kind,
-                                                Decode&& decode) {
-  const std::string path = entryPath(key, kind);
-  const char tag = kindTag(kind);
-  obs::TraceSpan span("store.load", std::string_view(&tag, 1));
+std::optional<Record> QuotientStore::load(
+    const std::string& key, const ioimc::SymbolTablePtr& symbols) {
+  const std::string path = entryPath(key);
+  obs::TraceSpan span("store.load");
   MappedFile file(path);
   span.arg("bytes", file.size());
   if (file.absent()) {
@@ -138,7 +125,7 @@ std::optional<Record> QuotientStore::loadRecord(const std::string& key,
         data = mutated.data();
       }
     }
-    record = decode(data, size, error);
+    record = decodeRecord(data, size, key, symbols, error);
   }
   if (!record && !error.empty()) {
     loadErrors_.fetch_add(1, std::memory_order_relaxed);
@@ -148,37 +135,10 @@ std::optional<Record> QuotientStore::loadRecord(const std::string& key,
   return record;
 }
 
-std::optional<QuotientStore::LoadedModule> QuotientStore::loadModule(
-    const std::string& key, const ioimc::SymbolTablePtr& symbols) {
-  auto record = loadRecord<ModuleRecord>(
-      key, RecordKind::ModuleQuotient,
-      [&](const char* data, std::size_t size, std::string& error) {
-        return decodeModuleRecord(data, size, key, symbols, error);
-      });
-  if (!record) return std::nullopt;
-  return LoadedModule{std::move(record->model), record->steps};
-}
-
-std::optional<QuotientStore::LoadedTree> QuotientStore::loadTree(
-    const std::string& key, const ioimc::SymbolTablePtr& symbols) {
-  auto record = loadRecord<TreeRecord>(
-      key, RecordKind::TreeQuotient,
-      [&](const char* data, std::size_t size, std::string& error) {
-        return decodeTreeRecord(data, size, key, symbols, error);
-      });
-  if (!record) return std::nullopt;
-  return LoadedTree{std::move(record->model), record->repairable,
-                    record->steps};
-}
-
 bool QuotientStore::publish(const std::string& path,
                             const std::string& bytes) {
   obs::TraceSpan span("store.publish");
   span.arg("bytes", bytes.size());
-  // Content-addressing makes rewrites pointless: an existing record for
-  // this path already holds these bytes (or a colliding key's — which a
-  // rewrite would clobber for no gain either way).
-  if (std::filesystem::exists(path)) return false;
   const std::string tmp = dir_ + "/.tmp-" +
                           std::to_string(static_cast<long>(::getpid())) + "-" +
                           std::to_string(gTmpSeq.fetch_add(1));
@@ -269,20 +229,15 @@ std::optional<QuotientStore::IoFault::Kind> QuotientStore::takeFault(
   return std::nullopt;
 }
 
-bool QuotientStore::storeModule(const std::string& key,
-                                const ioimc::IOIMC& model,
-                                std::uint64_t steps) {
-  const std::string path = entryPath(key, RecordKind::ModuleQuotient);
+bool QuotientStore::store(const std::string& key, const ioimc::IOIMC& model,
+                          std::uint64_t steps) {
+  const std::string path = entryPath(key);
+  // Content-addressing makes rewrites pointless: an existing record for
+  // this path already holds these bytes (or a colliding key's — which a
+  // rewrite would clobber for no gain either way).  Checked before
+  // encoding, so steady-state serving serializes nothing.
   if (std::filesystem::exists(path)) return false;
-  return publish(path, encodeModuleRecord(key, model, steps));
-}
-
-bool QuotientStore::storeTree(const std::string& key,
-                              const ioimc::IOIMC& model, bool repairable,
-                              std::uint64_t steps) {
-  const std::string path = entryPath(key, RecordKind::TreeQuotient);
-  if (std::filesystem::exists(path)) return false;
-  return publish(path, encodeTreeRecord(key, model, repairable, steps));
+  return publish(path, encodeRecord(key, model, steps));
 }
 
 std::vector<std::string> QuotientStore::drainWarnings() {

@@ -13,14 +13,15 @@
 
 /// \file quotient_store.hpp
 /// The persistent, content-addressed quotient store: a directory of
-/// checksummed record files (store/format.hpp) holding aggregated module
-/// quotients and whole-tree quotients, keyed by the same exact canonical
-/// fingerprints the Analyzer's in-memory caches use (dft::canonicalKey /
-/// dft::moduleKey plus the engine options).  A static-combination frontier
-/// module is stored as a whole tree of its own, and a symmetric sibling
-/// the engine instantiates by renaming is a module record of its own.  A
-/// fleet of worker processes pointed at one directory shares a single warm
-/// cache across restarts:
+/// checksummed record files (store/format.hpp), each holding one
+/// aggregated quotient and the compose steps that built it, keyed by the
+/// same exact canonical fingerprints the Analyzer's in-memory caches use
+/// (dft::canonicalKey / dft::moduleKey plus the engine options).  Module
+/// quotients and whole-tree quotients are the same record under their own
+/// keys; a static-combination frontier module is stored as a whole tree of
+/// its own, and a symmetric sibling the engine instantiates by renaming is
+/// a module record of its own.  A fleet of worker processes pointed at one
+/// directory shares a single warm cache across restarts:
 ///
 ///  * loads go through mmap(2), so identical records read by many workers
 ///    occupy one set of page-cache pages;
@@ -38,8 +39,8 @@
 /// which the Analyzer turns into a Warning diagnostic — never a wrong
 /// answer, never an exception past open().
 ///
-/// Instances are internally synchronized; one store may serve any number
-/// of concurrent Analyzer sessions.
+/// Instances are internally synchronized; an Analyzer session opens one
+/// and shares it across its concurrent requests.
 
 namespace imcdft::store {
 
@@ -50,31 +51,19 @@ class QuotientStore {
   /// open() succeeds, no store condition throws.
   static std::shared_ptr<QuotientStore> open(const std::string& dir);
 
-  struct LoadedModule {
-    ioimc::IOIMC model;
-    std::uint64_t steps = 0;
-  };
-  struct LoadedTree {
-    ioimc::IOIMC model;
-    bool repairable = false;
-    std::uint64_t steps = 0;  ///< 0 for records that predate the count
-  };
-
-  std::optional<LoadedModule> loadModule(const std::string& key,
-                                         const ioimc::SymbolTablePtr& symbols);
-  std::optional<LoadedTree> loadTree(const std::string& key,
-                                     const ioimc::SymbolTablePtr& symbols);
+  /// The record stored under \p key, deserialized into \p symbols; nullopt
+  /// on a miss or a load error (the error also queues a warning).
+  std::optional<Record> load(const std::string& key,
+                             const ioimc::SymbolTablePtr& symbols);
 
   /// Store a record; returns true when a new file was published, false
   /// when the record already existed (the common steady-state case) or the
   /// write failed (which queues a warning).
-  bool storeModule(const std::string& key, const ioimc::IOIMC& model,
-                   std::uint64_t steps);
-  bool storeTree(const std::string& key, const ioimc::IOIMC& model,
-                 bool repairable, std::uint64_t steps);
+  bool store(const std::string& key, const ioimc::IOIMC& model,
+             std::uint64_t steps);
 
   /// The file the record for \p key lives at (exposed for tests/tooling).
-  std::string entryPath(const std::string& key, RecordKind kind) const;
+  std::string entryPath(const std::string& key) const;
 
   /// Load failures (not misses) observed so far.
   std::uint64_t loadErrors() const { return loadErrors_.load(); }
@@ -108,11 +97,6 @@ class QuotientStore {
  private:
   explicit QuotientStore(std::string dir) : dir_(std::move(dir)) {}
 
-  /// Maps the record file for (key, kind) and decodes it via \p decode;
-  /// shared miss/error bookkeeping for the two load fronts.
-  template <class Record, class Decode>
-  std::optional<Record> loadRecord(const std::string& key, RecordKind kind,
-                                   Decode&& decode);
   bool publish(const std::string& path, const std::string& bytes);
   void warn(std::string message);
   /// Consumes (and returns) the next armed fault matching a write (\p

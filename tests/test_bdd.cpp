@@ -96,25 +96,6 @@ TEST(Bdd, SizeCountsInternalNodes) {
   EXPECT_EQ(m.size(f), 2u);
 }
 
-TEST(Bdd, MinimalCutSetsOfAndOr) {
-  // top = a OR (b AND c): cut sets {a}, {b,c}.
-  BddManager m(3);
-  NodeRef f = m.bddOr(m.variable(0), m.bddAnd(m.variable(1), m.variable(2)));
-  auto mcs = m.minimalCutSets(f);
-  ASSERT_EQ(mcs.size(), 2u);
-  EXPECT_EQ(mcs[0], (std::vector<std::uint32_t>{0}));
-  EXPECT_EQ(mcs[1], (std::vector<std::uint32_t>{1, 2}));
-}
-
-TEST(Bdd, MinimalCutSetsOfVoting) {
-  // 2-of-3: all pairs.
-  BddManager m(3);
-  NodeRef f = m.atLeast({m.variable(0), m.variable(1), m.variable(2)}, 2);
-  auto mcs = m.minimalCutSets(f);
-  EXPECT_EQ(mcs.size(), 3u);
-  for (const auto& s : mcs) EXPECT_EQ(s.size(), 2u);
-}
-
 TEST(Bdd, VariableOutOfRangeThrows) {
   BddManager m(1);
   EXPECT_THROW(m.variable(1), ModelError);

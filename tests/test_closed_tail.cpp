@@ -249,13 +249,16 @@ TEST(ClosedTail, WholeTreeStoreHitMatchesTheComposedAnalysis) {
     auto makeRequest = [&] {
       AnalysisRequest r = AnalysisRequest::forDft(tree);
       r.options.engine.staticCombine = false;
-      r.options.engine.storeDir = dir;
       return r;
     };
-    AnalysisReport composed = Analyzer().analyze(makeRequest());
+    AnalysisReport composed =
+        Analyzer({.storeDir = dir}).analyze(makeRequest());
     ASSERT_GE(composed.cache.storeWrites, 1u);
-    AnalysisReport loaded = Analyzer().analyze(makeRequest());
+    AnalysisReport loaded = Analyzer({.storeDir = dir}).analyze(makeRequest());
     ASSERT_EQ(loaded.cache.storeHits, 1u);
+    // The record holds no repairable flag: the session reads it off the
+    // tree.
+    EXPECT_EQ(loaded.analysis->repairable, composed.analysis->repairable);
     // Two sessions intern actions in different tables, so compare the
     // extractions (action-free) rather than the models.
     expectSameExtraction(loaded.analysis->absorbed,

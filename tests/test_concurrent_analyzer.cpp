@@ -161,7 +161,7 @@ TEST(ConcurrentAnalyzer, FleetSharesOnePersistentStore) {
   const std::string dir = ::testing::TempDir() + "imcq_fleet";
   fs::remove_all(dir);
 
-  auto makeRequests = [&](const std::string& storeDir) {
+  auto makeRequests = [&] {
     std::vector<AnalysisRequest> requests;
     for (double l : {0.2, 0.3, 0.4, 0.5}) {
       AnalysisRequest req =
@@ -169,7 +169,6 @@ TEST(ConcurrentAnalyzer, FleetSharesOnePersistentStore) {
                                       "cas-" + std::to_string(l))
               .withOptions(viaComposition())
               .measure(MeasureSpec::unreliability({1.0, 2.0}));
-      req.options.engine.storeDir = storeDir;
       requests.push_back(std::move(req));
     }
     return requests;
@@ -177,17 +176,17 @@ TEST(ConcurrentAnalyzer, FleetSharesOnePersistentStore) {
 
   // Reference values from a session with no store at all.
   Analyzer plain;
-  std::vector<AnalysisReport> ref = plain.analyzeBatch(makeRequests(""));
+  std::vector<AnalysisReport> ref = plain.analyzeBatch(makeRequests());
 
   // Worker 1 of the fleet warms the shared directory.
-  Analyzer first;
-  first.analyzeBatch(makeRequests(dir));
+  Analyzer first({.storeDir = dir});
+  first.analyzeBatch(makeRequests());
   EXPECT_GT(first.cacheStats().storeWrites, 0u);
 
   // Worker 2 starts cold (fresh symbol table, empty session caches) and
   // serves the same sweep concurrently from the shared store.
-  Analyzer second;
-  std::vector<AnalysisReport> got = second.analyzeBatch(makeRequests(dir), 4);
+  Analyzer second({.storeDir = dir});
+  std::vector<AnalysisReport> got = second.analyzeBatch(makeRequests(), 4);
   EXPECT_GT(second.cacheStats().storeHits, 0u);
 
   ASSERT_EQ(got.size(), ref.size());

@@ -257,77 +257,5 @@ TEST(Modular, RejectsComplexSpares) {
                UnsupportedError);
 }
 
-TEST(Importance, SeriesSystemRanksByProbability) {
-  // In an OR (series) system Birnbaum importance of component i is the
-  // probability that all *other* components survive, so the least
-  // reliable component has the highest criticality.
-  dft::Dft d = DftBuilder()
-                   .basicEvent("weak", 2.0)
-                   .basicEvent("strong", 0.2)
-                   .orGate("Top", {"weak", "strong"})
-                   .top("Top")
-                   .build();
-  auto imp = birnbaumImportance(d, 1.0);
-  ASSERT_EQ(imp.size(), 2u);
-  const auto& weak = imp[0].name == "weak" ? imp[0] : imp[1];
-  const auto& strong = imp[0].name == "weak" ? imp[1] : imp[0];
-  EXPECT_GT(weak.criticality, strong.criticality);
-  // Birnbaum closed form: dU/dp_weak = 1 - p_strong.
-  EXPECT_NEAR(weak.birnbaum, std::exp(-0.2), 1e-9);
-  EXPECT_NEAR(strong.birnbaum, std::exp(-2.0), 1e-9);
-}
-
-TEST(Importance, ParallelSystemClosedForm) {
-  dft::Dft d = DftBuilder()
-                   .basicEvent("A", 1.0)
-                   .basicEvent("B", 0.5)
-                   .andGate("Top", {"A", "B"})
-                   .top("Top")
-                   .build();
-  auto imp = birnbaumImportance(d, 1.0);
-  double pA = 1 - std::exp(-1.0), pB = 1 - std::exp(-0.5);
-  for (const auto& r : imp) {
-    if (r.name == "A") {
-      EXPECT_NEAR(r.birnbaum, pB, 1e-9);
-    }
-    if (r.name == "B") {
-      EXPECT_NEAR(r.birnbaum, pA, 1e-9);
-    }
-    // For an AND top, criticality of every component is 1: the system
-    // fails exactly when its last component fails.
-    EXPECT_NEAR(r.criticality, 1.0, 1e-9);
-  }
-}
-
-TEST(Importance, RejectsDynamicTrees) {
-  EXPECT_THROW(birnbaumImportance(dft::corpus::cas(), 1.0), UnsupportedError);
-}
-
-TEST(CutSets, SimpleStructure) {
-  dft::Dft d = DftBuilder()
-                   .basicEvent("a", 1.0)
-                   .basicEvent("b", 1.0)
-                   .basicEvent("c", 1.0)
-                   .andGate("bc", {"b", "c"})
-                   .orGate("Top", {"a", "bc"})
-                   .top("Top")
-                   .build();
-  auto cuts = minimalCutSets(d);
-  ASSERT_EQ(cuts.size(), 2u);
-  EXPECT_EQ(cuts[0], (std::vector<std::string>{"a"}));
-  EXPECT_EQ(cuts[1], (std::vector<std::string>{"b", "c"}));
-}
-
-TEST(CutSets, VotingGate) {
-  dft::Dft d = DftBuilder()
-                   .basicEvent("x", 1.0)
-                   .basicEvent("y", 1.0)
-                   .basicEvent("z", 1.0)
-                   .votingGate("Top", 2, {"x", "y", "z"})
-                   .top("Top")
-                   .build();
-  EXPECT_EQ(minimalCutSets(d).size(), 3u);
-}
-
 }  // namespace
 }  // namespace imcdft::diftree

@@ -36,7 +36,6 @@ using analysis::AnalyzerOptions;
 using analysis::MeasureSpec;
 using analysis::Severity;
 using store::QuotientStore;
-using store::RecordKind;
 
 /// A fresh, empty directory under the test temp root.
 std::string freshDir(const std::string& name) {
@@ -129,15 +128,13 @@ struct SmallTree {
   }
 
   bool store(QuotientStore& store, const std::string& key,
-             bool repairable = false) const {
-    return store.storeTree(key, analysis->closedModel, repairable,
-                           analysis->composeSteps);
+             std::uint64_t steps = 0) const {
+    return store.store(key, analysis->closedModel, steps);
   }
   /// Loads \p key and checks the model round-tripped byte for byte.
-  std::optional<QuotientStore::LoadedTree> load(QuotientStore& store,
-                                                const std::string& key) const {
-    std::optional<QuotientStore::LoadedTree> loaded =
-        store.loadTree(key, session.symbols());
+  std::optional<store::Record> load(QuotientStore& store,
+                                    const std::string& key) const {
+    std::optional<store::Record> loaded = store.load(key, session.symbols());
     if (loaded) {
       EXPECT_EQ(serializedBytes(loaded->model),
                 serializedBytes(analysis->closedModel));
@@ -178,22 +175,39 @@ TEST(Store, ModelSerializationIsSymbolTableIndependent) {
   EXPECT_EQ(serializedBytes(*back), bytes);
 }
 
+/// The header of a record of \p kind around \p body, as the store frames
+/// it (store/format.hpp).
+std::string framedRecord(std::uint32_t kind, const std::string& body) {
+  ioimc::ByteWriter header;
+  header.raw(store::kMagic, sizeof store::kMagic);
+  header.u32(store::kFormatVersion);
+  header.u32(kind);
+  header.u64(body.size());
+  header.u64(store::fnv1aBytes(body.data(), body.size()));
+  return header.take() + body;
+}
+
 TEST(Store, ModuleRecordRoundTrip) {
   ComposedCas cas;
   const std::string dir = freshDir("module_roundtrip");
   std::shared_ptr<QuotientStore> store = QuotientStore::open(dir);
 
-  const std::string key = "module-key-1";
-  EXPECT_TRUE(store->storeModule(key, cas.analysis->closedModel, 7));
-  // Content-addressed: a record that exists is never rewritten.
-  EXPECT_FALSE(store->storeModule(key, cas.analysis->closedModel, 7));
-
-  std::optional<QuotientStore::LoadedModule> loaded =
-      store->loadModule(key, cas.session.symbols());
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->steps, 7u);
-  EXPECT_EQ(serializedBytes(loaded->model),
-            serializedBytes(cas.analysis->closedModel));
+  // Module and whole-tree quotients are one record kind: the model and
+  // its step count survive the round trip under either kind of key.
+  for (const auto& [key, steps] :
+       {std::pair<std::string, std::uint64_t>{"module-key-1", 7},
+        std::pair<std::string, std::uint64_t>{"tree-key;nc=0", 9}}) {
+    SCOPED_TRACE(key);
+    EXPECT_TRUE(store->store(key, cas.analysis->closedModel, steps));
+    // Content-addressed: a record that exists is never rewritten.
+    EXPECT_FALSE(store->store(key, cas.analysis->closedModel, steps));
+    std::optional<store::Record> loaded =
+        store->load(key, cas.session.symbols());
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->steps, steps);
+    EXPECT_EQ(serializedBytes(loaded->model),
+              serializedBytes(cas.analysis->closedModel));
+  }
 
   // A record whose name list is not empty (older stores wrote one for
   // shape-keyed entries) still loads: the list is skipped.
@@ -203,58 +217,12 @@ TEST(Store, ModuleRecordRoundTrip) {
   payload.u32(3);
   for (const char* name : {"MA", "MB", "MS"}) payload.str(name);
   ioimc::serializeModel(cas.analysis->closedModel, payload);
-  const std::string body = payload.take();
-  ioimc::ByteWriter header;
-  header.raw(store::kMagic, sizeof store::kMagic);
-  header.u32(store::kFormatVersion);
-  header.u32(static_cast<std::uint32_t>(RecordKind::ModuleQuotient));
-  header.u64(body.size());
-  header.u64(store::fnv1aBytes(body.data(), body.size()));
-  writeAll(store->entryPath("module-key-2", RecordKind::ModuleQuotient),
-           header.take() + body);
-  loaded = store->loadModule("module-key-2", cas.session.symbols());
+  writeAll(store->entryPath("module-key-2"),
+           framedRecord(store::kQuotientKind, payload.take()));
+  std::optional<store::Record> loaded =
+      store->load("module-key-2", cas.session.symbols());
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->steps, 5u);
-  EXPECT_EQ(serializedBytes(loaded->model),
-            serializedBytes(cas.analysis->closedModel));
-  EXPECT_EQ(store->loadErrors(), 0u);
-  EXPECT_TRUE(store->drainWarnings().empty());
-}
-
-TEST(Store, TreeRecordRoundTrip) {
-  ComposedCas cas;
-  const std::string dir = freshDir("tree_roundtrip");
-  std::shared_ptr<QuotientStore> store = QuotientStore::open(dir);
-
-  EXPECT_TRUE(store->storeTree("tree-key", cas.analysis->closedModel,
-                               /*repairable=*/true, /*steps=*/9));
-  std::optional<QuotientStore::LoadedTree> loaded =
-      store->loadTree("tree-key", cas.session.symbols());
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_TRUE(loaded->repairable);
-  EXPECT_EQ(loaded->steps, 9u);
-  EXPECT_EQ(serializedBytes(loaded->model),
-            serializedBytes(cas.analysis->closedModel));
-
-  // A record in the layout that predates the step count (a plain
-  // repairable byte, no count) still loads, as 0 steps.
-  ioimc::ByteWriter payload;
-  payload.str("old-tree-key");
-  payload.u8(1);
-  ioimc::serializeModel(cas.analysis->closedModel, payload);
-  const std::string body = payload.take();
-  ioimc::ByteWriter header;
-  header.raw(store::kMagic, sizeof store::kMagic);
-  header.u32(store::kFormatVersion);
-  header.u32(static_cast<std::uint32_t>(RecordKind::TreeQuotient));
-  header.u64(body.size());
-  header.u64(store::fnv1aBytes(body.data(), body.size()));
-  writeAll(store->entryPath("old-tree-key", RecordKind::TreeQuotient),
-           header.take() + body);
-  loaded = store->loadTree("old-tree-key", cas.session.symbols());
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_TRUE(loaded->repairable);
-  EXPECT_EQ(loaded->steps, 0u);
   EXPECT_EQ(serializedBytes(loaded->model),
             serializedBytes(cas.analysis->closedModel));
   EXPECT_EQ(store->loadErrors(), 0u);
@@ -265,12 +233,12 @@ TEST(Store, MissingRecordIsASilentMiss) {
   const std::string dir = freshDir("missing");
   std::shared_ptr<QuotientStore> store = QuotientStore::open(dir);
   EXPECT_FALSE(
-      store->loadTree("never-stored", ioimc::makeSymbolTable()).has_value());
+      store->load("never-stored", ioimc::makeSymbolTable()).has_value());
   EXPECT_EQ(store->loadErrors(), 0u);
   EXPECT_TRUE(store->drainWarnings().empty());
 }
 
-/// Applies \p mutate to the stored tree record's file and expects the
+/// Applies \p mutate to the stored record's file and expects the
 /// next load to be an error-miss whose warning mentions \p expectWarning
 /// (or a silent miss when \p expectWarning is empty).
 void corruptionCase(const std::string& dirName,
@@ -280,8 +248,7 @@ void corruptionCase(const std::string& dirName,
   const std::string dir = freshDir(dirName);
   std::shared_ptr<QuotientStore> store = QuotientStore::open(dir);
   ASSERT_TRUE(tree.store(*store, "the-key"));
-  const std::string path =
-      store->entryPath("the-key", RecordKind::TreeQuotient);
+  const std::string path = store->entryPath("the-key");
 
   std::string data = readAll(path);
   mutate(data);
@@ -342,11 +309,14 @@ TEST(StoreRobustness, RecordKindMismatchIsAnErrorMiss) {
   SmallTree tree;
   const std::string dir = freshDir("wrong_kind");
   std::shared_ptr<QuotientStore> store = QuotientStore::open(dir);
-  // A well-formed tree record parked at a module path must be rejected.
-  writeAll(store->entryPath("k", RecordKind::ModuleQuotient),
-           store::encodeTreeRecord("k", tree.analysis->closedModel, false,
-                                   tree.analysis->composeSteps));
-  EXPECT_FALSE(store->loadModule("k", tree.session.symbols()).has_value());
+  // A well-formed record whose header names the retired whole-tree kind
+  // (3) must be rejected.  The checksum covers only the payload, so the
+  // kind field is patched in place.
+  std::string record =
+      store::encodeRecord("k", tree.analysis->closedModel, 0);
+  record[12] = '\x03';
+  writeAll(store->entryPath("k"), record);
+  EXPECT_FALSE(store->load("k", tree.session.symbols()).has_value());
   EXPECT_EQ(store->loadErrors(), 1u);
   std::vector<std::string> warnings = store->drainWarnings();
   ASSERT_EQ(warnings.size(), 1u);
@@ -360,9 +330,8 @@ TEST(StoreRobustness, KeyCollisionIsASilentMiss) {
   // Simulate two keys hashing to one file: a record whose embedded key is
   // not the probed key is a plain miss (recompute), never an error — and
   // never the other key's data.
-  writeAll(store->entryPath("wanted", RecordKind::TreeQuotient),
-           store::encodeTreeRecord("other", tree.analysis->closedModel, true,
-                                   tree.analysis->composeSteps));
+  writeAll(store->entryPath("wanted"),
+           store::encodeRecord("other", tree.analysis->closedModel, 0));
   EXPECT_FALSE(tree.load(*store, "wanted").has_value());
   EXPECT_EQ(store->loadErrors(), 0u);
   EXPECT_TRUE(store->drainWarnings().empty());
@@ -373,28 +342,14 @@ TEST(StoreRobustness, GarbagePayloadNeverCrashes) {
   std::shared_ptr<QuotientStore> store = QuotientStore::open(dir);
   ioimc::SymbolTablePtr symbols = ioimc::makeSymbolTable();
   // Valid header framing around adversarial payload bytes: the decoder's
-  // bounds-checked reader must reject, not crash or over-allocate.  Both
-  // record kinds get every payload (serve mode loads tree records from a
-  // shared directory too).
+  // bounds-checked reader must reject, not crash or over-allocate.
   for (const std::string& payload :
        {std::string(1, '\0'), std::string(200, '\xff'),
         std::string("\x06\x00\x00\x00module-key-1\xff\xff\xff\xff", 20)}) {
-    for (RecordKind kind :
-         {RecordKind::ModuleQuotient, RecordKind::TreeQuotient}) {
-      ioimc::ByteWriter w;
-      w.raw(store::kMagic, sizeof store::kMagic);
-      w.u32(store::kFormatVersion);
-      w.u32(static_cast<std::uint32_t>(kind));
-      w.u64(payload.size());
-      w.u64(store::fnv1aBytes(payload.data(), payload.size()));
-      std::string record = w.take() + payload;
-      writeAll(store->entryPath("k", kind), record);
-      if (kind == RecordKind::ModuleQuotient)
-        EXPECT_FALSE(store->loadModule("k", symbols).has_value());
-      else
-        EXPECT_FALSE(store->loadTree("k", symbols).has_value());
-      fs::remove(store->entryPath("k", kind));
-    }
+    writeAll(store->entryPath("k"),
+             framedRecord(store::kQuotientKind, payload));
+    EXPECT_FALSE(store->load("k", symbols).has_value());
+    fs::remove(store->entryPath("k"));
   }
   store->drainWarnings();
 }
@@ -413,20 +368,20 @@ TEST(StoreRobustness, ConcurrentWritersPublishOnlyCompleteRecords) {
       QuotientStore& mine = (i % 2 == 0) ? *a : *b;
       // Everyone races to publish the same key (identical bytes — records
       // are pure functions of their key) plus one private key each, whose
-      // repairable flag tells the records apart.
+      // step count tells the records apart.
       tree.store(mine, "shared-key");
-      tree.store(mine, "own-" + std::to_string(i), i % 2 == 1);
+      tree.store(mine, "own-" + std::to_string(i), i);
     });
   for (std::thread& t : pool) t.join();
 
-  std::optional<QuotientStore::LoadedTree> got = tree.load(*a, "shared-key");
+  std::optional<store::Record> got = tree.load(*a, "shared-key");
   ASSERT_TRUE(got.has_value());
-  EXPECT_FALSE(got->repairable);
+  EXPECT_EQ(got->steps, 0u);
   for (int i = 0; i < kThreads; ++i) {
-    std::optional<QuotientStore::LoadedTree> own =
+    std::optional<store::Record> own =
         tree.load(*b, "own-" + std::to_string(i));
     ASSERT_TRUE(own.has_value()) << i;
-    EXPECT_EQ(own->repairable, i % 2 == 1) << i;
+    EXPECT_EQ(own->steps, static_cast<std::uint64_t>(i)) << i;
   }
   EXPECT_EQ(a->loadErrors() + b->loadErrors(), 0u);
   // No leftover temporaries: every .tmp either renamed or unlinked.
@@ -439,11 +394,11 @@ TEST(StoreRobustness, ConcurrentWritersPublishOnlyCompleteRecords) {
 // ---------------------------------------------------------------------------
 
 /// Runs the corpus sweep (CAS variants, HECS, a voter farm) on a fresh
-/// session and returns every measured value in order, plus the session's
-/// cache counters via \p statsOut.
+/// session over \p storeDir ("" = no store) and returns every measured
+/// value in order, plus the session's cache counters via \p statsOut.
 std::vector<double> runSweep(const std::string& storeDir, bool staticCombine,
                              analysis::CacheStats* statsOut = nullptr) {
-  Analyzer session;
+  Analyzer session({.storeDir = storeDir});
   const std::vector<double> grid{0.5, 1.0, 2.0};
   std::vector<AnalysisRequest> requests;
   for (double l : {0.2, 0.35, 0.5})
@@ -456,7 +411,6 @@ std::vector<double> runSweep(const std::string& storeDir, bool staticCombine,
   std::vector<double> values;
   for (AnalysisRequest& request : requests) {
     request.options.engine.staticCombine = staticCombine;
-    request.options.engine.storeDir = storeDir;
     request.measure(MeasureSpec::unreliability(grid));
     AnalysisReport report = session.analyze(request);
     EXPECT_TRUE(report.allMeasuresOk()) << request.label;
@@ -511,12 +465,11 @@ TEST(Store, WarmTreeRecordsKeepTheirStepCount) {
   // whole-tree record keeps its count.
   const std::string dir = freshDir("warm_steps");
   auto run = [&](bool staticCombine) {
-    Analyzer session;
+    Analyzer session({.storeDir = dir});
     AnalysisRequest request =
         AnalysisRequest::forGalileo(dft::corpus::galileoHecs(), "hecs")
             .measure(MeasureSpec::unreliability({1.0}));
     request.options.engine.staticCombine = staticCombine;
-    request.options.engine.storeDir = dir;
     return session.analyze(request);
   };
   for (bool staticCombine : {true, false}) {
@@ -545,11 +498,10 @@ TEST(Store, WarmNumericPathCountsStoreServedModulesAsHits) {
   // steps that built it, as the composition path does.
   const std::string dir = freshDir("numeric_module_hits");
   auto run = [&] {
-    Analyzer session;
+    Analyzer session({.storeDir = dir});
     AnalysisRequest request =
         AnalysisRequest::forGalileo(dft::corpus::galileoHecs(), "hecs")
             .measure(MeasureSpec::unreliability({1.0}));
-    request.options.engine.storeDir = dir;
     return session.analyze(request);
   };
   const AnalysisReport cold = run();
@@ -589,7 +541,6 @@ TEST(Store, AnalyzerSurfacesCorruptionAsWarningDiagnostic) {
   const std::string dir = freshDir("corrupt_diag");
   AnalysisOptions opts;
   opts.engine.staticCombine = false;
-  opts.engine.storeDir = dir;
   auto request = [&] {
     return AnalysisRequest::forDft(dft::corpus::cas(), "cas")
         .withOptions(opts)
@@ -597,7 +548,7 @@ TEST(Store, AnalyzerSurfacesCorruptionAsWarningDiagnostic) {
   };
   double reference;
   {
-    Analyzer session;
+    Analyzer session({.storeDir = dir});
     reference = session.analyze(request()).measures[0].values.at(0);
   }
   for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
@@ -605,7 +556,7 @@ TEST(Store, AnalyzerSurfacesCorruptionAsWarningDiagnostic) {
     data.back() ^= '\xff';
     writeAll(e.path().string(), data);
   }
-  Analyzer session;
+  Analyzer session({.storeDir = dir});
   AnalysisReport report = session.analyze(request());
   EXPECT_TRUE(report.allMeasuresOk());
   EXPECT_EQ(report.measures[0].values.at(0), reference);
@@ -618,12 +569,9 @@ TEST(Store, UnusableStoreDirectoryDegradesSoftly) {
   // request warns once and proceeds without persistence.
   const std::string blocker = freshDir("not_a_dir");
   writeAll(blocker, "i am a file");
-  AnalysisOptions opts;
-  opts.engine.storeDir = blocker;
-  Analyzer session;
+  Analyzer session({.storeDir = blocker});
   AnalysisReport report = session.analyze(
       AnalysisRequest::forDft(dft::corpus::cas(), "cas")
-          .withOptions(opts)
           .measure(MeasureSpec::unreliability({1.0})));
   EXPECT_TRUE(report.allMeasuresOk());
   EXPECT_TRUE(
@@ -639,20 +587,102 @@ TEST(Store, ProductionRecordNamesArePinned) {
   // change to optionsKey, the canonical tree key or the module key shows
   // up here as a rename.
   const std::string dir = freshDir("pinned_names");
-  Analyzer session;
+  Analyzer session({.storeDir = dir});
   AnalysisRequest request =
       AnalysisRequest::forGalileo(dft::corpus::galileoCas(), "cas")
           .measure(MeasureSpec::unreliability({1.0}));
-  request.options.engine.storeDir = dir;
   ASSERT_TRUE(session.analyze(request).allMeasuresOk());
   std::vector<std::string> names;
   for (const fs::directory_entry& e : fs::directory_iterator(dir))
     names.push_back(e.path().filename().string());
   std::sort(names.begin(), names.end());
   const std::vector<std::string> pinned{
-      "q7d65878ac35e5db2.imcq", "t014920b302635477.imcq",
-      "ted8152d7787d191b.imcq", "tf6531860e9bbeb5a.imcq"};
+      "q014920b302635477.imcq", "q7d65878ac35e5db2.imcq",
+      "qed8152d7787d191b.imcq", "qf6531860e9bbeb5a.imcq"};
   EXPECT_EQ(names, pinned);
+}
+
+TEST(Store, UnusableStoreDirectoryWarnsOnlyOnTheFirstRequest) {
+  // The session opens its store once, at construction; a directory that
+  // cannot be opened is one Warning on the first request, not one per
+  // request.
+  const std::string blocker = freshDir("not_a_dir_twice");
+  writeAll(blocker, "i am a file");
+  Analyzer session({.storeDir = blocker});
+  auto request = [] {
+    return AnalysisRequest::forDft(dft::corpus::cas(), "cas")
+        .measure(MeasureSpec::unreliability({1.0}));
+  };
+  const AnalysisReport first = session.analyze(request());
+  const AnalysisReport second = session.analyze(request());
+  EXPECT_TRUE(
+      hasDiagnostic(first, Severity::Warning, "quotient store disabled"));
+  EXPECT_FALSE(hasDiagnostic(second, Severity::Warning, "quotient store"));
+  EXPECT_TRUE(second.allMeasuresOk());
+}
+
+TEST(Store, OldTreeFilesAreNeverProbed) {
+  // Older stores kept whole-tree quotients in a second record kind (3), at
+  // a 't' path, with a flags byte (bit 0 repairable, bit 1 a step count
+  // follows) after the key.  A directory holding only such a record serves
+  // the tree cold and silently, publishes the one-kind record, and a later
+  // session hits that.
+  AnalysisOptions opts;
+  opts.engine.staticCombine = false;
+  auto request = [&] {
+    return AnalysisRequest::forDft(dft::corpus::cas(), "cas")
+        .withOptions(opts)
+        .measure(MeasureSpec::unreliability({1.0}));
+  };
+
+  // The whole-tree record a store session writes (the one whose key ends
+  // in ";nc=0"), taken apart into its key, step count and model bytes.
+  const std::string source = freshDir("old_tree_source");
+  double reference;
+  {
+    Analyzer session({.storeDir = source});
+    reference = session.analyze(request()).measures[0].values.at(0);
+  }
+  std::string treeFile, key, modelBytes;
+  std::uint64_t steps = 0;
+  for (const fs::directory_entry& e : fs::directory_iterator(source)) {
+    const std::string data = readAll(e.path().string());
+    ioimc::ByteReader in(data.data() + store::kHeaderSize,
+                         data.size() - store::kHeaderSize);
+    std::string recordKey = in.str();
+    if (!recordKey.ends_with(";nc=0")) continue;
+    treeFile = e.path().filename().string();
+    key = std::move(recordKey);
+    steps = in.u64();
+    ASSERT_EQ(in.u32(), 0u);  // the empty name list
+    modelBytes = data.substr(data.size() - in.remaining());
+  }
+  ASSERT_FALSE(treeFile.empty());
+  ASSERT_GT(steps, 0u);
+
+  // The same quotient in the old layout, alone at the old path.
+  const std::string dir = freshDir("old_tree");
+  fs::create_directories(dir);
+  ioimc::ByteWriter payload;
+  payload.str(key);
+  payload.u8(2);  // not repairable; a step count follows
+  payload.u64(steps);
+  payload.raw(modelBytes.data(), modelBytes.size());
+  writeAll(dir + "/t" + treeFile.substr(1), framedRecord(3, payload.take()));
+
+  AnalysisReport cold = Analyzer({.storeDir = dir}).analyze(request());
+  EXPECT_EQ(cold.cache.storeHits, 0u);
+  EXPECT_EQ(cold.cache.storeErrors, 0u);
+  EXPECT_GT(cold.cache.stepsRun, 0u);
+  EXPECT_FALSE(hasDiagnostic(cold, Severity::Warning, "quotient store"));
+  EXPECT_EQ(cold.measures[0].values.at(0), reference);
+  EXPECT_TRUE(fs::exists(dir + "/" + treeFile));
+
+  AnalysisReport warm = Analyzer({.storeDir = dir}).analyze(request());
+  EXPECT_EQ(warm.cache.storeHits, 1u);
+  EXPECT_EQ(warm.cache.stepsRun, 0u);
+  EXPECT_EQ(warm.analysis->composeSteps, steps);
+  EXPECT_EQ(warm.measures[0].values.at(0), reference);
 }
 
 
@@ -757,16 +787,13 @@ TEST(StoreFaultInjection, AnalyzerServesThroughInjectedFaults) {
   // same numbers a store-less session produces, and surfaces the faults
   // as Warning diagnostics.
   const std::string dir = freshDir("fault_end_to_end");
-  AnalysisOptions opts;
-  opts.engine.storeDir = dir;
   auto request = [&] {
     return AnalysisRequest::forDft(dft::corpus::cas(), "cas")
-        .withOptions(opts)
         .measure(MeasureSpec::unreliability({1.0}));
   };
   double reference;
   {
-    Analyzer session;
+    Analyzer session({.storeDir = dir});
     reference = session.analyze(request()).measures[0].values.at(0);
   }
   // Injected faults are per-handle, and the Analyzer opens its own, so
@@ -777,7 +804,7 @@ TEST(StoreFaultInjection, AnalyzerServesThroughInjectedFaults) {
     data[data.size() / 2] = static_cast<char>(data[data.size() / 2] ^ 0x40);
     writeAll(e.path().string(), data);
   }
-  Analyzer session;
+  Analyzer session({.storeDir = dir});
   AnalysisReport report = session.analyze(request());
   EXPECT_TRUE(report.allMeasuresOk());
   EXPECT_EQ(report.measures[0].values.at(0), reference);

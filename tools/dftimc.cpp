@@ -55,9 +55,10 @@
 ///                       engine, whose live region can stay under N
 ///     --store DIR       persistent quotient store: read aggregated
 ///                       whole-tree and module quotients from DIR before
-///                       composing, publish fresh ones back (created on
-///                       first use; a fleet of processes may share one
-///                       directory; all failures degrade to cold analysis)
+///                       composing, publish fresh ones back (created when
+///                       the session starts; a fleet of processes may share
+///                       one directory; all failures degrade to cold
+///                       analysis; an empty DIR is a usage error)
 ///     --dot FILE        write the final aggregated I/O-IMC as Graphviz
 ///     --aut FILE        write it in Aldebaran format
 ///     --trace FILE      export a Chrome trace-event JSON file (loadable in
@@ -268,6 +269,7 @@ CliOptions parseArgs(int argc, char** argv) {
       if (opts.maxLiveStates == 0) usage(argv[0]);
     } else if (arg == "--store") {
       opts.storeDir = next();
+      if (opts.storeDir.empty()) usage(argv[0]);
     } else if (arg == "--symmetry") {
       std::string v = next();
       if (v == "on")
@@ -403,7 +405,6 @@ void configureRequest(imcdft::analysis::AnalysisRequest& request,
   request.options.engine.numThreads = opts.jobs;
   request.options.engine.symmetry = opts.symmetry;
   request.options.engine.staticCombine = opts.staticCombine;
-  request.options.engine.storeDir = opts.storeDir;
   request.budget.deadlineSeconds = opts.deadline;
   request.budget.maxLiveStates = opts.maxLiveStates;
   if (opts.bounds)
@@ -537,7 +538,7 @@ int runServe(const CliOptions& opts) {
   // unsupported trees), bad_alloc (a request that outgrew memory anyway),
   // and any other std::exception.  Workers keep draining the queue after
   // a failure, so every healthy request is still served.
-  analysis::Analyzer session;
+  analysis::Analyzer session({.storeDir = opts.storeDir});
   std::vector<analysis::AnalysisReport> reports(requests.size());
   std::vector<std::string> errors(requests.size());
   std::vector<char> overBudget(requests.size(), 0);
@@ -685,7 +686,7 @@ int runOneShot(CliOptions& opts) {
     // it traces the request even without --trace.
     const bool traceForStats = opts.stats && !obs::traceEnabled();
     if (traceForStats) obs::setTraceEnabled(true);
-    analysis::Analyzer session;
+    analysis::Analyzer session({.storeDir = opts.storeDir});
     analysis::AnalysisReport report = session.analyze(request);
     if (traceForStats) obs::setTraceEnabled(false);
 
