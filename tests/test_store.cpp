@@ -192,22 +192,16 @@ TEST(Store, ModuleRecordRoundTrip) {
   const std::string dir = freshDir("module_roundtrip");
   std::shared_ptr<QuotientStore> store = QuotientStore::open(dir);
 
-  // Module and whole-tree quotients are one record kind: the model and
-  // its step count survive the round trip under either kind of key.
-  for (const auto& [key, steps] :
-       {std::pair<std::string, std::uint64_t>{"module-key-1", 7},
-        std::pair<std::string, std::uint64_t>{"tree-key;nc=0", 9}}) {
-    SCOPED_TRACE(key);
-    EXPECT_TRUE(store->store(key, cas.analysis->closedModel, steps));
-    // Content-addressed: a record that exists is never rewritten.
-    EXPECT_FALSE(store->store(key, cas.analysis->closedModel, steps));
-    std::optional<store::Record> loaded =
-        store->load(key, cas.session.symbols());
-    ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(loaded->steps, steps);
-    EXPECT_EQ(serializedBytes(loaded->model),
-              serializedBytes(cas.analysis->closedModel));
-  }
+  const std::string key = "module-key-1";
+  EXPECT_TRUE(store->store(key, cas.analysis->closedModel, 7));
+  // Content-addressed: a record that exists is never rewritten.
+  EXPECT_FALSE(store->store(key, cas.analysis->closedModel, 7));
+  std::optional<store::Record> loaded =
+      store->load(key, cas.session.symbols());
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->steps, 7u);
+  EXPECT_EQ(serializedBytes(loaded->model),
+            serializedBytes(cas.analysis->closedModel));
 
   // A record whose name list is not empty (older stores wrote one for
   // shape-keyed entries) still loads: the list is skipped.
@@ -219,14 +213,51 @@ TEST(Store, ModuleRecordRoundTrip) {
   ioimc::serializeModel(cas.analysis->closedModel, payload);
   writeAll(store->entryPath("module-key-2"),
            framedRecord(store::kQuotientKind, payload.take()));
-  std::optional<store::Record> loaded =
-      store->load("module-key-2", cas.session.symbols());
+  loaded = store->load("module-key-2", cas.session.symbols());
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->steps, 5u);
   EXPECT_EQ(serializedBytes(loaded->model),
             serializedBytes(cas.analysis->closedModel));
   EXPECT_EQ(store->loadErrors(), 0u);
   EXPECT_TRUE(store->drainWarnings().empty());
+}
+
+TEST(Store, TreeRecordRoundTrip) {
+  ComposedCas cas;
+  const std::string dir = freshDir("tree_roundtrip");
+  std::shared_ptr<QuotientStore> store = QuotientStore::open(dir);
+
+  // A whole-tree quotient is the module record under its tree key: the
+  // model and the compose steps that built it survive the round trip.
+  const std::string key = "tree-key;nc=0";
+  EXPECT_TRUE(store->store(key, cas.analysis->closedModel, 9));
+  EXPECT_FALSE(store->store(key, cas.analysis->closedModel, 9));
+  std::optional<store::Record> loaded =
+      store->load(key, cas.session.symbols());
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->key, key);
+  EXPECT_EQ(loaded->steps, 9u);
+  EXPECT_EQ(serializedBytes(loaded->model),
+            serializedBytes(cas.analysis->closedModel));
+
+  // The file carries the one record kind; no repairable flag is written.
+  const std::string data = readAll(store->entryPath(key));
+  ASSERT_GE(data.size(), store::kHeaderSize);
+  ioimc::ByteReader header(data.data() + 12, 4);  // kind field (format.hpp)
+  EXPECT_EQ(header.u32(), store::kQuotientKind);
+
+  // A record of the retired whole-tree kind (3: repairable byte, no step
+  // count) at that path is refused as a load error, not misread.
+  ioimc::ByteWriter payload;
+  payload.str(key);
+  payload.u8(1);
+  ioimc::serializeModel(cas.analysis->closedModel, payload);
+  writeAll(store->entryPath(key), framedRecord(3, payload.take()));
+  EXPECT_FALSE(store->load(key, cas.session.symbols()).has_value());
+  EXPECT_EQ(store->loadErrors(), 1u);
+  const std::vector<std::string> warnings = store->drainWarnings();
+  ASSERT_EQ(warnings.size(), 1u);
+  EXPECT_NE(warnings[0].find("record kind mismatch"), std::string::npos);
 }
 
 TEST(Store, MissingRecordIsASilentMiss) {
