@@ -4,13 +4,11 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
-#include <thread>
 #include <utility>
 
 #include "analysis/static_combine.hpp"
 #include "common/cancel.hpp"
 #include "common/error.hpp"
-#include "common/text.hpp"
 #include "ctmc/mttf.hpp"
 #include "ctmc/steady_state.hpp"
 #include "ctmc/transient.hpp"
@@ -518,38 +516,25 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
           "AnalysisRequest: conversion.symbols must be null or the "
           "session's own table (Analyzer::symbols())");
 
-  // --- Resolve the DFT source. ---
+  // --- Resolve the DFT source: the in-memory tree, else the text. ---
   std::optional<dft::Dft> parsed;
-  const dft::Dft* tree = nullptr;
   {
     obs::TraceSpan parseSpan("parse");
-    switch (request.source) {
-      case AnalysisRequest::Source::InMemory:
-        require(request.tree.has_value(),
-                "AnalysisRequest: in-memory request without a tree");
-        tree = &*request.tree;
-        break;
-      case AnalysisRequest::Source::GalileoText:
-        parsed = dft::parseGalileo(request.galileo);
-        tree = &*parsed;
-        break;
-      case AnalysisRequest::Source::GalileoFile:
-        parsed = dft::parseGalileo(readFile(request.galileo));
-        tree = &*parsed;
-        break;
-    }
+    if (!request.tree) parsed = dft::parseGalileo(request.galileo);
   }
+  const dft::Dft* tree = request.tree ? &*request.tree : &*parsed;
 
   // --- Resource budget. ---
   // A limited request gets a CancelToken wired through the engine options
   // into every hot loop (merge steps, product expansion, refinement
   // passes, the OTF frontier, uniformization sweeps).  The options *copy*
-  // carries the token; the cache keys below are computed from the same
-  // options and are budget-blind by construction (optionsKey never
-  // serializes the token), so budgeted and unbudgeted requests share the
-  // tree cache — a budget decides whether an answer is produced, never
-  // which answer.  A trip unwinds before the tree-cache put, so no tripped
-  // analysis ever reaches a shared cache.
+  // carries a pointer to it (EngineOptions::weak.cancel), and `cancel`
+  // keeps it alive for the whole call.  The cache keys below are computed
+  // from the same options and are budget-blind by construction
+  // (optionsKey never serializes the token), so budgeted and unbudgeted
+  // requests share the tree cache — a budget decides whether an answer is
+  // produced, never which answer.  A trip unwinds before the tree-cache
+  // put, so no tripped analysis ever reaches a shared cache.
   AnalysisOptions options = request.options;
   std::shared_ptr<CancelToken> cancel;
   if (request.budget.limited()) {
@@ -562,7 +547,6 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
       cancel->limitMemoryBytes(request.budget.maxMemoryBytes);
     if (request.budget.maxCheckpoints > 0)
       cancel->limitCheckpoints(request.budget.maxCheckpoints);
-    options.engine.cancel = cancel;
     options.engine.weak.cancel = cancel.get();
   }
 
@@ -820,47 +804,6 @@ AnalysisReport Analyzer::analyze(const AnalysisRequest& request) {
       report,
       std::chrono::duration<double>(Clock::now() - requestStart).count());
   return report;
-}
-
-std::vector<AnalysisReport> Analyzer::analyzeBatch(
-    const std::vector<AnalysisRequest>& requests) {
-  std::vector<AnalysisReport> reports;
-  reports.reserve(requests.size());
-  for (const AnalysisRequest& request : requests)
-    reports.push_back(analyze(request));
-  return reports;
-}
-
-std::vector<AnalysisReport> Analyzer::analyzeBatch(
-    const std::vector<AnalysisRequest>& requests, unsigned workers) {
-  if (workers == 0) workers = std::thread::hardware_concurrency();
-  if (workers == 0) workers = 1;
-  if (workers > requests.size())
-    workers = static_cast<unsigned>(requests.size());
-  if (workers <= 1) return analyzeBatch(requests);
-
-  std::vector<AnalysisReport> reports(requests.size());
-  std::atomic<std::size_t> next{0};
-  std::mutex errorMutex;
-  std::exception_ptr firstError;
-  auto work = [&]() {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= requests.size()) return;
-      try {
-        reports[i] = analyze(requests[i]);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(errorMutex);
-        if (!firstError) firstError = std::current_exception();
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned i = 0; i < workers; ++i) pool.emplace_back(work);
-  for (std::thread& t : pool) t.join();
-  if (firstError) std::rethrow_exception(firstError);
-  return reports;
 }
 
 }  // namespace imcdft::analysis

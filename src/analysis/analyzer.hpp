@@ -42,7 +42,10 @@
 /// make that splicing sound; a request that brings a table of its own is
 /// rejected.
 ///
-/// Concurrency.  One Analyzer serves any number of concurrent sessions:
+/// Concurrency.  One Analyzer serves any number of concurrent sessions
+/// (there is no batch call: a caller serves many requests with its own
+/// loop over analyze(), on its own threads or through runOnThreads,
+/// common/threads.hpp):
 /// both caches are internally synchronized LRU maps (common/lru_map.hpp),
 /// the session symbol table is itself synchronized, and cached DftAnalysis
 /// objects are immutable once published (the one lazily computed field,
@@ -104,27 +107,17 @@ class Analyzer {
   /// pipeline, evaluates every requested measure.  Model-level
   /// incompatibilities (a nondeterministic model asked for a point
   /// unreliability, unavailability of an irreparable tree) surface as
-  /// diagnostics and per-measure errors, not exceptions; exceptions are
-  /// reserved for malformed input (parse errors, unsupported trees).
+  /// diagnostics and per-measure errors, not exceptions, and so does a
+  /// budget that runs out while the measures are solved (a partial
+  /// report).  Two things throw: malformed input (parse errors,
+  /// unsupported trees) throws Error, and a budget that runs out while the
+  /// pipeline builds the analysis (conversion, composition, extraction)
+  /// throws BudgetExceeded (common/cancel.hpp); no tripped analysis
+  /// reaches a cache.
   ///
   /// Safe to call from any number of threads concurrently; see the file
   /// comment for the concurrency contract.
   AnalysisReport analyze(const AnalysisRequest& request);
-
-  /// Serves the requests in order against the shared session caches and
-  /// returns one report each.  Scenario variants that share independent
-  /// modules only re-compose what changed.
-  std::vector<AnalysisReport> analyzeBatch(
-      const std::vector<AnalysisRequest>& requests);
-
-  /// Concurrent batch: serves the requests on \p workers threads over the
-  /// shared session caches and returns the reports in request order.
-  /// 0 picks std::thread::hardware_concurrency().  Each request is served
-  /// as analyze() serves it, so identical requests that miss together each
-  /// compute (with bitwise identical results).  The first exception, if
-  /// any, is rethrown after all workers finish.
-  std::vector<AnalysisReport> analyzeBatch(
-      const std::vector<AnalysisRequest>& requests, unsigned workers);
 
   /// Session-wide cache counters (sums over all analyze() calls so far).
   CacheStats cacheStats() const;

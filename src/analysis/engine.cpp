@@ -10,13 +10,13 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <system_error>
-#include <thread>
 #include <tuple>
 #include <unordered_map>
 
 #include "analysis/symmetry.hpp"
+#include "common/cancel.hpp"
 #include "common/error.hpp"
+#include "common/threads.hpp"
 #include "dft/hash.hpp"
 #include "dft/modules.hpp"
 #include "ioimc/compose.hpp"
@@ -58,9 +58,9 @@ std::optional<IOIMC> classicStep(const IOIMC& a, const IOIMC& b,
     obs::TraceSpan span("classic.compose");
     std::size_t discovered = 0;
     if (stopAtCaps) {
-      m = ioimc::composeWithinCaps(a, b, *opts.cancel, discovered);
+      m = ioimc::composeWithinCaps(a, b, *opts.weak.cancel, discovered);
     } else {
-      m.emplace(ioimc::compose(a, b, opts.cancel.get()));
+      m.emplace(ioimc::compose(a, b, opts.weak.cancel));
       discovered = m->numStates();
     }
     span.arg("states", discovered);
@@ -176,13 +176,6 @@ MergePlan planMerge(const std::vector<std::optional<IOIMC>>& pool,
   return best;
 }
 
-/// Resolves a thread-count option: 0 means hardware concurrency.
-unsigned resolveThreads(unsigned requested) {
-  if (requested != 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
-
 /// Greedily folds the live entries of \p pool into one model, recording
 /// one CompositionStep per pairwise composition into \p steps.  planMerge
 /// picks each step's pair; \p usedOutside reports whether an output action
@@ -197,15 +190,15 @@ std::size_t mergePool(std::vector<std::optional<IOIMC>>& pool,
                       const std::function<bool(ioimc::ActionId)>& usedOutside) {
   require(!live.empty(), "composeCommunity: empty module pool");
   const bool fuseEvery = opts.reference == Reference::FusedChain;
-  const bool stopAtCaps =
-      opts.cancel && opts.reference != Reference::Unreduced;
+  const CancelToken* cancel = opts.weak.cancel;
+  const bool stopAtCaps = cancel && opts.reference != Reference::Unreduced;
   while (live.size() > 1) {
     // One budget checkpoint per merge step: catches explosion between hot
     // loops (e.g. a pool whose pairwise products are individually cheap
     // but whose count is huge).  The live pool size is the step's peak
     // proxy; the finer-grained accounting happens inside compose / the
     // fused engine / the refinement loops, which all carry the same token.
-    if (opts.cancel) opts.cancel->checkpoint("merge-step", live.size());
+    if (cancel) cancel->checkpoint("merge-step", live.size());
     const MergePlan plan = planMerge(pool, live, usedOutside);
     const std::size_t a = live[plan.i], b = live[plan.j];
     CompositionStep step;
@@ -332,15 +325,15 @@ class ModularAggregator {
 
   /// Resolves cache splices (sequentially, on the calling thread), plans
   /// the symmetry buckets, then aggregates all remaining module tasks on
-  /// \p numThreads threads and returns the root model, deterministic
-  /// post-ordered stats, and whether the root model came out of a merge
-  /// step at the root.
-  std::tuple<IOIMC, CompositionStats, bool> run(unsigned numThreads) {
+  /// EngineOptions::numThreads threads (the calling thread among them) and
+  /// returns the root model, deterministic post-ordered stats, and whether
+  /// the root model came out of a merge step at the root.  A failed task
+  /// stops the others, and its exception is rethrown here.
+  std::tuple<IOIMC, CompositionStats, bool> run() {
     resolveSplices();
     if (opts_.symmetry) planSymmetry();
     scheduleReadyTasks();
-    runWorkers(numThreads);
-    if (firstError_) std::rethrow_exception(firstError_);
+    runOnThreads(opts_.numThreads, numTasks_, [this] { workLoop(); });
     NodeState& top = state_[root()];
     return {std::move(*top.result), collectStats(), top.record.has_value()};
   }
@@ -646,28 +639,8 @@ class ModularAggregator {
     }
   }
 
-  /// Runs the tasks on the calling thread and numThreads - 1 helpers (no
-  /// more threads than tasks: an extra one would only wait and be joined).
-  /// A helper the system cannot start leaves its share to the others.
-  void runWorkers(unsigned numThreads) {
-    std::vector<std::thread> helpers;
-    const std::size_t threads = std::min<std::size_t>(numThreads, numTasks_);
-    helpers.reserve(threads - 1);
-    try {
-      for (std::size_t i = 1; i < threads; ++i)
-        helpers.emplace_back([this] {
-          // Module-task spans of a helper land in the submitting request's
-          // trace group (the context was captured at construction).
-          obs::ScopedTraceContext ctxGuard(traceCtx_);
-          workLoop();
-        });
-    } catch (const std::system_error&) {
-    }
-    workLoop();
-    for (std::thread& h : helpers) h.join();
-  }
-
-  /// Runs ready tasks until the root finished or a task failed.
+  /// Runs ready tasks until the root finished or a task failed; a failed
+  /// task stops every loop and its exception leaves this one.
   void workLoop() {
     std::unique_lock<std::mutex> lock(mutex_);
     while (true) {
@@ -676,33 +649,28 @@ class ModularAggregator {
       const int node = ready_.front();
       ready_.pop_front();
       lock.unlock();
-      runTask(node);
+      std::exception_ptr error;
+      try {
+        runModuleTask(node);
+        // Symmetric siblings are pure renames of this result; materialize
+        // them before any parent (theirs or ours) can become ready.
+        if (!state_[node].siblings.empty()) instantiateSiblings(node);
+      } catch (...) {
+        error = std::current_exception();
+      }
       lock.lock();
+      if (error || node == root()) {
+        stop_ = true;
+      } else if (!stop_) {
+        auto childDone = [this](int parent) {
+          if (--state_[parent].pending == 0) ready_.push_back(parent);
+        };
+        childDone(nodes_[node].parent);
+        for (int sib : state_[node].siblings) childDone(nodes_[sib].parent);
+      }
+      cv_.notify_all();
+      if (error) std::rethrow_exception(error);
     }
-  }
-
-  void runTask(int node) {
-    std::exception_ptr error;
-    try {
-      runModuleTask(node);
-      // Symmetric siblings are pure renames of this result; materialize
-      // them before any parent (theirs or ours) can become ready.
-      if (!state_[node].siblings.empty()) instantiateSiblings(node);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (error && !firstError_) firstError_ = error;
-    if (error || node == root()) {
-      stop_ = true;
-    } else if (!stop_) {
-      auto childDone = [this](int parent) {
-        if (--state_[parent].pending == 0) ready_.push_back(parent);
-      };
-      childDone(nodes_[node].parent);
-      for (int sib : state_[node].siblings) childDone(nodes_[sib].parent);
-    }
-    cv_.notify_all();
   }
 
   void runModuleTask(int nodeIdx) {
@@ -786,13 +754,10 @@ class ModularAggregator {
   std::unordered_map<ioimc::ActionId, std::vector<std::uint32_t>> consumers_;
 
   std::size_t numTasks_ = 0;  ///< scheduled (non-reused) module tasks
-  /// The submitting request's trace context, re-established in helpers.
-  const std::uint64_t traceCtx_ = obs::currentTraceContext();
   std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<int> ready_;
   bool stop_ = false;  ///< the root finished or a task failed
-  std::exception_ptr firstError_;
 };
 
 }  // namespace
@@ -911,8 +876,7 @@ EngineResult composeCommunity(Community community, const dft::Dft& dft,
   ModularAggregator aggregator(std::move(slots), std::move(nodes),
                                std::move(nodeOfModule), dft, modelElements,
                                contexts, opts, cache);
-  auto [model, stats, merged] =
-      aggregator.run(resolveThreads(opts.numThreads));
+  auto [model, stats, merged] = aggregator.run();
   return finishResult(EngineResult{std::move(model), std::move(stats)},
                       merged);
 }

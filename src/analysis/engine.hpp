@@ -1,12 +1,10 @@
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/converter.hpp"
-#include "common/cancel.hpp"
 #include "dft/model.hpp"
 #include "ioimc/bisimulation.hpp"
 #include "ioimc/model.hpp"
@@ -57,10 +55,11 @@ struct EngineOptions {
   Reference reference = Reference::Production;
   /// Threads of the module tree: independent modules share no mutable
   /// state, so their compose/hide/aggregate chains run concurrently.  Each
-  /// merge step, and every refinement inside it, runs on one thread.  0
-  /// means std::thread::hardware_concurrency(); 1 runs everything on the
-  /// calling thread; N >= 2 means the calling thread plus N - 1 helper
-  /// threads (never more threads than module tasks).  Results are bitwise
+  /// merge step, and every refinement inside it, runs on one thread.  The
+  /// module tasks run through runOnThreads (common/threads.hpp): 0 means
+  /// std::thread::hardware_concurrency(); 1 runs everything on the calling
+  /// thread; N >= 2 means the calling thread plus N - 1 helper threads
+  /// (never more threads than module tasks).  Results are bitwise
   /// identical for every thread count: each module task is a pure function
   /// of its inputs, and the results are folded in a fixed order.
   unsigned numThreads = 0;
@@ -89,20 +88,17 @@ struct EngineOptions {
   /// out nondeterministic.  Exact up to CTMC transient tolerances; the E14
   /// tests enforce 1e-9-relative agreement with the composition path.
   bool staticCombine = true;
-  /// Cooperative cancellation / resource budget (common/cancel.hpp).  The
-  /// engine checkpoints the token once per merge step and hands it to
-  /// every hot loop below it (compose expansion, refinement iterations,
-  /// the fused engine's frontier); an exhausted budget unwinds the whole
-  /// composition with BudgetExceeded.  Its live-state and memory caps also
-  /// pick each step's engine on Production and DeclarationOrder (see
-  /// Reference): a classic product that outgrows them hands its step to the
-  /// fused engine without a trip.  Without a token every such step runs
-  /// classic.
-  /// Deliberately NOT part of the semantic cache key (optionsKey): a budget
-  /// never changes a result, only whether it is produced.  The Analyzer
-  /// builds the token from AnalysisRequest::budget and mirrors it into
-  /// weak.cancel; direct engine callers who set one should do the same.
-  std::shared_ptr<CancelToken> cancel;
+  /// Refinement options, and the request's one budget token (weak.cancel,
+  /// common/cancel.hpp; not owned).  The engine checkpoints it once per
+  /// merge step and hands it to every hot loop below (compose expansion,
+  /// refinement iterations, the fused engine's frontier); an exhausted
+  /// budget unwinds the whole composition with BudgetExceeded.  Its
+  /// live-state and memory caps also pick each step's engine on Production
+  /// and DeclarationOrder (see Reference): a classic product that outgrows
+  /// them hands its step to the fused engine without a trip; without a
+  /// token such steps run classic.  The token is deliberately NOT part of
+  /// the cache key (optionsKey): a budget never changes a result, only
+  /// whether it is produced.
   ioimc::WeakOptions weak;
 };
 

@@ -12,7 +12,7 @@
 
 /// \file request.hpp
 /// The typed request side of the Analyzer session API: what to analyze
-/// (a DFT given in memory, as Galileo text, or as a file path), which
+/// (a DFT given in memory or as Galileo text), which
 /// measures to evaluate (each with its own time grid), and the
 /// conversion/engine knobs to use.  Settings that hold for a whole session
 /// (cache capacities, the persistent store directory) are AnalyzerOptions,
@@ -102,12 +102,9 @@ const char* measureKindName(MeasureKind kind);
 ///                             .measure(MeasureSpec::mttf());
 /// \endcode
 struct AnalysisRequest {
-  enum class Source : std::uint8_t { InMemory, GalileoText, GalileoFile };
-
-  Source source = Source::InMemory;
-  /// Filled for InMemory requests.
+  /// The DFT of an in-memory request (forDft).
   std::optional<dft::Dft> tree;
-  /// Galileo text (GalileoText) or file path (GalileoFile).
+  /// Galileo text (forGalileo), parsed when no tree is set.
   std::string galileo;
   /// Scenario name echoed in the report (batch bookkeeping).
   std::string label;
@@ -126,23 +123,13 @@ struct AnalysisRequest {
 
   static AnalysisRequest forDft(dft::Dft tree, std::string label = "") {
     AnalysisRequest req;
-    req.source = Source::InMemory;
     req.tree = std::move(tree);
     req.label = std::move(label);
     return req;
   }
   static AnalysisRequest forGalileo(std::string text, std::string label = "") {
     AnalysisRequest req;
-    req.source = Source::GalileoText;
     req.galileo = std::move(text);
-    req.label = std::move(label);
-    return req;
-  }
-  static AnalysisRequest forGalileoFile(std::string path,
-                                        std::string label = "") {
-    AnalysisRequest req;
-    req.source = Source::GalileoFile;
-    req.galileo = std::move(path);
     req.label = std::move(label);
     return req;
   }

@@ -70,9 +70,10 @@ void setTraceCapacity(std::size_t eventsPerThread);
 /// own process track in Perfetto.
 std::uint64_t currentTraceContext();
 
-/// RAII override of the current thread's trace context.  Worker pools
-/// capture the submitting thread's context and re-establish it in the
-/// worker so module-task spans land in the right request group.
+/// RAII override of the current thread's trace context.  runOnThreads
+/// (common/threads.hpp) captures the starting thread's context and
+/// re-establishes it in every helper, so module-task spans land in the
+/// right request group.
 class ScopedTraceContext {
  public:
   explicit ScopedTraceContext(std::uint64_t ctx);

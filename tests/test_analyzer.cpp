@@ -6,6 +6,7 @@
 
 #include "analysis/analyzer.hpp"
 #include "common/error.hpp"
+#include "analyze_all.hpp"
 #include "analyze_once.hpp"
 #include "dft/builder.hpp"
 #include "dft/corpus.hpp"
@@ -132,7 +133,7 @@ TEST(Analyzer, BatchMatchesSequentialColdRuns) {
                              .measure(MeasureSpec::unreliability(grid)));
 
     Analyzer session;
-    std::vector<AnalysisReport> batch = session.analyzeBatch(requests);
+    std::vector<AnalysisReport> batch = analyzeAll(session, requests);
     ASSERT_EQ(batch.size(), requests.size());
 
     std::size_t batchSteps = 0, coldSteps = 0;

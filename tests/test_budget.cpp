@@ -167,7 +167,6 @@ TEST(Budget, MergeStepSiteTrips) {
   opts.numThreads = 1;
   auto token = std::make_shared<CancelToken>();
   token->limitCheckpoints(1);
-  opts.cancel = token;
   opts.weak.cancel = token.get();
   try {
     analysis::composeCommunity(analysis::convertDft(tree), tree, opts);

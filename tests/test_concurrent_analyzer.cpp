@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "analysis/analyzer.hpp"
+#include "analyze_all.hpp"
 #include "common/text.hpp"
 #include "dft/corpus.hpp"
 
@@ -32,6 +33,7 @@ using analysis::AnalysisRequest;
 using analysis::Analyzer;
 using analysis::AnalyzerOptions;
 using analysis::MeasureSpec;
+using analysis::analyzeAll;
 
 /// CAS variant with the cross-switch failure rate perturbed: every variant
 /// interns the same action-name universe, so cross-session comparisons are
@@ -100,10 +102,10 @@ TEST(ConcurrentAnalyzer, BatchMatchesSequentialBitForBit) {
             .measure(MeasureSpec::unreliability({0.5, 1.0, 2.0})));
 
   Analyzer sequential;
-  std::vector<AnalysisReport> ref = sequential.analyzeBatch(requests);
+  std::vector<AnalysisReport> ref = analyzeAll(sequential, requests);
 
   Analyzer concurrent;
-  std::vector<AnalysisReport> got = concurrent.analyzeBatch(requests, 4);
+  std::vector<AnalysisReport> got = analyzeAll(concurrent, requests, 4);
 
   ASSERT_EQ(got.size(), ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i) {
@@ -176,17 +178,17 @@ TEST(ConcurrentAnalyzer, FleetSharesOnePersistentStore) {
 
   // Reference values from a session with no store at all.
   Analyzer plain;
-  std::vector<AnalysisReport> ref = plain.analyzeBatch(makeRequests());
+  std::vector<AnalysisReport> ref = analyzeAll(plain, makeRequests());
 
   // Worker 1 of the fleet warms the shared directory.
   Analyzer first({.storeDir = dir});
-  first.analyzeBatch(makeRequests());
+  analyzeAll(first, makeRequests());
   EXPECT_GT(first.cacheStats().storeWrites, 0u);
 
   // Worker 2 starts cold (fresh symbol table, empty session caches) and
   // serves the same sweep concurrently from the shared store.
   Analyzer second({.storeDir = dir});
-  std::vector<AnalysisReport> got = second.analyzeBatch(makeRequests(), 4);
+  std::vector<AnalysisReport> got = analyzeAll(second, makeRequests(), 4);
   EXPECT_GT(second.cacheStats().storeHits, 0u);
 
   ASSERT_EQ(got.size(), ref.size());
@@ -212,8 +214,8 @@ TEST(ConcurrentAnalyzer, ManyDistinctRequestsStressSharedCaches) {
             .measure(MeasureSpec::unreliability({1.0})));
 
   Analyzer session;
-  std::vector<AnalysisReport> cold = session.analyzeBatch(requests, 4);
-  std::vector<AnalysisReport> warm = session.analyzeBatch(requests, 4);
+  std::vector<AnalysisReport> cold = analyzeAll(session, requests, 4);
+  std::vector<AnalysisReport> warm = analyzeAll(session, requests, 4);
   ASSERT_EQ(warm.size(), cold.size());
   for (std::size_t i = 0; i < cold.size(); ++i) {
     EXPECT_TRUE(cold[i].allMeasuresOk());

@@ -18,6 +18,7 @@
 #include "ioimc/compose.hpp"
 #include "ioimc/ops.hpp"
 #include "ioimc/tau_closure.hpp"
+#include "analyze_all.hpp"
 #include "model_digest.hpp"
 #include "strong_bisimulation.hpp"
 
@@ -581,8 +582,8 @@ TEST(ThreadedSession, ModuleCacheIsSafeUnderParallelStores) {
   };
   Analyzer single;
   Analyzer threaded;
-  std::vector<AnalysisReport> s = single.analyzeBatch(makeRequests(1));
-  std::vector<AnalysisReport> t = threaded.analyzeBatch(makeRequests(4));
+  std::vector<AnalysisReport> s = analyzeAll(single, makeRequests(1));
+  std::vector<AnalysisReport> t = analyzeAll(threaded, makeRequests(4));
   ASSERT_EQ(s.size(), t.size());
   std::size_t hits = 0;
   for (std::size_t i = 0; i < s.size(); ++i) {

@@ -59,11 +59,11 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/text.hpp"
+#include "common/threads.hpp"
 #include "dft/execution.hpp"
 #include "dft/galileo.hpp"
 #include "dft/generate.hpp"
@@ -267,9 +267,7 @@ int runSweep(const CliOptions& opts) {
   const auto start = std::chrono::steady_clock::now();
 
   auto work = [&]() {
-    for (;;) {
-      const std::uint64_t index = nextIndex.fetch_add(1);
-      if (index >= count) return;
+    for (std::uint64_t index; (index = nextIndex.fetch_add(1)) < count;) {
       const std::uint64_t seed = opts.seedFirst + index;
       try {
         dft::Dft tree = dft::generateDft(seed, opts.generator);
@@ -311,13 +309,8 @@ int runSweep(const CliOptions& opts) {
     }
   };
 
-  std::vector<std::thread> pool;
-  const unsigned spawned = static_cast<unsigned>(
-      std::min<std::uint64_t>(opts.jobs, count));
-  pool.reserve(spawned);
-  for (unsigned w = 1; w < spawned; ++w) pool.emplace_back(work);
-  work();  // the main thread is worker 0
-  for (std::thread& t : pool) t.join();
+  // The main thread is worker 0.
+  imcdft::runOnThreads(opts.jobs, count, work);
 
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

@@ -94,8 +94,9 @@
 /// reads newline-delimited requests from stdin — one request per line,
 /// `<model.dft> [time]...` (bare numbers override the --time grid; blank
 /// lines and `#` comments are skipped) — serves them concurrently over one
-/// shared Analyzer session on N worker threads (default: one per hardware
-/// thread), prints the results in input order, and ends with a summary of
+/// shared Analyzer session on N worker threads, the main thread among them
+/// (default: one per hardware thread; never more than requests), prints
+/// the results in input order, and ends with a summary of
 /// the session's cache and store counters.  A request that misses the tree
 /// cache computes its analysis, even when a concurrent identical request
 /// is computing the same one; both print the same values.  With --store, a
@@ -129,7 +130,6 @@
 #include <new>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
@@ -137,6 +137,7 @@
 #include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/text.hpp"
+#include "common/threads.hpp"
 #include "ctmc/transient.hpp"
 #include "dft/corpus.hpp"
 #include "dft/galileo.hpp"
@@ -526,69 +527,55 @@ int runServe(const CliOptions& opts) {
     slots.push_back(std::move(slot));
   }
 
-  unsigned workers = opts.workers;
-  if (workers == 0) workers = std::thread::hardware_concurrency();
-  if (workers == 0) workers = 1;
-
   // Per-request fault isolation: each request runs inside its own error
-  // boundary on a worker pool over session.analyze() — NOT analyzeBatch,
-  // which rethrows the first exception and would let one poisoned request
-  // fail the whole batch.  Every exception type lands in its own slot:
+  // boundary over session.analyze(), so one poisoned request never fails
+  // the batch.  Every exception type lands in its own slot:
   // BudgetExceeded (over budget, counted separately), Error (bad input,
   // unsupported trees), bad_alloc (a request that outgrew memory anyway),
   // and any other std::exception.  Workers keep draining the queue after
-  // a failure, so every healthy request is still served.
+  // a failure, so every healthy request is still served.  The main thread
+  // is worker 0 (imcdft::runOnThreads).
+  const unsigned workers = imcdft::threadCount(opts.workers);
   analysis::Analyzer session({.storeDir = opts.storeDir});
   std::vector<analysis::AnalysisReport> reports(requests.size());
   std::vector<std::string> errors(requests.size());
   std::vector<char> overBudget(requests.size(), 0);
   std::vector<double> walls(requests.size(), 0.0);
   const auto start = std::chrono::steady_clock::now();
-  {
-    std::atomic<std::size_t> nextRequest{0};
-    auto work = [&]() {
-      obs::Histogram& latency =
-          obs::MetricsRegistry::global().histogram("serve.request_nanos");
-      for (;;) {
-        const std::size_t i = nextRequest.fetch_add(1);
-        if (i >= requests.size()) return;
-        const auto t0 = std::chrono::steady_clock::now();
-        try {
-          reports[i] = session.analyze(requests[i]);
-        } catch (const imcdft::BudgetExceeded& e) {
-          overBudget[i] = 1;
-          errors[i] = e.what();
-        } catch (const Error& e) {
-          errors[i] = e.what();
-        } catch (const std::bad_alloc&) {
-          errors[i] = "out of memory";
-        } catch (const std::exception& e) {
-          errors[i] = std::string("unexpected error: ") + e.what();
-        }
-        const double w = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-        walls[i] = w;
-        latency.record(static_cast<std::uint64_t>(w * 1e9));
-        // The slow-request log goes to stderr as the request finishes (one
-        // fprintf per line keeps concurrent writers whole), carrying the
-        // same id the slot header and the trace export use.
-        if (opts.slowThreshold > 0.0 && w >= opts.slowThreshold)
-          std::fprintf(stderr,
-                       "slow request [r%llu] %s: %.3fs (threshold %.3fs)%s\n",
-                       static_cast<unsigned long long>(
-                           requests[i].requestId),
-                       requests[i].label.c_str(), w, opts.slowThreshold,
-                       errors[i].empty() ? "" : " [failed]");
+  std::atomic<std::size_t> nextRequest{0};
+  imcdft::runOnThreads(workers, requests.size(), [&] {
+    obs::Histogram& latency =
+        obs::MetricsRegistry::global().histogram("serve.request_nanos");
+    for (std::size_t i; (i = nextRequest.fetch_add(1)) < requests.size();) {
+      const auto t0 = std::chrono::steady_clock::now();
+      try {
+        reports[i] = session.analyze(requests[i]);
+      } catch (const imcdft::BudgetExceeded& e) {
+        overBudget[i] = 1;
+        errors[i] = e.what();
+      } catch (const Error& e) {
+        errors[i] = e.what();
+      } catch (const std::bad_alloc&) {
+        errors[i] = "out of memory";
+      } catch (const std::exception& e) {
+        errors[i] = std::string("unexpected error: ") + e.what();
       }
-    };
-    std::vector<std::thread> pool;
-    const unsigned spawned = static_cast<unsigned>(
-        std::min<std::size_t>(workers, requests.size()));
-    pool.reserve(spawned);
-    for (unsigned w = 0; w < spawned; ++w) pool.emplace_back(work);
-    for (std::thread& t : pool) t.join();
-  }
+      const double w = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count();
+      walls[i] = w;
+      latency.record(static_cast<std::uint64_t>(w * 1e9));
+      // The slow-request log goes to stderr as the request finishes (one
+      // fprintf per line keeps concurrent writers whole), carrying the
+      // same id the slot header and the trace export use.
+      if (opts.slowThreshold > 0.0 && w >= opts.slowThreshold)
+        std::fprintf(stderr,
+                     "slow request [r%llu] %s: %.3fs (threshold %.3fs)%s\n",
+                     static_cast<unsigned long long>(requests[i].requestId),
+                     requests[i].label.c_str(), w, opts.slowThreshold,
+                     errors[i].empty() ? "" : " [failed]");
+    }
+  });
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
